@@ -17,10 +17,8 @@
 //
 // The whole (t', x, k, seed) grid expands into one cell vector and runs
 // as one parallel batch; `--json[=path]` emits the Report
-// (default BENCH_frontier_grid.json). Cells run lock-step; the token
-// handoff is selectable with `--wait=<condvar|spin_park|spin>` (the
-// verdict table is identical under every strategy — same seeded
-// schedules — only wall time moves).
+// (default BENCH_frontier_grid.json). Cells run lock-step, so the
+// verdict table is a pure function of the seeds.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -53,8 +51,7 @@ CrashPlan below_frontier_adversary(int x, int k) {
 // ASM(kN, t', x) across `seed_count` seeds, frontier cells under hazard
 // crashes, below-frontier cells under the white-box trap.
 std::vector<ExperimentCell> series_cells(int t_prime, int x, int k,
-                                         bool trap, std::uint64_t seed_count,
-                                         WaitStrategy wait) {
+                                         bool trap, std::uint64_t seed_count) {
   return Experiment::of(trivial_kset_algorithm(kN, k - 1))
       .label("t" + std::to_string(t_prime) + "/x" + std::to_string(x) + "/k" +
              std::to_string(k) + (trap ? "/below" : "/frontier"))
@@ -69,7 +66,6 @@ std::vector<ExperimentCell> series_cells(int t_prime, int x, int k,
       // Solving cells finish in a few thousand steps; the budget exists to
       // bound the *stall* cells, which burn it fully, so keep it modest.
       .step_limit(120'000)
-      .wait_strategy(wait)
       .check_legality(false)  // we *want* to run illegal attempts below
       .cells();
 }
@@ -90,14 +86,13 @@ int main(int argc, char** argv) {
     bool trap;
     std::size_t start, count;
   };
-  const WaitStrategy wait = wait_arg(argc, argv);
   std::vector<ExperimentCell> grid;
   std::vector<Series> series;
   for (int t_prime = 1; t_prime <= 5; ++t_prime) {
     for (int x = 1; x <= 3; ++x) {
       const int fl = t_prime / x;
       std::vector<ExperimentCell> cells =
-          series_cells(t_prime, x, fl + 1, false, 3, wait);
+          series_cells(t_prime, x, fl + 1, false, 3);
       series.push_back(Series{t_prime, x, fl + 1, false, grid.size(),
                               cells.size()});
       grid.insert(grid.end(), cells.begin(), cells.end());
@@ -105,7 +100,7 @@ int main(int argc, char** argv) {
         // The trap adversary is deterministic (white-box), so two seeds
         // are ample to witness the stall; stall cells burn their whole
         // step budget, so the count bounds the bench's runtime.
-        cells = series_cells(t_prime, x, fl, true, 2, wait);
+        cells = series_cells(t_prime, x, fl, true, 2);
         series.push_back(
             Series{t_prime, x, fl, true, grid.size(), cells.size()});
         grid.insert(grid.end(), cells.begin(), cells.end());

@@ -6,13 +6,9 @@
 // simulation's intrinsic multiplier (every simulated snapshot becomes a
 // safe-agreement resolution among all simulators).
 //
-// Part 2: the cost of being *scheduled* — a low-thread-count seeded
-// lock-step grid (step-churn cells of 2 and 3 processes, where handoff is
-// the whole workload) run under each wait strategy (wait_strategy.h).
-// Every strategy replays the identical seeded schedule, so the wall-time
-// ratio is pure scheduling overhead; the spin-park hybrid beats the
-// condvar baseline by >= 2x here (bench_scheduler_handoff sweeps wider
-// thread counts, where the gap narrows toward parity).
+// Part 2: the payload cost of a seeded lock-step engine grid, per memory
+// backend (the price of moving Values, with the schedule held fixed).
+// bench_scheduler_handoff prices the scheduler itself.
 //
 // Cells run SEQUENTIALLY (threads = 1): the rows are a timing comparison,
 // so they must not compete for cores. `--json[=path]` emits the combined
@@ -68,58 +64,7 @@ int main(int argc, char** argv) {
       "agreement-resolution cost (grows with simulator count N and with\n"
       "x-safe-agreement width); all rows remain valid 2-set outcomes.\n");
 
-  // ---- Part 2: wait strategies on a seeded lock-step grid -------------
-  // Step-churn cells: every step is a token handoff, so wall-per-step is
-  // the scheduler's handoff price. Same seeds => byte-identical grant
-  // schedules across strategies; only wall time may differ.
-  constexpr int kChurnRounds = 8000;
-  constexpr std::uint64_t kSeedLo = 1, kSeedHi = 3;
-  const WaitStrategy strategies[] = {WaitStrategy::kCondvar,
-                                     WaitStrategy::kSpinPark,
-                                     WaitStrategy::kSpin};
-  std::printf("\n== Scheduler wait strategies: seeded lock-step grid "
-              "(step_churn x%d, seeds %llu..%llu)\n",
-              kChurnRounds, static_cast<unsigned long long>(kSeedLo),
-              static_cast<unsigned long long>(kSeedHi));
-  std::printf("%-10s %10s %12s %12s\n", "strategy", "wall_ms", "steps",
-              "us_per_step");
-  double wall_condvar = 0.0, wall_spin_park = 0.0;
-  bool grid_ok = true;
-  for (WaitStrategy w : strategies) {
-    double wall = 0.0;
-    std::uint64_t steps = 0;
-    for (int n : {2, 3}) {
-      ExecutionOptions base;
-      base.mode = SchedulerMode::kLockstep;
-      base.step_limit = 10'000'000;
-      Report part = run_batch(Experiment::of(step_churn_algorithm(n, kChurnRounds))
-                                  .label("simulation_overhead")
-                                  .direct()
-                                  .input_pool(int_inputs(n, 0))
-                                  .seeds(kSeedLo, kSeedHi)
-                                  .wait_strategy(w)
-                                  .base_options(base)
-                                  .cells(),
-                              batch);
-      grid_ok = grid_ok && part.all_ok();
-      wall += part.total_wall_ms();
-      steps += part.total_steps();
-      for (RunRecord& r : part.records) {
-        report.records.push_back(std::move(r));
-      }
-    }
-    std::printf("%-10s %10.1f %12llu %12.2f\n", to_string(w), wall,
-                static_cast<unsigned long long>(steps),
-                steps > 0 ? wall * 1000.0 / static_cast<double>(steps) : 0.0);
-    if (w == WaitStrategy::kCondvar) wall_condvar = wall;
-    if (w == WaitStrategy::kSpinPark) wall_spin_park = wall;
-  }
-  if (wall_spin_park > 0.0) {
-    std::printf("\nspin_park speedup over condvar: %.2fx%s\n",
-                wall_condvar / wall_spin_park, grid_ok ? "" : "  [INVALID]");
-  }
-
-  // ---- Part 3: payload cost on a seeded lock-step engine grid ---------
+  // ---- Part 2: payload cost on a seeded lock-step engine grid ---------
   // Simulated trivial k-set under a seeded schedule: the step sequence is
   // a pure function of the seed (byte-identical grant traces across Value
   // representations — the steps column must never move in a perf PR), so
@@ -148,7 +93,6 @@ int main(int argc, char** argv) {
                         .input_pool(int_inputs(4, 10))
                         .seeds(kPayloadSeedLo, kPayloadSeedHi)
                         .mem(mem_kind)
-                        .wait_strategy(WaitStrategy::kSpinPark)
                         .base_options(base)
                         .cells(),
                     batch);

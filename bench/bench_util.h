@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/errors.h"
 #include "src/common/parse.h"
 #include "src/common/value.h"
 #include "src/experiment/record.h"
@@ -15,38 +14,10 @@
 
 namespace mpcn::benchutil {
 
-// --wait=<condvar|spin_park|spin> / --wait <name>: the token-handoff
-// strategy the bench's lock-step cells run under (wait_strategy.h).
-// Defaults to the process-wide default (MPCN_WAIT_STRATEGY or condvar),
-// so BENCH_*.json trajectories are labeled and comparable across both CLI
-// and environment selection. Flag syntax comes from src/common/parse.h —
-// the same scanner the mpcn CLI uses — so benches and CLI cannot drift.
-inline WaitStrategy wait_arg(int argc, char** argv) {
-  if (!flag_present(argc, argv, "wait")) return default_wait_strategy();
-  const auto v = flag_value(argc, argv, "wait");
-  if (!v) {
-    // "--wait" with no usable value (end of argv, or a '-'-leading
-    // token): guessing a strategy would mislabel the bench trajectory.
-    throw ProtocolError("--wait needs a strategy name");
-  }
-  return wait_strategy_from_string(*v);
-}
-
 inline ExecutionOptions free_mode(std::uint64_t step_limit = 50'000'000) {
   ExecutionOptions o;
   o.mode = SchedulerMode::kFree;
   o.step_limit = step_limit;
-  return o;
-}
-
-inline ExecutionOptions lockstep(
-    std::uint64_t seed, std::uint64_t step_limit = 2'000'000,
-    WaitStrategy wait = default_wait_strategy()) {
-  ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
-  o.seed = seed;
-  o.step_limit = step_limit;
-  o.wait = wait;
   return o;
 }
 

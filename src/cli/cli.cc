@@ -62,7 +62,6 @@ const char kUsage[] =
     "                    when source == target, else simulated)\n"
     "  --seeds SPEC      \"5\", \"1..8\" or \"1,3,9\" (default: 1)\n"
     "  --mem LIST        primitive,afek (default: primitive)\n"
-    "  --wait LIST       condvar,spin_park,spin (default: process-wide)\n"
     "  --scheduler M     lockstep|free (default: lockstep)\n"
     "  --steps N         per-cell step limit\n"
     "  --wall MS         per-cell wall-clock limit in ms\n"
@@ -320,7 +319,7 @@ void write_trace_file(const std::string& path,
 
 int cmd_run(int argc, char** argv) {
   Args args(argc, argv, 2,
-            {"in", "source", "mode", "seeds", "mem", "wait", "scheduler",
+            {"in", "source", "mode", "seeds", "mem", "scheduler",
              "steps", "wall", "crash-p", "crash-max", "inputs", "shards",
              "threads", "json", "title", "metrics", "trace", "events",
              "telemetry-ms", "stale-ms", "health"},
@@ -365,14 +364,6 @@ int cmd_run(int argc, char** argv) {
     mems.push_back(mem_kind_from_string(name));
   }
   e.mems(std::move(mems));
-
-  if (args.has("wait")) {
-    std::vector<WaitStrategy> waits;
-    for (const std::string& name : parse_name_axis(args.require("wait"))) {
-      waits.push_back(wait_strategy_from_string(name));
-    }
-    e.wait_strategies(std::move(waits));
-  }
 
   e.scheduler(
       scheduler_mode_from_string(args.value_or("scheduler", "lockstep")));

@@ -47,7 +47,7 @@ std::vector<std::string> parse_name_axis(const std::string& s);
 
 // ------------------------------------------------------- argv scanning
 // Shared by bench_util.h and the CLI so flag syntax cannot drift between
-// the two. `name` is given without dashes ("wait" matches "--wait").
+// the two. `name` is given without dashes ("json" matches "--json").
 
 // True if --name appears (with or without a value).
 bool flag_present(int argc, char** argv, const std::string& name);

@@ -22,7 +22,6 @@ Json CellSpec::to_json() const {
       .set("check_legality", check_legality)
       .set("use_scenario_task", use_scenario_task)
       .set("scheduler", to_string(scheduler))
-      .set("wait_strategy", to_string(wait))
       .set("seed", static_cast<std::int64_t>(seed))
       .set("step_limit", static_cast<std::int64_t>(step_limit))
       .set("wall_limit_ms", wall_limit_ms)
@@ -52,7 +51,7 @@ CellSpec CellSpec::from_json(const Json& j) {
     spec.check_legality = j.at("check_legality").as_bool();
     spec.use_scenario_task = j.at("use_scenario_task").as_bool();
     spec.scheduler = scheduler_mode_from_string(j.at("scheduler").as_string());
-    spec.wait = wait_strategy_from_string(j.at("wait_strategy").as_string());
+    // A "wait_strategy" member (threaded-runtime coordinators) is ignored.
     spec.seed = static_cast<std::uint64_t>(j.at("seed").as_int());
     spec.step_limit = static_cast<std::uint64_t>(j.at("step_limit").as_int());
     spec.wall_limit_ms = j.at("wall_limit_ms").as_int();
@@ -99,7 +98,6 @@ CellSpec CellSpec::from_cell(const ExperimentCell& cell) {
   spec.mem = cell.mem;
   spec.check_legality = cell.check_legality;
   spec.scheduler = cell.options.mode;
-  spec.wait = cell.options.wait;
   spec.seed = cell.options.seed;
   spec.step_limit = cell.options.step_limit;
   spec.wall_limit_ms = cell.options.wall_limit.count();
@@ -114,11 +112,6 @@ CellSpec CellSpec::from_cell(const ExperimentCell& cell) {
   if (cell.history) {
     throw ProtocolError(
         "wire: an in-process HistoryRecorder hook cannot cross the wire");
-  }
-  if (cell.options.process_pool) {
-    throw ProtocolError(
-        "wire: an in-process ProcessPool cannot cross the wire; workers "
-        "own their thread pools");
   }
   spec.schedule = cell.schedule;
   spec.record_schedule = cell.record_schedule;
@@ -163,7 +156,6 @@ ExperimentCell CellSpec::to_cell() const {
   cell.mem = mem;
   cell.check_legality = check_legality;
   cell.options.mode = scheduler;
-  cell.options.wait = wait;
   cell.options.seed = seed;
   cell.options.step_limit = step_limit;
   cell.options.wall_limit = std::chrono::milliseconds(wall_limit_ms);
@@ -193,7 +185,6 @@ RunRecord CellSpec::error_record(std::string error) const {
   rec.hop_index = hop_index;
   rec.seed = seed;
   rec.scheduler = scheduler;
-  rec.wait = wait;
   rec.mem = mem;
   rec.inputs = inputs;
   rec.error = std::move(error);

@@ -90,7 +90,6 @@ struct CellSpec {
 
   // ExecutionOptions, flattened.
   SchedulerMode scheduler = SchedulerMode::kLockstep;
-  WaitStrategy wait = WaitStrategy::kCondvar;
   std::uint64_t seed = 1;
   std::uint64_t step_limit = 1'000'000;
   std::int64_t wall_limit_ms = 120'000;

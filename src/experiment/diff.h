@@ -5,7 +5,7 @@
 // reports across commits): run the same grid twice — different commit,
 // backend, shard count or machine — and ask what changed. Records are
 // matched by their grid IDENTITY (scenario, mode, source/target models,
-// hop, seed, scheduler, wait strategy, mem backend), not by position, so
+// hop, seed, scheduler, mem backend), not by position, so
 // reports whose grids only partially overlap still diff usefully;
 // duplicate identities pair up in order.
 //
@@ -35,7 +35,7 @@
 namespace mpcn {
 
 // The grid identity of a record, as a human-readable key:
-// "scenario|mode|source->target|hop|seed|scheduler|wait|mem".
+// "scenario|mode|source->target|hop|seed|scheduler|mem".
 std::string record_identity(const RunRecord& r);
 
 struct CellDelta {

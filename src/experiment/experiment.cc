@@ -29,7 +29,6 @@ RunRecord init_record(const ExperimentCell& cell) {
   rec.hop_index = cell.hop_index;
   rec.seed = cell.options.seed;
   rec.scheduler = cell.options.mode;
-  rec.wait = cell.options.wait;
   rec.mem = cell.mem;
   rec.inputs = cell.inputs;
   if (cell.task) rec.task = cell.task->name();
@@ -267,20 +266,6 @@ Experiment& Experiment::mems(std::vector<MemKind> kinds) {
   return *this;
 }
 
-Experiment& Experiment::wait_strategy(WaitStrategy w) {
-  waits_ = {w};
-  return *this;
-}
-
-Experiment& Experiment::wait_strategies(std::vector<WaitStrategy> ws) {
-  if (ws.empty()) {
-    throw ProtocolError(
-        "Experiment::wait_strategies: need at least one strategy");
-  }
-  waits_ = std::move(ws);
-  return *this;
-}
-
 Experiment& Experiment::crashes(CrashPlan plan) {
   crash_fn_ = [plan = std::move(plan)](const ModelSpec&, std::uint64_t) {
     return plan;
@@ -365,15 +350,13 @@ std::vector<ExperimentCell> Experiment::cells() const {
     }
   }
 
-  const std::vector<WaitStrategy> waits =
-      waits_.empty() ? std::vector<WaitStrategy>{base_.wait} : waits_;
   std::vector<std::uint64_t> seeds = seed_list_;
   if (seeds.empty()) {
     seeds.reserve(static_cast<std::size_t>(seed_hi_ - seed_lo_ + 1));
     for (std::uint64_t s = seed_lo_; s <= seed_hi_; ++s) seeds.push_back(s);
   }
   std::vector<ExperimentCell> out;
-  out.reserve(expanded.size() * seeds.size() * mems_.size() * waits.size());
+  out.reserve(expanded.size() * seeds.size() * mems_.size());
   for (const ExpandedTarget& t : expanded) {
     const std::vector<Value> cell_inputs = inputs_fn_(t.model);
     if (static_cast<int>(cell_inputs.size()) != t.model.n) {
@@ -383,24 +366,21 @@ std::vector<ExperimentCell> Experiment::cells() const {
     }
     for (std::uint64_t s : seeds) {
       for (MemKind mem_kind : mems_) {
-        for (WaitStrategy wait : waits) {
-          ExperimentCell cell;
-          cell.scenario = scenario_;
-          cell.algorithm = algorithm_;
-          cell.mode = t.mode;
-          cell.target = t.model;
-          cell.hop_index = t.hop_index;
-          cell.cell_index = static_cast<int>(out.size());
-          cell.mem = mem_kind;
-          cell.check_legality = check_legality_;
-          cell.options = base_;
-          cell.options.seed = s;
-          cell.options.wait = wait;
-          if (crash_fn_) cell.options.crashes = crash_fn_(t.model, s);
-          cell.task = task_;
-          cell.inputs = cell_inputs;
-          out.push_back(std::move(cell));
-        }
+        ExperimentCell cell;
+        cell.scenario = scenario_;
+        cell.algorithm = algorithm_;
+        cell.mode = t.mode;
+        cell.target = t.model;
+        cell.hop_index = t.hop_index;
+        cell.cell_index = static_cast<int>(out.size());
+        cell.mem = mem_kind;
+        cell.check_legality = check_legality_;
+        cell.options = base_;
+        cell.options.seed = s;
+        if (crash_fn_) cell.options.crashes = crash_fn_(t.model, s);
+        cell.task = task_;
+        cell.inputs = cell_inputs;
+        out.push_back(std::move(cell));
       }
     }
   }

@@ -147,11 +147,6 @@ class Experiment {
   Experiment& seed_list(std::vector<std::uint64_t> seeds);
   Experiment& mem(MemKind kind);                           // single backend
   Experiment& mems(std::vector<MemKind> kinds);            // backend axis
-  // Token-handoff mechanism for lock-step cells (wait_strategy.h). Every
-  // strategy replays the same seeded schedule, so the axis compares pure
-  // scheduling overhead cell by cell.
-  Experiment& wait_strategy(WaitStrategy w);               // single
-  Experiment& wait_strategies(std::vector<WaitStrategy> ws);  // axis
 
   // ------------------------------------------------------ adversary
   Experiment& crashes(CrashPlan plan);         // same plan in every cell
@@ -173,7 +168,6 @@ class Experiment {
   //   for each target (chains expanded hop by hop)
   //     for each seed
   //       for each memory backend
-  //         for each wait strategy
   // Throws ProtocolError on configuration errors (no mode selected, no
   // inputs, input size mismatch, non-equivalent chain endpoints, ...).
   std::vector<ExperimentCell> cells() const;
@@ -206,8 +200,6 @@ class Experiment {
   bool seed_set_ = false;  // seed()/seeds() overrides base_options' seed
   std::vector<std::uint64_t> seed_list_;  // non-empty: overrides lo..hi
   std::vector<MemKind> mems_{MemKind::kPrimitive};
-  // Empty = inherit base_.wait (so base_options() keeps working).
-  std::vector<WaitStrategy> waits_;
   CrashPlanFactory crash_fn_;
   ExecutionOptions base_;
   bool check_legality_ = true;

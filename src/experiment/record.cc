@@ -118,7 +118,6 @@ Json RunRecord::to_json(bool include_timing) const {
       .set("hop_index", hop_index)
       .set("seed", static_cast<std::int64_t>(seed))
       .set("scheduler", to_string(scheduler))
-      .set("wait_strategy", to_string(wait))
       .set("mem", to_string(mem));
   Json in = Json::array();
   for (const Value& v : inputs) in.push(value_to_json(v));
@@ -181,11 +180,8 @@ RunRecord RunRecord::from_json(const Json& j) {
   r.hop_index = static_cast<int>(j.at("hop_index").as_int());
   r.seed = static_cast<std::uint64_t>(j.at("seed").as_int());
   r.scheduler = scheduler_mode_from_string(j.at("scheduler").as_string());
-  // Reports written before the wait-strategy axis existed lack the field;
-  // they ran the then-only condvar handoff.
-  if (const Json* w = j.find("wait_strategy")) {
-    r.wait = wait_strategy_from_string(w->as_string());
-  }
+  // Reports of the threaded runtime carry a "wait_strategy" label; it
+  // names a handoff mechanism that no longer exists and is ignored.
   r.mem = mem_kind_from_string(j.at("mem").as_string());
   for (const Json& v : j.at("inputs").items()) {
     r.inputs.push_back(value_from_json(v));

@@ -73,7 +73,6 @@ struct RunRecord {
   int hop_index = -1;    // >= 0: position within a kChain expansion
   std::uint64_t seed = 0;
   SchedulerMode scheduler = SchedulerMode::kLockstep;
-  WaitStrategy wait = WaitStrategy::kCondvar;  // token handoff used
   MemKind mem = MemKind::kPrimitive;
 
   std::vector<Value> inputs;

@@ -12,7 +12,6 @@
 #include "src/obs/events.h"
 #include "src/obs/progress.h"
 #include "src/obs/spans.h"
-#include "src/runtime/process_pool.h"
 
 namespace mpcn {
 
@@ -171,22 +170,17 @@ ScheduleSpec spec_for(const ExploreOptions& opts, std::uint64_t horizon,
   return s;
 }
 
-// Per-worker scratch, reused across every schedule the worker runs: a
-// persistent ProcessPool hosting the process bodies (spawning and
-// joining OS threads per run was ~40% of the per-schedule cost at
-// n = 2) and an arena-backed HistoryRecorder whose event buffer rewinds
-// between schedules instead of being freed. Declaration order matters:
-// `history` allocates from `arena`, so it must be destroyed first
-// (members are destroyed in reverse declaration order).
+// Per-worker scratch, reused across every schedule the worker runs: an
+// arena-backed HistoryRecorder whose event buffer rewinds between
+// schedules instead of being freed. Declaration order matters: `history`
+// allocates from `arena`, so it must be destroyed first (members are
+// destroyed in reverse declaration order).
 struct WorkerScratch {
-  ProcessPool pool;
   Arena arena;
   std::shared_ptr<HistoryRecorder> history;
 
-  explicit WorkerScratch(int processes)
-      : pool(processes),
-        arena(1 << 14),
-        history(std::make_shared<HistoryRecorder>(&arena)) {}
+  WorkerScratch()
+      : arena(1 << 14), history(std::make_shared<HistoryRecorder>(&arena)) {}
 };
 
 }  // namespace
@@ -381,20 +375,13 @@ ExploreResult explore(const ExperimentCell& cell,
 
   const bool want_history =
       options.spec != nullptr && cell.mode == ExecutionMode::kDirect;
-  // Runs that get the pooled recorder attached: the spec oracle reads
+  // Runs that get the scratch recorder attached: the spec oracle reads
   // its events, and a race-checked run would otherwise allocate a fresh
   // recorder inside run_cell every schedule.
   const bool pass_history = want_history || options.check_races;
 
-  // One scratch per search worker. Worker 0's scratch also serves the
-  // PCT probe and the shrinker (both run on this thread), so even the
-  // sharded path builds one. The `shrink_cell` parameter lets in-process
-  // callers shrink through a pooled cell while `base` itself stays
-  // pool-free — the sharded branch ships copies of `base` over the wire,
-  // which rejects cells carrying live pools.
   auto handle_violation = [&](int index, RunRecord rec,
-                              const OracleVerdict& verdict,
-                              const ExperimentCell& shrink_cell) {
+                              const OracleVerdict& verdict) {
     ExploreViolation v;
     v.schedule_index = index;
     v.why = verdict.why;
@@ -432,7 +419,7 @@ ExploreResult explore(const ExperimentCell& cell,
       so.check_races = options.check_races;
       so.require_race = v.race;
       so.require_crash = v.crashed;
-      ShrinkResult sr = shrink(shrink_cell, v.trace, so);
+      ShrinkResult sr = shrink(base, v.trace, so);
       v.shrunk = std::move(sr.trace);
       v.shrunk_verified = sr.verified;
       v.shrink_replays = sr.replays;
@@ -456,7 +443,6 @@ ExploreResult explore(const ExperimentCell& cell,
     return stop;
   };
 
-  const int processes = std::max(1, static_cast<int>(base.inputs.size()));
   // Bounded DFS carries one search tree across runs, so it cannot fan
   // out — threads > 1 falls back to the serial engine (documented in
   // ExploreOptions); random/PCT schedules are pure functions of the
@@ -466,15 +452,14 @@ ExploreResult explore(const ExperimentCell& cell,
                         options.budget > 1;
   const int workers =
       parallel ? std::min(options.threads, options.budget) : 1;
+  // One scratch per search worker. Worker 0's scratch also serves the
+  // PCT probe, which runs on this thread, so even the sharded path
+  // builds one.
   std::vector<std::unique_ptr<WorkerScratch>> scratch;
   scratch.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    scratch.push_back(std::make_unique<WorkerScratch>(processes));
+    scratch.push_back(std::make_unique<WorkerScratch>());
   }
-  // In-process runs driven from this thread (probe, serial search,
-  // shrink replays) all ride worker 0's pool.
-  ExperimentCell pooled_base = base;
-  pooled_base.options.process_pool = &scratch[0]->pool;
 
   // Rewind a worker's scratch for the next schedule and hand out its
   // recorder (recorder first, THEN the arena backing its buffer).
@@ -498,7 +483,7 @@ ExploreResult explore(const ExperimentCell& cell,
     probe.kind = SchedulePolicyKind::kSeededRandom;
     probe.seed = options.seed;
     auto history = scratch_history(*scratch[0]);
-    RunRecord rec = run_schedule(pooled_base, -1, probe, nullptr, history);
+    RunRecord rec = run_schedule(base, -1, probe, nullptr, history);
     horizon = std::max<std::uint64_t>(rec.steps, 8);
     result.total_steps += rec.steps;
     m_steps().add(rec.steps);
@@ -507,7 +492,7 @@ ExploreResult explore(const ExperimentCell& cell,
       ++result.skipped_spec_checks;
       m_spec_skips().add();
     }
-    if (v.violated && handle_violation(-1, std::move(rec), v, pooled_base)) {
+    if (v.violated && handle_violation(-1, std::move(rec), v)) {
       result.pct_horizon = horizon;
       return result;
     }
@@ -554,8 +539,7 @@ ExploreResult explore(const ExperimentCell& cell,
         result.first_trace = *rec.schedule_trace;
       }
       const OracleVerdict v = judge(rec, nullptr, nullptr);
-      if (v.violated && handle_violation(rec.cell_index, rec, v,
-                                         pooled_base)) {
+      if (v.violated && handle_violation(rec.cell_index, rec, v)) {
         break;
       }
     }
@@ -579,7 +563,7 @@ ExploreResult explore(const ExperimentCell& cell,
         break;
       }
       auto history = scratch_history(*scratch[0]);
-      RunRecord rec = run_schedule(pooled_base, i, schedule, dfs, history);
+      RunRecord rec = run_schedule(base, i, schedule, dfs, history);
       ++result.schedules;
       m_schedules().add();
       heartbeat.tick();
@@ -593,7 +577,7 @@ ExploreResult explore(const ExperimentCell& cell,
         ++result.skipped_spec_checks;
         m_spec_skips().add();
       }
-      if (v.violated && handle_violation(i, std::move(rec), v, pooled_base)) {
+      if (v.violated && handle_violation(i, std::move(rec), v)) {
         break;
       }
     }
@@ -655,8 +639,6 @@ ExploreResult explore(const ExperimentCell& cell,
     worker_threads.emplace_back([&, w] {
       try {
         WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
-        ExperimentCell worker_base = base;
-        worker_base.options.process_pool = &s.pool;
         while (true) {
           const int i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= options.budget ||
@@ -664,7 +646,7 @@ ExploreResult explore(const ExperimentCell& cell,
             break;
           }
           auto history = scratch_history(s);
-          RunRecord rec = run_schedule(worker_base, i,
+          RunRecord rec = run_schedule(base, i,
                                        spec_for(options, horizon, i),
                                        nullptr, history);
           Slot& slot = slots[static_cast<std::size_t>(i)];
@@ -706,7 +688,7 @@ ExploreResult explore(const ExperimentCell& cell,
       m_spec_skips().add();
     }
     if (s.verdict.violated &&
-        handle_violation(i, std::move(*s.rec), s.verdict, pooled_base)) {
+        handle_violation(i, std::move(*s.rec), s.verdict)) {
       break;
     }
   }

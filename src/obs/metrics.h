@@ -9,8 +9,8 @@
 //     Export goes to its own file (`mpcn ... --metrics out.json`).
 //   * ALWAYS COMPILED IN, ALWAYS CHEAP. Instrumented sites pay one
 //     relaxed atomic increment whether or not anyone ever snapshots.
-//     Counters on the hottest paths (WaitStrategy parks, Value hash
-//     memo) are sharded across cache-line-padded slots keyed by a
+//     Counters on the hottest paths (Value hash memo, arena bytes)
+//     are sharded across cache-line-padded slots keyed by a
 //     per-thread id, so concurrent increments do not contend.
 //   * MERGEABLE. A MetricsSnapshot is a pure bag of sums: merging is
 //     field-wise addition, hence commutative and associative — worker
@@ -20,7 +20,7 @@
 // Hot-path idiom: resolve the metric once into a function-local static
 // reference, then increment through it —
 //
-//   static Counter& c = metrics_registry().counter("wait.parks");
+//   static Counter& c = metrics_registry().counter("arena.bytes");
 //   c.add();
 //
 // Registry lookups take a mutex, but only on first resolution; metric

@@ -146,8 +146,8 @@ class CrashManager : public CrashDirector {
   // schedule is unaffected).
   std::vector<CrashPoint> realized() const;
 
-  // CrashDirector (explored plans; called with the controller mutex
-  // held — lock order is controller -> CrashManager, never the reverse).
+  // CrashDirector (explored plans; called by the lock-step controller
+  // at grant time).
   int budget_remaining() const override;
   bool crashable(ProcessId pid) const override;
   double rate() const override;

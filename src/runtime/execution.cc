@@ -1,7 +1,5 @@
 #include "src/runtime/execution.h"
 
-#include <thread>
-
 #include "src/common/errors.h"
 
 namespace mpcn {
@@ -40,8 +38,7 @@ Execution::Execution(std::vector<Program> programs, std::vector<Value> inputs,
   }
   if (options_.mode == SchedulerMode::kLockstep) {
     controller_ = std::make_unique<LockstepController>(
-        options_.seed, options_.step_limit, options_.wait,
-        options_.schedule_policy);
+        options_.seed, options_.step_limit, options_.schedule_policy);
     if (options_.record_schedule) controller_->enable_grant_trace();
   } else {
     controller_ = std::make_unique<FreeController>(options_.step_limit);
@@ -65,7 +62,6 @@ void Execution::record_decision(ProcessId pid, const Value& v) {
     if (!decisions_[static_cast<std::size_t>(pid)].has_value()) {
       decisions_[static_cast<std::size_t>(pid)] = v;
     }
-    cv_.notify_all();
   }
   maybe_stop_all_correct_decided();
 }
@@ -101,6 +97,20 @@ int Execution::next_sub(ProcessId pid) {
   return sub_counters_[static_cast<std::size_t>(pid)]++;
 }
 
+void Execution::run_process(ProcessContext& ctx) {
+  try {
+    programs_[static_cast<std::size_t>(ctx.pid())](ctx);
+  } catch (const ProcessCrashed&) {
+    // The crash event: the process simply stops taking steps.
+  } catch (const SimulationHalted&) {
+    // Run ended under this process.
+  } catch (...) {
+    std::lock_guard<std::mutex> lk(m_);
+    if (!error_) error_ = std::current_exception();
+    controller_->request_stop();
+  }
+}
+
 Outcome Execution::run() {
   {
     std::lock_guard<std::mutex> lk(m_);
@@ -113,78 +123,25 @@ Outcome Execution::run() {
   for (ProcessId pid = 0; pid < n_; ++pid) {
     contexts.push_back(
         std::make_unique<ProcessContext>(ThreadId{pid, 0}, this));
-    // Register before any thread starts: the lock-step live set must not
-    // depend on OS spawn timing.
-    controller_->enter(ThreadId{pid, 0});
+    ProcessContext* ctx = contexts.back().get();
+    controller_->spawn(ctx->tid(), [this, ctx] { run_process(*ctx); });
   }
-
-  const std::function<void(int)> body = [this, &contexts](int pid) {
-    ProcessContext& ctx = *contexts[static_cast<std::size_t>(pid)];
-    try {
-      programs_[static_cast<std::size_t>(pid)](ctx);
-    } catch (const ProcessCrashed&) {
-      // The crash event: the process simply stops taking steps.
-    } catch (const SimulationHalted&) {
-      // Run ended under this thread.
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(m_);
-      if (!error_) error_ = std::current_exception();
-      controller_->request_stop();
-    }
-    controller_->leave(ctx.tid());
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      ++threads_done_;
-    }
-    cv_.notify_all();
-  };
-
-  // Which OS thread hosts a process body is invisible to the grant
-  // schedule (the controller serializes on the step token), so borrowing
-  // pooled threads instead of spawning changes wall time only.
-  const bool pooled =
-      options_.process_pool && options_.process_pool->size() >= n_;
-  std::vector<std::thread> threads;
-  if (pooled) {
-    options_.process_pool->start(n_, body);
-  } else {
-    threads.reserve(static_cast<std::size_t>(n_));
-    for (ProcessId pid = 0; pid < n_; ++pid) {
-      threads.emplace_back([&body, pid] { body(pid); });
-    }
-  }
-
-  // Event-driven completion: every worker notifies cv_ when it exits, and
-  // the all-correct-decided stop is requested on-token from decision and
-  // crash events (maybe_stop_all_correct_decided), so the monitor thread
-  // sleeps until the run is over — no periodic polling. Only the wall
-  // deadline still needs a timed wait, and it fires at most once.
-  const auto deadline = std::chrono::steady_clock::now() + options_.wall_limit;
-  bool wall_timed_out = false;
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    if (!cv_.wait_until(lk, deadline, [&] { return threads_done_ >= n_; })) {
-      wall_timed_out = true;
-      controller_->request_stop();
-      cv_.wait(lk, [&] { return threads_done_ >= n_; });
-    }
-  }
-  if (pooled) {
-    options_.process_pool->wait();
-  } else {
-    for (std::thread& t : threads) t.join();
-  }
+  // Completion is event-driven: the all-correct-decided stop is requested
+  // on-token from decision and crash events, and the controller returns
+  // once every process has finished (or stops the run at the deadline).
+  controller_->run(std::chrono::steady_clock::now() + options_.wall_limit);
 
   if (error_) std::rethrow_exception(error_);
   if (auto* lockstep = dynamic_cast<LockstepController*>(controller_.get())) {
-    const std::string policy_error = lockstep->policy_error();
-    if (!policy_error.empty()) throw ProtocolError(policy_error);
+    if (!lockstep->policy_error().empty()) {
+      throw ProtocolError(lockstep->policy_error());
+    }
   }
 
   Outcome out;
   out.decisions = decisions_;
   out.crashed = crash_mgr_->crashed_vector();
-  out.timed_out = controller_->timed_out() || wall_timed_out;
+  out.timed_out = controller_->timed_out();
   out.steps = controller_->steps();
   return out;
 }

@@ -1,11 +1,12 @@
 // Execution: runs one distributed algorithm in one system model.
 //
 // An algorithm is a vector of Programs, one per process p_0..p_{n-1}
-// (the paper's p_1..p_n). The harness spawns one OS thread per process,
-// wires each to the step controller and the crash adversary, and collects
-// the decision vector O (Section 2.1).
+// (the paper's p_1..p_n). The harness starts one thread of control per
+// process through the step controller — a fiber on the calling thread
+// under lock-step, an OS thread in free mode — wires each to the crash
+// adversary, and collects the decision vector O (Section 2.1).
 //
-// Termination detection: the run ends when (a) every process thread has
+// Termination detection: the run ends when (a) every process has
 // returned (decided, crashed, or halted), with an early global stop once
 // every non-crashed process has decided — the liveness contract of a
 // t-resilient algorithm in a legal run — or (b) the step budget / wall
@@ -15,9 +16,9 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "src/common/value.h"
 #include "src/runtime/crash_plan.h"
 #include "src/runtime/process_context.h"
-#include "src/runtime/process_pool.h"
 #include "src/runtime/step_controller.h"
 
 namespace mpcn {
@@ -34,9 +34,6 @@ using Program = std::function<void(ProcessContext&)>;
 
 struct ExecutionOptions {
   SchedulerMode mode = SchedulerMode::kLockstep;
-  // Token-handoff mechanism for lock-step runs (wait_strategy.h). Any
-  // choice yields the same seeded schedule; only wall time differs.
-  WaitStrategy wait = default_wait_strategy();
   std::uint64_t seed = 1;
   std::uint64_t step_limit = 1'000'000;
   std::chrono::milliseconds wall_limit{120'000};
@@ -50,12 +47,6 @@ struct ExecutionOptions {
   // Lock-step only: capture the grant trace (one ThreadId per step) so
   // the schedule can be digested, recorded and replayed.
   bool record_schedule = false;
-  // Host the per-process bodies on this persistent pool instead of
-  // spawning one OS thread per process per run (the explore hot loop's
-  // biggest fixed cost). Non-owning; must outlive the run and have
-  // size() >= the program count (smaller pools fall back to spawning).
-  // In-process only — the shard wire rejects cells carrying a pool.
-  ProcessPool* process_pool = nullptr;
 };
 
 struct Outcome {
@@ -92,9 +83,12 @@ class Execution : public ExecutionBackend {
  private:
   // Requests the global stop if every non-crashed process has decided.
   // Called from on-token contexts (decision recording, crash events) so
-  // the stop lands at a deterministic schedule point; the wall-clock
-  // monitor keeps a polling fallback.
+  // the stop lands at a deterministic schedule point.
   void maybe_stop_all_correct_decided();
+  // One process's thread of control: its program, with crash and halt
+  // unwinding absorbed and any other exception latched into error_.
+  void run_process(ProcessContext& ctx);
+
   const int n_;
   std::vector<Program> programs_;
   std::vector<Value> inputs_;
@@ -102,11 +96,9 @@ class Execution : public ExecutionBackend {
   std::unique_ptr<StepController> controller_;
   std::unique_ptr<CrashManager> crash_mgr_;
 
-  mutable std::mutex m_;
-  std::condition_variable cv_;
+  mutable std::mutex m_;  // free-mode processes share the fields below
   std::vector<std::optional<Value>> decisions_;
   std::vector<int> sub_counters_;
-  int threads_done_ = 0;
   std::exception_ptr error_;
   bool ran_ = false;
 };

@@ -1,0 +1,193 @@
+#include "src/runtime/fiber.h"
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <system_error>
+#include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define MPCN_ASAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define MPCN_TSAN_FIBERS 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MPCN_ASAN_FIBERS 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define MPCN_TSAN_FIBERS 1
+#endif
+#endif
+
+#ifdef MPCN_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef MPCN_TSAN_FIBERS
+#include <sanitizer/tsan_interface.h>
+#endif
+
+namespace mpcn {
+
+namespace {
+
+#ifdef MPCN_ASAN_FIBERS
+// The context the current switch leaves; arrived() learns the stack
+// bounds of a Fiber() context from it.
+thread_local Fiber* tl_leaving = nullptr;
+#endif
+
+std::size_t page_size() {
+  static const std::size_t size =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return size;
+}
+
+// One stack mapping: a PROT_NONE guard page below kStackSize usable
+// bytes (stacks grow down).
+std::size_t mapping_size() { return page_size() + Fiber::kStackSize; }
+
+// Stacks of destroyed fibers, kept for the thread's next fibers. A fresh
+// mapping costs mmap, mprotect, first-touch page faults and an munmap
+// that must shoot down every other core's TLB in a multi-threaded
+// process: more than a whole short schedule, and serialized across the
+// threads of an `explore --threads N` search.
+constexpr std::size_t kCachedStacks = 64;
+
+struct StackCache {
+  std::vector<void*> stacks;
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (void* s : stacks) ::munmap(s, mapping_size());
+  }
+};
+
+thread_local StackCache tl_stack_cache;
+
+void* take_stack() {
+  std::vector<void*>& cached = tl_stack_cache.stacks;
+  if (!cached.empty()) {
+    void* map = cached.back();
+    cached.pop_back();
+    return map;
+  }
+  void* map = ::mmap(nullptr, mapping_size(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (map == MAP_FAILED) {
+    throw std::system_error(errno, std::generic_category(), "fiber stack");
+  }
+  if (::mprotect(map, page_size(), PROT_NONE) != 0) {
+    const int err = errno;
+    ::munmap(map, mapping_size());
+    throw std::system_error(err, std::generic_category(), "fiber stack");
+  }
+  return map;
+}
+
+void give_back_stack(void* map) {
+#ifdef MPCN_ASAN_FIBERS
+  // A finished fiber's last frames were abandoned, not returned from:
+  // clear their redzones so the next fiber on this stack starts clean.
+  __asan_unpoison_memory_region(map, mapping_size());
+#endif
+  std::vector<void*>& cached = tl_stack_cache.stacks;
+  if (cached.size() < kCachedStacks) {
+    cached.push_back(map);
+  } else {
+    ::munmap(map, mapping_size());
+  }
+}
+
+}  // namespace
+
+Fiber::Fiber() {
+#ifdef MPCN_TSAN_FIBERS
+  tsan_fiber_ = __tsan_get_current_fiber();
+#endif
+}
+
+Fiber::Fiber(std::function<void()> entry)
+    : entry_(std::move(entry)), stack_(take_stack()) {
+  if (::getcontext(&ctx_) != 0) {
+    const int err = errno;
+    give_back_stack(stack_);
+    throw std::system_error(err, std::generic_category(), "fiber context");
+  }
+  stack_bottom_ = static_cast<char*>(stack_) + page_size();
+  stack_size_ = kStackSize;
+  ctx_.uc_stack.ss_sp = static_cast<char*>(stack_) + page_size();
+  ctx_.uc_stack.ss_size = kStackSize;
+  ctx_.uc_link = nullptr;
+  // makecontext passes int arguments only: hand `this` over in halves.
+  const auto self =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
+  ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+                static_cast<unsigned>(self >> 32),
+                static_cast<unsigned>(self & 0xffffffffu));
+#ifdef MPCN_TSAN_FIBERS
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
+}
+
+Fiber::~Fiber() {
+  if (stack_ == nullptr) return;
+#ifdef MPCN_TSAN_FIBERS
+  __tsan_destroy_fiber(tsan_fiber_);
+#endif
+  give_back_stack(stack_);
+}
+
+void Fiber::trampoline(unsigned hi, unsigned lo) {
+  auto* self = reinterpret_cast<Fiber*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo));
+  self->arrived();
+  self->entry_();
+  std::abort();  // entry_ must end with exit_to()
+}
+
+void Fiber::switch_to(Fiber& from, Fiber& to) {
+#ifdef MPCN_ASAN_FIBERS
+  tl_leaving = &from;
+  __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.stack_bottom_,
+                                 to.stack_size_);
+#endif
+#ifdef MPCN_TSAN_FIBERS
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+#endif
+  ::swapcontext(&from.ctx_, &to.ctx_);
+  from.arrived();
+}
+
+void Fiber::exit_to(Fiber& to) {
+#ifdef MPCN_ASAN_FIBERS
+  tl_leaving = nullptr;
+  // A null save slot tells ASan this stack is gone for good.
+  __sanitizer_start_switch_fiber(nullptr, to.stack_bottom_, to.stack_size_);
+#endif
+#ifdef MPCN_TSAN_FIBERS
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+#endif
+  ::setcontext(&to.ctx_);
+  std::abort();  // setcontext returns only on failure
+}
+
+void Fiber::arrived() {
+#ifdef MPCN_ASAN_FIBERS
+  const void* bottom = nullptr;
+  std::size_t size = 0;
+  __sanitizer_finish_switch_fiber(asan_fake_stack_, &bottom, &size);
+  if (tl_leaving != nullptr && tl_leaving->stack_ == nullptr) {
+    tl_leaving->stack_bottom_ = bottom;
+    tl_leaving->stack_size_ = size;
+  }
+#endif
+}
+
+}  // namespace mpcn

@@ -1,0 +1,62 @@
+// Fiber: an execution context with its own stack, switched by hand on one
+// OS thread.
+//
+// The lock-step runtime (step_controller.h) runs every process of an
+// Execution as a Fiber on the thread that calls Execution::run and
+// switches between them at step grants. A Fiber is a plain ucontext
+// context. Its stack is kStackSize bytes of mmap'ed memory above one
+// PROT_NONE guard page, so an overflow faults instead of corrupting a
+// neighbour. A destroyed Fiber's stack goes to a small per-thread cache
+// for the thread's next fibers, and is unmapped when the cache is full
+// or the thread exits.
+//
+// Sanitizers see every switch through their fiber APIs: ASan's
+// start/finish_switch_fiber keep its stack bookkeeping right, and TSan's
+// create/switch_to/destroy_fiber give each fiber its own shadow state.
+#pragma once
+
+#include <ucontext.h>
+
+#include <cstddef>
+#include <functional>
+
+namespace mpcn {
+
+class Fiber {
+ public:
+  static constexpr std::size_t kStackSize = 256 * 1024;
+
+  // The calling context (a thread's own stack) as a switch target. Owns
+  // no stack.
+  Fiber();
+  // A fiber that runs `entry` on a fresh stack when first switched to.
+  // `entry` must not return: it ends with exit_to().
+  explicit Fiber(std::function<void()> entry);
+  ~Fiber();
+  Fiber(const Fiber&) = delete;
+  Fiber& operator=(const Fiber&) = delete;
+
+  // Save the running context into `from` and resume `to`. Returns when
+  // something switches back to `from`.
+  static void switch_to(Fiber& from, Fiber& to);
+  // The last switch of the running fiber, whose entry has finished: it is
+  // never resumed, and may be destroyed once `to` runs.
+  [[noreturn]] static void exit_to(Fiber& to);
+
+ private:
+  static void trampoline(unsigned hi, unsigned lo);
+  // Sanitizer bookkeeping on arrival in this context.
+  void arrived();
+
+  ucontext_t ctx_{};
+  std::function<void()> entry_;
+  void* stack_ = nullptr;  // guard page + stack mapping; null for Fiber()
+  // The stack's lowest usable address and size. Learned on the first
+  // switch away for a Fiber() context (ASan builds only need it).
+  const void* stack_bottom_ = nullptr;
+  std::size_t stack_size_ = 0;
+  void* asan_fake_stack_ = nullptr;
+  void* tsan_fiber_ = nullptr;
+};
+
+}  // namespace mpcn

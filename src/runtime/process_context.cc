@@ -7,8 +7,8 @@ struct ChildHandle::State {
   ExecutionBackend* backend = nullptr;
   ThreadId parent_tid{};
   std::atomic<bool> done{false};
+  bool joined = false;  // the controller has reaped the child
   std::exception_ptr error;
-  std::thread thread;
 };
 
 StepGuard ProcessContext::step() {
@@ -39,10 +39,9 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
   s->ctx = std::make_unique<ProcessContext>(child_tid, backend_);
   s->backend = backend_;
   s->parent_tid = tid_;
-  // Register the child before it starts so the lock-step live set evolves
-  // at a deterministic point (the parent's own execution).
-  backend_->controller().enter(child_tid);
-  s->thread = std::thread([s, fn = std::move(fn)] {
+  // The controller registers the child before it starts, so the lock-step
+  // live set evolves at a deterministic point (the parent's own turn).
+  backend_->controller().spawn(child_tid, [s, fn = std::move(fn)] {
     try {
       fn(*s->ctx);
     } catch (const ProcessCrashed&) {
@@ -57,7 +56,6 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
     // the store lands inside an exclusive window and every observer sees
     // it at a schedule-determined point (lock-step determinism).
     s->done.store(true, std::memory_order_release);
-    s->backend->controller().leave(s->ctx->tid());
   });
   ChildHandle h;
   h.s_ = std::move(s);
@@ -71,7 +69,10 @@ void ChildHandle::join(ProcessContext& parent) {
     parent.yield();
     backoff.pause();
   }
-  if (s_->thread.joinable()) s_->thread.join();
+  if (!s_->joined) {
+    s_->joined = true;
+    s_->backend->controller().join(s_->ctx->tid());
+  }
   if (s_->error) {
     auto e = s_->error;
     s_->error = nullptr;
@@ -95,20 +96,20 @@ std::exception_ptr ChildHandle::error() const {
 }
 
 ChildHandle::~ChildHandle() {
-  if (!s_ || !s_->thread.joinable()) return;
+  if (!s_ || s_->joined) return;
+  s_->joined = true;
   cancel();
   // The parent is abandoning the child (normal shutdown path or
-  // exception unwind). While we block in the native join, remove the
-  // parent from the lock-step grant set so the child can be granted the
-  // steps it needs to observe the cancel flag and unwind.
+  // exception unwind). While it waits, remove the parent from the
+  // lock-step grant set so the child can be granted the steps it needs
+  // to observe the cancel flag and unwind.
   //
   // Done unconditionally — NOT gated on done() — so the controller-state
-  // trace is independent of the (racy) question of whether the child's
-  // exit epilogue has finished yet; this keeps lock-step schedules
-  // replayable through simulator shutdown.
+  // trace is independent of whether the child has finished yet; this
+  // keeps lock-step schedules replayable through simulator shutdown.
   StepController& c = s_->backend->controller();
   c.leave(s_->parent_tid);
-  s_->thread.join();
+  c.join(s_->ctx->tid());
   c.enter(s_->parent_tid);
 }
 

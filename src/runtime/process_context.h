@@ -14,12 +14,13 @@
 // process" (Section 2.4). ProcessContext::fork() creates such a thread in
 // the same crash domain: the child shares the parent's ProcessId, so one
 // crash event stops the simulator and all its simulated threads together.
+// The step controller decides what a thread is: a fiber on the run's own
+// OS thread under lock-step, an OS thread of its own in free mode.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "src/common/errors.h"
 #include "src/common/ids.h"
@@ -72,12 +73,13 @@ class ChildHandle {
   ChildHandle() = default;
   ChildHandle(ChildHandle&&) = default;
   ChildHandle& operator=(ChildHandle&&) = default;
-  // Destructor: cancels the child, suspends the parent from the lock-step
-  // grant set, and joins natively. Safe during exception unwind.
+  // Destructor: cancels the child, takes the parent out of the lock-step
+  // grant set, and waits for the child to finish. Safe during exception
+  // unwind.
   ~ChildHandle();
 
   // Cooperative join: yield-spins on the parent context until the child
-  // has finished, then joins natively (the child needs no further steps at
+  // has finished, then reaps it (the child needs no further steps at
   // that point, so this cannot stall the lock-step schedule).
   // Rethrows any non-crash, non-halt exception raised by the child.
   void join(ProcessContext& parent);

@@ -2,7 +2,7 @@
 // scheduler.
 //
 // The LockstepController (step_controller.h) grants the step token only
-// when every live thread is parked; WHICH thread it grants is, by
+// when every live fiber is parked; WHICH fiber it grants is, by
 // default, a uniform draw from its seeded RNG. A SchedulePolicy replaces
 // that draw: given the (ordered) runnable set and the global step clock,
 // pick the next grant. This is the whole surface the schedule-exploration
@@ -11,20 +11,20 @@
 // pick() implementations.
 //
 // Contract:
-//   * pick() is called with the controller mutex held, exactly once per
-//     grant, with `runnable` sorted by ThreadId (std::set iteration
-//     order) and non-empty. `step` is the number of completed steps at
-//     grant time (the grant's position in the schedule).
+//   * pick() is called exactly once per grant, on the thread running the
+//     lock-step execution, with `runnable` sorted by ThreadId and
+//     non-empty. `step` is the number of completed steps at grant time
+//     (the grant's position in the schedule).
 //   * The returned index must be < runnable.size(). Grants fire inside
-//     StepGuard destructors and cannot throw, so an out-of-range pick is
+//     controller switches and cannot throw, so an out-of-range pick is
 //     clamped to keep the run live, latched as
 //     LockstepController::policy_error(), and surfaced by Execution::run
 //     as ProtocolError once the run completes — the experiment layer
 //     captures it as a per-cell error (a buggy policy fails loudly, it
 //     does not silently reshape the schedule).
-//   * The controller serializes all pick() calls, so policies need no
-//     internal locking; stateful policies (scripts, DFS prefixes) just
-//     advance a cursor.
+//   * A lock-step run is single-threaded, so policies need no internal
+//     locking; stateful policies (scripts, DFS prefixes) just advance a
+//     cursor.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,7 @@ namespace mpcn {
 // whether a crash is still affordable (budget), whether the candidate
 // process is still crashable (not already crashed), and — via the
 // controller — direct a crash onto the granted thread's next step.
-// Implemented by CrashManager; all methods are called with the
-// controller mutex held (lock order: controller -> CrashManager).
+// Implemented by CrashManager; all methods are called at grant time.
 class CrashDirector {
  public:
   virtual ~CrashDirector() = default;

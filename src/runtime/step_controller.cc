@@ -1,7 +1,8 @@
 #include "src/runtime/step_controller.h"
 
-#include <atomic>
-#include <vector>
+#include <algorithm>
+
+#include "src/common/errors.h"
 
 namespace mpcn {
 
@@ -9,6 +10,48 @@ namespace mpcn {
 
 FreeController::FreeController(std::uint64_t step_limit)
     : step_limit_(step_limit) {}
+
+void FreeController::spawn(ThreadId tid, std::function<void()> body) {
+  // The new thread cannot count itself finished before m_ is released, so
+  // counting it after a successful start is safe.
+  std::lock_guard<std::mutex> lk(m_);
+  threads_.emplace(tid, std::thread([this, body = std::move(body)] {
+                     body();
+                     {
+                       std::lock_guard<std::mutex> done(m_);
+                       --running_;
+                     }
+                     finished_cv_.notify_all();
+                   }));
+  ++running_;
+}
+
+void FreeController::join(ThreadId tid) {
+  std::thread t;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    auto it = threads_.find(tid);
+    if (it == threads_.end()) return;
+    t = std::move(it->second);
+    threads_.erase(it);
+  }
+  t.join();
+}
+
+void FreeController::run(Deadline deadline) {
+  std::map<ThreadId, std::thread> threads;
+  {
+    std::unique_lock<std::mutex> lk(m_);
+    const auto all_finished = [this] { return running_ == 0; };
+    if (!finished_cv_.wait_until(lk, deadline, all_finished)) {
+      timed_out_.store(true);
+      request_stop();
+      finished_cv_.wait(lk, all_finished);
+    }
+    threads.swap(threads_);
+  }
+  for (auto& [tid, t] : threads) t.join();
+}
 
 bool FreeController::acquire(ThreadId) { return !stop_.load(); }
 
@@ -28,248 +71,234 @@ std::uint64_t FreeController::steps() const {
 
 // ------------------------------------------------------------ Lockstep mode
 
+struct LockstepController::Thread {
+  ThreadId tid;
+  std::unique_ptr<Fiber> fiber;  // runs the body, then finish()
+  bool alive = false;     // in the grant set
+  bool finished = false;  // body returned
+  Thread* joiner = nullptr;  // suspended in join() until this one finishes
+};
+
+namespace {
+// The wall limit is read at every kClockGrants-th grant: a clock read per
+// step would be a measurable share of a fiber switch.
+constexpr std::uint64_t kClockGrants = 256;
+}  // namespace
+
 LockstepController::LockstepController(std::uint64_t seed,
                                        std::uint64_t step_limit,
-                                       WaitStrategy wait,
                                        std::shared_ptr<SchedulePolicy> policy)
-    : rng_(seed),
-      policy_(std::move(policy)),
-      step_limit_(step_limit),
-      wait_(wait),
-      waiter_(make_token_waiter(wait)),
-      wake_under_lock_(waiter_->wake_under_lock()) {}
+    : rng_(seed), policy_(std::move(policy)), step_limit_(step_limit) {}
 
-ParkFlag& LockstepController::slot_for(ThreadId tid) {
-  auto it = slots_.find(tid);
-  if (it == slots_.end()) {
-    it = slots_.emplace(tid, std::make_unique<ParkFlag>()).first;
+LockstepController::~LockstepController() = default;
+
+LockstepController::Thread& LockstepController::thread(ThreadId tid) {
+  const auto it = threads_.find(tid);
+  if (it == threads_.end()) {
+    throw ProtocolError("lock-step: unknown thread " + tid.to_string());
   }
   return *it->second;
 }
 
-void LockstepController::enter(ThreadId tid) {
-  std::lock_guard<std::mutex> lk(m_);
-  alive_.insert(tid);
+void LockstepController::spawn(ThreadId tid, std::function<void()> body) {
+  auto t = std::make_unique<Thread>();
+  Thread* raw = t.get();
+  t->tid = tid;
+  t->fiber = std::make_unique<Fiber>(
+      [this, raw, body = std::move(body)]() noexcept {
+        reap();
+        body();
+        finish(raw);
+      });
+  if (!threads_.emplace(tid, std::move(t)).second) {
+    throw ProtocolError("lock-step: thread " + tid.to_string() +
+                        " spawned twice");
+  }
+  enter(tid);
+  ready_.push_back(raw);
 }
 
-std::vector<ParkFlag*> LockstepController::all_slots() const {
-  std::vector<ParkFlag*> out;
-  out.reserve(slots_.size());
-  for (const auto& [id, slot] : slots_) out.push_back(slot.get());
-  return out;
+void LockstepController::run(Deadline deadline) {
+  deadline_ = deadline;
+  Fiber caller;
+  caller_ = &caller;
+  // Returns once every fiber has finished: pick_next() hands control back
+  // to the caller only when no fiber is ready, granted or parked.
+  dispatch();
+  caller_ = nullptr;
+}
+
+void LockstepController::enter(ThreadId tid) {
+  Thread& t = thread(tid);
+  if (!t.alive) {
+    t.alive = true;
+    ++alive_;
+  }
 }
 
 void LockstepController::leave(ThreadId tid) {
-  ParkFlag* wake = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    alive_.erase(tid);
-    parked_.erase(tid);
-    wake = maybe_grant();
-    if (wake && wake_under_lock_) {
-      waiter_->wake(*wake);
-      wake = nullptr;
-    }
+  Thread& t = thread(tid);
+  if (t.alive) {
+    t.alive = false;
+    --alive_;
   }
-  if (wake) waiter_->wake(*wake);
+  // The live set shrank: if everyone left is parked, the grant is due now.
+  maybe_grant();
 }
 
-ParkFlag* LockstepController::maybe_grant() {
-  if (stop_ || has_holder_) return nullptr;
-  // Deterministic grant: wait until *every* live thread is parked, then
-  // draw uniformly. std::set iteration is ordered, so the draw depends
-  // only on the RNG state and the (deterministic) set contents.
-  if (parked_.empty() || parked_.size() != alive_.size()) return nullptr;
-  bool crash_here = false;
-  if (policy_) {
-    // Pluggable adversary: hand the sorted runnable set to the policy.
-    const std::vector<ThreadId> runnable(parked_.begin(), parked_.end());
-    std::size_t idx;
-    if (crash_director_) {
-      // Explored crash plan: the policy decides the (thread, crash) pair.
-      const GrantChoice choice =
-          policy_->pick_crashing(runnable, steps_, crash_director_);
-      idx = choice.index;
-      crash_here = choice.crash;
-    } else {
-      idx = policy_->pick(runnable, steps_);
-    }
-    if (idx >= runnable.size()) {
-      // Cannot throw here: grants fire from release(), i.e. from inside
-      // StepGuard destructors. Record the fault, keep the run live with a
-      // clamped grant, and let Execution::run surface it afterwards.
-      if (policy_error_.empty()) {
-        policy_error_ = "SchedulePolicy::pick returned index " +
-                        std::to_string(idx) + " for a runnable set of " +
-                        std::to_string(runnable.size()) + " at step " +
-                        std::to_string(steps_);
-      }
-      idx = runnable.size() - 1;
-      crash_here = false;  // a clamped pick cannot carry a crash directive
-    }
-    holder_ = runnable[idx];
-  } else {
-    auto it = parked_.begin();
-    std::advance(it, static_cast<long>(rng_.index(parked_.size())));
-    holder_ = *it;
-    if (crash_director_ && crash_director_->budget_remaining() > 0 &&
-        crash_director_->crashable(holder_.pid)) {
-      // Built-in RNG path under an explored plan: draw the crash from the
-      // same stream, in the same index-then-chance order SeededRandom
-      // uses, so the two paths stay byte-identical.
-      crash_here = rng_.chance(crash_director_->rate());
-    }
+void LockstepController::join(ThreadId tid) {
+  Thread& t = thread(tid);
+  if (t.finished) return;
+  if (current_ == nullptr || current_->alive) {
+    throw ProtocolError("lock-step: joining unfinished thread " +
+                        tid.to_string() +
+                        " needs a caller outside the grant set");
   }
-  if (crash_here && !crash_director_->direct_crash(holder_)) {
-    crash_here = false;  // budget raced out / already crashed: no-op
-  }
-  has_holder_ = true;
-  if (trace_) {
-    if (crash_here) crash_marks_.push_back(grant_trace_.size());
-    grant_trace_.push_back(holder_);
-    if (trace_sets_) {
-      std::string set;
-      for (const ThreadId& t : parked_) set += t.to_string() + ",";
-      grant_sets_.push_back(std::move(set));
-    }
-  }
-  // Targeted wakeup: only the granted thread needs to run.
-  return &slot_for(holder_);
+  t.joiner = current_;
+  dispatch();
 }
 
 bool LockstepController::acquire(ThreadId tid) {
-  std::unique_lock<std::mutex> lk(m_);
-  ParkFlag& slot = slot_for(tid);
-  // Consume any stale permit from the previous grant. Safe without the
-  // slot handshake even though spin-strategy wakes are delivered after
-  // the waker unlocks m_: the only targeted wake ever in flight for this
-  // slot is the one that granted US the token (a new grant cannot be
-  // drawn until we re-park), and we cannot reach this arm() without
-  // having observed that wake and released the token; stop/timeout
-  // broadcasts are terminal, so re-arming after one is harmless — the
-  // predicate loop checks stop_ before parking.
-  slot.arm();
-  // Spin-budget hint for the spin-park strategy: with few live threads a
-  // grant is at most a few scheduler rotations away, so staying runnable
-  // (yield-spinning) skips the kernel sleep/wake round trip; in a crowd
-  // the expected wait spans the whole live set and parking immediately
-  // is cheaper for everyone.
-  slot.spin_budget.store(alive_.size() <= 4 ? 64 : 0,
-                         std::memory_order_relaxed);
-  parked_.insert(tid);
-  // A grant fired here either picks us (the loop is skipped and no wake
-  // needs delivering — we never park) or a peer, woken under or after the
-  // lock per the strategy's discipline, before we park ourselves.
-  ParkFlag* wake = maybe_grant();
-  while (!stop_ && !(has_holder_ && holder_ == tid)) {
-    if (wake != nullptr && wake_under_lock_) {
-      waiter_->wake(*wake);
-      wake = nullptr;
-    }
-    lk.unlock();
-    if (wake != nullptr) {
-      waiter_->wake(*wake);
-      wake = nullptr;
-    }
-    waiter_->park(slot);
-    lk.lock();
+  // All fibers share this thread's C++ exception state, so no fiber may
+  // switch away inside a catch handler: ending that handler would pop
+  // whichever exception another fiber caught last. No process body steps
+  // inside one. Unwinding is fine (~ChildHandle waits for children while
+  // an exception is in flight): an exception in flight is not on the
+  // caught-exception stack.
+  if (stop_) return false;
+  Thread* self = current_;
+  if (self == nullptr || !(self->tid == tid)) {
+    throw ProtocolError("lock-step: " + tid.to_string() +
+                        " acquired the token off its own fiber");
   }
-  parked_.erase(tid);
+  const auto at = std::lower_bound(parked_.begin(), parked_.end(), tid);
+  parked_threads_.insert(parked_threads_.begin() + (at - parked_.begin()),
+                         self);
+  parked_.insert(at, tid);
+  dispatch();
+  // Resumed: granted the token, or the run is over.
+  const auto i = std::lower_bound(parked_.begin(), parked_.end(), tid) -
+                 parked_.begin();
+  parked_.erase(parked_.begin() + i);
+  parked_threads_.erase(parked_threads_.begin() + i);
   if (stop_) {
-    // Give up a token we may have been granted concurrently with the stop.
-    if (has_holder_ && holder_ == tid) has_holder_ = false;
+    if (holder_ == self) holder_ = nullptr;
     return false;
   }
   return true;
 }
 
 void LockstepController::release(ThreadId tid) {
-  ParkFlag* wake = nullptr;
-  std::vector<ParkFlag*> broadcast;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (has_holder_ && holder_ == tid) has_holder_ = false;
-    ++steps_;
-    if (steps_ >= step_limit_ && !stop_) {
-      stop_ = true;
-      timed_out_ = true;
-      broadcast = all_slots();
-    } else {
-      wake = maybe_grant();
-    }
-    if (wake_under_lock_) {
-      if (wake) waiter_->wake(*wake);
-      for (ParkFlag* slot : broadcast) waiter_->wake(*slot);
-      return;
-    }
-  }
-  if (wake) waiter_->wake(*wake);
-  for (ParkFlag* slot : broadcast) waiter_->wake(*slot);
-}
-
-void LockstepController::request_stop() {
-  std::vector<ParkFlag*> broadcast;
-  {
-    std::lock_guard<std::mutex> lk(m_);
+  // The releaser is live and unparked, so no grant can be due here; the
+  // next one is drawn when it parks or ends.
+  if (holder_ != nullptr && holder_->tid == tid) holder_ = nullptr;
+  ++steps_;
+  if (steps_ >= step_limit_ && !stop_) {
     stop_ = true;
-    broadcast = all_slots();
-    if (wake_under_lock_) {
-      for (ParkFlag* slot : broadcast) waiter_->wake(*slot);
-      return;
+    timed_out_ = true;
+  }
+}
+
+void LockstepController::maybe_grant() {
+  if (stop_ || holder_ != nullptr || parked_.empty() ||
+      parked_.size() != alive_) {
+    return;
+  }
+  if (steps_ % kClockGrants == 0 &&
+      std::chrono::steady_clock::now() >= deadline_) {
+    stop_ = true;
+    timed_out_ = true;
+    return;
+  }
+  // Deterministic grant: every live fiber is parked, so the draw depends
+  // only on the RNG or policy state and the sorted parked set.
+  std::size_t idx;
+  bool crash_here = false;
+  if (policy_) {
+    if (crash_director_) {
+      // Explored crash plan: the policy decides the (thread, crash) pair.
+      const GrantChoice choice =
+          policy_->pick_crashing(parked_, steps_, crash_director_);
+      idx = choice.index;
+      crash_here = choice.crash;
+    } else {
+      idx = policy_->pick(parked_, steps_);
+    }
+    if (idx >= parked_.size()) {
+      // Cannot throw here: a grant fires while a fiber parks or ends.
+      // Record the fault, keep the run live with a clamped grant, and let
+      // Execution::run surface it afterwards.
+      if (policy_error_.empty()) {
+        policy_error_ = "SchedulePolicy::pick returned index " +
+                        std::to_string(idx) + " for a runnable set of " +
+                        std::to_string(parked_.size()) + " at step " +
+                        std::to_string(steps_);
+      }
+      idx = parked_.size() - 1;
+      crash_here = false;  // a clamped pick cannot carry a crash directive
+    }
+  } else {
+    idx = static_cast<std::size_t>(rng_.index(parked_.size()));
+    if (crash_director_ && crash_director_->budget_remaining() > 0 &&
+        crash_director_->crashable(parked_[idx].pid)) {
+      // Built-in RNG path under an explored plan: draw the crash from the
+      // same stream, in the same index-then-chance order SeededRandom
+      // uses, so the two paths stay byte-identical.
+      crash_here = rng_.chance(crash_director_->rate());
     }
   }
-  for (ParkFlag* slot : broadcast) waiter_->wake(*slot);
+  holder_ = parked_threads_[idx];
+  if (crash_here && !crash_director_->direct_crash(holder_->tid)) {
+    crash_here = false;  // budget spent / already crashed: no-op
+  }
+  if (trace_) {
+    if (crash_here) crash_marks_.push_back(grant_trace_.size());
+    grant_trace_.push_back(holder_->tid);
+  }
 }
 
-bool LockstepController::stop_requested() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return stop_;
+LockstepController::Thread* LockstepController::pick_next() {
+  if (!ready_.empty()) {
+    Thread* t = ready_.front();
+    ready_.pop_front();
+    return t;
+  }
+  if (holder_ != nullptr) return holder_;
+  if (stop_ && !parked_threads_.empty()) return parked_threads_.front();
+  return nullptr;
 }
 
-bool LockstepController::timed_out() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return timed_out_;
+void LockstepController::switch_to(Thread* next) {
+  Thread* self = current_;
+  if (next == self) return;
+  current_ = next;
+  Fiber::switch_to(self ? *self->fiber : *caller_,
+                   next ? *next->fiber : *caller_);
+  reap();
 }
 
-std::uint64_t LockstepController::steps() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return steps_;
+void LockstepController::dispatch() {
+  maybe_grant();
+  switch_to(pick_next());
 }
 
-std::string LockstepController::policy_error() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return policy_error_;
+void LockstepController::finish(Thread* t) {
+  t->finished = true;
+  if (t->joiner != nullptr) {
+    ready_.push_back(t->joiner);
+    t->joiner = nullptr;
+  }
+  leave(t->tid);
+  Thread* next = pick_next();
+  zombie_ = t;
+  current_ = next;
+  Fiber::exit_to(next ? *next->fiber : *caller_);
 }
 
-std::vector<ThreadId> LockstepController::grant_trace() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return grant_trace_;
-}
-
-std::vector<std::uint64_t> LockstepController::crash_marks() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return crash_marks_;
-}
-
-void LockstepController::set_crash_director(CrashDirector* director) {
-  std::lock_guard<std::mutex> lk(m_);
-  crash_director_ = director;
-}
-
-std::vector<std::string> LockstepController::grant_sets() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return grant_sets_;
-}
-
-void LockstepController::enable_grant_trace() {
-  std::lock_guard<std::mutex> lk(m_);
-  trace_ = true;
-}
-
-void LockstepController::enable_grant_set_trace() {
-  std::lock_guard<std::mutex> lk(m_);
-  trace_ = true;
-  trace_sets_ = true;
+void LockstepController::reap() {
+  if (zombie_ == nullptr) return;
+  zombie_->fiber.reset();
+  zombie_ = nullptr;
 }
 
 }  // namespace mpcn

@@ -4,22 +4,22 @@
 // atomic steps, one per shared-memory primitive operation, chosen by an
 // asynchronous adversary. We reproduce it two ways:
 //
-//  * FreeController   — real hardware concurrency. acquire()/release() are
-//    nearly free; threads race as the OS schedules them. Used for stress
-//    tests and performance benches.
-//  * LockstepController — a deterministic seeded adversary. A thread must
+//  * FreeController   — real hardware concurrency. Every process is an OS
+//    thread; acquire()/release() are nearly free and threads race as the
+//    OS schedules them. Used for stress tests and performance benches.
+//  * LockstepController — a deterministic seeded adversary. Every process
+//    is a Fiber (fiber.h) on the one thread that calls run(). A fiber must
 //    hold the (single) step token to perform a shared-memory operation.
-//    The token is granted only when every live thread is parked waiting
-//    for it, and the next holder is drawn from the seeded RNG. Given a
-//    seed, the interleaving of shared-memory steps is reproducible, which
-//    is what makes the crash-injection tests of the paper's blocking
-//    lemmas (Lemma 1, Lemma 7) precise.
+//    The token is granted only when every live fiber is parked waiting
+//    for it; the next holder is drawn from the seeded RNG (or a
+//    SchedulePolicy) over the sorted parked set, and the controller
+//    switches to it. Given a seed, the interleaving of shared-memory steps
+//    is reproducible, which is what makes the crash-injection tests of the
+//    paper's blocking lemmas (Lemma 1, Lemma 7) precise.
 //
-// WHO runs next is decided here; HOW the losers wait is delegated to a
-// pluggable WaitStrategy (wait_strategy.h). The grant schedule is a pure
-// function of the seed and the parked-set evolution, so every strategy
-// produces byte-identical grant traces — the strategy only changes the
-// wall-clock cost of each handoff.
+// A lock-step run is serial by definition, so it needs no OS threads, no
+// locks and no wakeups: handing over the token is one context switch, and
+// none at all when the draw re-grants the running fiber.
 //
 // All protocol-level blocking in the library is yield-spinning through a
 // controller (no native blocking), so lock-step runs cannot deadlock on
@@ -27,30 +27,106 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/ids.h"
 #include "src/common/rng.h"
+#include "src/runtime/fiber.h"
 #include "src/runtime/schedule_policy.h"
-#include "src/runtime/wait_strategy.h"
 
 namespace mpcn {
 
+enum class SchedulerMode { kFree, kLockstep };
+
+// One CPU-relax instruction (PAUSE/YIELD) — calms the pipeline inside
+// spin loops without giving up the time slice.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::this_thread::yield();
+#endif
+}
+
+// Exponential yield-backoff for protocol-level spin loops. Escalates from
+// cpu_relax through a doubling number of sched yields to short sleeps, so
+// a loser of a long race stops competing for the core (free-mode step
+// counts explode on few-core machines because spin reads count as
+// steps). Constructed from a SchedulerMode it is a no-op under lock-step,
+// where the controller already serializes every spin read and sleeping
+// would only slow the deterministic schedule down.
+class YieldBackoff {
+ public:
+  YieldBackoff() = default;
+  explicit YieldBackoff(SchedulerMode mode)
+      : active_(mode == SchedulerMode::kFree) {}
+
+  void pause() {
+    if (!active_) return;
+    ++round_;
+    if (round_ <= kRelaxRounds) {
+      cpu_relax();
+      return;
+    }
+    const unsigned over = round_ - kRelaxRounds;
+    if (over <= kYieldDoublings) {
+      for (unsigned i = 0; i < (1u << over); ++i) std::this_thread::yield();
+      return;
+    }
+    std::this_thread::sleep_for(sleep_slice(over - kYieldDoublings));
+  }
+
+  void reset() { round_ = 0; }
+
+ private:
+  static constexpr unsigned kRelaxRounds = 4;
+  static constexpr unsigned kYieldDoublings = 5;  // 2..64 yields
+
+  static std::chrono::microseconds sleep_slice(unsigned over) {
+    const unsigned exp = over < 8 ? over : 8;
+    return std::chrono::microseconds(1u << exp);  // 2us .. 256us
+  }
+
+  bool active_ = true;
+  unsigned round_ = 0;
+};
+
 class StepController {
  public:
+  using Deadline = std::chrono::steady_clock::time_point;
+
   virtual ~StepController() = default;
 
   virtual SchedulerMode mode() const = 0;
 
-  // Thread lifecycle. enter() must be called by the *creator* of the thread
-  // before the thread starts (so the set of live threads evolves
-  // deterministically); leave() is called by the thread itself on exit.
+  // Thread lifecycle. spawn() registers `tid` with the step schedule and
+  // starts `body` as that thread (lock-step: a fiber; free: an OS
+  // thread). The creator registers the thread before it can run, so the
+  // set of live threads evolves deterministically. `body` must not
+  // throw; the thread leaves the schedule when it returns.
+  virtual void spawn(ThreadId tid, std::function<void()> body) = 0;
+  // Wait until thread `tid` has finished. A lock-step caller that waits
+  // for an unfinished thread must have left() the schedule first.
+  virtual void join(ThreadId tid) = 0;
+  // Return once every spawned thread has finished (lock-step: the fibers
+  // run on the calling thread). A run still going at `deadline` is
+  // stopped and flagged timed out.
+  virtual void run(Deadline deadline) = 0;
+
+  // Take a running thread out of the grant set and put it back (a parent
+  // waiting for a child it abandons).
   virtual void enter(ThreadId tid) = 0;
   virtual void leave(ThreadId tid) = 0;
 
@@ -78,13 +154,16 @@ class StepController {
   virtual std::vector<std::uint64_t> crash_marks() const { return {}; }
 };
 
-// Free-running controller: no serialization, only step counting and the
-// stop flag / step budget.
+// Free-running controller: one OS thread per process, no serialization,
+// only step counting and the stop flag / step budget.
 class FreeController : public StepController {
  public:
   explicit FreeController(std::uint64_t step_limit);
 
   SchedulerMode mode() const override { return SchedulerMode::kFree; }
+  void spawn(ThreadId tid, std::function<void()> body) override;
+  void join(ThreadId tid) override;
+  void run(Deadline deadline) override;
   void enter(ThreadId) override {}
   void leave(ThreadId) override {}
   bool acquire(ThreadId) override;
@@ -99,82 +178,99 @@ class FreeController : public StepController {
   std::atomic<std::uint64_t> steps_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> timed_out_{false};
+
+  std::mutex m_;
+  std::condition_variable finished_cv_;
+  int running_ = 0;                         // spawned, body not returned
+  std::map<ThreadId, std::thread> threads_;  // not yet joined
 };
 
-// Deterministic lock-step controller (see file comment).
+// Deterministic lock-step controller (see file comment). Single-threaded:
+// every method runs on the thread that calls run().
 class LockstepController : public StepController {
  public:
   // `policy` overrides the built-in seeded uniform draw (schedule_policy.h).
   // Null keeps the historical RNG path, byte-identical to pre-policy
   // builds — the SeededRandom explore policy reproduces it exactly.
   LockstepController(std::uint64_t seed, std::uint64_t step_limit,
-                     WaitStrategy wait = default_wait_strategy(),
                      std::shared_ptr<SchedulePolicy> policy = nullptr);
+  ~LockstepController() override;
 
   SchedulerMode mode() const override { return SchedulerMode::kLockstep; }
+  void spawn(ThreadId tid, std::function<void()> body) override;
+  void join(ThreadId tid) override;
+  void run(Deadline deadline) override;
   void enter(ThreadId tid) override;
   void leave(ThreadId tid) override;
   bool acquire(ThreadId tid) override;
   void release(ThreadId tid) override;
-  void request_stop() override;
-  bool stop_requested() const override;
-  bool timed_out() const override;
-  std::uint64_t steps() const override;
-  std::vector<ThreadId> grant_trace() const override;
-  void enable_grant_trace() override;
-  std::vector<std::uint64_t> crash_marks() const override;
+  void request_stop() override { stop_ = true; }
+  bool stop_requested() const override { return stop_; }
+  bool timed_out() const override { return timed_out_; }
+  std::uint64_t steps() const override { return steps_; }
+  std::vector<ThreadId> grant_trace() const override { return grant_trace_; }
+  void enable_grant_trace() override { trace_ = true; }
+  std::vector<std::uint64_t> crash_marks() const override {
+    return crash_marks_;
+  }
 
   // Attach the crash adversary of an explored CrashPlan. With a director
   // attached, grants go through SchedulePolicy::pick_crashing (or, on the
   // built-in RNG path, a seeded per-grant crash draw), so the policy
   // searches the (schedule × crash) product. `director` must outlive the
   // controller's last grant; Execution owns both and tears down in order.
-  void set_crash_director(CrashDirector* director);
-  // Also record the full runnable set per grant (grant_sets()) — a
-  // debugging aid that costs a string allocation per step, so it is
-  // opt-in separately from the (hot-loop) grant trace.
-  void enable_grant_set_trace();
-  std::vector<std::string> grant_sets() const;
-
-  WaitStrategy wait_strategy() const { return wait_; }
+  void set_crash_director(CrashDirector* director) {
+    crash_director_ = director;
+  }
 
   // Non-empty if the plugged SchedulePolicy misbehaved (out-of-range
-  // pick). Grants cannot throw (they fire inside StepGuard destructors),
+  // pick). Grants cannot throw (they fire while a fiber parks or ends),
   // so the fault is latched here and surfaced by Execution::run.
-  std::string policy_error() const;
+  const std::string& policy_error() const { return policy_error_; }
 
  private:
-  // Grants the token if every live thread is parked and none holds it.
-  // Caller must hold m_. Returns the slot of the thread to wake (nullptr
-  // if no grant fired); the caller delivers the wake AFTER unlocking m_,
-  // so the woken thread never stalls on the mutex the waker still holds.
-  ParkFlag* maybe_grant();
-  ParkFlag& slot_for(ThreadId tid);  // caller must hold m_
-  std::vector<ParkFlag*> all_slots() const;  // caller must hold m_
+  struct Thread;
 
-  mutable std::mutex m_;
+  Thread& thread(ThreadId tid);
+  // Draws the next token holder if every live fiber is parked, no one
+  // holds the token and the run is not over.
+  void maybe_grant();
+  // The fiber that runs next once the current one stops (null = run()'s
+  // caller): fibers that have not parked yet, then the token holder, then
+  // — once the run is stopped — parked fibers, so they unwind.
+  Thread* pick_next();
+  void switch_to(Thread* next);
+  // The current fiber stopped running: grant if due and switch on.
+  void dispatch();
+  // The current fiber's body returned: leave the schedule for good.
+  [[noreturn]] void finish(Thread* t);
+  // Destroy the fiber that finished last (it cannot unmap its own stack).
+  void reap();
+
   Rng rng_;
   const std::shared_ptr<SchedulePolicy> policy_;  // null = seeded RNG draw
   CrashDirector* crash_director_ = nullptr;  // null = schedule-only grants
   const std::uint64_t step_limit_;
-  const WaitStrategy wait_;
-  const std::unique_ptr<TokenWaiter> waiter_;
-  const bool wake_under_lock_;
+  Deadline deadline_ = Deadline::max();
   std::uint64_t steps_ = 0;
-  std::set<ThreadId> alive_;
-  std::set<ThreadId> parked_;
-  // One parking slot per thread: grants wake only the chosen thread,
-  // avoiding an O(threads) thundering herd on every step.
-  std::map<ThreadId, std::unique_ptr<ParkFlag>> slots_;
-  bool has_holder_ = false;
-  ThreadId holder_{};
+
+  std::map<ThreadId, std::unique_ptr<Thread>> threads_;
+  std::size_t alive_ = 0;  // threads in the grant set
+  // The parked fibers, sorted by ThreadId: the runnable set every grant
+  // draws from. parked_threads_ runs parallel to it.
+  std::vector<ThreadId> parked_;
+  std::vector<Thread*> parked_threads_;
+  std::deque<Thread*> ready_;  // to run before the next grant, FIFO
+  Thread* holder_ = nullptr;   // granted the token, not yet released
+  Thread* current_ = nullptr;  // null = run()'s caller
+  Thread* zombie_ = nullptr;
+  Fiber* caller_ = nullptr;    // run()'s caller, while run() is active
+
   bool stop_ = false;
   bool timed_out_ = false;
   bool trace_ = false;
-  bool trace_sets_ = false;
   std::string policy_error_;
   std::vector<ThreadId> grant_trace_;
-  std::vector<std::string> grant_sets_;
   std::vector<std::uint64_t> crash_marks_;
 };
 

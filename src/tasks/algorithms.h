@@ -65,8 +65,7 @@ SimulatedAlgorithm snapshot_churn_algorithm(int n, int rounds);
 // decides its input. No waiting, no agreement — each cell's step count is
 // exactly n * (rounds + 1) for rounds + 1 writes per process, so
 // wall time divided by steps is the scheduler's per-handoff cost. The
-// workload behind bench_scheduler_handoff and the wait-strategy grid of
-// bench_simulation_overhead.
+// workload behind bench_scheduler_handoff.
 SimulatedAlgorithm step_churn_algorithm(int n, int rounds);
 
 // DELIBERATELY BUGGY exhibit for ASM(n, 0, 1), n >= 2: the schedule

@@ -97,45 +97,50 @@ TEST(CrashProduct, ScheduleOnlyRandomStaysCleanAtSameBudget) {
 
 // ------------------------------------------------- replay determinism
 
-TEST(CrashProduct, CrashingTraceReplaysByteIdenticallyAcrossAxes) {
+TEST(CrashProduct, CrashingTraceReplaysByteIdenticallyPerMem) {
   // The same contract determinism_test pins for crash-free traces,
-  // extended to crashing ones: on EVERY (wait strategy, mem backend)
-  // combination the product DFS finds a crash window, and replaying the
-  // recorded trace on that combination reproduces the violation record
-  // byte for byte (timing excluded). Per mem, all three wait strategies
-  // find the identical trace — the handoff mechanism is invisible to
-  // the (schedule x crash) product.
-  for (MemKind mem : {MemKind::kPrimitive, MemKind::kAfek}) {
-    std::string trace_dump_for_mem;
-    for (WaitStrategy w : {WaitStrategy::kCondvar, WaitStrategy::kSpinPark,
-                           WaitStrategy::kSpin}) {
-      ExperimentCell cell = exhibit_cell();
-      cell.options.wait = w;
-      cell.mem = mem;
-      const ExploreResult r = explore(cell, dfs_options(1));
-      ASSERT_TRUE(r.found()) << to_string(w) << "/" << to_string(mem);
-      const ExploreViolation& v = r.violations.front();
-      ASSERT_FALSE(v.trace.crashes.empty());
+  // extended to crashing ones: on both mem backends the product DFS finds
+  // a crash window, and replaying the recorded trace reproduces the
+  // violation record byte for byte (timing excluded). The found trace,
+  // its crash placement and its shrunk form are the ones the threaded
+  // lock-step runtime found under all three of its wait strategies.
+  const struct {
+    MemKind mem;
+    int schedule_index;
+    const char* digest;
+    std::uint64_t crash_mark;
+    std::uint64_t crash_step;  // pid 0's own-step at the crash
+    const char* shrunk_digest;
+  } pins[] = {
+      {MemKind::kPrimitive, 7, "c0b4aef2cda7b6d6", 3, 4, "d247e44b7c621496"},
+      {MemKind::kAfek, 33, "1b1d27467f929f02", 23, 24, "3282b2f1af700207"},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(to_string(pin.mem));
+    ExperimentCell cell = exhibit_cell();
+    cell.mem = pin.mem;
+    const ExploreResult r = explore(cell, dfs_options(1));
+    ASSERT_TRUE(r.found());
+    const ExploreViolation& v = r.violations.front();
+    EXPECT_EQ(v.schedule_index, pin.schedule_index);
+    EXPECT_EQ(v.trace.digest(), pin.digest);
+    EXPECT_EQ(v.trace.size(), 400u);
+    EXPECT_EQ(v.trace.crashes, std::vector<std::uint64_t>{pin.crash_mark});
+    ASSERT_EQ(v.record.crash_points.size(), 1u);
+    EXPECT_EQ(v.record.crash_points[0].pid, 0);
+    EXPECT_EQ(v.record.crash_points[0].at_step, pin.crash_step);
+    EXPECT_EQ(v.shrunk.digest(), pin.shrunk_digest);
 
-      const RunRecord rec = replay_trace(cell, v.trace);
-      ASSERT_TRUE(rec.schedule_trace);
-      EXPECT_EQ(rec.schedule_trace->grants, v.trace.grants);
-      EXPECT_EQ(rec.schedule_trace->crashes, v.trace.crashes);
-      EXPECT_FALSE(rec.ok());
-      // The search stamps its attempt index into cell_index; a
-      // standalone replay keeps the cell's own. Outcome bytes match.
-      RunRecord expected = v.record;
-      expected.cell_index = rec.cell_index;
-      EXPECT_EQ(rec.to_json(false).dump(), expected.to_json(false).dump())
-          << to_string(w) << "/" << to_string(mem);
-
-      if (trace_dump_for_mem.empty()) {
-        trace_dump_for_mem = v.trace.to_json().dump();
-      } else {
-        EXPECT_EQ(v.trace.to_json().dump(), trace_dump_for_mem)
-            << to_string(w) << "/" << to_string(mem);
-      }
-    }
+    const RunRecord rec = replay_trace(cell, v.trace);
+    ASSERT_TRUE(rec.schedule_trace);
+    EXPECT_EQ(rec.schedule_trace->grants, v.trace.grants);
+    EXPECT_EQ(rec.schedule_trace->crashes, v.trace.crashes);
+    EXPECT_FALSE(rec.ok());
+    // The search stamps its attempt index into cell_index; a
+    // standalone replay keeps the cell's own. Outcome bytes match.
+    RunRecord expected = v.record;
+    expected.cell_index = rec.cell_index;
+    EXPECT_EQ(rec.to_json(false).dump(), expected.to_json(false).dump());
   }
 }
 

@@ -2,15 +2,16 @@
 // contract, sharpened for the explored (director-driven) plan kind.
 //
 // The load-bearing pins:
-//   * fixed / hazard / propose_trap realize the SAME crash points (pid,
-//     own-step) across every wait strategy — the adversary is part of
-//     the seeded execution identity, not an artifact of the
-//     token-handoff mechanism. Across memory backends the own-step
-//     STRUCTURE differs (afek expands one snapshot into many register
-//     steps), so only own-step anchors reachable on both substrates are
-//     mem-portable: the fixed test pins full cross-mem identity with an
-//     early anchor; hazard and propose_trap pin wait-invariance per mem
-//     (their realizations are coupled to the substrate's schedule);
+//   * fixed / hazard / propose_trap realize exactly the crash points
+//     (pid, own-step) and step counts the threaded lock-step runtime
+//     realized, whose three wait strategies all agreed on them — the
+//     adversary is part of the seeded execution identity, not an artifact
+//     of how the step token is handed over. Across memory backends the
+//     own-step STRUCTURE differs (afek expands one snapshot into many
+//     register steps), so only own-step anchors reachable on both
+//     substrates are mem-portable: the fixed test's early anchor realizes
+//     identically on both; hazard and propose_trap realizations are
+//     coupled to the substrate's schedule and pinned per mem;
 //   * RunRecord serializes the effective plan and the realized points,
 //     and replaying the realized points as CrashPlan::fixed reproduces
 //     the run exactly (replay-from-report);
@@ -29,8 +30,6 @@
 namespace mpcn {
 namespace {
 
-const std::vector<WaitStrategy> kWaits = {
-    WaitStrategy::kCondvar, WaitStrategy::kSpinPark, WaitStrategy::kSpin};
 const std::vector<MemKind> kMems = {MemKind::kPrimitive, MemKind::kAfek};
 
 std::string points_key(const std::vector<CrashPoint>& pts) {
@@ -41,71 +40,65 @@ std::string points_key(const std::vector<CrashPoint>& pts) {
   return out.str();
 }
 
-std::string record_key(const RunRecord& rec) {
-  return std::string(to_string(rec.wait)) + "/" + to_string(rec.mem) +
-         " seed " + std::to_string(rec.seed);
-}
+// Per cell, keyed "seed/mem": the realized crash points and the step
+// count, as "<pid>@<own-step>;... <steps>".
+using RealizationPins = std::map<std::string, std::string>;
 
-// Run the experiment over the full wait x mem grid and require every
-// cell of a group to realize the identical crash points. cross_mem
-// groups by seed alone (full wait x mem identity); otherwise cells
-// group by (seed, mem) — wait-strategy invariance per substrate.
-void expect_identical_realizations(Experiment& e, bool expect_crashes,
-                                   bool cross_mem) {
-  e.wait_strategies(kWaits).mems(kMems);
+// Run the experiment over both mem backends and require every cell to
+// realize its pinned crash points and step count.
+void expect_realizations(Experiment& e, const RealizationPins& pins) {
+  e.mems(kMems);
   const Report report = e.run_all();
-  ASSERT_FALSE(report.records.empty());
-  std::map<std::string, std::string> first_by_group;
-  bool any_crash = false;
+  ASSERT_EQ(report.records.size(), pins.size());
   for (const RunRecord& rec : report.records) {
     ASSERT_TRUE(rec.error.empty()) << rec.error;
-    if (expect_crashes) {
-      EXPECT_FALSE(rec.crash_points.empty())
-          << record_key(rec) << ": adversary never fired";
-    }
-    any_crash = any_crash || !rec.crash_points.empty();
-    std::string group = std::to_string(rec.seed);
-    if (!cross_mem) group += std::string("/") + to_string(rec.mem);
-    const std::string key = points_key(rec.crash_points);
-    auto [it, inserted] = first_by_group.emplace(group, key);
-    EXPECT_EQ(it->second, key)
-        << "group " << group << " realized different crash points on "
-        << to_string(rec.wait) << "/" << to_string(rec.mem);
+    const std::string key =
+        std::to_string(rec.seed) + "/" + to_string(rec.mem);
+    const auto it = pins.find(key);
+    ASSERT_NE(it, pins.end()) << key;
+    EXPECT_EQ(points_key(rec.crash_points) + " " + std::to_string(rec.steps),
+              it->second)
+        << key;
   }
-  EXPECT_TRUE(any_crash) << "the grid never exercised the adversary";
 }
 
-TEST(CrashRealization, FixedPlanIdenticalAcrossWaitAndMemAxes) {
+TEST(CrashRealization, FixedPlanIdenticalAcrossMemAxes) {
   // Own-step 2 is reachable on BOTH substrates (a direct process's
   // second step is its snapshot on primitive mem, an inner register op
-  // on afek mem), so the fixed anchor realizes as exactly 1@2 on every
-  // one of the six wait x mem combinations.
+  // on afek mem), so the fixed anchor realizes as exactly 1@2 on both.
   Experiment e = Experiment::of(trivial_kset_algorithm(3, 1));
   e.direct()
       .inputs({Value(7), Value(8), Value(9)})
       .seeds(1, 3)
       .crashes(CrashPlan::fixed({CrashPoint{1, 2}}));
-  expect_identical_realizations(e, /*expect_crashes=*/true,
-                                /*cross_mem=*/true);
+  expect_realizations(e, {{"1/primitive", "1@2; 7"},
+                          {"1/afek", "1@2; 39"},
+                          {"2/primitive", "1@2; 9"},
+                          {"2/afek", "1@2; 30"},
+                          {"3/primitive", "1@2; 6"},
+                          {"3/afek", "1@2; 30"}});
 }
 
-TEST(CrashRealization, HazardPlanIdenticalAcrossWaitStrategies) {
+TEST(CrashRealization, HazardPlanMatchesThreadedRuntime) {
   Experiment e = Experiment::of(trivial_kset_algorithm(4, 2));
   e.direct()
       .inputs({Value(0), Value(1), Value(2), Value(3)})
       .seeds(1, 3)
       // The hazard stream is drawn in schedule order, so realizations
-      // are a property of the substrate's schedule: identical across
-      // wait strategies per mem, not across mems. Rate high enough
+      // are a property of the substrate's schedule. Rate high enough
       // that the grid crashes somebody.
       .crashes([](const ModelSpec& m, std::uint64_t seed) {
         return CrashPlan::hazard(0.2, m.t, seed);
       });
-  expect_identical_realizations(e, /*expect_crashes=*/false,
-                                /*cross_mem=*/false);
+  expect_realizations(e, {{"1/primitive", "0@1;1@1; 8"},
+                          {"1/afek", "0@1;1@1; 54"},
+                          {"2/primitive", "0@1;2@1; 9"},
+                          {"2/afek", "0@1;1@3; 44"},
+                          {"3/primitive", "0@1;1@1; 10"},
+                          {"3/afek", "0@1;1@1; 50"}});
 }
 
-TEST(CrashRealization, ProposeTrapIdenticalAcrossWaitStrategies) {
+TEST(CrashRealization, ProposeTrapMatchesThreadedRuntime) {
   // The Theorem 2 boundary scenario (legal: the source tolerates the
   // blocked process): both elected owners of INPUT/0 crash one own-step
   // after winning their test&set slot. Which process wins the slot (and
@@ -116,8 +109,10 @@ TEST(CrashRealization, ProposeTrapIdenticalAcrossWaitStrategies) {
       .seeds(1, 2)
       .crashes(CrashPlan::propose_trap(
           {"INPUT/0"}, 2, 1, CrashPlan::TrapPoint::kOwnerElected));
-  expect_identical_realizations(e, /*expect_crashes=*/true,
-                                /*cross_mem=*/false);
+  expect_realizations(e, {{"1/primitive", "2@8;3@53; 287"},
+                          {"1/afek", "2@8;3@53; 444"},
+                          {"2/primitive", "1@24;0@45; 382"},
+                          {"2/afek", "1@24;0@45; 562"}});
 }
 
 TEST(CrashRealization, RealizedPointsReplayAsFixedPlan) {

@@ -8,6 +8,7 @@
 #include "src/core/pipeline.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
+#include "src/explore/trace.h"
 #include "src/tasks/algorithms.h"
 
 namespace mpcn {
@@ -91,44 +92,105 @@ TEST(SeedSensitivity, DifferentSeedsDifferentSchedules) {
   EXPECT_GT(step_totals.size(), 1u);
 }
 
-// A recorded ScheduleTrace is a wait-strategy- and substrate-local
-// artifact that must replay byte-identically wherever it was recorded:
-// for every (wait strategy, mem backend) combination, record -> scripted
-// replay reproduces the identical record; and because the wait strategy
-// only changes HOW losers wait, the three strategies record the same
-// trace per backend.
-TEST(TraceReplayDeterminism, ByteIdenticalAcrossWaitStrategiesAndMems) {
-  const WaitStrategy waits[] = {WaitStrategy::kCondvar,
-                                WaitStrategy::kSpinPark, WaitStrategy::kSpin};
-  for (MemKind mem : {MemKind::kPrimitive, MemKind::kAfek}) {
-    std::string trace_digest_for_mem;
-    for (WaitStrategy w : waits) {
-      Experiment e = Experiment::named("snapshot_churn", ModelSpec{3, 0, 1});
-      e.direct().seed(5).mem(mem).wait_strategy(w).inputs_fn(
-          [](const ModelSpec& m) {
-            std::vector<Value> in;
-            for (int i = 0; i < m.n; ++i) in.push_back(Value(i));
-            return in;
-          });
-      ExperimentCell cell = e.cells().front();
-      cell.record_schedule = true;
-      const RunRecord recorded = run_cell(cell);
-      ASSERT_TRUE(recorded.schedule_trace) << to_string(w);
+// ------------------------------------- pins to the threaded runtime
+//
+// The lock-step runtime used to host every process on an OS thread of its
+// own and hand the step token over through one of three wait strategies,
+// all of which produced one grant trace per seed. The literals below are
+// that runtime's grant-trace digests, step counts and outcomes; the fiber
+// runtime must reproduce them exactly.
 
-      const RunRecord replayed =
-          replay_trace(cell, *recorded.schedule_trace);
-      EXPECT_EQ(replayed.to_json(false).dump(),
-                recorded.to_json(false).dump())
-          << "wait=" << to_string(w) << " mem=" << to_string(mem);
+struct TracePin {
+  std::uint64_t seed;
+  const char* digest;  // ScheduleTrace::digest() of the grant trace
+  std::uint64_t steps;
+  const char* outcome;  // decisions, then one crash mark per process
+};
 
-      // Same grant schedule under every handoff mechanism.
-      if (trace_digest_for_mem.empty()) {
-        trace_digest_for_mem = recorded.schedule_digest;
-      } else {
-        EXPECT_EQ(recorded.schedule_digest, trace_digest_for_mem)
-            << "wait=" << to_string(w) << " mem=" << to_string(mem);
-      }
-    }
+std::string outcome_key(const Outcome& out) {
+  std::string s;
+  for (const auto& d : out.decisions) s += (d ? d->to_string() : "-") + "|";
+  for (bool c : out.crashed) s += c ? 'X' : '.';
+  return s;
+}
+
+void expect_pinned_trace(const TracePin& pin, std::vector<Program> programs,
+                         std::vector<Value> inputs, ExecutionOptions o) {
+  SCOPED_TRACE("seed " + std::to_string(pin.seed));
+  Execution e(std::move(programs), std::move(inputs), std::move(o));
+  e.controller().enable_grant_trace();
+  const Outcome out = e.run();
+  ScheduleTrace trace;
+  trace.grants = e.controller().grant_trace();
+  EXPECT_EQ(trace.digest(), pin.digest);
+  EXPECT_EQ(trace.size(), pin.steps);
+  EXPECT_EQ(out.steps, pin.steps);
+  EXPECT_EQ(outcome_key(out), pin.outcome);
+}
+
+TEST(ThreadedRuntimePins, DirectRunsReproduceGrantTraces) {
+  const TracePin pins[] = {
+      {1, "897ea7d02a3bcb23", 12, "30|30|30|30|30|....."},
+      {2, "07d3a97c73049d03", 12, "30|30|30|30|30|....."},
+      {3, "d90c2961d533ee81", 11, "30|30|30|30|30|....."},
+      {4, "c5cfaf9413e06861", 11, "30|30|30|30|30|....."},
+      {5, "d8252ca7d3a775c3", 10, "30|30|30|30|30|....."},
+      {6, "289f3b1eedd56e83", 10, "30|31|31|31|32|....."},
+  };
+  for (const TracePin& pin : pins) {
+    ExecutionOptions o = lockstep(pin.seed);
+    o.crashes = CrashPlan::hazard(0.003, 2, pin.seed + 17);
+    expect_pinned_trace(pin, make_direct_programs(trivial_kset_algorithm(5, 2)),
+                        int_inputs(5, 30), o);
+  }
+}
+
+TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
+  // Engine runs fork one child per simulated process and tear them down
+  // through ~ChildHandle, crashes included: every controller path.
+  const TracePin pins[] = {
+      {1, "95da688670a8e751", 495, "50|50|50|-|...X"},
+      {2, "cf7f54d47c0bb0c5", 515, "50|50|-|50|..X."},
+      {3, "734cd675e97a3014", 476, "-|50|50|50|X..."},
+      {4, "8ebedfb24a8050c4", 469, "-|50|-|-|X.XX"},
+      {5, "9d6b4b8a71130a86", 402, "-|50|50|50|X..."},
+      {6, "6b2881c62f42f9e0", 553, "-|51|51|51|X..."},
+  };
+  for (const TracePin& pin : pins) {
+    ExecutionOptions o = lockstep(pin.seed);
+    o.crashes = CrashPlan::hazard(0.002, 3, pin.seed * 3 + 5);
+    SimulationPlan plan =
+        make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
+    expect_pinned_trace(pin, std::move(plan.programs), int_inputs(4, 50), o);
+  }
+}
+
+// A recorded ScheduleTrace is a substrate-local artifact that must replay
+// byte-identically wherever it was recorded: for both mem backends,
+// record -> scripted replay reproduces the identical record, and the
+// recorded schedule is the one the threaded runtime recorded.
+TEST(TraceReplayDeterminism, ByteIdenticalPerMemAndPinned) {
+  const struct {
+    MemKind mem;
+    const char* digest;
+    std::uint64_t steps;
+  } pins[] = {{MemKind::kPrimitive, "1f3b665901de90a0", 243},
+              {MemKind::kAfek, "007655e4fed61261", 2013}};
+  for (const auto& pin : pins) {
+    Experiment e = Experiment::named("snapshot_churn", ModelSpec{3, 0, 1});
+    e.direct().seed(5).mem(pin.mem).inputs_fn([](const ModelSpec& m) {
+      return int_inputs(m.n);
+    });
+    ExperimentCell cell = e.cells().front();
+    cell.record_schedule = true;
+    const RunRecord recorded = run_cell(cell);
+    ASSERT_TRUE(recorded.schedule_trace) << to_string(pin.mem);
+    EXPECT_EQ(recorded.schedule_digest, pin.digest) << to_string(pin.mem);
+    EXPECT_EQ(recorded.steps, pin.steps) << to_string(pin.mem);
+
+    const RunRecord replayed = replay_trace(cell, *recorded.schedule_trace);
+    EXPECT_EQ(replayed.to_json(false).dump(), recorded.to_json(false).dump())
+        << "mem=" << to_string(pin.mem);
   }
 }
 

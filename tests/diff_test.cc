@@ -118,6 +118,35 @@ TEST(Diff, IdentityDistinguishesEveryAxis) {
   EXPECT_EQ(d.only_b.size(), 1u);
 }
 
+TEST(Diff, ThreadedRuntimeHandoffLabelIsIgnored) {
+  // Reports of the threaded lock-step runtime label every record with
+  // its wait strategy. Against the same report without the label, every
+  // record pairs up and nothing regresses; merging the two drops the
+  // labeled copies as exact duplicates.
+  const Report plain = report({record(1, 100), record(2, 200)});
+  Json labeled_records = Json::array();
+  for (const RunRecord& r : plain.records) {
+    Json j = r.to_json();
+    EXPECT_EQ(j.find("wait_strategy"), nullptr);
+    j.set("wait_strategy", "condvar");
+    labeled_records.push(std::move(j));
+  }
+  Json doc = Json::object();
+  doc.set("title", plain.title).set("records", std::move(labeled_records));
+  const Report labeled = Report::from_json(doc);
+
+  const ReportDiff d = diff_reports(labeled, plain);
+  EXPECT_EQ(d.matched, 2);
+  EXPECT_TRUE(d.changed.empty());
+  EXPECT_TRUE(d.only_a.empty());
+  EXPECT_TRUE(d.only_b.empty());
+  EXPECT_FALSE(d.has_regressions());
+  EXPECT_NE(d.summary().find("no regressions"), std::string::npos);
+
+  const Report merged = Report::merge({labeled, plain});
+  EXPECT_EQ(merged.to_json(false).dump(), plain.to_json(false).dump());
+}
+
 TEST(Diff, JsonShapeIsStable) {
   const Report a = report({record(1, 100)});
   const Report b = report({record(1, 120)});

@@ -1,22 +1,17 @@
-// Tests: the parallel in-process exploration engine (explorer.cc) and
-// the allocation-lean run machinery under it.
+// Tests: the parallel in-process exploration engine (explorer.cc).
 //
 // The contract under test is byte-identity: `explore` with threads = N
 // must produce the SAME report JSON, violations, shrunk traces and
 // exit-code-determining flags as the serial run, for every policy and
 // oracle combination — parallelism is a wall-clock lever, never a
-// semantics lever. The same holds one level down for ProcessPool-hosted
-// executions vs per-run spawned threads.
+// semantics lever.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "src/common/errors.h"
-#include "src/dist/wire.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
-#include "src/runtime/process_pool.h"
 
 namespace mpcn {
 namespace {
@@ -129,48 +124,6 @@ TEST(ParallelExplore, BoundedDfsFallsBackToSerial) {
   const ExploreResult threaded = explore(cell, opts);
   EXPECT_EQ(observable(threaded), observable(serial));
   EXPECT_TRUE(serial.found());
-}
-
-// ----------------------------------------------- pooled execution layer
-
-TEST(ProcessPool, PooledExecutionMatchesSpawnedByteForByte) {
-  // Which OS thread hosts a process body must be invisible to the grant
-  // schedule; the pool is reused across runs to mimic the hot loop.
-  ExperimentCell cell = named_cell("snapshot_churn", ModelSpec{3, 0, 1}, 7,
-                                   MemKind::kPrimitive);
-  cell.record_schedule = true;
-  const RunRecord spawned = run_cell(cell);
-  ASSERT_TRUE(spawned.schedule_trace);
-
-  ProcessPool pool(3);
-  cell.options.process_pool = &pool;
-  for (int run = 0; run < 5; ++run) {
-    const RunRecord pooled = run_cell(cell);
-    EXPECT_EQ(pooled.schedule_digest, spawned.schedule_digest) << run;
-    EXPECT_EQ(pooled.to_json(/*include_timing=*/false).dump(),
-              spawned.to_json(/*include_timing=*/false).dump())
-        << run;
-  }
-}
-
-TEST(ProcessPool, UndersizedPoolFallsBackToSpawning) {
-  ExperimentCell cell = named_cell("snapshot_churn", ModelSpec{3, 0, 1}, 7,
-                                   MemKind::kPrimitive);
-  cell.record_schedule = true;
-  const RunRecord spawned = run_cell(cell);
-
-  ProcessPool small(2);  // 3 processes do not fit
-  cell.options.process_pool = &small;
-  const RunRecord fallback = run_cell(cell);
-  EXPECT_EQ(fallback.to_json(false).dump(), spawned.to_json(false).dump());
-}
-
-TEST(ProcessPool, CellsCarryingPoolsCannotCrossTheShardWire) {
-  ExperimentCell cell = named_cell("snapshot_churn", ModelSpec{3, 0, 1}, 1,
-                                   MemKind::kPrimitive);
-  ProcessPool pool(3);
-  cell.options.process_pool = &pool;
-  EXPECT_THROW(CellSpec::from_cell(cell), ProtocolError);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(Histogram, RecordAccumulatesCountAndSum) {
 MetricsSnapshot sample_snapshot(std::uint64_t scale) {
   MetricsSnapshot s;
   s.counters["explore.schedules"] = 10 * scale;
-  s.counters["wait.parks"] = scale;
+  s.counters["arena.bytes"] = scale;
   s.gauges["shard.queue_depth"] = static_cast<std::int64_t>(scale) - 2;
   MetricsSnapshot::HistogramData h;
   h.count = 2 * scale;

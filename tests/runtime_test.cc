@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "src/common/errors.h"
 #include "src/registers/atomic_register.h"
@@ -224,6 +225,109 @@ TEST(Lockstep, StepsAreSerialized) {
   }
   run_execution(std::move(p), int_inputs(4), lockstep(6));
   EXPECT_EQ(collisions->load(), 0);
+}
+
+std::vector<Program> spinners(int n) {
+  std::vector<Program> p;
+  for (int i = 0; i < n; ++i) {
+    p.push_back([](ProcessContext& ctx) {
+      for (;;) ctx.yield();
+    });
+  }
+  return p;
+}
+
+TEST(Lockstep, StepLimitStopsEveryProcess) {
+  Outcome out = run_execution(spinners(3), int_inputs(3), lockstep(7, 500));
+  EXPECT_TRUE(out.timed_out);
+  EXPECT_EQ(out.steps, 500u);
+  EXPECT_EQ(out.decided_count(), 0);
+}
+
+TEST(Lockstep, WallLimitStopsEveryProcess) {
+  // No step budget in reach: the deadline, checked at grant time, must
+  // stop the run and unwind every parked process.
+  ExecutionOptions o = lockstep(5, 100'000'000);
+  o.wall_limit = std::chrono::milliseconds(100);
+  Outcome out = run_execution(spinners(3), int_inputs(3), o);
+  EXPECT_TRUE(out.timed_out);
+  EXPECT_LT(out.steps, 100'000'000u);
+  EXPECT_EQ(out.decided_count(), 0);
+}
+
+TEST(Lockstep, EveryProcessRunsOnTheCallersThread) {
+  // Lock-step processes and their forked children are fibers on the
+  // thread that calls Execution::run: no OS thread is created.
+  const std::thread::id caller = std::this_thread::get_id();
+  auto seen = std::make_shared<std::vector<std::thread::id>>();
+  std::vector<Program> p;
+  for (int i = 0; i < 3; ++i) {
+    p.push_back([seen](ProcessContext& ctx) {
+      seen->push_back(std::this_thread::get_id());
+      ChildHandle h = ctx.fork([seen](ProcessContext& cctx) {
+        seen->push_back(std::this_thread::get_id());
+        cctx.yield();
+      });
+      ctx.yield();
+      h.join(ctx);
+      ctx.decide(Value(0));
+    });
+  }
+  Outcome out = run_execution(std::move(p), int_inputs(3), lockstep(14));
+  EXPECT_EQ(out.decided_count(), 3);
+  ASSERT_EQ(seen->size(), 6u);
+  for (const std::thread::id& id : *seen) EXPECT_EQ(id, caller);
+}
+
+TEST(Lockstep, CrashWithLiveChildrenReplaysItsGrantTrace) {
+  // A simulator crashes mid-run while holding live ChildHandles. Process
+  // 1 has already decided, so the crash stops the run: the parent
+  // unwinds through ~ChildHandle, which waits for each child while its
+  // own exception is in flight, and the children throw and catch
+  // SimulationHalted meanwhile. All of it shares one thread's exception
+  // state, and the schedule must still replay exactly.
+  struct Run {
+    std::vector<ThreadId> trace;
+    Outcome out;
+    int halted_children = 0;
+  };
+  auto run_once = [] {
+    auto halted = std::make_shared<std::atomic<int>>(0);
+    std::vector<Program> p{
+        [halted](ProcessContext& ctx) {
+          auto child = [halted](ProcessContext& cctx) {
+            try {
+              for (;;) cctx.yield();
+            } catch (const SimulationHalted&) {
+              halted->fetch_add(1);
+              throw;
+            }
+          };
+          ChildHandle a = ctx.fork(child);
+          ChildHandle b = ctx.fork(child);
+          for (int i = 0; i < 10; ++i) ctx.yield();
+          ctx.backend().crashes().crash_now(ctx.pid());
+          for (;;) ctx.yield();
+        },
+        [](ProcessContext& ctx) { ctx.decide(Value(1)); }};
+    Execution e(std::move(p), int_inputs(2), lockstep(15));
+    e.controller().enable_grant_trace();
+    Run r;
+    r.out = e.run();
+    r.trace = e.controller().grant_trace();
+    r.halted_children = halted->load();
+    return r;
+  };
+  const Run first = run_once();
+  const Run second = run_once();
+  EXPECT_TRUE(first.out.crashed[0]);
+  EXPECT_TRUE(first.out.decisions[1].has_value());
+  EXPECT_FALSE(first.out.timed_out);
+  EXPECT_GE(first.halted_children, 1);
+  EXPECT_GT(first.trace.size(), 10u);
+  EXPECT_EQ(first.trace, second.trace);
+  EXPECT_EQ(first.halted_children, second.halted_children);
+  EXPECT_EQ(first.out.steps, second.out.steps);
 }
 
 // --- fork / cancel / crash domains ---

@@ -35,7 +35,6 @@ ExperimentCell sample_cell() {
       })
       .seed(9)
       .mem(MemKind::kAfek)
-      .wait_strategy(WaitStrategy::kSpin)
       .step_limit(123456)
       .wall_limit(std::chrono::milliseconds(7890));
   std::vector<ExperimentCell> cells = e.cells();
@@ -62,7 +61,6 @@ TEST(CellSpecJson, RoundTripsEveryField) {
   EXPECT_FALSE(back.check_legality);
   EXPECT_TRUE(back.use_scenario_task);
   EXPECT_EQ(back.scheduler, SchedulerMode::kFree);
-  EXPECT_EQ(back.wait, WaitStrategy::kSpin);
   EXPECT_EQ(back.seed, 9u);
   EXPECT_EQ(back.step_limit, 123456u);
   EXPECT_EQ(back.wall_limit_ms, 7890);
@@ -72,6 +70,17 @@ TEST(CellSpecJson, RoundTripsEveryField) {
   EXPECT_EQ(back.inputs[4], Value(14));
   // Second hop: identical dumps (byte determinism of the framing).
   EXPECT_EQ(CellSpec::from_json(back.to_json()).to_json().dump(),
+            spec.to_json().dump());
+}
+
+TEST(CellSpecJson, IgnoresTheThreadedRuntimeHandoffLabel) {
+  // Coordinators of the threaded lock-step runtime sent a wait_strategy
+  // label; workers decode the cell without it and never send it back.
+  const CellSpec spec = CellSpec::from_cell(sample_cell());
+  Json labeled = spec.to_json();
+  EXPECT_EQ(labeled.find("wait_strategy"), nullptr);
+  labeled.set("wait_strategy", "spin_park");
+  EXPECT_EQ(CellSpec::from_json(labeled).to_json().dump(),
             spec.to_json().dump());
 }
 
@@ -124,7 +133,6 @@ TEST(WireFraming, ResultRoundTripsEveryRunRecordField) {
   rec.hop_index = 2;
   rec.seed = 99;
   rec.scheduler = SchedulerMode::kFree;
-  rec.wait = WaitStrategy::kSpinPark;
   rec.mem = MemKind::kAfek;
   rec.inputs = {Value(1), Value("two"), Value(Value::List{Value(3), Value()})};
   rec.decisions = {std::optional<Value>(Value(1)), std::nullopt,
@@ -155,7 +163,6 @@ TEST(WireFraming, ResultRoundTripsEveryRunRecordField) {
   EXPECT_EQ(back.hop_index, rec.hop_index);
   EXPECT_EQ(back.seed, rec.seed);
   EXPECT_EQ(back.scheduler, rec.scheduler);
-  EXPECT_EQ(back.wait, rec.wait);
   EXPECT_EQ(back.mem, rec.mem);
   EXPECT_EQ(back.inputs, rec.inputs);
   EXPECT_EQ(back.decisions, rec.decisions);
@@ -268,7 +275,7 @@ TEST(WorkerLoop, MaxCellsInjectsACrashBeforeReplying) {
 TEST(WireTelemetry, MetricsLineRoundTrips) {
   MetricsSnapshot snap;
   snap.counters["explore.schedules"] = 42;
-  snap.counters["wait.parks"] = 7;
+  snap.counters["arena.bytes"] = 7;
   snap.gauges["shard.queue_depth"] = -3;
   MetricsSnapshot::HistogramData h;
   h.count = 2;

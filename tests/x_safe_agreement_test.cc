@@ -296,5 +296,40 @@ TEST(XSafeAgreement, FreeModeStress) {
   }
 }
 
+// ------------------------------------------------- SET_LIST pruning
+
+TEST(MemberCombinationScan, MatchesFilteredGlobalOrder) {
+  for (int n : {3, 5, 7, 9}) {
+    for (int x = 1; x <= n; ++x) {
+      for (int member = 0; member < n; ++member) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " x=" + std::to_string(x) +
+                     " member=" + std::to_string(member));
+        // Reference: walk the full SET_LIST and keep subsets containing
+        // `member` — the scan every owner used to perform.
+        std::vector<std::pair<std::int64_t, std::vector<int>>> expected;
+        for (std::int64_t l = 0; l < binomial(n, x); ++l) {
+          const std::vector<int> subset = unrank_combination(n, x, l);
+          for (int e : subset) {
+            if (e == member) {
+              expected.emplace_back(l, subset);
+              break;
+            }
+          }
+        }
+        EXPECT_EQ(member_combination_scan(n, x, member), expected);
+      }
+    }
+  }
+}
+
+TEST(MemberCombinationScan, CountsMatchTheLazyMaterializationBound) {
+  // |scan(n, x, i)| = C(n-1, x-1): exactly the subsets an owner funnels
+  // through (the x_safe_agreement.h lazy-materialization comment).
+  EXPECT_EQ(member_combination_scan(12, 5, 0).size(),
+            static_cast<std::size_t>(binomial(11, 4)));
+  EXPECT_EQ(member_combination_scan(2, 1, 1).size(), 1u);
+  EXPECT_TRUE(member_combination_scan(4, 2, 7).empty());  // out of range
+}
+
 }  // namespace
 }  // namespace mpcn

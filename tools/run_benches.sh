@@ -106,7 +106,7 @@ python3 "$ROOT/tools/validate_benches.py" "$ROOT"
 # validate_events.py pins its schema — so the recorder and the validator
 # cannot drift apart without this script failing.
 echo "== validate_events.py"
-EVENTS_TMP="$(mktemp /tmp/mpcn_events.XXXXXX.jsonl)"
+EVENTS_TMP="$(mktemp "${TMPDIR:-/tmp}/mpcn_events.XXXXXX.jsonl")"
 trap 'rm -f "$EVENTS_TMP"' EXIT
 "$BUILD/mpcn" run snapshot_churn --in 3,0,1 --inputs 10,11,12 --seeds 1..4 \
     --shards 2 --fork-workers --telemetry-ms 25 --events "$EVENTS_TMP" \
