@@ -118,9 +118,10 @@ const char kUsage[] =
     "  --horizon K       PCT step horizon (default: probe the cell)\n"
     "  --bound B         DFS preemption bound (default: 2)\n"
     "  --crash-budget T  search the (schedule x crash) product: the\n"
-    "                    policy may crash up to T processes at grant\n"
-    "                    points (dfs enumerates placements; random/pct\n"
-    "                    sample them; default: 0 = schedule-only)\n"
+    "                    policy may crash up to T <= t processes at\n"
+    "                    grant points (dfs enumerates placements;\n"
+    "                    random/pct sample them; default: 0 =\n"
+    "                    schedule-only)\n"
     "  --crash-rate P    per-grant crash probability for random/pct\n"
     "                    product sampling (default: 0.1)\n"
     "  --check-lin       also check direct-run histories against the\n"

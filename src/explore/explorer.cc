@@ -335,6 +335,13 @@ ExploreResult explore(const ExperimentCell& cell,
   if (options.crash_budget < 0) {
     throw ProtocolError("explore needs crash-budget >= 0");
   }
+  if (options.crash_budget > cell.target.t) {
+    // A run with more than t crashes is outside the model: it owes no one
+    // termination, so its timeouts are not violations.
+    throw ProtocolError("explore needs crash-budget <= t = " +
+                        std::to_string(cell.target.t) + " of " +
+                        cell.target.to_string());
+  }
   if (options.crash_budget > 0 &&
       (options.crash_rate < 0.0 || options.crash_rate > 1.0)) {
     throw ProtocolError("explore needs crash-rate in [0, 1]");

@@ -23,13 +23,14 @@
 //
 // Scaling: random/PCT searches are embarrassingly parallel — each
 // schedule is a declarative ScheduleSpec, a pure function of its index.
-// Two fan-outs exist: `threads` runs N in-process workers (each owning
-// its own controller, policy, history recorder and process-thread pool)
-// whose per-index outcomes merge deterministically back into the serial
-// report, byte for byte; `shards` ships the batch over the subprocess
-// wire protocol (src/dist/) exactly like experiment grids. Bounded DFS
-// carries its search tree across runs and is in-process serial only
-// (threads > 1 falls back to the serial engine).
+// Two fan-outs exist: `threads` runs N in-process workers (each an OS
+// thread that runs its schedules as fibers, with its own controller,
+// policy and history recorder) whose per-index outcomes merge
+// deterministically back into the serial report, byte for byte;
+// `shards` ships the batch over the subprocess wire protocol (src/dist/)
+// exactly like experiment grids. Bounded DFS carries its search tree
+// across runs and is in-process serial only (threads > 1 falls back to
+// the serial engine).
 #pragma once
 
 #include <chrono>
@@ -75,10 +76,11 @@ struct ExploreOptions {
   // > 0: search the (schedule × crash) product. The cell runs under
   // CrashPlan::explored(crash_budget, crash_rate): at each grant the
   // policy also decides whether the granted process crashes, within this
-  // budget of at most crash_budget process crashes. Bounded DFS
-  // enumerates crash placements systematically (ignoring crash_rate);
-  // random/PCT sample them at crash_rate per grant. 0 = schedule-only
-  // (the cell's own crash plan, usually none, applies unchanged).
+  // budget of at most crash_budget process crashes, which must not
+  // exceed the target model's t. Bounded DFS enumerates crash placements
+  // systematically (ignoring crash_rate); random/PCT sample them at
+  // crash_rate per grant. 0 = schedule-only (the cell's own crash plan,
+  // usually none, applies unchanged).
   int crash_budget = 0;
   double crash_rate = 0.1;
 

@@ -13,9 +13,11 @@ void SharedQueue::enqueue(ProcessContext& ctx, Value v) {
 Value SharedQueue::dequeue(ProcessContext& ctx) {
   auto g = ctx.step();
   std::lock_guard<std::mutex> lk(m_);
-  if (q_.empty()) return Value::nil();
-  Value v = std::move(q_.front());
-  q_.pop_front();
+  Value v;  // nil when the queue is empty
+  if (!q_.empty()) {
+    v = std::move(q_.front());
+    q_.pop_front();
+  }
   return v;
 }
 
@@ -33,9 +35,11 @@ void SharedStack::push(ProcessContext& ctx, Value v) {
 Value SharedStack::pop(ProcessContext& ctx) {
   auto g = ctx.step();
   std::lock_guard<std::mutex> lk(m_);
-  if (s_.empty()) return Value::nil();
-  Value v = std::move(s_.back());
-  s_.pop_back();
+  Value v;  // nil when the stack is empty
+  if (!s_.empty()) {
+    v = std::move(s_.back());
+    s_.pop_back();
+  }
   return v;
 }
 

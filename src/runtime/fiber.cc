@@ -1,3 +1,7 @@
+// Fortify turns _longjmp into __longjmp_chk, which aborts on a jump to a
+// lower stack address: the first switch onto a fiber stack below ours.
+#undef _FORTIFY_SOURCE
+
 #include "src/runtime/fiber.h"
 
 #include <sys/mman.h>
@@ -125,6 +129,7 @@ Fiber::Fiber(std::function<void()> entry)
   ctx_.uc_stack.ss_sp = static_cast<char*>(stack_) + page_size();
   ctx_.uc_stack.ss_size = kStackSize;
   ctx_.uc_link = nullptr;
+  entered_ = false;
   // makecontext passes int arguments only: hand `this` over in halves.
   const auto self =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
@@ -153,15 +158,19 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
+  // Saved before the sanitizer calls: TSan files a jmp_buf under the
+  // fiber that is current when it is saved.
+  if (_setjmp(from.jmp_) == 0) {
 #ifdef MPCN_ASAN_FIBERS
-  tl_leaving = &from;
-  __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.stack_bottom_,
-                                 to.stack_size_);
+    tl_leaving = &from;
+    __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.stack_bottom_,
+                                   to.stack_size_);
 #endif
 #ifdef MPCN_TSAN_FIBERS
-  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+    __tsan_switch_to_fiber(to.tsan_fiber_, 0);
 #endif
-  ::swapcontext(&from.ctx_, &to.ctx_);
+    resume(to);
+  }
   from.arrived();
 }
 
@@ -174,6 +183,12 @@ void Fiber::exit_to(Fiber& to) {
 #ifdef MPCN_TSAN_FIBERS
   __tsan_switch_to_fiber(to.tsan_fiber_, 0);
 #endif
+  resume(to);
+}
+
+void Fiber::resume(Fiber& to) {
+  if (to.entered_) _longjmp(to.jmp_, 1);
+  to.entered_ = true;
   ::setcontext(&to.ctx_);
   std::abort();  // setcontext returns only on failure
 }

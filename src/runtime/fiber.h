@@ -3,8 +3,14 @@
 //
 // The lock-step runtime (step_controller.h) runs every process of an
 // Execution as a Fiber on the thread that calls Execution::run and
-// switches between them at step grants. A Fiber is a plain ucontext
-// context. Its stack is kStackSize bytes of mmap'ed memory above one
+// switches between them at step grants. A fiber starts through ucontext:
+// the constructor prepares it with getcontext/makecontext, and its first
+// entry is one setcontext. Every later switch is a _setjmp/_longjmp pair,
+// which saves and restores only registers and the stack pointer: no
+// signal mask, so no system call. All fibers therefore share the thread's
+// signal mask; no process body changes it.
+//
+// A fiber's stack is kStackSize bytes of mmap'ed memory above one
 // PROT_NONE guard page, so an overflow faults instead of corrupting a
 // neighbour. A destroyed Fiber's stack goes to a small per-thread cache
 // for the thread's next fibers, and is unmapped when the cache is full
@@ -15,6 +21,7 @@
 // create/switch_to/destroy_fiber give each fiber its own shadow state.
 #pragma once
 
+#include <setjmp.h>
 #include <ucontext.h>
 
 #include <cstddef>
@@ -45,10 +52,15 @@ class Fiber {
 
  private:
   static void trampoline(unsigned hi, unsigned lo);
+  // Jump into `to`: its first entry, or back to where it last switched
+  // away. Sanitizers must already have been told about the switch.
+  [[noreturn]] static void resume(Fiber& to);
   // Sanitizer bookkeeping on arrival in this context.
   void arrived();
 
-  ucontext_t ctx_{};
+  ucontext_t ctx_{};  // the first entry, for a fiber with a stack
+  jmp_buf jmp_{};     // where the fiber last switched away
+  bool entered_ = true;  // false until a stack fiber's first entry
   std::function<void()> entry_;
   void* stack_ = nullptr;  // guard page + stack mapping; null for Fiber()
   // The stack's lowest usable address and size. Learned on the first

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/errors.h"
+#include "src/obs/metrics.h"
 
 namespace mpcn {
 
@@ -126,6 +127,8 @@ void LockstepController::run(Deadline deadline) {
   // to the caller only when no fiber is ready, granted or parked.
   dispatch();
   caller_ = nullptr;
+  static Counter& switches = metrics_registry().counter("runtime.switches");
+  switches.add(switches_);
 }
 
 void LockstepController::enter(ThreadId tid) {
@@ -272,6 +275,7 @@ void LockstepController::switch_to(Thread* next) {
   Thread* self = current_;
   if (next == self) return;
   current_ = next;
+  ++switches_;
   Fiber::switch_to(self ? *self->fiber : *caller_,
                    next ? *next->fiber : *caller_);
   reap();
@@ -292,6 +296,7 @@ void LockstepController::finish(Thread* t) {
   Thread* next = pick_next();
   zombie_ = t;
   current_ = next;
+  ++switches_;
   Fiber::exit_to(next ? *next->fiber : *caller_);
 }
 

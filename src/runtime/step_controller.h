@@ -253,6 +253,9 @@ class LockstepController : public StepController {
   const std::uint64_t step_limit_;
   Deadline deadline_ = Deadline::max();
   std::uint64_t steps_ = 0;
+  // Fiber switches so far, added to the `runtime.switches` counter once
+  // run() returns: an atomic add per switch would cost a share of one.
+  std::uint64_t switches_ = 0;
 
   std::map<ThreadId, std::unique_ptr<Thread>> threads_;
   std::size_t alive_ = 0;  // threads in the grant set

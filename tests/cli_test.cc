@@ -152,6 +152,13 @@ TEST(Cli, ExploreCleanScenarioExitsZero) {
             0);
 }
 
+TEST(Cli, ExploreRejectsCrashBudgetAboveT) {
+  // racy_register's model ASM(2,0,1) tolerates no crash at all.
+  EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                     "--budget", "3", "--crash-budget", "1"}),
+            2);
+}
+
 TEST(Cli, ExploreRecordReplayRoundTripsByteIdentically) {
   TempFile t1("cli_trace_1.json");
   TempFile t2("cli_trace_2.json");

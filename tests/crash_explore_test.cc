@@ -76,6 +76,17 @@ TEST(CrashProduct, ProductDfsFindsTheCrashWindow) {
   EXPECT_LE(v.shrunk.size(), v.trace.size());
 }
 
+TEST(CrashProduct, CrashBudgetAboveTheModelsTIsRejected) {
+  // The exhibit runs in ASM(2,1,1): a second crash leaves the model, and
+  // a run outside it owes no one termination.
+  EXPECT_THROW(explore(exhibit_cell(), dfs_options(2)), ProtocolError);
+  ExploreOptions random = dfs_options(2);
+  random.policy = ExplorePolicy::kSeededRandom;
+  EXPECT_THROW(explore(exhibit_cell(), random), ProtocolError);
+  // Budget t = 1 is in the model and still finds the window.
+  EXPECT_TRUE(explore(exhibit_cell(), dfs_options(1)).crash_found());
+}
+
 TEST(CrashProduct, RandomProductSearchFindsItToo) {
   ExploreOptions o;
   o.policy = ExplorePolicy::kSeededRandom;

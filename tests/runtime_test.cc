@@ -1,14 +1,18 @@
-// Unit tests: src/runtime — step controllers, crash plans, contexts,
-// cooperative mutex, shared world, execution harness.
+// Unit tests: src/runtime — fibers, step controllers, crash plans,
+// contexts, cooperative mutex, shared world, execution harness.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "src/common/errors.h"
+#include "src/obs/metrics.h"
 #include "src/registers/atomic_register.h"
 #include "src/runtime/cooperative_mutex.h"
 #include "src/runtime/execution.h"
+#include "src/runtime/fiber.h"
 #include "src/runtime/shared_world.h"
 
 namespace mpcn {
@@ -33,6 +37,61 @@ std::vector<Value> int_inputs(int n) {
   std::vector<Value> v;
   for (int i = 0; i < n; ++i) v.push_back(Value(i));
   return v;
+}
+
+// --- fibers ---
+
+TEST(Fiber, SwitchToPingPongsBetweenTheCallerAndTwoFibers) {
+  // Every round runs caller -> a -> b -> caller by switch_to alone. The
+  // first round enters each fiber through its context, every later one
+  // resumes where the fiber switched away; a switch onto a stack below
+  // the caller's is what a fortified longjmp would refuse.
+  constexpr int kRounds = 10000;
+  std::string order;
+  Fiber caller;
+  std::unique_ptr<Fiber> a;
+  std::unique_ptr<Fiber> b;
+  a = std::make_unique<Fiber>([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      order += 'a';
+      Fiber::switch_to(*a, *b);
+    }
+    Fiber::exit_to(*b);
+  });
+  b = std::make_unique<Fiber>([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      order += 'b';
+      Fiber::switch_to(*b, caller);
+    }
+    Fiber::exit_to(caller);
+  });
+  for (int r = 0; r < kRounds; ++r) {
+    Fiber::switch_to(caller, *a);
+    order += 'c';
+  }
+  Fiber::switch_to(caller, *a);  // a leaves its loop, exits to b, b to us
+  std::string expected;
+  for (int r = 0; r < kRounds; ++r) expected += "abc";
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Fiber, FirstEntryThroughAnotherFibersExit) {
+  // b is first entered by a's exit_to, never by switch_to. Repeated so
+  // later fibers start on stacks reused from the cache.
+  for (int round = 0; round < 3; ++round) {
+    std::string order;
+    Fiber caller;
+    Fiber b([&] {
+      order += 'b';
+      Fiber::exit_to(caller);
+    });
+    Fiber a([&] {
+      order += 'a';
+      Fiber::exit_to(b);
+    });
+    Fiber::switch_to(caller, a);
+    EXPECT_EQ(order, "ab");
+  }
 }
 
 TEST(Execution, SingleProcessDecides) {
@@ -253,6 +312,38 @@ TEST(Lockstep, WallLimitStopsEveryProcess) {
   EXPECT_TRUE(out.timed_out);
   EXPECT_LT(out.steps, 100'000'000u);
   EXPECT_EQ(out.decided_count(), 0);
+}
+
+// Fiber switches `f` adds to the `runtime.switches` counter.
+std::uint64_t switches_during(const std::function<void()>& f) {
+  const Counter& switches = metrics_registry().counter("runtime.switches");
+  const std::uint64_t before = switches.value();
+  f();
+  return switches.value() - before;
+}
+
+TEST(Lockstep, RegrantsToTheRunningFiberAddNoSwitch) {
+  // A lone process is re-granted the token at every step: the only
+  // switches are into its fiber and back out when its body returns.
+  for (const int steps : {10, 1000}) {
+    const std::uint64_t switches = switches_during([steps] {
+      std::vector<Program> p{[steps](ProcessContext& ctx) {
+        for (int i = 0; i < steps; ++i) ctx.yield();
+        ctx.decide(Value(0));
+      }};
+      run_execution(std::move(p), {Value(0)}, lockstep(16));
+    });
+    EXPECT_EQ(switches, 2u) << steps << " steps";
+  }
+  // Two processes hand the token back and forth.
+  const std::uint64_t switches = switches_during([] {
+    std::vector<Program> p(2, [](ProcessContext& ctx) {
+      for (int i = 0; i < 100; ++i) ctx.yield();
+      ctx.decide(Value(0));
+    });
+    run_execution(std::move(p), int_inputs(2), lockstep(16));
+  });
+  EXPECT_GT(switches, 10u);
 }
 
 TEST(Lockstep, EveryProcessRunsOnTheCallersThread) {

@@ -38,12 +38,13 @@
 namespace mpcn {
 namespace {
 
-// A 6-cell seeded grid: deterministic, a few hundred steps per cell.
-Experiment small_grid() {
+// A seeded grid of `cells` cells: deterministic, a few hundred steps per
+// cell.
+Experiment small_grid(int cells = 6) {
   Experiment e = Experiment::named("snapshot_churn", ModelSpec{3, 0, 1});
   e.direct()
       .inputs({Value(10), Value(11), Value(12)})
-      .seeds(1, 6);
+      .seeds(1, cells);
   return e;
 }
 
@@ -103,7 +104,11 @@ TEST(Telemetry, StreamingHeartbeatsKeepReportByteIdentical) {
 // notice. The write-off must name staleness, requeue the frozen slot's
 // cells, and leave the report untouched.
 TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
-  const Experiment e = small_grid();
+  // Worker 0 is written off only if it still gets a second cell, so the
+  // grid must outlast its first one: on a loaded host, 6 cells let worker
+  // 1 drain the grid before worker 0 replied, and nothing went stale.
+  constexpr int kCells = 40;
+  const Experiment e = small_grid(kCells);
   ShardOptions options;
   options.shards = 2;
   options.worker_stop_after = {1, 0};
@@ -122,7 +127,7 @@ TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
   EXPECT_EQ(health[0].write_off_reason, "heartbeat stale");
   EXPECT_EQ(health[0].cells_served, 1);
   EXPECT_FALSE(health[1].written_off);
-  EXPECT_EQ(health[1].cells_served, 5);
+  EXPECT_EQ(health[1].cells_served, kCells - 1);
   // Staleness, not the 60 s watchdog, must have fired the write-off.
   EXPECT_LT(wall, std::chrono::seconds(30));
 }
