@@ -88,7 +88,7 @@ ExperimentCell exhibit_cell(int n) {
 int main(int argc, char** argv) {
   int budget = 300;
   if (const auto v = flag_value(argc, argv, "budget")) {
-    budget = static_cast<int>(parse_u64(*v));
+    budget = parse_int(*v);
   }
 
   Json rows = Json::array();

@@ -130,7 +130,9 @@ const char kUsage[] =
     "                    schedule (direct mode; shards fine; exit 3 when\n"
     "                    a race is found)\n"
     "  --no-shrink       keep violating traces unshrunk\n"
-    "  --shrink-budget R max replays per shrink (default: 400)\n"
+    "  --shrink-budget R max candidates judged per shrink, including\n"
+    "                    duplicates judged without a replay (default:\n"
+    "                    400)\n"
     "  --record PATH     write the first schedule's observed trace JSON\n"
     "  --replay PATH     run exactly one scripted schedule from PATH\n"
     "                    (combines with --record to re-emit the observed\n"
@@ -199,10 +201,10 @@ int cmd_worker(int argc, char** argv) {
   Args args(argc, argv, 2, {"max-cells", "stop-after"}, {});
   WorkerOptions options;
   if (const auto v = args.value("max-cells")) {
-    options.max_cells = static_cast<int>(parse_u64(*v));
+    options.max_cells = parse_int(*v);
   }
   if (const auto v = args.value("stop-after")) {
-    options.stop_after_cells = static_cast<int>(parse_u64(*v));
+    options.stop_after_cells = parse_int(*v);
   }
   FdLineIO io(STDIN_FILENO, STDOUT_FILENO);
   run_worker_loop(io, options);
@@ -260,7 +262,7 @@ void apply_streaming_flags(const Args& args, Options& opts) {
   }
   if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
     for (const std::string& tok : split(env, ',')) {
-      opts.worker_stop_after.push_back(static_cast<int>(parse_u64(tok)));
+      opts.worker_stop_after.push_back(parse_int(tok));
     }
   }
 }
@@ -375,10 +377,8 @@ int cmd_run(int argc, char** argv) {
 
   if (args.has("crash-p")) {
     const double p = parse_double(args.require("crash-p"));
-    const int max_crashes = args.has("crash-max")
-                                ? static_cast<int>(parse_u64(
-                                      args.require("crash-max")))
-                                : -1;
+    const int max_crashes =
+        args.has("crash-max") ? parse_int(args.require("crash-max")) : -1;
     e.crashes([p, max_crashes](const ModelSpec& m, std::uint64_t seed) {
       return CrashPlan::hazard(p, max_crashes < 0 ? m.t : max_crashes, seed);
     });
@@ -409,10 +409,10 @@ int cmd_run(int argc, char** argv) {
   BatchOptions batch;
   batch.title = args.value_or("title", scenario);
   if (args.has("threads")) {
-    batch.threads = static_cast<int>(parse_u64(args.require("threads")));
+    batch.threads = parse_int(args.require("threads"));
   }
   if (args.has("shards")) {
-    batch.shards = static_cast<int>(parse_u64(args.require("shards")));
+    batch.shards = parse_int(args.require("shards"));
   }
   if (batch.shards > 0 && !args.has("fork-workers")) {
     batch.worker_argv = {self_exe_path(argv[0]), "worker"};
@@ -617,18 +617,14 @@ int cmd_explore(int argc, char** argv) {
   ExploreOptions opts;
   opts.policy = explore_policy_from_string(args.value_or("policy", "pct"));
   opts.seed = base_seed;
-  opts.budget = static_cast<int>(parse_u64(args.value_or("budget", "200")));
-  opts.max_violations =
-      static_cast<int>(parse_u64(args.value_or("max-violations", "1")));
-  opts.pct_depth =
-      static_cast<int>(parse_u64(args.value_or("pct-depth", "3")));
+  opts.budget = parse_int(args.value_or("budget", "200"));
+  opts.max_violations = parse_int(args.value_or("max-violations", "1"));
+  opts.pct_depth = parse_int(args.value_or("pct-depth", "3"));
   if (args.has("horizon")) {
     opts.pct_horizon = parse_u64(args.require("horizon"));
   }
-  opts.dfs_preemption_bound =
-      static_cast<int>(parse_u64(args.value_or("bound", "2")));
-  opts.crash_budget =
-      static_cast<int>(parse_u64(args.value_or("crash-budget", "0")));
+  opts.dfs_preemption_bound = parse_int(args.value_or("bound", "2"));
+  opts.crash_budget = parse_int(args.value_or("crash-budget", "0"));
   if (args.has("crash-rate")) {
     if (opts.crash_budget < 1) {
       throw ProtocolError("--crash-rate needs --crash-budget");
@@ -636,15 +632,14 @@ int cmd_explore(int argc, char** argv) {
     opts.crash_rate = parse_double(args.require("crash-rate"));
   }
   opts.shrink_violations = !args.has("no-shrink");
-  opts.shrink_budget =
-      static_cast<int>(parse_u64(args.value_or("shrink-budget", "400")));
+  opts.shrink_budget = parse_int(args.value_or("shrink-budget", "400"));
   opts.spec = spec;
   opts.check_races = check_races;
   if (args.has("shards")) {
-    opts.shards = static_cast<int>(parse_u64(args.require("shards")));
+    opts.shards = parse_int(args.require("shards"));
   }
   if (args.has("threads")) {
-    opts.threads = static_cast<int>(parse_u64(args.require("threads")));
+    opts.threads = parse_int(args.require("threads"));
   }
   if (opts.shards > 0 && !args.has("fork-workers")) {
     opts.worker_argv = {self_exe_path(argv[0]), "worker"};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <set>
 
@@ -61,6 +62,15 @@ std::uint64_t parse_u64(const std::string& s) {
     v = v * 10 + digit;
   }
   return v;
+}
+
+int parse_int(const std::string& s) {
+  const std::uint64_t v = parse_u64(s);
+  if (v > static_cast<std::uint64_t>(INT_MAX)) {
+    throw ProtocolError("integer exceeds " + std::to_string(INT_MAX) +
+                        ": '" + s + "'");
+  }
+  return static_cast<int>(v);
 }
 
 std::int64_t parse_i64(const std::string& s) {

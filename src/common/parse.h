@@ -36,6 +36,10 @@ std::uint64_t parse_u64(const std::string& s);
 std::int64_t parse_i64(const std::string& s);
 double parse_double(const std::string& s);
 
+// parse_u64 for int-typed flags (counts, budgets, bounds): also rejects
+// values above INT_MAX, which a cast would wrap (2^32 + 1 -> 1).
+int parse_int(const std::string& s);
+
 // Axis spec of unsigned values (see file comment). Order-preserving;
 // duplicates and reversed ranges ("8..1") are rejected — a duplicate
 // seed would silently double grid cells. Range size is capped so a typo

@@ -64,6 +64,10 @@ Counter& m_shrink_replays() {
   static Counter& c = metrics_registry().counter("explore.shrink_replays");
   return c;
 }
+Counter& m_shrink_runs() {
+  static Counter& c = metrics_registry().counter("explore.shrink_runs");
+  return c;
+}
 Counter& m_early_stops() {
   static Counter& c = metrics_registry().counter("explore.early_stops");
   return c;
@@ -262,6 +266,7 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
     auto history =
         want_history ? std::make_shared<HistoryRecorder>() : nullptr;
     candidate.history = history;
+    m_shrink_runs().add();
     const RunRecord rec = run_cell(candidate);
     const OracleVerdict verdict = judge(rec, options.spec, history);
     if (options.require_race && !verdict.race) return false;
@@ -280,18 +285,26 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
   // ddmin (Zeller & Hildebrandt): remove chunks at doubling granularity
   // until no single-element removal preserves the failure.
   std::size_t n = 2;
+  const auto at = [&current](std::size_t i) {
+    return current.begin() + static_cast<long>(i);
+  };
   while (current.size() >= 2 && result.replays < options.max_replays) {
     const std::size_t chunk = (current.size() + n - 1) / n;
     bool reduced = false;
     for (std::size_t start = 0; start < current.size(); start += chunk) {
+      const std::size_t stop = std::min(start + chunk, current.size());
+      // A full chunk equal to the one before it: removing it leaves the
+      // candidate just judged in this pass, which did not fail (or the
+      // pass would have ended). Same verdict, same budget charge.
+      if (start > 0 && stop - start == chunk &&
+          std::equal(at(start), at(stop), at(start - chunk))) {
+        if (result.replays < options.max_replays) ++result.replays;
+        continue;
+      }
       std::vector<TraceEntry> candidate;
       candidate.reserve(current.size());
-      candidate.insert(candidate.end(), current.begin(),
-                       current.begin() + static_cast<long>(start));
-      const std::size_t stop = std::min(start + chunk, current.size());
-      candidate.insert(candidate.end(),
-                       current.begin() + static_cast<long>(stop),
-                       current.end());
+      candidate.insert(candidate.end(), current.begin(), at(start));
+      candidate.insert(candidate.end(), at(stop), current.end());
       if (fails(candidate, /*force=*/false)) {
         current = std::move(candidate);
         n = std::max<std::size_t>(n - 1, 2);
@@ -420,17 +433,32 @@ ExploreResult explore(const ExperimentCell& cell,
                     .set("schedule", static_cast<std::int64_t>(index))
                     .set("trace_len",
                          static_cast<std::int64_t>(v.trace.size())));
-      ShrinkOptions so;
-      so.max_replays = options.shrink_budget;
-      so.spec = options.spec;
-      so.check_races = options.check_races;
-      so.require_race = v.race;
-      so.require_crash = v.crashed;
-      ShrinkResult sr = shrink(base, v.trace, so);
-      v.shrunk = std::move(sr.trace);
-      v.shrunk_verified = sr.verified;
-      v.shrink_replays = sr.replays;
-      m_shrink_replays().add(static_cast<std::uint64_t>(sr.replays));
+      // shrink() is a pure function of (base, trace, options), and within
+      // one search only the race and crashed flags vary its options: an
+      // earlier violation with the same trace and flags has the result.
+      const auto same = std::find_if(
+          result.violations.begin(), result.violations.end(),
+          [&v](const ExploreViolation& u) {
+            return u.race == v.race && u.crashed == v.crashed &&
+                   u.trace == v.trace;
+          });
+      if (same != result.violations.end()) {
+        v.shrunk = same->shrunk;
+        v.shrunk_verified = same->shrunk_verified;
+        v.shrink_replays = same->shrink_replays;
+      } else {
+        ShrinkOptions so;
+        so.max_replays = options.shrink_budget;
+        so.spec = options.spec;
+        so.check_races = options.check_races;
+        so.require_race = v.race;
+        so.require_crash = v.crashed;
+        ShrinkResult sr = shrink(base, v.trace, so);
+        v.shrunk = std::move(sr.trace);
+        v.shrunk_verified = sr.verified;
+        v.shrink_replays = sr.replays;
+      }
+      m_shrink_replays().add(static_cast<std::uint64_t>(v.shrink_replays));
       log_event("shrink_end",
                 Json::object()
                     .set("schedule", static_cast<std::int64_t>(index))

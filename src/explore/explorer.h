@@ -14,12 +14,25 @@
 //
 // A run failing either oracle is a VIOLATION; its recorded grant trace
 // is the counterexample. shrink() then minimizes it: ddmin over the
-// grant list, replaying each candidate through the Scripted policy.
-// Because scripted replay skips unmatched entries and falls back to the
-// lowest runnable thread, every subsequence of a trace is a valid
+// grant list, judging each candidate by a replay through the Scripted
+// policy. Because scripted replay skips unmatched entries and falls back
+// to the lowest runnable thread, every subsequence of a trace is a valid
 // schedule, so the result is locally minimal — no single grant can be
 // dropped without losing the failure — and is re-verified by one final
-// replay.
+// replay. Two kinds of candidate are judged without a replay, because
+// their verdict is already known and replays are deterministic:
+//
+//   * in one ddmin pass, removing a full chunk equal (grant and crash
+//     mark) to the chunk before it leaves the candidate judged just
+//     before, which did not fail, or the pass would have ended;
+//   * in one search, a violation whose raw trace, race flag and crashed
+//     flag equal an earlier violation's reuses that violation's shrink,
+//     since shrink() is a pure function of (cell, trace, options) and
+//     those flags are the only options that vary within a search.
+//
+// Both still count toward the shrink budget and the report's
+// shrink_replays exactly as a replay would, so no report byte depends on
+// them; the explore.shrink_runs counter counts the replays actually run.
 //
 // Scaling: random/PCT searches are embarrassingly parallel — each
 // schedule is a declarative ScheduleSpec, a pure function of its index.
@@ -85,7 +98,9 @@ struct ExploreOptions {
   double crash_rate = 0.1;
 
   bool shrink_violations = true;
-  int shrink_budget = 400;  // max replays per violation
+  // Max candidates judged per violation (ShrinkOptions::max_replays),
+  // candidates judged without a replay included.
+  int shrink_budget = 400;
 
   // Optional linearizability oracle over the run's recorded history
   // (direct-mode cells; in-process only). Histories longer than the
@@ -201,6 +216,10 @@ RunRecord replay_trace(const ExperimentCell& cell,
                        const ScheduleTrace& trace);
 
 struct ShrinkOptions {
+  // Budget of candidates judged. The first reproduction replay counts as
+  // one, and so does a candidate judged without a replay (one equal to
+  // the candidate judged before it in its ddmin pass). The final
+  // verification replay always runs, past the budget if need be.
   int max_replays = 400;
   // Same optional oracle as ExploreOptions::spec: candidates count as
   // failing if the record fails OR the recorded history violates the
@@ -220,7 +239,9 @@ struct ShrinkOptions {
 
 struct ShrinkResult {
   ScheduleTrace trace;   // locally-minimal failing trace
-  int replays = 0;       // replays spent (including final verification)
+  // Candidates judged, as charged to max_replays (skipped duplicates
+  // included), plus the final verification replay.
+  int replays = 0;
   bool verified = false; // final replay of `trace` still failed
 };
 

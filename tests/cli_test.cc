@@ -159,6 +159,21 @@ TEST(Cli, ExploreRejectsCrashBudgetAboveT) {
             2);
 }
 
+TEST(Cli, IntegerFlagsAboveIntMaxAreRejected) {
+  // Cast to int, 2^32 + 1 would wrap to crash budget 1 and 2^32 to
+  // bound 0, both silently legal.
+  EXPECT_EQ(run_cli({"mpcn", "explore", "safe_agreement_window", "--in",
+                     "2,1,1", "--policy", "dfs", "--bound", "1",
+                     "--crash-budget", "4294967297", "--steps", "400",
+                     "--budget", "5"}),
+            2);
+  EXPECT_EQ(run_cli({"mpcn", "explore", "safe_agreement_window", "--in",
+                     "2,1,1", "--policy", "dfs", "--bound", "4294967296",
+                     "--crash-budget", "1", "--steps", "400", "--budget",
+                     "5"}),
+            2);
+}
+
 TEST(Cli, ExploreRecordReplayRoundTripsByteIdentically) {
   TempFile t1("cli_trace_1.json");
   TempFile t2("cli_trace_2.json");

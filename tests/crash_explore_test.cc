@@ -9,12 +9,14 @@
 // budget. That separation is the tentpole contract.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <vector>
 
 #include "src/common/errors.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
 #include "src/explore/trace.h"
+#include "src/obs/metrics.h"
 #include "src/tasks/algorithms.h"
 
 namespace mpcn {
@@ -190,6 +192,53 @@ TEST(CrashProduct, ShrinkRequireCrashRefusesCrashFreeDrift) {
   const ShrinkResult sr = shrink(cell, r.violations.front().trace, so);
   EXPECT_TRUE(sr.verified);
   EXPECT_FALSE(sr.trace.crashes.empty());
+}
+
+TEST(CrashProduct, DfsHuntShrinksToPinnedCounterexamplesWithFewRuns) {
+  // The benchmark's DFS hunt: bound-1 DFS of the schedule x crash
+  // product to exhaustion, every violation shrunk. Pinned: each
+  // violation's shrunk trace and the candidates its shrink judged.
+  struct Pin {
+    int index;
+    const char* shrunk_digest;
+    int replays;
+  };
+  const Pin expected[] = {
+      {9, "c08c2a1118b5a2d6", 30},    {14, "fc1c1200bf8247c3", 401},
+      {15, "e8ffb5ea3364b59a", 401},  {16, "4e946dd0f2512a80", 401},
+      {17, "3ccaa6cb37c3b55a", 401},  {408, "c08c2a1118b5a2d6", 26},
+      {411, "d247e44b7c621496", 23},  {418, "c08c2a1118b5a2d6", 27},
+      {429, "c08c2a1118b5a2d6", 34},  {443, "d247e44b7c621496", 30},
+      {448, "e1ae823bc62af662", 25},  {449, "02fe7c156aa6037a", 401},
+      {450, "278e4990263cfc11", 401}, {451, "59a98f63eae44bb3", 401},
+      {842, "d247e44b7c621496", 26},  {845, "c08c2a1118b5a2d6", 23},
+      {852, "d247e44b7c621496", 27},  {863, "d247e44b7c621496", 34},
+  };
+  ExploreOptions o = dfs_options(1);
+  o.dfs_preemption_bound = 1;
+  o.budget = 100000;
+  o.max_violations = 0;
+  Counter& runs = metrics_registry().counter("explore.shrink_runs");
+  const std::uint64_t runs_before = runs.value();
+  const ExploreResult r = explore(exhibit_cell(), o);
+  const std::uint64_t runs_spent = runs.value() - runs_before;
+
+  EXPECT_TRUE(r.exhausted);
+  ASSERT_EQ(r.violations.size(), std::size(expected));
+  for (std::size_t i = 0; i < r.violations.size(); ++i) {
+    const ExploreViolation& v = r.violations[i];
+    EXPECT_EQ(v.schedule_index, expected[i].index) << "violation " << i;
+    EXPECT_EQ(v.shrunk.digest(), expected[i].shrunk_digest)
+        << "schedule " << v.schedule_index;
+    EXPECT_EQ(v.shrink_replays, expected[i].replays)
+        << "schedule " << v.schedule_index;
+    EXPECT_TRUE(v.shrunk_verified) << "schedule " << v.schedule_index;
+  }
+  // Judging those 3,112 candidates takes few real runs: at least the
+  // reproduction and verification replays of each shrink, and no
+  // replay of a candidate equal to one judged earlier in its pass.
+  EXPECT_GE(runs_spent, 2 * r.violations.size());
+  EXPECT_LE(runs_spent, 600u);
 }
 
 // ------------------------------------------------- distribution

@@ -15,6 +15,7 @@
 #include "src/explore/trace.h"
 #include "src/history/history.h"
 #include "src/history/linearizability.h"
+#include "src/obs/metrics.h"
 #include "src/tasks/algorithms.h"
 
 namespace mpcn {
@@ -205,6 +206,52 @@ TEST(Explore, PctFindsTheRacyWindowAndShrinksTheTrace) {
     EXPECT_TRUE(replay_trace(cell, candidate).ok())
         << "dropping grant " << i << " should repair the schedule";
   }
+}
+
+TEST(Explore, EqualRawTracesShareOneShrink) {
+  // PCT finds the torn window again and again under only a couple of
+  // distinct schedules. Each violation still reports its full shrink,
+  // but one shrink per distinct (trace, race, crashed) does the runs.
+  ExploreOptions opts;
+  opts.policy = ExplorePolicy::kPct;
+  opts.seed = 7;
+  opts.budget = 2000;
+  opts.max_violations = 0;
+  opts.check_races = true;
+  Counter& judged = metrics_registry().counter("explore.shrink_replays");
+  Counter& runs = metrics_registry().counter("explore.shrink_runs");
+  const std::uint64_t judged_before = judged.value();
+  const std::uint64_t runs_before = runs.value();
+  const ExploreResult result =
+      explore(named_cell("racy_register", ModelSpec{2, 0, 1}, 7), opts);
+  const std::uint64_t judged_spent = judged.value() - judged_before;
+  const std::uint64_t runs_spent = runs.value() - runs_before;
+
+  ASSERT_EQ(result.violations.size(), 36u);
+  std::vector<const ExploreViolation*> firsts;  // one per raw trace
+  std::uint64_t reported = 0;
+  for (const ExploreViolation& v : result.violations) {
+    EXPECT_TRUE(v.race);
+    EXPECT_TRUE(v.shrunk_verified);
+    reported += static_cast<std::uint64_t>(v.shrink_replays);
+    const auto first = std::find_if(
+        firsts.begin(), firsts.end(),
+        [&](const ExploreViolation* f) { return f->trace == v.trace; });
+    if (first == firsts.end()) {
+      firsts.push_back(&v);
+      continue;
+    }
+    EXPECT_EQ(v.shrunk.digest(), (*first)->shrunk.digest())
+        << "schedule " << v.schedule_index;
+    EXPECT_EQ(v.shrink_replays, (*first)->shrink_replays)
+        << "schedule " << v.schedule_index;
+  }
+  EXPECT_EQ(firsts.size(), 2u);
+  // The counter keeps the report's candidate count; the runs are a
+  // small fraction of it.
+  EXPECT_EQ(judged_spent, reported);
+  EXPECT_GE(runs_spent, 2 * firsts.size());
+  EXPECT_LT(10 * runs_spent, judged_spent);
 }
 
 TEST(Explore, BoundedDfsFindsTheRacyWindowSystematically) {

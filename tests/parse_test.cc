@@ -8,6 +8,8 @@
 // cells.
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "src/common/errors.h"
 #include "src/common/parse.h"
 
@@ -49,6 +51,14 @@ TEST(ParseU64, RejectsEverythingElse) {
   EXPECT_THROW(parse_u64("0x10"), ProtocolError);
   EXPECT_THROW(parse_u64("12 34"), ProtocolError);
   EXPECT_THROW(parse_u64("18446744073709551616"), ProtocolError);  // 2^64
+}
+
+TEST(ParseInt, RejectsValuesACastWouldWrap) {
+  EXPECT_EQ(parse_int("0"), 0);
+  EXPECT_EQ(parse_int("2147483647"), INT_MAX);
+  EXPECT_THROW(parse_int("2147483648"), ProtocolError);
+  EXPECT_THROW(parse_int("4294967297"), ProtocolError);  // wraps to 1
+  EXPECT_THROW(parse_int("-1"), ProtocolError);
 }
 
 TEST(ParseI64, HandlesSignAndLimits) {
