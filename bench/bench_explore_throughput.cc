@@ -224,8 +224,9 @@ int main(int argc, char** argv) {
 
   // ---- Part 3: streaming-telemetry overhead -------------------------
   // Priced on the churn cell (Part 2's workload, ~0.3 ms/schedule): the
-  // per-beat cost is a fixed tax per cell, so the ratio only means
-  // something against a representative cell, not the repo's smallest.
+  // per-beat cost is a fixed tax per range reply, so the ratio only
+  // means something against a representative cell, not the repo's
+  // smallest.
   const int telemetry_reps = 9;
   struct Measure {
     double wall_ms;
@@ -302,10 +303,10 @@ int main(int argc, char** argv) {
     streamed.cpu_ms = plain.cpu_ms + median(cpu_diff);
     telemetry_overhead =
         plain.cpu_ms > 0.0 ? streamed.cpu_ms / plain.cpu_ms : 0.0;
-    // One after-cell heartbeat per schedule, so the CPU delta over the
-    // budget is the end-to-end cost of one beat (worker compose + wire
-    // + coordinator parse/fold). Interval beats at 25 ms are noise at
-    // these run lengths.
+    // The CPU delta over the budget: what streaming adds per schedule
+    // (worker compose + wire + coordinator parse/fold of one after-job
+    // beat per range reply, plus the 25 ms interval beats). It bounds
+    // the cost of one beat spread over a range of schedules.
     beat_cost_us = budget > 0 ? median(cpu_diff) * 1000.0 / budget : 0.0;
     if (budget < 100 ||
         (telemetry_overhead <= 1.05 && beat_cost_us <= 50.0)) {

@@ -44,9 +44,10 @@ const char kUsage[] =
     "                               fires, 4 when every violation needed\n"
     "                               an injected crash)\n"
     "  worker                       JSON-lines worker on stdin/stdout\n"
-    "                               (faults: --max-cells N exits with a\n"
-    "                               cell in flight, --stop-after N\n"
-    "                               freezes via SIGSTOP between cells)\n"
+    "                               (faults: --max-cells N exits with\n"
+    "                               its Nth cell or range line in\n"
+    "                               flight, --stop-after N freezes via\n"
+    "                               SIGSTOP after its Nth reply)\n"
     "  events <log.jsonl> [--json]  summarize an --events flight-recorder\n"
     "                               log: per-worker lifelines, requeue\n"
     "                               chains, violation timeline\n"
@@ -72,7 +73,8 @@ const char kUsage[] =
     "                    process index)\n"
     "  --shards K        distribute over K worker subprocesses\n"
     "                    (default: 0 = in-process)\n"
-    "  --threads N       in-process pool size (0 = hardware)\n"
+    "  --threads N       in-process pool size (0 = hardware); N > 1\n"
+    "                    does not combine with --shards\n"
     "  --json PATH       write the report JSON (\"-\" = stdout)\n"
     "  --no-timing       exclude wall-clock fields from the JSON so\n"
     "                    reports compare byte-identical\n"
@@ -110,8 +112,9 @@ const char kUsage[] =
     "  --threads N       parallel in-process search: N worker threads\n"
     "                    splitting the budget by schedule index, report\n"
     "                    byte-identical to serial (default: 0 = serial;\n"
-    "                    dfs stays serial; with --shards this is the\n"
-    "                    per-shard-runner pool size as for run)\n"
+    "                    dfs stays serial; N > 1 does not combine with\n"
+    "                    --shards, which ships ranges of schedules to\n"
+    "                    single-threaded workers)\n"
     "  --seed S          base seed; schedule i uses S+i (default: 1)\n"
     "  --max-violations M  stop after M violations (default 1; 0 = all)\n"
     "  --pct-depth D     PCT priority-change depth (default: 3)\n"
@@ -245,9 +248,10 @@ void write_metrics_file(const std::string& path,
 // Streaming-telemetry knobs shared by run and explore (BatchOptions and
 // ExploreOptions carry identically-named fields). Also reads
 // MPCN_WORKER_STOP_AFTER ("2" or "2,0,0": slot i raises SIGSTOP after
-// replying to list[i] cells) — the hook CI uses to inject a
-// between-cells freeze into a real sharded CLI run and watch the
-// heartbeat-staleness write-off fire.
+// its list[i]-th reply — a grid cell for run, a whole range of
+// schedules for explore) — the hook CI uses to inject a between-jobs
+// freeze into a real sharded CLI run and watch the heartbeat-staleness
+// write-off fire.
 template <typename Options>
 void apply_streaming_flags(const Args& args, Options& opts) {
   if (const auto v = args.value("telemetry-ms")) {

@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "src/common/errors.h"
 #include "src/experiment/batch_runner.h"
+#include "src/explore/explorer.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/obs/spans.h"
@@ -185,6 +187,36 @@ class TelemetryStreamer {
   std::thread thread_;
 };
 
+// A cell line's reply. to_cell() failures (unknown scenario, invalid
+// model) still answer: the spec's identity fields label the error record.
+std::string serve_cell(const WireMessage& msg) {
+  RunRecord rec;
+  try {
+    rec = run_cell(msg.spec->to_cell());
+  } catch (const std::exception& e) {
+    rec = msg.spec->error_record(e.what());
+  }
+  return result_line(msg.id, rec);
+}
+
+// A range line's reply. A spec that fails to rebuild answers every
+// schedule of the range with the error record a cell line would get.
+std::string serve_range(const WireMessage& msg) {
+  RangeResult result;
+  try {
+    result = run_schedule_range(msg.spec->to_cell(), msg.first, msg.count);
+  } catch (const std::exception& e) {
+    result = RangeResult{};
+    CellSpec spec = *msg.spec;
+    for (int i = msg.first; i < msg.first + msg.count; ++i) {
+      spec.cell_index = i;
+      result.steps.push_back(0);
+      result.records.push_back(spec.error_record(e.what()));
+    }
+  }
+  return range_result_line(msg.id, result);
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- worker
@@ -199,8 +231,8 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   };
   TelemetryStreamer streamer(io, write_mu);
   if (!send(hello_line())) return;
-  int cells_received = 0;
-  int cells_replied = 0;
+  int jobs_received = 0;
+  int jobs_replied = 0;
   std::string line;
   while (io.read_line(line)) {
     WireMessage msg;
@@ -234,34 +266,31 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         if (msg.want_trace) set_tracing_enabled(true);
         streamer.arm(msg.telemetry_interval_ms);
         break;
-      case WireMessage::Type::kCell: {
-        ++cells_received;
-        if (options.max_cells > 0 && cells_received >= options.max_cells) {
-          return;  // injected crash: die with the cell unanswered
+      case WireMessage::Type::kCell:
+      case WireMessage::Type::kRange: {
+        ++jobs_received;
+        if (options.max_cells > 0 && jobs_received >= options.max_cells) {
+          return;  // injected crash: die with the job unanswered
         }
-        const CellSpec& spec = *msg.spec;
-        RunRecord rec;
+        const bool cell = msg.type == WireMessage::Type::kCell;
+        std::string reply;
         {
-          ScopedSpan span("worker.cell", "shard", spec.cell_index);
-          try {
-            rec = run_cell(spec.to_cell());
-          } catch (const std::exception& e) {
-            // to_cell() failures (unknown scenario, invalid model): the
-            // spec's identity fields still label the error record.
-            rec = spec.error_record(e.what());
-          }
+          ScopedSpan span("worker.cell", "shard",
+                          cell ? msg.spec->cell_index : msg.first);
+          reply = cell ? serve_cell(msg) : serve_range(msg);
         }
-        m_worker_cells_served().add();
-        // Reply + after-cell heartbeat in one write (beat is a no-op
+        m_worker_cells_served().add(
+            static_cast<std::uint64_t>(cell ? 1 : msg.count));
+        // Reply + after-job heartbeat in one write (beat is a no-op
         // until armed, so this is just the reply on plain runs).
-        if (!streamer.reply_and_beat(result_line(msg.id, rec))) return;
-        ++cells_replied;
+        if (!streamer.reply_and_beat(reply)) return;
+        ++jobs_replied;
         if (options.stop_after_cells > 0 &&
-            cells_replied >= options.stop_after_cells) {
-          // Injected freeze BETWEEN cells: quiesce the streamer so the
+            jobs_replied >= options.stop_after_cells) {
+          // Injected freeze BETWEEN jobs: quiesce the streamer so the
           // last wire bytes are whole lines, then stop the whole
           // process. Only heartbeat staleness can notice this — there
-          // is no cell outstanding for the watchdog to time out. A
+          // is no job outstanding for the watchdog to time out. A
           // SIGCONT would resume the loop (heartbeats stay off); the
           // coordinator's write-off SIGKILL ends it for good.
           streamer.stop();
@@ -271,6 +300,7 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
       }
       case WireMessage::Type::kHello:
       case WireMessage::Type::kResult:
+      case WireMessage::Type::kRangeResult:
       case WireMessage::Type::kError:
       case WireMessage::Type::kMetrics:
       case WireMessage::Type::kTrace:
@@ -443,38 +473,35 @@ bool send_line(int fd, const std::string& line) {
   return true;
 }
 
-}  // namespace
+// One unit of dispatch: a grid cell, or a range of search schedules.
+struct Job {
+  int first = 0;                   // cell_index of its first cell
+  int count = 1;                   // cells it covers
+  std::int64_t wall_limit_ms = 0;  // summed over its cells (watchdog)
+};
 
-Report run_sharded(const std::vector<ExperimentCell>& cells,
-                   const ShardOptions& options) {
-  if (options.shards <= 0) {
-    throw ProtocolError("run_sharded: need shards >= 1 (use BatchRunner "
-                        "with shards = 0 for in-process runs)");
-  }
-  // Serialize every cell up front: fail fast on non-wire-serializable
-  // grids before any process is forked.
-  std::vector<CellSpec> specs;
-  specs.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CellSpec spec = CellSpec::from_cell(cells[i]);
-    if (spec.cell_index != static_cast<int>(i)) {
-      throw ProtocolError(
-          "run_sharded: cells must be grid-stamped with cell_index == "
-          "position (Experiment::cells() provides this); cell " +
-          std::to_string(i) + " has cell_index " +
-          std::to_string(spec.cell_index));
-    }
-    specs.push_back(std::move(spec));
-  }
-  const std::string title = derive_report_title(cells, options.title);
-  if (cells.empty()) {
-    Report empty;
-    empty.title = title;
-    return empty;
-  }
+// What the pool's two kinds of work differ in.
+struct JobHooks {
+  // The wire line that dispatches job j.
+  std::function<std::string(std::size_t j)> line;
+  // A worker's reply to job j: consume it, or return false when it is no
+  // answer to job j (a protocol violation).
+  std::function<bool(std::size_t j, WireMessage& reply)> accept;
+  // Run job j in-process, once the pool has drained.
+  std::function<void(std::size_t j)> run_local;
+  // Null, or false when job j is no longer wanted: it resolves unrun.
+  std::function<bool(std::size_t j)> wanted;
+};
 
+// The coordinator: spawn min(shards, jobs) workers, stream the jobs over
+// them with requeue, respawn, watchdog and heartbeat write-off, run what
+// is left in-process if the pool drains, and shut the pool down.
+void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
+              const JobHooks& hooks) {
+  std::size_t total_cells = 0;
+  for (const Job& j : jobs) total_cells += static_cast<std::size_t>(j.count);
   const int shard_count =
-      std::min<int>(options.shards, static_cast<int>(cells.size()));
+      std::min<int>(options.shards, static_cast<int>(jobs.size()));
   std::vector<WorkerProc> workers;
   workers.reserve(static_cast<std::size_t>(shard_count));
   std::vector<int> sibling_fds;
@@ -498,10 +525,27 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   }
 
   std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < cells.size(); ++i) pending.push_back(i);
-  std::vector<bool> seen(cells.size(), false);
-  std::size_t done = 0;
-  Report arrivals;  // records in arrival order; merged into grid order
+  for (std::size_t i = 0; i < jobs.size(); ++i) pending.push_back(i);
+  std::vector<bool> seen(jobs.size(), false);  // answered, or dropped
+  std::size_t done = 0;        // jobs seen
+  std::size_t cells_done = 0;  // cells of the jobs answered
+  const auto resolve = [&](std::size_t id) {
+    seen[id] = true;
+    ++done;
+  };
+  // Jobs the caller no longer wants (a search's early stop) resolve
+  // unrun, wherever they wait in the queue.
+  const auto drop_unwanted = [&] {
+    if (!hooks.wanted) return;
+    for (auto it = pending.begin(); it != pending.end();) {
+      if (hooks.wanted(*it)) {
+        ++it;
+        continue;
+      }
+      resolve(*it);
+      it = pending.erase(it);
+    }
+  };
 
   // The live per-slot health table, fed by heartbeats and results.
   // Slots persist across respawns; copied out to options.health at
@@ -605,13 +649,13 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
     if (w.busy) {
       w.busy = false;
       if (!seen[w.outstanding]) {
+        const Job& job = jobs[w.outstanding];
         pending.push_front(w.outstanding);
-        m_cells_requeued().add();
+        m_cells_requeued().add(static_cast<std::uint64_t>(job.count));
         m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
         log_event("cell_requeue",
                   Json::object()
-                      .set("cell_index",
-                           static_cast<std::int64_t>(w.outstanding))
+                      .set("cell_index", static_cast<std::int64_t>(job.first))
                       .set("slot", static_cast<std::int64_t>(slot)));
       }
     }
@@ -648,19 +692,21 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   auto report_progress = [&] {
     if (!options.progress) return;
     const auto now = std::chrono::steady_clock::now();
-    if (done < cells.size() &&
+    if (done < jobs.size() &&
         now - progress_last < std::chrono::milliseconds(500)) {
       return;
     }
     progress_last = now;
     const double secs =
         std::chrono::duration<double>(now - progress_started).count();
-    const double rate = secs > 0 ? static_cast<double>(done) / secs : 0.0;
+    const double rate =
+        secs > 0 ? static_cast<double>(cells_done) / secs : 0.0;
     const double eta =
-        rate > 0 ? static_cast<double>(cells.size() - done) / rate : 0.0;
+        rate > 0 ? static_cast<double>(total_cells - cells_done) / rate
+                 : 0.0;
     std::fprintf(stderr,
                  "[shard] %zu/%zu cells (%.0f/s, eta %.1fs, queue %zu)\n",
-                 done, cells.size(), rate, eta, pending.size());
+                 cells_done, total_cells, rate, eta, pending.size());
   };
 
   // Returns false on a protocol violation (caller writes the worker off).
@@ -684,15 +730,16 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         std::fprintf(stderr, "[shard] worker reported: %s\n",
                      msg.message.c_str());
         return true;
-      case WireMessage::Type::kResult: {
-        if (!msg.record || !w.busy ||
-            msg.id != static_cast<std::int64_t>(w.outstanding) ||
-            msg.record->cell_index != static_cast<int>(w.outstanding)) {
+      case WireMessage::Type::kResult:
+      case WireMessage::Type::kRangeResult: {
+        if (!w.busy || msg.id != static_cast<std::int64_t>(w.outstanding)) {
           return false;  // an answer we never asked for
         }
         const std::size_t id = w.outstanding;
+        const Job& job = jobs[id];
+        if (!hooks.accept(id, msg)) return false;
         w.busy = false;
-        ++health[slot_of(w)].cells_served;
+        health[slot_of(w)].cells_served += job.count;
         const auto now = std::chrono::steady_clock::now();
         const auto latency_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -706,13 +753,10 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
               std::max<std::int64_t>(latency_us, 0));
           record_span("shard.cell", "shard",
                       end_us >= dur ? end_us - dur : 0, dur,
-                      static_cast<std::int64_t>(id));
+                      static_cast<std::int64_t>(job.first));
         }
-        arrivals.records.push_back(std::move(*msg.record));
-        if (!seen[id]) {
-          seen[id] = true;
-          ++done;
-        }
+        resolve(id);
+        cells_done += static_cast<std::size_t>(job.count);
         report_progress();
         return true;
       }
@@ -733,13 +777,16 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
         // telemetry must never kill a worker.
         return true;
       case WireMessage::Type::kCell:
+      case WireMessage::Type::kRange:
       case WireMessage::Type::kShutdown:
         return false;  // coordinator-only messages coming back at us
     }
     return false;
   };
 
-  while (done < cells.size()) {
+  for (;;) {
+    drop_unwanted();
+    if (done == jobs.size()) break;
     // Churn hardening: relaunch written-off slots whose backoff expired.
     // The fresh subprocess inherits the slot's fault-injection quota
     // (spawn_worker keys worker_max_cells by slot index).
@@ -787,13 +834,12 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       }
     }
 
-    // Dispatch: one outstanding cell per live worker; streaming the next
-    // cell only on completion makes the load self-balancing.
+    // Dispatch: one outstanding job per live worker; streaming the next
+    // job only on completion makes the load self-balancing.
     for (WorkerProc& w : workers) {
       if (!w.alive || w.busy || pending.empty()) continue;
       const std::size_t id = pending.front();
-      if (!send_line(w.fd, cell_line(static_cast<std::int64_t>(id),
-                                     specs[id]))) {
+      if (!send_line(w.fd, hooks.line(id))) {
         write_off(w, "write failed");
         continue;
       }
@@ -801,11 +847,12 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       w.busy = true;
       w.outstanding = id;
       w.sent_at = std::chrono::steady_clock::now();
-      m_cells_dispatched().add();
+      m_cells_dispatched().add(static_cast<std::uint64_t>(jobs[id].count));
       m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
       log_event("cell_dispatch",
                 Json::object()
-                    .set("cell_index", static_cast<std::int64_t>(id))
+                    .set("cell_index",
+                         static_cast<std::int64_t>(jobs[id].first))
                     .set("slot",
                          static_cast<std::int64_t>(slot_of(w))));
     }
@@ -841,14 +888,24 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       continue;
     }
 
-    // The watchdog deadline scales with the cell's own wall_limit: a
-    // worker is presumed hung only once its cell has exceeded the
-    // runtime the user allowed it PLUS the grace period, so cells that
-    // legitimately run for minutes are never killed early.
+    // The watchdog deadline scales with the job's own wall_limit: a
+    // worker is presumed hung only once its job has exceeded the
+    // runtime the user allowed its cells PLUS the grace period, so cells
+    // that legitimately run for minutes are never killed early.
     const auto effective_timeout_ms = [&](std::size_t id) {
-      return specs[id].wall_limit_ms + options.watchdog_grace.count();
+      return jobs[id].wall_limit_ms + options.watchdog_grace.count();
     };
+    // Every deadline below bounds the poll. A range's summed wall limits
+    // can lie past INT_MAX ms (budget 500k over 3 shards at the default
+    // 120 s limit), so each wait is clamped to fit poll()'s int.
     int timeout_ms = -1;
+    const auto bound_poll = [&timeout_ms](long long remaining) {
+      const int r = static_cast<int>(std::min<long long>(
+                        std::max<long long>(remaining, 0),
+                        std::numeric_limits<int>::max() - 1)) +
+                    1;
+      timeout_ms = timeout_ms < 0 ? r : std::min(timeout_ms, r);
+    };
     if (options.watchdog_grace.count() > 0) {
       const auto now = std::chrono::steady_clock::now();
       for (const WorkerProc& w : workers) {
@@ -857,10 +914,7 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 now - w.sent_at)
                 .count();
-        const long long remaining =
-            effective_timeout_ms(w.outstanding) - elapsed;
-        const int r = static_cast<int>(std::max<long long>(remaining, 0)) + 1;
-        timeout_ms = timeout_ms < 0 ? r : std::min(timeout_ms, r);
+        bound_poll(effective_timeout_ms(w.outstanding) - elapsed);
       }
     }
     {
@@ -869,12 +923,9 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       const auto now = std::chrono::steady_clock::now();
       for (const WorkerProc& w : workers) {
         if (!w.respawn_pending) continue;
-        const long long remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                w.respawn_at - now)
-                .count();
-        const int r = static_cast<int>(std::max<long long>(remaining, 0)) + 1;
-        timeout_ms = timeout_ms < 0 ? r : std::min(timeout_ms, r);
+        bound_poll(std::chrono::duration_cast<std::chrono::milliseconds>(
+                       w.respawn_at - now)
+                       .count());
       }
     }
     if (stale_enabled) {
@@ -884,11 +935,8 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
       const auto now = std::chrono::steady_clock::now();
       for (const WorkerProc& w : workers) {
         if (!w.alive) continue;
-        const long long remaining =
-            options.heartbeat_stale_after.count() -
-            age_ms(now, w.last_heard);
-        const int r = static_cast<int>(std::max<long long>(remaining, 0)) + 1;
-        timeout_ms = timeout_ms < 0 ? r : std::min(timeout_ms, r);
+        bound_poll(options.heartbeat_stale_after.count() -
+                   age_ms(now, w.last_heard));
       }
     }
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
@@ -1084,36 +1132,91 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
   }
 
   // Degraded mode: every worker died with every respawn budget spent and
-  // cells unserved. Either fail cleanly or run the remainder in-process —
+  // jobs unserved. Either fail cleanly or run the remainder in-process —
   // a sharded run may get slower, but it never loses cells.
-  if (done < cells.size()) {
+  drop_unwanted();
+  if (done < jobs.size()) {
+    std::size_t cells_left = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (!seen[i]) cells_left += static_cast<std::size_t>(jobs[i].count);
+    }
     if (!options.fallback_in_process) {
       throw ProtocolError(
           "run_sharded: worker pool drained (" +
           std::to_string(workers.size()) + " slot(s) dead after " +
           std::to_string(options.max_respawns) +
-          " respawn(s) each) with " +
-          std::to_string(cells.size() - done) +
+          " respawn(s) each) with " + std::to_string(cells_left) +
           " cells unserved and fallback_in_process disabled");
     }
     std::fprintf(stderr,
                  "[shard] %zu cells had no surviving worker; running them "
                  "in-process\n",
-                 cells.size() - done);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+                 cells_left);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
       if (seen[i]) continue;
-      arrivals.records.push_back(run_cell(cells[i]));
-      seen[i] = true;
-      ++done;
-      m_fallback_cells().add();
+      // An earlier fallback job may have ended the caller's interest.
+      if (!hooks.wanted || hooks.wanted(i)) {
+        hooks.run_local(i);
+        cells_done += static_cast<std::size_t>(jobs[i].count);
+        m_fallback_cells().add(static_cast<std::uint64_t>(jobs[i].count));
+      }
+      resolve(i);
       report_progress();
     }
   }
 
   if (options.health != nullptr) *options.health = std::move(health);
+}
+
+}  // namespace
+
+Report run_sharded(const std::vector<ExperimentCell>& cells,
+                   const ShardOptions& options) {
+  if (options.shards <= 0) {
+    throw ProtocolError("run_sharded: need shards >= 1 (use BatchRunner "
+                        "with shards = 0 for in-process runs)");
+  }
+  // Serialize every cell up front: fail fast on non-wire-serializable
+  // grids before any process is forked.
+  std::vector<CellSpec> specs;
+  specs.reserve(cells.size());
+  std::vector<Job> jobs;
+  jobs.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CellSpec spec = CellSpec::from_cell(cells[i]);
+    if (spec.cell_index != static_cast<int>(i)) {
+      throw ProtocolError(
+          "run_sharded: cells must be grid-stamped with cell_index == "
+          "position (Experiment::cells() provides this); cell " +
+          std::to_string(i) + " has cell_index " +
+          std::to_string(spec.cell_index));
+    }
+    jobs.push_back(Job{spec.cell_index, 1, spec.wall_limit_ms});
+    specs.push_back(std::move(spec));
+  }
+  Report arrivals;  // records in arrival order; merged into grid order
+  arrivals.title = derive_report_title(cells, options.title);
+  if (cells.empty()) return arrivals;
+
+  JobHooks hooks;
+  hooks.line = [&](std::size_t j) {
+    return cell_line(static_cast<std::int64_t>(j), specs[j]);
+  };
+  hooks.accept = [&](std::size_t j, WireMessage& reply) {
+    if (reply.type != WireMessage::Type::kResult || !reply.record ||
+        reply.record->cell_index != static_cast<int>(j)) {
+      return false;
+    }
+    arrivals.records.push_back(std::move(*reply.record));
+    return true;
+  };
+  hooks.run_local = [&](std::size_t j) {
+    arrivals.records.push_back(run_cell(cells[j]));
+  };
+  run_pool(jobs, options, hooks);
 
   Report merged = Report::merge({arrivals});
-  merged.title = title;
+  merged.title = arrivals.title;
   if (merged.records.size() != cells.size()) {
     throw ProtocolError("run_sharded: merged report has " +
                         std::to_string(merged.records.size()) +
@@ -1121,6 +1224,59 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
                         " cells");
   }
   return merged;
+}
+
+void run_sharded_search(
+    const ExperimentCell& base, int budget, const ShardOptions& options,
+    const std::function<bool(int first)>& wanted,
+    const std::function<void(int first, RangeResult&& result)>& on_range) {
+  if (options.shards <= 0) {
+    throw ProtocolError("run_sharded_search: need shards >= 1");
+  }
+  // Serialize up front: fail fast on a non-wire-serializable cell before
+  // any process is forked.
+  const CellSpec spec = CellSpec::from_cell(base);
+  // About eight ranges per worker: few enough lines that the wire costs
+  // little, enough that the pool still balances and an early stop skips
+  // most of a long budget.
+  const std::int64_t per_range =
+      (static_cast<std::int64_t>(budget) + 8LL * options.shards - 1) /
+      (8LL * options.shards);
+  std::vector<Job> jobs;
+  for (std::int64_t first = 0; first < budget; first += per_range) {
+    const int count =
+        static_cast<int>(std::min<std::int64_t>(per_range, budget - first));
+    jobs.push_back(
+        Job{static_cast<int>(first), count, count * spec.wall_limit_ms});
+  }
+  if (jobs.empty()) return;
+
+  JobHooks hooks;
+  hooks.line = [&](std::size_t j) {
+    return range_line(static_cast<std::int64_t>(j), jobs[j].first,
+                      jobs[j].count, spec);
+  };
+  hooks.accept = [&](std::size_t j, WireMessage& reply) {
+    const Job& job = jobs[j];
+    if (reply.type != WireMessage::Type::kRangeResult || !reply.range ||
+        reply.range->steps.size() != static_cast<std::size_t>(job.count)) {
+      return false;
+    }
+    for (const RunRecord& rec : reply.range->records) {
+      if (rec.cell_index < job.first ||
+          rec.cell_index >= job.first + job.count) {
+        return false;
+      }
+    }
+    on_range(job.first, std::move(*reply.range));
+    return true;
+  };
+  hooks.run_local = [&](std::size_t j) {
+    on_range(jobs[j].first,
+             run_schedule_range(base, jobs[j].first, jobs[j].count));
+  };
+  hooks.wanted = [&](std::size_t j) { return wanted(jobs[j].first); };
+  run_pool(jobs, options, hooks);
 }
 
 }  // namespace mpcn

@@ -1,40 +1,54 @@
-// The distributed shard runner: a coordinator that fans an experiment
-// grid out over worker SUBPROCESSES speaking the JSON-lines wire
-// protocol (wire.h), and the worker loop those subprocesses run.
+// The distributed shard runner: a coordinator that fans work out over
+// worker SUBPROCESSES speaking the JSON-lines wire protocol (wire.h), and
+// the worker loop those subprocesses run.
+//
+// Work comes in two shapes, served by one pool loop. An experiment grid
+// (run_sharded) ships one cell line per grid cell and gets one result
+// line back. A random/PCT schedule search (run_sharded_search) ships one
+// range line per contiguous block of ceil(budget / (8 * shards))
+// schedule indices — about eight per worker — and gets back one line
+// with every schedule's step count and the records of only the
+// violating schedules and schedule 0.
 //
 // Topology: one coordinator, K workers, one socketpair per worker. The
-// coordinator streams cells — one outstanding cell per worker, next cell
-// dispatched on result arrival — so load balances itself regardless of
-// per-cell cost. Fault handling:
+// coordinator streams jobs (a cell or a range) — one outstanding job per
+// worker, next job dispatched on reply arrival — so load balances itself
+// regardless of per-job cost. Fault handling:
 //
 //   * a worker that dies (EOF, failed write, exec failure) or violates
-//     the protocol is written off and its outstanding cell is requeued
+//     the protocol is written off and its outstanding job is requeued
 //     onto the surviving workers;
-//   * a worker whose outstanding cell overruns its own wall_limit plus
-//     the watchdog grace is SIGKILLed and treated the same;
+//   * a worker whose outstanding job overruns its cells' summed
+//     wall_limit plus the watchdog grace is SIGKILLed and treated the
+//     same;
 //   * with streaming telemetry armed (telemetry_interval > 0), every
-//     worker heartbeats on an interval and after each cell; a worker not
+//     worker heartbeats on an interval and after each job; a worker not
 //     heard from for heartbeat_stale_after — busy OR idle — is written
-//     off by heartbeat age, catching workers that freeze BETWEEN cells,
-//     which the per-cell watchdog cannot see;
+//     off by heartbeat age, catching workers that freeze BETWEEN jobs,
+//     which the per-job watchdog cannot see;
 //   * a written-off worker's SLOT is respawned (fresh subprocess, same
 //     fault-injection quota) after a capped exponential backoff, up to
 //     max_respawns attempts per slot — transient churn shrinks the pool
 //     only temporarily;
-//   * if every worker is gone, every respawn budget is spent and cells
+//   * if every worker is gone, every respawn budget is spent and jobs
 //     remain, the coordinator runs the remainder in-process — a sharded
 //     run degrades, it never loses cells (set fallback_in_process =
 //     false to get a clean ProtocolError instead).
 //
-// The merged Report is reassembled in grid order via Report::merge
-// (keyed by cell_index, duplicate-tolerant for cells that completed on
-// two workers after a requeue) and is byte-identical (timing excluded)
-// to an in-process BatchRunner run of the same cells, because workers
-// rebuild cells from the scenario registry and execute the very same
-// run_cell() path.
+// The pool's counters count cells, not lines: a range of k schedules
+// adds k to shard.cells_dispatched, shard.cells_requeued,
+// shard.fallback_cells and worker.cells_served.
+//
+// A grid's merged Report is reassembled in grid order via Report::merge
+// (keyed by cell_index) and is byte-identical (timing excluded) to an
+// in-process BatchRunner run of the same cells, because workers rebuild
+// cells from the scenario registry and execute the very same run_cell()
+// path. A search's ranges run through run_schedule_range
+// (src/explore/explorer.h), the same code the in-process engines use.
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,21 +61,25 @@ namespace mpcn {
 
 struct WorkerOptions {
   // Fault injection for coordinator tests and `mpcn worker --max-cells`:
-  // exit WITHOUT replying upon receiving the max_cells-th cell message,
-  // simulating a worker crash with a cell in flight. 0 = serve forever.
+  // exit WITHOUT replying upon receiving the max_cells-th job line (a
+  // cell or a range line), simulating a worker crash with a job in
+  // flight. 0 = serve forever.
   int max_cells = 0;
   // Fault injection for the health layer (`mpcn worker --stop-after`):
-  // after REPLYING to the stop_after_cells-th cell, raise(SIGSTOP) —
-  // the worker freezes BETWEEN cells with nothing outstanding, exactly
-  // the silence only heartbeat staleness (not the per-cell watchdog)
-  // can detect. 0 = never.
+  // after REPLYING to the stop_after_cells-th job line (a grid cell, or
+  // a whole range of an explore search), raise(SIGSTOP) — the worker
+  // freezes BETWEEN jobs with nothing outstanding, exactly the silence
+  // only heartbeat staleness (not the per-job watchdog) can detect.
+  // 0 = never.
   int stop_after_cells = 0;
 };
 
-// Serve cells over `io` until shutdown or EOF: write hello, then answer
-// every cell line with a result line. Never crashes on bad input:
-// unparsable lines are answered with an error line; a cell that fails to
-// rebuild or execute yields a result whose record captures the error.
+// Serve jobs over `io` until shutdown or EOF: write hello, then answer
+// every cell line with a result line and every range line with a
+// range_result line. Never crashes on bad input: unparsable lines are
+// answered with an error line; a cell that fails to rebuild or execute
+// yields a result whose record captures the error (for a range: one such
+// record per schedule).
 // A telemetry config line arms the worker-side heartbeat streamer (see
 // wire.h); all writes — results, error lines and heartbeats — are
 // serialized on one mutex so lines never interleave.
@@ -75,7 +93,8 @@ struct WorkerHealth {
   int slot = -1;
   std::int64_t heartbeats = 0;      // telemetry reports received
   std::int64_t last_seq = -1;       // highest heartbeat seq seen
-  std::int64_t cells_served = 0;    // results received from this slot
+  // Cells this slot answered for (a range reply counts its schedules).
+  std::int64_t cells_served = 0;
   // Age of the last sign of life (any bytes received, or spawn) when
   // the slot was last examined: at write-off or teardown.
   std::int64_t last_heard_age_ms = -1;
@@ -99,13 +118,15 @@ struct ShardOptions {
   // equivalent is appending "--max-cells N" to worker_argv.
   std::vector<int> worker_max_cells;
   // Fault injection for the health layer, fork mode: slot i freezes
-  // (SIGSTOP) after replying to its worker_stop_after[i]-th cell. In
-  // exec mode the equivalent is `mpcn worker --stop-after N`.
+  // (SIGSTOP) after replying to its worker_stop_after[i]-th job line (a
+  // cell or a range). In exec mode the equivalent is `mpcn worker
+  // --stop-after N`.
   std::vector<int> worker_stop_after;
-  // Watchdog: a worker whose outstanding cell has run for the cell's own
-  // wall_limit PLUS this grace is presumed hung, SIGKILLed, and its cell
-  // is requeued. Scaling with wall_limit means a cell the user allowed
-  // to run five minutes is never killed after two. <= 0 disables.
+  // Watchdog: a worker whose outstanding job has run for the summed
+  // wall_limit of its cells PLUS this grace is presumed hung, SIGKILLed,
+  // and its job is requeued. Scaling with wall_limit means a cell the
+  // user allowed to run five minutes is never killed after two.
+  // <= 0 disables.
   std::chrono::milliseconds watchdog_grace{30'000};
   // Churn hardening: how many times each worker SLOT may be respawned
   // after a write-off (0 = never, pre-respawn behavior). A respawned
@@ -136,7 +157,7 @@ struct ShardOptions {
   bool progress = false;
   // Streaming telemetry: > 0 arms every worker's heartbeat (a telemetry
   // config line sent at spawn and respawn) at this interval. Workers
-  // also beat immediately on arming and after every cell, so ≥ 1
+  // also beat immediately on arming and after every job, so ≥ 1
   // heartbeat arrives per worker even on an idle pool.
   std::chrono::milliseconds telemetry_interval{0};
   // Health write-off: with the heartbeat armed, a worker not heard from
@@ -172,5 +193,18 @@ struct ShardOptions {
 // in the records, not thrown.
 Report run_sharded(const std::vector<ExperimentCell>& cells,
                    const ShardOptions& options);
+
+// Run schedules [0, budget) of a random/PCT search across worker
+// subprocesses, as range lines of ceil(budget / (8 * shards)) schedules.
+// `base` is the search's wire-serializable cell carrying schedule 0's
+// ScheduleSpec (see run_schedule_range). Before each dispatch the pool
+// asks wanted(first); false drops that range unrun (the caller's early
+// stop). Each range's result — from a worker, or from an in-process run
+// once the pool drains — goes to on_range(first, result) on the calling
+// thread, exactly once per range that ran, in arrival order.
+void run_sharded_search(
+    const ExperimentCell& base, int budget, const ShardOptions& options,
+    const std::function<bool(int first)>& wanted,
+    const std::function<void(int first, RangeResult&& result)>& on_range);
 
 }  // namespace mpcn

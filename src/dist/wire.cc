@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <limits>
 
 #include "src/common/errors.h"
 #include "src/experiment/registry.h"
@@ -211,6 +212,30 @@ std::string result_line(std::int64_t id, const RunRecord& record) {
   return j.dump();
 }
 
+std::string range_line(std::int64_t id, int first, int count,
+                       const CellSpec& spec) {
+  Json j = Json::object();
+  j.set("type", "range")
+      .set("id", id)
+      .set("first", first)
+      .set("count", count)
+      .set("spec", spec.to_json());
+  return j.dump();
+}
+
+std::string range_result_line(std::int64_t id, const RangeResult& result) {
+  Json steps = Json::array();
+  for (std::uint64_t s : result.steps) steps.push(s);
+  Json records = Json::array();
+  for (const RunRecord& r : result.records) records.push(r.to_json());
+  Json j = Json::object();
+  j.set("type", "range_result")
+      .set("id", id)
+      .set("steps", std::move(steps))
+      .set("records", std::move(records));
+  return j.dump();
+}
+
 std::string shutdown_line(bool want_metrics, bool want_trace) {
   Json j = Json::object();
   j.set("type", "shutdown");
@@ -325,6 +350,31 @@ WireMessage parse_wire_line(const std::string& line) {
       msg.type = WireMessage::Type::kResult;
       msg.id = j.at("id").as_int();
       msg.record = RunRecord::from_json(j.at("record"));
+    } else if (t == "range") {
+      msg.type = WireMessage::Type::kRange;
+      msg.id = j.at("id").as_int();
+      // Schedule indices are ints end to end: the whole range must fit.
+      const std::int64_t first = j.at("first").as_int();
+      const std::int64_t count = j.at("count").as_int();
+      if (first < 0 || count < 1 ||
+          count > std::numeric_limits<int>::max() - first) {
+        throw WireError("range line needs first >= 0, count >= 1 and "
+                        "first + count <= INT_MAX");
+      }
+      msg.first = static_cast<int>(first);
+      msg.count = static_cast<int>(count);
+      msg.spec = CellSpec::from_json(j.at("spec"));
+    } else if (t == "range_result") {
+      msg.type = WireMessage::Type::kRangeResult;
+      msg.id = j.at("id").as_int();
+      RangeResult r;
+      for (const Json& s : j.at("steps").items()) {
+        r.steps.push_back(static_cast<std::uint64_t>(s.as_int()));
+      }
+      for (const Json& rec : j.at("records").items()) {
+        r.records.push_back(RunRecord::from_json(rec));
+      }
+      msg.range = std::move(r);
     } else if (t == "shutdown") {
       msg.type = WireMessage::Type::kShutdown;
       if (const Json* m = j.find("metrics")) msg.want_metrics = m->as_bool();

@@ -6,6 +6,10 @@
 //   worker -> coordinator   {"type":"hello","protocol":1}
 //   coordinator -> worker   {"type":"cell","id":<i>,"spec":{...}}
 //   worker -> coordinator   {"type":"result","id":<i>,"record":{...}}
+//   coordinator -> worker   {"type":"range","id":<i>,"first":<f>,
+//                            "count":<c>,"spec":{...}}
+//   worker -> coordinator   {"type":"range_result","id":<i>,
+//                            "steps":[...],"records":[{...},...]}
 //   coordinator -> worker   {"type":"shutdown"}
 //   coordinator -> worker   {"type":"shutdown","metrics":true,"trace":true}
 //   worker -> coordinator   {"type":"metrics","snapshot":{...}}
@@ -35,6 +39,16 @@
 // before exiting — so the coordinator can merge a pool-wide view.
 // Reports never carry metrics — the byte-identity discipline is
 // untouched; every new field and message type is strictly additive.
+//
+// Grids (`mpcn run`) use the cell/result pair. A random/PCT search
+// (`mpcn explore --shards`) uses the range pair instead: one range line
+// carries the search's base spec once, whose schedule is schedule 0's,
+// plus a contiguous block [first, first + count) of schedule indices;
+// schedule i is that spec with cell_index = i and schedule seed + i. The
+// reply lists every schedule's step count in index order and carries a
+// full RunRecord only for the block's violating schedules and for
+// schedule 0 (the search's first_trace) — a clean schedule costs its
+// step count on the wire, nothing more.
 //
 // The framing is safe because Json::dump() escapes control characters —
 // a compact dump never contains a raw newline. Unparsable or truncated
@@ -130,6 +144,14 @@ struct CellSpec {
   RunRecord error_record(std::string error) const;
 };
 
+// The payload of a range_result line: steps[k] is schedule first + k's
+// step count; records holds the RunRecords of the range's violating
+// schedules, plus schedule 0's, in index order.
+struct RangeResult {
+  std::vector<std::uint64_t> steps;
+  std::vector<RunRecord> records;
+};
+
 // ------------------------------------------------------------- framing
 
 struct WireMessage {
@@ -137,6 +159,8 @@ struct WireMessage {
     kHello,
     kCell,
     kResult,
+    kRange,
+    kRangeResult,
     kShutdown,
     kError,
     kMetrics,
@@ -145,9 +169,13 @@ struct WireMessage {
   };
   Type type = Type::kError;
   int protocol = 0;                 // kHello
-  std::int64_t id = -1;             // kCell / kResult: coordinator cell id
-  std::optional<CellSpec> spec;     // kCell
+  // kCell / kResult / kRange / kRangeResult: coordinator job id.
+  std::int64_t id = -1;
+  std::optional<CellSpec> spec;     // kCell, kRange (schedule 0's spec)
   std::optional<RunRecord> record;  // kResult (timing included)
+  int first = 0;                    // kRange: first schedule index
+  int count = 0;                    // kRange: schedules in the range
+  std::optional<RangeResult> range;  // kRangeResult
   std::string message;              // kError
   bool want_metrics = false;        // kShutdown: reply with a snapshot
   bool want_trace = false;          // kShutdown/kTelemetry cfg: spans too
@@ -166,6 +194,9 @@ struct WireMessage {
 std::string hello_line();
 std::string cell_line(std::int64_t id, const CellSpec& spec);
 std::string result_line(std::int64_t id, const RunRecord& record);
+std::string range_line(std::int64_t id, int first, int count,
+                       const CellSpec& spec);
+std::string range_result_line(std::int64_t id, const RangeResult& result);
 // want_metrics = want_trace = false emits the pre-telemetry
 // {"type":"shutdown"} bytes; the flags ask the worker for a metrics
 // and/or trace line before it exits.

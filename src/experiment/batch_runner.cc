@@ -3,6 +3,7 @@
 #include <atomic>
 #include <thread>
 
+#include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/obs/progress.h"
 
@@ -23,6 +24,11 @@ std::string derive_report_title(const std::vector<ExperimentCell>& cells,
 
 Report BatchRunner::run(const std::vector<ExperimentCell>& cells) const {
   if (options_.shards > 0) {
+    if (options_.threads > 1) {
+      throw ProtocolError(
+          "threads and shards do not compose: each shard worker runs its "
+          "cells on one thread; pick one backend");
+    }
     ShardOptions shard;
     shard.shards = options_.shards;
     shard.worker_argv = options_.worker_argv;

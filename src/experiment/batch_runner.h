@@ -33,7 +33,9 @@
 namespace mpcn {
 
 struct BatchOptions {
-  // Worker pool size; 0 = std::thread::hardware_concurrency (min 1).
+  // In-process worker pool size; 0 = std::thread::hardware_concurrency
+  // (min 1). The sharded backend runs each worker's cells on one thread:
+  // run() throws ProtocolError for threads > 1 together with shards > 0.
   int threads = 0;
   // Report title ("" = derived from the first cell's scenario).
   std::string title;

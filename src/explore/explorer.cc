@@ -7,7 +7,6 @@
 
 #include "src/common/arena.h"
 #include "src/common/errors.h"
-#include "src/experiment/batch_runner.h"
 #include "src/history/history.h"
 #include "src/obs/events.h"
 #include "src/obs/progress.h"
@@ -160,10 +159,11 @@ RunRecord run_schedule(const ExperimentCell& base, int index,
   return run_cell(cell);
 }
 
-ScheduleSpec spec_for(const ExploreOptions& opts, std::uint64_t horizon,
-                      int index) {
+// Schedule 0 of a random/PCT search.
+ScheduleSpec first_schedule(const ExploreOptions& opts,
+                            std::uint64_t horizon) {
   ScheduleSpec s;
-  s.seed = opts.seed + static_cast<std::uint64_t>(index);
+  s.seed = opts.seed;
   if (opts.policy == ExplorePolicy::kSeededRandom) {
     s.kind = SchedulePolicyKind::kSeededRandom;
   } else {
@@ -172,6 +172,13 @@ ScheduleSpec spec_for(const ExploreOptions& opts, std::uint64_t horizon,
     s.pct_horizon = horizon;
   }
   return s;
+}
+
+// Schedule `index` of the search whose schedule 0 is `first`: the one
+// rule by which every engine, shard workers included, derives schedules.
+ScheduleSpec nth_schedule(ScheduleSpec first, int index) {
+  first.seed += static_cast<std::uint64_t>(index);
+  return first;
 }
 
 // Per-worker scratch, reused across every schedule the worker runs: an
@@ -185,9 +192,36 @@ struct WorkerScratch {
 
   WorkerScratch()
       : arena(1 << 14), history(std::make_shared<HistoryRecorder>(&arena)) {}
+
+  // Rewind for the next schedule and hand out the recorder (recorder
+  // first, THEN the arena backing its buffer); null when the run needs
+  // no recorder.
+  std::shared_ptr<HistoryRecorder> next(bool wanted) {
+    if (!wanted) return nullptr;
+    history->reset();
+    arena.reset();
+    return history;
+  }
 };
 
 }  // namespace
+
+RangeResult run_schedule_range(const ExperimentCell& base, int first,
+                               int count) {
+  WorkerScratch scratch;
+  RangeResult out;
+  out.steps.reserve(static_cast<std::size_t>(count));
+  for (int i = first; i < first + count; ++i) {
+    auto history = scratch.next(base.check_races);
+    RunRecord rec = run_schedule(base, i, nth_schedule(base.schedule, i),
+                                 nullptr, history);
+    out.steps.push_back(rec.steps);
+    if (i == 0 || judge(rec, nullptr, history).violated) {
+      out.records.push_back(std::move(rec));
+    }
+  }
+  return out;
+}
 
 RunRecord replay_trace(const ExperimentCell& cell,
                        const ScheduleTrace& trace) {
@@ -360,6 +394,11 @@ ExploreResult explore(const ExperimentCell& cell,
     throw ProtocolError("explore needs crash-rate in [0, 1]");
   }
   if (options.shards > 0) {
+    if (options.threads > 1) {
+      throw ProtocolError(
+          "threads and shards do not compose: each shard worker runs its "
+          "schedules on one thread; pick one fan-out");
+    }
     if (options.policy == ExplorePolicy::kBoundedDfs) {
       throw ProtocolError(
           "bounded-DFS search carries its tree across runs and cannot "
@@ -482,29 +521,18 @@ ExploreResult explore(const ExperimentCell& cell,
   // out — threads > 1 falls back to the serial engine (documented in
   // ExploreOptions); random/PCT schedules are pure functions of the
   // index and parallelize freely.
-  const bool parallel = options.shards == 0 && options.threads > 1 &&
+  const bool threaded = options.shards == 0 && options.threads > 1 &&
                         options.policy != ExplorePolicy::kBoundedDfs &&
                         options.budget > 1;
   const int workers =
-      parallel ? std::min(options.threads, options.budget) : 1;
-  // One scratch per search worker. Worker 0's scratch also serves the
-  // PCT probe, which runs on this thread, so even the sharded path
-  // builds one.
+      threaded ? std::min(options.threads, options.budget) : 1;
+  // One scratch per search thread. Scratch 0 also serves the PCT probe,
+  // which runs on this thread, so even the sharded path builds one.
   std::vector<std::unique_ptr<WorkerScratch>> scratch;
   scratch.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     scratch.push_back(std::make_unique<WorkerScratch>());
   }
-
-  // Rewind a worker's scratch for the next schedule and hand out its
-  // recorder (recorder first, THEN the arena backing its buffer).
-  auto scratch_history =
-      [pass_history](WorkerScratch& s) -> std::shared_ptr<HistoryRecorder> {
-    if (!pass_history) return nullptr;
-    s.history->reset();
-    s.arena.reset();
-    return s.history;
-  };
 
   // PCT horizon: probe the cell once under its own seed to learn a
   // realistic schedule length (the declared step limit is usually orders
@@ -517,7 +545,7 @@ ExploreResult explore(const ExperimentCell& cell,
     ScheduleSpec probe;
     probe.kind = SchedulePolicyKind::kSeededRandom;
     probe.seed = options.seed;
-    auto history = scratch_history(*scratch[0]);
+    auto history = scratch[0]->next(pass_history);
     RunRecord rec = run_schedule(base, -1, probe, nullptr, history);
     horizon = std::max<std::uint64_t>(rec.steps, 8);
     result.total_steps += rec.steps;
@@ -533,55 +561,14 @@ ExploreResult explore(const ExperimentCell& cell,
     }
   }
   result.pct_horizon = horizon;
+  const ScheduleSpec schedule0 = first_schedule(options, horizon);
 
   // In-process engines report progress from a sampling thread; the
   // sharded backend reports from its coordinator instead (below).
   ProgressMeter heartbeat(options.progress && options.shards == 0,
                           "explore", "schedules", options.budget);
 
-  if (options.shards > 0) {
-    // Declarative fan-out: one cell per schedule, shipped over the shard
-    // wire like any experiment grid.
-    std::vector<ExperimentCell> cells;
-    cells.reserve(static_cast<std::size_t>(options.budget));
-    for (int i = 0; i < options.budget; ++i) {
-      ExperimentCell c = base;
-      c.cell_index = i;
-      c.schedule = spec_for(options, horizon, i);
-      c.policy_override = nullptr;
-      c.record_schedule = true;
-      c.history = nullptr;
-      cells.push_back(std::move(c));
-    }
-    BatchOptions batch;
-    batch.shards = options.shards;
-    batch.worker_argv = options.worker_argv;
-    batch.threads = options.threads;
-    batch.worker_metrics = options.worker_metrics;
-    batch.progress = options.progress;
-    batch.telemetry_interval = options.telemetry_interval;
-    batch.heartbeat_stale_after = options.heartbeat_stale_after;
-    batch.worker_traces = options.worker_traces;
-    batch.health = options.health;
-    batch.worker_stop_after = options.worker_stop_after;
-    const Report report = BatchRunner(batch).run(cells);
-    for (const RunRecord& rec : report.records) {
-      ++result.schedules;
-      m_schedules().add();
-      result.total_steps += rec.steps;
-      m_steps().add(rec.steps);
-      if (rec.cell_index == 0 && rec.schedule_trace) {
-        result.first_trace = *rec.schedule_trace;
-      }
-      const OracleVerdict v = judge(rec, nullptr, nullptr);
-      if (v.violated && handle_violation(rec.cell_index, rec, v)) {
-        break;
-      }
-    }
-    return result;
-  }
-
-  if (!parallel) {
+  if (!threaded && options.shards == 0) {
     // In-process serial search (threads <= 1, and the bounded-DFS
     // fallback). Bounded DFS shares one policy object across runs;
     // random/PCT rebuild a fresh policy per schedule.
@@ -592,12 +579,12 @@ ExploreResult explore(const ExperimentCell& cell,
     }
     for (int i = 0; i < options.budget; ++i) {
       ScheduleSpec schedule;  // kDefault under DFS (override wins)
-      if (!dfs) schedule = spec_for(options, horizon, i);
+      if (!dfs) schedule = nth_schedule(schedule0, i);
       if (dfs && i > 0 && !dfs->advance()) {
         result.exhausted = true;
         break;
       }
-      auto history = scratch_history(*scratch[0]);
+      auto history = scratch[0]->next(pass_history);
       RunRecord rec = run_schedule(base, i, schedule, dfs, history);
       ++result.schedules;
       m_schedules().add();
@@ -623,20 +610,20 @@ ExploreResult explore(const ExperimentCell& cell,
     return result;
   }
 
-  // ---- parallel in-process search ----------------------------------
-  // Workers claim schedule indices from a shared counter and record
-  // per-index outcomes; the merge below walks those outcomes IN INDEX
-  // ORDER and replays the serial loop's accounting decisions, so the
-  // final report is byte-identical to the serial run (pinned by
-  // explore_parallel_test and a CI cmp leg).
+  // ---- fan-out search: threads or shards ---------------------------
+  // Both backends record per-index outcomes in `slots`; the merge below
+  // walks them IN INDEX ORDER and replays the serial loop's accounting
+  // decisions, so the final report is byte-identical to the serial run
+  // (pinned by explore_parallel_test, explore_test and CI cmp legs).
   //
   // Early stop: the serial loop breaks at the max_violations-th violated
-  // index. Workers maintain a conservative upper bound on that index —
-  // `cutoff`, the m-th smallest violated index seen so far — and stop
-  // claiming past it. The bound only ever decreases and never drops
-  // below the true stop index, so every index the merge will visit is
-  // guaranteed to complete, while indices past the final cutoff are at
-  // worst wasted work, never missing work.
+  // index. The backends maintain a conservative upper bound on that index
+  // — `cutoff`, the m-th smallest violated index seen so far — and stop
+  // claiming (threads) or dispatching (shard ranges) past it. The bound
+  // only ever decreases and never drops below the true stop index, so
+  // every index the merge will visit is guaranteed to complete, while
+  // indices past the final cutoff are at worst wasted work, never
+  // missing work.
   struct Slot {
     std::uint64_t steps = 0;
     bool ran = false;
@@ -645,7 +632,6 @@ ExploreResult explore(const ExperimentCell& cell,
     std::unique_ptr<RunRecord> rec;  // kept for violations and index 0
   };
   std::vector<Slot> slots(static_cast<std::size_t>(options.budget));
-  std::atomic<int> next{0};
   std::atomic<int> cutoff{options.budget - 1};
   std::mutex found_m;
   std::vector<int> violated_indices;  // sorted ascending
@@ -666,43 +652,80 @@ ExploreResult explore(const ExperimentCell& cell,
     }
   };
 
-  std::mutex error_m;
-  std::exception_ptr worker_error;
-  std::vector<std::thread> worker_threads;
-  worker_threads.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    worker_threads.emplace_back([&, w] {
-      try {
-        WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
-        while (true) {
-          const int i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= options.budget ||
-              i > cutoff.load(std::memory_order_relaxed)) {
-            break;
+  if (options.shards > 0) {
+    // Ranges of schedules over worker subprocesses (src/dist/). A reply
+    // carries every schedule's step count and the records of its
+    // violating schedules and of schedule 0; a schedule without a
+    // record judged clean on the worker.
+    ShardOptions shard;
+    shard.shards = options.shards;
+    shard.worker_argv = options.worker_argv;
+    shard.worker_metrics = options.worker_metrics;
+    shard.progress = options.progress;
+    shard.telemetry_interval = options.telemetry_interval;
+    shard.heartbeat_stale_after = options.heartbeat_stale_after;
+    shard.worker_traces = options.worker_traces;
+    shard.health = options.health;
+    shard.worker_stop_after = options.worker_stop_after;
+    ExperimentCell first = base;
+    first.schedule = schedule0;
+    run_sharded_search(
+        first, options.budget, shard,
+        [&](int index) { return index <= cutoff.load(); },
+        [&](int index, RangeResult&& range) {
+          for (std::uint64_t steps : range.steps) {
+            Slot& slot = slots[static_cast<std::size_t>(index++)];
+            slot.steps = steps;
+            slot.ran = true;
           }
-          auto history = scratch_history(s);
-          RunRecord rec = run_schedule(base, i,
-                                       spec_for(options, horizon, i),
-                                       nullptr, history);
-          Slot& slot = slots[static_cast<std::size_t>(i)];
-          slot.steps = rec.steps;
-          slot.verdict = judge(rec, options.spec, history);
-          slot.spec_skipped = slot.verdict.spec_skipped;
-          if (slot.verdict.violated || i == 0) {
+          for (RunRecord& rec : range.records) {
+            const int i = rec.cell_index;
+            Slot& slot = slots[static_cast<std::size_t>(i)];
+            slot.verdict = judge(rec, nullptr, nullptr);
             slot.rec = std::make_unique<RunRecord>(std::move(rec));
+            if (slot.verdict.violated) note_violation(i);
           }
-          slot.ran = true;
-          heartbeat.tick();
-          if (slot.verdict.violated) note_violation(i);
+        });
+  } else {
+    // In-process threads claim schedule indices from a shared counter.
+    std::atomic<int> next{0};
+    std::mutex error_m;
+    std::exception_ptr worker_error;
+    std::vector<std::thread> worker_threads;
+    worker_threads.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      worker_threads.emplace_back([&, w] {
+        try {
+          WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
+          while (true) {
+            const int i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= options.budget ||
+                i > cutoff.load(std::memory_order_relaxed)) {
+              break;
+            }
+            auto history = s.next(pass_history);
+            RunRecord rec = run_schedule(base, i, nth_schedule(schedule0, i),
+                                         nullptr, history);
+            Slot& slot = slots[static_cast<std::size_t>(i)];
+            slot.steps = rec.steps;
+            slot.verdict = judge(rec, options.spec, history);
+            slot.spec_skipped = slot.verdict.spec_skipped;
+            if (slot.verdict.violated || i == 0) {
+              slot.rec = std::make_unique<RunRecord>(std::move(rec));
+            }
+            slot.ran = true;
+            heartbeat.tick();
+            if (slot.verdict.violated) note_violation(i);
+          }
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(error_m);
+          if (!worker_error) worker_error = std::current_exception();
         }
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(error_m);
-        if (!worker_error) worker_error = std::current_exception();
-      }
-    });
+      });
+    }
+    for (std::thread& t : worker_threads) t.join();
+    if (worker_error) std::rethrow_exception(worker_error);
   }
-  for (std::thread& t : worker_threads) t.join();
-  if (worker_error) std::rethrow_exception(worker_error);
 
   // Deterministic merge: replay the serial accounting in index order.
   // Shrinking happens here, after the merge has decided which violations

@@ -34,16 +34,19 @@
 // shrink_replays exactly as a replay would, so no report byte depends on
 // them; the explore.shrink_runs counter counts the replays actually run.
 //
-// Scaling: random/PCT searches are embarrassingly parallel — each
-// schedule is a declarative ScheduleSpec, a pure function of its index.
-// Two fan-outs exist: `threads` runs N in-process workers (each an OS
-// thread that runs its schedules as fibers, with its own controller,
-// policy and history recorder) whose per-index outcomes merge
-// deterministically back into the serial report, byte for byte;
-// `shards` ships the batch over the subprocess wire protocol (src/dist/)
-// exactly like experiment grids. Bounded DFS carries its search tree
-// across runs and is in-process serial only (threads > 1 falls back to
-// the serial engine).
+// Scaling: random/PCT searches are embarrassingly parallel — schedule i
+// is schedule 0's ScheduleSpec with seed + i, a pure function of its
+// index. Two fan-outs exist, and they do not compose: `threads` runs N
+// in-process workers (each an OS thread that runs its schedules as
+// fibers, with its own controller, policy and history recorder);
+// `shards` ships contiguous ranges of schedule indices to worker
+// subprocesses over the wire protocol (src/dist/), one range line out
+// and one reply line back per range (run_schedule_range is what a worker
+// runs). Both record per-index outcomes that ONE merge walks in index
+// order, so the report is byte-identical to the serial run; both stop
+// claiming or dispatching work past the max_violations cutoff. Bounded
+// DFS carries its search tree across runs and is in-process serial only
+// (threads > 1 falls back to the serial engine; shards are rejected).
 #pragma once
 
 #include <chrono>
@@ -113,8 +116,9 @@ struct ExploreOptions {
   // themselves, so sharded and in-process searches stay byte-identical.
   bool check_races = false;
 
-  // > 0: fan the schedule batch out over worker subprocesses through
-  // src/dist/ (random/PCT only; requires a registry-named cell).
+  // > 0: fan the schedule budget out over this many worker subprocesses
+  // through src/dist/, in ranges of ceil(budget / (8 * shards))
+  // schedules (random/PCT only; requires a registry-named cell).
   int shards = 0;
   std::vector<std::string> worker_argv;  // empty = fork workers
   // Parallel in-process search: > 1 partitions the schedule budget by
@@ -122,8 +126,8 @@ struct ExploreOptions {
   // falls back to serial — its search tree spans runs). Results merge
   // by schedule index, so the report, violations, shrunk traces and
   // exit codes are byte-identical to the serial run. 0/1 = serial.
-  // With shards > 0 this is instead the per-shard-runner pool size
-  // (BatchOptions::threads), as before.
+  // Does not combine with shards: explore() throws ProtocolError when
+  // both are set (threads > 1), as a shard worker runs one thread.
   int threads = 0;
 
   // Telemetry (sidecar-only — none of these can change a result byte):
@@ -144,7 +148,8 @@ struct ExploreOptions {
   std::vector<ProcessTrace>* worker_traces = nullptr;
   std::vector<WorkerHealth>* health = nullptr;
   // Fault injection for the health layer (ShardOptions::worker_stop_after):
-  // slot i freezes (SIGSTOP) after replying to worker_stop_after[i] cells.
+  // slot i freezes (SIGSTOP) after replying to worker_stop_after[i]
+  // range lines.
   std::vector<int> worker_stop_after;
 };
 
@@ -204,6 +209,17 @@ struct ExploreResult {
 // oracle, non-lock-step cells).
 ExploreResult explore(const ExperimentCell& cell,
                       const ExploreOptions& options);
+
+// Schedules first..first+count-1 of a random/PCT search: the work of one
+// shard range line (src/dist/wire.h). `base` is the search's cell with
+// schedule 0's ScheduleSpec; schedule i runs `base` with cell_index = i
+// and schedule seed + i, through the same run-and-judge code as the
+// in-process engines, on one scratch history recorder reused across the
+// range. The result holds every step count, and the records of the
+// violating schedules and of schedule 0. Shard workers run this for each
+// range line; the coordinator runs it when its worker pool drains.
+RangeResult run_schedule_range(const ExperimentCell& base, int first,
+                               int count);
 
 // Replay one explicit schedule against the cell (Scripted policy, trace
 // recording on). The returned record's schedule_trace is the OBSERVED

@@ -227,6 +227,24 @@ TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {
   EXPECT_NE(out.find("no regressions"), std::string::npos);
 }
 
+// --threads sizes the in-process pool; a shard worker runs its cells on
+// one thread, so asking for both is a usage error, not a silent no-op.
+TEST(Cli, ThreadsAboveOneWithShardsIsAUsageError) {
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--seeds", "1..2", "--shards", "2", "--fork-workers",
+                     "--threads", "2"}),
+            2);
+  EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                     "--budget", "10", "--shards", "2", "--fork-workers",
+                     "--threads", "4"}),
+            2);
+  // One thread is what a shard worker runs anyway.
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--seeds", "1..2", "--shards", "2", "--fork-workers",
+                     "--threads", "1", "--no-timing"}),
+            0);
+}
+
 TEST(Cli, DiffFlagsInjectedStepRegression) {
   TempFile a("cli_test_diff_a.json");
   TempFile b("cli_test_diff_b.json");

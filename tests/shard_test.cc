@@ -9,13 +9,21 @@
 //   * misbehaving workers (garbage emitters, hangs, exec failures)
 //     degrade the run to in-process execution instead of losing cells;
 //   * the exec-mode path through the real `mpcn worker` binary behaves
-//     exactly like the fork-mode path.
+//     exactly like the fork-mode path;
+//   * a sharded schedule search, shipped as ranges, reports byte for
+//     byte what the serial search reports — through worker deaths,
+//     freezes and a drained pool — and stops dispatching once the
+//     max_violations cutoff is known.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/experiment/batch_runner.h"
 #include "src/experiment/experiment.h"
+#include "src/explore/explorer.h"
+#include "src/obs/metrics.h"
 #include "src/tasks/algorithms.h"
 
 namespace mpcn {
@@ -234,6 +242,203 @@ TEST(Shard, SimulatedMemGridMatchesInProcess) {
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
   EXPECT_EQ(sharded.records.size(), 4u);
 }
+
+// ---------------------------------------------- sharded schedule search
+
+std::vector<Value> index_inputs(const ModelSpec& m) {
+  std::vector<Value> in;
+  for (int i = 0; i < m.n; ++i) in.push_back(Value(i));
+  return in;
+}
+
+ExperimentCell racy_cell() {
+  Experiment e = Experiment::named("racy_register", ModelSpec{2, 0, 1});
+  e.direct().seed(1).inputs_fn(index_inputs);
+  return e.cells().front();
+}
+
+ExploreOptions racy_search(int budget, int max_violations) {
+  ExploreOptions o;
+  o.policy = ExplorePolicy::kPct;
+  o.seed = 7;
+  o.budget = budget;
+  o.max_violations = max_violations;
+  o.check_races = true;
+  return o;
+}
+
+// What a search reports: the --json document plus the --record trace.
+std::string report(const ExploreResult& r) {
+  return r.to_json().dump() + "\n" + r.first_trace.to_json().dump();
+}
+
+std::uint64_t counter(const char* name) {
+  return metrics_registry().counter(name).value();
+}
+
+TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
+  const ExperimentCell cell = racy_cell();
+  // Budget 1 and 12 sit below 8 ranges per worker (ranges of one
+  // schedule, budget 1 below the shard count); 997 makes uneven ranges
+  // of 42 and a collect-all search with many violation records.
+  for (int budget : {1, 12, 997}) {
+    for (int cap : {0, 1, 3}) {
+      ExploreOptions o = racy_search(budget, cap);
+      const ExploreResult serial = explore(cell, o);
+      if (budget == 997 && cap == 0) {
+        ASSERT_GE(serial.violations.size(), 3u);
+      }
+      for (int shards : {1, 3}) {
+        o.shards = shards;  // fork-mode workers
+        EXPECT_EQ(report(explore(cell, o)), report(serial))
+            << "budget " << budget << ", max_violations " << cap
+            << ", shards " << shards;
+      }
+    }
+  }
+}
+
+TEST(ShardSearch, CrashProductSearchMatchesSerial) {
+  Experiment e =
+      Experiment::named("safe_agreement_window", ModelSpec{2, 1, 1});
+  e.direct().seed(1).inputs_fn(index_inputs).step_limit(400);
+  const ExperimentCell cell = e.cells().front();
+  ExploreOptions o;
+  o.policy = ExplorePolicy::kSeededRandom;
+  o.seed = 7;
+  o.budget = 200;
+  o.crash_budget = 1;
+  o.crash_rate = 0.2;
+  const ExploreResult serial = explore(cell, o);
+  ASSERT_TRUE(serial.crash_found());
+  for (int shards : {1, 3}) {
+    o.shards = shards;
+    EXPECT_EQ(report(explore(cell, o)), report(serial)) << "shards " << shards;
+  }
+}
+
+// The default max_violations = 1 stops the serial search at its first
+// violation (schedule 84 here, inside the first range of 209); the
+// sharded one dispatches no range past it instead of the whole budget.
+TEST(ShardSearch, EarlyStopLeavesMostRangesUndispatched) {
+  const ExperimentCell cell = racy_cell();
+  ExploreOptions o = racy_search(5000, 1);
+  o.seed = 1;
+  const std::string expected = report(explore(cell, o));
+  o.shards = 3;
+  const std::uint64_t dispatched = counter("shard.cells_dispatched");
+  EXPECT_EQ(report(explore(cell, o)), expected);
+  EXPECT_LT(counter("shard.cells_dispatched") - dispatched, 1000u);
+}
+
+// Slot 0 answers its first range, then freezes (SIGSTOP) with its next
+// range in flight: only heartbeat age can notice. The range is requeued
+// whole — counted in schedules — and the report is still the serial one.
+TEST(ShardSearch, FrozenSlotIsWrittenOffAndItsRangeRerun) {
+  const ExperimentCell cell = racy_cell();
+  ExploreOptions o = racy_search(997, 0);
+  const std::string expected = report(explore(cell, o));
+  o.shards = 3;
+  o.worker_stop_after = {1, 0, 0};
+  o.telemetry_interval = std::chrono::milliseconds(25);
+  o.heartbeat_stale_after = std::chrono::milliseconds(250);
+  std::vector<WorkerHealth> health;
+  o.health = &health;
+  const std::uint64_t requeued = counter("shard.cells_requeued");
+  EXPECT_EQ(report(explore(cell, o)), expected);
+  ASSERT_EQ(health.size(), 3u);
+  EXPECT_TRUE(health[0].written_off);
+  EXPECT_EQ(health[0].write_off_reason, "heartbeat stale");
+  // 997 schedules make 23 ranges of 42 and one of 31.
+  EXPECT_GE(counter("shard.cells_requeued") - requeued, 31u);
+}
+
+// Pool level: schedules [0, budget) gathered from every range reply, in
+// the form of one range covering them all.
+RangeResult gather(const ExperimentCell& base, int budget,
+                   const ShardOptions& options) {
+  RangeResult all;
+  all.steps.assign(static_cast<std::size_t>(budget), 0);
+  run_sharded_search(
+      base, budget, options, [](int) { return true; },
+      [&](int first, RangeResult&& r) {
+        std::copy(r.steps.begin(), r.steps.end(), all.steps.begin() + first);
+        for (RunRecord& rec : r.records) all.records.push_back(std::move(rec));
+      });
+  std::sort(all.records.begin(), all.records.end(),
+            [](const RunRecord& a, const RunRecord& b) {
+              return a.cell_index < b.cell_index;
+            });
+  return all;
+}
+
+std::string range_dump(const RangeResult& r) {
+  std::string out;
+  for (std::uint64_t s : r.steps) out += std::to_string(s) + ",";
+  for (const RunRecord& rec : r.records) out += rec.to_json(false).dump();
+  return out;
+}
+
+// A PCT search's cell carrying schedule 0's spec; 240 schedules over 3
+// shards make 24 ranges of 10.
+ExperimentCell search_base() {
+  ExperimentCell base = racy_cell();
+  base.check_races = true;
+  base.schedule.kind = SchedulePolicyKind::kPct;
+  base.schedule.seed = 7;
+  base.schedule.pct_horizon = 32;
+  return base;
+}
+constexpr int kSearchBudget = 240;
+constexpr std::uint64_t kRange = 10;
+
+TEST(ShardSearch, RangeLostWithItsWorkerIsRequeuedAsSchedules) {
+  const ExperimentCell base = search_base();
+  ShardOptions options;
+  options.shards = 3;
+  options.worker_max_cells = {1, 0, 0};  // slot 0 dies holding range 0
+  options.max_respawns = 0;
+  const std::uint64_t requeued = counter("shard.cells_requeued");
+  const std::uint64_t dispatched = counter("shard.cells_dispatched");
+  const std::uint64_t fallback = counter("shard.fallback_cells");
+  EXPECT_EQ(range_dump(gather(base, kSearchBudget, options)),
+            range_dump(run_schedule_range(base, 0, kSearchBudget)));
+  EXPECT_EQ(counter("shard.cells_requeued") - requeued, kRange);
+  EXPECT_EQ(counter("shard.cells_dispatched") - dispatched,
+            kSearchBudget + kRange);
+  EXPECT_EQ(counter("shard.fallback_cells") - fallback, 0u);
+}
+
+TEST(ShardSearch, DrainedPoolRunsTheRangesInProcess) {
+  const ExperimentCell base = search_base();
+  ShardOptions options;
+  options.shards = 3;
+  options.worker_max_cells = {1, 1, 1};  // every worker dies at once
+  options.max_respawns = 0;
+  const std::uint64_t requeued = counter("shard.cells_requeued");
+  const std::uint64_t fallback = counter("shard.fallback_cells");
+  EXPECT_EQ(range_dump(gather(base, kSearchBudget, options)),
+            range_dump(run_schedule_range(base, 0, kSearchBudget)));
+  EXPECT_EQ(counter("shard.cells_requeued") - requeued, 3 * kRange);
+  EXPECT_EQ(counter("shard.fallback_cells") - fallback,
+            static_cast<std::uint64_t>(kSearchBudget));
+}
+
+#ifdef MPCN_CLI_BIN
+// The same drained pool behind explore(), through real `mpcn worker`
+// subprocesses that each die on their first range, respawns included:
+// the in-process fallback finishes the search and the report is serial.
+TEST(ShardSearch, ExecWorkersDyingOnEveryRangeStillReportSerially) {
+  const ExperimentCell cell = racy_cell();
+  ExploreOptions o = racy_search(240, 0);
+  const std::string expected = report(explore(cell, o));
+  o.shards = 3;
+  o.worker_argv = {MPCN_CLI_BIN, "worker", "--max-cells", "1"};
+  const std::uint64_t fallback = counter("shard.fallback_cells");
+  EXPECT_EQ(report(explore(cell, o)), expected);
+  EXPECT_EQ(counter("shard.fallback_cells") - fallback, 240u);
+}
+#endif
 
 }  // namespace
 }  // namespace mpcn

@@ -13,11 +13,14 @@
 //     coordinator-side run_cell record byte-for-byte (timing excluded).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/dist/wire.h"
 #include "src/experiment/experiment.h"
 #include "src/experiment/registry.h"
+#include "src/explore/explorer.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -177,6 +180,49 @@ TEST(WireFraming, ResultRoundTripsEveryRunRecordField) {
   EXPECT_EQ(back.error, rec.error);
 }
 
+TEST(WireFraming, RangeLinesRoundTrip) {
+  const CellSpec spec = CellSpec::from_cell(sample_cell());
+  const WireMessage range = parse_wire_line(range_line(3, 40, 8, spec));
+  EXPECT_EQ(range.type, WireMessage::Type::kRange);
+  EXPECT_EQ(range.id, 3);
+  EXPECT_EQ(range.first, 40);
+  EXPECT_EQ(range.count, 8);
+  ASSERT_TRUE(range.spec.has_value());
+  EXPECT_EQ(range.spec->to_json().dump(), spec.to_json().dump());
+
+  RangeResult result;
+  result.steps = {16, 0, 31337};
+  RunRecord rec;
+  rec.scenario = "trivial_kset";
+  rec.cell_index = 41;
+  rec.error = "boom: \"quoted\"\nsecond line";
+  result.records = {rec};
+  const std::string line = range_result_line(3, result);
+  EXPECT_EQ(line.find('\n'), std::string::npos);  // framing-safe
+  const WireMessage back = parse_wire_line(line);
+  ASSERT_EQ(back.type, WireMessage::Type::kRangeResult);
+  EXPECT_EQ(back.id, 3);
+  ASSERT_TRUE(back.range.has_value());
+  EXPECT_EQ(back.range->steps, result.steps);
+  ASSERT_EQ(back.range->records.size(), 1u);
+  EXPECT_EQ(back.range->records[0].to_json().dump(), rec.to_json().dump());
+
+  // A range covers at least one schedule, from a valid index, and its
+  // indices fit an int.
+  EXPECT_THROW(parse_wire_line(range_line(3, 40, 0, spec)), WireError);
+  EXPECT_THROW(parse_wire_line(range_line(3, -1, 8, spec)), WireError);
+  EXPECT_THROW(parse_wire_line(range_line(
+                   3, std::numeric_limits<int>::max() - 7, 8, spec)),
+               WireError);
+  EXPECT_EQ(parse_wire_line(range_line(
+                                3, std::numeric_limits<int>::max() - 8, 8,
+                                spec))
+                .count,
+            8);
+  EXPECT_THROW(parse_wire_line("{\"type\":\"range_result\",\"id\":1}"),
+               WireError);
+}
+
 TEST(WireFraming, GarbageLinesThrowWireError) {
   EXPECT_THROW(parse_wire_line(""), WireError);
   EXPECT_THROW(parse_wire_line("not json"), WireError);
@@ -254,6 +300,57 @@ TEST(WorkerLoop, ServesCellsAndSurvivesGarbage) {
   EXPECT_TRUE(ok.record->error.empty()) << ok.record->error;
   EXPECT_EQ(ok.record->to_json(false).dump(),
             run_cell(cell).to_json(false).dump());
+}
+
+// A range line is answered by one range_result line: every schedule's
+// step count, and full records only for schedule 0 and the violating
+// schedules — exactly run_schedule_range's output. A spec that cannot
+// be rebuilt answers every schedule with an error record.
+TEST(WorkerLoop, ServesRangesAsStepCountsPlusViolatingRecords) {
+  Experiment e = Experiment::named("racy_register", ModelSpec{2, 0, 1});
+  e.direct().inputs({Value(0), Value(1)});
+  ExperimentCell base = e.cells().at(0);
+  base.check_races = true;
+  base.schedule.kind = SchedulePolicyKind::kPct;
+  base.schedule.seed = 7;
+  base.schedule.pct_horizon = 32;
+  const CellSpec spec = CellSpec::from_cell(base);
+  CellSpec unknown = spec;
+  unknown.scenario = "no_such_scenario";
+
+  StringLineIO io({range_line(0, 0, 200, spec),
+                   range_line(1, 5, 2, unknown), shutdown_line()});
+  run_worker_loop(io);
+  ASSERT_EQ(io.written().size(), 3u);
+
+  const WireMessage ok = parse_wire_line(io.written()[1]);
+  ASSERT_EQ(ok.type, WireMessage::Type::kRangeResult);
+  EXPECT_EQ(ok.id, 0);
+  ASSERT_TRUE(ok.range.has_value());
+  const RangeResult expected = run_schedule_range(base, 0, 200);
+  EXPECT_EQ(ok.range->steps, expected.steps);
+  ASSERT_EQ(ok.range->records.size(), expected.records.size());
+  for (std::size_t i = 0; i < expected.records.size(); ++i) {
+    EXPECT_EQ(ok.range->records[i].to_json(false).dump(),
+              expected.records[i].to_json(false).dump());
+  }
+  // Schedule 0 always ships; so does at least one torn-write race; the
+  // clean schedules ship only their step counts.
+  ASSERT_GE(expected.records.size(), 2u);
+  EXPECT_EQ(expected.records.front().cell_index, 0);
+  EXPECT_TRUE(expected.records.back().raced());
+  EXPECT_LT(expected.records.size(), expected.steps.size());
+
+  const WireMessage bad = parse_wire_line(io.written()[2]);
+  ASSERT_EQ(bad.type, WireMessage::Type::kRangeResult);
+  ASSERT_TRUE(bad.range.has_value());
+  EXPECT_EQ(bad.range->steps, (std::vector<std::uint64_t>{0, 0}));
+  ASSERT_EQ(bad.range->records.size(), 2u);
+  for (int k = 0; k < 2; ++k) {
+    const RunRecord& rec = bad.range->records[static_cast<std::size_t>(k)];
+    EXPECT_EQ(rec.cell_index, 5 + k);
+    EXPECT_FALSE(rec.error.empty());
+  }
 }
 
 TEST(WorkerLoop, MaxCellsInjectsACrashBeforeReplying) {
