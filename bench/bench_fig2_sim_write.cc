@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/bg_engine.h"
-#include "src/core/pipeline.h"
+#include "src/experiment/experiment.h"
 
 namespace {
 
@@ -34,8 +34,12 @@ void BM_SimWrite(benchmark::State& state) {
   const int n_sim = 2;  // two simulated processes keep the focus on writes
   for (auto _ : state) {
     SimulatedAlgorithm a = write_heavy(n_sim, writes);
-    Outcome out = run_simulated(a, ModelSpec{n_simulators, 1, 1},
-                                int_inputs(n_simulators), free_mode());
+    Outcome out = Experiment::of(a)
+                      .in(ModelSpec{n_simulators, 1, 1})
+                      .inputs(int_inputs(n_simulators))
+                      .base_options(free_mode())
+                      .run()
+                      .outcome();
     if (out.timed_out) state.SkipWithError("timed out");
   }
   state.SetItemsProcessed(state.iterations() * writes * n_sim);

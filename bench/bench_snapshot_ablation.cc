@@ -1,23 +1,22 @@
 // ABL-1 — snapshot substrate ablation.
 //
-// The same write+snapshot workload over the three SnapshotObject
-// implementations: the one-step model primitive, the wait-free Afek
-// construction (register steps, helping), and the blocking rwlock
-// baseline. The Afek column is the price of wait-freedom from registers;
+// The same write+snapshot workload over the two SnapshotObject
+// implementations, the two values of the `mem` axis: the one-step model
+// primitive and the wait-free Afek construction (register steps,
+// helping). The Afek column is the price of wait-freedom from registers;
 // the paper's simulations assume the primitive.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "src/snapshot/afek_snapshot.h"
 #include "src/snapshot/primitive_snapshot.h"
-#include "src/snapshot/seqlock_snapshot.h"
 
 namespace {
 
 using namespace mpcn;
 using namespace mpcn::benchutil;
 
-enum class Kind { kPrimitive, kAfek, kRwLock };
+enum class Kind { kPrimitive, kAfek };
 
 std::shared_ptr<SnapshotObject> make_snapshot(Kind kind, int width) {
   switch (kind) {
@@ -25,8 +24,6 @@ std::shared_ptr<SnapshotObject> make_snapshot(Kind kind, int width) {
       return std::make_shared<PrimitiveSnapshot>(width, false);
     case Kind::kAfek:
       return std::make_shared<AfekSnapshot>(width, false);
-    case Kind::kRwLock:
-      return std::make_shared<RwLockSnapshot>(width, false);
   }
   return nullptr;
 }
@@ -60,9 +57,6 @@ void BM_PrimitiveSnapshot(benchmark::State& state) {
 void BM_AfekSnapshot(benchmark::State& state) {
   run_workload(state, Kind::kAfek);
 }
-void BM_RwLockSnapshot(benchmark::State& state) {
-  run_workload(state, Kind::kRwLock);
-}
 
 // Widths 16/32 are where the payload representation dominates: an Afek
 // cell carries a width-n view list, so a collect moves O(n^2) payload
@@ -70,8 +64,6 @@ void BM_RwLockSnapshot(benchmark::State& state) {
 BENCHMARK(BM_PrimitiveSnapshot)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AfekSnapshot)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RwLockSnapshot)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

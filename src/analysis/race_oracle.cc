@@ -51,9 +51,9 @@ struct WriteRef {
   std::uint64_t response = 0;
 };
 
-// "write" events carry arg = [cell, value] (pipeline.cc stamps the
-// writer's own cell). Returns the cell index, or -1 if the arg is not in
-// that shape (foreign history; the event still ticks program order).
+// "write" events carry arg = [cell, value] (make_direct_programs stamps
+// the writer's own cell). Returns the cell index, or -1 if the arg is not
+// in that shape (foreign history; the event still ticks program order).
 int decode_write_cell(const Event& e) {
   if (!e.arg.is_list() || e.arg.size() != 2 || !e.arg.at(0).is_int()) {
     return -1;

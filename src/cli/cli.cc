@@ -577,13 +577,13 @@ int cmd_explore(int argc, char** argv) {
                                                          : rec.error);
     if (!violated && spec && history) {
       const std::vector<Event> events = history->events();
-      if (events.size() > 64) {
-        // The checker caps at 64 operations; a silent pass here would be
-        // a false 'ok' from the very oracle the user asked for.
+      if (events.size() > kMaxLinearizableOps) {
+        // A silent pass over the checker's cap would be a false 'ok'
+        // from the very oracle the user asked for.
         std::fprintf(stderr,
                      "warning: --check-lin skipped (%zu events exceed the "
-                     "64-operation checker cap)\n",
-                     events.size());
+                     "%zu-operation checker cap)\n",
+                     events.size(), kMaxLinearizableOps);
       } else if (!is_linearizable(events, *spec)) {
         violated = true;
         why = "history violates sequential spec";

@@ -17,19 +17,10 @@ int kind_rank(const Value& v) {
   return 3;
 }
 
-// Hit/miss rates for the two PR 7 fast paths: the interned small-int
-// pool and the per-ListNode memoized hash. Relaxed sharded increments
+// Hit count of the interned small-int pool. Relaxed sharded increments
 // (metrics.h hot-path idiom).
 Counter& intern_hits() {
   static Counter& c = metrics_registry().counter("value.intern_hits");
-  return c;
-}
-Counter& hash_memo_hits() {
-  static Counter& c = metrics_registry().counter("value.hash_memo_hits");
-  return c;
-}
-Counter& hash_memo_misses() {
-  static Counter& c = metrics_registry().counter("value.hash_memo_misses");
   return c;
 }
 
@@ -45,10 +36,10 @@ Value::SharedString Value::intern_string(std::string s) {
 
 Value::SharedList Value::intern_list(List l) {
   if (l.empty()) {
-    static const SharedList kEmpty = std::make_shared<ListNode>();
+    static const SharedList kEmpty = std::make_shared<List>();
     return kEmpty;
   }
-  return std::make_shared<ListNode>(std::move(l));
+  return std::make_shared<List>(std::move(l));
 }
 
 Value Value::from_shared(SharedList l) {
@@ -83,16 +74,10 @@ Value::List& Value::detach_list() {
   // can gain a reference without racing on this Value object itself,
   // which the contract already forbids. Shared (or static-empty) payloads
   // are cloned — element copies are refcount bumps.
-  if (rep.use_count() != 1) {
-    rep = std::make_shared<ListNode>(*rep);  // clone starts uncached
-  } else {
-    // Handing out mutable access: whatever hash was memoized is about to
-    // go stale.
-    rep->cached_hash.store(0, std::memory_order_relaxed);
-  }
-  // Safe: every payload is created via make_shared<ListNode> (non-const
+  if (rep.use_count() != 1) rep = std::make_shared<List>(*rep);
+  // Safe: every payload is created via make_shared<List> (non-const
   // pointee); constness was added by the handle type only.
-  return const_cast<List&>(rep->items);
+  return const_cast<List&>(*rep);
 }
 
 Value::List Value::take_list() {
@@ -101,9 +86,9 @@ Value::List Value::take_list() {
   if (rep.use_count() == 1) {
     // Sole owner: steal the vector (payload created non-const, see
     // detach_list). No element is copied.
-    return std::move(const_cast<List&>(rep->items));
+    return std::move(const_cast<List&>(*rep));
   }
-  return rep->items;  // shared: clone, each element an O(1) copy
+  return *rep;  // shared: clone, each element an O(1) copy
 }
 
 bool Value::operator==(const Value& o) const {
@@ -121,13 +106,7 @@ bool Value::operator==(const Value& o) const {
     default: {
       const SharedList& a = std::get<SharedList>(rep_);
       const SharedList& b = std::get<SharedList>(o.rep_);
-      if (a == b) return true;
-      // Memoized-hash fast path: two cached, different hashes cannot be
-      // equal lists.
-      const std::size_t ha = a->cached_hash.load(std::memory_order_relaxed);
-      const std::size_t hb = b->cached_hash.load(std::memory_order_relaxed);
-      if (ha != 0 && hb != 0 && ha != hb) return false;
-      return a->items == b->items;
+      return a == b || *a == *b;  // pointer fast path, then structural
     }
   }
 }
@@ -159,26 +138,6 @@ bool Value::operator<(const Value& o) const {
 }
 
 std::size_t Value::hash() const {
-  if (is_list()) {
-    // Compute-once: the node caches its structural hash, so repeated
-    // hashing of a shared snapshot view (linearizability memoization,
-    // visited-prefix digests) costs one relaxed load after the first.
-    const ListNode& node = *std::get<SharedList>(rep_);
-    std::size_t h = node.cached_hash.load(std::memory_order_relaxed);
-    if (h == 0) {
-      hash_memo_misses().add();
-      h = hash_uncached();
-      if (h == 0) h = 1;  // reserve 0 as the "not computed" sentinel
-      node.cached_hash.store(h, std::memory_order_relaxed);
-    } else {
-      hash_memo_hits().add();
-    }
-    return h;
-  }
-  return hash_uncached();
-}
-
-std::size_t Value::hash_uncached() const {
   // FNV-style structural mix; quality is sufficient for container use.
   std::size_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](std::size_t v) {
@@ -190,8 +149,6 @@ std::size_t Value::hash_uncached() const {
   } else if (is_string()) {
     mix(std::hash<std::string>{}(as_string()));
   } else if (is_list()) {
-    // Elements recurse through hash(): nested shared views hit their own
-    // node caches.
     for (const Value& v : as_list()) mix(v.hash());
   }
   return h;

@@ -19,18 +19,16 @@
 // Mutation is copy-on-write: the non-const as_list()/at() accessors
 // detach (clone the payload) iff it is shared, so aliases never observe
 // each other's writes — Values stay immutable in spirit. Equality,
-// ordering and hashing are structural (with pointer-equality fast paths).
+// ordering and hashing are structural; equality and ordering take a
+// pointer-equality fast path for aliases.
 //
 // Thread safety matches std::shared_ptr: DISTINCT Value objects sharing a
 // payload may be read, copied and destroyed concurrently; mutating or
 // writing one Value object while another thread touches the SAME object
 // is a data race (as for std::string). The shared payloads themselves are
-// never mutated after construction — detach clones first. The one
-// mutable field in a shared payload is the list node's memoized hash, an
-// atomic that aliases may fill in concurrently (same value, relaxed).
+// never mutated after construction — detach clones first.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -47,28 +45,11 @@ class Value {
  public:
   using List = std::vector<Value>;
 
-  // List payload node: the element vector plus a memoized structural
-  // hash. Snapshot views are hashed over and over (linearizability
-  // memoization, DFS visited-prefix digests) while the payload itself is
-  // immutable-once-shared, so the first hash() is cached in the node and
-  // every alias reuses it. 0 means "not computed" (computed hashes are
-  // nudged to 1); the atomic makes concurrent first-hashes of aliases a
-  // benign same-value race instead of UB.
-  struct ListNode {
-    List items;
-    mutable std::atomic<std::size_t> cached_hash{0};
-
-    ListNode() = default;
-    explicit ListNode(List l) : items(std::move(l)) {}
-    // Copies made for detach are about to be mutated: start uncached.
-    ListNode(const ListNode& o) : items(o.items) {}
-  };
-
   // Payload handles: const in the handle type so shared payloads are
   // immutable by construction; every payload is CREATED non-const (via
   // make_shared<T>) so a uniquely-owned one may be detached-in-place.
   using SharedString = std::shared_ptr<const std::string>;
-  using SharedList = std::shared_ptr<const ListNode>;
+  using SharedList = std::shared_ptr<const List>;
 
   // nil (⊥)
   Value() = default;
@@ -143,15 +124,13 @@ class Value {
   const std::string& as_string() const {
     return *std::get<SharedString>(rep_);
   }
-  const List& as_list() const { return std::get<SharedList>(rep_)->items; }
+  const List& as_list() const { return *std::get<SharedList>(rep_); }
   // Mutable access detaches: if the payload is shared, it is cloned first
   // (element copies are O(1) refcount bumps), so writes through the
   // returned reference are invisible to every EXISTING alias. Do not hold
   // the reference across a copy of this Value: a copy made afterwards
   // shares the payload, and writing through the stale reference would
   // mutate it in place (re-call as_list() after copying — it re-detaches).
-  // Detaching also drops the node's cached hash — the same rule applies
-  // to hash(): re-call as_list() after hashing before writing again.
   List& as_list() { return detach_list(); }
 
   // The shared payload itself (refcount bump, no copy). Lets hot paths
@@ -185,7 +164,6 @@ class Value {
   static SharedList intern_list(List l);
 
   List& detach_list();
-  std::size_t hash_uncached() const;
 
   std::variant<std::monostate, std::int64_t, SharedString, SharedList> rep_;
 };

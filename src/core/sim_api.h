@@ -11,7 +11,7 @@
 // used by the processes p_1..p_n to cooperate").
 //
 // The same SimProgram runs unchanged:
-//   * natively in its own model (pipeline.h: run_direct), or
+//   * natively in its own model (experiment.h: make_direct_programs), or
 //   * under the generalized BG engine in any target model of at least the
 //     same power index (bg_engine.h: make_simulation).
 #pragma once

@@ -1,17 +1,133 @@
 #include "src/experiment/experiment.h"
 
 #include <chrono>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "src/common/errors.h"
 #include "src/core/colored_engine.h"
-#include "src/core/pipeline.h"
 #include "src/experiment/batch_runner.h"
 #include "src/experiment/registry.h"
 #include "src/explore/policy.h"
 #include "src/history/history.h"
+#include "src/objects/x_consensus.h"
+#include "src/snapshot/afek_snapshot.h"
+#include "src/snapshot/primitive_snapshot.h"
 
 namespace mpcn {
+
+// ------------------------------------------------------- direct programs
+
+namespace {
+
+// Shared objects of a native run of A in its own model.
+struct DirectWorld {
+  DirectWorld(const SimulatedAlgorithm& a, MemKind mem_kind)
+      : mem(mem_kind == MemKind::kAfek
+                ? std::shared_ptr<SnapshotObject>(
+                      std::make_shared<AfekSnapshot>(
+                          a.n(), /*check_ownership=*/true))
+                : std::make_shared<PrimitiveSnapshot>(
+                      a.n(), /*check_ownership=*/true)) {
+    for (const XConsDecl& d : a.xcons) {
+      std::set<ProcessId> ports(d.ports.begin(), d.ports.end());
+      xcons.emplace(d.name, std::make_shared<XConsensus>(std::move(ports)));
+    }
+  }
+  std::shared_ptr<SnapshotObject> mem;
+  std::map<std::string, std::shared_ptr<XConsensus>> xcons;
+};
+
+class DirectSimContext : public SimContext {
+ public:
+  DirectSimContext(std::shared_ptr<DirectWorld> world, int n,
+                   ProcessContext& ctx, Value input,
+                   std::shared_ptr<HistoryRecorder> history)
+      : world_(std::move(world)),
+        n_(n),
+        ctx_(ctx),
+        input_(std::move(input)),
+        history_(std::move(history)) {}
+
+  int id() const override { return ctx_.pid(); }
+  int n() const override { return n_; }
+  Value input() const override { return input_; }
+
+  void write(const Value& v) override {
+    const std::uint64_t invoke = history_ ? step_clock() : 0;
+    world_->mem->write(ctx_, ctx_.pid(), v);
+    if (history_) {
+      Event e;
+      e.tid = ctx_.tid();
+      e.op = "write";
+      e.arg = Value::pair(Value(ctx_.pid()), v);
+      e.invoke_step = invoke;
+      e.response_step = step_clock();
+      history_->record(std::move(e));
+    }
+  }
+  std::vector<Value> snapshot() override {
+    const std::uint64_t invoke = history_ ? step_clock() : 0;
+    std::vector<Value> view = world_->mem->snapshot(ctx_);
+    if (history_) {
+      Event e;
+      e.tid = ctx_.tid();
+      e.op = "snapshot";
+      e.ret = Value(Value::List(view.begin(), view.end()));
+      e.invoke_step = invoke;
+      e.response_step = step_clock();
+      history_->record(std::move(e));
+    }
+    return view;
+  }
+  Value x_cons_propose(const std::string& name, const Value& v) override {
+    auto it = world_->xcons.find(name);
+    if (it == world_->xcons.end()) {
+      throw ProtocolError("undeclared x_cons object: " + name);
+    }
+    return it->second->propose(ctx_, v);
+  }
+  void decide(const Value& v) override { ctx_.decide(v); }
+  bool has_decided() const override { return ctx_.has_decided(); }
+
+ private:
+  std::uint64_t step_clock() const {
+    return ctx_.backend().controller().steps();
+  }
+
+  std::shared_ptr<DirectWorld> world_;
+  const int n_;
+  ProcessContext& ctx_;
+  Value input_;
+  std::shared_ptr<HistoryRecorder> history_;
+};
+
+}  // namespace
+
+std::vector<Program> make_direct_programs(
+    const SimulatedAlgorithm& algorithm, MemKind mem,
+    std::shared_ptr<HistoryRecorder> history) {
+  algorithm.validate();
+  auto world = std::make_shared<DirectWorld>(algorithm, mem);
+  const int n = algorithm.n();
+  std::vector<Program> programs;
+  programs.reserve(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    SimProgram prog = algorithm.programs[static_cast<std::size_t>(j)];
+    const std::optional<std::vector<Value>>& stat = algorithm.static_inputs;
+    Value static_input =
+        stat ? (*stat)[static_cast<std::size_t>(j)] : Value::nil();
+    const bool use_static = stat.has_value();
+    programs.push_back([world, n, prog, static_input, use_static,
+                        history](ProcessContext& ctx) {
+      DirectSimContext sc(world, n, ctx,
+                          use_static ? static_input : ctx.input(), history);
+      prog(sc);
+    });
+  }
+  return programs;
+}
 
 // ----------------------------------------------------------- cell runner
 

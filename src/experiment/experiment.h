@@ -12,12 +12,10 @@
 //       })
 //       .run_all();                              // parallel batch -> Report
 //
-// One ExecutionMode axis subsumes the historical entry points: direct()
+// One ExecutionMode axis covers every way to run an algorithm: direct()
 // (native run in the source model), in(target) (generalized BG engine; the
 // colored engine for colored scenarios), and through_chain_to(other) (the
-// Figure 7 chain, expanded into one cell per hop). pipeline.h's
-// run_direct / run_simulated / run_through_chain remain as thin wrappers
-// over this builder.
+// Figure 7 chain, expanded into one cell per hop).
 //
 // Grid semantics: cells() expands targets x seeds x memory backends into
 // an ordered vector of ExperimentCells. Each cell is one independent
@@ -97,11 +95,23 @@ struct ExperimentCell {
 };
 
 // Execute one cell. The throwing variant propagates configuration and
-// protocol errors (used by the compatibility wrappers and single runs);
-// run_cell() captures any exception into RunRecord::error so one broken
-// cell cannot take down a batch.
+// protocol errors (used by single runs); run_cell() captures any
+// exception into RunRecord::error so one broken cell cannot take down a
+// batch.
 RunRecord run_cell_throwing(const ExperimentCell& cell);
 RunRecord run_cell(const ExperimentCell& cell);
+
+// The programs of a direct-mode cell: A's programs as native runtime
+// programs in A's own model (one real process per simulated process,
+// port-enforced x-consensus objects). `mem` picks the snapshot substrate
+// backing mem[1..n]: the one-step model primitive (default) or the
+// wait-free Afek construction. `history` (optional) records every mem
+// write/snapshot as an Event — op "write" arg [j, v], op "snapshot" ret =
+// the view — stamped with the global step clock, the raw material for
+// the explorer's SequentialSpec oracles (src/history/linearizability.h).
+std::vector<Program> make_direct_programs(
+    const SimulatedAlgorithm& algorithm, MemKind mem = MemKind::kPrimitive,
+    std::shared_ptr<HistoryRecorder> history = nullptr);
 
 class Experiment {
  public:

@@ -31,9 +31,7 @@
 
 namespace mpcn {
 
-// The single execution-mode axis that subsumes the historical entry
-// points run_direct / run_simulated / run_through_chain (pipeline.h) plus
-// the colored engine:
+// The single execution-mode axis of an Experiment (experiment.h):
 //   kDirect    — A runs natively in its own model;
 //   kSimulated — A runs in a target model through the generalized engine;
 //   kChain     — A walks every model of the Figure 7 equivalence chain

@@ -76,8 +76,6 @@ Counter& m_spec_skips() {
   return c;
 }
 
-constexpr std::size_t kSpecOpCap = 64;  // linearizability checker limit
-
 struct OracleVerdict {
   bool violated = false;
   bool spec_skipped = false;
@@ -133,7 +131,7 @@ OracleVerdict judge(const RunRecord& rec,
   }
   if (spec && history) {
     const std::vector<Event> events = history->events();
-    if (events.size() > kSpecOpCap) {
+    if (events.size() > kMaxLinearizableOps) {
       v.spec_skipped = true;
     } else if (!is_linearizable(events, *spec)) {
       v.violated = true;
@@ -829,15 +827,22 @@ std::string ExploreResult::summary() const {
   if (exhausted) s += " (exhausted)";
   if (violations.empty()) {
     s += ", no violations";
-    return s;
+  } else {
+    s += ", " + std::to_string(violations.size()) + " violation(s)";
   }
-  s += ", " + std::to_string(violations.size()) + " violation(s)";
   if (race_found()) {
     s += ", " + std::to_string(race_reports()) + " race report(s)";
   }
   if (crash_found()) {
     s += crash_only() ? ", all crash-dependent" : ", some crash-dependent";
   }
+  // A clean verdict covers only the schedules the spec oracle judged.
+  if (skipped_spec_checks > 0) {
+    s += ", " + std::to_string(skipped_spec_checks) +
+         " lin check(s) skipped (history over " +
+         std::to_string(kMaxLinearizableOps) + " ops)";
+  }
+  if (violations.empty()) return s;
   const ExploreViolation& v = violations.front();
   s += "; first: " + v.why + ", trace " + std::to_string(v.trace.size()) +
        " -> " + std::to_string(v.shrunk.size()) + " grants" +

@@ -1,7 +1,6 @@
 #include "src/history/linearizability.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <unordered_set>
 
@@ -84,8 +83,9 @@ bool is_linearizable(const std::vector<Event>& history,
                      const SequentialSpec& spec) {
   const std::size_t n = history.size();
   if (n == 0) return true;
-  if (n > 64) {
-    throw ProtocolError("linearizability checker limited to 64 operations");
+  if (n > kMaxLinearizableOps) {
+    throw ProtocolError("linearizability checker limited to " +
+                        std::to_string(kMaxLinearizableOps) + " operations");
   }
 
   // DFS over bitmask of linearized ops. A candidate op may linearize next
@@ -128,19 +128,6 @@ bool is_linearizable(const std::vector<Event>& history,
     }
   }
   return false;
-}
-
-AgreementReport check_agreement(const std::vector<Event>& proposes, int k) {
-  AgreementReport r;
-  std::set<Value> proposed, returned;
-  for (const Event& e : proposes) proposed.insert(e.arg);
-  for (const Event& e : proposes) {
-    returned.insert(e.ret);
-    if (!proposed.count(e.ret)) r.validity = false;
-  }
-  r.distinct_returns = static_cast<int>(returned.size());
-  r.agreement = r.distinct_returns <= k;
-  return r;
 }
 
 }  // namespace mpcn

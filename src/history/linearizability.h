@@ -8,9 +8,11 @@
 // The checker does a DFS over "which operation linearizes next", pruning
 // by real-time minimality and memoizing failed (done-set, state) pairs.
 // Worst case exponential; intended for the short adversarial histories
-// produced by the lock-step tests (<= ~30 operations, <= 64 enforced).
+// produced by the lock-step tests (<= ~30 operations,
+// kMaxLinearizableOps enforced).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,17 +57,10 @@ class RegisterSpec : public SequentialSpec {
                                    const Event& e) const override;
 };
 
+// The longest history is_linearizable accepts; longer ones throw.
+constexpr std::size_t kMaxLinearizableOps = 64;
+
 bool is_linearizable(const std::vector<Event>& history,
                      const SequentialSpec& spec);
-
-// Direct (non-search) agreement-object property checks. Histories here are
-// complete propose operations: arg = proposed value, ret = returned value.
-struct AgreementReport {
-  bool validity = true;    // every return was proposed by someone
-  bool agreement = true;   // number of distinct returns <= k
-  int distinct_returns = 0;
-  bool ok(int k) const { return validity && distinct_returns <= k; }
-};
-AgreementReport check_agreement(const std::vector<Event>& proposes, int k);
 
 }  // namespace mpcn

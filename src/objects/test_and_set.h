@@ -8,8 +8,7 @@
 // Model legality: test&set has consensus number 2 and "can be implemented
 // from consensus number x objects [19]" for x >= 2, so ASM(n,t,x) worlds
 // with x >= 2 may use them (the legality checker in core/models enforces
-// this). An algorithmic construction of 2-port test&set from 2-process
-// consensus lives in objects/exhibits.h.
+// this).
 #pragma once
 
 #include <atomic>

@@ -9,7 +9,7 @@
 //     Export goes to its own file (`mpcn ... --metrics out.json`).
 //   * ALWAYS COMPILED IN, ALWAYS CHEAP. Instrumented sites pay one
 //     relaxed atomic increment whether or not anyone ever snapshots.
-//     Counters on the hottest paths (Value hash memo, arena bytes)
+//     Counters on the hottest paths (interned Values, arena bytes)
 //     are sharded across cache-line-padded slots keyed by a
 //     per-thread id, so concurrent increments do not contend.
 //   * MERGEABLE. A MetricsSnapshot is a pure bag of sums: merging is

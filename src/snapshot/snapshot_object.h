@@ -5,7 +5,7 @@
 //  is the only one that can write mem[j] ... Any process can atomically
 //  read the array mem[1..n] by invoking mem.snapshot()."
 //
-// Three implementations:
+// Two implementations, the two values of the `mem` axis:
 //  * PrimitiveSnapshot — the model primitive: write and snapshot are one
 //    atomic step each. This is what the simulations run on.
 //  * AfekSnapshot — the wait-free construction of Afek, Attiya, Dolev,
@@ -13,8 +13,6 @@
 //    with embedded-view helping), at per-register step granularity. It
 //    validates the paper's remark that "such a snapshot object can be
 //    wait-free implemented on top of atomic read/write registers [1,4]".
-//  * SeqlockSnapshot — an optimistic-read baseline for the substrate
-//    ablation bench.
 #pragma once
 
 #include <vector>

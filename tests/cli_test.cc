@@ -152,6 +152,23 @@ TEST(Cli, ExploreCleanScenarioExitsZero) {
             0);
 }
 
+TEST(Cli, ExploreSummarySaysWhenLinChecksWereSkipped) {
+  // Every Afek history of this cell is longer than the linearizability
+  // checker's cap, so none of the 21 schedules nor the PCT probe was
+  // judged against the spec. The exit code and --json stay those of a
+  // clean search; the summary line says what was not checked.
+  std::string out;
+  ASSERT_EQ(run_cli({"mpcn", "explore", "snapshot_churn", "--in", "3,0,1",
+                     "--mem", "afek", "--policy", "pct", "--budget", "21",
+                     "--check-lin"},
+                    &out),
+            0);
+  EXPECT_NE(out.find("pct: 21 schedule(s), no violations, 22 lin check(s) "
+                     "skipped (history over 64 ops)\n"),
+            std::string::npos)
+      << out;
+}
+
 TEST(Cli, ExploreRejectsCrashBudgetAboveT) {
   // racy_register's model ASM(2,0,1) tolerates no crash at all.
   EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",

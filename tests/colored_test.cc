@@ -5,8 +5,9 @@
 
 #include <set>
 
+#include "src/common/errors.h"
 #include "src/core/colored_engine.h"
-#include "src/core/pipeline.h"
+#include "src/runtime/execution.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 

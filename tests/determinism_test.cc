@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/colored_engine.h"
-#include "src/core/pipeline.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
 #include "src/explore/trace.h"
@@ -47,7 +46,12 @@ TEST_P(DirectDeterminism, SameSeedSameOutcomeAndSteps) {
     SimulatedAlgorithm a = trivial_kset_algorithm(5, 2);
     ExecutionOptions o = lockstep(seed);
     o.crashes = CrashPlan::hazard(0.003, 2, seed + 17);
-    return run_direct(a, int_inputs(5, 30), o);
+    return Experiment::of(a)
+               .direct()
+               .inputs(int_inputs(5, 30))
+               .base_options(o)
+               .run()
+               .outcome();
   };
   Outcome a = run();
   Outcome b = run();
@@ -67,7 +71,12 @@ TEST_P(EngineDeterminism, SameSeedSameDecisions) {
     SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
     ExecutionOptions o = lockstep(seed);
     o.crashes = CrashPlan::hazard(0.002, 3, seed * 3 + 5);
-    return run_simulated(a, ModelSpec{4, 3, 2}, int_inputs(4, 50), o);
+    return Experiment::of(a)
+               .in(ModelSpec{4, 3, 2})
+               .inputs(int_inputs(4, 50))
+               .base_options(o)
+               .run()
+               .outcome();
   };
   Outcome a = run();
   Outcome b = run();
@@ -86,7 +95,12 @@ TEST(SeedSensitivity, DifferentSeedsDifferentSchedules) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
   std::set<std::uint64_t> step_totals;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    Outcome out = run_direct(a, int_inputs(4), lockstep(seed));
+    Outcome out = Experiment::of(a)
+                      .direct()
+                      .inputs(int_inputs(4))
+                      .base_options(lockstep(seed))
+                      .run()
+                      .outcome();
     step_totals.insert(out.steps);
   }
   EXPECT_GT(step_totals.size(), 1u);

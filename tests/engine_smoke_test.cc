@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/bg_engine.h"
-#include "src/core/pipeline.h"
+#include "src/experiment/experiment.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -28,7 +28,12 @@ std::vector<Value> int_inputs(int n) {
 TEST(EngineSmoke, DirectTrivialKset) {
   // ASM(4,1,1): 2-set agreement, failure-free, native run.
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  Outcome out = run_direct(a, int_inputs(4), lockstep(1));
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(int_inputs(4))
+                    .base_options(lockstep(1))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(2);
@@ -40,8 +45,12 @@ TEST(EngineSmoke, BackwardSimulationIntoX2) {
   // Section 4 direction: simulate the 1-resilient read/write algorithm
   // (source ASM(4,1,1)) in ASM(4,3,2) — powers ⌊3/2⌋ = 1 = ⌊1/1⌋.
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  Outcome out =
-      run_simulated(a, ModelSpec{4, 3, 2}, int_inputs(4), lockstep(2));
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 3, 2})
+                    .inputs(int_inputs(4))
+                    .base_options(lockstep(2))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(2);
@@ -54,8 +63,12 @@ TEST(EngineSmoke, ForwardSimulationIntoX1) {
   // ASM(4,2,2), group k-set) in the read/write model ASM(4,1,1) —
   // powers ⌊2/2⌋ = 1 = ⌊1/1⌋.
   SimulatedAlgorithm a = group_kset_algorithm(4, 2, 2);
-  Outcome out =
-      run_simulated(a, ModelSpec{4, 1, 1}, int_inputs(4), lockstep(3));
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 1, 1})
+                    .inputs(int_inputs(4))
+                    .base_options(lockstep(3))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(2);
@@ -66,8 +79,12 @@ TEST(EngineSmoke, ForwardSimulationIntoX1) {
 TEST(EngineSmoke, BgProperChangesN) {
   // The original BG shape: ASM(5,2,1) simulated by t+1 = 3 simulators.
   SimulatedAlgorithm a = trivial_kset_algorithm(5, 2);
-  Outcome out =
-      run_simulated(a, ModelSpec{3, 2, 1}, int_inputs(3), lockstep(4));
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{3, 2, 1})
+                    .inputs(int_inputs(3))
+                    .base_options(lockstep(4))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(3);
@@ -87,7 +104,12 @@ TEST(EngineSmoke, SimulationSurvivesSimulatorCrashes) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
   ExecutionOptions o = lockstep(5);
   o.crashes = CrashPlan::fixed({{0, 40}, {2, 60}});
-  Outcome out = run_simulated(a, ModelSpec{4, 3, 2}, int_inputs(4), o);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 3, 2})
+                    .inputs(int_inputs(4))
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(2);

@@ -2,8 +2,7 @@
 // registry, the BatchRunner and the structured-report pipeline.
 //
 // The load-bearing contracts:
-//   * the pipeline.h wrappers and the Experiment path produce identical
-//     outcomes (same seed, same schedule, same decisions);
+//   * every cell's record carries its mode, target, seed and chain hop;
 //   * a seed x model grid expands deterministically and its Report JSON
 //     (timing excluded) is byte-identical across runs and pool sizes;
 //   * RunRecord round-trips through JSON;
@@ -13,7 +12,6 @@
 #include <algorithm>
 #include <set>
 
-#include "src/core/pipeline.h"
 #include "src/experiment/batch_runner.h"
 #include "src/experiment/experiment.h"
 #include "src/experiment/record.h"
@@ -40,82 +38,48 @@ std::vector<Value> int_inputs(int n, int base = 0) {
 
 // ------------------------------------------------------------- builder
 
-TEST(Experiment, DirectMatchesPipelineWrapper) {
+TEST(Experiment, DirectRecordCarriesModeTargetAndSeed) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  const std::vector<Value> inputs = int_inputs(4, 10);
-
-  Outcome via_wrapper = run_direct(a, inputs, lockstep(3));
-  RunRecord rec = Experiment::of(trivial_kset_algorithm(4, 1))
+  RunRecord rec = Experiment::of(a)
                       .direct()
-                      .inputs(inputs)
+                      .inputs(int_inputs(4, 10))
                       .base_options(lockstep(3))
                       .run();
 
   EXPECT_EQ(rec.mode, ExecutionMode::kDirect);
   EXPECT_EQ(rec.target, a.model);
   EXPECT_EQ(rec.seed, 3u);
-  EXPECT_EQ(via_wrapper.decisions, rec.decisions);
-  EXPECT_EQ(via_wrapper.steps, rec.steps);
-  EXPECT_EQ(via_wrapper.crashed, rec.crashed);
 }
 
-TEST(Experiment, SimulatedMatchesPipelineWrapper) {
-  SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  const ModelSpec target{4, 3, 2};
-  const std::vector<Value> inputs = int_inputs(4, 20);
-
-  Outcome via_wrapper = run_simulated(a, target, inputs, lockstep(5));
+TEST(Experiment, SimulatedRecordCarriesMode) {
   RunRecord rec = Experiment::of(trivial_kset_algorithm(4, 1))
-                      .in(target)
-                      .inputs(inputs)
+                      .in(ModelSpec{4, 3, 2})
+                      .inputs(int_inputs(4, 20))
                       .base_options(lockstep(5))
                       .run();
 
   EXPECT_EQ(rec.mode, ExecutionMode::kSimulated);
-  EXPECT_EQ(via_wrapper.decisions, rec.decisions);
-  EXPECT_EQ(via_wrapper.steps, rec.steps);
 }
 
-TEST(Experiment, ChainMatchesPipelineWrapper) {
+TEST(Experiment, ChainRecordsOneCellPerHop) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
   const ModelSpec other{5, 3, 2};
-  const std::vector<Value> pool = int_inputs(6, 40);
-
-  const std::vector<ChainHop> hops =
-      run_through_chain(a, other, pool, lockstep(7));
-  Report rep = Experiment::of(trivial_kset_algorithm(4, 1))
+  Report rep = Experiment::of(a)
                    .through_chain_to(other)
-                   .input_pool(pool)
+                   .input_pool(int_inputs(6, 40))
                    .base_options(lockstep(7))
                    .run_all();
 
-  ASSERT_EQ(rep.records.size(), hops.size());
-  for (std::size_t i = 0; i < hops.size(); ++i) {
+  const std::vector<ModelSpec> chain = equivalence_chain(a.model, other);
+  ASSERT_EQ(rep.records.size(), chain.size());
+  for (std::size_t i = 0; i < chain.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(rep.records[i].target, hops[i].model);
+    EXPECT_EQ(rep.records[i].target, chain[i]);
     EXPECT_EQ(rep.records[i].hop_index, static_cast<int>(i));
-    EXPECT_EQ(rep.records[i].decisions, hops[i].outcome.decisions);
-    EXPECT_EQ(rep.records[i].steps, hops[i].outcome.steps);
     // The source-model hop runs natively, all others through the engine.
-    EXPECT_EQ(rep.records[i].mode, hops[i].model == a.model
+    EXPECT_EQ(rep.records[i].mode, chain[i] == a.model
                                        ? ExecutionMode::kDirect
                                        : ExecutionMode::kSimulated);
-  }
-}
-
-TEST(Experiment, ChainWrapperClearsBaseCrashPlanWithoutFactory) {
-  // Historical run_through_chain contract: without a crashes_for
-  // factory, hops run failure-free even when the base options carry a
-  // crash plan (a plan sized for one model must not leak into hops).
-  SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  ExecutionOptions base = lockstep(3);
-  base.crashes = CrashPlan::hazard(1.0, 3, 42);  // would crash 3 processes
-  const auto hops =
-      run_through_chain(a, ModelSpec{5, 3, 2}, int_inputs(6, 40), base);
-  for (const ChainHop& hop : hops) {
-    SCOPED_TRACE(hop.model.to_string());
-    for (bool crashed : hop.outcome.crashed) EXPECT_FALSE(crashed);
-    EXPECT_TRUE(hop.outcome.all_correct_decided());
   }
 }
 

@@ -355,6 +355,26 @@ TEST(Explore, SequentialSpecOracleObservesDirectHistories) {
   EXPECT_TRUE(is_linearizable(events, SnapshotSpec(2)));
 }
 
+// A search whose spec checks were skipped must not read as fully clean:
+// the summary counts the skips, with or without violations.
+TEST(Explore, SummaryCountsSkippedLinChecks) {
+  ExploreResult r;
+  r.policy = ExplorePolicy::kSeededRandom;
+  r.schedules = 5;
+  EXPECT_EQ(r.summary(), "random: 5 schedule(s), no violations");
+  r.skipped_spec_checks = 3;
+  EXPECT_EQ(r.summary(),
+            "random: 5 schedule(s), no violations, 3 lin check(s) skipped "
+            "(history over 64 ops)");
+  ExploreViolation v;
+  v.why = "timed out (liveness)";
+  r.violations.push_back(v);
+  EXPECT_EQ(r.summary(),
+            "random: 5 schedule(s), 1 violation(s), 3 lin check(s) skipped "
+            "(history over 64 ops); first: timed out (liveness), trace 0 -> "
+            "0 grants (UNVERIFIED)");
+}
+
 TEST(Explore, RejectsUnshardableConfigurations) {
   const ExperimentCell cell =
       named_cell("racy_register", ModelSpec{2, 0, 1}, 1);

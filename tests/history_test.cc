@@ -114,27 +114,5 @@ TEST(Linearizability, TooLargeHistoryThrows) {
   EXPECT_THROW(is_linearizable(h, RegisterSpec()), ProtocolError);
 }
 
-TEST(AgreementCheck, DetectsValidityViolation) {
-  std::vector<Event> h{
-      ev(0, "propose", Value(1), Value(1), 0, 1),
-      ev(1, "propose", Value(2), Value(99), 0, 1),  // 99 never proposed
-  };
-  AgreementReport r = check_agreement(h, 1);
-  EXPECT_FALSE(r.validity);
-}
-
-TEST(AgreementCheck, CountsDistinctReturns) {
-  std::vector<Event> h{
-      ev(0, "propose", Value(1), Value(1), 0, 1),
-      ev(1, "propose", Value(2), Value(2), 0, 1),
-      ev(2, "propose", Value(3), Value(1), 0, 1),
-  };
-  AgreementReport r = check_agreement(h, 2);
-  EXPECT_TRUE(r.validity);
-  EXPECT_EQ(r.distinct_returns, 2);
-  EXPECT_TRUE(r.ok(2));
-  EXPECT_FALSE(r.ok(1));
-}
-
 }  // namespace
 }  // namespace mpcn

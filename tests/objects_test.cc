@@ -1,5 +1,4 @@
-// Unit + property tests: src/objects — test&set, CAS, x-consensus,
-// (m,l)-set objects, and the Herlihy-hierarchy exhibit constructions.
+// Unit + property tests: src/objects — test&set and x-consensus.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,9 +6,6 @@
 #include <set>
 
 #include "src/common/errors.h"
-#include "src/objects/compare_and_swap.h"
-#include "src/objects/exhibits.h"
-#include "src/objects/k_set_object.h"
 #include "src/objects/test_and_set.h"
 #include "src/objects/x_consensus.h"
 #include "src/runtime/execution.h"
@@ -63,44 +59,6 @@ TEST(TestAndSet, TakenReflectsState) {
   run_execution(std::move(p), {Value(0)}, lockstep(1));
   EXPECT_TRUE(ts->taken());
 }
-
-// --- CompareAndSwap ---
-
-TEST(CompareAndSwap, SwapsOnMatch) {
-  auto cas = std::make_shared<CompareAndSwap>();
-  std::vector<Program> p{[cas](ProcessContext& ctx) {
-    EXPECT_TRUE(cas->compare_and_swap(ctx, Value::nil(), Value(5)).is_nil());
-    EXPECT_EQ(cas->read(ctx).as_int(), 5);
-    // Mismatch: no swap, returns current.
-    EXPECT_EQ(cas->compare_and_swap(ctx, Value(4), Value(9)).as_int(), 5);
-    EXPECT_EQ(cas->read(ctx).as_int(), 5);
-    ctx.decide(Value(0));
-  }};
-  run_execution(std::move(p), {Value(0)}, lockstep(2));
-}
-
-class CasConsensusAgreement : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(CasConsensusAgreement, AllAgreeOnOneProposal) {
-  auto cons = std::make_shared<CasConsensus>();
-  const int n = 8;
-  std::vector<Program> p;
-  for (int i = 0; i < n; ++i) {
-    p.push_back([cons](ProcessContext& ctx) {
-      ctx.decide(cons->propose(ctx, ctx.input()));
-    });
-  }
-  Outcome out = run_execution(std::move(p), int_inputs(n),
-                              lockstep(GetParam()));
-  std::set<Value> decided = out.distinct_decisions();
-  EXPECT_EQ(decided.size(), 1u);
-  EXPECT_GE(decided.begin()->as_int(), 0);
-  EXPECT_LT(decided.begin()->as_int(), n);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CasConsensusAgreement,
-                         ::testing::Range<std::uint64_t>(1, 16));
 
 // --- XConsensus ---
 
@@ -158,167 +116,6 @@ TEST_P(XConsensusAgreement, ValidityAndAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XConsensusAgreement,
                          ::testing::Range<std::uint64_t>(1, 16));
-
-// --- KSetObject ---
-
-TEST(KSetObject, ParametersValidated) {
-  EXPECT_THROW(KSetObject({}, 1), ProtocolError);
-  EXPECT_THROW(KSetObject({0}, 0), ProtocolError);
-}
-
-class KSetObjectProperties
-    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
-
-TEST_P(KSetObjectProperties, AtMostLDistinct) {
-  const int l = std::get<0>(GetParam());
-  const std::uint64_t seed = std::get<1>(GetParam());
-  const int m = 6;
-  std::set<ProcessId> ports;
-  for (int i = 0; i < m; ++i) ports.insert(i);
-  auto obj = std::make_shared<KSetObject>(ports, l);
-  std::vector<Program> p;
-  for (int i = 0; i < m; ++i) {
-    p.push_back([obj](ProcessContext& ctx) {
-      ctx.decide(obj->propose(ctx, ctx.input()));
-    });
-  }
-  Outcome out = run_execution(std::move(p), int_inputs(m), lockstep(seed));
-  std::set<Value> decided = out.distinct_decisions();
-  EXPECT_LE(static_cast<int>(decided.size()), l);
-  for (const Value& v : decided) {
-    EXPECT_GE(v.as_int(), 0);
-    EXPECT_LT(v.as_int(), m);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, KSetObjectProperties,
-    ::testing::Combine(::testing::Values(1, 2, 3),
-                       ::testing::Range<std::uint64_t>(1, 6)));
-
-// --- exhibits ---
-
-TEST(SharedQueue, FifoOrder) {
-  auto q = std::make_shared<SharedQueue>();
-  std::vector<Program> p{[q](ProcessContext& ctx) {
-    q->enqueue(ctx, Value(1));
-    q->enqueue(ctx, Value(2));
-    EXPECT_EQ(q->dequeue(ctx).as_int(), 1);
-    EXPECT_EQ(q->dequeue(ctx).as_int(), 2);
-    EXPECT_TRUE(q->dequeue(ctx).is_nil());
-    ctx.decide(Value(0));
-  }};
-  run_execution(std::move(p), {Value(0)}, lockstep(5));
-}
-
-TEST(SharedStack, LifoOrder) {
-  auto s = std::make_shared<SharedStack>();
-  std::vector<Program> p{[s](ProcessContext& ctx) {
-    s->push(ctx, Value(1));
-    s->push(ctx, Value(2));
-    EXPECT_EQ(s->pop(ctx).as_int(), 2);
-    EXPECT_EQ(s->pop(ctx).as_int(), 1);
-    EXPECT_TRUE(s->pop(ctx).is_nil());
-    ctx.decide(Value(0));
-  }};
-  run_execution(std::move(p), {Value(0)}, lockstep(6));
-}
-
-class QueueConsensusAgreement
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(QueueConsensusAgreement, TwoProcessConsensus) {
-  auto c = std::make_shared<QueueConsensus2>(0, 1);
-  std::vector<Program> p;
-  for (int i = 0; i < 2; ++i) {
-    p.push_back([c](ProcessContext& ctx) {
-      ctx.decide(c->propose(ctx, ctx.input()));
-    });
-  }
-  Outcome out =
-      run_execution(std::move(p), int_inputs(2), lockstep(GetParam()));
-  EXPECT_EQ(out.distinct_decisions().size(), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, QueueConsensusAgreement,
-                         ::testing::Range<std::uint64_t>(1, 16));
-
-class TasConsensusAgreement : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(TasConsensusAgreement, TwoProcessConsensus) {
-  auto c = std::make_shared<TasConsensus2>(0, 1);
-  std::vector<Program> p;
-  for (int i = 0; i < 2; ++i) {
-    p.push_back([c](ProcessContext& ctx) {
-      ctx.decide(c->propose(ctx, ctx.input()));
-    });
-  }
-  Outcome out =
-      run_execution(std::move(p), int_inputs(2), lockstep(GetParam()));
-  EXPECT_EQ(out.distinct_decisions().size(), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TasConsensusAgreement,
-                         ::testing::Range<std::uint64_t>(1, 16));
-
-class ConsensusTasWinner : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ConsensusTasWinner, OneWinnerFromConsensus) {
-  auto ts = std::make_shared<ConsensusTas2>(0, 1);
-  auto winners = std::make_shared<std::atomic<int>>(0);
-  std::vector<Program> p;
-  for (int i = 0; i < 2; ++i) {
-    p.push_back([ts, winners](ProcessContext& ctx) {
-      if (ts->test_and_set(ctx)) winners->fetch_add(1);
-      ctx.decide(Value(0));
-    });
-  }
-  run_execution(std::move(p), int_inputs(2), lockstep(GetParam()));
-  EXPECT_EQ(winners->load(), 1);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ConsensusTasWinner,
-                         ::testing::Range<std::uint64_t>(1, 11));
-
-TEST(QueueConsensus2, NonPortRejected) {
-  auto c = std::make_shared<QueueConsensus2>(0, 1);
-  std::vector<Program> p{
-      [](ProcessContext& ctx) { ctx.decide(Value(0)); },
-      [](ProcessContext& ctx) { ctx.decide(Value(0)); },
-      [c](ProcessContext& ctx) {
-        EXPECT_THROW(c->propose(ctx, Value(9)), ProtocolError);
-        ctx.decide(Value(0));
-      }};
-  run_execution(std::move(p), int_inputs(3), lockstep(7));
-}
-
-// Crash of the consensus winner before the loser reads: the loser must
-// still learn the winner's proposal (it is in the proposal register).
-TEST(TasConsensus2, WinnerCrashAfterDecisionStillAgrees) {
-  auto c = std::make_shared<TasConsensus2>(0, 1);
-  ExecutionOptions o = lockstep(8);
-  // p0: write proposal (step 1), TAS (step 2), then crash at step 3.
-  o.crashes = CrashPlan::fixed({{0, 3}});
-  auto loser_value = std::make_shared<std::optional<Value>>();
-  std::vector<Program> p{
-      [c](ProcessContext& ctx) {
-        ctx.decide(c->propose(ctx, Value("A")));
-      },
-      [c, loser_value](ProcessContext& ctx) {
-        for (int i = 0; i < 10; ++i) ctx.yield();  // let p0 go first
-        *loser_value = c->propose(ctx, Value("B"));
-        ctx.decide(**loser_value);
-      }};
-  Outcome out = run_execution(std::move(p), int_inputs(2), o);
-  ASSERT_TRUE(out.decisions[1].has_value());
-  if (out.crashed[0] && out.decisions[1]->is_string()) {
-    // If p0 got past its TAS before crashing, p1 must adopt "A"; if p0
-    // crashed before the TAS, p1 wins with "B". Either is agreement.
-    const std::string v = out.decisions[1]->as_string();
-    EXPECT_TRUE(v == "A" || v == "B");
-  }
-}
 
 }  // namespace
 }  // namespace mpcn

@@ -1,8 +1,8 @@
-// Tests: src/core/pipeline — direct vs simulated execution consistency
-// and the Figure 7 equivalence chain run hop by hop.
+// Tests: the Figure 7 pipeline through Experiment — direct vs simulated
+// execution consistency and the equivalence chain run hop by hop.
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/experiment/experiment.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -25,18 +25,16 @@ std::vector<Value> int_inputs(int n, int base = 0) {
 
 TEST(Pipeline, DirectMatchesModelSemantics) {
   SimulatedAlgorithm a = group_kset_algorithm(4, 2, 2);
-  Outcome out = run_direct(a, int_inputs(4, 10), lockstep(1));
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(int_inputs(4, 10))
+                    .base_options(lockstep(1))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   KSetAgreementTask task(2);
   std::string why;
   EXPECT_TRUE(task.validate(int_inputs(4, 10), out.decisions, &why)) << why;
-}
-
-TEST(Pipeline, ChainNeedsInputs) {
-  SimulatedAlgorithm a = trivial_kset_algorithm(4, 2);
-  EXPECT_THROW(
-      run_through_chain(a, ModelSpec{4, 2, 1}, {}, lockstep(1)),
-      ProtocolError);
 }
 
 // The Figure 7 demonstration: one algorithm, every model of the chain,
@@ -48,21 +46,25 @@ TEST_P(ChainWalk, TrivialKsetAcrossPower1Chain) {
   // ASM(5,1,1), ASM(5,3,2).
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
   const std::vector<Value> pool = int_inputs(6, 40);
-  const auto hops = run_through_chain(a, ModelSpec{5, 3, 2}, pool,
-                                      lockstep(GetParam()));
-  ASSERT_GE(hops.size(), 3u);
-  for (const ChainHop& hop : hops) {
-    SCOPED_TRACE(hop.model.to_string());
-    ASSERT_FALSE(hop.outcome.timed_out);
-    EXPECT_TRUE(hop.outcome.all_correct_decided());
+  const Report hops = Experiment::of(a)
+                          .through_chain_to(ModelSpec{5, 3, 2})
+                          .input_pool(pool)
+                          .base_options(lockstep(GetParam()))
+                          .run_all();
+  ASSERT_GE(hops.records.size(), 3u);
+  for (const RunRecord& hop : hops.records) {
+    SCOPED_TRACE(hop.target.to_string());
+    ASSERT_EQ(hop.error, "");
+    ASSERT_FALSE(hop.timed_out);
+    EXPECT_TRUE(hop.outcome().all_correct_decided());
     // Validate against the inputs that hop actually used.
     std::vector<Value> inputs;
-    for (int i = 0; i < hop.model.n; ++i) {
+    for (int i = 0; i < hop.target.n; ++i) {
       inputs.push_back(pool[static_cast<std::size_t>(i) % pool.size()]);
     }
     KSetAgreementTask task(2);
     std::string why;
-    EXPECT_TRUE(task.validate(inputs, hop.outcome.decisions, &why)) << why;
+    EXPECT_TRUE(task.validate(inputs, hop.decisions, &why)) << why;
   }
 }
 
@@ -73,36 +75,45 @@ TEST(ChainWalk, XConsSourceAcrossChain) {
   // Source uses x-consensus objects: ASM(4,2,2) ≃ ASM(6,1,1) (power 1).
   SimulatedAlgorithm a = group_kset_algorithm(4, 2, 2);
   const std::vector<Value> pool = int_inputs(8, 70);
-  const auto hops =
-      run_through_chain(a, ModelSpec{6, 1, 1}, pool, lockstep(7));
-  for (const ChainHop& hop : hops) {
-    SCOPED_TRACE(hop.model.to_string());
-    ASSERT_FALSE(hop.outcome.timed_out);
-    EXPECT_TRUE(hop.outcome.all_correct_decided());
+  const Report hops = Experiment::of(a)
+                          .through_chain_to(ModelSpec{6, 1, 1})
+                          .input_pool(pool)
+                          .base_options(lockstep(7))
+                          .run_all();
+  for (const RunRecord& hop : hops.records) {
+    SCOPED_TRACE(hop.target.to_string());
+    ASSERT_EQ(hop.error, "");
+    ASSERT_FALSE(hop.timed_out);
+    EXPECT_TRUE(hop.outcome().all_correct_decided());
     std::vector<Value> inputs;
-    for (int i = 0; i < hop.model.n; ++i) {
+    for (int i = 0; i < hop.target.n; ++i) {
       inputs.push_back(pool[static_cast<std::size_t>(i) % pool.size()]);
     }
     KSetAgreementTask task(2);
     std::string why;
-    EXPECT_TRUE(task.validate(inputs, hop.outcome.decisions, &why)) << why;
+    EXPECT_TRUE(task.validate(inputs, hop.decisions, &why)) << why;
   }
 }
 
 TEST(ChainWalk, WithPerHopCrashes) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
   const std::vector<Value> pool = int_inputs(6, 90);
-  const auto hops = run_through_chain(
-      a, ModelSpec{5, 3, 2}, pool, lockstep(11),
-      [](const ModelSpec& m) {
-        // Crash up to the hop's budget with a per-hop seed.
-        return CrashPlan::hazard(0.001, m.t,
-                                 static_cast<std::uint64_t>(m.n * 100 + m.t));
-      });
-  for (const ChainHop& hop : hops) {
-    SCOPED_TRACE(hop.model.to_string());
-    ASSERT_FALSE(hop.outcome.timed_out);
-    EXPECT_TRUE(hop.outcome.all_correct_decided());
+  const Report hops =
+      Experiment::of(a)
+          .through_chain_to(ModelSpec{5, 3, 2})
+          .input_pool(pool)
+          .base_options(lockstep(11))
+          .crashes([](const ModelSpec& m, std::uint64_t) {
+            // Crash up to the hop's budget with a per-hop seed.
+            return CrashPlan::hazard(
+                0.001, m.t, static_cast<std::uint64_t>(m.n * 100 + m.t));
+          })
+          .run_all();
+  for (const RunRecord& hop : hops.records) {
+    SCOPED_TRACE(hop.target.to_string());
+    ASSERT_EQ(hop.error, "");
+    ASSERT_FALSE(hop.timed_out);
+    EXPECT_TRUE(hop.outcome().all_correct_decided());
   }
 }
 
@@ -118,9 +129,13 @@ TEST(Equivalence, EmpiricalAcrossOneClass) {
         ModelSpec{4, 3, 3}}) {
     SCOPED_TRACE(m.to_string());
     ASSERT_TRUE(equivalent(m, a.model));
-    Outcome out = (m == a.model)
-                      ? run_direct(a, inputs, lockstep(13))
-                      : run_simulated(a, m, inputs, lockstep(13));
+    Experiment e = Experiment::of(a);
+    if (m == a.model) {
+      e.direct();
+    } else {
+      e.in(m);
+    }
+    Outcome out = e.inputs(inputs).base_options(lockstep(13)).run().outcome();
     ASSERT_FALSE(out.timed_out);
     EXPECT_TRUE(out.all_correct_decided());
     std::string why;

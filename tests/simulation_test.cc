@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/bg_engine.h"
-#include "src/core/pipeline.h"
+#include "src/experiment/experiment.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -62,7 +62,12 @@ TEST_P(BackwardSimulation, SolvesSourceTask) {
   // Crash up to the target's full budget with a seeded hazard.
   o.crashes = CrashPlan::hazard(0.0015, c.t_tgt, seed * 31 + 7);
   const std::vector<Value> inputs = int_inputs(c.n_tgt);
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, c.t_src + 1, inputs,
                      a.model.to_string() + " in " + target.to_string());
 }
@@ -107,7 +112,12 @@ TEST_P(ForwardSimulation, SolvesSourceTask) {
   o.crashes = CrashPlan::hazard(0.0015, c.t_tgt, seed * 17 + 3);
   const std::vector<Value> inputs = int_inputs(c.n_tgt);
   const int k = floor_div(c.t_src, c.x_src) + 1;
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, k, inputs,
                      a.model.to_string() + " in " + target.to_string());
 }
@@ -150,7 +160,12 @@ TEST_P(GeneralSimulation, SolvesSourceTask) {
   o.crashes = CrashPlan::hazard(0.001, c.t_tgt, seed * 41 + 11);
   const std::vector<Value> inputs = int_inputs(c.n_tgt);
   const int k = floor_div(c.t_src, c.x_src) + 1;
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, k, inputs,
                      a.model.to_string() + " in " + target.to_string());
 }
@@ -206,7 +221,12 @@ TEST_P(SimulatedConsensusAgreement, AllSimulatorsAgree) {
   ExecutionOptions o = lockstep(GetParam());
   o.crashes = CrashPlan::hazard(0.002, 1, GetParam() + 99);
   const std::vector<Value> inputs = int_inputs(5, 200);
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   EXPECT_EQ(out.distinct_decisions().size(), 1u)
@@ -228,7 +248,12 @@ TEST(SimulationLiveness, FullCrashBudgetEarlyCrashes) {
   ExecutionOptions o = lockstep(5, 1'500'000);
   o.crashes = CrashPlan::fixed({{0, 15}, {1, 25}, {3, 35}});
   const std::vector<Value> inputs = int_inputs(4);
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   // Only q2 is correct; it must decide.
   ASSERT_TRUE(out.decisions[2].has_value());
@@ -254,7 +279,12 @@ TEST_P(Mutex2PerObject, CrashedObjectDoesNotBlockOthers) {
   o.crashes = CrashPlan::fixed({{0, 10 + static_cast<std::uint64_t>(
                                           GetParam() % 13)}});
   const std::vector<Value> inputs = int_inputs(6);
-  Outcome out = run_simulated(a, target, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(target)
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, 2, inputs, "mutex2 regression");
 }
 
@@ -276,10 +306,13 @@ TEST_P(ProposeTrapBlocksX1, OneMidProposeCrashBlocksOneProcess) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 0);
   ExecutionOptions o = lockstep(GetParam(), 60'000);
   o.crashes = CrashPlan::propose_trap({"INPUT/0"}, 1, 2);
-  SimulationOptions so;
-  so.check_legality = false;  // power 1 target vs power 0 source
-  Outcome out = run_simulated(a, ModelSpec{4, 1, 1}, int_inputs(4),
-                              o, so);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 1, 1})
+                    .inputs(int_inputs(4))
+                    .base_options(o)
+                    .check_legality(false)  // power 1 target, power 0 source
+                    .run()
+                    .outcome();
   EXPECT_TRUE(out.timed_out) << "p0 must block, stalling the whole task";
   EXPECT_EQ(out.decided_count(), 0);
 }
@@ -296,10 +329,13 @@ TEST_P(OwnerTrapBlocksX2, XOwnerCrashesPoisonOneAgreement) {
   ExecutionOptions o = lockstep(GetParam(), 60'000);
   o.crashes = CrashPlan::propose_trap({"INPUT/0"}, 2, 1,
                                       CrashPlan::TrapPoint::kOwnerElected);
-  SimulationOptions so;
-  so.check_legality = false;
-  Outcome out = run_simulated(a, ModelSpec{4, 2, 2}, int_inputs(4),
-                              o, so);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 2, 2})
+                    .inputs(int_inputs(4))
+                    .base_options(o)
+                    .check_legality(false)
+                    .run()
+                    .outcome();
   EXPECT_TRUE(out.timed_out);
   EXPECT_EQ(out.decided_count(), 0);
 }
@@ -318,7 +354,12 @@ TEST_P(TrapWithinResilience, ToleratedBlockStillSolves) {
   o.crashes = CrashPlan::propose_trap({"INPUT/0"}, 2, 1,
                                       CrashPlan::TrapPoint::kOwnerElected);
   const std::vector<Value> inputs = int_inputs(4);
-  Outcome out = run_simulated(a, ModelSpec{4, 2, 2}, inputs, o);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 2, 2})
+                    .inputs(inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, 2, inputs, "trap within resilience");
 }
 
@@ -336,10 +377,14 @@ TEST_P(OwnerTrapXMinus1, OneOwnerCrashToleratedByX2Agreement) {
   // the 0-resilient source must still terminate everywhere.
   o.crashes = CrashPlan::propose_trap({"INPUT/0"}, 1, 1,
                                       CrashPlan::TrapPoint::kOwnerElected);
-  SimulationOptions so;
-  so.check_legality = false;
   const std::vector<Value> inputs = int_inputs(4);
-  Outcome out = run_simulated(a, ModelSpec{4, 2, 2}, inputs, o, so);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{4, 2, 2})
+                    .inputs(inputs)
+                    .base_options(o)
+                    .check_legality(false)
+                    .run()
+                    .outcome();
   expect_solves_kset(out, 1, inputs, "x-1 owner crashes tolerated");
 }
 
@@ -354,13 +399,34 @@ TEST(SimulationFreeMode, BackwardUnderRealThreads) {
     o.mode = SchedulerMode::kFree;
     o.step_limit = 50'000'000;
     const std::vector<Value> inputs = int_inputs(4);
-    Outcome out = run_simulated(a, ModelSpec{4, 3, 2}, inputs, o);
+    Outcome out = Experiment::of(a)
+                      .in(ModelSpec{4, 3, 2})
+                      .inputs(inputs)
+                      .base_options(o)
+                      .run()
+                      .outcome();
     ASSERT_FALSE(out.timed_out);
     EXPECT_TRUE(out.all_correct_decided());
     KSetAgreementTask task(2);
     std::string why;
     EXPECT_TRUE(task.validate(inputs, out.decisions, &why)) << why;
   }
+}
+
+// The engine on the Afek MEM substrate (the `mem` axis ablation): the
+// backward simulation must stay correct when every MEM write/snapshot is
+// the wait-free register construction instead of the one-step primitive.
+TEST(EngineOnAfekMem, BackwardSimulationStillCorrect) {
+  SimulatedAlgorithm a = trivial_kset_algorithm(3, 1);
+  const std::vector<Value> inputs = int_inputs(3, 40);
+  Outcome out = Experiment::of(a)
+                    .in(ModelSpec{3, 1, 1})
+                    .inputs(inputs)
+                    .base_options(lockstep(3, 3'000'000))
+                    .mem(MemKind::kAfek)
+                    .run()
+                    .outcome();
+  expect_solves_kset(out, 2, inputs, "engine on afek mem");
 }
 
 }  // namespace

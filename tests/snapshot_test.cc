@@ -14,7 +14,6 @@
 #include "src/runtime/execution.h"
 #include "src/snapshot/afek_snapshot.h"
 #include "src/snapshot/primitive_snapshot.h"
-#include "src/snapshot/seqlock_snapshot.h"
 
 namespace mpcn {
 namespace {
@@ -175,18 +174,6 @@ TEST_P(PrimitiveSnapshotLinearizability, HistoryIsLinearizable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrimitiveSnapshotLinearizability,
                          ::testing::Range<std::uint64_t>(1, 21));
-
-class RwLockSnapshotLinearizability
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RwLockSnapshotLinearizability, HistoryIsLinearizable) {
-  const std::uint64_t seed = GetParam();
-  auto snap = std::make_shared<RwLockSnapshot>(3, /*check_ownership=*/false);
-  run_snapshot_history_check(snap, 3, 5, seed);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RwLockSnapshotLinearizability,
-                         ::testing::Range<std::uint64_t>(1, 11));
 
 // --- Afek-specific behaviour ---
 

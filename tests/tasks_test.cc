@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/errors.h"
-#include "src/core/pipeline.h"
+#include "src/experiment/experiment.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -93,7 +93,12 @@ TEST_P(TrivialKsetNative, SolvesTplus1SetAgreement) {
   SimulatedAlgorithm a = trivial_kset_algorithm(n, t);
   ExecutionOptions o = lockstep(seed);
   o.crashes = CrashPlan::hazard(0.002, t, seed * 7 + 1);
-  Outcome out = run_direct(a, int_inputs(n), o);
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(int_inputs(n))
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   KSetAgreementTask task(t + 1);
@@ -120,7 +125,12 @@ TEST_P(GroupKsetNative, SolvesFloorPlus1SetAgreement) {
   SimulatedAlgorithm a = group_kset_algorithm(n, t, x);
   ExecutionOptions o = lockstep(seed);
   o.crashes = CrashPlan::hazard(0.002, t, seed * 13 + 5);
-  Outcome out = run_direct(a, int_inputs(n, 50), o);
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(int_inputs(n, 50))
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   const int k = floor_div(t, x) + 1;  // the paper's frontier
@@ -142,7 +152,12 @@ TEST(GroupKset, PreconditionEnforced) {
 
 TEST(SingleObjectConsensus, NativeRun) {
   SimulatedAlgorithm a = single_object_consensus_algorithm(4, 2, 4);
-  Outcome out = run_direct(a, int_inputs(4, 9), lockstep(3));
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(int_inputs(4, 9))
+                    .base_options(lockstep(3))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_EQ(out.distinct_decisions().size(), 1u);
 }
@@ -161,7 +176,12 @@ TEST_P(RenamingNative, DistinctNamesWithin2nMinus1) {
   const std::uint64_t seed = std::get<1>(GetParam());
   SimulatedAlgorithm a = snapshot_renaming_algorithm(n);
   ExecutionOptions o = lockstep(seed, 2'000'000);
-  Outcome out = run_direct(a, *a.static_inputs, o);
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(*a.static_inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   RenamingCheck check{2 * n - 1};
@@ -180,7 +200,12 @@ TEST(RenamingNative, SurvivesCrashes) {
   SimulatedAlgorithm a = snapshot_renaming_algorithm(n);
   ExecutionOptions o = lockstep(77, 2'000'000);
   o.crashes = CrashPlan::hazard(0.01, n - 1, 99);
-  Outcome out = run_direct(a, *a.static_inputs, o);
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(*a.static_inputs)
+                    .base_options(o)
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   RenamingCheck check{2 * n - 1};
@@ -190,7 +215,12 @@ TEST(RenamingNative, SurvivesCrashes) {
 
 TEST(IdentityColored, NativeRun) {
   SimulatedAlgorithm a = identity_colored_algorithm(4, 1, 2);
-  Outcome out = run_direct(a, *a.static_inputs, lockstep(5));
+  Outcome out = Experiment::of(a)
+                    .direct()
+                    .inputs(*a.static_inputs)
+                    .base_options(lockstep(5))
+                    .run()
+                    .outcome();
   ASSERT_FALSE(out.timed_out);
   for (int j = 0; j < 4; ++j) {
     ASSERT_TRUE(out.decisions[j].has_value());

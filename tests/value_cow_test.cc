@@ -231,29 +231,6 @@ TEST(ValueIntern, SmallIntPoolHandsOutStableIdentities) {
   EXPECT_THROW(Value::small(256), std::out_of_range);
 }
 
-// --- memoized list hashing ----------------------------------------------
-
-TEST(ValueHashCache, AliasesShareTheMemoAndDetachDropsIt) {
-  const Value a = deep_sample();
-  const std::size_t h = a.hash();
-  // Aliases hash through the same node: same value, computed once.
-  const Value b = a;
-  EXPECT_EQ(b.hash(), h);
-
-  // Hash must track mutation, both through the detaching path (shared
-  // payload) and the in-place path (unique payload).
-  Value c = a;
-  c.as_list()[0] = Value(12345);  // shared -> detaches, fresh memo
-  EXPECT_NE(c.hash(), h);
-  const std::size_t hc = c.hash();
-  c.as_list()[0] = Value(54321);  // unique -> mutates in place, drops memo
-  EXPECT_NE(c.hash(), hc);
-  EXPECT_EQ(a.hash(), h);  // original untouched throughout
-
-  // Structurally equal but distinct payloads agree, memoized or not.
-  EXPECT_EQ(deep_sample().hash(), h);
-}
-
 // --- arena allocator ----------------------------------------------------
 
 TEST(Arena, ReuseAfterResetRecyclesTheSameMemory) {
