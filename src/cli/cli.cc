@@ -68,7 +68,7 @@ const char kUsage[] =
     "  --wall MS         per-cell wall-clock limit in ms\n"
     "  --crash-p P       per-step hazard crash probability (seeded per\n"
     "                    cell; budget = --crash-max or the model's t)\n"
-    "  --crash-max M     hazard crash budget\n"
+    "  --crash-max M     hazard crash budget, at most each cell's t\n"
     "  --inputs LIST     integer input pool, e.g. \"0,1,2\" (default:\n"
     "                    process index)\n"
     "  --shards K        distribute over K worker subprocesses\n"
@@ -383,7 +383,15 @@ int cmd_run(int argc, char** argv) {
     const double p = parse_double(args.require("crash-p"));
     const int max_crashes =
         args.has("crash-max") ? parse_int(args.require("crash-max")) : -1;
+    // Experiment::cells() calls this with each cell's own model, so every
+    // chain hop is checked against its own t. A run with more than t
+    // crashes is outside the model: its timeouts are not violations.
     e.crashes([p, max_crashes](const ModelSpec& m, std::uint64_t seed) {
+      if (max_crashes > m.t) {
+        throw ProtocolError("--crash-max " + std::to_string(max_crashes) +
+                            " exceeds t = " + std::to_string(m.t) + " of " +
+                            m.to_string());
+      }
       return CrashPlan::hazard(p, max_crashes < 0 ? m.t : max_crashes, seed);
     });
   } else if (args.has("crash-max")) {

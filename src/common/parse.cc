@@ -189,28 +189,4 @@ std::vector<std::string> parse_name_axis(const std::string& s) {
   return out;
 }
 
-bool flag_present(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  const std::string prefixed = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == bare || arg.rfind(prefixed, 0) == 0) return true;
-  }
-  return false;
-}
-
-std::optional<std::string> flag_value(int argc, char** argv,
-                                      const std::string& name) {
-  const std::string bare = "--" + name;
-  const std::string prefixed = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefixed, 0) == 0) return arg.substr(prefixed.size());
-    if (arg == bare && i + 1 < argc && argv[i + 1][0] != '-') {
-      return std::string(argv[i + 1]);
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace mpcn

@@ -1,15 +1,13 @@
 // Small shared parsers for CLI flags and grid-axis specs.
 //
-// The Experiment grids are driven from strings in three places — the mpcn
-// CLI (src/cli/), the bench binaries (bench/bench_util.h) and the CI
-// scripts — and all of them need the same three parses:
+// The Experiment grids are driven from strings — the mpcn CLI
+// (src/cli/) and the CI scripts — and all of them need the same parses:
 //
 //   * unsigned axis specs:  "5"        -> {5}
 //                           "1..8"     -> {1,2,...,8}       (inclusive)
 //                           "3,5,9"    -> {3,5,9}
 //                           "1..3,7"   -> {1,2,3,7}         (mixable)
-//   * name axes:            "condvar,spin_park" -> {"condvar","spin_park"}
-//   * argv flag scanning:   --name value  and  --name=value
+//   * name axes:            "primitive,afek" -> {"primitive","afek"}
 //
 // Every malformed input throws ProtocolError with a message naming the
 // offending token — string-addressable surfaces must fail loudly, never
@@ -17,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,18 +45,5 @@ std::vector<std::uint64_t> parse_u64_axis(const std::string& s);
 
 // Comma list of non-empty names, whitespace-trimmed, duplicates rejected.
 std::vector<std::string> parse_name_axis(const std::string& s);
-
-// ------------------------------------------------------- argv scanning
-// Shared by bench_util.h and the CLI so flag syntax cannot drift between
-// the two. `name` is given without dashes ("json" matches "--json").
-
-// True if --name appears (with or without a value).
-bool flag_present(int argc, char** argv, const std::string& name);
-
-// The value of --name: "--name=v" always yields "v"; "--name v" yields
-// "v" unless the next token starts with '-'. nullopt when the flag is
-// absent or valueless.
-std::optional<std::string> flag_value(int argc, char** argv,
-                                      const std::string& name);
 
 }  // namespace mpcn

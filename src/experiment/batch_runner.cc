@@ -32,7 +32,6 @@ Report BatchRunner::run(const std::vector<ExperimentCell>& cells) const {
     ShardOptions shard;
     shard.shards = options_.shards;
     shard.worker_argv = options_.worker_argv;
-    shard.watchdog_grace = options_.watchdog_grace;
     shard.title = options_.title;
     shard.worker_metrics = options_.worker_metrics;
     shard.progress = options_.progress;

@@ -46,10 +46,6 @@ struct BatchOptions {
   // Worker argv for the sharded backend (e.g. {"mpcn", "worker"});
   // empty = fork the current process image, no binary needed.
   std::vector<std::string> worker_argv;
-  // Sharded backend watchdog: a worker whose cell has overrun its own
-  // wall_limit plus this grace is killed and the cell requeued.
-  // <= 0 disables.
-  std::chrono::milliseconds watchdog_grace{30'000};
   // Telemetry passthrough to the sharded backend (ShardOptions): collect
   // one MetricsSnapshot per surviving worker at shutdown. Ignored by the
   // in-process backend (its counters land in the process registry

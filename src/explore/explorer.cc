@@ -572,8 +572,7 @@ ExploreResult explore(const ExperimentCell& cell,
     // random/PCT rebuild a fresh policy per schedule.
     std::shared_ptr<BoundedDfsPolicy> dfs;
     if (options.policy == ExplorePolicy::kBoundedDfs) {
-      dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound,
-                                               options.dfs_max_depth);
+      dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound);
     }
     for (int i = 0; i < options.budget; ++i) {
       ScheduleSpec schedule;  // kDefault under DFS (override wins)

@@ -87,7 +87,6 @@ struct ExploreOptions {
   std::uint64_t pct_horizon = 0;
 
   int dfs_preemption_bound = 2;
-  std::size_t dfs_max_depth = 4096;
 
   // > 0: search the (schedule × crash) product. The cell runs under
   // CrashPlan::explored(crash_budget, crash_rate): at each grant the

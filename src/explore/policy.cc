@@ -124,9 +124,8 @@ GrantChoice PctPolicy::pick_crashing(const std::vector<ThreadId>& runnable,
 
 // --------------------------------------------------------- BoundedDfs
 
-BoundedDfsPolicy::BoundedDfsPolicy(int preemption_bound,
-                                   std::size_t max_depth)
-    : bound_(preemption_bound), max_depth_(max_depth) {
+BoundedDfsPolicy::BoundedDfsPolicy(int preemption_bound)
+    : bound_(preemption_bound) {
   if (preemption_bound < 0) {
     throw ProtocolError("BoundedDfsPolicy needs preemption_bound >= 0");
   }
@@ -219,7 +218,7 @@ GrantChoice BoundedDfsPolicy::pick_impl(const std::vector<ThreadId>& runnable,
       n.crashes_before = crashes_used_;
       n.crashable = snapshot_crashable();
     }
-  } else if (!diverged_ && path_.size() < max_depth_ &&
+  } else if (!diverged_ && path_.size() < kMaxDepth &&
              cursor_ == path_.size()) {
     // Extend the tree with the non-preemptive, crash-free default.
     Node n;

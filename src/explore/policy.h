@@ -112,10 +112,8 @@ class PctPolicy : public SchedulePolicy {
 class BoundedDfsPolicy : public SchedulePolicy {
  public:
   // preemption_bound: max schedule points where a runnable previous
-  // holder is NOT continued. max_depth bounds the recorded choice tree
-  // (deeper grants run non-preemptively and are not backtracked into).
-  explicit BoundedDfsPolicy(int preemption_bound,
-                            std::size_t max_depth = 4096);
+  // holder is NOT continued.
+  explicit BoundedDfsPolicy(int preemption_bound);
 
   std::size_t pick(const std::vector<ThreadId>& runnable,
                    std::uint64_t step) override;
@@ -155,6 +153,9 @@ class BoundedDfsPolicy : public SchedulePolicy {
     std::vector<char> crashable;    // per-option: pid still crashable here
   };
   static constexpr std::size_t kNoCont = static_cast<std::size_t>(-1);
+  // Depth of the recorded choice tree: deeper grants run non-preemptively
+  // and are not backtracked into.
+  static constexpr std::size_t kMaxDepth = 4096;
 
   static std::size_t default_choice(const Node& n);
   // Option index for try-order position `rank` (0 = default).
@@ -164,7 +165,6 @@ class BoundedDfsPolicy : public SchedulePolicy {
                         CrashDirector* director);
 
   const int bound_;
-  const std::size_t max_depth_;
   std::vector<Node> path_;
   std::size_t prefix_len_ = 0;  // nodes [0, prefix_len_) replay `chosen`
   std::size_t cursor_ = 0;      // position within the current run

@@ -6,7 +6,7 @@
 //
 //  * FreeController   — real hardware concurrency. Every process is an OS
 //    thread; acquire()/release() are nearly free and threads race as the
-//    OS schedules them. Used for stress tests and performance benches.
+//    OS schedules them. Used for stress tests and `--scheduler free` runs.
 //  * LockstepController — a deterministic seeded adversary. Every process
 //    is a Fiber (fiber.h) on the one thread that calls run(). A fiber must
 //    hold the (single) step token to perform a shared-memory operation.

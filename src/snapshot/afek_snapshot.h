@@ -38,7 +38,7 @@ class AfekSnapshot : public SnapshotObject {
   std::vector<Value> snapshot(ProcessContext& ctx) override;
   int width() const override { return width_; }
 
-  // Statistics for the wait-freedom tests/benches.
+  // Statistics for the wait-freedom tests.
   std::uint64_t total_collects() const { return collects_.load(); }
   std::uint64_t borrowed_scans() const { return borrowed_.load(); }
 

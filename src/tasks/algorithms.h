@@ -64,8 +64,8 @@ SimulatedAlgorithm snapshot_churn_algorithm(int n, int rounds);
 // performs `rounds` further register writes (one model step each) and
 // decides its input. No waiting, no agreement — each cell's step count is
 // exactly n * (rounds + 1) for rounds + 1 writes per process, so
-// wall time divided by steps is the scheduler's per-handoff cost. The
-// workload behind bench_scheduler_handoff.
+// wall time divided by steps is the scheduler's per-handoff cost
+// (`mpcn run step_churn`; CI's race-oracle leg searches it clean).
 SimulatedAlgorithm step_churn_algorithm(int n, int rounds);
 
 // DELIBERATELY BUGGY exhibit for ASM(n, 0, 1), n >= 2: the schedule

@@ -221,6 +221,10 @@ TEST(Cli, RunRejectsBadInvocations) {
   EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
                      "--crash-max", "1"}),
             2);  // --crash-max without --crash-p
+  EXPECT_EQ(run_cli({"mpcn", "run", "trivial_kset", "--in", "4,1,1",
+                     "--crash-p", "0.5", "--crash-max", "3", "--seeds",
+                     "1..3"}),
+            2);  // three crashes are outside ASM(4,1,1)
 }
 
 TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {

@@ -306,7 +306,7 @@ TEST(Registry, SnapshotChurnSweepsWidthsAcrossMemBackends) {
   // The register/snapshot hot-path workload: a width-swept Afek (and
   // primitive, for the ablation baseline) write+scan grid through the
   // Experiment API. Direct cells honor the mem axis, so the same named
-  // scenario drives the substrate the benches ablate.
+  // scenario drives the substrate perfbench's explore_churn measures.
   Report rep;
   for (int n : {2, 3}) {
     Report part = Experiment::named("snapshot_churn", ModelSpec{n, 0, 1})

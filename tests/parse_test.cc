@@ -1,5 +1,5 @@
-// Tests: src/common/parse — the shared seed-range/axis/flag parsers
-// behind the mpcn CLI and the bench binaries.
+// Tests: src/common/parse — the shared seed-range/axis/number parsers
+// behind the mpcn CLI.
 //
 // The load-bearing contract is the FAILURE side: every malformed spec
 // must throw ProtocolError with the offending token in the message,
@@ -118,40 +118,14 @@ TEST(ParseU64Axis, MalformedSpecsFailLoudly) {
 }
 
 TEST(ParseNameAxis, TrimsAndRejectsJunk) {
-  EXPECT_EQ(parse_name_axis("condvar,spin_park"),
-            (std::vector<std::string>{"condvar", "spin_park"}));
+  EXPECT_EQ(parse_name_axis("primitive,afek"),
+            (std::vector<std::string>{"primitive", "afek"}));
   EXPECT_EQ(parse_name_axis(" a , b "),
             (std::vector<std::string>{"a", "b"}));
   EXPECT_THROW(parse_name_axis(""), ProtocolError);
   EXPECT_THROW(parse_name_axis("a,,b"), ProtocolError);
   EXPECT_THROW(parse_name_axis("a,a"), ProtocolError);
   EXPECT_THROW(parse_name_axis(",a"), ProtocolError);
-}
-
-TEST(FlagScan, PresenceAndValues) {
-  const char* argv_c[] = {"prog",   "--wait", "spin", "--json=x.json",
-                          "--flag", "-n"};
-  char** argv = const_cast<char**>(argv_c);
-  const int argc = 6;
-  EXPECT_TRUE(flag_present(argc, argv, "wait"));
-  EXPECT_TRUE(flag_present(argc, argv, "json"));
-  EXPECT_TRUE(flag_present(argc, argv, "flag"));
-  EXPECT_FALSE(flag_present(argc, argv, "spin"));  // a value, not a flag
-  EXPECT_FALSE(flag_present(argc, argv, "wai"));   // no prefix matching
-
-  EXPECT_EQ(flag_value(argc, argv, "wait"), std::optional<std::string>("spin"));
-  EXPECT_EQ(flag_value(argc, argv, "json"),
-            std::optional<std::string>("x.json"));
-  // "--flag -n": next token starts with '-', so the flag is valueless.
-  EXPECT_EQ(flag_value(argc, argv, "flag"), std::nullopt);
-  EXPECT_EQ(flag_value(argc, argv, "absent"), std::nullopt);
-}
-
-TEST(FlagScan, ValueAtEndOfArgv) {
-  const char* argv_c[] = {"prog", "--wait"};
-  char** argv = const_cast<char**>(argv_c);
-  EXPECT_TRUE(flag_present(2, argv, "wait"));
-  EXPECT_EQ(flag_value(2, argv, "wait"), std::nullopt);
 }
 
 }  // namespace
