@@ -106,7 +106,9 @@ const char kUsage[] =
     "                    MPCN_PROGRESS=1; interval via MPCN_PROGRESS_MS)\n"
     "\n"
     "explore flags (plus --in/--source/--mode/--mem/--steps/--wall/\n"
-    "--inputs/--shards/--fork-workers as for run):\n"
+    "--inputs, --shards/--fork-workers and the sidecars --metrics/--trace/\n"
+    "--events/--telemetry-ms/--stale-ms/--health/--progress as for run;\n"
+    "a search counts schedules where a grid counts cells):\n"
     "  --policy P        random|pct|dfs (default: pct)\n"
     "  --budget N        max schedules to try (default: 200)\n"
     "  --threads N       parallel in-process search: N worker threads\n"
@@ -140,19 +142,7 @@ const char kUsage[] =
     "  --replay PATH     run exactly one scripted schedule from PATH\n"
     "                    (combines with --record to re-emit the observed\n"
     "                    trace for byte-identity checks)\n"
-    "  --json PATH       write the explore report JSON (\"-\" = stdout)\n"
-    "  --metrics PATH    write a telemetry snapshot JSON (process +\n"
-    "                    per-worker + merged counters; sidecar-only,\n"
-    "                    report bytes unchanged)\n"
-    "  --trace PATH      record scoped spans and write Chrome\n"
-    "                    trace-event JSON (loads in Perfetto; merged\n"
-    "                    multi-process document with --shards)\n"
-    "  --events PATH     JSONL flight recorder, as for run (also logs\n"
-    "                    violation/race/shrink events)\n"
-    "  --telemetry-ms N  as for run\n"
-    "  --stale-ms MS     as for run\n"
-    "  --health PATH     as for run\n"
-    "  --progress        stderr heartbeat: schedules done, rate, ETA\n";
+    "  --json PATH       write the explore report JSON (\"-\" = stdout)\n";
 
 Report load_report(const std::string& path) {
   std::ifstream in(path);
@@ -222,6 +212,18 @@ void write_json_file(const std::string& path, const Json& j) {
   if (!out.good()) throw ProtocolError("write to '" + path + "' failed");
 }
 
+// --json PATH for run, explore and diff: "-" prints the document to
+// stdout and moves the summary line to stderr, keeping stdout
+// machine-readable. Returns where the summary goes.
+FILE* write_json_output(const std::string& path, const Json& doc) {
+  if (path == "-") {
+    std::printf("%s\n", doc.dump(2).c_str());
+    return stderr;
+  }
+  write_json_file(path, doc);
+  return stdout;
+}
+
 // The --metrics document, shared by run and explore:
 //   {"process": <coordinator snapshot>,
 //    "workers": [<one snapshot per surviving shard worker>, ...],
@@ -243,42 +245,6 @@ void write_metrics_file(const std::string& path,
   doc.set("workers", std::move(warr));
   doc.set("merged", merged.to_json());
   write_json_file(path, doc);
-}
-
-// Streaming-telemetry knobs shared by run and explore (BatchOptions and
-// ExploreOptions carry identically-named fields). Also reads
-// MPCN_WORKER_STOP_AFTER ("2" or "2,0,0": slot i raises SIGSTOP after
-// its list[i]-th reply — a grid cell for run, a whole range of
-// schedules for explore) — the hook CI uses to inject a between-jobs
-// freeze into a real sharded CLI run and watch the heartbeat-staleness
-// write-off fire.
-template <typename Options>
-void apply_streaming_flags(const Args& args, Options& opts) {
-  if (const auto v = args.value("telemetry-ms")) {
-    opts.telemetry_interval = std::chrono::milliseconds(parse_u64(*v));
-  }
-  if (const auto v = args.value("stale-ms")) {
-    if (opts.telemetry_interval.count() <= 0) {
-      throw ProtocolError("--stale-ms needs --telemetry-ms (an unarmed "
-                          "worker is rightfully silent between cells)");
-    }
-    opts.heartbeat_stale_after = std::chrono::milliseconds(parse_u64(*v));
-  }
-  if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
-    for (const std::string& tok : split(env, ',')) {
-      opts.worker_stop_after.push_back(parse_int(tok));
-    }
-  }
-}
-
-// --events: the flight recorder opens BEFORE the run so spawn events
-// land, and closes after the sidecar files are written.
-void open_events_flag(const Args& args) {
-  if (const auto path = args.value("events")) {
-    if (!open_event_log(*path)) {
-      throw ProtocolError("cannot open '" + *path + "' for --events");
-    }
-  }
 }
 
 // The --health document: one entry per worker slot, straight off the
@@ -324,25 +290,35 @@ void write_trace_file(const std::string& path,
   write_json_file(path, merge_trace_docs(procs));
 }
 
-int cmd_run(int argc, char** argv) {
-  Args args(argc, argv, 2,
-            {"in", "source", "mode", "seeds", "mem", "scheduler",
-             "steps", "wall", "crash-p", "crash-max", "inputs", "shards",
-             "threads", "json", "title", "metrics", "trace", "events",
-             "telemetry-ms", "stale-ms", "health"},
-            {"no-timing", "fork-workers", "progress"});
-  if (args.positional().size() != 1) {
-    throw ProtocolError("run needs exactly one scenario name (see `mpcn "
-                        "list`)");
+// Args for run and explore: the command's own flags plus the cell and
+// backend flags the two share.
+Args cell_command_args(int argc, char** argv,
+                       std::vector<std::string> value_flags,
+                       std::vector<std::string> bool_flags) {
+  for (const char* f : {"in", "source", "mode", "steps", "wall", "inputs",
+                        "json", "shards", "threads", "metrics", "trace",
+                        "events", "telemetry-ms", "stale-ms", "health"}) {
+    value_flags.push_back(f);
   }
-  const std::string scenario = args.positional()[0];
+  for (const char* f : {"fork-workers", "progress"}) bool_flags.push_back(f);
+  return Args(argc, argv, 2, std::move(value_flags), std::move(bool_flags));
+}
+
+// The cell flags run and explore share: the scenario, --in / --source /
+// --mode, --steps / --wall and --inputs. Only run walks a chain, which
+// expands to one cell per hop.
+Experiment parse_cell_flags(const Args& args, const std::string& command) {
+  if (args.positional().size() != 1) {
+    throw ProtocolError(command +
+                        " needs exactly one scenario name (see `mpcn list`)");
+  }
   const ModelSpec target = parse_model_spec(args.require("in"));
   const ModelSpec source = args.has("source")
                                ? parse_model_spec(args.require("source"))
                                : target;
+  Experiment e = Experiment::named(args.positional()[0], source);
 
-  Experiment e = Experiment::named(scenario, source);
-
+  const bool run = command == "run";
   const std::string mode =
       args.value_or("mode", source == target ? "direct" : "simulated");
   if (mode == "direct") {
@@ -354,14 +330,125 @@ int cmd_run(int argc, char** argv) {
     e.direct();
   } else if (mode == "simulated") {
     e.in(target);
-  } else if (mode == "chain") {
-    e.through_chain_to(target);
   } else if (mode == "colored") {
     e.colored_in(target);
-  } else {
+  } else if (run && mode == "chain") {
+    e.through_chain_to(target);
+  } else if (run) {
     throw ProtocolError("unknown --mode '" + mode +
                         "' (want direct|simulated|chain|colored)");
+  } else {
+    throw ProtocolError("explore --mode must be direct|simulated|colored "
+                        "(chains expand to many cells; explore drives one)");
   }
+
+  if (const auto v = args.value("steps")) e.step_limit(parse_u64(*v));
+  if (const auto v = args.value("wall")) {
+    e.wall_limit(std::chrono::milliseconds(parse_u64(*v)));
+  }
+  if (const auto v = args.value("inputs")) {
+    // A plain comma split, not parse_name_axis: input pools legitimately
+    // repeat values (all processes proposing 7 is the classic agreement
+    // case).
+    std::vector<Value> pool;
+    for (const std::string& tok : split(*v, ',')) {
+      pool.push_back(Value(parse_i64(tok)));
+    }
+    e.input_pool(std::move(pool));
+  } else {
+    // Process index as input: well-defined for every hop width of a
+    // chain, and a valid proposal for every registered task.
+    e.inputs_fn([](const ModelSpec& m) {
+      std::vector<Value> in;
+      in.reserve(static_cast<std::size_t>(m.n));
+      for (int i = 0; i < m.n; ++i) in.push_back(Value(i));
+      return in;
+    });
+  }
+  return e;
+}
+
+// The backend and sidecar flags run and explore share. The constructor
+// reads --shards, --threads, --fork-workers, --progress, --telemetry-ms,
+// --stale-ms and MPCN_WORKER_STOP_AFTER into the caller's settings, and
+// opens the --events log before the run so spawn events land; finish()
+// writes --metrics, --trace and --health after the run, then closes the
+// log. A sharded run's settings point into this object, which must
+// outlive the run and stay where it is.
+class BackendFlags {
+ public:
+  BackendFlags(const Args& args, const char* argv0, ShardSettings& settings,
+               int& threads)
+      : args_(args) {
+    if (const auto v = args.value("threads")) threads = parse_int(*v);
+    if (const auto v = args.value("shards")) settings.shards = parse_int(*v);
+    sharded_ = settings.shards > 0;
+    if (sharded_ && !args.has("fork-workers")) {
+      settings.worker_argv = {self_exe_path(argv0), "worker"};
+    }
+    settings.progress = args.has("progress");
+    if (const auto v = args.value("telemetry-ms")) {
+      settings.telemetry_interval = std::chrono::milliseconds(parse_u64(*v));
+    }
+    if (const auto v = args.value("stale-ms")) {
+      if (settings.telemetry_interval.count() <= 0) {
+        throw ProtocolError("--stale-ms needs --telemetry-ms (an unarmed "
+                            "worker is rightfully silent between cells)");
+      }
+      settings.heartbeat_stale_after =
+          std::chrono::milliseconds(parse_u64(*v));
+    }
+    // "2" or "2,0,0": slot i raises SIGSTOP after its list[i]-th reply (a
+    // grid cell for run, a whole range of schedules for explore) — the
+    // hook that injects a between-jobs freeze into a real sharded CLI run
+    // to watch the heartbeat-staleness write-off fire.
+    if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
+      for (const std::string& tok : split(env, ',')) {
+        settings.worker_stop_after.push_back(parse_int(tok));
+      }
+    }
+    if (const auto path = args.value("events")) {
+      if (!open_event_log(*path)) {
+        throw ProtocolError("cannot open '" + *path + "' for --events");
+      }
+    }
+    if (args.has("trace")) set_tracing_enabled(true);
+    if (sharded_) {
+      if (args.has("metrics")) settings.worker_metrics = &worker_metrics_;
+      if (args.has("trace")) settings.worker_traces = &worker_traces_;
+      if (args.has("health")) settings.health = &health_;
+    }
+  }
+  BackendFlags(const BackendFlags&) = delete;
+  BackendFlags& operator=(const BackendFlags&) = delete;
+
+  void finish() const {
+    if (const auto path = args_.value("metrics")) {
+      write_metrics_file(*path, worker_metrics_);
+    }
+    if (const auto path = args_.value("trace")) {
+      write_trace_file(*path, worker_traces_, sharded_);
+    }
+    if (const auto path = args_.value("health")) {
+      write_health_file(*path, health_);
+    }
+    close_event_log();
+  }
+
+ private:
+  const Args& args_;
+  bool sharded_ = false;
+  std::vector<MetricsSnapshot> worker_metrics_;
+  std::vector<ProcessTrace> worker_traces_;
+  std::vector<WorkerHealth> health_;
+};
+
+int cmd_run(int argc, char** argv) {
+  const Args args = cell_command_args(
+      argc, argv, {"seeds", "mem", "scheduler", "crash-p", "crash-max",
+                   "title"},
+      {"no-timing"});
+  Experiment e = parse_cell_flags(args, "run");
 
   e.seed_list(parse_u64_axis(args.value_or("seeds", "1")));
 
@@ -374,10 +461,6 @@ int cmd_run(int argc, char** argv) {
 
   e.scheduler(
       scheduler_mode_from_string(args.value_or("scheduler", "lockstep")));
-  if (args.has("steps")) e.step_limit(parse_u64(args.require("steps")));
-  if (args.has("wall")) {
-    e.wall_limit(std::chrono::milliseconds(parse_u64(args.require("wall"))));
-  }
 
   if (args.has("crash-p")) {
     const double p = parse_double(args.require("crash-p"));
@@ -398,78 +481,17 @@ int cmd_run(int argc, char** argv) {
     throw ProtocolError("--crash-max needs --crash-p");
   }
 
-  if (args.has("inputs")) {
-    // A plain comma split, not parse_name_axis: input pools legitimately
-    // repeat values (all processes proposing 7 is the classic agreement
-    // case).
-    std::vector<Value> pool;
-    for (const std::string& tok : split(args.require("inputs"), ',')) {
-      pool.push_back(Value(parse_i64(tok)));
-    }
-    e.input_pool(std::move(pool));
-  } else {
-    // Process index as input: well-defined for every hop width of a
-    // chain, and a valid proposal for every registered task.
-    e.inputs_fn([](const ModelSpec& m) {
-      std::vector<Value> in;
-      in.reserve(static_cast<std::size_t>(m.n));
-      for (int i = 0; i < m.n; ++i) in.push_back(Value(i));
-      return in;
-    });
-  }
-
   BatchOptions batch;
-  batch.title = args.value_or("title", scenario);
-  if (args.has("threads")) {
-    batch.threads = parse_int(args.require("threads"));
-  }
-  if (args.has("shards")) {
-    batch.shards = parse_int(args.require("shards"));
-  }
-  if (batch.shards > 0 && !args.has("fork-workers")) {
-    batch.worker_argv = {self_exe_path(argv[0]), "worker"};
-  }
-  batch.progress = args.has("progress");
-  apply_streaming_flags(args, batch);
-  open_events_flag(args);
-  std::vector<MetricsSnapshot> worker_snaps;
-  if (args.has("metrics") && batch.shards > 0) {
-    batch.worker_metrics = &worker_snaps;
-  }
-  std::vector<ProcessTrace> worker_traces;
-  std::vector<WorkerHealth> health;
-  if (args.has("trace")) {
-    set_tracing_enabled(true);
-    if (batch.shards > 0) batch.worker_traces = &worker_traces;
-  }
-  if (args.has("health") && batch.shards > 0) batch.health = &health;
-
+  batch.title = args.value_or("title", args.positional()[0]);
+  BackendFlags backend(args, argv[0], batch, batch.threads);
   const Report report = e.run_all(batch);
+  backend.finish();
 
-  if (const auto path = args.value("metrics")) {
-    write_metrics_file(*path, worker_snaps);
-  }
-  if (const auto path = args.value("trace")) {
-    write_trace_file(*path, worker_traces, batch.shards > 0);
-  }
-  if (const auto path = args.value("health")) {
-    write_health_file(*path, health);
-  }
-  close_event_log();
-
-  const bool include_timing = !args.has("no-timing");
-  const std::string json_path = args.value_or("json", "");
   FILE* summary_out = stdout;
-  if (json_path == "-") {
-    std::printf("%s\n", report.to_json(include_timing).dump(2).c_str());
-    summary_out = stderr;
-  } else if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) throw ProtocolError("cannot open '" + json_path + "'");
-    out << report.to_json(include_timing).dump(2) << "\n";
-    out.flush();
-    if (!out.good()) throw ProtocolError("write to '" + json_path +
-                                         "' failed");
+  const std::string json_path = args.value_or("json", "");
+  if (!json_path.empty()) {
+    summary_out = write_json_output(json_path,
+                                    report.to_json(!args.has("no-timing")));
   }
   std::fprintf(summary_out, "%s\n", report.summary().c_str());
 
@@ -493,64 +515,16 @@ ScheduleTrace load_trace(const std::string& path) {
 }
 
 int cmd_explore(int argc, char** argv) {
-  Args args(argc, argv, 2,
-            {"in", "source", "mode", "mem", "steps", "wall", "inputs",
-             "policy", "budget", "seed", "max-violations", "pct-depth",
-             "horizon", "bound", "crash-budget", "crash-rate",
-             "shrink-budget", "record", "replay",
-             "json", "shards", "threads", "metrics", "trace", "events",
-             "telemetry-ms", "stale-ms", "health"},
-            {"check-lin", "check-races", "no-shrink", "fork-workers",
-             "progress"});
-  if (args.positional().size() != 1) {
-    throw ProtocolError(
-        "explore needs exactly one scenario name (see `mpcn list`)");
-  }
-  const std::string scenario = args.positional()[0];
-  const ModelSpec target = parse_model_spec(args.require("in"));
-  const ModelSpec source = args.has("source")
-                               ? parse_model_spec(args.require("source"))
-                               : target;
+  const Args args = cell_command_args(
+      argc, argv,
+      {"mem", "policy", "budget", "seed", "max-violations", "pct-depth",
+       "horizon", "bound", "crash-budget", "crash-rate", "shrink-budget",
+       "record", "replay"},
+      {"check-lin", "check-races", "no-shrink"});
+  Experiment e = parse_cell_flags(args, "explore");
   const std::uint64_t base_seed = parse_u64(args.value_or("seed", "1"));
-
-  Experiment e = Experiment::named(scenario, source);
-  const std::string mode =
-      args.value_or("mode", source == target ? "direct" : "simulated");
-  if (mode == "direct") {
-    if (!(source == target)) {
-      throw ProtocolError(
-          "--mode direct runs in the source model; --in and --source "
-          "must match (or drop --source)");
-    }
-    e.direct();
-  } else if (mode == "simulated") {
-    e.in(target);
-  } else if (mode == "colored") {
-    e.colored_in(target);
-  } else {
-    throw ProtocolError("explore --mode must be direct|simulated|colored "
-                        "(chains expand to many cells; explore drives one)");
-  }
   e.seed(base_seed);
   e.mem(mem_kind_from_string(args.value_or("mem", "primitive")));
-  if (args.has("steps")) e.step_limit(parse_u64(args.require("steps")));
-  if (args.has("wall")) {
-    e.wall_limit(std::chrono::milliseconds(parse_u64(args.require("wall"))));
-  }
-  if (args.has("inputs")) {
-    std::vector<Value> pool;
-    for (const std::string& tok : split(args.require("inputs"), ',')) {
-      pool.push_back(Value(parse_i64(tok)));
-    }
-    e.input_pool(std::move(pool));
-  } else {
-    e.inputs_fn([](const ModelSpec& m) {
-      std::vector<Value> in;
-      in.reserve(static_cast<std::size_t>(m.n));
-      for (int i = 0; i < m.n; ++i) in.push_back(Value(i));
-      return in;
-    });
-  }
   const std::vector<ExperimentCell> grid = e.cells();
   if (grid.size() != 1) {
     throw ProtocolError("explore drives exactly one cell; the flags "
@@ -647,52 +621,17 @@ int cmd_explore(int argc, char** argv) {
   opts.shrink_budget = parse_int(args.value_or("shrink-budget", "400"));
   opts.spec = spec;
   opts.check_races = check_races;
-  if (args.has("shards")) {
-    opts.shards = parse_int(args.require("shards"));
-  }
-  if (args.has("threads")) {
-    opts.threads = parse_int(args.require("threads"));
-  }
-  if (opts.shards > 0 && !args.has("fork-workers")) {
-    opts.worker_argv = {self_exe_path(argv[0]), "worker"};
-  }
-  opts.progress = args.has("progress");
-  apply_streaming_flags(args, opts);
-  open_events_flag(args);
-  std::vector<MetricsSnapshot> worker_snaps;
-  if (args.has("metrics") && opts.shards > 0) {
-    opts.worker_metrics = &worker_snaps;
-  }
-  std::vector<ProcessTrace> worker_traces;
-  std::vector<WorkerHealth> health;
-  if (args.has("trace")) {
-    set_tracing_enabled(true);
-    if (opts.shards > 0) opts.worker_traces = &worker_traces;
-  }
-  if (args.has("health") && opts.shards > 0) opts.health = &health;
-
+  BackendFlags backend(args, argv[0], opts, opts.threads);
   const ExploreResult result = explore(cell, opts);
+  backend.finish();
 
-  if (const auto path = args.value("metrics")) {
-    write_metrics_file(*path, worker_snaps);
-  }
-  if (const auto path = args.value("trace")) {
-    write_trace_file(*path, worker_traces, opts.shards > 0);
-  }
-  if (const auto path = args.value("health")) {
-    write_health_file(*path, health);
-  }
-  close_event_log();
   if (const auto path = args.value("record")) {
     write_json_file(*path, result.first_trace.to_json());
   }
   FILE* summary_out = stdout;
   const std::string json_path = args.value_or("json", "");
-  if (json_path == "-") {
-    std::printf("%s\n", result.to_json().dump(2).c_str());
-    summary_out = stderr;
-  } else if (!json_path.empty()) {
-    write_json_file(json_path, result.to_json());
+  if (!json_path.empty()) {
+    summary_out = write_json_output(json_path, result.to_json());
   }
   std::fprintf(summary_out, "%s\n", result.summary().c_str());
   if (result.race_found()) return 3;
@@ -910,18 +849,7 @@ int cmd_diff(int argc, char** argv) {
 
   FILE* summary_out = stdout;
   if (const auto path = args.value("json")) {
-    if (*path == "-") {
-      std::printf("%s\n", diff.to_json().dump(2).c_str());
-      summary_out = stderr;  // keep stdout machine-readable
-    } else {
-      std::ofstream out(*path);
-      if (!out) throw ProtocolError("cannot open '" + *path + "'");
-      out << diff.to_json().dump(2) << "\n";
-      out.flush();
-      if (!out.good()) {
-        throw ProtocolError("write to '" + *path + "' failed");
-      }
-    }
+    summary_out = write_json_output(*path, diff.to_json());
   }
   std::fprintf(summary_out, "A: %s\nB: %s\n%s\n", a.summary().c_str(),
                b.summary().c_str(), diff.summary().c_str());

@@ -23,6 +23,7 @@
 #include "src/explore/explorer.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
+#include "src/obs/progress.h"
 #include "src/obs/spans.h"
 
 namespace mpcn {
@@ -311,7 +312,22 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
 
 // ---------------------------------------------------------- coordinator
 
+void check_threads_with_shards(const ShardSettings& settings, int threads,
+                               const char* unit, const char* choice) {
+  if (settings.shards > 0 && threads > 1) {
+    throw ProtocolError(
+        std::string("threads and shards do not compose: each shard worker "
+                    "runs its ") +
+        unit + " on one thread; pick one " + choice);
+  }
+}
+
 namespace {
+
+// Deadlines of the shutdown harvest: the final exchange with the whole
+// pool, and the span salvage from one worker about to be written off.
+constexpr std::chrono::milliseconds kHarvestDeadline{2000};
+constexpr std::chrono::milliseconds kSalvageDeadline{200};
 
 struct WorkerProc {
   pid_t pid = -1;
@@ -473,6 +489,24 @@ bool send_line(int fd, const std::string& line) {
   return true;
 }
 
+// Append what a worker's socket holds to its line buffer. Returns what
+// recv returned: the byte count, 0 on EOF, < 0 on an error (errno set).
+ssize_t receive(WorkerProc& w) {
+  char chunk[4096];
+  const ssize_t n = ::recv(w.fd, chunk, sizeof(chunk), 0);
+  if (n > 0) w.inbuf.append(chunk, static_cast<std::size_t>(n));
+  return n;
+}
+
+// Pop the next whole line off a worker's buffer, if one has arrived.
+bool next_line(WorkerProc& w, std::string& line) {
+  const std::size_t nl = w.inbuf.find('\n');
+  if (nl == std::string::npos) return false;
+  line.assign(w.inbuf, 0, nl);
+  w.inbuf.erase(0, nl + 1);
+  return true;
+}
+
 // One unit of dispatch: a grid cell, or a range of search schedules.
 struct Job {
   int first = 0;                   // cell_index of its first cell
@@ -491,6 +525,10 @@ struct JobHooks {
   std::function<void(std::size_t j)> run_local;
   // Null, or false when job j is no longer wanted: it resolves unrun.
   std::function<bool(std::size_t j)> wanted;
+  // The --progress line's label and unit, as the in-process backend
+  // prints them.
+  const char* label = "";
+  const char* unit = "";
 };
 
 // The coordinator: spawn min(shards, jobs) workers, stream the jobs over
@@ -579,54 +617,118 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
                                want_worker_traces));
   };
 
-  // Best-effort span salvage for a worker about to be written off: ask
-  // for its rings with a short deadline. A frozen or hung worker just
-  // times out; a protocol-violating (but responsive) one delivers.
-  auto salvage_trace = [&](WorkerProc& w) {
-    if (!send_line(w.fd, shutdown_line(false, true))) return;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  // A heartbeat: fold its delta into the slot's health entry. (A config
+  // line echoed back — seq < 0 — is just tolerated.)
+  const auto fold_heartbeat = [&](std::size_t slot, const WireMessage& msg) {
+    if (msg.telemetry_seq < 0 || !msg.snapshot) return;
+    WorkerHealth& h = health[slot];
+    ++h.heartbeats;
+    h.last_seq = std::max(h.last_seq, msg.telemetry_seq);
+    h.telemetry.merge(*msg.snapshot);
+    m_heartbeats().add();
+  };
+
+  // The shutdown harvest. The shutdown line, with its opt-in metrics and
+  // trace requests, goes to EVERY listed slot before any reply is
+  // awaited; one poll loop then collects the replies under one shared
+  // deadline, so the harvest takes ~`timeout` however many workers it
+  // waits on, and a slow worker starves nobody else. A worker that
+  // misses the deadline counts one shard.snapshot_timeouts. Heartbeats
+  // racing the shutdown are folded; late results and errors are
+  // skipped. What arrives is appended in slot order, whatever the
+  // arrival order, so the harvested vectors are deterministic.
+  const auto harvest = [&](const std::vector<std::size_t>& slots,
+                           bool want_metrics, bool want_trace,
+                           std::chrono::milliseconds timeout) {
+    struct Owed {
+      bool metrics = false;  // replies still owed
+      bool trace = false;
+      std::optional<MetricsSnapshot> snapshot;
+      std::optional<Json> trace_doc;
+      bool waiting() const { return metrics || trace; }
+      void give_up() { metrics = trace = false; }
+    };
+    std::vector<Owed> owed(workers.size());
+    for (std::size_t i : slots) {
+      if (send_line(workers[i].fd, shutdown_line(want_metrics, want_trace))) {
+        owed[i].metrics = want_metrics;
+        owed[i].trace = want_trace;
+      }
+    }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    std::string line;
     for (;;) {
-      std::size_t nl;
-      while ((nl = w.inbuf.find('\n')) != std::string::npos) {
-        const std::string line = w.inbuf.substr(0, nl);
-        w.inbuf.erase(0, nl + 1);
-        try {
-          WireMessage msg = parse_wire_line(line);
-          if (msg.type == WireMessage::Type::kTrace && msg.trace_doc) {
-            ProcessTrace pt;
-            pt.pid = static_cast<int>(slot_of(w)) + 2;
-            pt.name = "worker " + std::to_string(slot_of(w));
-            pt.ts_offset_us = w.clock_offset_us;
-            pt.doc = std::move(*msg.trace_doc);
-            options.worker_traces->push_back(std::move(pt));
-            return;
+      // Drain buffered lines first, then poll only the still-owed fds.
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        Owed& p = owed[i];
+        while (p.waiting() && next_line(workers[i], line)) {
+          try {
+            WireMessage msg = parse_wire_line(line);
+            if (msg.type == WireMessage::Type::kMetrics && msg.snapshot) {
+              p.snapshot = std::move(*msg.snapshot);
+              p.metrics = false;
+            } else if (msg.type == WireMessage::Type::kTrace &&
+                       msg.trace_doc) {
+              p.trace_doc = std::move(*msg.trace_doc);
+              p.trace = false;
+            } else if (msg.type == WireMessage::Type::kTelemetry) {
+              fold_heartbeat(i, msg);
+            }
+          } catch (const WireError&) {
+            m_garbage_lines().add();
           }
-        } catch (const WireError&) {
-          m_garbage_lines().add();
         }
       }
+      std::vector<pollfd> pfds;
+      std::vector<std::size_t> pown;
       const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return;
-      pollfd pfd{w.fd, POLLIN, 0};
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        if (!owed[i].waiting()) continue;
+        if (now >= deadline) {
+          owed[i].give_up();
+          m_snapshot_timeouts().add();
+          continue;
+        }
+        pfds.push_back(pollfd{workers[i].fd, POLLIN, 0});
+        pown.push_back(i);
+      }
+      if (pfds.empty()) break;
       const int timeout_ms = static_cast<int>(
           std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
                                                                 now)
               .count() +
           1);
-      if (::poll(&pfd, 1, timeout_ms) <= 0) return;
-      char chunk[4096];
-      const ssize_t n = ::recv(w.fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return;
-      w.inbuf.append(chunk, static_cast<std::size_t>(n));
+      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
+      for (std::size_t k = 0; k < pfds.size(); ++k) {
+        if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+        const ssize_t n = receive(workers[pown[k]]);
+        if (n < 0 && errno == EINTR) continue;
+        // EOF with replies still owed: the worker died mid-harvest.
+        if (n <= 0) owed[pown[k]].give_up();
+      }
+    }
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      Owed& p = owed[i];
+      if (p.snapshot && options.worker_metrics != nullptr) {
+        options.worker_metrics->push_back(std::move(*p.snapshot));
+      }
+      if (p.trace_doc && want_worker_traces) {
+        ProcessTrace pt;
+        pt.pid = static_cast<int>(i) + 2;  // pid 1 = coordinator
+        pt.name = "worker " + std::to_string(i);
+        pt.ts_offset_us = workers[i].clock_offset_us;
+        pt.doc = std::move(*p.trace_doc);
+        options.worker_traces->push_back(std::move(pt));
+      }
     }
   };
 
   auto write_off = [&](WorkerProc& w, const char* why) {
     if (!w.alive) return;
     const std::size_t slot = slot_of(w);
-    if (want_worker_traces) salvage_trace(w);
+    // Best-effort span salvage: a frozen or hung worker just times out;
+    // a protocol-violating (but responsive) one delivers.
+    if (want_worker_traces) harvest({slot}, false, true, kSalvageDeadline);
     w.alive = false;
     m_workers_written_off().add();
     {
@@ -685,28 +787,22 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     if (!arm_telemetry(w)) write_off(w, "write failed");
   }
 
-  // Progress heartbeat (stderr, opt-in): printed on result arrivals,
-  // throttled so cheap cells do not flood the terminal.
+  // Progress heartbeat (stderr, opt-in, silent when stderr is not a
+  // TTY): printed on result arrivals, at most once per
+  // progress_interval(). No sampling thread: a worker forked after any
+  // thread has run starts in glibc's multi-threaded mode, and slower.
+  const bool show_progress = options.progress && progress_allowed();
+  const auto progress_every = progress_interval();
   const auto progress_started = std::chrono::steady_clock::now();
   auto progress_last = progress_started;
   auto report_progress = [&] {
-    if (!options.progress) return;
+    if (!show_progress) return;
     const auto now = std::chrono::steady_clock::now();
-    if (done < jobs.size() &&
-        now - progress_last < std::chrono::milliseconds(500)) {
-      return;
-    }
+    if (done < jobs.size() && now - progress_last < progress_every) return;
     progress_last = now;
-    const double secs =
-        std::chrono::duration<double>(now - progress_started).count();
-    const double rate =
-        secs > 0 ? static_cast<double>(cells_done) / secs : 0.0;
-    const double eta =
-        rate > 0 ? static_cast<double>(total_cells - cells_done) / rate
-                 : 0.0;
-    std::fprintf(stderr,
-                 "[shard] %zu/%zu cells (%.0f/s, eta %.1fs, queue %zu)\n",
-                 cells_done, total_cells, rate, eta, pending.size());
+    print_progress(hooks.label, hooks.unit,
+                   static_cast<long long>(cells_done),
+                   static_cast<long long>(total_cells), progress_started);
   };
 
   // Returns false on a protocol violation (caller writes the worker off).
@@ -760,17 +856,9 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         report_progress();
         return true;
       }
-      case WireMessage::Type::kTelemetry: {
-        // A heartbeat: fold the delta into the slot's health entry.
-        // (A config line echoed back — seq < 0 — is just tolerated.)
-        if (msg.telemetry_seq < 0 || !msg.snapshot) return true;
-        WorkerHealth& h = health[slot_of(w)];
-        ++h.heartbeats;
-        h.last_seq = std::max(h.last_seq, msg.telemetry_seq);
-        h.telemetry.merge(*msg.snapshot);
-        m_heartbeats().add();
+      case WireMessage::Type::kTelemetry:
+        fold_heartbeat(slot_of(w), msg);
         return true;
-      }
       case WireMessage::Type::kMetrics:
       case WireMessage::Type::kTrace:
         // A snapshot/trace outside the shutdown handshake is harmless —
@@ -945,22 +1033,16 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       WorkerProc& w = workers[owner[k]];
       if (!w.alive) continue;
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      char chunk[4096];
-      const ssize_t n = ::recv(w.fd, chunk, sizeof(chunk), 0);
+      const ssize_t n = receive(w);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
         write_off(w, "eof");
         continue;
       }
-      w.inbuf.append(chunk, static_cast<std::size_t>(n));
       w.last_heard = std::chrono::steady_clock::now();
       bool ok = true;
-      std::size_t nl;
-      while (ok && (nl = w.inbuf.find('\n')) != std::string::npos) {
-        const std::string line = w.inbuf.substr(0, nl);
-        w.inbuf.erase(0, nl + 1);
-        ok = handle_line(w, line);
-      }
+      std::string line;
+      while (ok && next_line(w, line)) ok = handle_line(w, line);
       if (!ok) write_off(w, "protocol violation");
     }
 
@@ -995,140 +1077,26 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     }
   }
 
-  // Shutdown + telemetry harvest. The shutdown line (with its opt-in
-  // metrics/trace requests) is sent to EVERY live worker up front, then
-  // one combined poll loop collects the replies under PER-WORKER
-  // deadlines running concurrently — total harvest wall time is ~max of
-  // the deadlines, not their sum, so one slow worker cannot starve the
-  // harvest of the rest. A worker that misses its own deadline counts
-  // one shard.snapshot_timeouts and is reaped like any other.
-  {
-    const bool want_metrics = options.worker_metrics != nullptr;
-    struct Pending {
-      bool expecting = false;
-      bool need_metrics = false;
-      bool need_trace = false;
-      std::optional<MetricsSnapshot> snapshot;
-      std::optional<Json> trace_doc;
-      std::chrono::steady_clock::time_point deadline{};
-    };
-    std::vector<Pending> awaiting(workers.size());
-    const auto send_deadline = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      WorkerProc& w = workers[i];
-      if (!w.alive) continue;
-      if (!send_line(w.fd, shutdown_line(want_metrics, want_worker_traces)) ||
-          (!want_metrics && !want_worker_traces)) {
-        continue;  // nothing to await from this worker
-      }
-      Pending& p = awaiting[i];
-      p.expecting = true;
-      p.need_metrics = want_metrics;
-      p.need_trace = want_worker_traces;
-      p.deadline = send_deadline + options.snapshot_deadline;
-    }
-    for (;;) {
-      // Drain buffered lines first, then poll only the still-owed fds.
-      for (std::size_t i = 0; i < workers.size(); ++i) {
-        Pending& p = awaiting[i];
-        if (!p.expecting) continue;
-        WorkerProc& w = workers[i];
-        std::size_t nl;
-        while (p.expecting &&
-               (nl = w.inbuf.find('\n')) != std::string::npos) {
-          const std::string line = w.inbuf.substr(0, nl);
-          w.inbuf.erase(0, nl + 1);
-          try {
-            WireMessage msg = parse_wire_line(line);
-            if (msg.type == WireMessage::Type::kMetrics && msg.snapshot) {
-              p.snapshot = std::move(*msg.snapshot);
-              p.need_metrics = false;
-            } else if (msg.type == WireMessage::Type::kTrace &&
-                       msg.trace_doc) {
-              p.trace_doc = std::move(*msg.trace_doc);
-              p.need_trace = false;
-            } else if (msg.type == WireMessage::Type::kTelemetry &&
-                       msg.telemetry_seq >= 0 && msg.snapshot) {
-              // A final heartbeat racing the shutdown: fold it.
-              WorkerHealth& h = health[i];
-              ++h.heartbeats;
-              h.last_seq = std::max(h.last_seq, msg.telemetry_seq);
-              h.telemetry.merge(*msg.snapshot);
-              m_heartbeats().add();
-            }
-            // Late results/errors racing the shutdown: skip.
-          } catch (const WireError&) {
-            m_garbage_lines().add();
-          }
-          if (!p.need_metrics && !p.need_trace) p.expecting = false;
-        }
-      }
-      std::vector<pollfd> pfds;
-      std::vector<std::size_t> pown;
-      int timeout_ms = -1;
-      const auto now = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < workers.size(); ++i) {
-        Pending& p = awaiting[i];
-        if (!p.expecting) continue;
-        if (now >= p.deadline) {
-          p.expecting = false;
-          m_snapshot_timeouts().add();
-          continue;
-        }
-        pfds.push_back(pollfd{workers[i].fd, POLLIN, 0});
-        pown.push_back(i);
-        const int r = static_cast<int>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                p.deadline - now)
-                .count() +
-            1);
-        timeout_ms = timeout_ms < 0 ? r : std::min(timeout_ms, r);
-      }
-      if (pfds.empty()) break;
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
-      for (std::size_t k = 0; k < pfds.size(); ++k) {
-        if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        WorkerProc& w = workers[pown[k]];
-        char chunk[4096];
-        const ssize_t n = ::recv(w.fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {
-          // EOF with replies still owed: the worker died mid-harvest.
-          awaiting[pown[k]].expecting = false;
-          continue;
-        }
-        w.inbuf.append(chunk, static_cast<std::size_t>(n));
-      }
-    }
-    // Deliver in slot order, so the harvested vectors are deterministic
-    // regardless of reply arrival order.
-    for (std::size_t i = 0; i < workers.size(); ++i) {
-      Pending& p = awaiting[i];
-      if (p.snapshot && options.worker_metrics != nullptr) {
-        options.worker_metrics->push_back(std::move(*p.snapshot));
-      }
-      if (p.trace_doc && want_worker_traces) {
-        ProcessTrace pt;
-        pt.pid = static_cast<int>(i) + 2;  // pid 1 = coordinator
-        pt.name = "worker " + std::to_string(i);
-        pt.ts_offset_us = workers[i].clock_offset_us;
-        pt.doc = std::move(*p.trace_doc);
-        options.worker_traces->push_back(std::move(pt));
-      }
-    }
-    for (WorkerProc& w : workers) {
-      if (!w.alive) continue;
-      health[slot_of(w)].last_heard_age_ms =
-          age_ms(std::chrono::steady_clock::now(), w.last_heard);
-      log_event("worker_shutdown",
-                Json::object()
-                    .set("slot", static_cast<std::int64_t>(slot_of(w)))
-                    .set("cells_served", health[slot_of(w)].cells_served));
-      close_fd(w.fd);
-      reap(w.pid, std::chrono::milliseconds(500));
-      w.pid = -1;
-      w.alive = false;
-    }
+  // Shut the pool down, harvesting the opt-in metrics and traces, and
+  // reap every live worker.
+  std::vector<std::size_t> live;
+  for (const WorkerProc& w : workers) {
+    if (w.alive) live.push_back(slot_of(w));
+  }
+  harvest(live, options.worker_metrics != nullptr, want_worker_traces,
+          kHarvestDeadline);
+  for (std::size_t i : live) {
+    WorkerProc& w = workers[i];
+    health[i].last_heard_age_ms =
+        age_ms(std::chrono::steady_clock::now(), w.last_heard);
+    log_event("worker_shutdown",
+              Json::object()
+                  .set("slot", static_cast<std::int64_t>(i))
+                  .set("cells_served", health[i].cells_served));
+    close_fd(w.fd);
+    reap(w.pid, std::chrono::milliseconds(500));
+    w.pid = -1;
+    w.alive = false;
   }
 
   // Degraded mode: every worker died with every respawn budget spent and
@@ -1195,10 +1163,12 @@ Report run_sharded(const std::vector<ExperimentCell>& cells,
     specs.push_back(std::move(spec));
   }
   Report arrivals;  // records in arrival order; merged into grid order
-  arrivals.title = derive_report_title(cells, options.title);
+  arrivals.title = derive_report_title(cells, "");
   if (cells.empty()) return arrivals;
 
   JobHooks hooks;
+  hooks.label = "batch";
+  hooks.unit = "cells";
   hooks.line = [&](std::size_t j) {
     return cell_line(static_cast<std::int64_t>(j), specs[j]);
   };
@@ -1252,6 +1222,8 @@ void run_sharded_search(
   if (jobs.empty()) return;
 
   JobHooks hooks;
+  hooks.label = "explore";
+  hooks.unit = "schedules";
   hooks.line = [&](std::size_t j) {
     return range_line(static_cast<std::int64_t>(j), jobs[j].first,
                       jobs[j].count, spec);

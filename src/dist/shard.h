@@ -45,6 +45,12 @@
 // cells from the scenario registry and execute the very same run_cell()
 // path. A search's ranges run through run_schedule_range
 // (src/explore/explorer.h), the same code the in-process engines use.
+//
+// Settings: ShardSettings declares once what a caller hands the backend
+// (shards, worker argv, progress, telemetry, health, fault injection).
+// BatchOptions and ExploreOptions inherit it, and ShardOptions adds the
+// knobs only the pool reads, so a new setting is one field here plus
+// the code that reads it.
 #pragma once
 
 #include <chrono>
@@ -107,21 +113,74 @@ struct WorkerHealth {
   MetricsSnapshot telemetry;
 };
 
-struct ShardOptions {
-  int shards = 2;
+// What run and explore hand the sharded backend. Without shards every
+// other field is ignored; none but shards and worker_argv can change a
+// report byte (telemetry and fault injection are sidecar-only).
+struct ShardSettings {
+  // > 0: distribute over this many worker subprocesses; 0 runs
+  // in-process (BatchRunner, explore). run_sharded* need >= 1.
+  int shards = 0;
   // argv for worker subprocesses (e.g. {"/path/to/mpcn", "worker"}).
   // Empty: fork the current process image and run run_worker_loop
   // directly — no binary needed, used by tests and library callers.
   std::vector<std::string> worker_argv;
+  // stderr progress heartbeat, printed as results arrive and throttled
+  // to progress_interval(); silent unless progress_allowed()
+  // (src/obs/progress.h). The in-process backends use a ProgressMeter.
+  bool progress = false;
+  // Non-null: ask each worker for a MetricsSnapshot at shutdown (the
+  // wire's opt-in metrics exchange) and append every snapshot received.
+  // Workers that died mid-run contribute nothing — their counts are
+  // lost with the process, exactly like their requeued cells' first
+  // attempts.
+  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
+  // Non-null: harvest each live worker's span rings at shutdown
+  // (`"trace":true` on the shutdown line) and append one ProcessTrace
+  // per delivering worker, pid = slot + 2 (pid 1 is the coordinator),
+  // clocks aligned to the coordinator's trace_now_us origin. Feed the
+  // result plus the coordinator's own dump_trace_json() to
+  // merge_trace_docs for one Perfetto-loadable document. Also sets
+  // `"trace":true` on the telemetry config line so exec-mode workers
+  // (which start with tracing off) record spans at all.
+  std::vector<ProcessTrace>* worker_traces = nullptr;
+  // Non-null: filled with one WorkerHealth per slot at return.
+  std::vector<WorkerHealth>* health = nullptr;
+  // Streaming telemetry: > 0 arms every worker's heartbeat (a telemetry
+  // config line sent at spawn and respawn) at this interval. Workers
+  // also beat immediately on arming and after every job, so ≥ 1
+  // heartbeat arrives per worker even on an idle pool.
+  std::chrono::milliseconds telemetry_interval{0};
+  // Health write-off: with the heartbeat armed, a worker not heard from
+  // (no bytes of any kind) for this long is presumed frozen and written
+  // off — busy or idle. <= 0 disables; meaningless without
+  // telemetry_interval (an unarmed worker is rightfully silent between
+  // jobs). Choose a multiple of telemetry_interval with headroom for
+  // scheduling noise.
+  std::chrono::milliseconds heartbeat_stale_after{0};
+  // Fault injection for the health layer: slot i freezes (SIGSTOP)
+  // after replying to its worker_stop_after[i]-th job line (a grid cell
+  // or a whole range of schedules). In exec mode the worker gets
+  // `mpcn worker --stop-after N`.
+  std::vector<int> worker_stop_after;
+};
+
+// threads > 1 together with shards > 0 is a usage error: a shard worker
+// runs its `unit` (cells, schedules) on one thread. Throws ProtocolError
+// asking the caller to pick one `choice` (backend, fan-out).
+void check_threads_with_shards(const ShardSettings& settings, int threads,
+                               const char* unit, const char* choice);
+
+// The pool's options: the shared settings plus the knobs only the pool
+// reads.
+struct ShardOptions : ShardSettings {
+  ShardOptions() = default;
+  explicit ShardOptions(const ShardSettings& settings)
+      : ShardSettings(settings) {}
+
   // Fault injection, fork mode: worker_max_cells[i] is worker i's
   // WorkerOptions::max_cells (missing entries = 0). In exec mode the
   // equivalent is appending "--max-cells N" to worker_argv.
   std::vector<int> worker_max_cells;
-  // Fault injection for the health layer, fork mode: slot i freezes
-  // (SIGSTOP) after replying to its worker_stop_after[i]-th job line (a
-  // cell or a range). In exec mode the equivalent is `mpcn worker
-  // --stop-after N`.
-  std::vector<int> worker_stop_after;
   // Watchdog: a worker whose outstanding job has run for the summed
   // wall_limit of its cells PLUS this grace is presumed hung, SIGKILLed,
   // and its job is requeued. Scaling with wall_limit means a cell the
@@ -141,56 +200,14 @@ struct ShardOptions {
   // (never lose cells), false = throw ProtocolError (fail cleanly, e.g.
   // when in-process execution would mask a systemic worker problem).
   bool fallback_in_process = true;
-  // Report title ("" = derived from the first labeled cell, as
-  // BatchRunner does — keeping sharded and in-process reports
-  // byte-identical).
-  std::string title;
-  // Telemetry (sidecar-only; never affects the Report):
-  //
-  // Non-null: ask each worker for a MetricsSnapshot at shutdown (the
-  // wire's opt-in metrics exchange) and append every snapshot received.
-  // Workers that died mid-run contribute nothing — their counts are
-  // lost with the process, exactly like their requeued cells' first
-  // attempts.
-  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // Print a coarse progress heartbeat to stderr as results arrive.
-  bool progress = false;
-  // Streaming telemetry: > 0 arms every worker's heartbeat (a telemetry
-  // config line sent at spawn and respawn) at this interval. Workers
-  // also beat immediately on arming and after every job, so ≥ 1
-  // heartbeat arrives per worker even on an idle pool.
-  std::chrono::milliseconds telemetry_interval{0};
-  // Health write-off: with the heartbeat armed, a worker not heard from
-  // (no bytes of any kind) for this long is presumed frozen and written
-  // off — busy or idle. <= 0 disables; meaningless without
-  // telemetry_interval (an unarmed worker is rightfully silent between
-  // cells). Choose a multiple of telemetry_interval with headroom for
-  // scheduling noise.
-  std::chrono::milliseconds heartbeat_stale_after{0};
-  // Shutdown harvest: per-worker deadline for the final metrics/trace
-  // exchange. Deadlines run CONCURRENTLY (shutdown is sent to every
-  // live worker before any reply is awaited), so total harvest wall
-  // time is ~max, not sum; a worker that misses its own deadline counts
-  // one shard.snapshot_timeouts and starves nobody else.
-  std::chrono::milliseconds snapshot_deadline{2000};
-  // Non-null: harvest each live worker's span rings at shutdown
-  // (`"trace":true` on the shutdown line) and append one ProcessTrace
-  // per delivering worker, pid = slot + 2 (pid 1 is the coordinator),
-  // clocks aligned to the coordinator's trace_now_us origin. Feed the
-  // result plus the coordinator's own dump_trace_json() to
-  // merge_trace_docs for one Perfetto-loadable document. Also sets
-  // `"trace":true` on the telemetry config line so exec-mode workers
-  // (which start with tracing off) record spans at all.
-  std::vector<ProcessTrace>* worker_traces = nullptr;
-  // Non-null: filled with one WorkerHealth per slot at return.
-  std::vector<WorkerHealth>* health = nullptr;
 };
 
 // Run `cells` across worker subprocesses and merge the results into a
 // grid-ordered Report. Requires wire-serializable cells stamped with
 // cell_index == position (exactly what Experiment::cells() produces);
 // throws ProtocolError otherwise. Per-cell execution errors are captured
-// in the records, not thrown.
+// in the records, not thrown. The title is derive_report_title(cells,
+// ""); BatchRunner applies a requested one.
 Report run_sharded(const std::vector<ExperimentCell>& cells,
                    const ShardOptions& options);
 

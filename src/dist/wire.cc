@@ -267,20 +267,9 @@ std::string telemetry_request_line(std::int64_t interval_ms,
 }
 
 std::string telemetry_line(std::int64_t seq, std::int64_t now_us,
-                           const MetricsSnapshot& delta) {
-  Json j = Json::object();
-  j.set("type", "telemetry")
-      .set("seq", seq)
-      .set("now_us", now_us)
-      .set("delta", delta.to_json());
-  return j.dump();
-}
-
-std::string telemetry_line(std::int64_t seq, std::int64_t now_us,
                            const std::string& delta_json) {
-  // Keep the byte layout of the Json-built overload: insertion order is
-  // preserved by dump(), so splicing text in the same field order yields
-  // an identical frame for an identical delta.
+  // Spliced as text, in the field order and byte layout Json::dump()
+  // gives.
   std::string out;
   out.reserve(48 + delta_json.size());
   out.append("{\"type\":\"telemetry\",\"seq\":");

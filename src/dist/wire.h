@@ -208,12 +208,9 @@ std::string metrics_line(const MetricsSnapshot& snapshot);
 std::string telemetry_request_line(std::int64_t interval_ms,
                                    bool want_trace = false);
 // Telemetry report (worker -> coordinator): heartbeat `seq`, the
-// worker's trace_now_us clock, and a metrics delta since its last beat.
-std::string telemetry_line(std::int64_t seq, std::int64_t now_us,
-                           const MetricsSnapshot& delta);
-// Same line, but splicing a pre-serialized delta document (the compact
-// {"counters":...} JSON that MetricsRegistry::delta_json emits) —
-// the heartbeat fast path skips building a Json tree per beat.
+// worker's trace_now_us clock, and the metrics delta since its last beat
+// as a pre-serialized document (the compact {"counters":...} JSON that
+// MetricsRegistry::delta_json emits) — a beat builds no Json tree.
 std::string telemetry_line(std::int64_t seq, std::int64_t now_us,
                            const std::string& delta_json);
 // Trace reply (worker -> coordinator): a dump_trace_json() document.

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <thread>
 
-#include "src/common/errors.h"
 #include "src/dist/shard.h"
 #include "src/obs/progress.h"
 
@@ -23,24 +22,11 @@ std::string derive_report_title(const std::vector<ExperimentCell>& cells,
 }
 
 Report BatchRunner::run(const std::vector<ExperimentCell>& cells) const {
+  check_threads_with_shards(options_, options_.threads, "cells", "backend");
   if (options_.shards > 0) {
-    if (options_.threads > 1) {
-      throw ProtocolError(
-          "threads and shards do not compose: each shard worker runs its "
-          "cells on one thread; pick one backend");
-    }
-    ShardOptions shard;
-    shard.shards = options_.shards;
-    shard.worker_argv = options_.worker_argv;
-    shard.title = options_.title;
-    shard.worker_metrics = options_.worker_metrics;
-    shard.progress = options_.progress;
-    shard.telemetry_interval = options_.telemetry_interval;
-    shard.heartbeat_stale_after = options_.heartbeat_stale_after;
-    shard.worker_traces = options_.worker_traces;
-    shard.health = options_.health;
-    shard.worker_stop_after = options_.worker_stop_after;
-    return run_sharded(cells, shard);
+    Report report = run_sharded(cells, ShardOptions(options_));
+    report.title = derive_report_title(cells, options_.title);
+    return report;
   }
   Report report;
   report.title = derive_report_title(cells, options_.title);

@@ -391,12 +391,9 @@ ExploreResult explore(const ExperimentCell& cell,
       (options.crash_rate < 0.0 || options.crash_rate > 1.0)) {
     throw ProtocolError("explore needs crash-rate in [0, 1]");
   }
+  check_threads_with_shards(options, options.threads, "schedules",
+                            "fan-out");
   if (options.shards > 0) {
-    if (options.threads > 1) {
-      throw ProtocolError(
-          "threads and shards do not compose: each shard worker runs its "
-          "schedules on one thread; pick one fan-out");
-    }
     if (options.policy == ExplorePolicy::kBoundedDfs) {
       throw ProtocolError(
           "bounded-DFS search carries its tree across runs and cannot "
@@ -654,20 +651,10 @@ ExploreResult explore(const ExperimentCell& cell,
     // carries every schedule's step count and the records of its
     // violating schedules and of schedule 0; a schedule without a
     // record judged clean on the worker.
-    ShardOptions shard;
-    shard.shards = options.shards;
-    shard.worker_argv = options.worker_argv;
-    shard.worker_metrics = options.worker_metrics;
-    shard.progress = options.progress;
-    shard.telemetry_interval = options.telemetry_interval;
-    shard.heartbeat_stale_after = options.heartbeat_stale_after;
-    shard.worker_traces = options.worker_traces;
-    shard.health = options.health;
-    shard.worker_stop_after = options.worker_stop_after;
     ExperimentCell first = base;
     first.schedule = schedule0;
     run_sharded_search(
-        first, options.budget, shard,
+        first, options.budget, ShardOptions(options),
         [&](int index) { return index <= cutoff.load(); },
         [&](int index, RangeResult&& range) {
           for (std::uint64_t steps : range.steps) {

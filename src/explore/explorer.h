@@ -42,14 +42,14 @@
 // `shards` ships contiguous ranges of schedule indices to worker
 // subprocesses over the wire protocol (src/dist/), one range line out
 // and one reply line back per range (run_schedule_range is what a worker
-// runs). Both record per-index outcomes that ONE merge walks in index
-// order, so the report is byte-identical to the serial run; both stop
+// runs), configured by the ShardSettings that ExploreOptions inherits.
+// Both record per-index outcomes that ONE merge walks in index order,
+// so the report is byte-identical to the serial run; both stop
 // claiming or dispatching work past the max_violations cutoff. Bounded
 // DFS carries its search tree across runs and is in-process serial only
 // (threads > 1 falls back to the serial engine; shards are rejected).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,7 +60,6 @@
 #include "src/explore/policy.h"
 #include "src/explore/trace.h"
 #include "src/history/linearizability.h"
-#include "src/obs/metrics.h"
 
 namespace mpcn {
 
@@ -72,7 +71,13 @@ enum class ExplorePolicy { kSeededRandom, kPct, kBoundedDfs };
 const char* to_string(ExplorePolicy policy);
 ExplorePolicy explore_policy_from_string(const std::string& s);
 
-struct ExploreOptions {
+// The sharded backend's settings come from ShardSettings: with shards
+// > 0 the schedule budget fans out over that many worker subprocesses
+// through src/dist/, in ranges of ceil(budget / (8 * shards))
+// schedules (random/PCT only; requires a registry-named cell), and the
+// telemetry, health and fault-injection fields apply to that pool.
+// Without shards only `progress` applies, as the in-process heartbeat.
+struct ExploreOptions : ShardSettings {
   ExplorePolicy policy = ExplorePolicy::kPct;
   // Base seed: schedule i runs under seed + i (random/PCT).
   std::uint64_t seed = 1;
@@ -115,11 +120,6 @@ struct ExploreOptions {
   // themselves, so sharded and in-process searches stay byte-identical.
   bool check_races = false;
 
-  // > 0: fan the schedule budget out over this many worker subprocesses
-  // through src/dist/, in ranges of ceil(budget / (8 * shards))
-  // schedules (random/PCT only; requires a registry-named cell).
-  int shards = 0;
-  std::vector<std::string> worker_argv;  // empty = fork workers
   // Parallel in-process search: > 1 partitions the schedule budget by
   // index across this many worker threads (random/PCT; bounded DFS
   // falls back to serial — its search tree spans runs). Results merge
@@ -128,28 +128,6 @@ struct ExploreOptions {
   // Does not combine with shards: explore() throws ProtocolError when
   // both are set (threads > 1), as a shard worker runs one thread.
   int threads = 0;
-
-  // Telemetry (sidecar-only — none of these can change a result byte):
-  //
-  // stderr heartbeat while searching: schedules completed, rate, ETA.
-  // In-process engines print from a sampling thread; the sharded backend
-  // prints on result arrivals (ShardOptions::progress).
-  bool progress = false;
-  // Non-null with shards > 0: collect one MetricsSnapshot per surviving
-  // worker subprocess at pool shutdown (see ShardOptions::worker_metrics).
-  std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // Health-layer passthrough to the sharded backend (ShardOptions
-  // semantics): streaming heartbeat interval, heartbeat-age write-off
-  // threshold, span-ring harvest and the per-slot health table. All
-  // ignored without shards; all sidecar-only.
-  std::chrono::milliseconds telemetry_interval{0};
-  std::chrono::milliseconds heartbeat_stale_after{0};
-  std::vector<ProcessTrace>* worker_traces = nullptr;
-  std::vector<WorkerHealth>* health = nullptr;
-  // Fault injection for the health layer (ShardOptions::worker_stop_after):
-  // slot i freezes (SIGSTOP) after replying to worker_stop_after[i]
-  // range lines.
-  std::vector<int> worker_stop_after;
 };
 
 struct ExploreViolation {

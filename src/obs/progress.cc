@@ -56,14 +56,21 @@ void ProgressMeter::loop() {
 }
 
 void ProgressMeter::print() const {
-  const int done = completed_.load(std::memory_order_relaxed);
+  print_progress(label_, unit_, completed_.load(std::memory_order_relaxed),
+                 total_, started_);
+}
+
+void print_progress(const char* label, const char* unit, long long done,
+                    long long total,
+                    std::chrono::steady_clock::time_point started) {
   const double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - started_)
+                          std::chrono::steady_clock::now() - started)
                           .count();
-  const double rate = secs > 0 ? done / secs : 0.0;
-  const double eta = rate > 0 ? (total_ - done) / rate : 0.0;
-  std::fprintf(stderr, "[%s] %d/%d %s (%.0f/s, eta %.1fs)\n", label_, done,
-               total_, unit_, rate, eta > 0 ? eta : 0.0);
+  const double rate = secs > 0 ? static_cast<double>(done) / secs : 0.0;
+  const double eta =
+      rate > 0 ? static_cast<double>(total - done) / rate : 0.0;
+  std::fprintf(stderr, "[%s] %lld/%lld %s (%.0f/s, eta %.1fs)\n", label,
+               done, total, unit, rate, eta > 0 ? eta : 0.0);
 }
 
 }  // namespace mpcn

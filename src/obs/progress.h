@@ -1,6 +1,8 @@
 // The --progress heartbeat: a sampling thread that prints
 // "[label] done/total unit (rate/s, eta Ns)" to stderr while a batch of
-// work drains, plus a final line at completion.
+// work drains, plus a final line at completion. The shard coordinator
+// prints the same line from its own poll loop (print_progress), under
+// the same TTY rule and interval.
 //
 // Sidecar-only like the rest of src/obs/: output goes to stderr, so
 // report streams and --json files never see it. Disabled meters are
@@ -27,6 +29,12 @@ bool progress_allowed();
 // Heartbeat interval: MPCN_PROGRESS_MS when set to a positive integer,
 // else `fallback_ms`. Evaluated once per process.
 std::chrono::milliseconds progress_interval(int fallback_ms = 500);
+
+// Print one heartbeat line to stderr, its rate measured since `started`.
+// Callers check progress_allowed() first.
+void print_progress(const char* label, const char* unit, long long done,
+                    long long total,
+                    std::chrono::steady_clock::time_point started);
 
 class ProgressMeter {
  public:

@@ -2,8 +2,11 @@
 // in-process through cli_main (the binary is a one-line shell over it).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +16,8 @@
 #include "src/common/errors.h"
 #include "src/experiment/record.h"
 #include "src/experiment/registry.h"
+#include "src/obs/progress.h"
+#include "src/obs/spans.h"
 
 namespace mpcn {
 namespace {
@@ -41,6 +46,49 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
   std::string path;
 };
+
+// Write one JSON value to `path`, as --record would.
+void write_json(const std::string& path, const Json& j) {
+  std::ofstream out(path);
+  out << j.dump(2) << "\n";
+}
+
+// The sharded commands the sidecar tests drive: a 12-schedule explore
+// over three fork-mode workers (twelve one-schedule ranges) and a
+// four-seed grid over two.
+std::vector<std::string> sharded_explore(const std::string& json) {
+  return {"mpcn",     "explore", "snapshot_churn", "--in",   "3,0,1",
+          "--inputs", "10,11,12", "--budget",      "12",     "--seed",
+          "1",        "--shards", "3",             "--fork-workers",
+          "--json",   json};
+}
+
+std::vector<std::string> sharded_run(const std::string& json) {
+  return {"mpcn",   "run",          "snapshot_churn", "--in",
+          "3,0,1",  "--inputs",     "10,11,12",       "--seeds",
+          "1..4",   "--shards",     "2",              "--fork-workers",
+          "--json", json,           "--no-timing"};
+}
+
+std::vector<std::string> with_flags(std::vector<std::string> argv,
+                                    const std::vector<std::string>& more) {
+  argv.insert(argv.end(), more.begin(), more.end());
+  return argv;
+}
+
+// worker_spawn events per slot in an --events log.
+std::map<std::int64_t, int> spawns_per_slot(const std::string& path) {
+  std::map<std::int64_t, int> spawns;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const Json e = Json::parse(line);
+    if (e.at("type").as_string() == "worker_spawn") {
+      ++spawns[e.at("slot").as_int()];
+    }
+  }
+  return spawns;
+}
 
 TEST(Args, FlagSyntaxAndPositionals) {
   const char* argv_c[] = {"mpcn", "run",    "snapshot_churn", "--in",
@@ -318,6 +366,161 @@ TEST(Cli, SeedListAxisAndJsonToStdout) {
   EXPECT_EQ(rep.records[1].seed, 5u);
   EXPECT_EQ(rep.records[0].cell_index, 0);
   EXPECT_EQ(rep.records[1].cell_index, 1);
+}
+
+// A race exits 3, on search and on replay of its shrunk trace: bounded
+// DFS at preemption bound 1 finds racy_register's torn pair write.
+TEST(Cli, ExploreRaceExitsThreeOnSearchAndReplay) {
+  TempFile report("cli_race_report.json");
+  TempFile shrunk("cli_race_shrunk.json");
+  ASSERT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                     "--policy", "dfs", "--bound", "1", "--budget", "200",
+                     "--check-races", "--json", report.path}),
+            3);
+  const Json result = Json::parse(slurp(report.path));
+  EXPECT_TRUE(result.at("race_found").as_bool());
+  EXPECT_GE(result.at("race_reports").as_int(), 1);
+  const Json& v = result.at("violation_details").at(0);
+  EXPECT_TRUE(v.at("race").as_bool());
+  EXPECT_TRUE(v.at("shrunk_verified").as_bool());
+  const Json& race = v.at("record").at("race_reports").at(0);
+  EXPECT_EQ(race.at("kind").as_string(), "torn_window");
+  EXPECT_NE(race.at("why").as_string().find("torn window"),
+            std::string::npos);
+  EXPECT_FALSE(race.at("schedule_digest").as_string().empty());
+
+  write_json(shrunk.path, v.at("shrunk_trace"));
+  std::string out;
+  EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                     "--check-races", "--replay", shrunk.path},
+                    &out),
+            3);
+  EXPECT_NE(out.find("replay: RACE"), std::string::npos) << out;
+}
+
+// A violation that needs an injected crash exits 4, on search and on
+// replay: safe_agreement_window is clean under every crash-free
+// schedule, and livelocks when a crash strands a claim mid-window.
+TEST(Cli, ExploreCrashOnlyViolationExitsFourOnSearchAndReplay) {
+  TempFile report("cli_crash_report.json");
+  TempFile shrunk("cli_crash_shrunk.json");
+  ASSERT_EQ(run_cli({"mpcn", "explore", "safe_agreement_window", "--in",
+                     "2,1,1", "--policy", "dfs", "--bound", "0", "--budget",
+                     "200", "--steps", "400", "--crash-budget", "1",
+                     "--json", report.path}),
+            4);
+  const Json result = Json::parse(slurp(report.path));
+  EXPECT_TRUE(result.at("crash_found").as_bool());
+  EXPECT_TRUE(result.at("crash_only").as_bool());
+  const Json& v = result.at("violation_details").at(0);
+  EXPECT_TRUE(v.at("crashed").as_bool());
+  EXPECT_TRUE(v.at("shrunk_verified").as_bool());
+  const Json& rec = v.at("record");
+  EXPECT_EQ(rec.at("crash_plan").at("kind").as_string(), "explored");
+  EXPECT_EQ(rec.at("crash_points").size(), 1u);
+  EXPECT_TRUE(rec.at("timed_out").as_bool());
+
+  write_json(shrunk.path, v.at("shrunk_trace"));
+  std::string out;
+  EXPECT_EQ(run_cli({"mpcn", "explore", "safe_agreement_window", "--in",
+                     "2,1,1", "--steps", "400", "--replay", shrunk.path},
+                    &out),
+            4);
+  EXPECT_NE(out.find("replay: CRASH VIOLATION"), std::string::npos) << out;
+}
+
+// --progress follows the TTY rule on the sharded backend too: under a
+// redirected stderr (ctest, CI logs) it prints nothing, like the
+// in-process backends.
+TEST(Cli, ShardedProgressIsSilentWhenStderrIsNotATty) {
+  TempFile json("cli_progress.json");
+  testing::internal::CaptureStderr();
+  const int code = run_cli(with_flags(sharded_run(json.path), {"--progress"}));
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_EQ(code, 0);
+  EXPECT_EQ(err.find("[shard]"), std::string::npos) << err;
+  if (!progress_allowed()) {
+    EXPECT_EQ(err.find(" cells ("), std::string::npos) << err;
+  }
+}
+
+// Every sidecar on (streaming heartbeats, merged trace, flight recorder,
+// metrics, health table) leaves the report bytes of a sharded explore
+// and a sharded run unchanged; every slot heartbeats and logs its spawn.
+TEST(Cli, ShardedSidecarsLeaveReportBytesUnchanged) {
+  TempFile plain("cli_sidecar_plain.json");
+  TempFile on("cli_sidecar_on.json");
+  TempFile events("cli_sidecar_events.jsonl");
+  TempFile health("cli_sidecar_health.json");
+  TempFile metrics("cli_sidecar_metrics.json");
+  TempFile trace("cli_sidecar_trace.json");
+  const std::vector<std::string> sidecars = {
+      "--telemetry-ms", "25",           "--events", events.path,
+      "--health",       health.path,    "--metrics", metrics.path,
+      "--trace",        trace.path};
+
+  ASSERT_EQ(run_cli(sharded_explore(plain.path)), 0);
+  ASSERT_EQ(run_cli(with_flags(sharded_explore(on.path), sidecars)), 0);
+  set_tracing_enabled(false);
+  EXPECT_FALSE(slurp(plain.path).empty());
+  EXPECT_EQ(slurp(plain.path), slurp(on.path));
+  const Json slots = Json::parse(slurp(health.path));
+  ASSERT_EQ(slots.size(), 3u);
+  for (const Json& h : slots.items()) {
+    EXPECT_GE(h.at("heartbeats").as_int(), 1) << h.dump();
+    EXPECT_FALSE(h.at("written_off").as_bool()) << h.dump();
+  }
+  EXPECT_EQ(spawns_per_slot(events.path),
+            (std::map<std::int64_t, int>{{0, 1}, {1, 1}, {2, 1}}));
+
+  ASSERT_EQ(run_cli(sharded_run(plain.path)), 0);
+  ASSERT_EQ(run_cli(with_flags(sharded_run(on.path), sidecars)), 0);
+  set_tracing_enabled(false);
+  EXPECT_EQ(slurp(plain.path), slurp(on.path));
+  EXPECT_EQ(Json::parse(slurp(health.path)).size(), 2u);
+  EXPECT_EQ(spawns_per_slot(events.path),
+            (std::map<std::int64_t, int>{{0, 1}, {1, 1}}));
+}
+
+// MPCN_WORKER_STOP_AFTER freezes slot 0 between jobs after its first
+// reply. Only heartbeat age can notice: the slot is written off as
+// stale, its work moves on, and the report bytes do not change. One
+// worker, so the frozen slot always holds the next job: with more, the
+// others could finish every job before the slot went stale.
+TEST(Cli, FrozenWorkerIsWrittenOffAsStaleWithReportUnchanged) {
+  TempFile plain("cli_stale_plain.json");
+  TempFile stopped("cli_stale_stopped.json");
+  TempFile health("cli_stale_health.json");
+  const auto search = [](const std::string& json) {
+    return std::vector<std::string>{
+        "mpcn",     "explore", "snapshot_churn", "--in",           "3,0,1",
+        "--inputs", "10,11,12", "--budget",      "2",              "--seed",
+        "1",        "--shards", "1",             "--fork-workers", "--json",
+        json};
+  };
+  ASSERT_EQ(run_cli(search(plain.path)), 0);
+  ::setenv("MPCN_WORKER_STOP_AFTER", "1", 1);
+  const int code = run_cli(with_flags(
+      search(stopped.path),
+      {"--telemetry-ms", "25", "--stale-ms", "500", "--health", health.path}));
+  ::unsetenv("MPCN_WORKER_STOP_AFTER");
+  ASSERT_EQ(code, 0);
+  EXPECT_EQ(slurp(plain.path), slurp(stopped.path));
+  const Json slots = Json::parse(slurp(health.path));
+  const Json& slot0 = slots.at(0);
+  EXPECT_TRUE(slot0.at("written_off").as_bool()) << slot0.dump();
+  EXPECT_EQ(slot0.at("write_off_reason").as_string(), "heartbeat stale");
+}
+
+// A staleness threshold without the heartbeat it measures is a usage
+// error: an unarmed worker is rightfully silent between jobs.
+TEST(Cli, StaleMsWithoutTelemetryMsIsAUsageError) {
+  EXPECT_EQ(run_cli(with_flags(sharded_explore("cli_stale_usage.json"),
+                               {"--stale-ms", "500"})),
+            2);
+  EXPECT_EQ(run_cli(with_flags(sharded_run("cli_stale_usage.json"),
+                               {"--stale-ms", "500"})),
+            2);
 }
 
 }  // namespace

@@ -428,7 +428,8 @@ TEST(WireTelemetry, TelemetryConfigAndReportLinesRoundTrip) {
   // Report (worker -> coordinator): seq + worker clock + metrics delta.
   MetricsSnapshot delta;
   delta.counters["worker.cells_served"] = 3;
-  const std::string line = telemetry_line(7, 123456789, delta);
+  const std::string line =
+      telemetry_line(7, 123456789, delta.to_json().dump());
   EXPECT_EQ(line.find('\n'), std::string::npos);  // framing-safe
   const WireMessage rep = parse_wire_line(line);
   ASSERT_EQ(rep.type, WireMessage::Type::kTelemetry);
