@@ -1,55 +1,34 @@
 #include "src/analysis/race_oracle.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string_view>
 
 #include "src/common/errors.h"
 #include "src/experiment/record.h"
 
 namespace mpcn {
 
-// ------------------------------------------------------- vector clocks
+// ------------------------------------------------------ happens-before
 
-std::uint64_t VectorClock::get(const ThreadId& tid) const {
-  const auto it = clock_.find(tid);
-  return it == clock_.end() ? 0 : it->second;
-}
-
-void VectorClock::tick(const ThreadId& tid) { ++clock_[tid]; }
-
-void VectorClock::join(const VectorClock& other) {
-  for (const auto& [tid, c] : other.clock_) {
-    std::uint64_t& mine = clock_[tid];
-    if (c > mine) mine = c;
-  }
-}
-
-bool VectorClock::dominates(const VectorClock& other) const {
-  for (const auto& [tid, c] : other.clock_) {
-    if (get(tid) < c) return false;
-  }
-  return true;
-}
-
-bool HbAnalysis::happens_before(int a, int b,
-                                const std::vector<Event>& events) const {
+bool HbAnalysis::happens_before(int a, int b) const {
   if (a == b) return false;
-  const ThreadId& ta = events[static_cast<std::size_t>(a)].tid;
-  return clocks[static_cast<std::size_t>(b)].get(ta) >=
-         clocks[static_cast<std::size_t>(a)].get(ta);
+  const auto ua = static_cast<std::size_t>(a);
+  const auto ub = static_cast<std::size_t>(b);
+  const auto w = static_cast<std::size_t>(threads);
+  const auto t = static_cast<std::size_t>(thread[ua]);
+  return clocks[ub * w + t] >= clocks[ua * w + t];
 }
 
-// ----------------------------------------------------------- decoding
+int HbAnalysis::reads_from(int snapshot, int cell) const {
+  const std::size_t i = static_cast<std::size_t>(snapshot);
+  const int begin = view_begin[i];
+  if (cell < 0 || cell >= view_begin[i + 1] - begin) return -1;
+  return observed[static_cast<std::size_t>(begin + cell)];
+}
 
 namespace {
-
-struct WriteRef {
-  int event = -1;  // index into the event vector
-  ThreadId tid{};
-  Value value;
-  std::uint64_t invoke = 0;
-  std::uint64_t response = 0;
-};
 
 // "write" events carry arg = [cell, value] (make_direct_programs stamps
 // the writer's own cell). Returns the cell index, or -1 if the arg is not
@@ -61,68 +40,164 @@ int decode_write_cell(const Event& e) {
   return static_cast<int>(e.arg.at(0).as_int());
 }
 
+// One entry of a write's reader chain: a snapshot that observed it.
+struct Reader {
+  int snapshot = -1;
+  int next = -1;  // next entry of the same chain, -1 = end
+};
+
+// Everything the pass builds: the happens-before order, plus the links
+// the race rules walk.
+struct Pass {
+  HbAnalysis hb;
+  std::vector<int> cell;  // the cell write i names; -1 for other events
+  // In history order: the previous event of the same thread, and for a
+  // write the previous write to its cell (-1 = none).
+  std::vector<int> prev_in_thread;
+  std::vector<int> prev_on_cell;
+  std::vector<int> first_reader;  // per write: head of its reader chain
+  std::vector<Reader> readers;
+};
+
+Pass run_pass(const std::vector<Event>& events) {
+  const std::size_t n = events.size();
+  Pass p;
+  HbAnalysis& hb = p.hb;
+  hb.thread.resize(n);
+  hb.view_begin.resize(n + 1);
+  p.cell.assign(n, -1);
+
+  // Classify in history order: number threads by first event, decode the
+  // cell each write names, lay out the snapshot view slots, and check
+  // that the response stamps are in order. Threads are few, and each
+  // event copies a clock row as wide as their count, so a linear scan
+  // numbers them at no extra order of cost.
+  std::vector<ThreadId> tids;
+  std::size_t width = 0;  // widest snapshot view
+  bool in_order = true;
+  int slots = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Event& e = events[i];
+    if (i > 0 && e.response_step < events[i - 1].response_step) {
+      in_order = false;
+    }
+    std::size_t t = 0;
+    while (t < tids.size() && !(tids[t] == e.tid)) ++t;
+    if (t == tids.size()) tids.push_back(e.tid);
+    hb.thread[i] = static_cast<int>(t);
+    hb.view_begin[i] = slots;
+    const std::string_view op = e.op;
+    if (op == "write") {
+      p.cell[i] = decode_write_cell(e);
+    } else if (op == "snapshot" && e.ret.is_list()) {
+      width = std::max(width, e.ret.size());
+      slots += static_cast<int>(e.ret.size());
+    }
+  }
+  hb.view_begin[n] = slots;
+
+  // The recorder's log order is the linearization order (the step token
+  // serializes the recording sites); a foreign log with out-of-order
+  // response stamps is visited in stable response order instead.
+  std::vector<int> order;
+  if (!in_order) {
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return events[static_cast<std::size_t>(a)].response_step <
+             events[static_cast<std::size_t>(b)].response_step;
+    });
+  }
+
+  const std::size_t w = tids.size();
+  hb.threads = static_cast<int>(w);
+  hb.clocks.assign(n * w, 0);
+  hb.observed.assign(static_cast<std::size_t>(slots), -1);
+  p.prev_in_thread.assign(n, -1);
+  p.prev_on_cell.assign(n, -1);
+  p.first_reader.assign(n, -1);
+  p.readers.reserve(static_cast<std::size_t>(slots));
+  std::vector<int> last_in_thread(w, -1);
+  // The last write to each cell, in a table indexed by cell: a recorded
+  // write names its writer's own cell, a pid below the view width, so
+  // the numbering is dense. A cell past every view occurs only in a
+  // foreign history; no snapshot observes it, so only the multi-writer
+  // rule can fire on its writes.
+  std::vector<int> last_on_cell(width, -1);
+  std::map<int, int> last_on_unseen_cell;
+  // Link event i behind the last event of its thread and, for a write,
+  // the last write to its cell, in visiting order.
+  const auto link = [&](std::size_t i) {
+    int& last = last_in_thread[static_cast<std::size_t>(hb.thread[i])];
+    p.prev_in_thread[i] = last;
+    last = static_cast<int>(i);
+    const int cell = p.cell[i];
+    if (cell < 0) return;
+    int& last_write = static_cast<std::size_t>(cell) < width
+                          ? last_on_cell[static_cast<std::size_t>(cell)]
+                          : last_on_unseen_cell.try_emplace(cell, -1)
+                                .first->second;
+    p.prev_on_cell[i] = last_write;
+    last_write = static_cast<int>(i);
+  };
+
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t i = in_order ? k : static_cast<std::size_t>(order[k]);
+    const Event& e = events[i];
+    link(i);
+    std::uint32_t* row = &hb.clocks[i * w];
+    if (p.prev_in_thread[i] >= 0) {
+      const std::uint32_t* prev =
+          &hb.clocks[static_cast<std::size_t>(p.prev_in_thread[i]) * w];
+      std::copy(prev, prev + w, row);
+    }
+    ++row[hb.thread[i]];
+    const int begin = hb.view_begin[i];
+    if (begin == hb.view_begin[i + 1]) continue;
+    // Reads-from: for each cell, the latest write that (a) could have
+    // been the cell's current value at some point inside the snapshot's
+    // [invoke, response] interval and (b) wrote the value the view
+    // shows. Exact for the one-step PrimitiveSnapshot; sound for the
+    // multi-step Afek construction.
+    const Value::List& view = e.ret.as_list();
+    for (std::size_t c = 0; c < view.size(); ++c) {
+      if (view[c].is_nil()) continue;  // initial value: no writer
+      for (int v = last_on_cell[c]; v >= 0;
+           v = p.prev_on_cell[static_cast<std::size_t>(v)]) {
+        const Event& write = events[static_cast<std::size_t>(v)];
+        if (write.arg.at(1) == view[c]) {
+          const std::uint32_t* joined =
+              &hb.clocks[static_cast<std::size_t>(v) * w];
+          for (std::size_t t = 0; t < w; ++t) {
+            row[t] = std::max(row[t], joined[t]);
+          }
+          hb.observed[static_cast<std::size_t>(begin) + c] = v;
+          int& head = p.first_reader[static_cast<std::size_t>(v)];
+          p.readers.push_back(Reader{static_cast<int>(i), head});
+          head = static_cast<int>(p.readers.size()) - 1;
+          break;
+        }
+        // This write was already current before the snapshot began;
+        // anything older was overwritten and never observable here.
+        if (write.response_step <= e.invoke_step) break;
+      }
+    }
+  }
+
+  // The race rules read history order: relink a log visited out of it.
+  if (!in_order) {
+    std::fill(last_in_thread.begin(), last_in_thread.end(), -1);
+    std::fill(last_on_cell.begin(), last_on_cell.end(), -1);
+    last_on_unseen_cell.clear();
+    for (std::size_t i = 0; i < n; ++i) link(i);
+  }
+  return p;
+}
+
 }  // namespace
 
 HbAnalysis compute_happens_before(const std::vector<Event>& events) {
-  // The recorder's log order is the linearization order (the step token
-  // serializes the recording sites), but sort stably by response stamp
-  // anyway so foreign or hand-built histories analyze consistently.
-  std::vector<int> order(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    order[i] = static_cast<int>(i);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return events[static_cast<std::size_t>(a)].response_step <
-           events[static_cast<std::size_t>(b)].response_step;
-  });
-
-  HbAnalysis hb;
-  hb.clocks.resize(events.size());
-  std::map<ThreadId, VectorClock> threads;
-  std::map<int, std::vector<WriteRef>> cell_writes;
-
-  for (const int idx : order) {
-    const Event& e = events[static_cast<std::size_t>(idx)];
-    VectorClock& self = threads[e.tid];
-    self.tick(e.tid);
-    if (e.op == "write") {
-      const int cell = decode_write_cell(e);
-      if (cell >= 0) {
-        WriteRef w;
-        w.event = idx;
-        w.tid = e.tid;
-        w.value = e.arg.at(1);
-        w.invoke = e.invoke_step;
-        w.response = e.response_step;
-        cell_writes[cell].push_back(std::move(w));
-      }
-    } else if (e.op == "snapshot" && e.ret.is_list()) {
-      // Reads-from: for each cell, the latest write that (a) could have
-      // been the cell's current value at some point inside the
-      // snapshot's [invoke, response] interval and (b) wrote the value
-      // the view shows. Exact for the one-step PrimitiveSnapshot;
-      // sound for the multi-step Afek construction.
-      for (std::size_t c = 0; c < e.ret.size(); ++c) {
-        const Value& observed = e.ret.at(c);
-        if (observed.is_nil()) continue;  // initial value: no writer
-        const auto cw = cell_writes.find(static_cast<int>(c));
-        if (cw == cell_writes.end()) continue;
-        const std::vector<WriteRef>& ws = cw->second;
-        for (std::size_t p = ws.size(); p-- > 0;) {
-          if (ws[p].value == observed) {
-            self.join(hb.clocks[static_cast<std::size_t>(ws[p].event)]);
-            hb.reads_from[idx][static_cast<int>(c)] = ws[p].event;
-            break;
-          }
-          // This write was already current before the snapshot began;
-          // anything older was overwritten and never observable here.
-          if (ws[p].response <= e.invoke_step) break;
-        }
-      }
-    }
-    hb.clocks[static_cast<std::size_t>(idx)] = self;
-  }
-  return hb;
+  return run_pass(events).hb;
 }
 
 // ------------------------------------------------------- race reports
@@ -240,108 +315,87 @@ AccessSite site_of(const std::vector<Event>& events, int idx,
 std::vector<RaceReport> find_races(const std::vector<Event>& events,
                                    const ScheduleTrace& grants,
                                    std::string schedule_digest) {
-  if (schedule_digest.empty() && !grants.empty()) {
-    schedule_digest = grants.digest();
-  }
-  const HbAnalysis hb = compute_happens_before(events);
-
-  // Rebuild the per-cell write lists and per-thread event sequences the
-  // detector rules walk (compute_happens_before keeps its own private).
-  std::map<int, std::vector<WriteRef>> cell_writes;
-  std::map<ThreadId, std::vector<int>> thread_events;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    thread_events[e.tid].push_back(static_cast<int>(i));
-    if (e.op != "write") continue;
-    const int cell = decode_write_cell(e);
-    if (cell < 0) continue;
-    WriteRef w;
-    w.event = static_cast<int>(i);
-    w.tid = e.tid;
-    w.value = e.arg.at(1);
-    w.invoke = e.invoke_step;
-    w.response = e.response_step;
-    cell_writes[cell].push_back(std::move(w));
-  }
-  // next_of[i] = the same thread's next event after i (-1 = none): the
-  // "back-to-back" test of the torn-window rule.
-  std::vector<int> next_of(events.size(), -1);
-  for (const auto& [tid, seq] : thread_events) {
-    for (std::size_t k = 0; k + 1 < seq.size(); ++k) {
-      next_of[static_cast<std::size_t>(seq[k])] = seq[k + 1];
-    }
-  }
+  const Pass p = run_pass(events);
+  const HbAnalysis& hb = p.hb;
+  const auto value_of = [&events](int write) -> const Value& {
+    return events[static_cast<std::size_t>(write)].arg.at(1);
+  };
 
   std::vector<RaceReport> races;
-  for (const auto& [cell, ws] : cell_writes) {
-    // Torn window: ws[p] is a blip iff the same thread's very next
-    // shared-memory operation is ws[p+1] restoring the pre-blip value.
-    for (std::size_t p = 1; p + 1 < ws.size(); ++p) {
-      const WriteRef& blip = ws[p];
-      const WriteRef& repair = ws[p + 1];
-      const Value& before = ws[p - 1].value;
-      if (!(blip.tid == repair.tid)) continue;
-      if (next_of[static_cast<std::size_t>(blip.event)] != repair.event) {
-        continue;  // the writer did something else in between: published
-      }
-      if (!(repair.value == before) || blip.value == before) continue;
-
-      // A snapshot by another thread that read the blip, unordered with
-      // the repair, observed state the writer immediately repudiated.
-      for (const auto& [snap_event, observed] : hb.reads_from) {
-        const auto it = observed.find(cell);
-        if (it == observed.end() || it->second != blip.event) continue;
-        const Event& snap = events[static_cast<std::size_t>(snap_event)];
-        if (snap.tid == blip.tid) continue;
-        if (hb.happens_before(snap_event, repair.event, events)) continue;
-        RaceReport r;
-        r.kind = RaceKind::kTornWindow;
-        r.cell = cell;
-        r.first = site_of(events, blip.event, blip.value);
-        r.second = site_of(events, snap_event, blip.value);
-        r.blip = blip.value;
-        r.restored = repair.value;
-        r.window_begin = blip.response;
-        r.window_end = repair.response;
-        r.schedule_digest = schedule_digest;
-        std::ostringstream why;
-        why << "torn window on cell " << cell << ": " << blip.tid.to_string()
-            << " exposed " << blip.value.to_string() << " for steps ["
-            << blip.response << ", " << repair.response
-            << ") before restoring " << repair.value.to_string() << "; "
-            << snap.tid.to_string() << " snapshot at step "
-            << snap.response_step
-            << " observed the blip with no happens-before path to the "
-               "repair";
-        r.why = why.str();
-        races.push_back(std::move(r));
-      }
-    }
+  // Each write `b` closes a consecutive pair (a, b) on its cell and, with
+  // the write before `a`, a triple (before, a, b).
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const int b = static_cast<int>(i);
+    const int a = p.prev_on_cell[i];
+    if (a < 0) continue;
+    const int cell = p.cell[i];
     // Multi-writer: consecutive writes to one cell from different
     // threads must be happens-before ordered (a snapshot of the first
     // write, or any later knowledge, before the second write). The
     // single-writer discipline rules this out for top-level processes;
     // same-pid sub-threads are exactly what the vector clocks catch.
-    for (std::size_t p = 0; p + 1 < ws.size(); ++p) {
-      const WriteRef& a = ws[p];
-      const WriteRef& b = ws[p + 1];
-      if (a.tid == b.tid) continue;
-      if (hb.happens_before(a.event, b.event, events)) continue;
+    if (hb.thread[static_cast<std::size_t>(a)] != hb.thread[i] &&
+        !hb.happens_before(a, b)) {
+      const Event& ea = events[static_cast<std::size_t>(a)];
+      const Event& eb = events[i];
       RaceReport r;
       r.kind = RaceKind::kMultiWriter;
       r.cell = cell;
-      r.first = site_of(events, a.event, a.value);
-      r.second = site_of(events, b.event, b.value);
-      r.schedule_digest = schedule_digest;
+      r.first = site_of(events, a, value_of(a));
+      r.second = site_of(events, b, value_of(b));
       std::ostringstream why;
       why << "unsynchronized writers on cell " << cell << ": "
-          << a.tid.to_string() << " write at step " << a.response << " and "
-          << b.tid.to_string() << " write at step " << b.response
-          << " are happens-before unordered";
+          << ea.tid.to_string() << " write at step " << ea.response_step
+          << " and " << eb.tid.to_string() << " write at step "
+          << eb.response_step << " are happens-before unordered";
+      r.why = why.str();
+      races.push_back(std::move(r));
+    }
+    // Torn window: `a` is a blip iff the same thread's very next
+    // shared-memory operation is `b` restoring the pre-blip value.
+    const int before = p.prev_on_cell[static_cast<std::size_t>(a)];
+    if (before < 0 || p.prev_in_thread[i] != a) continue;
+    const Value& blip = value_of(a);
+    const Value& restored = value_of(b);
+    if (!(restored == value_of(before)) || blip == value_of(before)) {
+      continue;
+    }
+    // A snapshot by another thread that read the blip, unordered with
+    // the repair, observed state the writer immediately repudiated.
+    for (int k = p.first_reader[static_cast<std::size_t>(a)]; k >= 0;
+         k = p.readers[static_cast<std::size_t>(k)].next) {
+      const int s = p.readers[static_cast<std::size_t>(k)].snapshot;
+      if (hb.thread[static_cast<std::size_t>(s)] == hb.thread[i]) continue;
+      if (hb.happens_before(s, b)) continue;
+      const Event& blip_write = events[static_cast<std::size_t>(a)];
+      const Event& snap = events[static_cast<std::size_t>(s)];
+      RaceReport r;
+      r.kind = RaceKind::kTornWindow;
+      r.cell = cell;
+      r.first = site_of(events, a, blip);
+      r.second = site_of(events, s, blip);
+      r.blip = blip;
+      r.restored = restored;
+      r.window_begin = blip_write.response_step;
+      r.window_end = events[i].response_step;
+      std::ostringstream why;
+      why << "torn window on cell " << cell << ": "
+          << blip_write.tid.to_string() << " exposed " << blip.to_string()
+          << " for steps [" << r.window_begin << ", " << r.window_end
+          << ") before restoring " << restored.to_string() << "; "
+          << snap.tid.to_string() << " snapshot at step "
+          << snap.response_step
+          << " observed the blip with no happens-before path to the "
+             "repair";
       r.why = why.str();
       races.push_back(std::move(r));
     }
   }
+  if (races.empty()) return races;
+  if (schedule_digest.empty() && !grants.empty()) {
+    schedule_digest = grants.digest();
+  }
+  for (RaceReport& r : races) r.schedule_digest = schedule_digest;
   // Deterministic report order: history order of the second (observing /
   // later) access, ties by the first.
   std::stable_sort(races.begin(), races.end(),

@@ -9,6 +9,11 @@
 // reports conflicting accesses to the same simulated register cell that
 // the order does not justify.
 //
+// The analysis is one linear pass in the style of FastTrack (Flanagan &
+// Freund, PLDI 2009): threads are numbered densely per history, every
+// event stores one flat clock row, and happens_before(a, b) compares a's
+// own component with b's row in O(1).
+//
 // What counts as a race here is deliberately narrower than "any
 // unordered conflicting pair". The model's cells are atomic registers
 // with a single-writer discipline, so a snapshot racing a write is the
@@ -30,7 +35,8 @@
 //    single-writer discipline makes these impossible for well-behaved
 //    programs (PrimitiveSnapshot enforces pid == index), but simulator
 //    child threads share their parent's pid, so the discipline alone
-//    does not order same-pid sub-threads; the vector clocks do.
+//    does not order same-pid sub-threads; the vector clocks do (q0 and
+//    q0.0 are two threads).
 //
 // Every RaceReport is JSON-serializable (both access sites, step-clock
 // stamps, the schedule digest) so a race found by a sharded search
@@ -39,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,35 +56,28 @@
 
 namespace mpcn {
 
-// ------------------------------------------------------- vector clocks
+// ------------------------------------------------------ happens-before
 
-// A per-thread logical clock map. Threads are keyed by ThreadId, so
-// same-pid sub-threads (simulator children) get independent components.
-class VectorClock {
- public:
-  std::uint64_t get(const ThreadId& tid) const;
-  void tick(const ThreadId& tid);             // ++own component
-  void join(const VectorClock& other);        // componentwise max
-  // other <= this componentwise: everything `other` knew, this knows.
-  bool dominates(const VectorClock& other) const;
-
- private:
-  std::map<ThreadId, std::uint64_t> clock_;
-};
-
-// The happens-before order of one recorded run: per-event vector clocks
-// under program order (per ThreadId) plus reads-from edges (a snapshot
-// joins the clock of every write it observed). Event indices refer to
-// the event vector handed to compute_happens_before.
+// The happens-before order of one recorded run: program order per
+// ThreadId plus reads-from edges (a snapshot joins the clock of every
+// write it observed). Event indices refer to the event vector handed to
+// compute_happens_before.
 struct HbAnalysis {
-  std::vector<VectorClock> clocks;  // clocks[i] = clock AT event i
-  // For each snapshot event, the cell -> write-event-index map of the
-  // writes it observed (the reads-from edges); absent cells observed
-  // the initial value or an unmatchable one.
-  std::map<int, std::map<int, int>> reads_from;
+  int threads = 0;          // distinct ThreadIds, numbered by first event
+  std::vector<int> thread;  // thread[i] = dense thread number of event i
+  // Row i, `threads` wide: the vector clock AT event i.
+  std::vector<std::uint32_t> clocks;
+  // Reads-from edges, one slot per cell of each snapshot's view: the
+  // slots of event i are [view_begin[i], view_begin[i + 1]), and a slot
+  // holds the write event observed there, or -1 when the snapshot saw
+  // the initial value or one no write explains.
+  std::vector<int> view_begin;
+  std::vector<int> observed;
 
   // Event a happens-before event b: a's own tick is visible at b.
-  bool happens_before(int a, int b, const std::vector<Event>& events) const;
+  bool happens_before(int a, int b) const;
+  // The write event `snapshot` observed at `cell`, or -1 for none.
+  int reads_from(int snapshot, int cell) const;
 };
 
 HbAnalysis compute_happens_before(const std::vector<Event>& events);
@@ -135,10 +133,12 @@ struct RaceReport {
 
 // Analyze one recorded run. `events` is the HistoryRecorder log (its
 // order is the linearization order — the lock-step token serializes the
-// recording sites); `grants` is the run's grant trace, used to
-// cross-check the step stamps and to derive the schedule digest when
-// `schedule_digest` is empty. Deterministic: equal inputs yield equal
-// reports in equal order (history order of the second access site).
+// recording sites; a foreign log whose response stamps are out of order
+// is analyzed in stable response order). `grants` is the run's grant
+// trace: when `schedule_digest` is empty, its digest names the schedule
+// in every report, and it is hashed only when there is a report.
+// Deterministic: equal inputs yield equal reports in equal order
+// (history order of the second access site, then of the first).
 std::vector<RaceReport> find_races(const std::vector<Event>& events,
                                    const ScheduleTrace& grants,
                                    std::string schedule_digest = "");

@@ -558,7 +558,7 @@ int cmd_explore(int argc, char** argv) {
     std::string why = rec.ok() ? "" : (rec.error.empty() ? rec.why
                                                          : rec.error);
     if (!violated && spec && history) {
-      const std::vector<Event> events = history->events();
+      const std::vector<Event>& events = history->events();
       if (events.size() > kMaxLinearizableOps) {
         // A silent pass over the checker's cap would be a false 'ok'
         // from the very oracle the user asked for.

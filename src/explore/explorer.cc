@@ -5,7 +5,6 @@
 #include <mutex>
 #include <thread>
 
-#include "src/common/arena.h"
 #include "src/common/errors.h"
 #include "src/history/history.h"
 #include "src/obs/events.h"
@@ -130,7 +129,7 @@ OracleVerdict judge(const RunRecord& rec,
     return v;
   }
   if (spec && history) {
-    const std::vector<Event> events = history->events();
+    const std::vector<Event>& events = history->events();
     if (events.size() > kMaxLinearizableOps) {
       v.spec_skipped = true;
     } else if (!is_linearizable(events, *spec)) {
@@ -179,25 +178,17 @@ ScheduleSpec nth_schedule(ScheduleSpec first, int index) {
   return first;
 }
 
-// Per-worker scratch, reused across every schedule the worker runs: an
-// arena-backed HistoryRecorder whose event buffer rewinds between
-// schedules instead of being freed. Declaration order matters: `history`
-// allocates from `arena`, so it must be destroyed first (members are
-// destroyed in reverse declaration order).
+// Per-worker scratch, reused across every schedule the worker runs: one
+// HistoryRecorder, whose reset() keeps its event buffer's capacity.
 struct WorkerScratch {
-  Arena arena;
-  std::shared_ptr<HistoryRecorder> history;
+  std::shared_ptr<HistoryRecorder> history =
+      std::make_shared<HistoryRecorder>();
 
-  WorkerScratch()
-      : arena(1 << 14), history(std::make_shared<HistoryRecorder>(&arena)) {}
-
-  // Rewind for the next schedule and hand out the recorder (recorder
-  // first, THEN the arena backing its buffer); null when the run needs
-  // no recorder.
+  // Empty the recorder for the next schedule and hand it out; null when
+  // the run needs no recorder.
   std::shared_ptr<HistoryRecorder> next(bool wanted) {
     if (!wanted) return nullptr;
     history->reset();
-    arena.reset();
     return history;
   }
 };
@@ -523,11 +514,7 @@ ExploreResult explore(const ExperimentCell& cell,
       threaded ? std::min(options.threads, options.budget) : 1;
   // One scratch per search thread. Scratch 0 also serves the PCT probe,
   // which runs on this thread, so even the sharded path builds one.
-  std::vector<std::unique_ptr<WorkerScratch>> scratch;
-  scratch.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    scratch.push_back(std::make_unique<WorkerScratch>());
-  }
+  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
 
   // PCT horizon: probe the cell once under its own seed to learn a
   // realistic schedule length (the declared step limit is usually orders
@@ -540,7 +527,7 @@ ExploreResult explore(const ExperimentCell& cell,
     ScheduleSpec probe;
     probe.kind = SchedulePolicyKind::kSeededRandom;
     probe.seed = options.seed;
-    auto history = scratch[0]->next(pass_history);
+    auto history = scratch[0].next(pass_history);
     RunRecord rec = run_schedule(base, -1, probe, nullptr, history);
     horizon = std::max<std::uint64_t>(rec.steps, 8);
     result.total_steps += rec.steps;
@@ -578,7 +565,7 @@ ExploreResult explore(const ExperimentCell& cell,
         result.exhausted = true;
         break;
       }
-      auto history = scratch[0]->next(pass_history);
+      auto history = scratch[0].next(pass_history);
       RunRecord rec = run_schedule(base, i, schedule, dfs, history);
       ++result.schedules;
       m_schedules().add();
@@ -680,7 +667,7 @@ ExploreResult explore(const ExperimentCell& cell,
     for (int w = 0; w < workers; ++w) {
       worker_threads.emplace_back([&, w] {
         try {
-          WorkerScratch& s = *scratch[static_cast<std::size_t>(w)];
+          WorkerScratch& s = scratch[static_cast<std::size_t>(w)];
           while (true) {
             const int i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= options.budget ||

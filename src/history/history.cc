@@ -7,11 +7,6 @@ void HistoryRecorder::record(Event e) {
   events_.push_back(std::move(e));
 }
 
-std::vector<Event> HistoryRecorder::events() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return std::vector<Event>(events_.begin(), events_.end());
-}
-
 std::size_t HistoryRecorder::size() const {
   std::lock_guard<std::mutex> lk(m_);
   return events_.size();
@@ -19,11 +14,7 @@ std::size_t HistoryRecorder::size() const {
 
 void HistoryRecorder::reset() {
   std::lock_guard<std::mutex> lk(m_);
-  // Swap in a fresh vector rather than clear(): clear() would keep the
-  // old buffer, which in arena mode is about to be invalidated by the
-  // owner's Arena::reset().
-  events_ = std::vector<Event, ArenaAllocator<Event>>(
-      ArenaAllocator<Event>(arena_));
+  events_.clear();
 }
 
 }  // namespace mpcn

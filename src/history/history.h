@@ -1,8 +1,10 @@
-// Operation histories: the raw material of linearizability checking.
+// Operation histories: the raw material of linearizability checking and
+// of the race oracle (src/analysis/race_oracle.h).
 //
-// Tests record an Event per high-level operation (invocation step stamp,
-// response step stamp, operation name, argument, return value). Under the
-// lock-step controller the stamps come from the global step clock, so the
+// A direct-mode run given a recorder records one Event per register
+// write and snapshot (invocation step stamp, response step stamp,
+// operation name, argument, return value). Under the lock-step
+// controller the stamps come from the global step clock, so the
 // real-time partial order of the history is exact.
 #pragma once
 
@@ -11,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/ids.h"
 #include "src/common/value.h"
 
@@ -26,38 +27,25 @@ struct Event {
   std::uint64_t response_step = 0;
 };
 
-// Thread-safe append-only event log.
-//
-// The explorer re-records a history per schedule; the arena-backed form
-// keeps the event buffer in a caller-owned Arena so the per-schedule
-// cycle is reset() + Arena::reset() — two pointer rewinds — instead of a
-// free/malloc pair. (Event members still own their heap payloads; the
-// arena covers the log buffer, which is the growth churn.)
+// Append-only event log. record() is thread-safe, because free-mode
+// runs record from several threads at once. The explorer reuses one
+// recorder per worker: reset() empties the log and keeps its buffer, so a
+// schedule refills warm memory instead of growing a new vector.
 class HistoryRecorder {
  public:
-  HistoryRecorder() = default;
-  // Arena-backed buffer. The recorder must not outlive `arena`, and the
-  // caller must reset() the recorder BEFORE resetting the arena.
-  explicit HistoryRecorder(Arena* arena)
-      : arena_(arena), events_(ArenaAllocator<Event>(arena)) {}
-
-  // Returns the invocation stamp to pass to complete().
-  std::uint64_t begin(std::uint64_t step_clock) const { return step_clock; }
-
   void record(Event e);
 
-  std::vector<Event> events() const;
+  // The log, read in place once the run that records into it is over.
+  const std::vector<Event>& events() const { return events_; }
   std::size_t size() const;
 
-  // Drop all events and abandon the buffer (arena memory is reclaimed by
-  // the owning Arena's reset; heap mode frees normally). The recorder is
+  // Drop all events, keeping the buffer's capacity. The recorder is
   // immediately reusable.
   void reset();
 
  private:
   mutable std::mutex m_;
-  Arena* arena_ = nullptr;
-  std::vector<Event, ArenaAllocator<Event>> events_;
+  std::vector<Event> events_;
 };
 
 }  // namespace mpcn

@@ -9,7 +9,7 @@
 //     Export goes to its own file (`mpcn ... --metrics out.json`).
 //   * ALWAYS COMPILED IN, ALWAYS CHEAP. Instrumented sites pay one
 //     relaxed atomic increment whether or not anyone ever snapshots.
-//     Counters on the hottest paths (interned Values, arena bytes)
+//     Counters on the hottest paths (interned Values, explored steps)
 //     are sharded across cache-line-padded slots keyed by a
 //     per-thread id, so concurrent increments do not contend.
 //   * MERGEABLE. A MetricsSnapshot is a pure bag of sums: merging is
@@ -20,7 +20,7 @@
 // Hot-path idiom: resolve the metric once into a function-local static
 // reference, then increment through it —
 //
-//   static Counter& c = metrics_registry().counter("arena.bytes");
+//   static Counter& c = metrics_registry().counter("explore.steps");
 //   c.add();
 //
 // Registry lookups take a mutex, but only on first resolution; metric

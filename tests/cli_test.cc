@@ -368,6 +368,30 @@ TEST(Cli, SeedListAxisAndJsonToStdout) {
   EXPECT_EQ(rep.records[1].cell_index, 1);
 }
 
+// Clean scenarios stay silent under the race oracle: 300 seeded
+// schedules each exit 0, the benchmark's Afek churn cell under PCT too.
+TEST(Cli, ExploreCleanScenariosExitZeroWithRaceChecks) {
+  const std::vector<std::vector<std::string>> cells = {
+      {"step_churn", "--in", "3,0,1", "--policy", "random"},
+      {"snapshot_churn", "--in", "3,0,1", "--policy", "random"},
+      {"trivial_kset", "--in", "3,1,1", "--policy", "random"},
+      {"snapshot_churn", "--in", "3,0,1", "--mem", "afek", "--policy",
+       "pct"},
+  };
+  for (const std::vector<std::string>& cell : cells) {
+    std::string out;
+    EXPECT_EQ(run_cli(with_flags(with_flags({"mpcn", "explore"}, cell),
+                                 {"--budget", "300", "--seed", "7",
+                                  "--check-races"}),
+                      &out),
+              0)
+        << cell.front() << ": " << out;
+    EXPECT_NE(out.find(": 300 schedule(s), no violations"),
+              std::string::npos)
+        << out;
+  }
+}
+
 // A race exits 3, on search and on replay of its shrunk trace: bounded
 // DFS at preemption bound 1 finds racy_register's torn pair write.
 TEST(Cli, ExploreRaceExitsThreeOnSearchAndReplay) {

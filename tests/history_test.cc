@@ -1,8 +1,10 @@
 // Unit tests: src/history — the linearizability checker itself (including
-// known non-linearizable histories: the checker must reject them).
+// known non-linearizable histories: the checker must reject them), and
+// the recorder's buffer reuse across schedules.
 #include <gtest/gtest.h>
 
 #include "src/common/errors.h"
+#include "src/history/history.h"
 #include "src/history/linearizability.h"
 
 namespace mpcn {
@@ -112,6 +114,36 @@ TEST(Linearizability, TooLargeHistoryThrows) {
     h.push_back(ev(0, "write", Value(i), Value::nil(), 2 * i, 2 * i + 1));
   }
   EXPECT_THROW(is_linearizable(h, RegisterSpec()), ProtocolError);
+}
+
+TEST(HistoryRecorder, ResetCycleKeepsOneBuffer) {
+  HistoryRecorder rec;
+  auto fill = [&rec] {
+    for (int i = 0; i < 64; ++i) {
+      rec.record(Event{ThreadId{i % 3, 0}, "write",
+                       Value::pair(Value(i), Value(i * 2)), Value::nil(),
+                       static_cast<std::uint64_t>(i),
+                       static_cast<std::uint64_t>(i) + 1});
+    }
+  };
+  fill();
+  EXPECT_EQ(rec.size(), 64u);
+  EXPECT_EQ(rec.events()[63].arg.at(0).as_int(), 63);
+
+  // The explorer's per-schedule cycle: reset, then refill the same
+  // buffer in place.
+  rec.reset();
+  EXPECT_EQ(rec.size(), 0u);
+  const std::size_t capacity = rec.events().capacity();
+  const Event* data = rec.events().data();
+  EXPECT_GE(capacity, 64u);
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    fill();
+    ASSERT_EQ(rec.size(), 64u);
+    rec.reset();
+    EXPECT_EQ(rec.events().capacity(), capacity) << "cycle " << cycle;
+    EXPECT_EQ(rec.events().data(), data) << "cycle " << cycle;
+  }
 }
 
 }  // namespace

@@ -9,11 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/json.h"
 #include "src/common/value.h"
 #include "src/experiment/record.h"
-#include "src/history/history.h"
 
 namespace mpcn {
 namespace {
@@ -229,80 +227,6 @@ TEST(ValueIntern, SmallIntPoolHandsOutStableIdentities) {
   EXPECT_EQ(Value::interned_nil(), Value::nil());
   EXPECT_THROW(Value::small(-1), std::out_of_range);
   EXPECT_THROW(Value::small(256), std::out_of_range);
-}
-
-// --- arena allocator ----------------------------------------------------
-
-TEST(Arena, ReuseAfterResetRecyclesTheSameMemory) {
-  Arena arena(128);
-  void* first = arena.allocate(64, 8);
-  ASSERT_NE(first, nullptr);
-  // Force growth past the first chunk.
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
-  const std::size_t reserved = arena.bytes_reserved();
-  EXPECT_GT(arena.bytes_used(), 0u);
-
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // Reset retains capacity and replays the same addresses: the warm-page
-  // property the explore hot loop relies on.
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_EQ(arena.allocate(64, 8), first);
-
-  // Steady state: many reset cycles never grow the arena again.
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    arena.reset();
-    for (int i = 0; i < 101; ++i) arena.allocate(64, 8);
-    EXPECT_EQ(arena.bytes_reserved(), reserved) << "cycle " << cycle;
-  }
-}
-
-TEST(Arena, AllocatorBacksVectorsAndHonorsAlignment)  {
-  Arena arena;
-  std::vector<std::int64_t, ArenaAllocator<std::int64_t>> v{
-      ArenaAllocator<std::int64_t>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arena.allocate(1, 64)) % 64,
-            0u);
-  // Null-arena allocator is plain heap: usable as a default-constructed
-  // member type.
-  std::vector<int, ArenaAllocator<int>> heap_backed;
-  heap_backed.assign(10, 3);
-  EXPECT_EQ(heap_backed.back(), 3);
-}
-
-TEST(Arena, HistoryRecorderResetCycleReusesTheArena) {
-  Arena arena(256);
-  HistoryRecorder rec(&arena);
-  auto fill = [&rec] {
-    for (int i = 0; i < 64; ++i) {
-      Event e;
-      e.tid = ThreadId{i % 3, 0};
-      e.op = "write";
-      e.arg = Value::pair(Value(i), Value(i * 2));
-      e.invoke_step = static_cast<std::uint64_t>(i);
-      e.response_step = static_cast<std::uint64_t>(i) + 1;
-      rec.record(e);
-    }
-  };
-  fill();
-  EXPECT_EQ(rec.size(), 64u);
-  EXPECT_EQ(rec.events()[63].arg.at(0).as_int(), 63);
-
-  // The explorer's per-schedule cycle: recorder first, then its arena.
-  rec.reset();
-  arena.reset();
-  EXPECT_EQ(rec.size(), 0u);
-  const std::size_t reserved = arena.bytes_reserved();
-  for (int cycle = 0; cycle < 20; ++cycle) {
-    fill();
-    ASSERT_EQ(rec.size(), 64u);
-    rec.reset();
-    arena.reset();
-  }
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
 }
 
 }  // namespace
