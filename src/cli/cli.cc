@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -554,22 +553,14 @@ int cmd_explore(int argc, char** argv) {
     cell.history = history;
     cell.check_races = check_races;
     const RunRecord rec = replay_trace(cell, trace);
-    bool violated = !rec.ok();
-    std::string why = rec.ok() ? "" : (rec.error.empty() ? rec.why
-                                                         : rec.error);
-    if (!violated && spec && history) {
-      const std::vector<Event>& events = history->events();
-      if (events.size() > kMaxLinearizableOps) {
-        // A silent pass over the checker's cap would be a false 'ok'
-        // from the very oracle the user asked for.
-        std::fprintf(stderr,
-                     "warning: --check-lin skipped (%zu events exceed the "
-                     "%zu-operation checker cap)\n",
-                     events.size(), kMaxLinearizableOps);
-      } else if (!is_linearizable(events, *spec)) {
-        violated = true;
-        why = "history violates sequential spec";
-      }
+    const OracleVerdict v = judge(rec, spec, history);
+    if (v.spec_skipped) {
+      // A silent pass over the checker's cap would be a false 'ok' from
+      // the very oracle the user asked for.
+      std::fprintf(stderr,
+                   "warning: --check-lin skipped (%zu events exceed the "
+                   "%zu-operation checker cap)\n",
+                   history->events().size(), kMaxLinearizableOps);
     }
     if (const auto path = args.value("record")) {
       if (!rec.schedule_trace) {
@@ -577,25 +568,19 @@ int cmd_explore(int argc, char** argv) {
       }
       write_json_file(*path, rec.schedule_trace->to_json());
     }
-    if (rec.raced() && why.empty()) {
-      why = "race: " + rec.race_reports.front().why;
-    }
-    const bool crashed =
-        std::any_of(rec.crashed.begin(), rec.crashed.end(),
-                    [](bool c) { return c; });
     std::printf("replay: %s (%llu steps, digest %s)%s\n",
-                rec.raced()
-                    ? "RACE"
-                    : (violated ? (crashed ? "CRASH VIOLATION" : "VIOLATION")
-                                : "ok"),
+                v.race ? "RACE"
+                       : (v.violated ? (v.crashed ? "CRASH VIOLATION"
+                                                  : "VIOLATION")
+                                     : "ok"),
                 static_cast<unsigned long long>(rec.steps),
                 rec.schedule_digest.c_str(),
-                why.empty() ? "" : ("\n  " + why).c_str());
+                v.why.empty() ? "" : ("\n  " + v.why).c_str());
     if (rec.races_checked) {
       std::printf("races: %zu report(s)\n", rec.race_reports.size());
     }
-    if (rec.raced()) return 3;
-    if (violated) return crashed ? 4 : 1;
+    if (v.race) return 3;
+    if (v.violated) return v.crashed ? 4 : 1;
     return 0;
   }
 

@@ -105,9 +105,9 @@ CellSpec CellSpec::from_cell(const ExperimentCell& cell) {
   spec.stop_when_all_correct_decided =
       cell.options.stop_when_all_correct_decided;
   spec.crashes = cell.options.crashes;
-  if (cell.policy_override) {
+  if (cell.options.schedule_policy) {
     throw ProtocolError(
-        "wire: an in-process SchedulePolicy override (e.g. bounded DFS) "
+        "wire: an in-process SchedulePolicy object (e.g. bounded DFS) "
         "cannot cross the wire; use a declarative ScheduleSpec");
   }
   if (cell.history) {

@@ -113,8 +113,9 @@ struct CellSpec {
   // Schedule-explorer fields (src/explore/): the declarative grant
   // policy and whether to ship the grant trace back in the record. This
   // is what lets explore batches shard like any experiment grid. An
-  // in-process policy_override or history hook is NOT serializable;
-  // from_cell rejects cells carrying one.
+  // in-process policy object (ExecutionOptions::schedule_policy) or
+  // history hook is NOT serializable; from_cell rejects cells carrying
+  // one.
   ScheduleSpec schedule;
   bool record_schedule = false;
   // Run the race oracle worker-side (src/analysis/). Serializable —
@@ -129,8 +130,9 @@ struct CellSpec {
 
   // Wire form of an executable cell. Throws ProtocolError when the cell
   // is not wire-representable: no algorithm, unnamed scenario, a name
-  // not in the registry, or a task that is not the scenario's canonical
-  // one for the cell's source model.
+  // not in the registry, an in-process policy object or history hook,
+  // or a task that is not the scenario's canonical one for the cell's
+  // source model.
   static CellSpec from_cell(const ExperimentCell& cell);
 
   // Rebuild the executable cell through the scenario registry. Throws

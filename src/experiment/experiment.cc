@@ -202,9 +202,7 @@ RunRecord run_cell_throwing(const ExperimentCell& cell) {
   }
 
   ExecutionOptions options = cell.options;
-  if (cell.policy_override) {
-    options.schedule_policy = cell.policy_override;
-  } else if (!cell.schedule.is_default()) {
+  if (!options.schedule_policy) {
     options.schedule_policy = make_policy(cell.schedule, options.seed);
   }
   // The race oracle needs the grant trace even when the caller did not

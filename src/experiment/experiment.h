@@ -64,18 +64,19 @@ struct ExperimentCell {
   int cell_index = -1;
   MemKind mem = MemKind::kPrimitive;
   bool check_legality = true;
-  ExecutionOptions options;  // seed and crash plan already baked in
+  // Seed and crash plan already baked in. options.schedule_policy is the
+  // in-process policy object hook: set, it wins over `schedule` (e.g. a
+  // BoundedDfsPolicy whose state spans runs) and the cell cannot cross
+  // the wire.
+  ExecutionOptions options;
   std::shared_ptr<const ColorlessTask> task;  // may be null
   std::vector<Value> inputs;
 
   // ------------------------------------------- schedule-explorer hooks
-  // Declarative grant policy (src/explore/trace.h). kDefault keeps the
-  // controller's built-in seeded schedule; anything else is materialized
-  // by run_cell via make_policy(). Wire-serializable (src/dist/wire.h).
+  // Declarative grant policy (src/explore/trace.h). kDefault runs
+  // SeededRandomPolicy at options.seed; anything else is materialized by
+  // run_cell via make_policy(). Wire-serializable (src/dist/wire.h).
   ScheduleSpec schedule;
-  // In-process only: an explicit policy object, e.g. a BoundedDfsPolicy
-  // whose state spans runs. Wins over `schedule`; not serializable.
-  std::shared_ptr<SchedulePolicy> policy_override;
   // Capture the grant trace: the RunRecord gains schedule_digest and
   // schedule_trace (lock-step cells only).
   bool record_schedule = false;
@@ -88,9 +89,9 @@ struct ExperimentCell {
   // over the run's event log + grant trace and stamp the verdict into
   // RunRecord::{races_checked, race_reports}. Direct-mode lock-step
   // cells only (run_cell_throwing throws otherwise). Unlike `history`
-  // and `policy_override`, this is a serializable flag: sharded workers
-  // run the identical analysis, so sharded and in-process race searches
-  // produce byte-identical records.
+  // and options.schedule_policy, this is a serializable flag: sharded
+  // workers run the identical analysis, so sharded and in-process race
+  // searches produce byte-identical records.
   bool check_races = false;
 };
 
@@ -168,7 +169,8 @@ class Experiment {
   Experiment& wall_limit(std::chrono::milliseconds limit);
   // Bulk override (compatibility with ExecutionOptions-based call sites);
   // adopts mode, step/wall limits and crash plan, and the seed as the
-  // single-seed axis.
+  // single-seed axis. A schedule_policy object rides into every cell,
+  // which keeps the grid in-process (the wire refuses it).
   Experiment& base_options(const ExecutionOptions& options);
   Experiment& check_legality(bool check);
   Experiment& label(std::string scenario_label);

@@ -75,14 +75,6 @@ Counter& m_spec_skips() {
   return c;
 }
 
-struct OracleVerdict {
-  bool violated = false;
-  bool spec_skipped = false;
-  bool race = false;     // the race oracle flagged the run
-  bool crashed = false;  // the run realized at least one crash
-  std::string why;
-};
-
 bool any_crashed(const RunRecord& rec) {
   for (bool c : rec.crashed) {
     if (c) return true;
@@ -98,10 +90,8 @@ std::string race_why(const RunRecord& rec) {
   return why;
 }
 
-// The three oracles: the task/liveness verdict already folded into
-// RunRecord::ok, the race-oracle verdict the cell runner stamped into
-// the record, and (for clean runs with a recorded history) the
-// sequential spec.
+}  // namespace
+
 OracleVerdict judge(const RunRecord& rec,
                     const std::shared_ptr<const SequentialSpec>& spec,
                     const std::shared_ptr<HistoryRecorder>& history) {
@@ -141,6 +131,8 @@ OracleVerdict judge(const RunRecord& rec,
   return v;
 }
 
+namespace {
+
 // One search run: stamp the schedule, attach the observation hooks, run.
 RunRecord run_schedule(const ExperimentCell& base, int index,
                        const ScheduleSpec& schedule,
@@ -149,7 +141,7 @@ RunRecord run_schedule(const ExperimentCell& base, int index,
   ExperimentCell cell = base;
   cell.cell_index = index;
   cell.schedule = schedule;
-  cell.policy_override = std::move(policy);
+  cell.options.schedule_policy = std::move(policy);
   cell.record_schedule = true;
   cell.history = std::move(history);
   ScopedSpan span("explore.schedule", "explore");
@@ -219,7 +211,7 @@ RunRecord replay_trace(const ExperimentCell& cell,
   s.kind = SchedulePolicyKind::kScripted;
   s.script = std::make_shared<const ScheduleTrace>(trace);
   replay.schedule = std::move(s);
-  replay.policy_override = nullptr;
+  replay.options.schedule_policy = nullptr;
   replay.record_schedule = true;
   if (!trace.crashes.empty() && replay.options.crashes.is_none()) {
     // Crash marks need a director to land: attach an explored plan sized
@@ -272,7 +264,7 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
     if (!force && result.replays >= options.max_replays) return false;
     ++result.replays;
     ExperimentCell candidate = cell;
-    candidate.policy_override = nullptr;
+    candidate.options.schedule_policy = nullptr;
     ScheduleSpec s;
     s.kind = SchedulePolicyKind::kScripted;
     auto script = std::make_shared<const ScheduleTrace>(to_trace(entries));
@@ -409,6 +401,9 @@ ExploreResult explore(const ExperimentCell& cell,
   // the race-oracle flag rides along everywhere uniformly.
   ExperimentCell base = cell;
   base.check_races = options.check_races;
+  // The search picks every run's policy itself: a caller's policy object
+  // would override each schedule and could not cross the shard wire.
+  base.options.schedule_policy = nullptr;
   // Product search: every run gets the explored plan, so the schedule
   // policy decides crashes at each grant within this budget. The plan is
   // part of the cell, so it ships over the shard wire unchanged and the
@@ -559,7 +554,7 @@ ExploreResult explore(const ExperimentCell& cell,
       dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound);
     }
     for (int i = 0; i < options.budget; ++i) {
-      ScheduleSpec schedule;  // kDefault under DFS (override wins)
+      ScheduleSpec schedule;  // kDefault under DFS (the object wins)
       if (!dfs) schedule = nth_schedule(schedule0, i);
       if (dfs && i > 0 && !dfs->advance()) {
         result.exhausted = true;
@@ -584,10 +579,7 @@ ExploreResult explore(const ExperimentCell& cell,
         break;
       }
     }
-    if (dfs) {
-      result.pruned_prefixes = dfs->pruned_prefixes();
-      result.exhausted = result.exhausted || dfs->exhausted();
-    }
+    if (dfs) result.exhausted = result.exhausted || dfs->exhausted();
     return result;
   }
 

@@ -155,7 +155,9 @@ struct ExploreResult {
   bool exhausted = false;     // DFS enumerated its whole bounded tree
   std::uint64_t total_steps = 0;
   std::uint64_t pct_horizon = 0;      // horizon actually used
-  std::uint64_t pruned_prefixes = 0;  // DFS visited-set hits
+  // Always 0 (bounded DFS prunes nothing); kept in the report because
+  // perfbench/layers.cc reads it.
+  std::uint64_t pruned_prefixes = 0;
   int skipped_spec_checks = 0;  // histories over the 64-op checker cap
   // Observed grant trace of schedule #0 — the record side of the CLI's
   // --record / --replay byte-identity loop.
@@ -197,6 +199,24 @@ ExploreResult explore(const ExperimentCell& cell,
 // range line; the coordinator runs it when its worker pool drains.
 RangeResult run_schedule_range(const ExperimentCell& base, int first,
                                int count);
+
+// The verdict of the explorer's three oracles on one run: the task and
+// liveness verdict folded into RunRecord::ok, the race verdict the cell
+// runner stamped into the record, and (for a clean run with a recorded
+// history) the sequential spec.
+struct OracleVerdict {
+  bool violated = false;
+  bool spec_skipped = false;  // history over the spec checker's op cap
+  bool race = false;     // the race oracle flagged the run
+  bool crashed = false;  // the run realized at least one crash
+  std::string why;       // set when violated
+};
+
+// Judge one run: what every search, shrink candidate and
+// `mpcn explore --replay` calls a violation, and why.
+OracleVerdict judge(const RunRecord& rec,
+                    const std::shared_ptr<const SequentialSpec>& spec,
+                    const std::shared_ptr<HistoryRecorder>& history);
 
 // Replay one explicit schedule against the cell (Scripted policy, trace
 // recording on). The returned record's schedule_trace is the OBSERVED

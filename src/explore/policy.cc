@@ -6,27 +6,6 @@
 
 namespace mpcn {
 
-// ------------------------------------------------------- SeededRandom
-
-std::size_t SeededRandomPolicy::pick(const std::vector<ThreadId>& runnable,
-                                     std::uint64_t) {
-  // One index() draw per grant over the runnable count — the exact call
-  // sequence of the controller's built-in path, hence byte-identical
-  // traces for equal seeds.
-  return rng_.index(runnable.size());
-}
-
-GrantChoice SeededRandomPolicy::pick_crashing(
-    const std::vector<ThreadId>& runnable, std::uint64_t step,
-    CrashDirector* director) {
-  GrantChoice choice{pick(runnable, step), false};
-  if (director && director->budget_remaining() > 0 &&
-      director->crashable(runnable[choice.index].pid)) {
-    choice.crash = rng_.chance(director->rate());
-  }
-  return choice;
-}
-
 // ----------------------------------------------------------- Scripted
 
 ScriptedPolicy::ScriptedPolicy(std::shared_ptr<const ScheduleTrace> script)
@@ -38,14 +17,8 @@ ScriptedPolicy::ScriptedPolicy(std::shared_ptr<const ScheduleTrace> script)
   crash_end_ = crash_cursor_ + script_->crashes.size();
 }
 
-std::size_t ScriptedPolicy::pick(const std::vector<ThreadId>& runnable,
-                                 std::uint64_t step) {
-  return pick_crashing(runnable, step, nullptr).index;
-}
-
-GrantChoice ScriptedPolicy::pick_crashing(
-    const std::vector<ThreadId>& runnable, std::uint64_t,
-    CrashDirector*) {
+GrantChoice ScriptedPolicy::pick(const std::vector<ThreadId>& runnable,
+                                 CrashDirector*) {
   while (cursor_ != end_) {
     const std::uint64_t pos =
         static_cast<std::uint64_t>(cursor_ - script_->grants.data());
@@ -84,8 +57,8 @@ PctPolicy::PctPolicy(std::uint64_t seed, int depth, std::uint64_t horizon)
   }
 }
 
-std::size_t PctPolicy::pick(const std::vector<ThreadId>& runnable,
-                            std::uint64_t) {
+GrantChoice PctPolicy::pick(const std::vector<ThreadId>& runnable,
+                            CrashDirector* director) {
   // Assign a random high priority on first sight. Thread appearance
   // order is schedule-deterministic, so priorities replay with the seed.
   for (const ThreadId& t : runnable) {
@@ -108,18 +81,8 @@ std::size_t PctPolicy::pick(const std::vector<ThreadId>& runnable,
     priority_[runnable[leader()]] = next_low_--;
   }
   ++grants_;
-  return leader();
-}
-
-GrantChoice PctPolicy::pick_crashing(const std::vector<ThreadId>& runnable,
-                                     std::uint64_t step,
-                                     CrashDirector* director) {
-  GrantChoice choice{pick(runnable, step), false};
-  if (director && director->budget_remaining() > 0 &&
-      director->crashable(runnable[choice.index].pid)) {
-    choice.crash = rng_.chance(director->rate());
-  }
-  return choice;
+  const std::size_t index = leader();
+  return GrantChoice{index, draw_crash(rng_, director, runnable[index].pid)};
 }
 
 // --------------------------------------------------------- BoundedDfs
@@ -145,31 +108,8 @@ std::size_t BoundedDfsPolicy::option_for_rank(const Node& n,
   return idx;
 }
 
-std::string BoundedDfsPolicy::prefix_digest() const {
-  ScheduleTrace prefix;
-  prefix.grants.reserve(prefix_len_);
-  for (std::size_t i = 0; i < prefix_len_; ++i) {
-    if (path_[i].chosen_crash) {
-      prefix.crashes.push_back(static_cast<std::uint64_t>(i));
-    }
-    prefix.grants.push_back(path_[i].options[path_[i].chosen]);
-  }
-  return prefix.digest();
-}
-
-std::size_t BoundedDfsPolicy::pick(const std::vector<ThreadId>& runnable,
-                                   std::uint64_t) {
-  return pick_impl(runnable, nullptr).index;
-}
-
-GrantChoice BoundedDfsPolicy::pick_crashing(
-    const std::vector<ThreadId>& runnable, std::uint64_t,
-    CrashDirector* director) {
-  return pick_impl(runnable, director);
-}
-
-GrantChoice BoundedDfsPolicy::pick_impl(const std::vector<ThreadId>& runnable,
-                                        CrashDirector* director) {
+GrantChoice BoundedDfsPolicy::pick(const std::vector<ThreadId>& runnable,
+                                   CrashDirector* director) {
   if (director) {
     // Total adversary budget = crashes this run already spent + what the
     // director still affords. Observed every grant so advance() gates
@@ -272,10 +212,6 @@ bool BoundedDfsPolicy::advance() {
     }
     if (advanced) {
       prefix_len_ = path_.size();
-      if (!visited_.insert(prefix_digest()).second) {
-        ++pruned_;
-        continue;  // try this node's next alternative
-      }
       cursor_ = 0;
       preemptions_used_ = 0;
       crashes_used_ = 0;

@@ -1,10 +1,6 @@
-// Concrete grant policies for the schedule explorer (seam:
-// src/runtime/schedule_policy.h).
+// The explorer's grant policies (seam: src/runtime/schedule_policy.h,
+// which also holds SeededRandomPolicy, the runtime's default adversary).
 //
-//   SeededRandomPolicy — uniform draw from a seeded RNG: byte-identical
-//     to the LockstepController's built-in schedule for the same seed
-//     (pinned by explore_test), so plugging the seam in changes nothing
-//     until a different policy is chosen.
 //   ScriptedPolicy — replay an explicit ScheduleTrace. Entries that name
 //     a thread not currently runnable are skipped; an exhausted script
 //     falls back to the lowest runnable ThreadId. Both rules are
@@ -19,16 +15,13 @@
 //   BoundedDfsPolicy — systematic enumeration of schedules under a
 //     preemption bound (CHESS-style). Stateful ACROSS runs: each run
 //     replays the current choice prefix and extends it non-preemptively;
-//     advance() backtracks to the next unexplored branch. A visited-
-//     prefix digest set prunes re-exploration when nondeterminism at the
-//     run boundary replays a prefix twice.
+//     advance() backtracks to the next unexplored branch.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -37,34 +30,14 @@
 
 namespace mpcn {
 
-class SeededRandomPolicy : public SchedulePolicy {
- public:
-  explicit SeededRandomPolicy(std::uint64_t seed) : rng_(seed) {}
-  std::size_t pick(const std::vector<ThreadId>& runnable,
-                   std::uint64_t step) override;
-  // Product search: the index draw first (same stream position as pick),
-  // then a crash_rate draw when the adversary can still afford a crash —
-  // the exact order of the controller's built-in explored path, hence
-  // byte-identical product schedules for equal seeds.
-  GrantChoice pick_crashing(const std::vector<ThreadId>& runnable,
-                            std::uint64_t step,
-                            CrashDirector* director) override;
-
- private:
-  Rng rng_;
-};
-
 class ScriptedPolicy : public SchedulePolicy {
  public:
   explicit ScriptedPolicy(std::shared_ptr<const ScheduleTrace> script);
-  std::size_t pick(const std::vector<ThreadId>& runnable,
-                   std::uint64_t step) override;
   // Replays the script's crash marks alongside its grants: a matched
   // entry whose script position is marked directs a crash onto the
   // granted thread (the marks of skipped entries are dropped with them).
-  GrantChoice pick_crashing(const std::vector<ThreadId>& runnable,
-                            std::uint64_t step,
-                            CrashDirector* director) override;
+  GrantChoice pick(const std::vector<ThreadId>& runnable,
+                   CrashDirector* director) override;
 
   // Diagnostics: script entries skipped because the named thread was not
   // runnable, and grants issued after the script ran out.
@@ -91,13 +64,10 @@ class PctPolicy : public SchedulePolicy {
   // depth >= 1 priority levels to inject (d - 1 change points); horizon
   // > 0 is the step range the change points are drawn from.
   PctPolicy(std::uint64_t seed, int depth, std::uint64_t horizon);
-  std::size_t pick(const std::vector<ThreadId>& runnable,
-                   std::uint64_t step) override;
   // Like SeededRandom: the priority schedule is undisturbed, a separate
-  // crash_rate draw decides whether the leader crashes at this grant.
-  GrantChoice pick_crashing(const std::vector<ThreadId>& runnable,
-                            std::uint64_t step,
-                            CrashDirector* director) override;
+  // draw_crash decides whether the leader crashes at this grant.
+  GrantChoice pick(const std::vector<ThreadId>& runnable,
+                   CrashDirector* director) override;
 
  private:
   Rng rng_;
@@ -115,17 +85,14 @@ class BoundedDfsPolicy : public SchedulePolicy {
   // holder is NOT continued.
   explicit BoundedDfsPolicy(int preemption_bound);
 
-  std::size_t pick(const std::vector<ThreadId>& runnable,
-                   std::uint64_t step) override;
   // Product enumeration: with a CrashDirector attached each choice point
   // doubles — every runnable option also exists in a "crash here"
   // variant, gated by the adversary's remaining budget. A crash variant
   // costs the same preemptions as its schedule sibling, so at preemption
   // bound 0 the product tree is exactly the schedule-only tree plus
   // crash placements along each non-preemptive schedule.
-  GrantChoice pick_crashing(const std::vector<ThreadId>& runnable,
-                            std::uint64_t step,
-                            CrashDirector* director) override;
+  GrantChoice pick(const std::vector<ThreadId>& runnable,
+                   CrashDirector* director) override;
 
   // Move to the next unexplored schedule prefix; false once the bounded
   // tree is exhausted. Call BETWEEN runs (after the run driven by the
@@ -136,7 +103,6 @@ class BoundedDfsPolicy : public SchedulePolicy {
   // True if the latest run failed to replay its prefix (the workload was
   // not schedule-deterministic); the run's tail ran non-preemptively.
   bool diverged() const { return diverged_; }
-  std::uint64_t pruned_prefixes() const { return pruned_; }
 
  private:
   struct Node {
@@ -160,9 +126,6 @@ class BoundedDfsPolicy : public SchedulePolicy {
   static std::size_t default_choice(const Node& n);
   // Option index for try-order position `rank` (0 = default).
   static std::size_t option_for_rank(const Node& n, std::size_t rank);
-  std::string prefix_digest() const;
-  GrantChoice pick_impl(const std::vector<ThreadId>& runnable,
-                        CrashDirector* director);
 
   const int bound_;
   std::vector<Node> path_;
@@ -177,14 +140,12 @@ class BoundedDfsPolicy : public SchedulePolicy {
   ThreadId last_granted_{};
   bool diverged_ = false;
   bool exhausted_ = false;
-  std::set<std::string> visited_;
-  std::uint64_t pruned_ = 0;
 };
 
 // Materialize a policy from its declarative spec. kDefault returns null
-// (keep the controller's built-in schedule). `cell_seed` substitutes for
-// spec.seed == 0. Throws ProtocolError on an unusable spec (scripted
-// without a script, pct without a horizon).
+// (no policy object: the run gets SeededRandomPolicy at its own seed).
+// `cell_seed` substitutes for spec.seed == 0. Throws ProtocolError on an
+// unusable spec (scripted without a script, pct without a horizon).
 std::unique_ptr<SchedulePolicy> make_policy(const ScheduleSpec& spec,
                                             std::uint64_t cell_seed);
 

@@ -56,8 +56,8 @@ struct ScheduleTrace {
 };
 
 // Which grant policy a cell runs under (policies live in
-// src/explore/policy.h; kDefault means the controller's built-in seeded
-// RNG — no policy object at all, the pre-explore behavior).
+// src/explore/policy.h). kDefault means no policy object: the run gets
+// the runtime's default, SeededRandomPolicy at the cell's seed.
 enum class SchedulePolicyKind { kDefault, kSeededRandom, kScripted, kPct };
 
 const char* to_string(SchedulePolicyKind kind);

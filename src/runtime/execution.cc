@@ -37,8 +37,10 @@ Execution::Execution(std::vector<Program> programs, std::vector<Value> inputs,
     throw ProtocolError("inputs size must match program count");
   }
   if (options_.mode == SchedulerMode::kLockstep) {
-    controller_ = std::make_unique<LockstepController>(
-        options_.seed, options_.step_limit, options_.schedule_policy);
+    std::shared_ptr<SchedulePolicy> policy = options_.schedule_policy;
+    if (!policy) policy = std::make_shared<SeededRandomPolicy>(options_.seed);
+    controller_ = std::make_unique<LockstepController>(options_.step_limit,
+                                                       std::move(policy));
     if (options_.record_schedule) controller_->enable_grant_trace();
   } else {
     controller_ = std::make_unique<FreeController>(options_.step_limit);

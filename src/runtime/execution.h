@@ -40,9 +40,9 @@ struct ExecutionOptions {
   CrashPlan crashes = CrashPlan::none();
   // Stop the run once all non-crashed processes decided (normal case).
   bool stop_when_all_correct_decided = true;
-  // Lock-step only: replace the controller's seeded uniform grant draw
-  // with a pluggable adversary (schedule_policy.h, policies in
-  // src/explore/). Null keeps the historical RNG schedule.
+  // Lock-step only: the adversary that picks every grant
+  // (schedule_policy.h; the explorer's policies are in src/explore/).
+  // Null runs SeededRandomPolicy(seed).
   std::shared_ptr<SchedulePolicy> schedule_policy;
   // Lock-step only: capture the grant trace (one ThreadId per step) so
   // the schedule can be digested, recorded and replayed.

@@ -1,20 +1,19 @@
-// SchedulePolicy: the pluggable WHO-runs-next seam of the lock-step
-// scheduler.
+// SchedulePolicy: the WHO-runs-next seam of the lock-step scheduler, and
+// the runtime's default adversary.
 //
 // The LockstepController (step_controller.h) grants the step token only
-// when every live fiber is parked; WHICH fiber it grants is, by
-// default, a uniform draw from its seeded RNG. A SchedulePolicy replaces
-// that draw: given the (ordered) runnable set and the global step clock,
-// pick the next grant. This is the whole surface the schedule-exploration
-// subsystem (src/explore/) needs — replaying recorded traces, PCT
+// when every live fiber is parked; WHICH fiber it grants, and whether
+// that fiber's process crashes on the step, is always a SchedulePolicy's
+// pick(). A lock-step run given no policy gets SeededRandomPolicy at the
+// run's seed (execution.h). The schedule-exploration subsystem
+// (src/explore/) plugs in the rest: replaying recorded traces, PCT
 // priority schedules and bounded-DFS enumeration are all just different
 // pick() implementations.
 //
 // Contract:
 //   * pick() is called exactly once per grant, on the thread running the
 //     lock-step execution, with `runnable` sorted by ThreadId and
-//     non-empty. `step` is the number of completed steps at grant time
-//     (the grant's position in the schedule).
+//     non-empty.
 //   * The returned index must be < runnable.size(). Grants fire inside
 //     controller switches and cannot throw, so an out-of-range pick is
 //     clamped to keep the run live, latched as
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/rng.h"
 
 namespace mpcn {
 
@@ -72,21 +72,31 @@ class SchedulePolicy {
  public:
   virtual ~SchedulePolicy() = default;
 
-  // Index into `runnable` of the thread to grant the step token to.
-  virtual std::size_t pick(const std::vector<ThreadId>& runnable,
-                           std::uint64_t step) = 0;
+  // The thread to grant the step token to, as an index into `runnable`,
+  // and whether its process crashes at this grant. `director` is the
+  // crash adversary of an explored crash plan, valid for the duration of
+  // the call; it is null for schedule-only runs, where the controller
+  // ignores a crash directive.
+  virtual GrantChoice pick(const std::vector<ThreadId>& runnable,
+                           CrashDirector* director) = 0;
+};
 
-  // Product form: pick a thread AND decide whether it crashes at this
-  // grant. Only called when the cell's crash plan is `explored` (the
-  // controller has a CrashDirector attached); `director` is non-null and
-  // valid for the duration of the call. The default keeps legacy
-  // policies working unchanged: same schedule, no crashes.
-  virtual GrantChoice pick_crashing(const std::vector<ThreadId>& runnable,
-                                    std::uint64_t step,
-                                    CrashDirector* director) {
-    (void)director;
-    return GrantChoice{pick(runnable, step), false};
-  }
+// The seeded crash draw of the randomized policies: when `director` can
+// still afford a crash of `pid`, one chance(rate) draw from `rng`, taken
+// after the grant's own draws; no draw otherwise.
+bool draw_crash(Rng& rng, CrashDirector* director, ProcessId pid);
+
+// Uniform draw from a seeded RNG: one index() draw per grant over the
+// runnable count, then draw_crash for the granted process. What a run
+// given no policy runs, at the run's seed.
+class SeededRandomPolicy : public SchedulePolicy {
+ public:
+  explicit SeededRandomPolicy(std::uint64_t seed) : rng_(seed) {}
+  GrantChoice pick(const std::vector<ThreadId>& runnable,
+                   CrashDirector* director) override;
+
+ private:
+  Rng rng_;
 };
 
 }  // namespace mpcn

@@ -86,10 +86,9 @@ namespace {
 constexpr std::uint64_t kClockGrants = 256;
 }  // namespace
 
-LockstepController::LockstepController(std::uint64_t seed,
-                                       std::uint64_t step_limit,
+LockstepController::LockstepController(std::uint64_t step_limit,
                                        std::shared_ptr<SchedulePolicy> policy)
-    : rng_(seed), policy_(std::move(policy)), step_limit_(step_limit) {}
+    : policy_(std::move(policy)), step_limit_(step_limit) {}
 
 LockstepController::~LockstepController() = default;
 
@@ -213,47 +212,27 @@ void LockstepController::maybe_grant() {
     timed_out_ = true;
     return;
   }
-  // Deterministic grant: every live fiber is parked, so the draw depends
-  // only on the RNG or policy state and the sorted parked set.
-  std::size_t idx;
-  bool crash_here = false;
-  if (policy_) {
-    if (crash_director_) {
-      // Explored crash plan: the policy decides the (thread, crash) pair.
-      const GrantChoice choice =
-          policy_->pick_crashing(parked_, steps_, crash_director_);
-      idx = choice.index;
-      crash_here = choice.crash;
-    } else {
-      idx = policy_->pick(parked_, steps_);
+  // Deterministic grant: every live fiber is parked, so the choice
+  // depends only on the policy's state and the sorted parked set.
+  GrantChoice choice = policy_->pick(parked_, crash_director_);
+  if (choice.index >= parked_.size()) {
+    // Cannot throw here: a grant fires while a fiber parks or ends.
+    // Record the fault, keep the run live with a clamped grant that
+    // carries no crash, and let Execution::run surface it afterwards.
+    if (policy_error_.empty()) {
+      policy_error_ = "SchedulePolicy::pick returned index " +
+                      std::to_string(choice.index) +
+                      " for a runnable set of " +
+                      std::to_string(parked_.size()) + " at step " +
+                      std::to_string(steps_);
     }
-    if (idx >= parked_.size()) {
-      // Cannot throw here: a grant fires while a fiber parks or ends.
-      // Record the fault, keep the run live with a clamped grant, and let
-      // Execution::run surface it afterwards.
-      if (policy_error_.empty()) {
-        policy_error_ = "SchedulePolicy::pick returned index " +
-                        std::to_string(idx) + " for a runnable set of " +
-                        std::to_string(parked_.size()) + " at step " +
-                        std::to_string(steps_);
-      }
-      idx = parked_.size() - 1;
-      crash_here = false;  // a clamped pick cannot carry a crash directive
-    }
-  } else {
-    idx = static_cast<std::size_t>(rng_.index(parked_.size()));
-    if (crash_director_ && crash_director_->budget_remaining() > 0 &&
-        crash_director_->crashable(parked_[idx].pid)) {
-      // Built-in RNG path under an explored plan: draw the crash from the
-      // same stream, in the same index-then-chance order SeededRandom
-      // uses, so the two paths stay byte-identical.
-      crash_here = rng_.chance(crash_director_->rate());
-    }
+    choice = GrantChoice{parked_.size() - 1, false};
   }
-  holder_ = parked_threads_[idx];
-  if (crash_here && !crash_director_->direct_crash(holder_->tid)) {
-    crash_here = false;  // budget spent / already crashed: no-op
-  }
+  holder_ = parked_threads_[choice.index];
+  // A crash lands only through a director, which refuses it once the
+  // budget is spent or the process already crashed.
+  const bool crash_here = choice.crash && crash_director_ != nullptr &&
+                          crash_director_->direct_crash(holder_->tid);
   if (trace_) {
     if (crash_here) crash_marks_.push_back(grant_trace_.size());
     grant_trace_.push_back(holder_->tid);

@@ -7,19 +7,19 @@
 //  * FreeController   — real hardware concurrency. Every process is an OS
 //    thread; acquire()/release() are nearly free and threads race as the
 //    OS schedules them. Used for stress tests and `--scheduler free` runs.
-//  * LockstepController — a deterministic seeded adversary. Every process
-//    is a Fiber (fiber.h) on the one thread that calls run(). A fiber must
+//  * LockstepController — a deterministic adversary. Every process is a
+//    Fiber (fiber.h) on the one thread that calls run(). A fiber must
 //    hold the (single) step token to perform a shared-memory operation.
 //    The token is granted only when every live fiber is parked waiting
-//    for it; the next holder is drawn from the seeded RNG (or a
-//    SchedulePolicy) over the sorted parked set, and the controller
-//    switches to it. Given a seed, the interleaving of shared-memory steps
-//    is reproducible, which is what makes the crash-injection tests of the
+//    for it; a SchedulePolicy (schedule_policy.h) picks the next holder
+//    from the sorted parked set, and the controller switches to it. Given
+//    the policy's seed, the interleaving of shared-memory steps is
+//    reproducible, which is what makes the crash-injection tests of the
 //    paper's blocking lemmas (Lemma 1, Lemma 7) precise.
 //
 // A lock-step run is serial by definition, so it needs no OS threads, no
 // locks and no wakeups: handing over the token is one context switch, and
-// none at all when the draw re-grants the running fiber.
+// none at all when the policy re-grants the running fiber.
 //
 // All protocol-level blocking in the library is yield-spinning through a
 // controller (no native blocking), so lock-step runs cannot deadlock on
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/common/ids.h"
-#include "src/common/rng.h"
 #include "src/runtime/fiber.h"
 #include "src/runtime/schedule_policy.h"
 
@@ -189,11 +188,9 @@ class FreeController : public StepController {
 // every method runs on the thread that calls run().
 class LockstepController : public StepController {
  public:
-  // `policy` overrides the built-in seeded uniform draw (schedule_policy.h).
-  // Null keeps the historical RNG path, byte-identical to pre-policy
-  // builds — the SeededRandom explore policy reproduces it exactly.
-  LockstepController(std::uint64_t seed, std::uint64_t step_limit,
-                     std::shared_ptr<SchedulePolicy> policy = nullptr);
+  // `policy` (non-null) picks every grant (schedule_policy.h).
+  LockstepController(std::uint64_t step_limit,
+                     std::shared_ptr<SchedulePolicy> policy);
   ~LockstepController() override;
 
   SchedulerMode mode() const override { return SchedulerMode::kLockstep; }
@@ -214,10 +211,9 @@ class LockstepController : public StepController {
     return crash_marks_;
   }
 
-  // Attach the crash adversary of an explored CrashPlan. With a director
-  // attached, grants go through SchedulePolicy::pick_crashing (or, on the
-  // built-in RNG path, a seeded per-grant crash draw), so the policy
-  // searches the (schedule × crash) product. `director` must outlive the
+  // Attach the crash adversary of an explored CrashPlan. Every grant
+  // hands the director to SchedulePolicy::pick, so the policy searches
+  // the (schedule × crash) product. `director` must outlive the
   // controller's last grant; Execution owns both and tears down in order.
   void set_crash_director(CrashDirector* director) {
     crash_director_ = director;
@@ -232,7 +228,7 @@ class LockstepController : public StepController {
   struct Thread;
 
   Thread& thread(ThreadId tid);
-  // Draws the next token holder if every live fiber is parked, no one
+  // Picks the next token holder if every live fiber is parked, no one
   // holds the token and the run is not over.
   void maybe_grant();
   // The fiber that runs next once the current one stops (null = run()'s
@@ -247,8 +243,7 @@ class LockstepController : public StepController {
   // Destroy the fiber that finished last (it cannot unmap its own stack).
   void reap();
 
-  Rng rng_;
-  const std::shared_ptr<SchedulePolicy> policy_;  // null = seeded RNG draw
+  const std::shared_ptr<SchedulePolicy> policy_;
   CrashDirector* crash_director_ = nullptr;  // null = schedule-only grants
   const std::uint64_t step_limit_;
   Deadline deadline_ = Deadline::max();
@@ -260,7 +255,7 @@ class LockstepController : public StepController {
   std::map<ThreadId, std::unique_ptr<Thread>> threads_;
   std::size_t alive_ = 0;  // threads in the grant set
   // The parked fibers, sorted by ThreadId: the runnable set every grant
-  // draws from. parked_threads_ runs parallel to it.
+  // picks from. parked_threads_ runs parallel to it.
   std::vector<ThreadId> parked_;
   std::vector<Thread*> parked_threads_;
   std::deque<Thread*> ready_;  // to run before the next grant, FIFO

@@ -65,7 +65,7 @@ SimulatedAlgorithm snapshot_churn_algorithm(int n, int rounds);
 // decides its input. No waiting, no agreement — each cell's step count is
 // exactly n * (rounds + 1) for rounds + 1 writes per process, so
 // wall time divided by steps is the scheduler's per-handoff cost
-// (`mpcn run step_churn`; CI's race-oracle leg searches it clean).
+// (`mpcn run step_churn`; cli_test searches it clean for races).
 SimulatedAlgorithm step_churn_algorithm(int n, int rounds);
 
 // DELIBERATELY BUGGY exhibit for ASM(n, 0, 1), n >= 2: the schedule

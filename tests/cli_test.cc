@@ -451,6 +451,8 @@ TEST(Cli, ExploreCrashOnlyViolationExitsFourOnSearchAndReplay) {
                     &out),
             4);
   EXPECT_NE(out.find("replay: CRASH VIOLATION"), std::string::npos) << out;
+  // The replay says why, in the search's words.
+  EXPECT_NE(out.find("timed out (liveness)"), std::string::npos) << out;
 }
 
 // --progress follows the TTY rule on the sharded backend too: under a

@@ -101,11 +101,14 @@ TEST(CrashProduct, RandomProductSearchFindsItToo) {
 }
 
 TEST(CrashProduct, ScheduleOnlyRandomStaysCleanAtSameBudget) {
-  ExploreOptions o;
-  o.policy = ExplorePolicy::kSeededRandom;
-  o.budget = 200;
-  const ExploreResult r = explore(exhibit_cell(), o);
-  EXPECT_FALSE(r.found());
+  // `mpcn explore --seed S` runs the cell and the search at S.
+  for (std::uint64_t seed : {1, 7}) {
+    ExploreOptions o;
+    o.policy = ExplorePolicy::kSeededRandom;
+    o.seed = seed;
+    o.budget = 200;
+    EXPECT_FALSE(explore(exhibit_cell(seed), o).found()) << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------- replay determinism
@@ -312,16 +315,16 @@ TEST(CrashTrace, FromJsonRejectsMalformedCrashes) {
 
 // ------------------------------------------------- policy stream pins
 
-TEST(CrashProduct, BuiltinAndSeededRandomPolicyAgreeUnderExploredPlan) {
-  // The controller's built-in RNG path and the SeededRandom policy draw
-  // (index, crash chance) in the same stream order: identical traces.
+TEST(CrashProduct, UnscheduledCellRunsSeededRandomUnderExploredPlan) {
+  // A cell with no schedule runs SeededRandom at its own seed, crash
+  // draws included: naming the policy explicitly gives identical traces.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ExperimentCell builtin = exhibit_cell(seed);
-    builtin.options.crashes = CrashPlan::explored(1, 0.2);
-    builtin.record_schedule = true;
-    const RunRecord a = run_cell(builtin);
+    ExperimentCell unscheduled = exhibit_cell(seed);
+    unscheduled.options.crashes = CrashPlan::explored(1, 0.2);
+    unscheduled.record_schedule = true;
+    const RunRecord a = run_cell(unscheduled);
 
-    ExperimentCell plugged = builtin;
+    ExperimentCell plugged = unscheduled;
     plugged.schedule.kind = SchedulePolicyKind::kSeededRandom;
     plugged.schedule.seed = seed;
     const RunRecord b = run_cell(plugged);

@@ -84,6 +84,25 @@ TEST(Diff, VerdictFixIsNotARegression) {
   EXPECT_FALSE(d.has_regressions());
 }
 
+TEST(Diff, CrashViolationRegressionIsFlagged) {
+  // Both runs time out, but only B's failure involved a crash: the
+  // verdict is unchanged and the crash delta alone regresses the diff.
+  RunRecord stuck = record(1, 400);
+  stuck.decisions = {std::nullopt, std::nullopt};
+  stuck.crashed = {false, false};
+  stuck.timed_out = true;
+  RunRecord crashed = stuck;
+  crashed.crashed = {true, false};
+  const ReportDiff d = diff_reports(report({stuck}), report({crashed}));
+  EXPECT_EQ(d.verdict_regressions, 0);
+  EXPECT_EQ(d.crash_regressions, 1);
+  EXPECT_TRUE(d.has_regressions());
+  EXPECT_NE(d.summary().find("CRASH REGRESSION"), std::string::npos);
+  const ReportDiff fixed = diff_reports(report({crashed}), report({stuck}));
+  EXPECT_EQ(fixed.crash_fixes, 1);
+  EXPECT_FALSE(fixed.has_regressions());
+}
+
 TEST(Diff, UnmatchedCellsLandInOnlyLists) {
   const Report a = report({record(1, 100), record(2, 200)});
   const Report b = report({record(2, 200), record(3, 300)});

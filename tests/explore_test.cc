@@ -42,16 +42,15 @@ RunRecord run_recorded(ExperimentCell cell) {
 
 // ------------------------------------------------------------ policies
 
-TEST(SeededRandomPolicy, MatchesBuiltinGrantScheduleByteForByte) {
-  // The acceptance pin: plugging the SchedulePolicy seam in with the
-  // SeededRandom policy reproduces the controller's built-in schedule
-  // exactly, for the current seeds.
+TEST(SeededRandomPolicy, IsTheScheduleOfACellWithNoSchedule) {
+  // A cell with no schedule runs SeededRandom at its own seed: naming
+  // the policy and the seed explicitly changes no byte of the record.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ExperimentCell builtin =
+    ExperimentCell unscheduled =
         named_cell("snapshot_churn", ModelSpec{3, 0, 1}, seed);
-    const RunRecord a = run_recorded(builtin);
+    const RunRecord a = run_recorded(unscheduled);
 
-    ExperimentCell plugged = builtin;
+    ExperimentCell plugged = unscheduled;
     plugged.schedule.kind = SchedulePolicyKind::kSeededRandom;
     plugged.schedule.seed = seed;
     const RunRecord b = run_recorded(plugged);
@@ -66,7 +65,7 @@ TEST(SeededRandomPolicy, MatchesBuiltinGrantScheduleByteForByte) {
 }
 
 TEST(SeededRandomPolicy, PinnedDigestsForCurrentSeeds) {
-  // Literal digests of the built-in seeded schedules on the exhibit
+  // Literal digests of the default seeded schedules on the exhibit
   // cell. If these move, the deterministic adversary changed and every
   // recorded trace in the wild is invalidated — that must be a
   // deliberate, documented decision, not a drive-by.
@@ -122,24 +121,24 @@ TEST(ScriptedPolicy, SkipsDeadEntriesAndFallsBack) {
   ScriptedPolicy p(std::make_shared<const ScheduleTrace>(t));
   const std::vector<ThreadId> runnable = {ThreadId{0, 0}, ThreadId{1, 0}};
   // q5 is not runnable: skipped; q1 matches.
-  EXPECT_EQ(p.pick(runnable, 0), 1u);
+  EXPECT_EQ(p.pick(runnable, nullptr).index, 1u);
   EXPECT_EQ(p.skipped(), 1u);
   // q0 matches.
-  EXPECT_EQ(p.pick(runnable, 1), 0u);
+  EXPECT_EQ(p.pick(runnable, nullptr).index, 0u);
   // Script exhausted: lowest runnable thread.
-  EXPECT_EQ(p.pick(runnable, 2), 0u);
+  EXPECT_EQ(p.pick(runnable, nullptr).index, 0u);
   EXPECT_EQ(p.fallback_grants(), 1u);
 }
 
 TEST(SchedulePolicy, OutOfRangePickIsCapturedAsCellError) {
   struct Bad : SchedulePolicy {
-    std::size_t pick(const std::vector<ThreadId>& runnable,
-                     std::uint64_t) override {
-      return runnable.size() + 3;
+    GrantChoice pick(const std::vector<ThreadId>& runnable,
+                     CrashDirector*) override {
+      return GrantChoice{runnable.size() + 3, false};
     }
   };
   ExperimentCell cell = named_cell("snapshot_churn", ModelSpec{2, 0, 1}, 1);
-  cell.policy_override = std::make_shared<Bad>();
+  cell.options.schedule_policy = std::make_shared<Bad>();
   const RunRecord rec = run_cell(cell);
   EXPECT_NE(rec.error.find("SchedulePolicy::pick"), std::string::npos)
       << rec.error;
@@ -414,8 +413,27 @@ TEST(Wire, CellSpecCarriesScheduleAndRecordFlag) {
 
 TEST(Wire, RejectsInProcessHooks) {
   ExperimentCell cell = named_cell("racy_register", ModelSpec{2, 0, 1}, 1);
-  cell.policy_override = std::make_shared<BoundedDfsPolicy>(1);
+  cell.options.schedule_policy = std::make_shared<BoundedDfsPolicy>(1);
   EXPECT_THROW(CellSpec::from_cell(cell), ProtocolError);
+
+  // A policy object handed in through Experiment::base_options: a
+  // worker would rebuild the cell without it and run the seed's default
+  // schedule, so the wire refuses it, and a sharded batch fails before
+  // it forks.
+  ScheduleSpec pct;
+  pct.kind = SchedulePolicyKind::kPct;
+  pct.pct_horizon = 64;
+  ExecutionOptions options;
+  options.seed = 3;
+  options.schedule_policy = make_policy(pct, options.seed);
+  Experiment e = Experiment::named("racy_register", ModelSpec{2, 0, 1});
+  e.direct().base_options(options).inputs_fn(index_inputs);
+  const std::vector<ExperimentCell> based = e.cells();
+  ASSERT_EQ(based.size(), 1u);
+  EXPECT_THROW(CellSpec::from_cell(based.front()), ProtocolError);
+  BatchOptions batch;
+  batch.shards = 1;
+  EXPECT_THROW(run_batch(based, batch), ProtocolError);
 
   ExperimentCell hooked = named_cell("racy_register", ModelSpec{2, 0, 1}, 1);
   hooked.history = std::make_shared<HistoryRecorder>();

@@ -276,44 +276,73 @@ std::uint64_t counter(const char* name) {
   return metrics_registry().counter(name).value();
 }
 
+// The sharded backends a search must match the serial one on:
+// fork-mode workers, and the exec-mode `mpcn worker` subprocesses that
+// `mpcn explore --shards` runs.
+struct SearchBackend {
+  int shards;
+  std::vector<std::string> worker_argv;  // empty: fork-mode workers
+};
+
+std::vector<SearchBackend> search_backends() {
+  std::vector<SearchBackend> out = {{1, {}}, {3, {}}};
+#ifdef MPCN_CLI_BIN
+  out.push_back({2, {MPCN_CLI_BIN, "worker"}});
+  out.push_back({3, {MPCN_CLI_BIN, "worker"}});
+#endif
+  return out;
+}
+
 TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
   const ExperimentCell cell = racy_cell();
-  // Budget 1 and 12 sit below 8 ranges per worker (ranges of one
+  // Seed 1 is the CLI's default `--seed`, at which it also builds this
+  // cell. Budget 1 and 12 sit below 8 ranges per worker (ranges of one
   // schedule, budget 1 below the shard count); 997 makes uneven ranges
   // of 42 and a collect-all search with many violation records.
-  for (int budget : {1, 12, 997}) {
-    for (int cap : {0, 1, 3}) {
-      ExploreOptions o = racy_search(budget, cap);
-      const ExploreResult serial = explore(cell, o);
-      if (budget == 997 && cap == 0) {
-        ASSERT_GE(serial.violations.size(), 3u);
-      }
-      for (int shards : {1, 3}) {
-        o.shards = shards;  // fork-mode workers
-        EXPECT_EQ(report(explore(cell, o)), report(serial))
-            << "budget " << budget << ", max_violations " << cap
-            << ", shards " << shards;
+  for (std::uint64_t seed : {7, 1}) {
+    for (int budget : {1, 12, 200, 997}) {
+      for (int cap : {0, 1, 3}) {
+        ExploreOptions o = racy_search(budget, cap);
+        o.seed = seed;
+        const ExploreResult serial = explore(cell, o);
+        if (budget == 997 && cap == 0) {
+          ASSERT_GE(serial.violations.size(), 3u);
+        }
+        for (const SearchBackend& b : search_backends()) {
+          o.shards = b.shards;
+          o.worker_argv = b.worker_argv;
+          EXPECT_EQ(report(explore(cell, o)), report(serial))
+              << "seed " << seed << ", budget " << budget
+              << ", max_violations " << cap << ", shards " << b.shards
+              << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+        }
       }
     }
   }
 }
 
 TEST(ShardSearch, CrashProductSearchMatchesSerial) {
-  Experiment e =
-      Experiment::named("safe_agreement_window", ModelSpec{2, 1, 1});
-  e.direct().seed(1).inputs_fn(index_inputs).step_limit(400);
-  const ExperimentCell cell = e.cells().front();
-  ExploreOptions o;
-  o.policy = ExplorePolicy::kSeededRandom;
-  o.seed = 7;
-  o.budget = 200;
-  o.crash_budget = 1;
-  o.crash_rate = 0.2;
-  const ExploreResult serial = explore(cell, o);
-  ASSERT_TRUE(serial.crash_found());
-  for (int shards : {1, 3}) {
-    o.shards = shards;
-    EXPECT_EQ(report(explore(cell, o)), report(serial)) << "shards " << shards;
+  // `mpcn explore --seed 7` runs the cell at seed 7 as well.
+  for (std::uint64_t cell_seed : {1, 7}) {
+    Experiment e =
+        Experiment::named("safe_agreement_window", ModelSpec{2, 1, 1});
+    e.direct().seed(cell_seed).inputs_fn(index_inputs).step_limit(400);
+    const ExperimentCell cell = e.cells().front();
+    ExploreOptions o;
+    o.policy = ExplorePolicy::kSeededRandom;
+    o.seed = 7;
+    o.budget = 200;
+    o.crash_budget = 1;
+    o.crash_rate = 0.2;
+    const ExploreResult serial = explore(cell, o);
+    ASSERT_TRUE(serial.crash_found());
+    for (const SearchBackend& b : search_backends()) {
+      o.shards = b.shards;
+      o.worker_argv = b.worker_argv;
+      EXPECT_EQ(report(explore(cell, o)), report(serial))
+          << "cell seed " << cell_seed << ", shards " << b.shards
+          << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+    }
   }
 }
 
