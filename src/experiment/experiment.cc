@@ -216,19 +216,23 @@ RunRecord run_cell_throwing(const ExperimentCell& cell) {
   rec.wall_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
                     .count();
+  // One copy of the controller's grant vector: the race oracle reads it,
+  // then the record takes it.
   ScheduleTrace grants;
   if (options.record_schedule && options.mode == SchedulerMode::kLockstep) {
     grants.grants = exec.controller().grant_trace();
     grants.crashes = exec.controller().crash_marks();
   }
-  if (cell.record_schedule && options.mode == SchedulerMode::kLockstep) {
-    auto trace = std::make_shared<ScheduleTrace>(grants);
-    rec.schedule_digest = trace->digest();
-    rec.schedule_trace = std::move(trace);
-  }
+  const bool keep_trace =
+      cell.record_schedule && options.mode == SchedulerMode::kLockstep;
+  if (keep_trace) rec.schedule_digest = grants.digest();
   if (cell.check_races) {
     rec.races_checked = true;
-    rec.race_reports = find_races(history->events(), grants);
+    rec.race_reports =
+        find_races(history->events(), grants, rec.schedule_digest);
+  }
+  if (keep_trace) {
+    rec.schedule_trace = std::make_shared<ScheduleTrace>(std::move(grants));
   }
   // Crash reproducibility: the effective plan plus the crashes the run
   // realized, so any crashing run replays exactly from its report.

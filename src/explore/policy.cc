@@ -47,41 +47,61 @@ PctPolicy::PctPolicy(std::uint64_t seed, int depth, std::uint64_t horizon)
     : rng_(seed) {
   if (depth < 1) throw ProtocolError("PctPolicy needs depth >= 1");
   if (horizon == 0) throw ProtocolError("PctPolicy needs horizon > 0");
-  // d - 1 distinct change points from [1, horizon).
+  // d - 1 distinct change points from [1, horizon); a repeated draw is
+  // dropped and drawn again.
   const std::uint64_t want = std::min<std::uint64_t>(
       static_cast<std::uint64_t>(depth - 1), horizon - 1);
   while (change_points_.size() < want) {
-    change_points_.insert(
+    const std::uint64_t point =
         1 + static_cast<std::uint64_t>(
-                rng_.index(static_cast<std::size_t>(horizon - 1))));
+                rng_.index(static_cast<std::size_t>(horizon - 1)));
+    const auto at = std::lower_bound(change_points_.begin(),
+                                     change_points_.end(), point);
+    if (at == change_points_.end() || *at != point) {
+      change_points_.insert(at, point);
+    }
   }
+}
+
+std::size_t PctPolicy::leader(const std::vector<ThreadId>& runnable,
+                              std::size_t* row) {
+  std::size_t best = 0;
+  std::size_t best_row = 0;
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < runnable.size(); ++i, ++r) {
+    const ThreadId& t = runnable[i];
+    while (r < table_.size() && table_[r].tid < t) ++r;
+    if (r == table_.size() || !(table_[r].tid == t)) {
+      // First sight: a random high priority. Thread appearance order is
+      // schedule-deterministic, so priorities replay with the seed. Rows
+      // from r on shift; best_row lies before them.
+      table_.insert(
+          table_.begin() + static_cast<std::ptrdiff_t>(r),
+          Priority{t, (1ull << 32) +
+                          static_cast<std::uint64_t>(rng_.index(1u << 20))});
+    }
+    if (i == 0 || table_[r].value > table_[best_row].value) {
+      best = i;
+      best_row = r;
+    }
+  }
+  *row = best_row;
+  return best;
 }
 
 GrantChoice PctPolicy::pick(const std::vector<ThreadId>& runnable,
                             CrashDirector* director) {
-  // Assign a random high priority on first sight. Thread appearance
-  // order is schedule-deterministic, so priorities replay with the seed.
-  for (const ThreadId& t : runnable) {
-    if (priority_.find(t) == priority_.end()) {
-      priority_[t] =
-          (1ull << 32) + static_cast<std::uint64_t>(rng_.index(1u << 20));
-    }
-  }
-  auto leader = [&] {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < runnable.size(); ++i) {
-      // Ties break toward the lower ThreadId (earlier index).
-      if (priority_[runnable[i]] > priority_[runnable[best]]) best = i;
-    }
-    return best;
-  };
-  if (change_points_.count(grants_)) {
+  std::size_t row = 0;
+  std::size_t index = leader(runnable, &row);
+  if (next_change_ < change_points_.size() &&
+      change_points_[next_change_] == grants_) {
     // Drop the current leader below every priority handed out so far
     // (and below earlier drops: next_low_ descends).
-    priority_[runnable[leader()]] = next_low_--;
+    ++next_change_;
+    table_[row].value = next_low_--;
+    index = leader(runnable, &row);
   }
   ++grants_;
-  const std::size_t index = leader();
   return GrantChoice{index, draw_crash(rng_, director, runnable[index].pid)};
 }
 
@@ -116,14 +136,15 @@ GrantChoice BoundedDfsPolicy::pick(const std::vector<ThreadId>& runnable,
     // crash ranks on the true budget between runs.
     crash_budget_ = crashes_used_ + director->budget_remaining();
   }
-  auto snapshot_crashable = [&] {
-    std::vector<char> out(runnable.size(), 0);
+  // Fills a node's per-option crashable flags in place, reusing its
+  // vector's storage when a replayed grant refreshes the node.
+  auto snapshot_crashable = [&](std::vector<char>& out) {
+    out.assign(runnable.size(), 0);
     if (director) {
       for (std::size_t i = 0; i < runnable.size(); ++i) {
         out[i] = director->crashable(runnable[i].pid) ? 1 : 0;
       }
     }
-    return out;
   };
 
   // Continuation option: the previous holder, if still runnable.
@@ -156,7 +177,7 @@ GrantChoice BoundedDfsPolicy::pick(const std::vector<ThreadId>& runnable,
       n.cont = cont;
       n.preemptions_before = preemptions_used_;
       n.crashes_before = crashes_used_;
-      n.crashable = snapshot_crashable();
+      snapshot_crashable(n.crashable);
     }
   } else if (!diverged_ && path_.size() < kMaxDepth &&
              cursor_ == path_.size()) {
@@ -168,7 +189,7 @@ GrantChoice BoundedDfsPolicy::pick(const std::vector<ThreadId>& runnable,
     n.chosen = default_choice(n);
     n.preemptions_before = preemptions_used_;
     n.crashes_before = crashes_used_;
-    n.crashable = snapshot_crashable();
+    snapshot_crashable(n.crashable);
     choice = n.chosen;
     path_.push_back(std::move(n));
   } else {

@@ -12,6 +12,8 @@
 //     runs, and at d-1 pre-drawn step indices the current leader's
 //     priority drops below everything else. For a bug of depth d and
 //     horizon k, one run finds it with probability >= 1/(n * k^(d-1)).
+//     Priorities sit in a flat table sorted by ThreadId, matched to the
+//     sorted runnable set by one merge walk per grant.
 //   BoundedDfsPolicy — systematic enumeration of schedules under a
 //     preemption bound (CHESS-style). Stateful ACROSS runs: each run
 //     replays the current choice prefix and extends it non-preemptively;
@@ -19,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -70,9 +70,24 @@ class PctPolicy : public SchedulePolicy {
                    CrashDirector* director) override;
 
  private:
+  struct Priority {
+    ThreadId tid;
+    std::uint64_t value;
+  };
+
+  // One merge walk of the sorted runnable set against table_: gives each
+  // first-seen thread its initial priority (one draw each, in runnable
+  // order) and returns the index of the highest-priority runnable
+  // thread, ties to the lower ThreadId. *row receives its table row.
+  std::size_t leader(const std::vector<ThreadId>& runnable,
+                     std::size_t* row);
+
   Rng rng_;
-  std::set<std::uint64_t> change_points_;  // step indices
-  std::map<ThreadId, std::uint64_t> priority_;
+  // Grant indices at which the leader drops, ascending and distinct;
+  // grants reach them in order, so a cursor replaces a lookup.
+  std::vector<std::uint64_t> change_points_;
+  std::size_t next_change_ = 0;
+  std::vector<Priority> table_;  // every thread seen, sorted by ThreadId
   // Dropped-leader priorities descend from here; initial priorities all
   // sit above 1 << 32, so every drop lands below every initial value.
   std::uint64_t next_low_ = 1ull << 31;

@@ -6,13 +6,27 @@
 
 namespace mpcn {
 
+namespace {
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+constexpr std::uint64_t kFnvPrime4 = kFnvPrime * kFnvPrime * kFnvPrime *
+                                     kFnvPrime;  // mod 2^64
+}  // namespace
+
 std::string ScheduleTrace::digest() const {
-  // FNV-1a 64 over the (pid, sub) int32 stream, little-endian bytes.
+  // FNV-1a 64 over the (pid, sub) int32 stream, little-endian bytes. The
+  // three high bytes of a word below 256 are zero, and xor with zero is
+  // a no-op, so its four byte rounds are exactly one xor and one
+  // multiply by prime^4: one dependent multiply per word instead of four.
+  // Wider words (pid -1, ids of 256 and up, crash marks) take the bytes.
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint32_t word) {
+    if (word < 256) {
+      h = (h ^ word) * kFnvPrime4;
+      return;
+    }
     for (int i = 0; i < 4; ++i) {
       h ^= (word >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
+      h *= kFnvPrime;
     }
   };
   for (const ThreadId& t : grants) {

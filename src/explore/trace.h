@@ -47,6 +47,8 @@ struct ScheduleTrace {
   // digits. Equal traces digest equal on every platform; used as the
   // RunRecord schedule identity and the explorer's dedup key. Crash marks
   // are mixed in only when present, so crash-free digests are unchanged.
+  // A word below 256 is mixed in one multiply, with the same result as
+  // its four bytes one at a time.
   std::string digest() const;
 
   // {"grants":[[pid,sub],...]} — compact, order-preserving; a "crashes"

@@ -76,6 +76,7 @@ struct LockstepController::Thread {
   ThreadId tid;
   std::unique_ptr<Fiber> fiber;  // runs the body, then finish()
   bool alive = false;     // in the grant set
+  bool parked = false;    // suspended in acquire()
   bool finished = false;  // body returned
   Thread* joiner = nullptr;  // suspended in join() until this one finishes
 };
@@ -132,17 +133,20 @@ void LockstepController::run(Deadline deadline) {
 
 void LockstepController::enter(ThreadId tid) {
   Thread& t = thread(tid);
-  if (!t.alive) {
-    t.alive = true;
-    ++alive_;
-  }
+  if (t.alive) return;
+  t.alive = true;
+  const auto at = std::lower_bound(live_.begin(), live_.end(), tid);
+  live_threads_.insert(live_threads_.begin() + (at - live_.begin()), &t);
+  live_.insert(at, tid);
 }
 
 void LockstepController::leave(ThreadId tid) {
   Thread& t = thread(tid);
   if (t.alive) {
     t.alive = false;
-    --alive_;
+    const auto at = std::lower_bound(live_.begin(), live_.end(), tid);
+    live_threads_.erase(live_threads_.begin() + (at - live_.begin()));
+    live_.erase(at);
   }
   // The live set shrank: if everyone left is parked, the grant is due now.
   maybe_grant();
@@ -173,16 +177,12 @@ bool LockstepController::acquire(ThreadId tid) {
     throw ProtocolError("lock-step: " + tid.to_string() +
                         " acquired the token off its own fiber");
   }
-  const auto at = std::lower_bound(parked_.begin(), parked_.end(), tid);
-  parked_threads_.insert(parked_threads_.begin() + (at - parked_.begin()),
-                         self);
-  parked_.insert(at, tid);
+  self->parked = true;
+  ++n_parked_;
   dispatch();
   // Resumed: granted the token, or the run is over.
-  const auto i = std::lower_bound(parked_.begin(), parked_.end(), tid) -
-                 parked_.begin();
-  parked_.erase(parked_.begin() + i);
-  parked_threads_.erase(parked_threads_.begin() + i);
+  self->parked = false;
+  --n_parked_;
   if (stop_) {
     if (holder_ == self) holder_ = nullptr;
     return false;
@@ -202,8 +202,8 @@ void LockstepController::release(ThreadId tid) {
 }
 
 void LockstepController::maybe_grant() {
-  if (stop_ || holder_ != nullptr || parked_.empty() ||
-      parked_.size() != alive_) {
+  if (stop_ || holder_ != nullptr || live_.empty() ||
+      n_parked_ != live_.size()) {
     return;
   }
   if (steps_ % kClockGrants == 0 &&
@@ -213,9 +213,9 @@ void LockstepController::maybe_grant() {
     return;
   }
   // Deterministic grant: every live fiber is parked, so the choice
-  // depends only on the policy's state and the sorted parked set.
-  GrantChoice choice = policy_->pick(parked_, crash_director_);
-  if (choice.index >= parked_.size()) {
+  // depends only on the policy's state and the sorted live set.
+  GrantChoice choice = policy_->pick(live_, crash_director_);
+  if (choice.index >= live_.size()) {
     // Cannot throw here: a grant fires while a fiber parks or ends.
     // Record the fault, keep the run live with a clamped grant that
     // carries no crash, and let Execution::run surface it afterwards.
@@ -223,12 +223,12 @@ void LockstepController::maybe_grant() {
       policy_error_ = "SchedulePolicy::pick returned index " +
                       std::to_string(choice.index) +
                       " for a runnable set of " +
-                      std::to_string(parked_.size()) + " at step " +
+                      std::to_string(live_.size()) + " at step " +
                       std::to_string(steps_);
     }
-    choice = GrantChoice{parked_.size() - 1, false};
+    choice = GrantChoice{live_.size() - 1, false};
   }
-  holder_ = parked_threads_[choice.index];
+  holder_ = live_threads_[choice.index];
   // A crash lands only through a director, which refuses it once the
   // budget is spent or the process already crashed.
   const bool crash_here = choice.crash && crash_director_ != nullptr &&
@@ -246,7 +246,13 @@ LockstepController::Thread* LockstepController::pick_next() {
     return t;
   }
   if (holder_ != nullptr) return holder_;
-  if (stop_ && !parked_threads_.empty()) return parked_threads_.front();
+  if (stop_ && n_parked_ > 0) {
+    // Every parked fiber is live, so the first one in the sorted live
+    // set is the lowest parked ThreadId.
+    for (Thread* t : live_threads_) {
+      if (t->parked) return t;
+    }
+  }
   return nullptr;
 }
 

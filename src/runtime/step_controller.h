@@ -11,15 +11,18 @@
 //    Fiber (fiber.h) on the one thread that calls run(). A fiber must
 //    hold the (single) step token to perform a shared-memory operation.
 //    The token is granted only when every live fiber is parked waiting
-//    for it; a SchedulePolicy (schedule_policy.h) picks the next holder
-//    from the sorted parked set, and the controller switches to it. Given
-//    the policy's seed, the interleaving of shared-memory steps is
+//    for it, so the runnable set of a grant is the live set itself; a
+//    SchedulePolicy (schedule_policy.h) picks the next holder from it,
+//    sorted by ThreadId, and the controller switches to it. Given the
+//    policy's seed, the interleaving of shared-memory steps is
 //    reproducible, which is what makes the crash-injection tests of the
 //    paper's blocking lemmas (Lemma 1, Lemma 7) precise.
 //
 // A lock-step run is serial by definition, so it needs no OS threads, no
 // locks and no wakeups: handing over the token is one context switch, and
-// none at all when the policy re-grants the running fiber.
+// none at all when the policy re-grants the running fiber. Parking is a
+// flag and a count, so a grant touches no container: the sorted live set
+// changes only when a thread enters or leaves the schedule.
 //
 // All protocol-level blocking in the library is yield-spinning through a
 // controller (no native blocking), so lock-step runs cannot deadlock on
@@ -125,7 +128,9 @@ class StepController {
   virtual void run(Deadline deadline) = 0;
 
   // Take a running thread out of the grant set and put it back (a parent
-  // waiting for a child it abandons).
+  // waiting for a child it abandons). leave() runs on the leaving
+  // thread's own fiber or OS thread (finishing, or ~ChildHandle), never
+  // on behalf of a thread parked in acquire().
   virtual void enter(ThreadId tid) = 0;
   virtual void leave(ThreadId tid) = 0;
 
@@ -228,12 +233,13 @@ class LockstepController : public StepController {
   struct Thread;
 
   Thread& thread(ThreadId tid);
-  // Picks the next token holder if every live fiber is parked, no one
-  // holds the token and the run is not over.
+  // Picks the next token holder from the live set if every live fiber is
+  // parked, no one holds the token and the run is not over.
   void maybe_grant();
   // The fiber that runs next once the current one stops (null = run()'s
   // caller): fibers that have not parked yet, then the token holder, then
-  // — once the run is stopped — parked fibers, so they unwind.
+  // — once the run is stopped — parked fibers, lowest ThreadId first, so
+  // they unwind.
   Thread* pick_next();
   void switch_to(Thread* next);
   // The current fiber stopped running: grant if due and switch on.
@@ -253,11 +259,13 @@ class LockstepController : public StepController {
   std::uint64_t switches_ = 0;
 
   std::map<ThreadId, std::unique_ptr<Thread>> threads_;
-  std::size_t alive_ = 0;  // threads in the grant set
-  // The parked fibers, sorted by ThreadId: the runnable set every grant
-  // picks from. parked_threads_ runs parallel to it.
-  std::vector<ThreadId> parked_;
-  std::vector<Thread*> parked_threads_;
+  // The grant set, sorted by ThreadId, with live_threads_ parallel to it.
+  // Only enter() and leave() change it. Since leave() never runs for a
+  // parked thread, every parked fiber is live, and a grant is due exactly
+  // when n_parked_ == live_.size(): live_ is then the runnable set.
+  std::vector<ThreadId> live_;
+  std::vector<Thread*> live_threads_;
+  std::size_t n_parked_ = 0;   // fibers parked in acquire()
   std::deque<Thread*> ready_;  // to run before the next grant, FIFO
   Thread* holder_ = nullptr;   // granted the token, not yet released
   Thread* current_ = nullptr;  // null = run()'s caller

@@ -177,19 +177,47 @@ TEST(Cli, ListJsonIsMachineReadable) {
 
 TEST(Cli, ExploreFindsSeededBugAndWritesReport) {
   TempFile json("cli_explore_report.json");
-  std::string out;
+  TempFile threaded("cli_explore_report_t8.json");
+  TempFile shrunk("cli_explore_shrunk.json");
+  // A budget-200 search of the exhibit, its report written to `report`.
+  const auto search = [](const std::vector<std::string>& flags,
+                         const std::string& report) {
+    return run_cli(with_flags({"mpcn", "explore", "racy_register", "--in",
+                               "2,0,1", "--budget", "200", "--json", report},
+                              flags));
+  };
   // Exit 1 signals "violation found" (parallel to diff's regressions).
-  ASSERT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
-                     "--policy", "pct", "--budget", "200", "--seed", "1",
-                     "--json", json.path},
-                    &out),
-            1);
+  ASSERT_EQ(search({"--policy", "pct", "--seed", "1"}, json.path), 1);
   const Json report = Json::parse(slurp(json.path));
   EXPECT_TRUE(report.at("found").as_bool());
   EXPECT_EQ(report.at("policy").as_string(), "pct");
   const Json& v = report.at("violation_details").at(0);
   EXPECT_TRUE(v.at("shrunk_verified").as_bool());
   EXPECT_LE(v.at("shrunk_len").as_int(), 14);
+  EXPECT_NE(v.at("why").as_string().find("validity"), std::string::npos)
+      << v.at("why").dump();
+
+  // The shrunk counterexample fails again on replay.
+  write_json(shrunk.path, v.at("shrunk_trace"));
+  std::string out;
+  EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                     "--replay", shrunk.path},
+                    &out),
+            1)
+      << out;
+
+  // Eight search threads write the serial report byte for byte, on the
+  // failing search and on a clean one.
+  ASSERT_EQ(search({"--policy", "pct", "--seed", "1", "--threads", "8"},
+                   threaded.path),
+            1);
+  EXPECT_EQ(slurp(json.path), slurp(threaded.path));
+  ASSERT_EQ(search({"--policy", "random", "--seed", "7"}, json.path), 0);
+  ASSERT_EQ(search({"--policy", "random", "--seed", "7", "--threads", "8"},
+                   threaded.path),
+            0);
+  EXPECT_EQ(slurp(json.path), slurp(threaded.path));
+  EXPECT_FALSE(slurp(json.path).empty());
 }
 
 TEST(Cli, ExploreCleanScenarioExitsZero) {

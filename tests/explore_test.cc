@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <set>
 
 #include "src/dist/wire.h"
 #include "src/experiment/batch_runner.h"
@@ -78,6 +81,124 @@ TEST(SeededRandomPolicy, PinnedDigestsForCurrentSeeds) {
   }
 }
 
+TEST(PctPolicy, PinnedDigestsForCurrentSeeds) {
+  // Literal PCT schedules. The other PCT tests compare two backends of
+  // one build, so only these notice a reordered priority draw or a moved
+  // change point.
+  struct Pin {
+    std::uint64_t seed;
+    const char* digest;
+    std::uint64_t steps;
+  };
+  const auto run_pct = [](ExperimentCell cell, std::uint64_t seed,
+                          std::uint64_t horizon) {
+    cell.schedule.kind = SchedulePolicyKind::kPct;
+    cell.schedule.seed = seed;
+    cell.schedule.pct_depth = 4;
+    cell.schedule.pct_horizon = horizon;
+    return run_recorded(cell);
+  };
+  const auto engine_cell = [](std::uint64_t limit) {
+    Experiment e = Experiment::named("trivial_kset", ModelSpec{2, 1, 1});
+    e.in(ModelSpec{3, 1, 1}).seed(1).step_limit(limit).inputs_fn(
+        index_inputs);
+    return e.cells().front();
+  };
+
+  // Afek snapshot churn: three direct threads, change points anywhere in
+  // a run of about 2,000 grants.
+  Experiment churn = Experiment::named("snapshot_churn", ModelSpec{3, 0, 1});
+  churn.direct().seed(1).mem(MemKind::kAfek).inputs_fn(index_inputs);
+  const Pin afek[] = {{1, "49935a50f8ff7d03", 1710},
+                      {2, "8b10b1ecec355003", 1704},
+                      {3, "08fae4ae2c6d26a3", 1704}};
+  for (const Pin& pin : afek) {
+    const RunRecord rec = run_pct(churn.cells().front(), pin.seed, 2000);
+    EXPECT_EQ(rec.schedule_digest, pin.digest) << "afek seed " << pin.seed;
+    EXPECT_EQ(rec.steps, pin.steps) << "afek seed " << pin.seed;
+    EXPECT_FALSE(rec.timed_out);
+  }
+
+  // A BG engine cell: simulators and their forked children interleave in
+  // ThreadId order, and the runnable set shrinks and regrows under the
+  // change points as children finish and parents wait out ~ChildHandle.
+  const Pin engine[] = {{2, "d8074ad679d161c2", 147},
+                        {4, "c5c8785dbe7afc70", 134},
+                        {8, "0ed630c94f946953", 104}};
+  for (const Pin& pin : engine) {
+    const RunRecord rec = run_pct(engine_cell(20000), pin.seed, 120);
+    EXPECT_EQ(rec.schedule_digest, pin.digest) << "engine seed " << pin.seed;
+    EXPECT_EQ(rec.steps, pin.steps) << "engine seed " << pin.seed;
+    EXPECT_FALSE(rec.timed_out);
+  }
+
+  // The same cell stopped at its step limit: the parked fibers unwind.
+  const RunRecord stopped = run_pct(engine_cell(60), 1, 120);
+  EXPECT_EQ(stopped.schedule_digest, "6af2b8d8b1e3dc21");
+  EXPECT_EQ(stopped.steps, 60u);
+  EXPECT_TRUE(stopped.timed_out);
+}
+
+// PCT's rule written with a map lookup per runnable thread: the reference
+// for the policy's flat table.
+class MapPct {
+ public:
+  MapPct(std::uint64_t seed, int depth, std::uint64_t horizon) : rng_(seed) {
+    const std::uint64_t want = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(depth - 1), horizon - 1);
+    while (points_.size() < want) {
+      points_.insert(1 + rng_.index(static_cast<std::size_t>(horizon - 1)));
+    }
+  }
+
+  std::size_t pick(const std::vector<ThreadId>& runnable) {
+    for (const ThreadId& t : runnable) {
+      if (!priority_.count(t)) {
+        priority_[t] = (1ull << 32) + rng_.index(1u << 20);
+      }
+    }
+    const auto leader = [&] {
+      std::size_t best = 0;
+      for (std::size_t i = 1; i < runnable.size(); ++i) {
+        if (priority_[runnable[i]] > priority_[runnable[best]]) best = i;
+      }
+      return best;
+    };
+    if (points_.count(grants_)) priority_[runnable[leader()]] = low_--;
+    ++grants_;
+    return leader();
+  }
+
+ private:
+  Rng rng_;
+  std::set<std::uint64_t> points_;
+  std::map<ThreadId, std::uint64_t> priority_;
+  std::uint64_t low_ = 1ull << 31;
+  std::uint64_t grants_ = 0;
+};
+
+TEST(PctPolicy, MatchesMapReferenceAsThreadsComeAndGo) {
+  // A run shows all its threads at its first grant, so only here do
+  // threads first appear mid-run, between threads already ranked.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    PctPolicy policy(seed, 6, 150);
+    MapPct reference(seed, 6, 150);
+    Rng shape(seed + 1000);
+    for (int grant = 0; grant < 200; ++grant) {
+      std::vector<ThreadId> runnable;
+      for (int pid = 0; pid < 4; ++pid) {
+        for (int sub = 0; sub < 3; ++sub) {
+          if (shape.chance(0.3)) runnable.push_back(ThreadId{pid, sub});
+        }
+      }
+      if (runnable.empty()) runnable.push_back(ThreadId{2, 1});
+      ASSERT_EQ(policy.pick(runnable, nullptr).index,
+                reference.pick(runnable))
+          << "seed " << seed << " grant " << grant;
+    }
+  }
+}
+
 TEST(ScheduleTrace, JsonRoundTripAndDigest) {
   ScheduleTrace t;
   t.grants = {ThreadId{0, 0}, ThreadId{1, 0}, ThreadId{0, 2},
@@ -89,6 +210,66 @@ TEST(ScheduleTrace, JsonRoundTripAndDigest) {
   ScheduleTrace other = t;
   other.grants[1] = ThreadId{1, 1};
   EXPECT_NE(other.digest(), t.digest());
+}
+
+// The digest as its contract states it: FNV-1a 64, one byte at a time,
+// over the little-endian int32 (pid, sub) stream, then, when crashes
+// exist, a sentinel word and each mark's low and high words.
+std::string bytewise_fnv_digest(const ScheduleTrace& t) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint32_t word) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const ThreadId& g : t.grants) {
+    mix(static_cast<std::uint32_t>(g.pid));
+    mix(static_cast<std::uint32_t>(g.sub));
+  }
+  if (!t.crashes.empty()) {
+    mix(0xc4a54ed5u);
+    for (std::uint64_t c : t.crashes) {
+      mix(static_cast<std::uint32_t>(c));
+      mix(static_cast<std::uint32_t>(c >> 32));
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(ScheduleTrace, DigestMatchesBytewiseFnv) {
+  // Mostly small ids, as every workload has, plus the words no workload
+  // reaches: pids and subs of 256 and above, pid -1, negative subs and
+  // crash marks at or above 2^32.
+  Rng rng(20261018);
+  const auto id = [&rng]() -> int {
+    switch (rng.index(6)) {
+      case 0:
+        return -1;
+      case 1:
+        return 256 + static_cast<int>(rng.index(1u << 20));
+      case 2:
+        return static_cast<int>(static_cast<std::uint32_t>(rng.fork()));
+      default:
+        return static_cast<int>(rng.index(256));
+    }
+  };
+  for (int round = 0; round < 300; ++round) {
+    ScheduleTrace t;
+    const std::size_t grants = rng.index(48);
+    for (std::size_t i = 0; i < grants; ++i) {
+      t.grants.push_back(ThreadId{id(), id()});
+    }
+    std::uint64_t mark = 0;
+    while (rng.chance(0.4)) {
+      mark += 1 + (rng.chance(0.3) ? rng.fork() >> 20 : rng.index(300));
+      t.crashes.push_back(mark);
+    }
+    EXPECT_EQ(t.digest(), bytewise_fnv_digest(t)) << "round " << round;
+  }
 }
 
 TEST(ScheduleSpec, JsonRoundTripAllKinds) {

@@ -2,6 +2,7 @@
 // contexts, cooperative mutex, shared world, execution harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -297,10 +298,27 @@ std::vector<Program> spinners(int n) {
 }
 
 TEST(Lockstep, StepLimitStopsEveryProcess) {
-  Outcome out = run_execution(spinners(3), int_inputs(3), lockstep(7, 500));
+  // The process that took the last step unwinds first, without parking;
+  // the parked ones follow, lowest ThreadId first.
+  auto unwound = std::make_shared<std::vector<ProcessId>>();
+  std::vector<Program> p;
+  for (int i = 0; i < 4; ++i) {
+    p.push_back([unwound](ProcessContext& ctx) {
+      struct Log {
+        std::vector<ProcessId>& to;
+        ProcessId pid;
+        ~Log() { to.push_back(pid); }
+      } log{*unwound, ctx.pid()};
+      for (;;) ctx.yield();
+    });
+  }
+  Outcome out = run_execution(std::move(p), int_inputs(4), lockstep(7, 500));
   EXPECT_TRUE(out.timed_out);
   EXPECT_EQ(out.steps, 500u);
   EXPECT_EQ(out.decided_count(), 0);
+  ASSERT_EQ(unwound->size(), 4u);
+  EXPECT_TRUE(std::is_sorted(unwound->begin() + 1, unwound->end()))
+      << ::testing::PrintToString(*unwound);
 }
 
 TEST(Lockstep, WallLimitStopsEveryProcess) {
