@@ -39,7 +39,6 @@ int main() {
           .with_task(std::make_shared<KSetAgreementTask>(2))
           .input_pool(pool)
           .seed(42)
-          .scheduler(SchedulerMode::kLockstep)
           .step_limit(1'500'000)
           .crashes([](const ModelSpec& m, std::uint64_t) {
             // Crash up to each hop's own budget.

@@ -39,7 +39,6 @@ int main() {
                       .in(target)  // colored engine: registry flag
                       .inputs(inputs)
                       .seed(7)
-                      .scheduler(SchedulerMode::kLockstep)
                       .step_limit(3'000'000)
                       .run();
 

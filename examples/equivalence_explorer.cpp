@@ -81,27 +81,23 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------------- empirical confirmation
   // One Experiment cell per class: the canonical trivial k-set algorithm
-  // simulated in the hardest member (smallest x). Auto-enabled for small
-  // systems; larger ones take minutes, so they need the explicit flag.
+  // simulated in the hardest member (smallest x), one seeded lock-step run
+  // each. Auto-enabled for small systems; larger ones need the explicit
+  // flag.
   if (!confirm_flag && n > 8) {
     std::printf(
         "\n(analytic tables only; pass --confirm to run one simulation per "
-        "class — minutes for n = %d)\n",
-        n);
+        "class)\n");
     return 0;
   }
   std::vector<ExperimentCell> grid;
   for (const EquivalenceClass& c : classes_for_t(n, t_prime)) {
     std::vector<Value> inputs;
     for (int i = 0; i < n; ++i) inputs.push_back(Value(10 + i));
-    ExecutionOptions free_mode;
-    free_mode.mode = SchedulerMode::kFree;
-    free_mode.step_limit = 20'000'000'000ull;
     const std::vector<ExperimentCell> one =
         Experiment::named("trivial_kset", ModelSpec{n, c.power, 1})
             .in(ModelSpec{n, t_prime, c.x_lo})
             .inputs(inputs)
-            .base_options(free_mode)
             .cells();
     grid.insert(grid.end(), one.begin(), one.end());
   }

@@ -48,7 +48,6 @@ int main() {
           .crashes([](const ModelSpec& m, std::uint64_t seed) {
             return CrashPlan::hazard(0.001, /*max_crashes=*/m.t, seed * 7);
           })
-          .scheduler(SchedulerMode::kLockstep)
           .step_limit(2'000'000)
           .run_all();
 

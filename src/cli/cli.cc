@@ -62,7 +62,6 @@ const char kUsage[] =
     "                    when source == target, else simulated)\n"
     "  --seeds SPEC      \"5\", \"1..8\" or \"1,3,9\" (default: 1)\n"
     "  --mem LIST        primitive,afek (default: primitive)\n"
-    "  --scheduler M     lockstep|free (default: lockstep)\n"
     "  --steps N         per-cell step limit\n"
     "  --wall MS         per-cell wall-clock limit in ms\n"
     "  --crash-p P       per-step hazard crash probability (seeded per\n"
@@ -444,8 +443,7 @@ class BackendFlags {
 
 int cmd_run(int argc, char** argv) {
   const Args args = cell_command_args(
-      argc, argv, {"seeds", "mem", "scheduler", "crash-p", "crash-max",
-                   "title"},
+      argc, argv, {"seeds", "mem", "crash-p", "crash-max", "title"},
       {"no-timing"});
   Experiment e = parse_cell_flags(args, "run");
 
@@ -457,9 +455,6 @@ int cmd_run(int argc, char** argv) {
     mems.push_back(mem_kind_from_string(name));
   }
   e.mems(std::move(mems));
-
-  e.scheduler(
-      scheduler_mode_from_string(args.value_or("scheduler", "lockstep")));
 
   if (args.has("crash-p")) {
     const double p = parse_double(args.require("crash-p"));

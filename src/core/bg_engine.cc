@@ -133,23 +133,15 @@ EngineSimulator::EngineSimulator(std::shared_ptr<EngineShared> shared, int i)
       snap_sn_(static_cast<std::size_t>(shared_->n_sim()), 0),
       sim_decisions_(static_cast<std::size_t>(shared_->n_sim())) {}
 
-Value EngineSimulator::memi_payload_locked() const {
-  return Value(Value::List(memi_pairs_));  // n refcount bumps, one payload
-}
-
 // Figure 2:
 //   (01) w_sn_i[j] <- w_sn_i[j] + 1
 //   (02) mem_i[j] <- (v, w_sn_i[j])
 //   (03) MEM[i] <- mem_i
 void EngineSimulator::sim_write(ProcessContext& cctx, int j, const Value& v) {
-  Value payload;
-  {
-    std::lock_guard<std::mutex> lk(local_m_);
-    auto& sn = memi_sn_[static_cast<std::size_t>(j)];
-    memi_pairs_[static_cast<std::size_t>(j)] = Value::pair(v, Value(++sn));
-    payload = memi_payload_locked();
-  }
-  shared_->mem->write(cctx, i_, payload);
+  auto& sn = memi_sn_[static_cast<std::size_t>(j)];
+  memi_pairs_[static_cast<std::size_t>(j)] = Value::pair(v, Value(++sn));
+  // n refcount bumps, one payload
+  shared_->mem->write(cctx, i_, Value(Value::List(memi_pairs_)));
 }
 
 // Figure 3:
@@ -198,7 +190,6 @@ std::vector<Value> EngineSimulator::sim_snapshot(ProcessContext& cctx, int j) {
 
 EngineSimulator::XObjectState& EngineSimulator::xobject(
     const std::string& name) {
-  std::lock_guard<std::mutex> lk(xobjects_m_);
   auto it = xobjects_.find(name);
   if (it == xobjects_.end()) {
     it = xobjects_.emplace(name, std::make_unique<XObjectState>()).first;
@@ -246,7 +237,6 @@ Value EngineSimulator::sim_x_cons_propose(ProcessContext& cctx, int j,
 void EngineSimulator::record_simulated_decision(ProcessContext& cctx, int j,
                                                 const Value& v) {
   auto g = cctx.step();  // fix the visibility point in the schedule
-  std::lock_guard<std::mutex> lk(decisions_m_);
   auto& slot = sim_decisions_[static_cast<std::size_t>(j)];
   if (!slot.has_value()) {
     slot = v;
@@ -255,18 +245,17 @@ void EngineSimulator::record_simulated_decision(ProcessContext& cctx, int j,
 }
 
 bool EngineSimulator::simulated_has_decided(int j) const {
-  std::lock_guard<std::mutex> lk(decisions_m_);
   return sim_decisions_[static_cast<std::size_t>(j)].has_value();
 }
 
 void EngineSimulator::child_body(ProcessContext& cctx, int j) {
   // Park once before touching anything shared. At startup every thread
   // runs natively until its first step; without this barrier the first
-  // mutex1 acquisitions (and trap armings) of sibling threads would race
-  // the OS scheduler instead of following the lock-step schedule. After
-  // this step, a thread's native windows are exclusive (no grant can
-  // fire while it is alive and unparked), so all subsequent lock-free
-  // preamble work is schedule-ordered.
+  // mutex1 acquisitions (and trap armings) of sibling threads would follow
+  // the fiber start order instead of the schedule. After this step, a
+  // thread's native windows are exclusive (no grant can fire while it is
+  // alive and unparked), so all subsequent preamble work is
+  // schedule-ordered.
   cctx.yield();
   // Agree on p_j's input. Colorless: every simulator proposes its own
   // input; the agreement object makes the choice common. Colored: the
@@ -318,7 +307,6 @@ void EngineSimulator::run_colorless(ProcessContext& ctx) {
       // Observe (and adopt) decisions while holding the step token: the
       // adoption point is then fixed by the schedule.
       auto g = ctx.step();
-      std::lock_guard<std::mutex> lk(decisions_m_);
       if (!decision_order_.empty()) {
         const int j = decision_order_.front();
         ctx.decide(*sim_decisions_[static_cast<std::size_t>(j)]);
@@ -336,10 +324,11 @@ void EngineSimulator::run_colorless(ProcessContext& ctx) {
         break;
       }
     }
-    // A child may record its decision and finish between the on-token
-    // observation above and this done() scan (free mode runs children at
-    // full speed), so "all done" alone must not end the adoption loop:
-    // take one more pass over the now-final decision state.
+    // No child runs between the on-token observation above and this
+    // done() scan, so the decisions seen there are already final. The
+    // extra on-token pass stays anyway: it is one grant of every run that
+    // ends here, and dropping it would move schedules, digests and step
+    // counts.
     if (all_done) final_pass = true;
   }
   // Cancel every child NOW, while this thread is alive and unparked: no
@@ -356,16 +345,8 @@ void EngineSimulator::run_colorless(ProcessContext& ctx) {
 void EngineSimulator::enter_propose_section(ProcessContext& cctx,
                                             const std::string& key) {
   (void)key;
-  YieldBackoff backoff(cctx.scheduler_mode());
-  for (;;) {
-    if (!paused_.load(std::memory_order_acquire)) {
-      active_proposes_.fetch_add(1, std::memory_order_acq_rel);
-      if (!paused_.load(std::memory_order_acquire)) return;
-      active_proposes_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    cctx.yield();
-    backoff.pause();
-  }
+  while (paused_) cctx.yield();
+  ++active_proposes_;
 }
 
 void EngineSimulator::arm_propose_trap(ProcessContext& cctx,
@@ -376,22 +357,14 @@ void EngineSimulator::arm_propose_trap(ProcessContext& cctx,
   cctx.backend().crashes().on_propose_enter(cctx.tid(), key);
 }
 
-void EngineSimulator::exit_propose_section() {
-  active_proposes_.fetch_sub(1, std::memory_order_acq_rel);
-}
+void EngineSimulator::exit_propose_section() { --active_proposes_; }
 
 void EngineSimulator::pause_proposes(ProcessContext& ctx) {
-  paused_.store(true, std::memory_order_release);
-  YieldBackoff backoff(ctx.scheduler_mode());
-  while (active_proposes_.load(std::memory_order_acquire) != 0) {
-    ctx.yield();
-    backoff.pause();
-  }
+  paused_ = true;
+  while (active_proposes_ != 0) ctx.yield();
 }
 
-void EngineSimulator::resume_proposes() {
-  paused_.store(false, std::memory_order_release);
-}
+void EngineSimulator::resume_proposes() { paused_ = false; }
 
 }  // namespace internal
 

@@ -22,7 +22,6 @@ void EngineSimulator::run_colored(ProcessContext& ctx) {
     std::optional<std::pair<int, Value>> cand;
     {
       auto g = ctx.step();
-      std::lock_guard<std::mutex> lk(decisions_m_);
       for (int j : decision_order_) {
         if (!tried.count(j)) {
           cand = {j, *sim_decisions_[static_cast<std::size_t>(j)]};
@@ -61,9 +60,8 @@ void EngineSimulator::run_colored(ProcessContext& ctx) {
         break;
       }
     }
-    // Children may record decisions between the on-token scan and this
-    // done() scan; re-scan the final decision state once before giving up
-    // (same race as run_colorless).
+    // One more on-token scan before giving up, a grant kept for the same
+    // reason as in run_colorless.
     if (all_done) final_pass = true;
   }
   for (ChildHandle& c : children) c.cancel();

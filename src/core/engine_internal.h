@@ -13,11 +13,13 @@
 //     (mutex1: at most one agreement propose at a time — a crash blocks
 //      at most one agreement object; mutex2: at most one simulated
 //      x-consensus resolution at a time).
+//
+// A simulator's threads are fibers of one run and take turns
+// (step_controller.h), so its local state below needs no lock.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -104,9 +106,6 @@ class EngineSimulator {
   // Rethrows any protocol error surfaced by a finished child.
   void check_child_errors(const std::vector<ChildHandle>& children);
 
-  // Serialize the local memory copy as the MEM[i] payload.
-  Value memi_payload_locked() const;
-
   // Colored-mode propose pause gate (see colored_engine.cc).
   void enter_propose_section(ProcessContext& cctx, const std::string& key);
   void exit_propose_section();
@@ -122,8 +121,7 @@ class EngineSimulator {
   // of (value, seq) pair Values that MEM[i] publishes. A sim_write
   // replaces one pair and freezes a copy of the list as the payload —
   // O(1) per untouched entry (refcount bumps) instead of rebuilding every
-  // pair. Guarded by local_m_ (touched by all of q_i's threads).
-  mutable std::mutex local_m_;
+  // pair.
   Value::List memi_pairs_;
   std::vector<std::int64_t> memi_sn_;
 
@@ -153,17 +151,15 @@ class EngineSimulator {
     std::optional<Value> result;   // xres_i[a], guarded by mutex
   };
   XObjectState& xobject(const std::string& name);
-  std::mutex xobjects_m_;  // guards map shape only (lazy creation)
   std::map<std::string, std::unique_ptr<XObjectState>> xobjects_;
 
   // Simulated decisions (j -> value) and the adoption order.
-  mutable std::mutex decisions_m_;
   std::vector<std::optional<Value>> sim_decisions_;
   std::vector<int> decision_order_;  // j's in arrival order
 
   // Colored-mode gate.
-  std::atomic<bool> paused_{false};
-  std::atomic<int> active_proposes_{0};
+  bool paused_ = false;
+  int active_proposes_ = 0;
 };
 
 }  // namespace mpcn::internal

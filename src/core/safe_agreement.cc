@@ -11,14 +11,11 @@ SafeAgreement::SafeAgreement(int width)
 
 void SafeAgreement::propose(ProcessContext& ctx, const Value& v) {
   const ProcessId i = ctx.pid();
-  {
-    std::lock_guard<std::mutex> lk(usage_m_);
-    if (i < 0 || i >= width_) {
-      throw ProtocolError("SafeAgreement: pid out of width");
-    }
-    if (!proposed_.insert(i).second) {
-      throw ProtocolError("SafeAgreement: sa_propose invoked twice");
-    }
+  if (i < 0 || i >= width_) {
+    throw ProtocolError("SafeAgreement: pid out of width");
+  }
+  if (!proposed_.insert(i).second) {
+    throw ProtocolError("SafeAgreement: sa_propose invoked twice");
   }
   // (01) announce unstable value
   sm_.write(ctx, i, Value::pair(v, Value(kUnstable)));
@@ -38,20 +35,14 @@ void SafeAgreement::propose(ProcessContext& ctx, const Value& v) {
 
 Value SafeAgreement::decide(ProcessContext& ctx) {
   const ProcessId i = ctx.pid();
-  {
-    std::lock_guard<std::mutex> lk(usage_m_);
-    if (!proposed_.count(i)) {
-      throw ProtocolError("SafeAgreement: sa_decide before sa_propose");
-    }
-    if (!decided_.insert(i).second) {
-      throw ProtocolError("SafeAgreement: sa_decide invoked twice");
-    }
+  if (!proposed_.count(i)) {
+    throw ProtocolError("SafeAgreement: sa_decide before sa_propose");
+  }
+  if (!decided_.insert(i).second) {
+    throw ProtocolError("SafeAgreement: sa_decide invoked twice");
   }
   // (04) wait until no entry is unstable. Each snapshot is a model step,
-  // so the wait is schedulable and a crashed decider unwinds here. In
-  // free mode the backoff keeps losing deciders from flooding the step
-  // clock with re-reads.
-  YieldBackoff backoff(ctx.scheduler_mode());
+  // so the wait is schedulable and a crashed decider unwinds here.
   for (;;) {
     const std::vector<Value> sm = sm_.snapshot(ctx);
     bool any_unstable = false;
@@ -71,7 +62,6 @@ Value SafeAgreement::decide(ProcessContext& ctx) {
       // executes line 05").
       throw ProtocolError("SafeAgreement: no stable value at decide");
     }
-    backoff.pause();
   }
 }
 

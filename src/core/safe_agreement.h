@@ -23,7 +23,6 @@
 // (Lemma 1).
 #pragma once
 
-#include <mutex>
 #include <set>
 
 #include "src/core/agreement_factory.h"
@@ -51,7 +50,6 @@ class SafeAgreement : public AgreementObject {
   PrimitiveSnapshot sm_;  // SM[1..width], entries (value, level)
 
   // One-shot discipline (propose once, then decide once), per simulator.
-  mutable std::mutex usage_m_;
   std::set<ProcessId> proposed_;
   std::set<ProcessId> decided_;
 };

@@ -17,7 +17,7 @@
 // at most ⌊t'/x⌋ objects.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "src/objects/test_and_set.h"
 #include "src/runtime/process_context.h"
@@ -37,9 +37,7 @@ class XCompete {
   int taken_count() const;
 
  private:
-  // deque: TestAndSet holds an atomic flag (non-movable); deque elements
-  // are constructed in place.
-  std::deque<TestAndSet> ts_;
+  std::vector<TestAndSet> ts_;
 };
 
 }  // namespace mpcn

@@ -95,7 +95,6 @@ XSafeAgreement::XSafeAgreement(int width, int x, CompeteHook compete_hook)
 
 XConsensus& XSafeAgreement::xcons_for(std::int64_t rank,
                                       const std::vector<int>& members) {
-  std::lock_guard<std::mutex> lk(lazy_m_);
   auto it = xcons_.find(rank);
   if (it == xcons_.end()) {
     std::set<ProcessId> ports(members.begin(), members.end());
@@ -107,14 +106,11 @@ XConsensus& XSafeAgreement::xcons_for(std::int64_t rank,
 
 void XSafeAgreement::propose(ProcessContext& ctx, const Value& v) {
   const ProcessId i = ctx.pid();
-  {
-    std::lock_guard<std::mutex> lk(usage_m_);
-    if (i < 0 || i >= width_) {
-      throw ProtocolError("XSafeAgreement: pid out of width");
-    }
-    if (!proposed_.insert(i).second) {
-      throw ProtocolError("XSafeAgreement: x_sa_propose invoked twice");
-    }
+  if (i < 0 || i >= width_) {
+    throw ProtocolError("XSafeAgreement: pid out of width");
+  }
+  if (!proposed_.insert(i).second) {
+    throw ProtocolError("XSafeAgreement: x_sa_propose invoked twice");
   }
   // (01) compete for ownership
   const bool owner = compete_.compete(ctx);
@@ -135,20 +131,13 @@ void XSafeAgreement::propose(ProcessContext& ctx, const Value& v) {
 }
 
 Value XSafeAgreement::decide(ProcessContext& ctx) {
-  {
-    std::lock_guard<std::mutex> lk(usage_m_);
-    if (!proposed_.count(ctx.pid())) {
-      throw ProtocolError("XSafeAgreement: x_sa_decide before propose");
-    }
+  if (!proposed_.count(ctx.pid())) {
+    throw ProtocolError("XSafeAgreement: x_sa_decide before propose");
   }
-  // (09) wait (X_SAFE_AG != ⊥): each read is a schedulable model step. In
-  // free mode the backoff keeps this spin from dominating the step count
-  // while the owners are still scanning SET_LIST.
-  YieldBackoff backoff(ctx.scheduler_mode());
+  // (09) wait (X_SAFE_AG != ⊥): each read is a schedulable model step.
   for (;;) {
     const Value v = decided_register_.read(ctx);
     if (!v.is_nil()) return v;  // (10)
-    backoff.pause();
   }
 }
 
@@ -157,7 +146,6 @@ bool XSafeAgreement::has_decided_value() const {
 }
 
 std::int64_t XSafeAgreement::consensus_objects_created() const {
-  std::lock_guard<std::mutex> lk(lazy_m_);
   return static_cast<std::int64_t>(xcons_.size());
 }
 

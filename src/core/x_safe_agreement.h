@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -102,11 +101,9 @@ class XSafeAgreement : public AgreementObject {
   XCompete compete_;      // X_T&S
   AtomicRegister decided_register_;  // X_SAFE_AG
 
-  mutable std::mutex lazy_m_;
   std::map<std::int64_t, std::unique_ptr<XConsensus>> xcons_;
 
   // One-shot discipline per simulator.
-  mutable std::mutex usage_m_;
   std::set<ProcessId> proposed_;
 };
 

@@ -22,7 +22,6 @@ Json CellSpec::to_json() const {
       .set("mem", to_string(mem))
       .set("check_legality", check_legality)
       .set("use_scenario_task", use_scenario_task)
-      .set("scheduler", to_string(scheduler))
       .set("seed", static_cast<std::int64_t>(seed))
       .set("step_limit", static_cast<std::int64_t>(step_limit))
       .set("wall_limit_ms", wall_limit_ms)
@@ -51,8 +50,8 @@ CellSpec CellSpec::from_json(const Json& j) {
     spec.mem = mem_kind_from_string(j.at("mem").as_string());
     spec.check_legality = j.at("check_legality").as_bool();
     spec.use_scenario_task = j.at("use_scenario_task").as_bool();
-    spec.scheduler = scheduler_mode_from_string(j.at("scheduler").as_string());
-    // A "wait_strategy" member (threaded-runtime coordinators) is ignored.
+    // "wait_strategy" and "scheduler" members (older coordinators) are
+    // ignored: every cell runs lock-step.
     spec.seed = static_cast<std::uint64_t>(j.at("seed").as_int());
     spec.step_limit = static_cast<std::uint64_t>(j.at("step_limit").as_int());
     spec.wall_limit_ms = j.at("wall_limit_ms").as_int();
@@ -98,7 +97,6 @@ CellSpec CellSpec::from_cell(const ExperimentCell& cell) {
   spec.cell_index = cell.cell_index;
   spec.mem = cell.mem;
   spec.check_legality = cell.check_legality;
-  spec.scheduler = cell.options.mode;
   spec.seed = cell.options.seed;
   spec.step_limit = cell.options.step_limit;
   spec.wall_limit_ms = cell.options.wall_limit.count();
@@ -156,7 +154,6 @@ ExperimentCell CellSpec::to_cell() const {
   cell.cell_index = cell_index;
   cell.mem = mem;
   cell.check_legality = check_legality;
-  cell.options.mode = scheduler;
   cell.options.seed = seed;
   cell.options.step_limit = step_limit;
   cell.options.wall_limit = std::chrono::milliseconds(wall_limit_ms);
@@ -185,7 +182,6 @@ RunRecord CellSpec::error_record(std::string error) const {
   rec.target = target;
   rec.hop_index = hop_index;
   rec.seed = seed;
-  rec.scheduler = scheduler;
   rec.mem = mem;
   rec.inputs = inputs;
   rec.error = std::move(error);

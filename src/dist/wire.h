@@ -103,7 +103,6 @@ struct CellSpec {
   bool use_scenario_task = false;
 
   // ExecutionOptions, flattened.
-  SchedulerMode scheduler = SchedulerMode::kLockstep;
   std::uint64_t seed = 1;
   std::uint64_t step_limit = 1'000'000;
   std::int64_t wall_limit_ms = 120'000;

@@ -10,10 +10,8 @@
 // which is what makes batch reports reproducible (and, with timing
 // excluded, byte-identical) across runs.
 //
-// A lock-step cell runs all of its processes as fibers on the pool thread
-// that runs it; a free-mode cell spawns one OS thread per simulated or
-// simulating process on top of the pool. threads = 0 picks a pool size
-// from the hardware.
+// A cell runs all of its processes as fibers on the pool thread that runs
+// it. threads = 0 picks a pool size from the hardware.
 //
 // Backends: with shards = 0 the grid runs on an in-process thread pool;
 // with shards > 0 it is distributed over worker SUBPROCESSES through the

@@ -23,7 +23,7 @@ std::string record_identity(const RunRecord& r) {
   key << r.scenario << '|' << to_string(r.mode) << '|'
       << r.source.to_string() << "->" << r.target.to_string() << '|'
       << "hop" << r.hop_index << '|' << "seed" << r.seed << '|'
-      << to_string(r.scheduler) << '|' << to_string(r.mem);
+      << "lockstep|" << to_string(r.mem);
   return key.str();
 }
 

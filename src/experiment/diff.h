@@ -5,7 +5,7 @@
 // reports across commits): run the same grid twice — different commit,
 // backend, shard count or machine — and ask what changed. Records are
 // matched by their grid IDENTITY (scenario, mode, source/target models,
-// hop, seed, scheduler, mem backend), not by position, so
+// hop, seed, mem backend), not by position, so
 // reports whose grids only partially overlap still diff usefully;
 // duplicate identities pair up in order.
 //
@@ -35,7 +35,8 @@
 namespace mpcn {
 
 // The grid identity of a record, as a human-readable key:
-// "scenario|mode|source->target|hop|seed|scheduler|mem".
+// "scenario|mode|source->target|hop|seed|lockstep|mem" (every run is
+// lock-step; the segment keeps keys of older reports matching).
 std::string record_identity(const RunRecord& r);
 
 struct CellDelta {

@@ -144,7 +144,6 @@ RunRecord init_record(const ExperimentCell& cell) {
   rec.target = cell.target;
   rec.hop_index = cell.hop_index;
   rec.seed = cell.options.seed;
-  rec.scheduler = cell.options.mode;
   rec.mem = cell.mem;
   rec.inputs = cell.inputs;
   if (cell.task) rec.task = cell.task->name();
@@ -167,11 +166,6 @@ RunRecord run_cell_throwing(const ExperimentCell& cell) {
       throw ProtocolError(
           "check_races observes direct-mode memory histories; engine "
           "modes funnel operations through agreement protocols");
-    }
-    if (cell.options.mode != SchedulerMode::kLockstep) {
-      throw ProtocolError(
-          "check_races needs the lock-step scheduler: free-mode runs "
-          "have no grant trace or step clock");
     }
     if (!history) history = std::make_shared<HistoryRecorder>();
   }
@@ -219,19 +213,17 @@ RunRecord run_cell_throwing(const ExperimentCell& cell) {
   // One copy of the controller's grant vector: the race oracle reads it,
   // then the record takes it.
   ScheduleTrace grants;
-  if (options.record_schedule && options.mode == SchedulerMode::kLockstep) {
+  if (options.record_schedule) {
     grants.grants = exec.controller().grant_trace();
     grants.crashes = exec.controller().crash_marks();
   }
-  const bool keep_trace =
-      cell.record_schedule && options.mode == SchedulerMode::kLockstep;
-  if (keep_trace) rec.schedule_digest = grants.digest();
+  if (cell.record_schedule) rec.schedule_digest = grants.digest();
   if (cell.check_races) {
     rec.races_checked = true;
     rec.race_reports =
         find_races(history->events(), grants, rec.schedule_digest);
   }
-  if (keep_trace) {
+  if (cell.record_schedule) {
     rec.schedule_trace = std::make_shared<ScheduleTrace>(std::move(grants));
   }
   // Crash reproducibility: the effective plan plus the crashes the run
@@ -393,11 +385,6 @@ Experiment& Experiment::crashes(CrashPlan plan) {
 
 Experiment& Experiment::crashes(CrashPlanFactory plan_fn) {
   crash_fn_ = std::move(plan_fn);
-  return *this;
-}
-
-Experiment& Experiment::scheduler(SchedulerMode mode) {
-  base_.mode = mode;
   return *this;
 }
 

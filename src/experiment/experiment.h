@@ -78,7 +78,7 @@ struct ExperimentCell {
   // run_cell via make_policy(). Wire-serializable (src/dist/wire.h).
   ScheduleSpec schedule;
   // Capture the grant trace: the RunRecord gains schedule_digest and
-  // schedule_trace (lock-step cells only).
+  // schedule_trace.
   bool record_schedule = false;
   // In-process only: when set, direct-mode cells record every mem
   // write/snapshot as an Event (src/history/) so the explorer can run
@@ -87,11 +87,11 @@ struct ExperimentCell {
   std::shared_ptr<HistoryRecorder> history;
   // Run the happens-before race oracle (src/analysis/race_oracle.h)
   // over the run's event log + grant trace and stamp the verdict into
-  // RunRecord::{races_checked, race_reports}. Direct-mode lock-step
-  // cells only (run_cell_throwing throws otherwise). Unlike `history`
-  // and options.schedule_policy, this is a serializable flag: sharded
-  // workers run the identical analysis, so sharded and in-process race
-  // searches produce byte-identical records.
+  // RunRecord::{races_checked, race_reports}. Direct-mode cells only
+  // (run_cell_throwing throws otherwise). Unlike `history` and
+  // options.schedule_policy, this is a serializable flag: sharded workers
+  // run the identical analysis, so sharded and in-process race searches
+  // produce byte-identical records.
   bool check_races = false;
 };
 
@@ -164,11 +164,10 @@ class Experiment {
   Experiment& crashes(CrashPlanFactory plan_fn);  // per (model, seed)
 
   // ------------------------------------------------------ runtime knobs
-  Experiment& scheduler(SchedulerMode mode);
   Experiment& step_limit(std::uint64_t limit);
   Experiment& wall_limit(std::chrono::milliseconds limit);
   // Bulk override (compatibility with ExecutionOptions-based call sites);
-  // adopts mode, step/wall limits and crash plan, and the seed as the
+  // adopts step/wall limits and crash plan, and the seed as the
   // single-seed axis. A schedule_policy object rides into every cell,
   // which keeps the grid in-process (the wire refuses it).
   Experiment& base_options(const ExecutionOptions& options);

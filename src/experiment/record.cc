@@ -40,16 +40,6 @@ MemKind mem_kind_from_string(const std::string& s) {
   throw ProtocolError("unknown MemKind: " + s);
 }
 
-const char* to_string(SchedulerMode mode) {
-  return mode == SchedulerMode::kFree ? "free" : "lockstep";
-}
-
-SchedulerMode scheduler_mode_from_string(const std::string& s) {
-  if (s == "free") return SchedulerMode::kFree;
-  if (s == "lockstep") return SchedulerMode::kLockstep;
-  throw ProtocolError("unknown SchedulerMode: " + s);
-}
-
 Json value_to_json(const Value& v) {
   if (v.is_nil()) return Json::null();
   if (v.is_int()) return Json(v.as_int());
@@ -117,7 +107,7 @@ Json RunRecord::to_json(bool include_timing) const {
       .set("target", model_spec_to_json(target))
       .set("hop_index", hop_index)
       .set("seed", static_cast<std::int64_t>(seed))
-      .set("scheduler", to_string(scheduler))
+      .set("scheduler", "lockstep")
       .set("mem", to_string(mem));
   Json in = Json::array();
   for (const Value& v : inputs) in.push(value_to_json(v));
@@ -179,7 +169,12 @@ RunRecord RunRecord::from_json(const Json& j) {
   r.target = model_spec_from_json(j.at("target"));
   r.hop_index = static_cast<int>(j.at("hop_index").as_int());
   r.seed = static_cast<std::uint64_t>(j.at("seed").as_int());
-  r.scheduler = scheduler_mode_from_string(j.at("scheduler").as_string());
+  // Every run is lock-step. A record of another scheduler (an old
+  // free-mode report) describes a run this build cannot reproduce.
+  const std::string& scheduler = j.at("scheduler").as_string();
+  if (scheduler != "lockstep") {
+    throw ProtocolError("unsupported scheduler: " + scheduler);
+  }
   // Reports of the threaded runtime carry a "wait_strategy" label; it
   // names a handoff mechanism that no longer exists and is ignored.
   r.mem = mem_kind_from_string(j.at("mem").as_string());

@@ -45,9 +45,6 @@ ExecutionMode execution_mode_from_string(const std::string& s);
 const char* to_string(MemKind mem);
 MemKind mem_kind_from_string(const std::string& s);
 
-const char* to_string(SchedulerMode mode);
-SchedulerMode scheduler_mode_from_string(const std::string& s);
-
 // Value <-> Json. The mapping is bijective per Value kind:
 // nil <-> null, int <-> integer, string <-> string, list <-> array.
 Json value_to_json(const Value& v);
@@ -70,7 +67,6 @@ struct RunRecord {
   ModelSpec target;      // the model the cell actually ran in
   int hop_index = -1;    // >= 0: position within a kChain expansion
   std::uint64_t seed = 0;
-  SchedulerMode scheduler = SchedulerMode::kLockstep;
   MemKind mem = MemKind::kPrimitive;
 
   std::vector<Value> inputs;

@@ -352,11 +352,6 @@ ShrinkResult shrink(const ExperimentCell& cell, const ScheduleTrace& failing,
 
 ExploreResult explore(const ExperimentCell& cell,
                       const ExploreOptions& options) {
-  if (cell.options.mode != SchedulerMode::kLockstep) {
-    throw ProtocolError(
-        "explore needs a lock-step cell: free-mode schedules are not "
-        "controllable");
-  }
   if (options.budget < 1) {
     throw ProtocolError("explore needs budget >= 1");
   }

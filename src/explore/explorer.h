@@ -185,7 +185,7 @@ struct ExploreResult {
 // Run the search. `cell` is one executable cell (Experiment::cells());
 // its schedule/policy fields are overridden per run. Throws
 // ProtocolError on unusable configurations (sharded DFS, sharded spec
-// oracle, non-lock-step cells).
+// oracle).
 ExploreResult explore(const ExperimentCell& cell,
                       const ExploreOptions& options);
 

@@ -3,13 +3,12 @@
 //
 // A direct-mode run given a recorder records one Event per register
 // write and snapshot (invocation step stamp, response step stamp,
-// operation name, argument, return value). Under the lock-step
-// controller the stamps come from the global step clock, so the
-// real-time partial order of the history is exact.
+// operation name, argument, return value). The stamps come from the
+// global step clock, so the real-time partial order of the history is
+// exact.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -27,24 +26,23 @@ struct Event {
   std::uint64_t response_step = 0;
 };
 
-// Append-only event log. record() is thread-safe, because free-mode
-// runs record from several threads at once. The explorer reuses one
-// recorder per worker: reset() empties the log and keeps its buffer, so a
-// schedule refills warm memory instead of growing a new vector.
+// Append-only event log, written by the fibers of one run, which take
+// turns. The explorer reuses one recorder per worker: reset() empties the
+// log and keeps its buffer, so a schedule refills warm memory instead of
+// growing a new vector.
 class HistoryRecorder {
  public:
-  void record(Event e);
+  void record(Event e) { events_.push_back(std::move(e)); }
 
   // The log, read in place once the run that records into it is over.
   const std::vector<Event>& events() const { return events_; }
-  std::size_t size() const;
+  std::size_t size() const { return events_.size(); }
 
   // Drop all events, keeping the buffer's capacity. The recorder is
   // immediately reusable.
-  void reset();
+  void reset() { events_.clear(); }
 
  private:
-  mutable std::mutex m_;
   std::vector<Event> events_;
 };
 

@@ -1,10 +1,12 @@
 #include "src/objects/test_and_set.h"
 
+#include <utility>
+
 namespace mpcn {
 
 bool TestAndSet::test_and_set(ProcessContext& ctx) {
   auto g = ctx.step();
-  return !taken_.exchange(true, std::memory_order_acq_rel);
+  return !std::exchange(taken_, true);
 }
 
 }  // namespace mpcn

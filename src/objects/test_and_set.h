@@ -11,8 +11,6 @@
 // this).
 #pragma once
 
-#include <atomic>
-
 #include "src/runtime/process_context.h"
 
 namespace mpcn {
@@ -23,12 +21,12 @@ class TestAndSet {
   bool test_and_set(ProcessContext& ctx);
 
   // Harness-side peek.
-  bool taken() const { return taken_.load(std::memory_order_acquire); }
+  bool taken() const { return taken_; }
 
   static constexpr int consensus_number = 2;
 
  private:
-  std::atomic<bool> taken_{false};
+  bool taken_ = false;
 };
 
 }  // namespace mpcn

@@ -16,7 +16,6 @@ Value XConsensus::propose(ProcessContext& ctx, const Value& v) {
                         " is not a port of this x-consensus object");
   }
   auto g = ctx.step();
-  std::lock_guard<std::mutex> lk(m_);
   if (proposed_.count(ctx.pid())) {
     throw ProtocolError("x_cons_propose invoked twice by process " +
                         std::to_string(ctx.pid()));
@@ -26,14 +25,8 @@ Value XConsensus::propose(ProcessContext& ctx, const Value& v) {
   return *decided_;
 }
 
-bool XConsensus::has_decided() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return decided_.has_value();
-}
+bool XConsensus::has_decided() const { return decided_.has_value(); }
 
-std::optional<Value> XConsensus::decided() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return decided_;
-}
+std::optional<Value> XConsensus::decided() const { return decided_; }
 
 }  // namespace mpcn

@@ -19,7 +19,6 @@
 // instead of silently over-synchronizing.
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <set>
 
@@ -47,7 +46,6 @@ class XConsensus {
 
  private:
   const std::set<ProcessId> ports_;
-  mutable std::mutex m_;
   std::optional<Value> decided_;
   std::set<ProcessId> proposed_;
 };

@@ -4,20 +4,15 @@ namespace mpcn {
 
 Value AtomicRegister::read(ProcessContext& ctx) const {
   auto g = ctx.step();
-  std::lock_guard<std::mutex> lk(m_);
   return value_;
 }
 
 void AtomicRegister::write(ProcessContext& ctx, Value v) {
   auto g = ctx.step();
-  std::lock_guard<std::mutex> lk(m_);
   value_ = std::move(v);
 }
 
-Value AtomicRegister::peek() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return value_;
-}
+Value AtomicRegister::peek() const { return value_; }
 
 RegisterArray::RegisterArray(int width, Value initial) {
   for (int i = 0; i < width; ++i) cells_.emplace_back(initial);

@@ -1,17 +1,13 @@
 // Atomic multi-writer multi-reader registers of Value.
 //
 // The base communication object of the model (Section 2.3). One register
-// read or write is one atomic step: the mutation happens under the step
-// guard, so in lock-step mode register operations are serialized by the
-// schedule, and in free mode a short internal mutex provides the
-// linearization point (Values are variable-size, so a raw std::atomic is
-// not applicable; since Values are copy-on-write, the critical section is
-// a refcount bump regardless of payload depth — a handful of bounded
-// instructions, which keeps operations effectively wait-free in practice).
+// read or write is one atomic step: the access happens under the step
+// guard, so register operations are serialized by the schedule and the
+// step is the linearization point. Values are copy-on-write, so an access
+// is a refcount bump regardless of payload depth.
 #pragma once
 
-#include <deque>
-#include <mutex>
+#include <vector>
 
 #include "src/common/value.h"
 #include "src/runtime/process_context.h"
@@ -30,7 +26,6 @@ class AtomicRegister {
   Value peek() const;
 
  private:
-  mutable std::mutex m_;
   Value value_;
 };
 
@@ -46,9 +41,7 @@ class RegisterArray {
   int width() const { return static_cast<int>(cells_.size()); }
 
  private:
-  // deque: AtomicRegister holds a mutex and is neither copyable nor
-  // movable; deque constructs elements in place and never relocates them.
-  std::deque<AtomicRegister> cells_;
+  std::vector<AtomicRegister> cells_;
 };
 
 }  // namespace mpcn

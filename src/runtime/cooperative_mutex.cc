@@ -1,21 +1,15 @@
 #include "src/runtime/cooperative_mutex.h"
 
+#include <utility>
+
 namespace mpcn {
 
 void CooperativeMutex::lock(ProcessContext& ctx) {
-  YieldBackoff backoff(ctx.scheduler_mode());
-  while (!try_lock()) {
-    ctx.yield();
-    backoff.pause();
-  }
+  while (!try_lock()) ctx.yield();
 }
 
-bool CooperativeMutex::try_lock() {
-  return !locked_.exchange(true, std::memory_order_acquire);
-}
+bool CooperativeMutex::try_lock() { return !std::exchange(locked_, true); }
 
-void CooperativeMutex::unlock() {
-  locked_.store(false, std::memory_order_release);
-}
+void CooperativeMutex::unlock() { locked_ = false; }
 
 }  // namespace mpcn

@@ -6,15 +6,15 @@
 // simulators."
 //
 // The mutex yield-spins through the step controller instead of blocking
-// natively, so lock-step runs remain schedulable and a crashed/stopped
-// thread waiting for the mutex unwinds promptly. Crash semantics: if a
-// thread crashes while *holding* the mutex, the RAII lock releases it
-// during unwind — harmless, because the mutex is local to one crash
-// domain: every sibling thread is crashed too and will throw at its next
-// step before performing any shared-memory operation.
+// natively, so runs remain schedulable and a crashed/stopped thread
+// waiting for the mutex unwinds promptly. Its flag is a plain bool: the
+// threads of one simulator are fibers that take turns.
+//
+// Crash semantics: if a thread crashes while *holding* the mutex, the
+// RAII lock releases it during unwind — harmless, because the mutex is
+// local to one crash domain: every sibling thread is crashed too and will
+// throw at its next step before performing any shared-memory operation.
 #pragma once
-
-#include <atomic>
 
 #include "src/runtime/process_context.h"
 
@@ -27,7 +27,7 @@ class CooperativeMutex {
   void unlock();
 
  private:
-  std::atomic<bool> locked_{false};
+  bool locked_ = false;
 };
 
 // RAII lock; the constructor may throw ProcessCrashed / SimulationHalted

@@ -187,7 +187,6 @@ CrashManager::CrashManager(int n, CrashPlan plan)
 }
 
 void CrashManager::arm_trap(ThreadId tid, const std::string& key) {
-  std::lock_guard<std::mutex> lk(m_);
   if (crashed_[static_cast<std::size_t>(tid.pid)]) return;
   if (armed_pids_.count(tid.pid)) return;  // one trap per process
   auto it = trap_remaining_.find(key);
@@ -217,7 +216,6 @@ void CrashManager::on_owner_elected(ThreadId tid, const std::string& key) {
 
 bool CrashManager::on_step(ThreadId tid) {
   const ProcessId pid = tid.pid;
-  std::lock_guard<std::mutex> lk(m_);
   if (crashed_[static_cast<std::size_t>(pid)]) return true;
   const std::uint64_t my_step = ++step_counts_[static_cast<std::size_t>(pid)];
   switch (plan_.kind_) {
@@ -277,7 +275,6 @@ bool CrashManager::on_step(ThreadId tid) {
 }
 
 void CrashManager::crash_now(ProcessId pid) {
-  std::lock_guard<std::mutex> lk(m_);
   if (!crashed_[static_cast<std::size_t>(pid)]) {
     crashed_[static_cast<std::size_t>(pid)] = true;
     ++crash_count_;
@@ -288,41 +285,28 @@ void CrashManager::crash_now(ProcessId pid) {
 }
 
 bool CrashManager::is_crashed(ProcessId pid) const {
-  std::lock_guard<std::mutex> lk(m_);
   return crashed_[static_cast<std::size_t>(pid)];
 }
 
-int CrashManager::crash_count() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return crash_count_;
-}
+int CrashManager::crash_count() const { return crash_count_; }
 
-std::vector<bool> CrashManager::crashed_vector() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return crashed_;
-}
+std::vector<bool> CrashManager::crashed_vector() const { return crashed_; }
 
-std::vector<CrashPoint> CrashManager::realized() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return realized_;
-}
+std::vector<CrashPoint> CrashManager::realized() const { return realized_; }
 
 int CrashManager::budget_remaining() const {
-  std::lock_guard<std::mutex> lk(m_);
   if (plan_.kind_ != CrashPlan::Kind::kExplored) return 0;
   const int budget = std::min(plan_.max_crashes_, n_);
   return budget > crash_count_ ? budget - crash_count_ : 0;
 }
 
 bool CrashManager::crashable(ProcessId pid) const {
-  std::lock_guard<std::mutex> lk(m_);
   return pid >= 0 && pid < n_ && !crashed_[static_cast<std::size_t>(pid)];
 }
 
 double CrashManager::rate() const { return plan_.probability_; }
 
 bool CrashManager::direct_crash(ThreadId tid) {
-  std::lock_guard<std::mutex> lk(m_);
   if (plan_.kind_ != CrashPlan::Kind::kExplored) return false;
   if (crash_count_ >= std::min(plan_.max_crashes_, n_)) return false;
   if (crashed_[static_cast<std::size_t>(tid.pid)]) return false;

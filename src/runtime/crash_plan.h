@@ -11,7 +11,7 @@
 //               the critical scenario of Lemma 1 / Lemma 7,
 //  * hazard() — at every step of an eligible process, crash with
 //               probability p, subject to a budget of at most max_crashes
-//               processes. Seeded: deterministic under lock-step.
+//               processes. Seeded: deterministic.
 //
 // Crash domains are whole processes: when a simulator crashes, all the
 // threads it forked for simulated processes stop with it ("after it has
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -113,11 +112,10 @@ class CrashManager : public CrashDirector {
  public:
   CrashManager(int n, CrashPlan plan);
 
-  // Called on every primitive step of a thread (under the step token in
-  // lock-step mode, so hazard decisions are deterministic). Crash
-  // semantics are per-process (crash domain = tid.pid); the thread
-  // identity is needed so propose traps can count the *armed thread's*
-  // own steps into the propose body.
+  // Called on every primitive step of a thread (under the step token, so
+  // hazard decisions are deterministic). Crash semantics are per-process
+  // (crash domain = tid.pid); the thread identity is needed so propose
+  // traps can count the *armed thread's* own steps into the propose body.
   // Returns true if the process must crash at this step; the manager has
   // already recorded the crash when it returns true.
   bool on_step(ThreadId tid);
@@ -158,7 +156,6 @@ class CrashManager : public CrashDirector {
 
   const int n_;
   CrashPlan plan_;
-  mutable std::mutex m_;
   Rng rng_;
   std::vector<bool> crashed_;
   std::vector<std::uint64_t> step_counts_;

@@ -2,9 +2,9 @@
 //
 // An algorithm is a vector of Programs, one per process p_0..p_{n-1}
 // (the paper's p_1..p_n). The harness starts one thread of control per
-// process through the step controller — a fiber on the calling thread
-// under lock-step, an OS thread in free mode — wires each to the crash
-// adversary, and collects the decision vector O (Section 2.1).
+// process through the step controller — a fiber on the calling thread —
+// wires each to the crash adversary, and collects the decision vector O
+// (Section 2.1).
 //
 // Termination detection: the run ends when (a) every process has
 // returned (decided, crashed, or halted), with an early global stop once
@@ -18,7 +18,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <vector>
@@ -33,19 +32,18 @@ namespace mpcn {
 using Program = std::function<void(ProcessContext&)>;
 
 struct ExecutionOptions {
-  SchedulerMode mode = SchedulerMode::kLockstep;
   std::uint64_t seed = 1;
   std::uint64_t step_limit = 1'000'000;
   std::chrono::milliseconds wall_limit{120'000};
   CrashPlan crashes = CrashPlan::none();
   // Stop the run once all non-crashed processes decided (normal case).
   bool stop_when_all_correct_decided = true;
-  // Lock-step only: the adversary that picks every grant
-  // (schedule_policy.h; the explorer's policies are in src/explore/).
-  // Null runs SeededRandomPolicy(seed).
+  // The adversary that picks every grant (schedule_policy.h; the
+  // explorer's policies are in src/explore/). Null runs
+  // SeededRandomPolicy(seed).
   std::shared_ptr<SchedulePolicy> schedule_policy;
-  // Lock-step only: capture the grant trace (one ThreadId per step) so
-  // the schedule can be digested, recorded and replayed.
+  // Capture the grant trace (one ThreadId per step) so the schedule can
+  // be digested, recorded and replayed.
   bool record_schedule = false;
 };
 
@@ -72,8 +70,8 @@ class Execution : public ExecutionBackend {
   Outcome run();
 
   // ExecutionBackend:
-  StepController& controller() override { return *controller_; }
-  CrashManager& crashes() override { return *crash_mgr_; }
+  LockstepController& controller() override { return controller_; }
+  CrashManager& crashes() override { return crash_mgr_; }
   void record_decision(ProcessId pid, const Value& v) override;
   bool has_decision(ProcessId pid) const override;
   Value input_of(ProcessId pid) const override;
@@ -93,10 +91,11 @@ class Execution : public ExecutionBackend {
   std::vector<Program> programs_;
   std::vector<Value> inputs_;
   ExecutionOptions options_;
-  std::unique_ptr<StepController> controller_;
-  std::unique_ptr<CrashManager> crash_mgr_;
+  // Declared before the controller, which may hold it as its crash
+  // director: it must outlive the controller's last grant.
+  CrashManager crash_mgr_;
+  LockstepController controller_;
 
-  mutable std::mutex m_;  // free-mode processes share the fields below
   std::vector<std::optional<Value>> decisions_;
   std::vector<int> sub_counters_;
   std::exception_ptr error_;

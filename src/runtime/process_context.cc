@@ -6,13 +6,13 @@ struct ChildHandle::State {
   std::unique_ptr<ProcessContext> ctx;
   ExecutionBackend* backend = nullptr;
   ThreadId parent_tid{};
-  std::atomic<bool> done{false};
+  bool done = false;
   bool joined = false;  // the controller has reaped the child
   std::exception_ptr error;
 };
 
 StepGuard ProcessContext::step() {
-  StepController& c = backend_->controller();
+  LockstepController& c = backend_->controller();
   if (!c.acquire(tid_)) throw SimulationHalted();
   // Crash evaluation happens while holding the token so that hazard-plan
   // randomness is consumed at a deterministic point of the schedule.
@@ -21,7 +21,7 @@ StepGuard ProcessContext::step() {
     c.release(tid_);
     throw ProcessCrashed(pid());
   }
-  if (cancel_.load(std::memory_order_acquire)) {
+  if (cancel_) {
     c.release(tid_);
     throw SimulationHalted();
   }
@@ -29,8 +29,7 @@ StepGuard ProcessContext::step() {
 }
 
 bool ProcessContext::stopping() const {
-  return cancel_.load(std::memory_order_acquire) ||
-         backend_->controller().stop_requested();
+  return cancel_ || backend_->controller().stop_requested();
 }
 
 ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
@@ -39,8 +38,8 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
   s->ctx = std::make_unique<ProcessContext>(child_tid, backend_);
   s->backend = backend_;
   s->parent_tid = tid_;
-  // The controller registers the child before it starts, so the lock-step
-  // live set evolves at a deterministic point (the parent's own turn).
+  // The controller registers the child before it starts, so the live set
+  // evolves at a deterministic point (the parent's own turn).
   backend_->controller().spawn(child_tid, [s, fn = std::move(fn)] {
     try {
       fn(*s->ctx);
@@ -53,9 +52,8 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
     }
     // Publish done-ness BEFORE leaving the controller: while this thread
     // is alive and unparked no other thread can be granted a step, so
-    // the store lands inside an exclusive window and every observer sees
-    // it at a schedule-determined point (lock-step determinism).
-    s->done.store(true, std::memory_order_release);
+    // every observer sees it at a schedule-determined point.
+    s->done = true;
   });
   ChildHandle h;
   h.s_ = std::move(s);
@@ -64,11 +62,7 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
 
 void ChildHandle::join(ProcessContext& parent) {
   if (!s_) return;
-  YieldBackoff backoff(parent.scheduler_mode());
-  while (!s_->done.load(std::memory_order_acquire)) {
-    parent.yield();
-    backoff.pause();
-  }
+  while (!s_->done) parent.yield();
   if (!s_->joined) {
     s_->joined = true;
     s_->backend->controller().join(s_->ctx->tid());
@@ -82,16 +76,16 @@ void ChildHandle::join(ProcessContext& parent) {
 
 void ChildHandle::cancel() {
   if (s_ && s_->ctx) {
-    s_->ctx->cancel_.store(true, std::memory_order_release);
+    s_->ctx->cancel_ = true;
   }
 }
 
 bool ChildHandle::done() const {
-  return s_ && s_->done.load(std::memory_order_acquire);
+  return s_ && s_->done;
 }
 
 std::exception_ptr ChildHandle::error() const {
-  if (!s_ || !s_->done.load(std::memory_order_acquire)) return nullptr;
+  if (!s_ || !s_->done) return nullptr;
   return s_->error;
 }
 
@@ -100,14 +94,14 @@ ChildHandle::~ChildHandle() {
   s_->joined = true;
   cancel();
   // The parent is abandoning the child (normal shutdown path or
-  // exception unwind). While it waits, remove the parent from the
-  // lock-step grant set so the child can be granted the steps it needs
-  // to observe the cancel flag and unwind.
+  // exception unwind). While it waits, remove the parent from the grant
+  // set so the child can be granted the steps it needs to observe the
+  // cancel flag and unwind.
   //
   // Done unconditionally — NOT gated on done() — so the controller-state
   // trace is independent of whether the child has finished yet; this
-  // keeps lock-step schedules replayable through simulator shutdown.
-  StepController& c = s_->backend->controller();
+  // keeps schedules replayable through simulator shutdown.
+  LockstepController& c = s_->backend->controller();
   c.leave(s_->parent_tid);
   c.join(s_->ctx->tid());
   c.enter(s_->parent_tid);

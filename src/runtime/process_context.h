@@ -2,7 +2,7 @@
 //
 // Every shared-memory primitive operation in the library brackets its
 // critical mutation in `auto g = ctx.step();`. The step call
-//   1. acquires the step token (lock-step mode serializes here),
+//   1. acquires the step token (the controller serializes here),
 //   2. evaluates the crash adversary — a crashed process throws
 //      ProcessCrashed and never executes the operation (Section 2.3:
 //      "after it has crashed, a process executes no more steps"),
@@ -14,11 +14,9 @@
 // process" (Section 2.4). ProcessContext::fork() creates such a thread in
 // the same crash domain: the child shares the parent's ProcessId, so one
 // crash event stops the simulator and all its simulated threads together.
-// The step controller decides what a thread is: a fiber on the run's own
-// OS thread under lock-step, an OS thread of its own in free mode.
+// Every thread is a fiber on the run's own OS thread (step_controller.h).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 
@@ -37,7 +35,7 @@ class ProcessContext;
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
-  virtual StepController& controller() = 0;
+  virtual LockstepController& controller() = 0;
   virtual CrashManager& crashes() = 0;
   virtual void record_decision(ProcessId pid, const Value& v) = 0;
   virtual bool has_decision(ProcessId pid) const = 0;
@@ -52,7 +50,7 @@ class ExecutionBackend {
 // while the guard is alive.
 class StepGuard {
  public:
-  StepGuard(StepController* c, ThreadId tid) : c_(c), tid_(tid) {}
+  StepGuard(LockstepController* c, ThreadId tid) : c_(c), tid_(tid) {}
   StepGuard(StepGuard&& o) noexcept : c_(o.c_), tid_(o.tid_) {
     o.c_ = nullptr;
   }
@@ -63,7 +61,7 @@ class StepGuard {
   }
 
  private:
-  StepController* c_;
+  LockstepController* c_;
   ThreadId tid_;
 };
 
@@ -73,14 +71,13 @@ class ChildHandle {
   ChildHandle() = default;
   ChildHandle(ChildHandle&&) = default;
   ChildHandle& operator=(ChildHandle&&) = default;
-  // Destructor: cancels the child, takes the parent out of the lock-step
-  // grant set, and waits for the child to finish. Safe during exception
-  // unwind.
+  // Destructor: cancels the child, takes the parent out of the grant
+  // set, and waits for the child to finish. Safe during exception unwind.
   ~ChildHandle();
 
   // Cooperative join: yield-spins on the parent context until the child
   // has finished, then reaps it (the child needs no further steps at
-  // that point, so this cannot stall the lock-step schedule).
+  // that point, so this cannot stall the schedule).
   // Rethrows any non-crash, non-halt exception raised by the child.
   void join(ProcessContext& parent);
 
@@ -113,14 +110,9 @@ class ProcessContext {
   StepGuard step();
 
   // A polite spin point: take (and immediately release) a step. All
-  // protocol-level busy-waiting goes through yield so that lock-step runs
-  // stay schedulable and crashed/stopped threads unwind promptly.
+  // protocol-level busy-waiting goes through yield so that runs stay
+  // schedulable and crashed/stopped threads unwind promptly.
   void yield() { step(); }
-
-  // The scheduler mode of the run — lets spin loops construct a
-  // YieldBackoff that backs off in free mode only (under lock-step the
-  // controller already serializes every spin read).
-  SchedulerMode scheduler_mode() const { return backend_->controller().mode(); }
 
   // The process's task input (Section 2.1: I[j]).
   Value input() const { return backend_->input_of(pid()); }
@@ -142,7 +134,7 @@ class ProcessContext {
   friend class ChildHandle;
   ThreadId tid_;
   ExecutionBackend* backend_;
-  std::atomic<bool> cancel_{false};
+  bool cancel_ = false;
 };
 
 }  // namespace mpcn

@@ -1,16 +1,17 @@
 // SharedWorld: a named registry of shared objects.
 //
 // The simulations use unbounded arrays of agreement objects — e.g.
-// SAFE_AG[1..n, 0..infinity) in Figure 3 — which we realize by lazy,
-// race-safe creation keyed by name ("SAFE_AG/3/17"). Object *creation* is
+// SAFE_AG[1..n, 0..infinity) in Figure 3 — which we realize by lazy
+// creation keyed by name ("SAFE_AG/3/17"). Object *creation* is
 // a harness-level action, not a model step: the formal model assumes the
 // whole (infinite) array exists up front; lazily materializing an entry
 // the first time any simulator touches it is observationally equivalent
-// because entries are created in a fixed initial state.
+// because entries are created in a fixed initial state. A world belongs to
+// one run, whose fibers take turns (step_controller.h), so it needs no
+// lock.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -25,7 +26,7 @@ namespace mpcn {
 class SharedWorld {
  public:
   // Returns the object registered under `key`, creating it with `make`
-  // if absent. All concurrent creators must pass equivalent factories
+  // if absent. All creators must pass equivalent factories
   // (guaranteed by construction in the engine: the factory depends only
   // on the key). Throws ProtocolError on a type mismatch.
   //
@@ -39,7 +40,6 @@ class SharedWorld {
         std::is_convertible_v<decltype(std::declval<Factory&>()()),
                               std::shared_ptr<T>>,
         "SharedWorld factory must return std::shared_ptr<T>");
-    std::lock_guard<std::mutex> lk(m_);
     auto it = objects_.find(key);
     if (it == objects_.end()) {
       std::shared_ptr<T> obj = make();
@@ -54,7 +54,6 @@ class SharedWorld {
   // Lookup without creation; returns nullptr if absent or wrong type.
   template <typename T>
   std::shared_ptr<T> find(const std::string& key) const {
-    std::lock_guard<std::mutex> lk(m_);
     auto it = objects_.find(key);
     if (it == objects_.end() || it->second.type != std::type_index(typeid(T))) {
       return nullptr;
@@ -62,17 +61,13 @@ class SharedWorld {
     return std::static_pointer_cast<T>(it->second.ptr);
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lk(m_);
-    return objects_.size();
-  }
+  std::size_t size() const { return objects_.size(); }
 
  private:
   struct Entry {
     std::type_index type;
     std::shared_ptr<void> ptr;
   };
-  mutable std::mutex m_;
   std::unordered_map<std::string, Entry> objects_;
 };
 

@@ -7,71 +7,6 @@
 
 namespace mpcn {
 
-// ---------------------------------------------------------------- Free mode
-
-FreeController::FreeController(std::uint64_t step_limit)
-    : step_limit_(step_limit) {}
-
-void FreeController::spawn(ThreadId tid, std::function<void()> body) {
-  // The new thread cannot count itself finished before m_ is released, so
-  // counting it after a successful start is safe.
-  std::lock_guard<std::mutex> lk(m_);
-  threads_.emplace(tid, std::thread([this, body = std::move(body)] {
-                     body();
-                     {
-                       std::lock_guard<std::mutex> done(m_);
-                       --running_;
-                     }
-                     finished_cv_.notify_all();
-                   }));
-  ++running_;
-}
-
-void FreeController::join(ThreadId tid) {
-  std::thread t;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    auto it = threads_.find(tid);
-    if (it == threads_.end()) return;
-    t = std::move(it->second);
-    threads_.erase(it);
-  }
-  t.join();
-}
-
-void FreeController::run(Deadline deadline) {
-  std::map<ThreadId, std::thread> threads;
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    const auto all_finished = [this] { return running_ == 0; };
-    if (!finished_cv_.wait_until(lk, deadline, all_finished)) {
-      timed_out_.store(true);
-      request_stop();
-      finished_cv_.wait(lk, all_finished);
-    }
-    threads.swap(threads_);
-  }
-  for (auto& [tid, t] : threads) t.join();
-}
-
-bool FreeController::acquire(ThreadId) { return !stop_.load(); }
-
-void FreeController::release(ThreadId) {
-  const std::uint64_t s = steps_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (s >= step_limit_ && !stop_.exchange(true)) {
-    timed_out_.store(true);
-  }
-}
-
-void FreeController::request_stop() { stop_.store(true); }
-bool FreeController::stop_requested() const { return stop_.load(); }
-bool FreeController::timed_out() const { return timed_out_.load(); }
-std::uint64_t FreeController::steps() const {
-  return steps_.load(std::memory_order_relaxed);
-}
-
-// ------------------------------------------------------------ Lockstep mode
-
 struct LockstepController::Thread {
   ThreadId tid;
   std::unique_ptr<Fiber> fiber;  // runs the body, then finish()

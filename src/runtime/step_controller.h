@@ -1,45 +1,39 @@
-// Step controllers: the scheduling substrate of the library.
+// The step controller: the scheduling substrate of the library.
 //
 // The paper's formal model is an interleaving model: a run is a sequence of
 // atomic steps, one per shared-memory primitive operation, chosen by an
-// asynchronous adversary. We reproduce it two ways:
+// asynchronous adversary. LockstepController reproduces it as a
+// deterministic adversary. Every process is a Fiber (fiber.h) on the one
+// thread that calls run(). A fiber must hold the (single) step token to
+// perform a shared-memory operation. The token is granted only when every
+// live fiber is parked waiting for it, so the runnable set of a grant is
+// the live set itself; a SchedulePolicy (schedule_policy.h) picks the next
+// holder from it, sorted by ThreadId, and the controller switches to it.
+// Given the policy's seed, the interleaving of shared-memory steps is
+// reproducible, which is what makes the crash-injection tests of the
+// paper's blocking lemmas (Lemma 1, Lemma 7) precise.
 //
-//  * FreeController   — real hardware concurrency. Every process is an OS
-//    thread; acquire()/release() are nearly free and threads race as the
-//    OS schedules them. Used for stress tests and `--scheduler free` runs.
-//  * LockstepController — a deterministic adversary. Every process is a
-//    Fiber (fiber.h) on the one thread that calls run(). A fiber must
-//    hold the (single) step token to perform a shared-memory operation.
-//    The token is granted only when every live fiber is parked waiting
-//    for it, so the runnable set of a grant is the live set itself; a
-//    SchedulePolicy (schedule_policy.h) picks the next holder from it,
-//    sorted by ThreadId, and the controller switches to it. Given the
-//    policy's seed, the interleaving of shared-memory steps is
-//    reproducible, which is what makes the crash-injection tests of the
-//    paper's blocking lemmas (Lemma 1, Lemma 7) precise.
+// A run is serial by definition, so it needs no OS threads, no locks and
+// no wakeups: handing over the token is one context switch, and none at
+// all when the policy re-grants the running fiber. Parking is a flag and a
+// count, so a grant touches no container: the sorted live set changes only
+// when a thread enters or leaves the schedule. The objects a run's
+// processes share (registers, snapshots, agreement objects, the history
+// recorder, the crash manager) are touched only by its fibers, one at a
+// time, so they carry no locks either; each run builds its own.
 //
-// A lock-step run is serial by definition, so it needs no OS threads, no
-// locks and no wakeups: handing over the token is one context switch, and
-// none at all when the policy re-grants the running fiber. Parking is a
-// flag and a count, so a grant touches no container: the sorted live set
-// changes only when a thread enters or leaves the schedule.
-//
-// All protocol-level blocking in the library is yield-spinning through a
-// controller (no native blocking), so lock-step runs cannot deadlock on
-// hidden OS-level waits.
+// All protocol-level blocking in the library is yield-spinning through the
+// controller (no native blocking), so runs cannot deadlock on hidden
+// OS-level waits.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -48,171 +42,58 @@
 
 namespace mpcn {
 
-enum class SchedulerMode { kFree, kLockstep };
-
-// One CPU-relax instruction (PAUSE/YIELD) — calms the pipeline inside
-// spin loops without giving up the time slice.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// Exponential yield-backoff for protocol-level spin loops. Escalates from
-// cpu_relax through a doubling number of sched yields to short sleeps, so
-// a loser of a long race stops competing for the core (free-mode step
-// counts explode on few-core machines because spin reads count as
-// steps). Constructed from a SchedulerMode it is a no-op under lock-step,
-// where the controller already serializes every spin read and sleeping
-// would only slow the deterministic schedule down.
-class YieldBackoff {
- public:
-  YieldBackoff() = default;
-  explicit YieldBackoff(SchedulerMode mode)
-      : active_(mode == SchedulerMode::kFree) {}
-
-  void pause() {
-    if (!active_) return;
-    ++round_;
-    if (round_ <= kRelaxRounds) {
-      cpu_relax();
-      return;
-    }
-    const unsigned over = round_ - kRelaxRounds;
-    if (over <= kYieldDoublings) {
-      for (unsigned i = 0; i < (1u << over); ++i) std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(sleep_slice(over - kYieldDoublings));
-  }
-
-  void reset() { round_ = 0; }
-
- private:
-  static constexpr unsigned kRelaxRounds = 4;
-  static constexpr unsigned kYieldDoublings = 5;  // 2..64 yields
-
-  static std::chrono::microseconds sleep_slice(unsigned over) {
-    const unsigned exp = over < 8 ? over : 8;
-    return std::chrono::microseconds(1u << exp);  // 2us .. 256us
-  }
-
-  bool active_ = true;
-  unsigned round_ = 0;
-};
-
-class StepController {
+// Deterministic lock-step controller (see file comment). Single-threaded:
+// every method runs on the thread that calls run().
+class LockstepController {
  public:
   using Deadline = std::chrono::steady_clock::time_point;
 
-  virtual ~StepController() = default;
-
-  virtual SchedulerMode mode() const = 0;
-
-  // Thread lifecycle. spawn() registers `tid` with the step schedule and
-  // starts `body` as that thread (lock-step: a fiber; free: an OS
-  // thread). The creator registers the thread before it can run, so the
-  // set of live threads evolves deterministically. `body` must not
-  // throw; the thread leaves the schedule when it returns.
-  virtual void spawn(ThreadId tid, std::function<void()> body) = 0;
-  // Wait until thread `tid` has finished. A lock-step caller that waits
-  // for an unfinished thread must have left() the schedule first.
-  virtual void join(ThreadId tid) = 0;
-  // Return once every spawned thread has finished (lock-step: the fibers
-  // run on the calling thread). A run still going at `deadline` is
-  // stopped and flagged timed out.
-  virtual void run(Deadline deadline) = 0;
-
-  // Take a running thread out of the grant set and put it back (a parent
-  // waiting for a child it abandons). leave() runs on the leaving
-  // thread's own fiber or OS thread (finishing, or ~ChildHandle), never
-  // on behalf of a thread parked in acquire().
-  virtual void enter(ThreadId tid) = 0;
-  virtual void leave(ThreadId tid) = 0;
-
-  // Acquire the step token (blocking in lock-step mode). Returns false if
-  // the run has been stopped instead of granting.
-  virtual bool acquire(ThreadId tid) = 0;
-  // Release the token after the atomic operation; advances the step clock.
-  virtual void release(ThreadId tid) = 0;
-
-  virtual void request_stop() = 0;
-  virtual bool stop_requested() const = 0;
-  virtual bool timed_out() const = 0;
-
-  // Number of completed steps (the global step clock).
-  virtual std::uint64_t steps() const = 0;
-
-  // Debugging: the sequence of granted thread ids (lock-step only; empty
-  // unless tracing was enabled). Used by determinism diagnostics.
-  virtual std::vector<ThreadId> grant_trace() const { return {}; }
-  virtual void enable_grant_trace() {}
-
-  // Grant-trace indices at which the crash adversary crashed the granted
-  // thread (explored crash plans under lock-step only; empty otherwise).
-  // Together with grant_trace() this pins a crashing execution.
-  virtual std::vector<std::uint64_t> crash_marks() const { return {}; }
-};
-
-// Free-running controller: one OS thread per process, no serialization,
-// only step counting and the stop flag / step budget.
-class FreeController : public StepController {
- public:
-  explicit FreeController(std::uint64_t step_limit);
-
-  SchedulerMode mode() const override { return SchedulerMode::kFree; }
-  void spawn(ThreadId tid, std::function<void()> body) override;
-  void join(ThreadId tid) override;
-  void run(Deadline deadline) override;
-  void enter(ThreadId) override {}
-  void leave(ThreadId) override {}
-  bool acquire(ThreadId) override;
-  void release(ThreadId) override;
-  void request_stop() override;
-  bool stop_requested() const override;
-  bool timed_out() const override;
-  std::uint64_t steps() const override;
-
- private:
-  const std::uint64_t step_limit_;
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> timed_out_{false};
-
-  std::mutex m_;
-  std::condition_variable finished_cv_;
-  int running_ = 0;                         // spawned, body not returned
-  std::map<ThreadId, std::thread> threads_;  // not yet joined
-};
-
-// Deterministic lock-step controller (see file comment). Single-threaded:
-// every method runs on the thread that calls run().
-class LockstepController : public StepController {
- public:
   // `policy` (non-null) picks every grant (schedule_policy.h).
   LockstepController(std::uint64_t step_limit,
                      std::shared_ptr<SchedulePolicy> policy);
-  ~LockstepController() override;
+  ~LockstepController();
+  LockstepController(const LockstepController&) = delete;
+  LockstepController& operator=(const LockstepController&) = delete;
 
-  SchedulerMode mode() const override { return SchedulerMode::kLockstep; }
-  void spawn(ThreadId tid, std::function<void()> body) override;
-  void join(ThreadId tid) override;
-  void run(Deadline deadline) override;
-  void enter(ThreadId tid) override;
-  void leave(ThreadId tid) override;
-  bool acquire(ThreadId tid) override;
-  void release(ThreadId tid) override;
-  void request_stop() override { stop_ = true; }
-  bool stop_requested() const override { return stop_; }
-  bool timed_out() const override { return timed_out_; }
-  std::uint64_t steps() const override { return steps_; }
-  std::vector<ThreadId> grant_trace() const override { return grant_trace_; }
-  void enable_grant_trace() override { trace_ = true; }
-  std::vector<std::uint64_t> crash_marks() const override {
+  // Thread lifecycle. spawn() registers `tid` with the step schedule and
+  // starts `body` as a fiber. The creator registers the thread before it
+  // can run, so the set of live threads evolves deterministically. `body`
+  // must not throw; the thread leaves the schedule when it returns.
+  void spawn(ThreadId tid, std::function<void()> body);
+  // Wait until thread `tid` has finished. A caller that waits for an
+  // unfinished thread must have left() the schedule first.
+  void join(ThreadId tid);
+  // Return once every spawned fiber has finished; the fibers run on the
+  // calling thread. A run still going at `deadline` is stopped and
+  // flagged timed out.
+  void run(Deadline deadline);
+
+  // Take a running thread out of the grant set and put it back (a parent
+  // waiting for a child it abandons). leave() runs on the leaving
+  // thread's own fiber (finishing, or ~ChildHandle), never on behalf of a
+  // thread parked in acquire().
+  void enter(ThreadId tid);
+  void leave(ThreadId tid);
+
+  // Acquire the step token, parking until it is granted. Returns false
+  // if the run has been stopped instead of granting.
+  bool acquire(ThreadId tid);
+  // Release the token after the atomic operation; advances the step clock.
+  void release(ThreadId tid);
+
+  void request_stop() { stop_ = true; }
+  bool stop_requested() const { return stop_; }
+  bool timed_out() const { return timed_out_; }
+
+  // Number of completed steps (the global step clock).
+  std::uint64_t steps() const { return steps_; }
+
+  // The sequence of granted thread ids (empty unless tracing was
+  // enabled), and the grant-trace indices at which the crash adversary
+  // crashed the granted thread. Together they pin a (crashing) execution.
+  const std::vector<ThreadId>& grant_trace() const { return grant_trace_; }
+  void enable_grant_trace() { trace_ = true; }
+  const std::vector<std::uint64_t>& crash_marks() const {
     return crash_marks_;
   }
 

@@ -40,7 +40,7 @@ AfekSnapshot::Collect AfekSnapshot::collect(ProcessContext& ctx) {
     c.seq.push_back(cell.at(1).as_int());
     c.view.push_back(cell.at(2));
   }
-  collects_.fetch_add(1, std::memory_order_relaxed);
+  ++collects_;
   return c;
 }
 
@@ -57,7 +57,7 @@ Value AfekSnapshot::scan(ProcessContext& ctx) {
         if (++moved[static_cast<std::size_t>(j)] >= 2) {
           // j completed a full scan inside our interval; borrow its view —
           // the stored list is returned as-is (a refcount bump).
-          borrowed_.fetch_add(1, std::memory_order_relaxed);
+          ++borrowed_;
           return b.view[static_cast<std::size_t>(j)];
         }
       }

@@ -39,8 +39,8 @@ class AfekSnapshot : public SnapshotObject {
   int width() const override { return width_; }
 
   // Statistics for the wait-freedom tests.
-  std::uint64_t total_collects() const { return collects_.load(); }
-  std::uint64_t borrowed_scans() const { return borrowed_.load(); }
+  std::uint64_t total_collects() const { return collects_; }
+  std::uint64_t borrowed_scans() const { return borrowed_; }
 
  private:
   struct Collect {
@@ -60,8 +60,8 @@ class AfekSnapshot : public SnapshotObject {
   const int width_;
   const bool check_ownership_;
   RegisterArray cells_;
-  std::atomic<std::uint64_t> collects_{0};
-  std::atomic<std::uint64_t> borrowed_{0};
+  std::uint64_t collects_ = 0;
+  std::uint64_t borrowed_ = 0;
 };
 
 }  // namespace mpcn

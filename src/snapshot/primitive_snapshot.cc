@@ -19,19 +19,14 @@ void PrimitiveSnapshot::write(ProcessContext& ctx, int index, const Value& v) {
                         std::to_string(ctx.pid()));
   }
   auto g = ctx.step();
-  std::lock_guard<std::mutex> lk(m_);
   entries_[static_cast<std::size_t>(index)] = v;
 }
 
 std::vector<Value> PrimitiveSnapshot::snapshot(ProcessContext& ctx) {
   auto g = ctx.step();
-  std::lock_guard<std::mutex> lk(m_);
   return entries_;
 }
 
-std::vector<Value> PrimitiveSnapshot::peek() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return entries_;
-}
+std::vector<Value> PrimitiveSnapshot::peek() const { return entries_; }
 
 }  // namespace mpcn

@@ -2,8 +2,6 @@
 // step per write / snapshot. See snapshot_object.h.
 #pragma once
 
-#include <mutex>
-
 #include "src/snapshot/snapshot_object.h"
 
 namespace mpcn {
@@ -25,7 +23,6 @@ class PrimitiveSnapshot : public SnapshotObject {
 
  private:
   const bool check_ownership_;
-  mutable std::mutex m_;
   std::vector<Value> entries_;
 };
 

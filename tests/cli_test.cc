@@ -342,6 +342,43 @@ TEST(Cli, ThreadsAboveOneWithShardsIsAUsageError) {
             0);
 }
 
+// The Figure 7 equivalence chains, one cell per hop: every hop of every
+// chain solves its task, and every record carries the keys report
+// tooling reads.
+TEST(Cli, Figure7ChainsSolveEveryHop) {
+  const std::vector<std::vector<std::string>> chains = {
+      {"trivial_kset", "4,1,1", "5,3,2"},
+      {"group_kset", "4,2,2", "6,1,1"},
+      {"trivial_kset", "6,2,1", "7,5,2"}};
+  std::int64_t ok = 0;
+  std::int64_t cells = 0;
+  for (const std::vector<std::string>& c : chains) {
+    SCOPED_TRACE(c[0] + " " + c[1] + " -> " + c[2]);
+    std::string out;
+    ASSERT_EQ(run_cli({"mpcn", "run", c[0], "--source", c[1], "--in", c[2],
+                       "--mode", "chain", "--no-timing", "--json", "-"},
+                      &out),
+              0);
+    const Json report = Json::parse(out);
+    const std::int64_t n = report.at("cells").as_int();
+    EXPECT_GT(n, 0);
+    EXPECT_EQ(report.at("ok").as_int(), n);
+    EXPECT_EQ(static_cast<std::int64_t>(report.at("records").size()), n);
+    for (const Json& rec : report.at("records").items()) {
+      for (const char* key :
+           {"scenario", "mode", "target", "seed", "steps", "ok"}) {
+        EXPECT_NE(rec.find(key), nullptr) << key;
+      }
+      ASSERT_NE(rec.find("scheduler"), nullptr);
+      EXPECT_EQ(rec.at("scheduler").as_string(), "lockstep");
+    }
+    ok += report.at("ok").as_int();
+    cells += n;
+  }
+  EXPECT_EQ(ok, 12);
+  EXPECT_EQ(cells, 12);
+}
+
 TEST(Cli, DiffFlagsInjectedStepRegression) {
   TempFile a("cli_test_diff_a.json");
   TempFile b("cli_test_diff_b.json");
@@ -360,6 +397,30 @@ TEST(Cli, DiffFlagsInjectedStepRegression) {
   EXPECT_EQ(run_cli({"mpcn", "diff", a.path, b.path}, &out), 1);
   EXPECT_NE(out.find("STEP REGRESSION"), std::string::npos);
   EXPECT_EQ(out.find("no regressions"), std::string::npos);
+}
+
+TEST(Cli, DiffRefusesAReportOfAnotherScheduler) {
+  // Every run is lock-step. A record of another scheduler (a report of
+  // the removed free mode) describes a run this build cannot reproduce,
+  // so it is refused, and `mpcn diff` exits 2 instead of pairing it with
+  // a lock-step run.
+  TempFile a("cli_test_sched_a.json");
+  TempFile b("cli_test_sched_b.json");
+  ASSERT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--json", a.path, "--no-timing"}),
+            0);
+  std::string text = slurp(a.path);
+  const std::string lockstep = "\"scheduler\": \"lockstep\"";
+  const std::size_t at = text.find(lockstep);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, lockstep.size(), "\"scheduler\": \"free\"");
+  {
+    std::ofstream out(b.path);
+    out << text;
+  }
+  EXPECT_THROW(Report::from_json(Json::parse(text)), ProtocolError);
+  EXPECT_EQ(run_cli({"mpcn", "diff", a.path, b.path}), 2);
+  EXPECT_EQ(run_cli({"mpcn", "diff", a.path, a.path}), 0);
 }
 
 TEST(Cli, DiffRejectsMissingFiles) {

@@ -196,8 +196,8 @@ TEST(ExploredPlan, JsonRoundTripAndValidation) {
 }
 
 TEST(ExploredPlan, WithoutDirectorBehavesLikeNone) {
-  // An explored plan outside the explorer (no director attached — e.g.
-  // free-mode scheduling) places no crashes on its own.
+  // An explored plan outside the explorer (no director attached) places
+  // no crashes on its own.
   CrashManager mgr(3, CrashPlan::explored(2));
   for (int s = 0; s < 50; ++s) {
     for (int p = 0; p < 3; ++p) {

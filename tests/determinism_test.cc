@@ -15,7 +15,6 @@ namespace {
 
 ExecutionOptions lockstep(std::uint64_t seed, std::uint64_t limit = 2000000) {
   ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
   o.seed = seed;
   o.step_limit = limit;
   return o;

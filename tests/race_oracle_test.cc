@@ -724,12 +724,6 @@ TEST(RaceOracle, CheckRacesRequiresDirectLockstep) {
   const RunRecord rec = run_cell(simulated);
   EXPECT_FALSE(rec.error.empty());
   EXPECT_FALSE(rec.races_checked);
-
-  ExperimentCell free_mode = named_cell("step_churn", ModelSpec{2, 0, 1}, 1);
-  free_mode.options.mode = SchedulerMode::kFree;
-  free_mode.check_races = true;
-  const RunRecord rec2 = run_cell(free_mode);
-  EXPECT_FALSE(rec2.error.empty());
 }
 
 // --------------------------------------------------- wire + record + diff

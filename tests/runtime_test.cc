@@ -21,15 +21,7 @@ namespace {
 
 ExecutionOptions lockstep(std::uint64_t seed, std::uint64_t limit = 200000) {
   ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
   o.seed = seed;
-  o.step_limit = limit;
-  return o;
-}
-
-ExecutionOptions free_mode(std::uint64_t limit = 2'000'000) {
-  ExecutionOptions o;
-  o.mode = SchedulerMode::kFree;
   o.step_limit = limit;
   return o;
 }
@@ -163,19 +155,6 @@ TEST(Execution, StopsWhenAllCorrectDecided) {
   EXPECT_TRUE(out.decisions[0].has_value());
   EXPECT_TRUE(out.crashed[1]);
   EXPECT_LT(out.steps, 10'000u);
-}
-
-TEST(Execution, WallLimitFlagsTimeout) {
-  // Free mode, huge step budget: only the wall clock can end the run.
-  // Pins the event-driven monitor (no 20 ms polling loop to fall back on).
-  ExecutionOptions o = free_mode(100'000'000'000ull);
-  o.wall_limit = std::chrono::milliseconds(80);
-  std::vector<Program> p{[](ProcessContext& ctx) {
-    for (;;) ctx.yield();
-  }};
-  Outcome out = run_execution(std::move(p), {Value(0)}, o);
-  EXPECT_TRUE(out.timed_out);
-  EXPECT_FALSE(out.decisions[0].has_value());
 }
 
 // --- crash plans ---
@@ -551,26 +530,6 @@ TEST(CooperativeMutex, MutualExclusion) {
   EXPECT_EQ(violations->load(), 0);
 }
 
-TEST(CooperativeMutex, FreeModeMutualExclusion) {
-  auto m = std::make_shared<CooperativeMutex>();
-  auto inside = std::make_shared<std::atomic<int>>(0);
-  auto violations = std::make_shared<std::atomic<int>>(0);
-  std::vector<Program> p;
-  for (int i = 0; i < 8; ++i) {
-    p.push_back([m, inside, violations](ProcessContext& ctx) {
-      for (int r = 0; r < 200; ++r) {
-        CoopLock lk(*m, ctx);
-        if (inside->fetch_add(1) != 0) violations->fetch_add(1);
-        inside->fetch_sub(1);
-      }
-      ctx.decide(Value(0));
-    });
-  }
-  Outcome out = run_execution(std::move(p), int_inputs(8), free_mode());
-  EXPECT_FALSE(out.timed_out);
-  EXPECT_EQ(violations->load(), 0);
-}
-
 // --- shared world ---
 
 TEST(SharedWorld, CreatesOnce) {
@@ -603,9 +562,11 @@ TEST(SharedWorld, FindReturnsNullWhenAbsent) {
   EXPECT_EQ(w.size(), 1u);
 }
 
-// --- free mode smoke ---
+// --- many processes, seeded schedules ---
 
-TEST(FreeMode, ManyProcessesDecide) {
+class ManyProcesses : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ManyProcesses, AllDecide) {
   std::vector<Program> p;
   for (int i = 0; i < 16; ++i) {
     p.push_back([](ProcessContext& ctx) {
@@ -613,9 +574,13 @@ TEST(FreeMode, ManyProcessesDecide) {
       ctx.decide(ctx.input());
     });
   }
-  Outcome out = run_execution(std::move(p), int_inputs(16), free_mode());
+  Outcome out = run_execution(std::move(p), int_inputs(16),
+                              lockstep(GetParam()));
   EXPECT_EQ(out.decided_count(), 16);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ManyProcesses,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace mpcn

@@ -14,7 +14,6 @@ namespace {
 
 ExecutionOptions lockstep(std::uint64_t seed, std::uint64_t limit = 6000000) {
   ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
   o.seed = seed;
   o.step_limit = limit;
   return o;
@@ -390,28 +389,6 @@ TEST_P(OwnerTrapXMinus1, OneOwnerCrashToleratedByX2Agreement) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OwnerTrapXMinus1,
                          ::testing::Range<std::uint64_t>(1, 9));
-
-// Free-mode (real concurrency) end-to-end run.
-TEST(SimulationFreeMode, BackwardUnderRealThreads) {
-  for (std::uint64_t round = 0; round < 5; ++round) {
-    SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-    ExecutionOptions o;
-    o.mode = SchedulerMode::kFree;
-    o.step_limit = 50'000'000;
-    const std::vector<Value> inputs = int_inputs(4);
-    Outcome out = Experiment::of(a)
-                      .in(ModelSpec{4, 3, 2})
-                      .inputs(inputs)
-                      .base_options(o)
-                      .run()
-                      .outcome();
-    ASSERT_FALSE(out.timed_out);
-    EXPECT_TRUE(out.all_correct_decided());
-    KSetAgreementTask task(2);
-    std::string why;
-    EXPECT_TRUE(task.validate(inputs, out.decisions, &why)) << why;
-  }
-}
 
 // The engine on the Afek MEM substrate (the `mem` axis ablation): the
 // backward simulation must stay correct when every MEM write/snapshot is

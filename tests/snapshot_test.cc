@@ -20,7 +20,6 @@ namespace {
 
 ExecutionOptions lockstep(std::uint64_t seed, std::uint64_t limit = 300000) {
   ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
   o.seed = seed;
   o.step_limit = limit;
   return o;
@@ -296,9 +295,12 @@ TEST(AfekSnapshot, CountersPinnedSeededLockstep) {
   EXPECT_EQ(snap->borrowed_scans(), 5u);
 }
 
-// --- free mode stress (real concurrency) ---
+// --- every process writes and scans ---
 
-TEST(AfekSnapshot, FreeModeStress) {
+class AfekSnapshotOwnEntry : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(AfekSnapshotOwnEntry, NeverRunsBackwards) {
   auto snap = std::make_shared<AfekSnapshot>(4, /*check_ownership=*/false);
   std::vector<Program> p;
   for (int w = 0; w < 4; ++w) {
@@ -315,12 +317,13 @@ TEST(AfekSnapshot, FreeModeStress) {
       ctx.decide(Value(0));
     });
   }
-  ExecutionOptions o;
-  o.mode = SchedulerMode::kFree;
-  o.step_limit = 50'000'000;
-  Outcome out = run_execution(std::move(p), int_inputs(4), o);
+  Outcome out = run_execution(std::move(p), int_inputs(4),
+                              lockstep(GetParam()));
   EXPECT_EQ(out.decided_count(), 4);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AfekSnapshotOwnEntry,
+                         ::testing::Range<std::uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace mpcn

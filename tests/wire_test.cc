@@ -49,7 +49,6 @@ TEST(CellSpecJson, RoundTripsEveryField) {
   spec.hop_index = 3;
   spec.cell_index = 7;
   spec.check_legality = false;
-  spec.scheduler = SchedulerMode::kFree;
   spec.stop_when_all_correct_decided = false;
   spec.crashes = CrashPlan::hazard(0.25, 2, 77, {0, 2});
 
@@ -63,7 +62,6 @@ TEST(CellSpecJson, RoundTripsEveryField) {
   EXPECT_EQ(back.mem, MemKind::kAfek);
   EXPECT_FALSE(back.check_legality);
   EXPECT_TRUE(back.use_scenario_task);
-  EXPECT_EQ(back.scheduler, SchedulerMode::kFree);
   EXPECT_EQ(back.seed, 9u);
   EXPECT_EQ(back.step_limit, 123456u);
   EXPECT_EQ(back.wall_limit_ms, 7890);
@@ -135,7 +133,6 @@ TEST(WireFraming, ResultRoundTripsEveryRunRecordField) {
   rec.target = ModelSpec{6, 3, 2};
   rec.hop_index = 2;
   rec.seed = 99;
-  rec.scheduler = SchedulerMode::kFree;
   rec.mem = MemKind::kAfek;
   rec.inputs = {Value(1), Value("two"), Value(Value::List{Value(3), Value()})};
   rec.decisions = {std::optional<Value>(Value(1)), std::nullopt,
@@ -165,7 +162,6 @@ TEST(WireFraming, ResultRoundTripsEveryRunRecordField) {
   EXPECT_EQ(back.target, rec.target);
   EXPECT_EQ(back.hop_index, rec.hop_index);
   EXPECT_EQ(back.seed, rec.seed);
-  EXPECT_EQ(back.scheduler, rec.scheduler);
   EXPECT_EQ(back.mem, rec.mem);
   EXPECT_EQ(back.inputs, rec.inputs);
   EXPECT_EQ(back.decisions, rec.decisions);

@@ -17,7 +17,6 @@ namespace {
 
 ExecutionOptions lockstep(std::uint64_t seed, std::uint64_t limit = 200000) {
   ExecutionOptions o;
-  o.mode = SchedulerMode::kLockstep;
   o.seed = seed;
   o.step_limit = limit;
   return o;
@@ -273,27 +272,6 @@ TEST(XSafeAgreement, XEquals1DegeneratesButWorks) {
   Outcome out = run_execution(std::move(p), int_inputs(n), lockstep(5));
   ASSERT_FALSE(out.timed_out);
   EXPECT_EQ(out.distinct_decisions().size(), 1u);
-}
-
-TEST(XSafeAgreement, FreeModeStress) {
-  for (std::uint64_t round = 0; round < 10; ++round) {
-    const int n = 6, x = 3;
-    auto xsa = std::make_shared<XSafeAgreement>(n, x);
-    std::vector<Program> p;
-    for (int i = 0; i < n; ++i) {
-      p.push_back([xsa](ProcessContext& ctx) {
-        xsa->propose(ctx, ctx.input());
-        ctx.decide(xsa->decide(ctx));
-      });
-    }
-    ExecutionOptions o;
-    o.mode = SchedulerMode::kFree;
-    o.step_limit = 10'000'000;
-    Outcome out = run_execution(std::move(p), int_inputs(n), o);
-    ASSERT_FALSE(out.timed_out);
-    EXPECT_EQ(out.distinct_decisions().size(), 1u);
-    EXPECT_LE(xsa->owners_elected(), x);
-  }
 }
 
 // ------------------------------------------------- SET_LIST pruning
