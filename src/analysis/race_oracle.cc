@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <string_view>
 
 #include "src/common/errors.h"
 #include "src/experiment/record.h"
@@ -30,16 +29,6 @@ int HbAnalysis::reads_from(int snapshot, int cell) const {
 
 namespace {
 
-// "write" events carry arg = [cell, value] (make_direct_programs stamps
-// the writer's own cell). Returns the cell index, or -1 if the arg is not
-// in that shape (foreign history; the event still ticks program order).
-int decode_write_cell(const Event& e) {
-  if (!e.arg.is_list() || e.arg.size() != 2 || !e.arg.at(0).is_int()) {
-    return -1;
-  }
-  return static_cast<int>(e.arg.at(0).as_int());
-}
-
 // One entry of a write's reader chain: a snapshot that observed it.
 struct Reader {
   int snapshot = -1;
@@ -50,7 +39,7 @@ struct Reader {
 // the race rules walk.
 struct Pass {
   HbAnalysis hb;
-  std::vector<int> cell;  // the cell write i names; -1 for other events
+  std::vector<int> cell;  // the cell write i names; < 0 for none
   // In history order: the previous event of the same thread, and for a
   // write the previous write to its cell (-1 = none).
   std::vector<int> prev_in_thread;
@@ -67,7 +56,7 @@ Pass run_pass(const std::vector<Event>& events) {
   hb.view_begin.resize(n + 1);
   p.cell.assign(n, -1);
 
-  // Classify in history order: number threads by first event, decode the
+  // Classify in history order: number threads by first event, take the
   // cell each write names, lay out the snapshot view slots, and check
   // that the response stamps are in order. Threads are few, and each
   // event copies a clock row as wide as their count, so a linear scan
@@ -86,12 +75,14 @@ Pass run_pass(const std::vector<Event>& events) {
     if (t == tids.size()) tids.push_back(e.tid);
     hb.thread[i] = static_cast<int>(t);
     hb.view_begin[i] = slots;
-    const std::string_view op = e.op;
-    if (op == "write") {
-      p.cell[i] = decode_write_cell(e);
-    } else if (op == "snapshot" && e.ret.is_list()) {
-      width = std::max(width, e.ret.size());
-      slots += static_cast<int>(e.ret.size());
+    // A write names its cell (make_direct_programs stamps the writer's
+    // own); one with a negative cell, from a foreign history, names none
+    // and only ticks program order, as does a snapshot with an empty view.
+    if (e.op == EventOp::kWrite) {
+      p.cell[i] = e.cell;
+    } else {
+      width = std::max(width, e.view.size());
+      slots += static_cast<int>(e.view.size());
     }
   }
   hb.view_begin[n] = slots;
@@ -159,13 +150,13 @@ Pass run_pass(const std::vector<Event>& events) {
     // [invoke, response] interval and (b) wrote the value the view
     // shows. Exact for the one-step PrimitiveSnapshot; sound for the
     // multi-step Afek construction.
-    const Value::List& view = e.ret.as_list();
+    const std::vector<Value>& view = e.view;
     for (std::size_t c = 0; c < view.size(); ++c) {
       if (view[c].is_nil()) continue;  // initial value: no writer
       for (int v = last_on_cell[c]; v >= 0;
            v = p.prev_on_cell[static_cast<std::size_t>(v)]) {
         const Event& write = events[static_cast<std::size_t>(v)];
-        if (write.arg.at(1) == view[c]) {
+        if (write.value == view[c]) {
           const std::uint32_t* joined =
               &hb.clocks[static_cast<std::size_t>(v) * w];
           for (std::size_t t = 0; t < w; ++t) {
@@ -302,7 +293,7 @@ AccessSite site_of(const std::vector<Event>& events, int idx,
   const Event& e = events[static_cast<std::size_t>(idx)];
   AccessSite s;
   s.tid = e.tid;
-  s.op = e.op;
+  s.op = to_string(e.op);
   s.event_index = idx;
   s.invoke_step = e.invoke_step;
   s.response_step = e.response_step;
@@ -318,7 +309,7 @@ std::vector<RaceReport> find_races(const std::vector<Event>& events,
   const Pass p = run_pass(events);
   const HbAnalysis& hb = p.hb;
   const auto value_of = [&events](int write) -> const Value& {
-    return events[static_cast<std::size_t>(write)].arg.at(1);
+    return events[static_cast<std::size_t>(write)].value;
   };
 
   std::vector<RaceReport> races;

@@ -58,26 +58,16 @@ class DirectSimContext : public SimContext {
     const std::uint64_t invoke = history_ ? step_clock() : 0;
     world_->mem->write(ctx_, ctx_.pid(), v);
     if (history_) {
-      Event e;
-      e.tid = ctx_.tid();
-      e.op = "write";
-      e.arg = Value::pair(Value(ctx_.pid()), v);
-      e.invoke_step = invoke;
-      e.response_step = step_clock();
-      history_->record(std::move(e));
+      history_->record(Event{ctx_.tid(), EventOp::kWrite, ctx_.pid(), v, {},
+                             invoke, step_clock()});
     }
   }
   std::vector<Value> snapshot() override {
     const std::uint64_t invoke = history_ ? step_clock() : 0;
     std::vector<Value> view = world_->mem->snapshot(ctx_);
     if (history_) {
-      Event e;
-      e.tid = ctx_.tid();
-      e.op = "snapshot";
-      e.ret = Value(Value::List(view.begin(), view.end()));
-      e.invoke_step = invoke;
-      e.response_step = step_clock();
-      history_->record(std::move(e));
+      history_->record(Event{ctx_.tid(), EventOp::kSnapshot, -1, Value(), view,
+                             invoke, step_clock()});
     }
     return view;
   }

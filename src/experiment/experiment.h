@@ -107,8 +107,8 @@ RunRecord run_cell(const ExperimentCell& cell);
 // port-enforced x-consensus objects). `mem` picks the snapshot substrate
 // backing mem[1..n]: the one-step model primitive (default) or the
 // wait-free Afek construction. `history` (optional) records every mem
-// write/snapshot as an Event — op "write" arg [j, v], op "snapshot" ret =
-// the view — stamped with the global step clock, the raw material for
+// write/snapshot as an Event — a kWrite of value v to cell j, a kSnapshot
+// with its view — stamped with the global step clock, the raw material for
 // the explorer's SequentialSpec oracles (src/history/linearizability.h).
 std::vector<Program> make_direct_programs(
     const SimulatedAlgorithm& algorithm, MemKind mem = MemKind::kPrimitive,

@@ -1,15 +1,16 @@
 // Operation histories: the raw material of linearizability checking and
 // of the race oracle (src/analysis/race_oracle.h).
 //
-// A direct-mode run given a recorder records one Event per register
-// write and snapshot (invocation step stamp, response step stamp,
-// operation name, argument, return value). The stamps come from the
-// global step clock, so the real-time partial order of the history is
-// exact.
+// A direct-mode run given a recorder records one Event per mem write and
+// snapshot: its kind, the cell and value a write wrote, the view a
+// snapshot returned, and invocation and response stamps from the global
+// step clock, so the real-time partial order of the history is exact.
+// The fields are typed so that recording costs no allocation beyond a
+// snapshot's view: a write of an int stores the int, and a write of a
+// string or list shares the writer's payload.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -17,11 +18,18 @@
 
 namespace mpcn {
 
+enum class EventOp : std::uint8_t { kWrite, kSnapshot };
+
+inline const char* to_string(EventOp op) {
+  return op == EventOp::kWrite ? "write" : "snapshot";
+}
+
 struct Event {
   ThreadId tid{};
-  std::string op;        // e.g. "write", "snapshot", "read"
-  Value arg;             // operation argument ([index, v] for writes)
-  Value ret;             // return value (snapshot view, read value, ...)
+  EventOp op = EventOp::kWrite;
+  int cell = -1;            // write: the cell written; negative: none
+  Value value;              // write: the value written
+  std::vector<Value> view;  // snapshot: the view returned
   std::uint64_t invoke_step = 0;
   std::uint64_t response_step = 0;
 };

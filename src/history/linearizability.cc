@@ -45,38 +45,16 @@ std::string join_state(const std::vector<std::string>& parts) {
 std::optional<std::string> SnapshotSpec::apply(const std::string& state,
                                                const Event& e) const {
   std::vector<std::string> cells = split_state(state);
-  if (e.op == "write") {
-    const int idx = static_cast<int>(e.arg.at(0).as_int());
-    if (idx < 0 || idx >= width_) return std::nullopt;
-    cells[static_cast<std::size_t>(idx)] = e.arg.at(1).to_string();
+  if (e.op == EventOp::kWrite) {
+    if (e.cell < 0 || e.cell >= width_) return std::nullopt;
+    cells[static_cast<std::size_t>(e.cell)] = e.value.to_string();
     return join_state(cells);
   }
-  if (e.op == "snapshot") {
-    if (!e.ret.is_list() ||
-        e.ret.size() != static_cast<std::size_t>(width_)) {
-      return std::nullopt;
-    }
-    for (int i = 0; i < width_; ++i) {
-      if (e.ret.at(static_cast<std::size_t>(i)).to_string() !=
-          cells[static_cast<std::size_t>(i)]) {
-        return std::nullopt;
-      }
-    }
-    return state;  // reads do not change state
+  if (e.view.size() != static_cast<std::size_t>(width_)) return std::nullopt;
+  for (std::size_t i = 0; i < e.view.size(); ++i) {
+    if (e.view[i].to_string() != cells[i]) return std::nullopt;
   }
-  return std::nullopt;
-}
-
-std::string RegisterSpec::initial_state() const { return "nil"; }
-
-std::optional<std::string> RegisterSpec::apply(const std::string& state,
-                                               const Event& e) const {
-  if (e.op == "write") return e.arg.to_string();
-  if (e.op == "read") {
-    if (e.ret.to_string() == state) return state;
-    return std::nullopt;
-  }
-  return std::nullopt;
+  return state;  // reads do not change state
 }
 
 bool is_linearizable(const std::vector<Event>& history,

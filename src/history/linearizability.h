@@ -28,15 +28,16 @@ class SequentialSpec {
 
   virtual std::string initial_state() const = 0;
 
-  // If applying `e` (op, arg) in `state` legally yields `e.ret`, return
-  // the successor state; otherwise nullopt.
+  // If applying `e` in `state` is legal (a snapshot's view is what the
+  // state holds), return the successor state; otherwise nullopt.
   virtual std::optional<std::string> apply(const std::string& state,
                                            const Event& e) const = 0;
 };
 
-// Single-writer snapshot object of the given width.
-//   ops: "write"    arg = [index, value]      ret ignored
-//        "snapshot" arg ignored               ret = list of width values
+// Snapshot object of the given width. Width 1 is a register: a write to
+// cell 0 writes it, and a one-wide view reads it.
+//   kWrite     cell, value                  legal iff 0 <= cell < width
+//   kSnapshot  view = the width values      legal iff it equals the state
 class SnapshotSpec : public SequentialSpec {
  public:
   explicit SnapshotSpec(int width) : width_(width) {}
@@ -46,15 +47,6 @@ class SnapshotSpec : public SequentialSpec {
 
  private:
   const int width_;
-};
-
-// Single MWMR register.
-//   ops: "write" arg = value; "read" ret = value.
-class RegisterSpec : public SequentialSpec {
- public:
-  std::string initial_state() const override;
-  std::optional<std::string> apply(const std::string& state,
-                                   const Event& e) const override;
 };
 
 // The longest history is_linearizable accepts; longer ones throw.

@@ -158,19 +158,20 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
-  // Saved before the sanitizer calls: TSan files a jmp_buf under the
-  // fiber that is current when it is saved.
+#ifdef MPCN_TSAN_FIBERS
+  // swapcontext, not _setjmp/_longjmp, under TSan (see fiber.h).
+  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
+  if (::swapcontext(&from.ctx_, &to.ctx_) != 0) std::abort();
+#else
   if (_setjmp(from.jmp_) == 0) {
 #ifdef MPCN_ASAN_FIBERS
     tl_leaving = &from;
     __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.stack_bottom_,
                                    to.stack_size_);
 #endif
-#ifdef MPCN_TSAN_FIBERS
-    __tsan_switch_to_fiber(to.tsan_fiber_, 0);
-#endif
     resume(to);
   }
+#endif
   from.arrived();
 }
 
@@ -181,9 +182,14 @@ void Fiber::exit_to(Fiber& to) {
   __sanitizer_start_switch_fiber(nullptr, to.stack_bottom_, to.stack_size_);
 #endif
 #ifdef MPCN_TSAN_FIBERS
+  // Nothing instrumented may run between the switch and the jump: its
+  // entry would land on `to`'s shadow stack and never be popped.
   __tsan_switch_to_fiber(to.tsan_fiber_, 0);
-#endif
+  ::setcontext(&to.ctx_);
+  std::abort();  // setcontext returns only on failure
+#else
   resume(to);
+#endif
 }
 
 void Fiber::resume(Fiber& to) {

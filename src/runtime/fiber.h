@@ -8,7 +8,11 @@
 // entry is one setcontext. Every later switch is a _setjmp/_longjmp pair,
 // which saves and restores only registers and the stack pointer: no
 // signal mask, so no system call. All fibers therefore share the thread's
-// signal mask; no process body changes it.
+// signal mask; no process body changes it. TSan builds switch with
+// swapcontext instead: TSan intercepts _setjmp/_longjmp, and under them
+// a TSan run's memory grew with every switch (to gigabytes over a
+// multi-million-step run), while swapcontext is what its fiber API
+// expects.
 //
 // A fiber's stack is kStackSize bytes of mmap'ed memory above one
 // PROT_NONE guard page, so an overflow faults instead of corrupting a
@@ -58,7 +62,9 @@ class Fiber {
   // Sanitizer bookkeeping on arrival in this context.
   void arrived();
 
-  ucontext_t ctx_{};  // the first entry, for a fiber with a stack
+  // The first entry, for a fiber with a stack; in TSan builds, also where
+  // the fiber last switched away.
+  ucontext_t ctx_{};
   jmp_buf jmp_{};     // where the fiber last switched away
   bool entered_ = true;  // false until a stack fiber's first entry
   std::function<void()> entry_;

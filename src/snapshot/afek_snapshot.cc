@@ -22,6 +22,12 @@ Value initial_view(int width) {
   return Value(Value::List(static_cast<std::size_t>(width)));
 }
 
+// The fields of a collected cell. They take it by const reference: the
+// non-const Value::at() would clone the payload the register still shares.
+const Value& value_of(const Value& cell) { return cell.at(0); }
+std::int64_t seq_of(const Value& cell) { return cell.at(1).as_int(); }
+const Value& view_of(const Value& cell) { return cell.at(2); }
+
 }  // namespace
 
 AfekSnapshot::AfekSnapshot(int width, bool check_ownership)
@@ -29,41 +35,42 @@ AfekSnapshot::AfekSnapshot(int width, bool check_ownership)
       check_ownership_(check_ownership),
       cells_(width, make_cell(Value::nil(), 0, initial_view(width))) {}
 
-AfekSnapshot::Collect AfekSnapshot::collect(ProcessContext& ctx) {
-  Collect c;
-  c.seq.reserve(static_cast<std::size_t>(width_));
-  c.value.reserve(static_cast<std::size_t>(width_));
-  c.view.reserve(static_cast<std::size_t>(width_));
+void AfekSnapshot::collect(ProcessContext& ctx, std::vector<Value>& out) {
   for (int j = 0; j < width_; ++j) {
-    const Value cell = cells_.read(ctx, j);  // one step per register read
-    c.value.push_back(cell.at(0));
-    c.seq.push_back(cell.at(1).as_int());
-    c.view.push_back(cell.at(2));
+    out[static_cast<std::size_t>(j)] = cells_.read(ctx, j);
   }
   ++collects_;
-  return c;
 }
 
 Value AfekSnapshot::scan(ProcessContext& ctx) {
-  std::vector<int> moved(static_cast<std::size_t>(width_), 0);
-  Collect a = collect(ctx);
+  const auto w = static_cast<std::size_t>(width_);
+  std::vector<int> moved(w, 0);
+  // `prev` holds the previous collect and `cur` the latest one; they swap
+  // buffers after every failed double collect.
+  std::vector<Value> prev(w);
+  std::vector<Value> cur(w);
+  collect(ctx, prev);
   for (;;) {
-    Collect b = collect(ctx);
+    collect(ctx, cur);
     bool clean = true;
-    for (int j = 0; j < width_; ++j) {
-      if (a.seq[static_cast<std::size_t>(j)] !=
-          b.seq[static_cast<std::size_t>(j)]) {
+    for (std::size_t j = 0; j < w; ++j) {
+      if (seq_of(prev[j]) != seq_of(cur[j])) {
         clean = false;
-        if (++moved[static_cast<std::size_t>(j)] >= 2) {
+        if (++moved[j] >= 2) {
           // j completed a full scan inside our interval; borrow its view —
           // the stored list is returned as-is (a refcount bump).
           ++borrowed_;
-          return b.view[static_cast<std::size_t>(j)];
+          return view_of(cur[j]);
         }
       }
     }
-    if (clean) return Value(std::move(b.value));  // successful double collect
-    a = std::move(b);
+    if (clean) {
+      // A successful double collect. The spent `prev` buffer becomes the
+      // returned list.
+      for (std::size_t j = 0; j < w; ++j) prev[j] = value_of(cur[j]);
+      return Value(std::move(prev));
+    }
+    prev.swap(cur);
   }
 }
 
@@ -76,7 +83,7 @@ void AfekSnapshot::write(ProcessContext& ctx, int index, const Value& v) {
   }
   const Value view = scan(ctx);
   const Value old = cells_.read(ctx, index);
-  cells_.write(ctx, index, make_cell(v, old.at(1).as_int() + 1, view));
+  cells_.write(ctx, index, make_cell(v, seq_of(old) + 1, view));
 }
 
 std::vector<Value> AfekSnapshot::snapshot(ProcessContext& ctx) {

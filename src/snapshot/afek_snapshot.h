@@ -43,18 +43,16 @@ class AfekSnapshot : public SnapshotObject {
   std::uint64_t borrowed_scans() const { return borrowed_; }
 
  private:
-  struct Collect {
-    std::vector<std::int64_t> seq;
-    Value::List value;  // element copies are O(1) under COW Values
-    Value::List view;   // each entry aliases the cell's stored view list
-  };
-
-  Collect collect(ProcessContext& ctx);
-  // The embedded scan used by both snapshot() and write(). Returns the
-  // snapshot as a list Value: a clean double collect freezes the second
-  // collect's values; a borrowed scan returns the mover's stored view
-  // with no per-element work (refcount bump). write() embeds this Value
-  // into its cell as-is, so helping never copies payloads.
+  // Read every cell into `out` (width_ entries, overwritten in place):
+  // one register read, so one model step, per cell.
+  void collect(ProcessContext& ctx, std::vector<Value>& out);
+  // The embedded scan used by both snapshot() and write(). It collects
+  // into two buffers that take turns, so a scan allocates the same few
+  // blocks however many collects it makes. Returns the snapshot as a list
+  // Value: a clean double collect freezes the second collect's values; a
+  // borrowed scan returns the mover's stored view with no per-element
+  // work (refcount bump). write() embeds this Value into its cell as-is,
+  // so helping never copies payloads.
   Value scan(ProcessContext& ctx);
 
   const int width_;

@@ -39,24 +39,14 @@ ExperimentCell named_cell(const std::string& scenario, const ModelSpec& m,
 
 Event write_ev(ThreadId tid, int cell, Value v, std::uint64_t invoke,
                std::uint64_t response) {
-  Event e;
-  e.tid = tid;
-  e.op = "write";
-  e.arg = Value::pair(Value(cell), std::move(v));
-  e.invoke_step = invoke;
-  e.response_step = response;
-  return e;
+  return Event{tid, EventOp::kWrite, cell, std::move(v), {}, invoke,
+               response};
 }
 
-Event snap_ev(ThreadId tid, std::initializer_list<Value> view,
-              std::uint64_t invoke, std::uint64_t response) {
-  Event e;
-  e.tid = tid;
-  e.op = "snapshot";
-  e.ret = Value::list(view);
-  e.invoke_step = invoke;
-  e.response_step = response;
-  return e;
+Event snap_ev(ThreadId tid, std::vector<Value> view, std::uint64_t invoke,
+              std::uint64_t response) {
+  return Event{tid, EventOp::kSnapshot, -1, Value(), std::move(view), invoke,
+               response};
 }
 
 // --------------------------------------------------- vector-clock engine
@@ -242,18 +232,11 @@ struct WriteRef {
   std::uint64_t response = 0;
 };
 
-int decode_write_cell(const Event& e) {
-  if (!e.arg.is_list() || e.arg.size() != 2 || !e.arg.at(0).is_int()) {
-    return -1;
-  }
-  return static_cast<int>(e.arg.at(0).as_int());
-}
-
 WriteRef write_ref(const Event& e, int idx) {
   WriteRef w;
   w.event = idx;
   w.tid = e.tid;
-  w.value = e.arg.at(1);
+  w.value = e.value;
   w.invoke = e.invoke_step;
   w.response = e.response_step;
   return w;
@@ -277,12 +260,11 @@ HbAnalysis compute_happens_before(const std::vector<Event>& events) {
     const Event& e = events[static_cast<std::size_t>(idx)];
     VectorClock& self = threads[e.tid];
     self.tick(e.tid);
-    if (e.op == "write") {
-      const int cell = decode_write_cell(e);
-      if (cell >= 0) cell_writes[cell].push_back(write_ref(e, idx));
-    } else if (e.op == "snapshot" && e.ret.is_list()) {
-      for (std::size_t c = 0; c < e.ret.size(); ++c) {
-        const Value& observed = e.ret.at(c);
+    if (e.op == EventOp::kWrite) {
+      if (e.cell >= 0) cell_writes[e.cell].push_back(write_ref(e, idx));
+    } else if (e.op == EventOp::kSnapshot) {
+      for (std::size_t c = 0; c < e.view.size(); ++c) {
+        const Value& observed = e.view.at(c);
         if (observed.is_nil()) continue;
         const auto cw = cell_writes.find(static_cast<int>(c));
         if (cw == cell_writes.end()) continue;
@@ -306,7 +288,7 @@ AccessSite site_of(const std::vector<Event>& events, int idx, Value value) {
   const Event& e = events[static_cast<std::size_t>(idx)];
   AccessSite s;
   s.tid = e.tid;
-  s.op = e.op;
+  s.op = to_string(e.op);
   s.event_index = idx;
   s.invoke_step = e.invoke_step;
   s.response_step = e.response_step;
@@ -326,10 +308,8 @@ std::vector<RaceReport> find_races(const std::vector<Event>& events,
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Event& e = events[i];
     thread_events[e.tid].push_back(static_cast<int>(i));
-    if (e.op != "write") continue;
-    const int cell = decode_write_cell(e);
-    if (cell < 0) continue;
-    cell_writes[cell].push_back(write_ref(e, static_cast<int>(i)));
+    if (e.op != EventOp::kWrite || e.cell < 0) continue;
+    cell_writes[e.cell].push_back(write_ref(e, static_cast<int>(i)));
   }
   std::vector<int> next_of(events.size(), -1);
   for (const auto& [tid, seq] : thread_events) {
@@ -434,8 +414,7 @@ void expect_matches_reference(const std::vector<Event>& events,
           << label << ": events " << a << " -> " << b;
     }
     const Event& e = events[static_cast<std::size_t>(a)];
-    const int width =
-        e.ret.is_list() ? static_cast<int>(e.ret.size()) + 1 : 1;
+    const int width = static_cast<int>(e.view.size()) + 1;
     for (int c = 0; c < width; ++c) {
       const auto snap = ref.reads_from.find(a);
       int expected = -1;
@@ -452,8 +431,8 @@ void expect_matches_reference(const std::vector<Event>& events,
 // A seeded random history: 2–4 threads (sometimes q0's sub-threads),
 // 1–3 cells and the value alphabet {0, 1, 2}, so blips, ABA repairs and
 // unordered writers are common. It mixes in nil and unmatched
-// observations, writes whose arg is not [cell, value], other ops, and in
-// about one history in ten response stamps out of log order.
+// observations, writes that name no cell, empty views, and in about one
+// history in ten response stamps out of log order.
 std::vector<Event> random_history(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<ThreadId> tids;
@@ -466,13 +445,8 @@ std::vector<Event> random_history(std::uint64_t seed) {
 
   std::vector<Event> h;
   std::uint64_t clock = 1;
-  const auto emit = [&](const ThreadId& tid, const char* op, Value arg,
-                        Value ret) {
-    Event e;
-    e.tid = tid;
-    e.op = op;
-    e.arg = std::move(arg);
-    e.ret = std::move(ret);
+  // Stamp `e` on the history's clock and append it.
+  const auto emit = [&](Event e) {
     e.response_step = clock;
     e.invoke_step = clock - std::min<std::uint64_t>(
                                 clock, static_cast<std::uint64_t>(
@@ -482,10 +456,10 @@ std::vector<Event> random_history(std::uint64_t seed) {
   };
   const auto write = [&](const ThreadId& tid, int cell, int v) {
     mem[static_cast<std::size_t>(cell)] = Value(v);
-    emit(tid, "write", Value::pair(Value(cell), Value(v)), Value::nil());
+    emit(write_ev(tid, cell, Value(v), 0, 0));
   };
   const auto snapshot = [&](const ThreadId& tid) {
-    Value::List view;
+    std::vector<Value> view;
     const int width = cells + (rng.chance(0.1) ? 1 : 0);
     for (int c = 0; c < width; ++c) {
       const int pick = rng.range(0, 19);
@@ -499,7 +473,7 @@ std::vector<Event> random_history(std::uint64_t seed) {
         view.push_back(mem[static_cast<std::size_t>(c)]);
       }
     }
-    emit(tid, "snapshot", Value::nil(), Value(std::move(view)));
+    emit(snap_ev(tid, std::move(view), 0, 0));
   };
 
   const int len = rng.range(1, 28);
@@ -521,23 +495,15 @@ std::vector<Event> random_history(std::uint64_t seed) {
       if (old.is_int()) write(tid, cell, static_cast<int>(old.as_int()));
     } else if (pick < 85) {
       snapshot(tid);
-    } else if (pick < 88) {
-      emit(tid, "write", Value(cell), Value::nil());
-    } else if (pick < 90) {
-      emit(tid, "write", Value::list({Value(cell), Value(1), Value(2)}),
-           Value::nil());
-    } else if (pick < 92) {
-      emit(tid, "write", Value::pair(Value("c"), Value(1)), Value::nil());
     } else if (pick < 94) {
-      emit(tid, "write", Value::pair(Value(-1), Value(1)), Value::nil());
+      // A write that names no cell: it only ticks program order.
+      emit(write_ev(tid, -1, Value(1), 0, 0));
     } else if (pick < 96) {
       // A cell no view reaches: only the multi-writer rule sees it.
-      emit(tid, "write", Value::pair(Value(1000), Value(rng.range(0, 2))),
-           Value::nil());
-    } else if (pick < 98) {
-      emit(tid, "read", Value(cell), mem[static_cast<std::size_t>(cell)]);
+      emit(write_ev(tid, 1000, Value(rng.range(0, 2)), 0, 0));
     } else {
-      emit(tid, "snapshot", Value::nil(), Value(1));
+      // An empty view: it ticks program order and observes nothing.
+      emit(snap_ev(tid, {}, 0, 0));
     }
   }
   if (rng.chance(0.12)) {  // a short or unlucky draw stays in order

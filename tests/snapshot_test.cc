@@ -125,8 +125,7 @@ void run_snapshot_history_check(std::shared_ptr<SnapshotObject> snap,
         const std::uint64_t inv = ctx.backend().controller().steps();
         snap->write(ctx, w, v);
         const std::uint64_t res = ctx.backend().controller().steps();
-        rec->record(Event{ctx.tid(), "write", Value::pair(Value(w), v),
-                          Value::nil(), inv, res});
+        rec->record(Event{ctx.tid(), EventOp::kWrite, w, v, {}, inv, res});
       }
       ctx.decide(Value(0));
     });
@@ -136,9 +135,8 @@ void run_snapshot_history_check(std::shared_ptr<SnapshotObject> snap,
       const std::uint64_t inv = ctx.backend().controller().steps();
       const std::vector<Value> view = snap->snapshot(ctx);
       const std::uint64_t res = ctx.backend().controller().steps();
-      rec->record(Event{ctx.tid(), "snapshot", Value::nil(),
-                        Value(Value::List(view.begin(), view.end())), inv,
-                        res});
+      rec->record(
+          Event{ctx.tid(), EventOp::kSnapshot, -1, Value(), view, inv, res});
     }
     ctx.decide(Value(0));
   });
