@@ -9,7 +9,7 @@
 // model (different process count, failure bound, object strength), yet
 // the same source algorithm solves the same task in all of them — that
 // is the equivalence the paper proves. through_chain_to() expands the
-// chain into one cell per hop; the hops run as a parallel batch and the
+// chain into one cell per hop; the hops run as one batch and the
 // per-hop task verdicts land in the Report.
 //
 // Usage:   ./build/examples/bg_pipeline

@@ -10,7 +10,7 @@
 // numbers.
 //
 // Every (t', x, k, seed) attempt is one ExperimentCell; the whole grid
-// runs as a single parallel batch and the table is read off the Report.
+// runs as a single batch and the table is read off the Report.
 // Cells run lock-step, so the table is a pure function of the seeds.
 // Exits 1 if any row's staircase is off the frontier.
 //

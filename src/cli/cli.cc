@@ -69,10 +69,9 @@ const char kUsage[] =
     "  --crash-max M     hazard crash budget, at most each cell's t\n"
     "  --inputs LIST     integer input pool, e.g. \"0,1,2\" (default:\n"
     "                    process index)\n"
-    "  --shards K        distribute over K worker subprocesses\n"
-    "                    (default: 0 = in-process)\n"
-    "  --threads N       in-process pool size (0 = hardware); N > 1\n"
-    "                    does not combine with --shards\n"
+    "  --shards K        distribute over K worker subprocesses, the one\n"
+    "                    way to use more cores (default: 0 = in-process,\n"
+    "                    one cell after another on one thread)\n"
     "  --json PATH       write the report JSON (\"-\" = stdout)\n"
     "  --no-timing       exclude wall-clock fields from the JSON so\n"
     "                    reports compare byte-identical\n"
@@ -106,15 +105,10 @@ const char kUsage[] =
     "explore flags (plus --in/--source/--mode/--mem/--steps/--wall/\n"
     "--inputs, --shards/--fork-workers and the sidecars --metrics/--trace/\n"
     "--events/--telemetry-ms/--stale-ms/--health/--progress as for run;\n"
-    "a search counts schedules where a grid counts cells):\n"
+    "a search counts schedules where a grid counts cells, and --shards\n"
+    "ships them in ranges, random|pct only and without --check-lin):\n"
     "  --policy P        random|pct|dfs (default: pct)\n"
     "  --budget N        max schedules to try (default: 200)\n"
-    "  --threads N       parallel in-process search: N worker threads\n"
-    "                    splitting the budget by schedule index, report\n"
-    "                    byte-identical to serial (default: 0 = serial;\n"
-    "                    dfs stays serial; N > 1 does not combine with\n"
-    "                    --shards, which ships ranges of schedules to\n"
-    "                    single-threaded workers)\n"
     "  --seed S          base seed; schedule i uses S+i (default: 1)\n"
     "  --max-violations M  stop after M violations (default 1; 0 = all)\n"
     "  --pct-depth D     PCT priority-change depth (default: 3)\n"
@@ -294,7 +288,7 @@ Args cell_command_args(int argc, char** argv,
                        std::vector<std::string> value_flags,
                        std::vector<std::string> bool_flags) {
   for (const char* f : {"in", "source", "mode", "steps", "wall", "inputs",
-                        "json", "shards", "threads", "metrics", "trace",
+                        "json", "shards", "metrics", "trace",
                         "events", "telemetry-ms", "stale-ms", "health"}) {
     value_flags.push_back(f);
   }
@@ -367,7 +361,7 @@ Experiment parse_cell_flags(const Args& args, const std::string& command) {
 }
 
 // The backend and sidecar flags run and explore share. The constructor
-// reads --shards, --threads, --fork-workers, --progress, --telemetry-ms,
+// reads --shards, --fork-workers, --progress, --telemetry-ms,
 // --stale-ms and MPCN_WORKER_STOP_AFTER into the caller's settings, and
 // opens the --events log before the run so spawn events land; finish()
 // writes --metrics, --trace and --health after the run, then closes the
@@ -375,10 +369,8 @@ Experiment parse_cell_flags(const Args& args, const std::string& command) {
 // outlive the run and stay where it is.
 class BackendFlags {
  public:
-  BackendFlags(const Args& args, const char* argv0, ShardSettings& settings,
-               int& threads)
+  BackendFlags(const Args& args, const char* argv0, ShardSettings& settings)
       : args_(args) {
-    if (const auto v = args.value("threads")) threads = parse_int(*v);
     if (const auto v = args.value("shards")) settings.shards = parse_int(*v);
     sharded_ = settings.shards > 0;
     if (sharded_ && !args.has("fork-workers")) {
@@ -477,7 +469,7 @@ int cmd_run(int argc, char** argv) {
 
   BatchOptions batch;
   batch.title = args.value_or("title", args.positional()[0]);
-  BackendFlags backend(args, argv[0], batch, batch.threads);
+  BackendFlags backend(args, argv[0], batch);
   const Report report = e.run_all(batch);
   backend.finish();
 
@@ -601,7 +593,7 @@ int cmd_explore(int argc, char** argv) {
   opts.shrink_budget = parse_int(args.value_or("shrink-budget", "400"));
   opts.spec = spec;
   opts.check_races = check_races;
-  BackendFlags backend(args, argv[0], opts, opts.threads);
+  BackendFlags backend(args, argv[0], opts);
   const ExploreResult result = explore(cell, opts);
   backend.finish();
 

@@ -312,16 +312,6 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
 
 // ---------------------------------------------------------- coordinator
 
-void check_threads_with_shards(const ShardSettings& settings, int threads,
-                               const char* unit, const char* choice) {
-  if (settings.shards > 0 && threads > 1) {
-    throw ProtocolError(
-        std::string("threads and shards do not compose: each shard worker "
-                    "runs its ") +
-        unit + " on one thread; pick one " + choice);
-  }
-}
-
 namespace {
 
 // Deadlines of the shutdown harvest: the final exchange with the whole
@@ -525,8 +515,8 @@ struct JobHooks {
   std::function<void(std::size_t j)> run_local;
   // Null, or false when job j is no longer wanted: it resolves unrun.
   std::function<bool(std::size_t j)> wanted;
-  // The --progress line's label and unit, as the in-process backend
-  // prints them.
+  // The --progress line's label and unit, as the in-process loops
+  // print them.
   const char* label = "";
   const char* unit = "";
 };
@@ -565,8 +555,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < jobs.size(); ++i) pending.push_back(i);
   std::vector<bool> seen(jobs.size(), false);  // answered, or dropped
-  std::size_t done = 0;        // jobs seen
-  std::size_t cells_done = 0;  // cells of the jobs answered
+  std::size_t done = 0;  // jobs seen
   const auto resolve = [&](std::size_t id) {
     seen[id] = true;
     ++done;
@@ -787,23 +776,11 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     if (!arm_telemetry(w)) write_off(w, "write failed");
   }
 
-  // Progress heartbeat (stderr, opt-in, silent when stderr is not a
-  // TTY): printed on result arrivals, at most once per
-  // progress_interval(). No sampling thread: a worker forked after any
-  // thread has run starts in glibc's multi-threaded mode, and slower.
-  const bool show_progress = options.progress && progress_allowed();
-  const auto progress_every = progress_interval();
-  const auto progress_started = std::chrono::steady_clock::now();
-  auto progress_last = progress_started;
-  auto report_progress = [&] {
-    if (!show_progress) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (done < jobs.size() && now - progress_last < progress_every) return;
-    progress_last = now;
-    print_progress(hooks.label, hooks.unit,
-                   static_cast<long long>(cells_done),
-                   static_cast<long long>(total_cells), progress_started);
-  };
+  // Progress heartbeat (stderr, opt-in): ticked by the cells of each
+  // answered job, printed at most once per interval and once more when
+  // the pool is done.
+  ProgressMeter meter(options.progress, hooks.label, hooks.unit,
+                      static_cast<long long>(total_cells));
 
   // Returns false on a protocol violation (caller writes the worker off).
   auto handle_line = [&](WorkerProc& w, const std::string& line) -> bool {
@@ -852,8 +829,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
                       static_cast<std::int64_t>(job.first));
         }
         resolve(id);
-        cells_done += static_cast<std::size_t>(job.count);
-        report_progress();
+        meter.tick(job.count);
         return true;
       }
       case WireMessage::Type::kTelemetry:
@@ -1125,11 +1101,10 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       // An earlier fallback job may have ended the caller's interest.
       if (!hooks.wanted || hooks.wanted(i)) {
         hooks.run_local(i);
-        cells_done += static_cast<std::size_t>(jobs[i].count);
+        meter.tick(jobs[i].count);
         m_fallback_cells().add(static_cast<std::uint64_t>(jobs[i].count));
       }
       resolve(i);
-      report_progress();
     }
   }
 
@@ -1141,7 +1116,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
 Report run_sharded(const std::vector<ExperimentCell>& cells,
                    const ShardOptions& options) {
   if (options.shards <= 0) {
-    throw ProtocolError("run_sharded: need shards >= 1 (use BatchRunner "
+    throw ProtocolError("run_sharded: need shards >= 1 (use run_batch "
                         "with shards = 0 for in-process runs)");
   }
   // Serialize every cell up front: fail fast on non-wire-serializable

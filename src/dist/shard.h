@@ -1,6 +1,8 @@
 // The distributed shard runner: a coordinator that fans work out over
 // worker SUBPROCESSES speaking the JSON-lines wire protocol (wire.h), and
-// the worker loop those subprocesses run.
+// the worker loop those subprocesses run. It is the one way an `mpcn
+// run` or `mpcn explore` uses more than one core: in-process, both run
+// their cells or schedules one after another on the calling thread.
 //
 // Work comes in two shapes, served by one pool loop. An experiment grid
 // (run_sharded) ships one cell line per grid cell and gets one result
@@ -41,10 +43,10 @@
 //
 // A grid's merged Report is reassembled in grid order via Report::merge
 // (keyed by cell_index) and is byte-identical (timing excluded) to an
-// in-process BatchRunner run of the same cells, because workers rebuild
+// in-process run_batch of the same cells, because workers rebuild
 // cells from the scenario registry and execute the very same run_cell()
 // path. A search's ranges run through run_schedule_range
-// (src/explore/explorer.h), the same code the in-process engines use.
+// (src/explore/explorer.h), the same code the in-process search uses.
 //
 // Settings: ShardSettings declares once what a caller hands the backend
 // (shards, worker argv, progress, telemetry, health, fault injection).
@@ -118,15 +120,15 @@ struct WorkerHealth {
 // report byte (telemetry and fault injection are sidecar-only).
 struct ShardSettings {
   // > 0: distribute over this many worker subprocesses; 0 runs
-  // in-process (BatchRunner, explore). run_sharded* need >= 1.
+  // in-process (run_batch, explore). run_sharded* need >= 1.
   int shards = 0;
   // argv for worker subprocesses (e.g. {"/path/to/mpcn", "worker"}).
   // Empty: fork the current process image and run run_worker_loop
   // directly — no binary needed, used by tests and library callers.
   std::vector<std::string> worker_argv;
-  // stderr progress heartbeat, printed as results arrive and throttled
-  // to progress_interval(); silent unless progress_allowed()
-  // (src/obs/progress.h). The in-process backends use a ProgressMeter.
+  // stderr progress heartbeat: a ProgressMeter (src/obs/progress.h),
+  // ticked per cell in-process and by the cells of each reply when
+  // sharded; silent unless progress_allowed().
   bool progress = false;
   // Non-null: ask each worker for a MetricsSnapshot at shutdown (the
   // wire's opt-in metrics exchange) and append every snapshot received.
@@ -163,12 +165,6 @@ struct ShardSettings {
   // `mpcn worker --stop-after N`.
   std::vector<int> worker_stop_after;
 };
-
-// threads > 1 together with shards > 0 is a usage error: a shard worker
-// runs its `unit` (cells, schedules) on one thread. Throws ProtocolError
-// asking the caller to pick one `choice` (backend, fan-out).
-void check_threads_with_shards(const ShardSettings& settings, int threads,
-                               const char* unit, const char* choice);
 
 // The pool's options: the shared settings plus the knobs only the pool
 // reads.
@@ -207,7 +203,7 @@ struct ShardOptions : ShardSettings {
 // cell_index == position (exactly what Experiment::cells() produces);
 // throws ProtocolError otherwise. Per-cell execution errors are captured
 // in the records, not thrown. The title is derive_report_title(cells,
-// ""); BatchRunner applies a requested one.
+// ""); run_batch applies a requested one.
 Report run_sharded(const std::vector<ExperimentCell>& cells,
                    const ShardOptions& options);
 

@@ -497,7 +497,7 @@ Report Experiment::run_all(const BatchOptions& batch) const {
   if (opts.title.empty()) {
     opts.title = scenario_.empty() ? "experiment" : scenario_;
   }
-  return BatchRunner(opts).run(cells());
+  return run_batch(cells(), opts);
 }
 
 Report Experiment::run_all() const { return run_all(BatchOptions{}); }

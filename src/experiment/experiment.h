@@ -10,7 +10,7 @@
 //       .crashes([](const ModelSpec& m, std::uint64_t s) {
 //         return CrashPlan::hazard(0.001, m.t, s);
 //       })
-//       .run_all();                              // parallel batch -> Report
+//       .run_all();                              // batch -> Report
 //
 // One ExecutionMode axis covers every way to run an algorithm: direct()
 // (native run in the source model), in(target) (generalized BG engine; the
@@ -52,7 +52,7 @@ using CrashPlanFactory =
 
 // One executable cell of the grid: everything needed to run and record a
 // single Execution. Produced by Experiment::cells(); consumed by
-// run_cell() and BatchRunner.
+// run_cell() and run_batch().
 struct ExperimentCell {
   std::string scenario;
   std::shared_ptr<const SimulatedAlgorithm> algorithm;
@@ -187,8 +187,9 @@ class Experiment {
   // configuration errors. Refuses grids larger than one cell.
   RunRecord run() const;
 
-  // Run the whole grid, fanned out over a worker pool. One RunRecord per
-  // cell in grid order; per-cell errors are captured, not thrown.
+  // Run the whole grid through run_batch: in-process in a plain loop, or
+  // over shard workers when batch.shards > 0. One RunRecord per cell in
+  // grid order; per-cell errors are captured, not thrown.
   Report run_all(const BatchOptions& batch) const;
   Report run_all() const;
 

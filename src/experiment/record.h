@@ -7,7 +7,7 @@
 // machine-readable unit of comparison: everything a run produced
 // (decisions, crashes, step count, wall time) plus everything needed to
 // interpret it (source/target model, seed, task verdict). Report is the
-// ordered aggregate a BatchRunner emits.
+// ordered aggregate run_batch emits.
 //
 // JSON: to_json()/from_json() round-trip every field except wall-clock
 // times, which can be excluded (include_timing = false) so that reports

@@ -1,9 +1,6 @@
 #include "src/explore/explorer.h"
 
 #include <algorithm>
-#include <atomic>
-#include <mutex>
-#include <thread>
 
 #include "src/common/errors.h"
 #include "src/history/history.h"
@@ -134,17 +131,22 @@ OracleVerdict judge(const RunRecord& rec,
 namespace {
 
 // One search run: stamp the schedule, attach the observation hooks, run.
+// A non-null `history` is the search's one recorder. It is emptied here,
+// inside the schedule's span, so freeing the previous run's events is
+// timed with the rest of the recording, not as the explorer's loop
+// between spans; its buffer keeps its capacity across schedules.
 RunRecord run_schedule(const ExperimentCell& base, int index,
                        const ScheduleSpec& schedule,
                        std::shared_ptr<SchedulePolicy> policy,
-                       std::shared_ptr<HistoryRecorder> history) {
+                       const std::shared_ptr<HistoryRecorder>& history) {
   ExperimentCell cell = base;
   cell.cell_index = index;
   cell.schedule = schedule;
   cell.options.schedule_policy = std::move(policy);
   cell.record_schedule = true;
-  cell.history = std::move(history);
+  cell.history = history;
   ScopedSpan span("explore.schedule", "explore");
+  if (history) history->reset();
   return run_cell(cell);
 }
 
@@ -170,30 +172,15 @@ ScheduleSpec nth_schedule(ScheduleSpec first, int index) {
   return first;
 }
 
-// Per-worker scratch, reused across every schedule the worker runs: one
-// HistoryRecorder, whose reset() keeps its event buffer's capacity.
-struct WorkerScratch {
-  std::shared_ptr<HistoryRecorder> history =
-      std::make_shared<HistoryRecorder>();
-
-  // Empty the recorder for the next schedule and hand it out; null when
-  // the run needs no recorder.
-  std::shared_ptr<HistoryRecorder> next(bool wanted) {
-    if (!wanted) return nullptr;
-    history->reset();
-    return history;
-  }
-};
-
 }  // namespace
 
 RangeResult run_schedule_range(const ExperimentCell& base, int first,
                                int count) {
-  WorkerScratch scratch;
+  const auto history =
+      base.check_races ? std::make_shared<HistoryRecorder>() : nullptr;
   RangeResult out;
   out.steps.reserve(static_cast<std::size_t>(count));
   for (int i = first; i < first + count; ++i) {
-    auto history = scratch.next(base.check_races);
     RunRecord rec = run_schedule(base, i, nth_schedule(base.schedule, i),
                                  nullptr, history);
     out.steps.push_back(rec.steps);
@@ -369,8 +356,6 @@ ExploreResult explore(const ExperimentCell& cell,
       (options.crash_rate < 0.0 || options.crash_rate > 1.0)) {
     throw ProtocolError("explore needs crash-rate in [0, 1]");
   }
-  check_threads_with_shards(options, options.threads, "schedules",
-                            "fan-out");
   if (options.shards > 0) {
     if (options.policy == ExplorePolicy::kBoundedDfs) {
       throw ProtocolError(
@@ -410,10 +395,12 @@ ExploreResult explore(const ExperimentCell& cell,
 
   const bool want_history =
       options.spec != nullptr && cell.mode == ExecutionMode::kDirect;
-  // Runs that get the scratch recorder attached: the spec oracle reads
-  // its events, and a race-checked run would otherwise allocate a fresh
-  // recorder inside run_cell every schedule.
-  const bool pass_history = want_history || options.check_races;
+  // The search's one recorder, attached to every run when the spec
+  // oracle reads its events or the race oracle would otherwise allocate
+  // a fresh recorder inside run_cell every schedule.
+  const auto history = want_history || options.check_races
+                           ? std::make_shared<HistoryRecorder>()
+                           : nullptr;
 
   auto handle_violation = [&](int index, RunRecord rec,
                               const OracleVerdict& verdict) {
@@ -493,19 +480,6 @@ ExploreResult explore(const ExperimentCell& cell,
     return stop;
   };
 
-  // Bounded DFS carries one search tree across runs, so it cannot fan
-  // out — threads > 1 falls back to the serial engine (documented in
-  // ExploreOptions); random/PCT schedules are pure functions of the
-  // index and parallelize freely.
-  const bool threaded = options.shards == 0 && options.threads > 1 &&
-                        options.policy != ExplorePolicy::kBoundedDfs &&
-                        options.budget > 1;
-  const int workers =
-      threaded ? std::min(options.threads, options.budget) : 1;
-  // One scratch per search thread. Scratch 0 also serves the PCT probe,
-  // which runs on this thread, so even the sharded path builds one.
-  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
-
   // PCT horizon: probe the cell once under its own seed to learn a
   // realistic schedule length (the declared step limit is usually orders
   // of magnitude larger, which would starve the change points). The
@@ -517,7 +491,6 @@ ExploreResult explore(const ExperimentCell& cell,
     ScheduleSpec probe;
     probe.kind = SchedulePolicyKind::kSeededRandom;
     probe.seed = options.seed;
-    auto history = scratch[0].next(pass_history);
     RunRecord rec = run_schedule(base, -1, probe, nullptr, history);
     horizon = std::max<std::uint64_t>(rec.steps, 8);
     result.total_steps += rec.steps;
@@ -535,15 +508,13 @@ ExploreResult explore(const ExperimentCell& cell,
   result.pct_horizon = horizon;
   const ScheduleSpec schedule0 = first_schedule(options, horizon);
 
-  // In-process engines report progress from a sampling thread; the
-  // sharded backend reports from its coordinator instead (below).
-  ProgressMeter heartbeat(options.progress && options.shards == 0,
-                          "explore", "schedules", options.budget);
-
-  if (!threaded && options.shards == 0) {
-    // In-process serial search (threads <= 1, and the bounded-DFS
-    // fallback). Bounded DFS shares one policy object across runs;
-    // random/PCT rebuild a fresh policy per schedule.
+  if (options.shards == 0) {
+    // In-process search, one schedule after another on this thread.
+    // Bounded DFS shares one policy object across runs; random/PCT
+    // rebuild a fresh policy per schedule. The sharded backend reports
+    // progress from its coordinator instead (below).
+    ProgressMeter heartbeat(options.progress, "explore", "schedules",
+                            options.budget);
     std::shared_ptr<BoundedDfsPolicy> dfs;
     if (options.policy == ExplorePolicy::kBoundedDfs) {
       dfs = std::make_shared<BoundedDfsPolicy>(options.dfs_preemption_bound);
@@ -555,7 +526,6 @@ ExploreResult explore(const ExperimentCell& cell,
         result.exhausted = true;
         break;
       }
-      auto history = scratch[0].next(pass_history);
       RunRecord rec = run_schedule(base, i, schedule, dfs, history);
       ++result.schedules;
       m_schedules().add();
@@ -578,112 +548,64 @@ ExploreResult explore(const ExperimentCell& cell,
     return result;
   }
 
-  // ---- fan-out search: threads or shards ---------------------------
-  // Both backends record per-index outcomes in `slots`; the merge below
-  // walks them IN INDEX ORDER and replays the serial loop's accounting
-  // decisions, so the final report is byte-identical to the serial run
-  // (pinned by explore_parallel_test, explore_test and CI cmp legs).
+  // ---- sharded search -------------------------------------------------
+  // Ranges of schedules over worker subprocesses (src/dist/). Replies
+  // land in per-index `slots`; the merge below walks them IN INDEX ORDER
+  // and replays the serial loop's accounting decisions, so the final
+  // report is byte-identical to the serial run (pinned by shard_test's
+  // ShardSearch cases). A reply carries every schedule's step count and
+  // the records of its violating schedules and of schedule 0; a schedule
+  // without a record judged clean on the worker.
   //
   // Early stop: the serial loop breaks at the max_violations-th violated
-  // index. The backends maintain a conservative upper bound on that index
-  // — `cutoff`, the m-th smallest violated index seen so far — and stop
-  // claiming (threads) or dispatching (shard ranges) past it. The bound
-  // only ever decreases and never drops below the true stop index, so
-  // every index the merge will visit is guaranteed to complete, while
-  // indices past the final cutoff are at worst wasted work, never
-  // missing work.
+  // index. The search keeps a conservative upper bound on that index —
+  // `cutoff`, the m-th smallest violated index seen so far — and
+  // dispatches no range past it. The bound only ever decreases and never
+  // drops below the true stop index, so every index the merge will visit
+  // is guaranteed to complete, while indices past the final cutoff are at
+  // worst wasted work, never missing work. The coordinator calls both
+  // callbacks on this thread, so neither needs a lock.
   struct Slot {
     std::uint64_t steps = 0;
     bool ran = false;
-    bool spec_skipped = false;
     OracleVerdict verdict;
     std::unique_ptr<RunRecord> rec;  // kept for violations and index 0
   };
   std::vector<Slot> slots(static_cast<std::size_t>(options.budget));
-  std::atomic<int> cutoff{options.budget - 1};
-  std::mutex found_m;
+  int cutoff = options.budget - 1;
   std::vector<int> violated_indices;  // sorted ascending
 
   auto note_violation = [&](int index) {
     if (options.max_violations <= 0) return;  // collect-all: no early stop
-    std::lock_guard<std::mutex> lk(found_m);
     violated_indices.insert(
         std::upper_bound(violated_indices.begin(), violated_indices.end(),
                          index),
         index);
     if (static_cast<int>(violated_indices.size()) >= options.max_violations) {
-      const int bound = violated_indices[static_cast<std::size_t>(
-          options.max_violations - 1)];
-      int cur = cutoff.load();
-      while (bound < cur && !cutoff.compare_exchange_weak(cur, bound)) {
-      }
+      cutoff = std::min(cutoff, violated_indices[static_cast<std::size_t>(
+                                    options.max_violations - 1)]);
     }
   };
 
-  if (options.shards > 0) {
-    // Ranges of schedules over worker subprocesses (src/dist/). A reply
-    // carries every schedule's step count and the records of its
-    // violating schedules and of schedule 0; a schedule without a
-    // record judged clean on the worker.
-    ExperimentCell first = base;
-    first.schedule = schedule0;
-    run_sharded_search(
-        first, options.budget, ShardOptions(options),
-        [&](int index) { return index <= cutoff.load(); },
-        [&](int index, RangeResult&& range) {
-          for (std::uint64_t steps : range.steps) {
-            Slot& slot = slots[static_cast<std::size_t>(index++)];
-            slot.steps = steps;
-            slot.ran = true;
-          }
-          for (RunRecord& rec : range.records) {
-            const int i = rec.cell_index;
-            Slot& slot = slots[static_cast<std::size_t>(i)];
-            slot.verdict = judge(rec, nullptr, nullptr);
-            slot.rec = std::make_unique<RunRecord>(std::move(rec));
-            if (slot.verdict.violated) note_violation(i);
-          }
-        });
-  } else {
-    // In-process threads claim schedule indices from a shared counter.
-    std::atomic<int> next{0};
-    std::mutex error_m;
-    std::exception_ptr worker_error;
-    std::vector<std::thread> worker_threads;
-    worker_threads.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      worker_threads.emplace_back([&, w] {
-        try {
-          WorkerScratch& s = scratch[static_cast<std::size_t>(w)];
-          while (true) {
-            const int i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= options.budget ||
-                i > cutoff.load(std::memory_order_relaxed)) {
-              break;
-            }
-            auto history = s.next(pass_history);
-            RunRecord rec = run_schedule(base, i, nth_schedule(schedule0, i),
-                                         nullptr, history);
-            Slot& slot = slots[static_cast<std::size_t>(i)];
-            slot.steps = rec.steps;
-            slot.verdict = judge(rec, options.spec, history);
-            slot.spec_skipped = slot.verdict.spec_skipped;
-            if (slot.verdict.violated || i == 0) {
-              slot.rec = std::make_unique<RunRecord>(std::move(rec));
-            }
-            slot.ran = true;
-            heartbeat.tick();
-            if (slot.verdict.violated) note_violation(i);
-          }
-        } catch (...) {
-          std::lock_guard<std::mutex> lk(error_m);
-          if (!worker_error) worker_error = std::current_exception();
+  ExperimentCell first = base;
+  first.schedule = schedule0;
+  run_sharded_search(
+      first, options.budget, ShardOptions(options),
+      [&](int index) { return index <= cutoff; },
+      [&](int index, RangeResult&& range) {
+        for (std::uint64_t steps : range.steps) {
+          Slot& slot = slots[static_cast<std::size_t>(index++)];
+          slot.steps = steps;
+          slot.ran = true;
+        }
+        for (RunRecord& rec : range.records) {
+          const int i = rec.cell_index;
+          Slot& slot = slots[static_cast<std::size_t>(i)];
+          slot.verdict = judge(rec, nullptr, nullptr);
+          slot.rec = std::make_unique<RunRecord>(std::move(rec));
+          if (slot.verdict.violated) note_violation(i);
         }
       });
-    }
-    for (std::thread& t : worker_threads) t.join();
-    if (worker_error) std::rethrow_exception(worker_error);
-  }
 
   // Deterministic merge: replay the serial accounting in index order.
   // Shrinking happens here, after the merge has decided which violations
@@ -698,10 +620,6 @@ ExploreResult explore(const ExperimentCell& cell,
     m_steps().add(s.steps);
     if (i == 0 && s.rec && s.rec->schedule_trace) {
       result.first_trace = *s.rec->schedule_trace;
-    }
-    if (s.spec_skipped) {
-      ++result.skipped_spec_checks;
-      m_spec_skips().add();
     }
     if (s.verdict.violated &&
         handle_violation(i, std::move(*s.rec), s.verdict)) {

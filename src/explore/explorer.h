@@ -34,20 +34,20 @@
 // shrink_replays exactly as a replay would, so no report byte depends on
 // them; the explore.shrink_runs counter counts the replays actually run.
 //
-// Scaling: random/PCT searches are embarrassingly parallel — schedule i
-// is schedule 0's ScheduleSpec with seed + i, a pure function of its
-// index. Two fan-outs exist, and they do not compose: `threads` runs N
-// in-process workers (each an OS thread that runs its schedules as
-// fibers, with its own controller, policy and history recorder);
-// `shards` ships contiguous ranges of schedule indices to worker
-// subprocesses over the wire protocol (src/dist/), one range line out
-// and one reply line back per range (run_schedule_range is what a worker
-// runs), configured by the ShardSettings that ExploreOptions inherits.
-// Both record per-index outcomes that ONE merge walks in index order,
-// so the report is byte-identical to the serial run; both stop
-// claiming or dispatching work past the max_violations cutoff. Bounded
-// DFS carries its search tree across runs and is in-process serial only
-// (threads > 1 falls back to the serial engine; shards are rejected).
+// Scaling: in-process, a search runs its schedules one after another on
+// the calling thread (each run's processes are fibers of that thread),
+// with one history recorder reused across runs. Random/PCT searches are
+// embarrassingly parallel — schedule i is schedule 0's ScheduleSpec with
+// seed + i, a pure function of its index — and `shards` spreads them
+// over more cores: it ships contiguous ranges of schedule indices to
+// worker subprocesses over the wire protocol (src/dist/), one range line
+// out and one reply line back per range (run_schedule_range is what a
+// worker runs), configured by the ShardSettings that ExploreOptions
+// inherits. Replies land in per-index slots that one merge walks in
+// index order, so the report is byte-identical to the serial run, and
+// no range past the max_violations cutoff is dispatched. Bounded DFS
+// carries its search tree across runs and is in-process only (shards
+// are rejected), as is the sequential-spec oracle.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +76,7 @@ ExplorePolicy explore_policy_from_string(const std::string& s);
 // through src/dist/, in ranges of ceil(budget / (8 * shards))
 // schedules (random/PCT only; requires a registry-named cell), and the
 // telemetry, health and fault-injection fields apply to that pool.
-// Without shards only `progress` applies, as the in-process heartbeat.
+// Without shards only `progress` applies, as the search loop's meter.
 struct ExploreOptions : ShardSettings {
   ExplorePolicy policy = ExplorePolicy::kPct;
   // Base seed: schedule i runs under seed + i (random/PCT).
@@ -119,15 +119,6 @@ struct ExploreOptions : ShardSettings {
   // the flag serializes with the cell and workers run the analysis
   // themselves, so sharded and in-process searches stay byte-identical.
   bool check_races = false;
-
-  // Parallel in-process search: > 1 partitions the schedule budget by
-  // index across this many worker threads (random/PCT; bounded DFS
-  // falls back to serial — its search tree spans runs). Results merge
-  // by schedule index, so the report, violations, shrunk traces and
-  // exit codes are byte-identical to the serial run. 0/1 = serial.
-  // Does not combine with shards: explore() throws ProtocolError when
-  // both are set (threads > 1), as a shard worker runs one thread.
-  int threads = 0;
 };
 
 struct ExploreViolation {
@@ -193,8 +184,7 @@ ExploreResult explore(const ExperimentCell& cell,
 // shard range line (src/dist/wire.h). `base` is the search's cell with
 // schedule 0's ScheduleSpec; schedule i runs `base` with cell_index = i
 // and schedule seed + i, through the same run-and-judge code as the
-// in-process engines, on one scratch history recorder reused across the
-// range. The result holds every step count, and the records of the
+// in-process search, on one history recorder reused across the range. The result holds every step count, and the records of the
 // violating schedules and of schedule 0. Shard workers run this for each
 // range line; the coordinator runs it when its worker pool drains.
 RangeResult run_schedule_range(const ExperimentCell& base, int first,

@@ -18,8 +18,7 @@
 //
 // ts_us shares trace_now_us()'s origin, so event timestamps line up
 // with span timestamps in the same process. Lines are written with a
-// single write(2) each under a mutex, so concurrent emitters (the
-// explorer's engine threads, the coordinator's poll loop) never
+// single write(2) each under a mutex, so concurrent emitters never
 // interleave bytes. The log is written by the COORDINATOR and explorer
 // only — workers report over the wire and the coordinator records the
 // event — so one run yields one log with non-decreasing timestamps.

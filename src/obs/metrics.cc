@@ -5,13 +5,6 @@
 
 namespace mpcn {
 
-std::size_t metric_thread_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 // ----------------------------------------------------------- snapshots
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {

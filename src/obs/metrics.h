@@ -9,9 +9,10 @@
 //     Export goes to its own file (`mpcn ... --metrics out.json`).
 //   * ALWAYS COMPILED IN, ALWAYS CHEAP. Instrumented sites pay one
 //     relaxed atomic increment whether or not anyone ever snapshots.
-//     Counters on the hottest paths (interned Values, explored steps)
-//     are sharded across cache-line-padded slots keyed by a
-//     per-thread id, so concurrent increments do not contend.
+//     Every run counts on one thread (in-process and in each shard
+//     worker), so a counter is one atomic word; it is atomic because a
+//     worker's heartbeat thread reads the registry while the worker
+//     loop writes it.
 //   * MERGEABLE. A MetricsSnapshot is a pure bag of sums: merging is
 //     field-wise addition, hence commutative and associative — worker
 //     snapshots arriving over the wire in any order aggregate to the
@@ -41,43 +42,21 @@
 
 namespace mpcn {
 
-// Cache-line-padded atomic cell; one per counter shard.
-struct alignas(64) MetricCell {
-  std::atomic<std::uint64_t> v{0};
-};
-
-// Stable small id for the calling thread, used to pick a counter shard.
-// Monotonic per thread creation; wraps around the shard count.
-std::size_t metric_thread_slot();
-
-// Monotonic counter. add() is wait-free: one relaxed fetch_add on the
-// caller's shard. value() sums the shards (racy reads are fine — every
-// increment is eventually visible, and snapshots are advisory).
+// Monotonic counter. add() is wait-free: one relaxed fetch_add. value()
+// is one relaxed load (a concurrent reader may see a count a moment
+// old; snapshots are advisory).
 class Counter {
  public:
-  static constexpr std::size_t kShards = 8;
-
-  void add(std::uint64_t n = 1) {
-    shards_[metric_thread_slot() % kShards].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const MetricCell& s : shards_) {
-      total += s.v.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void reset() {
-    for (MetricCell& s : shards_) s.v.store(0, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<MetricCell, kShards> shards_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
-// Last-writer-wins signed level (queue depths, pool sizes). Unsharded:
-// gauges record state, not events, and are set from one site at a time.
+// Last-writer-wins signed level (queue depths, pool sizes): gauges
+// record state, not events, and are set from one site at a time.
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }

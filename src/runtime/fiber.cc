@@ -57,10 +57,9 @@ std::size_t page_size() {
 std::size_t mapping_size() { return page_size() + Fiber::kStackSize; }
 
 // Stacks of destroyed fibers, kept for the thread's next fibers. A fresh
-// mapping costs mmap, mprotect, first-touch page faults and an munmap
-// that must shoot down every other core's TLB in a multi-threaded
-// process: more than a whole short schedule, and serialized across the
-// threads of an `explore --threads N` search.
+// mapping costs mmap, mprotect, first-touch page faults and an munmap:
+// more than a whole short schedule, paid again by every schedule of a
+// search or cell of a grid that runs after it on the same thread.
 constexpr std::size_t kCachedStacks = 64;
 
 struct StackCache {

@@ -177,7 +177,7 @@ TEST(Cli, ListJsonIsMachineReadable) {
 
 TEST(Cli, ExploreFindsSeededBugAndWritesReport) {
   TempFile json("cli_explore_report.json");
-  TempFile threaded("cli_explore_report_t8.json");
+  TempFile sharded("cli_explore_report_shards.json");
   TempFile shrunk("cli_explore_shrunk.json");
   // A budget-200 search of the exhibit, its report written to `report`.
   const auto search = [](const std::vector<std::string>& flags,
@@ -206,17 +206,19 @@ TEST(Cli, ExploreFindsSeededBugAndWritesReport) {
             1)
       << out;
 
-  // Eight search threads write the serial report byte for byte, on the
-  // failing search and on a clean one.
-  ASSERT_EQ(search({"--policy", "pct", "--seed", "1", "--threads", "8"},
-                   threaded.path),
+  // Two fork-mode shard workers write the in-process report byte for
+  // byte, on the failing search and on a clean one.
+  const std::vector<std::string> shards = {"--shards", "2",
+                                           "--fork-workers"};
+  ASSERT_EQ(search(with_flags({"--policy", "pct", "--seed", "1"}, shards),
+                   sharded.path),
             1);
-  EXPECT_EQ(slurp(json.path), slurp(threaded.path));
+  EXPECT_EQ(slurp(json.path), slurp(sharded.path));
   ASSERT_EQ(search({"--policy", "random", "--seed", "7"}, json.path), 0);
-  ASSERT_EQ(search({"--policy", "random", "--seed", "7", "--threads", "8"},
-                   threaded.path),
+  ASSERT_EQ(search(with_flags({"--policy", "random", "--seed", "7"}, shards),
+                   sharded.path),
             0);
-  EXPECT_EQ(slurp(json.path), slurp(threaded.path));
+  EXPECT_EQ(slurp(json.path), slurp(sharded.path));
   EXPECT_FALSE(slurp(json.path).empty());
 }
 
@@ -324,22 +326,22 @@ TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {
   EXPECT_NE(out.find("no regressions"), std::string::npos);
 }
 
-// --threads sizes the in-process pool; a shard worker runs its cells on
-// one thread, so asking for both is a usage error, not a silent no-op.
-TEST(Cli, ThreadsAboveOneWithShardsIsAUsageError) {
+// An in-process run or search never starts a second thread, and
+// --shards is the one way to use more cores: --threads is an unknown
+// flag, a usage error with or without --shards.
+TEST(Cli, ThreadsIsAnUnknownFlag) {
+  for (const char* n : {"1", "2"}) {
+    EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                       "--seeds", "1..2", "--threads", n}),
+              2);
+    EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
+                       "--budget", "10", "--threads", n}),
+              2);
+  }
   EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
                      "--seeds", "1..2", "--shards", "2", "--fork-workers",
                      "--threads", "2"}),
             2);
-  EXPECT_EQ(run_cli({"mpcn", "explore", "racy_register", "--in", "2,0,1",
-                     "--budget", "10", "--shards", "2", "--fork-workers",
-                     "--threads", "4"}),
-            2);
-  // One thread is what a shard worker runs anyway.
-  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
-                     "--seeds", "1..2", "--shards", "2", "--fork-workers",
-                     "--threads", "1", "--no-timing"}),
-            0);
 }
 
 // The Figure 7 equivalence chains, one cell per hop: every hop of every

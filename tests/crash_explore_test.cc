@@ -259,18 +259,6 @@ TEST(CrashProduct, ShardedCrashSearchMatchesInProcessByteForByte) {
   EXPECT_EQ(sharded.to_json().dump(), in_process.to_json().dump());
 }
 
-TEST(CrashProduct, ParallelCrashSearchMatchesSerialByteForByte) {
-  ExploreOptions o;
-  o.policy = ExplorePolicy::kSeededRandom;
-  o.budget = 60;
-  o.crash_budget = 1;
-  o.crash_rate = 0.2;
-  const ExploreResult serial = explore(exhibit_cell(), o);
-  o.threads = 3;
-  const ExploreResult parallel = explore(exhibit_cell(), o);
-  EXPECT_EQ(parallel.to_json().dump(), serial.to_json().dump());
-}
-
 // ------------------------------------------------- trace back-compat
 
 TEST(CrashTrace, CrashFreeTraceKeepsPreCrashBytesAndDigest) {

@@ -1,5 +1,5 @@
 // Tests: src/experiment — the unified Experiment builder, the scenario
-// registry, the BatchRunner and the structured-report pipeline.
+// registry, run_batch and the structured-report pipeline.
 //
 // The load-bearing contracts:
 //   * every cell's record carries its mode, target, seed and chain hop;
@@ -165,8 +165,8 @@ TEST(Batch, GridExpansionOrderIsDeterministic) {
   EXPECT_EQ(cells[6].target, (ModelSpec{4, 2, 2}));
 }
 
-// The acceptance-criteria batch: a >= 32-cell seed x model grid, run in
-// parallel, producing one deterministic JSON report.
+// The acceptance-criteria batch: a >= 32-cell seed x model grid,
+// producing one deterministic JSON report.
 TEST(Batch, SeedModelGridIsByteDeterministic) {
   auto build = [] {
     return Experiment::of(trivial_kset_algorithm(4, 1))
@@ -178,16 +178,12 @@ TEST(Batch, SeedModelGridIsByteDeterministic) {
         .seeds(1, 8)
         .base_options(lockstep(1));
   };
-  BatchOptions pool4;
-  pool4.threads = 4;
-  Report first = build().run_all(pool4);
+  Report first = build().run_all();
   ASSERT_EQ(first.records.size(), 32u);  // 4 targets x 8 seeds
   EXPECT_TRUE(first.all_ok()) << first.to_json().dump(2);
 
-  // Same grid, different pool width: byte-identical timing-free JSON.
-  BatchOptions pool1;
-  pool1.threads = 1;
-  Report second = build().run_all(pool1);
+  // The same grid built and run again: byte-identical timing-free JSON.
+  Report second = build().run_all();
   EXPECT_EQ(first.to_json(false).dump(), second.to_json(false).dump());
 
   // And the seed axis is really the per-cell execution seed.

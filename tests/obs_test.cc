@@ -1,14 +1,15 @@
-// Tests: src/obs — the telemetry sidecar. Metric primitives (counter
-// sharding, histogram bucket edges), snapshot JSON round-trip and
+// Tests: src/obs — the telemetry sidecar. Metric primitives (counters,
+// histogram bucket edges), snapshot JSON round-trip and
 // order-independent merging, span capture, and the headline invariant:
 // report bytes are identical with instrumentation exported or not,
-// across the in-process, threaded and sharded backends.
+// across the in-process and sharded backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -52,7 +53,9 @@ struct TempFile {
 
 // ------------------------------------------------------------ primitives
 
-TEST(Counter, SumsConcurrentShardedIncrements) {
+// The shard worker's heartbeat thread reads counters while the worker
+// loop adds to them; concurrent adds must still all land.
+TEST(Counter, SumsConcurrentIncrements) {
   Counter c;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10'000;
@@ -332,11 +335,9 @@ TEST(Sidecar, RunReportBytesIdenticalWithMetricsOn) {
   reset_trace();
 }
 
-TEST(Sidecar, ThreadedAndShardedBackendsStayByteIdenticalToo) {
+TEST(Sidecar, ShardedBackendStaysByteIdenticalToo) {
   TempFile plain("obs_backend_plain.json");
-  TempFile threaded("obs_backend_threads.json");
   TempFile sharded("obs_backend_shard.json");
-  TempFile metrics_t("obs_backend_metrics_t.json");
   TempFile metrics_s("obs_backend_metrics_s.json");
   const std::vector<std::string> base = {
       "mpcn", "run", "snapshot_churn", "--in", "3,0,1",
@@ -344,11 +345,6 @@ TEST(Sidecar, ThreadedAndShardedBackendsStayByteIdenticalToo) {
 
   std::vector<std::string> argv = base;
   argv.insert(argv.end(), {"--json", plain.path});
-  ASSERT_EQ(run_cli(argv), 0);
-
-  argv = base;
-  argv.insert(argv.end(), {"--threads", "2", "--json", threaded.path,
-                           "--metrics", metrics_t.path});
   ASSERT_EQ(run_cli(argv), 0);
 
   // Fork-mode workers: the test binary cannot exec itself as `mpcn`.
@@ -360,10 +356,13 @@ TEST(Sidecar, ThreadedAndShardedBackendsStayByteIdenticalToo) {
 
   const std::string plain_text = slurp(plain.path);
   ASSERT_FALSE(plain_text.empty());
-  EXPECT_EQ(plain_text, slurp(threaded.path));
   EXPECT_EQ(plain_text, slurp(sharded.path));
 }
 
+// The seeded-bug exhibit, instrumented or not: the same exit code (PCT
+// seed 1 finds the bug inside budget 300), byte-identical reports,
+// counters that count the search and its shrink, and a well-formed
+// Chrome trace of complete ("X") events with schedule and shrink spans.
 TEST(Sidecar, ExploreJsonBytesIdenticalWithMetricsOn) {
   TempFile plain("obs_explore_plain.json");
   TempFile instrumented("obs_explore_instr.json");
@@ -371,18 +370,18 @@ TEST(Sidecar, ExploreJsonBytesIdenticalWithMetricsOn) {
   TempFile trace("obs_explore_trace.json");
   const std::vector<std::string> base = {
       "mpcn", "explore", "racy_register", "--in", "2,0,1",
-      "--policy", "pct", "--budget", "50", "--seed", "1"};
+      "--policy", "pct", "--budget", "300", "--seed", "1"};
 
   std::vector<std::string> argv = base;
   argv.insert(argv.end(), {"--json", plain.path});
-  const int plain_code = run_cli(argv);
+  ASSERT_EQ(run_cli(argv), 1);
 
   metrics_registry().reset();
   argv = base;
   argv.insert(argv.end(),
               {"--json", instrumented.path, "--metrics", metrics.path,
                "--trace", trace.path, "--progress"});
-  EXPECT_EQ(run_cli(argv), plain_code);
+  EXPECT_EQ(run_cli(argv), 1);
 
   const std::string plain_text = slurp(plain.path);
   ASSERT_FALSE(plain_text.empty());
@@ -394,17 +393,44 @@ TEST(Sidecar, ExploreJsonBytesIdenticalWithMetricsOn) {
       MetricsSnapshot::from_json(mdoc.at("merged"));
   EXPECT_GE(merged.counters.at("explore.schedules"), 1u);
   EXPECT_GE(merged.counters.at("explore.steps"), 1u);
-  // ...and traced its schedules.
+  EXPECT_GE(merged.counters.at("explore.violations"), 1u);
+  EXPECT_GE(merged.counters.at("explore.shrink_replays"), 1u);
+  // Real shrink replays: at least the reproduction, at most one per
+  // candidate judged.
+  EXPECT_GE(merged.counters.at("explore.shrink_runs"), 1u);
+  EXPECT_LE(merged.counters.at("explore.shrink_runs"),
+            merged.counters.at("explore.shrink_replays"));
+  // ...and traced its schedules and its shrink.
   const Json tdoc = Json::parse(slurp(trace.path));
-  bool saw_schedule_span = false;
-  for (const Json& e : tdoc.at("traceEvents").items()) {
-    if (e.at("name").as_string() == "explore.schedule") {
-      saw_schedule_span = true;
+  const Json& events = tdoc.at("traceEvents");
+  ASSERT_FALSE(events.items().empty());
+  std::set<std::string> names;
+  for (const Json& e : events.items()) {
+    for (const char* key : {"name", "cat", "ph", "ts", "dur", "pid", "tid"}) {
+      EXPECT_NE(e.find(key), nullptr) << key << " missing: " << e.dump();
     }
+    EXPECT_EQ(e.at("ph").as_string(), "X") << e.dump();
+    names.insert(e.at("name").as_string());
   }
-  EXPECT_TRUE(saw_schedule_span);
+  EXPECT_EQ(names.count("explore.schedule"), 1u);
+  EXPECT_EQ(names.count("explore.shrink"), 1u);
   set_tracing_enabled(false);
   reset_trace();
+}
+
+// The crash-window exhibit: a (schedule x crash) product search whose
+// every violation needs a crash exits 4, and --metrics counts them.
+TEST(Sidecar, CrashSearchCountsCrashViolations) {
+  TempFile metrics("obs_crash_metrics.json");
+  metrics_registry().reset();
+  ASSERT_EQ(run_cli({"mpcn", "explore", "safe_agreement_window", "--in",
+                     "2,1,1", "--policy", "dfs", "--bound", "0", "--budget",
+                     "200", "--steps", "400", "--crash-budget", "1",
+                     "--metrics", metrics.path}),
+            4);
+  const MetricsSnapshot merged = MetricsSnapshot::from_json(
+      Json::parse(slurp(metrics.path)).at("merged"));
+  EXPECT_GE(merged.counters.at("explore.crash_violations"), 1u);
 }
 
 // The acceptance property: a sharded explore produces one pool-wide

@@ -2,7 +2,7 @@
 //
 // The load-bearing contracts:
 //   * a sharded run's merged Report is byte-identical (timing excluded)
-//     to the in-process BatchRunner on the same grid — the paper-scale
+//     to the in-process run_batch on the same grid — the paper-scale
 //     equivalence sweeps must not depend on WHERE cells ran;
 //   * a worker that dies with a cell in flight gets its cells requeued
 //     onto survivors, and the merged Report is still identical;
@@ -15,8 +15,16 @@
 //     freezes and a drained pool — and stops dispatching once the
 //     max_violations cutoff is known.
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/common/errors.h"
 #include "src/dist/shard.h"
@@ -39,7 +47,7 @@ Experiment small_grid() {
 }
 
 std::string in_process_dump(const Experiment& e) {
-  return BatchRunner().run(e.cells()).to_json(false).dump();
+  return run_batch(e.cells()).to_json(false).dump();
 }
 
 TEST(Shard, ForkModeMatchesInProcessByteForByte) {
@@ -152,6 +160,67 @@ TEST(Shard, ExecModeDeadWorkerRequeues) {
   const Report sharded = run_sharded(e.cells(), options);
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
 }
+
+// Run the `mpcn` binary with `args`; its exit status, or -1.
+int run_mpcn(std::vector<std::string> args) {
+  args.insert(args.begin(), MPCN_CLI_BIN);
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
+                    environ) != 0) {
+    return -1;
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// `mpcn run --shards 3 --metrics` over the CLI's own exec-mode workers:
+// the report matches the in-process run byte for byte, and the merged
+// pool-wide snapshot is the field-wise sum of the process snapshot and
+// one snapshot per worker. (obs_test's Sidecar case covers fork mode.)
+TEST(Shard, ExecModeMetricsMergeToTheSumOfTheirParts) {
+  const std::string dir = testing::TempDir();
+  const std::string plain = dir + "shard_exec_plain.json";
+  const std::string sharded = dir + "shard_exec_sharded.json";
+  const std::string metrics = dir + "shard_exec_metrics.json";
+  const std::vector<std::string> grid = {"run",   "snapshot_churn", "--in",
+                                         "3,0,1", "--seeds",        "1..6",
+                                         "--no-timing"};
+  std::vector<std::string> args = grid;
+  args.insert(args.end(), {"--json", plain});
+  ASSERT_EQ(run_mpcn(args), 0);
+  args = grid;
+  args.insert(args.end(),
+              {"--shards", "3", "--json", sharded, "--metrics", metrics});
+  ASSERT_EQ(run_mpcn(args), 0);
+  const std::string plain_text = slurp(plain);
+  ASSERT_FALSE(plain_text.empty());
+  EXPECT_EQ(slurp(sharded), plain_text);
+
+  const Json doc = Json::parse(slurp(metrics));
+  ASSERT_EQ(doc.at("workers").items().size(), 3u);
+  MetricsSnapshot summed = MetricsSnapshot::from_json(doc.at("process"));
+  for (const Json& w : doc.at("workers").items()) {
+    summed.merge(MetricsSnapshot::from_json(w));
+  }
+  const MetricsSnapshot merged = MetricsSnapshot::from_json(doc.at("merged"));
+  EXPECT_EQ(merged.to_json().dump(), summed.to_json().dump());
+  EXPECT_GE(merged.counters.at("worker.cells_served"), 6u);
+  EXPECT_GE(merged.counters.at("shard.cells_dispatched"), 6u);
+  for (const std::string& path : {plain, sharded, metrics}) {
+    std::remove(path.c_str());
+  }
+}
 #endif
 
 // Churn hardening: a crash-looping worker slot is respawned (with its
@@ -218,9 +287,9 @@ TEST(Shard, RejectsZeroShards) {
   EXPECT_THROW(run_sharded({}, options), ProtocolError);
 }
 
-// The BatchRunner backend switch: shards > 0 routes through the
+// The run_batch backend switch: shards > 0 routes through the
 // coordinator, and Experiment::run_all picks it up transparently.
-TEST(Shard, BatchRunnerShardBackendMatchesInProcess) {
+TEST(Shard, RunBatchShardBackendMatchesInProcess) {
   const Experiment e = small_grid();
   BatchOptions batch;
   batch.shards = 2;
@@ -251,9 +320,9 @@ std::vector<Value> index_inputs(const ModelSpec& m) {
   return in;
 }
 
-ExperimentCell racy_cell() {
+ExperimentCell racy_cell(MemKind mem = MemKind::kPrimitive) {
   Experiment e = Experiment::named("racy_register", ModelSpec{2, 0, 1});
-  e.direct().seed(1).inputs_fn(index_inputs);
+  e.direct().seed(1).mem(mem).inputs_fn(index_inputs);
   return e.cells().front();
 }
 
@@ -313,6 +382,37 @@ TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
           o.worker_argv = b.worker_argv;
           EXPECT_EQ(report(explore(cell, o)), report(serial))
               << "seed " << seed << ", budget " << budget
+              << ", max_violations " << cap << ", shards " << b.shards
+              << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+        }
+      }
+    }
+  }
+  // The merge's other inputs, at two budgets: seeded-random schedules,
+  // Afek snapshot memory, and searches without the race oracle.
+  struct Variant {
+    ExplorePolicy policy;
+    MemKind mem;
+    bool check_races;
+  };
+  for (const Variant& v :
+       {Variant{ExplorePolicy::kSeededRandom, MemKind::kPrimitive, true},
+        Variant{ExplorePolicy::kPct, MemKind::kAfek, true},
+        Variant{ExplorePolicy::kPct, MemKind::kPrimitive, false},
+        Variant{ExplorePolicy::kSeededRandom, MemKind::kAfek, false}}) {
+    const ExperimentCell variant_cell = racy_cell(v.mem);
+    for (int budget : {12, 200}) {
+      for (int cap : {0, 1}) {
+        ExploreOptions o = racy_search(budget, cap);
+        o.policy = v.policy;
+        o.check_races = v.check_races;
+        const ExploreResult serial = explore(variant_cell, o);
+        for (const SearchBackend& b : search_backends()) {
+          o.shards = b.shards;
+          o.worker_argv = b.worker_argv;
+          EXPECT_EQ(report(explore(variant_cell, o)), report(serial))
+              << to_string(v.policy) << ", mem " << to_string(v.mem)
+              << ", races " << v.check_races << ", budget " << budget
               << ", max_violations " << cap << ", shards " << b.shards
               << (b.worker_argv.empty() ? " (fork)" : " (exec)");
         }

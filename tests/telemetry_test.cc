@@ -49,7 +49,7 @@ Experiment small_grid(int cells = 6) {
 }
 
 std::string in_process_dump(const Experiment& e) {
-  return BatchRunner().run(e.cells()).to_json(false).dump();
+  return run_batch(e.cells()).to_json(false).dump();
 }
 
 struct TempFile {
