@@ -7,24 +7,26 @@
 // the run is over (all correct processes decided, or step budget exceeded).
 #pragma once
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
 namespace mpcn {
 
 // Thrown at the next step of a process whose crash point was reached.
-// Not an error: it is the crash event itself.
+// Not an error: it is the crash event itself. The message is formatted
+// into the exception, since every crash throws one.
 class ProcessCrashed : public std::exception {
  public:
   explicit ProcessCrashed(int pid) : pid_(pid) {
-    msg_ = "process " + std::to_string(pid) + " crashed";
+    std::snprintf(msg_, sizeof msg_, "process %d crashed", pid);
   }
   int pid() const { return pid_; }
-  const char* what() const noexcept override { return msg_.c_str(); }
+  const char* what() const noexcept override { return msg_; }
 
  private:
   int pid_;
-  std::string msg_;
+  char msg_[32];  // "process -2147483648 crashed" fits
 };
 
 // Thrown at the next interruptible step once the harness stops the run.

@@ -6,8 +6,9 @@
 
 namespace mpcn {
 
-std::shared_ptr<AgreementObject> make_agreement(int width, int x,
-                                                const std::string& key) {
+std::shared_ptr<AgreementObject> make_agreement(
+    int width, int x, const std::string& key,
+    std::shared_ptr<const SetList> set_list) {
   if (width < 1) throw ProtocolError("make_agreement: width < 1");
   if (x == 1) {
     // ASM(N, t, 1): only registers/snapshots are available — Figure 1.
@@ -22,7 +23,8 @@ std::shared_ptr<AgreementObject> make_agreement(int width, int x,
       if (owner) ctx.backend().crashes().on_owner_elected(ctx.tid(), key);
     };
   }
-  return std::make_shared<XSafeAgreement>(width, x, std::move(hook));
+  return std::make_shared<XSafeAgreement>(std::move(set_list),
+                                          std::move(hook));
 }
 
 }  // namespace mpcn

@@ -17,7 +17,6 @@
 // that choice.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -37,16 +36,18 @@ class AgreementObject {
   virtual Value decide(ProcessContext& ctx) = 0;
 };
 
+class SetList;  // x_safe_agreement.h
+
 // Factory selecting the agreement implementation legal in the target
 // model: x == 1 -> SafeAgreement (Figure 1), x > 1 -> XSafeAgreement
-// (Figure 6). `width` is the number of simulators (N). `key` (optional)
+// (Figure 6). `width` is the number of simulators (N). A non-empty `key`
 // identifies the object for the white-box crash adversary: when x > 1,
 // owner elections are reported to CrashManager::on_owner_elected so that
 // CrashPlan::propose_trap(kOwnerElected) can target exactly the owners.
-std::shared_ptr<AgreementObject> make_agreement(int width, int x,
-                                                const std::string& key = "");
-
-// Convenience alias used by the engine's lazy SharedWorld entries.
-using AgreementFactory = std::function<std::shared_ptr<AgreementObject>()>;
+// `set_list` is the SET_LIST table of (width, x) that the engine's
+// x_safe_agreement objects share (unused when x == 1).
+std::shared_ptr<AgreementObject> make_agreement(
+    int width, int x, const std::string& key,
+    std::shared_ptr<const SetList> set_list);
 
 }  // namespace mpcn

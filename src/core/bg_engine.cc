@@ -5,6 +5,7 @@
 #include "src/common/errors.h"
 #include "src/common/ids.h"
 #include "src/core/engine_internal.h"
+#include "src/core/x_safe_agreement.h"
 #include "src/snapshot/afek_snapshot.h"
 #include "src/snapshot/primitive_snapshot.h"
 
@@ -59,14 +60,16 @@ EngineShared::EngineShared(SimulatedAlgorithm algo_in, ModelSpec target_in,
     : algo(std::move(algo_in)),
       target(target_in),
       mem(make_mem(mem_kind, target_in.n)),
-      world(std::make_shared<SharedWorld>()) {}
+      world(std::make_shared<SharedWorld>()),
+      set_list(target_in.x > 1
+                   ? std::make_shared<const SetList>(target_in.n, target_in.x)
+                   : nullptr) {}
 
 std::shared_ptr<AgreementObject> EngineShared::agreement(
     const std::string& key) {
-  const int width = target.n;
-  const int x = target.x;
-  return world->get_or_create<AgreementObject>(
-      key, [width, x, key] { return make_agreement(width, x, key); });
+  return world->get_or_create<AgreementObject>(key, [this, &key] {
+    return make_agreement(target.n, target.x, key, set_list);
+  });
 }
 
 const XConsDecl& EngineShared::xcons_decl(const std::string& name) const {

@@ -46,6 +46,9 @@ struct EngineShared {
   // as a list of n (value, sequence-number) pairs (Section 3.2.1).
   std::shared_ptr<SnapshotObject> mem;
   std::shared_ptr<SharedWorld> world;
+  // SET_LIST of (N, x), shared by every x_safe_agreement object (x > 1;
+  // null when the target has x = 1).
+  std::shared_ptr<const SetList> set_list;
 
   // Lazily materialize the agreement object for `key`
   // ("AG/<j>/<snapsn>", "INPUT/<j>", "XAG/<name>").

@@ -23,7 +23,7 @@
 // (Lemma 1).
 #pragma once
 
-#include <set>
+#include <vector>
 
 #include "src/core/agreement_factory.h"
 #include "src/snapshot/primitive_snapshot.h"
@@ -50,8 +50,8 @@ class SafeAgreement : public AgreementObject {
   PrimitiveSnapshot sm_;  // SM[1..width], entries (value, level)
 
   // One-shot discipline (propose once, then decide once), per simulator.
-  std::set<ProcessId> proposed_;
-  std::set<ProcessId> decided_;
+  std::vector<bool> proposed_;
+  std::vector<bool> decided_;
 };
 
 }  // namespace mpcn

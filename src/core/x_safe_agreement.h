@@ -43,14 +43,20 @@
 // The XCONS objects are materialized lazily: an owner only touches the
 // C(N-1, x-1) subsets containing it, and most objects are never created.
 // Lazy creation is a harness action (the formal model has the whole array
-// up front in a fixed initial state).
+// up front in a fixed initial state). SET_LIST and every simulator's
+// pruned scan of it depend only on (N, x), so one SetList table serves
+// every object of an engine (EngineShared builds it and make_agreement
+// hands it on); an object built from (width, x) builds its own. XCONS is
+// one flat table indexed by SET_LIST rank, sized C(N, x) on the object's
+// first owner scan, whose entries are created on first visit. An owner
+// propose thus allocates nothing for the objects it revisits, and one
+// block for each XConsensus it creates.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
-#include <set>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "src/core/agreement_factory.h"
@@ -60,19 +66,46 @@
 
 namespace mpcn {
 
-// Enumeration of size-x subsets of {0..n-1} in lexicographic order —
-// SET_LIST. Exposed for tests.
-std::vector<int> unrank_combination(int n, int x, std::int64_t rank);
-std::int64_t rank_combination(int n, const std::vector<int>& subset);
+// SET_LIST for n simulators and consensus number x: the C(n, x) size-x
+// subsets of {0..n-1} in lexicographic order, and each simulator's
+// pruned scan — the ranks of the C(n-1, x-1) subsets that contain it, in
+// ascending order, i.e. the subsequence of SET_LIST an owner visits.
+// Skipping the subsets that cannot contain the caller is what keeps
+// wide-x cells like ASM(12, 8, 5) from burning hundreds of millions of
+// spin steps while owners scan.
+class SetList {
+ public:
+  SetList(int n, int x);  // 1 <= x <= n
 
-// The pruned SET_LIST scan: the C(n-1, x-1) subsets that contain `member`,
-// as (rank, members) pairs in ascending rank — i.e. the subsequence of the
-// global lexicographic SET_LIST an owner actually visits. Skipping the
-// C(n, x) - C(n-1, x-1) subsets that cannot contain the caller (and their
-// per-subset unranking) is what keeps wide-x cells like ASM(12, 8, 5) from
-// burning hundreds of millions of spin steps while owners scan.
-std::vector<std::pair<std::int64_t, std::vector<int>>>
-member_combination_scan(int n, int x, int member);
+  // Ranks in one simulator's scan.
+  struct Scan {
+    const std::int64_t* first;
+    const std::int64_t* last;
+    const std::int64_t* begin() const { return first; }
+    const std::int64_t* end() const { return last; }
+  };
+
+  int n() const { return n_; }
+  int x() const { return x_; }
+  std::int64_t size() const {
+    return static_cast<std::int64_t>(members_.size()) / x_;
+  }
+  // SET_LIST[rank]: x ascending simulator ids.
+  const ProcessId* members(std::int64_t rank) const {
+    return members_.data() + rank * x_;
+  }
+  Scan scan(ProcessId member) const {
+    const std::int64_t* row = scans_.data() + member * scan_length_;
+    return Scan{row, row + scan_length_};
+  }
+
+ private:
+  const int n_;
+  const int x_;
+  const std::int64_t scan_length_;   // C(n-1, x-1)
+  std::vector<ProcessId> members_;   // size() rows of x
+  std::vector<std::int64_t> scans_;  // n rows of scan_length_
+};
 
 class XSafeAgreement : public AgreementObject {
  public:
@@ -83,6 +116,9 @@ class XSafeAgreement : public AgreementObject {
 
   // width = N simulators; x = the model's consensus number.
   XSafeAgreement(int width, int x, CompeteHook compete_hook = {});
+  // N and x of a SET_LIST table shared with other objects.
+  explicit XSafeAgreement(std::shared_ptr<const SetList> set_list,
+                          CompeteHook compete_hook = {});
 
   void propose(ProcessContext& ctx, const Value& v) override;
   Value decide(ProcessContext& ctx) override;
@@ -93,18 +129,16 @@ class XSafeAgreement : public AgreementObject {
   std::int64_t consensus_objects_created() const;
 
  private:
-  XConsensus& xcons_for(std::int64_t rank, const std::vector<int>& members);
-
-  const int width_;
-  const int x_;
+  const std::shared_ptr<const SetList> set_list_;
   const CompeteHook compete_hook_;
   XCompete compete_;      // X_T&S
   AtomicRegister decided_register_;  // X_SAFE_AG
 
-  std::map<std::int64_t, std::unique_ptr<XConsensus>> xcons_;
+  // XCONS[rank]; empty until the first owner scan.
+  std::vector<std::optional<XConsensus>> xcons_;
 
   // One-shot discipline per simulator.
-  std::set<ProcessId> proposed_;
+  std::vector<bool> proposed_;
 };
 
 }  // namespace mpcn

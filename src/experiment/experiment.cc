@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "src/common/errors.h"
@@ -31,8 +30,8 @@ struct DirectWorld {
                 : std::make_shared<PrimitiveSnapshot>(
                       a.n(), /*check_ownership=*/true)) {
     for (const XConsDecl& d : a.xcons) {
-      std::set<ProcessId> ports(d.ports.begin(), d.ports.end());
-      xcons.emplace(d.name, std::make_shared<XConsensus>(std::move(ports)));
+      xcons.emplace(d.name, std::make_shared<XConsensus>(d.ports.begin(),
+                                                         d.ports.end()));
     }
   }
   std::shared_ptr<SnapshotObject> mem;

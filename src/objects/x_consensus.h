@@ -17,11 +17,17 @@
 // port restriction, not the cell, is what gives the model its power
 // ceiling, and the enforcement makes illegal algorithms fail loudly
 // instead of silently over-synchronizing.
+//
+// Each port and its one-shot mark share one entry of one vector, so
+// creating an object allocates one block and a propose allocates none
+// (x_safe_agreement.h creates these inside owner scans).
 #pragma once
 
+#include <iterator>
 #include <optional>
-#include <set>
+#include <vector>
 
+#include "src/common/errors.h"
 #include "src/common/value.h"
 #include "src/runtime/process_context.h"
 
@@ -29,25 +35,35 @@ namespace mpcn {
 
 class XConsensus {
  public:
-  // `ports`: the statically defined set of process ids allowed to access
-  // the object. The object's consensus power is |ports|.
-  explicit XConsensus(std::set<ProcessId> ports);
+  // [first, last): the statically defined, distinct process ids allowed
+  // to access the object (a std::set, or a SET_LIST row). The object's
+  // consensus power is their count.
+  template <typename It>
+  XConsensus(It first, It last) {
+    ports_.reserve(static_cast<std::size_t>(std::distance(first, last)));
+    for (; first != last; ++first) ports_.push_back(Port{*first, false});
+    if (ports_.empty()) {
+      throw ProtocolError("XConsensus needs at least one port");
+    }
+  }
 
   // Propose v; returns the decided value. Throws ProtocolError if the
   // caller is not an allowed port or proposes twice.
   Value propose(ProcessContext& ctx, const Value& v);
 
   int port_count() const { return static_cast<int>(ports_.size()); }
-  const std::set<ProcessId>& ports() const { return ports_; }
 
   // Harness-side peeks.
-  bool has_decided() const;
-  std::optional<Value> decided() const;
+  bool has_decided() const { return decided_.has_value(); }
+  std::optional<Value> decided() const { return decided_; }
 
  private:
-  const std::set<ProcessId> ports_;
+  struct Port {
+    ProcessId pid;
+    bool proposed;  // the one-shot mark
+  };
+  std::vector<Port> ports_;
   std::optional<Value> decided_;
-  std::set<ProcessId> proposed_;
 };
 
 }  // namespace mpcn

@@ -97,8 +97,10 @@ void Execution::run_process(ProcessContext& ctx) {
     programs_[static_cast<std::size_t>(ctx.pid())](ctx);
   } catch (const ProcessCrashed&) {
     // The crash event: the process simply stops taking steps.
+    controller_.note_crash_unwind();
   } catch (const SimulationHalted&) {
     // Run ended under this process.
+    controller_.note_halt_unwind();
   } catch (...) {
     if (!error_) error_ = std::current_exception();
     controller_.request_stop();

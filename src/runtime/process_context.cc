@@ -45,8 +45,10 @@ ChildHandle ProcessContext::fork(std::function<void(ProcessContext&)> fn) {
       fn(*s->ctx);
     } catch (const ProcessCrashed&) {
       // The crash of the domain: nothing to do, the thread just stops.
+      s->backend->controller().note_crash_unwind();
     } catch (const SimulationHalted&) {
       // Run over / thread cancelled.
+      s->backend->controller().note_halt_unwind();
     } catch (...) {
       s->error = std::current_exception();
     }

@@ -63,7 +63,13 @@ void LockstepController::run(Deadline deadline) {
   dispatch();
   caller_ = nullptr;
   static Counter& switches = metrics_registry().counter("runtime.switches");
+  static Counter& halt_unwinds =
+      metrics_registry().counter("runtime.halt_unwinds");
+  static Counter& crash_unwinds =
+      metrics_registry().counter("runtime.crash_unwinds");
   switches.add(switches_);
+  halt_unwinds.add(halt_unwinds_);
+  crash_unwinds.add(crash_unwinds_);
 }
 
 void LockstepController::enter(ThreadId tid) {

@@ -88,6 +88,13 @@ class LockstepController {
   // Number of completed steps (the global step clock).
   std::uint64_t steps() const { return steps_; }
 
+  // A thread's body ended by unwinding SimulationHalted or ProcessCrashed
+  // (the catch sites call these). Counted per run and added to the
+  // `runtime.halt_unwinds` / `runtime.crash_unwinds` counters once run()
+  // returns.
+  void note_halt_unwind() { ++halt_unwinds_; }
+  void note_crash_unwind() { ++crash_unwinds_; }
+
   // The sequence of granted thread ids (empty unless tracing was
   // enabled), and the grant-trace indices at which the crash adversary
   // crashed the granted thread. Together they pin a (crashing) execution.
@@ -138,6 +145,8 @@ class LockstepController {
   // Fiber switches so far, added to the `runtime.switches` counter once
   // run() returns: an atomic add per switch would cost a share of one.
   std::uint64_t switches_ = 0;
+  std::uint64_t halt_unwinds_ = 0;
+  std::uint64_t crash_unwinds_ = 0;
 
   std::map<ThreadId, std::unique_ptr<Thread>> threads_;
   // The grant set, sorted by ThreadId, with live_threads_ parallel to it.

@@ -18,6 +18,14 @@ class PrimitiveSnapshot : public SnapshotObject {
   std::vector<Value> snapshot(ProcessContext& ctx) override;
   int width() const override { return static_cast<int>(entries_.size()); }
 
+  // One snapshot step that hands the entries to `reader` in place, under
+  // the step, instead of copying them out; returns what `reader` returns.
+  template <typename Read>
+  auto read(ProcessContext& ctx, Read&& reader) {
+    auto g = ctx.step();
+    return reader(static_cast<const std::vector<Value>&>(entries_));
+  }
+
   // Harness-side peek (not a model step).
   std::vector<Value> peek() const;
 

@@ -8,6 +8,7 @@
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
 #include "src/explore/trace.h"
+#include "src/obs/metrics.h"
 #include "src/tasks/algorithms.h"
 
 namespace mpcn {
@@ -120,10 +121,13 @@ struct TracePin {
   const char* outcome;  // decisions, then one crash mark per process
 };
 
-std::string outcome_key(const Outcome& out) {
+// Decisions, then one crash mark per process, of an Outcome or a
+// RunRecord.
+template <typename Run>
+std::string outcome_key(const Run& run) {
   std::string s;
-  for (const auto& d : out.decisions) s += (d ? d->to_string() : "-") + "|";
-  for (bool c : out.crashed) s += c ? 'X' : '.';
+  for (const auto& d : run.decisions) s += (d ? d->to_string() : "-") + "|";
+  for (bool c : run.crashed) s += c ? 'X' : '.';
   return s;
 }
 
@@ -176,6 +180,66 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
         make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
     expect_pinned_trace(pin, std::move(plan.programs), int_inputs(4, 50), o);
   }
+}
+
+// The cell `paper_grid` repeats: the registry's trivial_kset for
+// ASM(4,2,1), simulated in ASM(8,5,3) under the hazard crashes of
+// `mpcn run --crash-p 0.001`. Every owner of one of its x_safe_agreement
+// objects scans the C(7,2) = 21 SET_LIST subsets that contain it. The
+// literals were recorded before the SET_LIST table and the flat XCONS
+// table replaced the per-propose scan and the map of objects.
+TEST(EnginePins, PaperGridCellReproducesGrantTraces) {
+  const TracePin pins[] = {
+      {1, "1559dc105c7d2fd2", 2241, "-|3|3|3|3|3|-|3|X.....X."},
+      {2, "546c228bb7ef9c01", 2212, "-|1|1|-|1|1|1|-|X..X...X"},
+      {3, "747d8c254aad1f43", 2600, "-|2|2|2|2|2|2|2|X......."},
+      {4, "2fe634bbc4745317", 2674, "-|3|-|2|3|0|3|0|X.X....."},
+      {5, "630e2338cd76e3c3", 2457, "-|3|3|3|3|-|3|3|X....X.."},
+      {6, "80646abf274db6a5", 2405, "-|2|2|2|2|-|2|-|X....X.X"},
+  };
+  for (const TracePin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    Experiment e = Experiment::named("trivial_kset", ModelSpec{4, 2, 1});
+    e.in(ModelSpec{8, 5, 3})
+        .seed(pin.seed)
+        .inputs_fn([](const ModelSpec& m) { return int_inputs(m.n); })
+        .crashes([](const ModelSpec& m, std::uint64_t seed) {
+          return CrashPlan::hazard(0.001, m.t, seed);
+        });
+    ExperimentCell cell = e.cells().front();
+    cell.record_schedule = true;
+    const RunRecord rec = run_cell(cell);
+    ASSERT_TRUE(rec.error.empty()) << rec.error;
+    EXPECT_EQ(rec.schedule_digest, pin.digest);
+    EXPECT_EQ(rec.steps, pin.steps);
+    EXPECT_EQ(outcome_key(rec), pin.outcome);
+    EXPECT_TRUE(rec.valid) << rec.why;
+  }
+}
+
+// Every fiber of an engine run that does not return from its body ends
+// by unwinding SimulationHalted (the run stopped, or its simulator
+// cancelled it) or ProcessCrashed (its crash domain crashed), and the
+// runtime counts both once per run.
+TEST(UnwindCounters, EngineRunWithFixedCrashes) {
+  const Counter& halts = metrics_registry().counter("runtime.halt_unwinds");
+  const Counter& crashes =
+      metrics_registry().counter("runtime.crash_unwinds");
+  const std::uint64_t halts_before = halts.value();
+  const std::uint64_t crashes_before = crashes.value();
+  ExecutionOptions o = lockstep(1);
+  // Simulators q0 and q2 crash with their simulated threads running.
+  o.crashes = CrashPlan::fixed({{0, 40}, {2, 90}});
+  SimulationPlan plan =
+      make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
+  const Outcome out =
+      run_execution(std::move(plan.programs), int_inputs(4, 50), o);
+  ASSERT_EQ(outcome_key(out), "-|50|-|50|X.X.");
+  ASSERT_EQ(out.steps, 444u);
+  // Each crashed simulator unwinds its own fiber and its four simulated
+  // threads; the rest were cancelled or stopped with the run.
+  EXPECT_EQ(crashes.value() - crashes_before, 10u);
+  EXPECT_EQ(halts.value() - halts_before, 6u);
 }
 
 // A recorded ScheduleTrace is a substrate-local artifact that must replay

@@ -62,7 +62,8 @@ TEST(TestAndSet, TakenReflectsState) {
 // --- XConsensus ---
 
 TEST(XConsensus, PortEnforcement) {
-  auto xc = std::make_shared<XConsensus>(std::set<ProcessId>{0, 1});
+  const std::set<ProcessId> ports{0, 1};
+  auto xc = std::make_shared<XConsensus>(ports.begin(), ports.end());
   std::vector<Program> p{
       [xc](ProcessContext& ctx) {
         xc->propose(ctx, Value(1));
@@ -77,7 +78,8 @@ TEST(XConsensus, PortEnforcement) {
 }
 
 TEST(XConsensus, DoubleProposeThrows) {
-  auto xc = std::make_shared<XConsensus>(std::set<ProcessId>{0});
+  const std::set<ProcessId> ports{0};
+  auto xc = std::make_shared<XConsensus>(ports.begin(), ports.end());
   std::vector<Program> p{[xc](ProcessContext& ctx) {
     xc->propose(ctx, Value(1));
     EXPECT_THROW(xc->propose(ctx, Value(2)), ProtocolError);
@@ -87,7 +89,8 @@ TEST(XConsensus, DoubleProposeThrows) {
 }
 
 TEST(XConsensus, EmptyPortsRejected) {
-  EXPECT_THROW(XConsensus(std::set<ProcessId>{}), ProtocolError);
+  const std::set<ProcessId> none;
+  EXPECT_THROW(XConsensus(none.begin(), none.end()), ProtocolError);
 }
 
 class XConsensusAgreement : public ::testing::TestWithParam<std::uint64_t> {};
@@ -95,7 +98,7 @@ class XConsensusAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(XConsensusAgreement, ValidityAndAgreement) {
   const int x = 4;
   std::set<ProcessId> ports{0, 1, 2, 3};
-  auto xc = std::make_shared<XConsensus>(ports);
+  auto xc = std::make_shared<XConsensus>(ports.begin(), ports.end());
   std::vector<Program> p;
   for (int i = 0; i < x; ++i) {
     p.push_back([xc](ProcessContext& ctx) {
