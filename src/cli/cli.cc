@@ -46,7 +46,7 @@ const char kUsage[] =
     "                               (faults: --max-cells N exits with\n"
     "                               its Nth cell or range line in\n"
     "                               flight, --stop-after N freezes via\n"
-    "                               SIGSTOP after its Nth reply)\n"
+    "                               SIGSTOP on receiving its Nth)\n"
     "  events <log.jsonl> [--json]  summarize an --events flight-recorder\n"
     "                               log: per-worker lifelines, requeue\n"
     "                               chains, violation timeline\n"
@@ -388,10 +388,10 @@ class BackendFlags {
       settings.heartbeat_stale_after =
           std::chrono::milliseconds(parse_u64(*v));
     }
-    // "2" or "2,0,0": slot i raises SIGSTOP after its list[i]-th reply (a
-    // grid cell for run, a whole range of schedules for explore) — the
-    // hook that injects a between-jobs freeze into a real sharded CLI run
-    // to watch the heartbeat-staleness write-off fire.
+    // "2" or "2,0,0": slot i raises SIGSTOP on receiving its list[i]-th
+    // job (a grid cell for run, a whole range of schedules for explore),
+    // before serving it — the hook that freezes a worker in a real
+    // sharded CLI run to watch the heartbeat-staleness write-off fire.
     if (const char* env = std::getenv("MPCN_WORKER_STOP_AFTER")) {
       for (const std::string& tok : split(env, ',')) {
         settings.worker_stop_after.push_back(parse_int(tok));

@@ -3,6 +3,7 @@
 #include "src/common/errors.h"
 #include "src/core/safe_agreement.h"
 #include "src/core/x_safe_agreement.h"
+#include "src/runtime/execution.h"
 
 namespace mpcn {
 

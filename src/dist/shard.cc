@@ -25,6 +25,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/spans.h"
+#include "src/runtime/step_controller.h"
 
 namespace mpcn {
 
@@ -233,7 +234,6 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   TelemetryStreamer streamer(io, write_mu);
   if (!send(hello_line())) return;
   int jobs_received = 0;
-  int jobs_replied = 0;
   std::string line;
   while (io.read_line(line)) {
     WireMessage msg;
@@ -273,6 +273,18 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         if (options.max_cells > 0 && jobs_received >= options.max_cells) {
           return;  // injected crash: die with the job unanswered
         }
+        if (options.stop_after_cells > 0 &&
+            jobs_received >= options.stop_after_cells) {
+          // Injected freeze holding this job, before serving it: quiesce
+          // the streamer so the last wire bytes are whole lines, then
+          // stop the whole process. The job's watchdog deadline (its
+          // wall limit plus grace) is far off, so only heartbeat
+          // staleness can notice. A SIGCONT would resume the loop
+          // (heartbeats stay off); the coordinator's write-off SIGKILL
+          // ends it for good.
+          streamer.stop();
+          ::raise(SIGSTOP);
+        }
         const bool cell = msg.type == WireMessage::Type::kCell;
         std::string reply;
         {
@@ -285,18 +297,6 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         // Reply + after-job heartbeat in one write (beat is a no-op
         // until armed, so this is just the reply on plain runs).
         if (!streamer.reply_and_beat(reply)) return;
-        ++jobs_replied;
-        if (options.stop_after_cells > 0 &&
-            jobs_replied >= options.stop_after_cells) {
-          // Injected freeze BETWEEN jobs: quiesce the streamer so the
-          // last wire bytes are whole lines, then stop the whole
-          // process. Only heartbeat staleness can notice this — there
-          // is no job outstanding for the watchdog to time out. A
-          // SIGCONT would resume the loop (heartbeats stay off); the
-          // coordinator's write-off SIGKILL ends it for good.
-          streamer.stop();
-          ::raise(SIGSTOP);
-        }
         break;
       }
       case WireMessage::Type::kHello:
@@ -449,6 +449,7 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
     wo.max_cells = quota;
     wo.stop_after_cells = stop_after;
     run_worker_loop(io, wo);
+    LockstepController::drop_idle_slots();  // _exit skips thread_locals
     ::_exit(0);
   }
   ::close(sv[1]);

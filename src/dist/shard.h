@@ -74,11 +74,12 @@ struct WorkerOptions {
   // flight. 0 = serve forever.
   int max_cells = 0;
   // Fault injection for the health layer (`mpcn worker --stop-after`):
-  // after REPLYING to the stop_after_cells-th job line (a grid cell, or
-  // a whole range of an explore search), raise(SIGSTOP) — the worker
-  // freezes BETWEEN jobs with nothing outstanding, exactly the silence
-  // only heartbeat staleness (not the per-job watchdog) can detect.
-  // 0 = never.
+  // upon RECEIVING the stop_after_cells-th job line (a grid cell, or a
+  // whole range of an explore search), raise(SIGSTOP) before serving it
+  // — the worker freezes holding a job whose watchdog deadline (its wall
+  // limit plus grace) is far off, a silence only heartbeat staleness
+  // can detect. A worker's first job is certain (every live worker is
+  // dispatched one at the start), so 1 always freezes it. 0 = never.
   int stop_after_cells = 0;
 };
 
@@ -160,7 +161,7 @@ struct ShardSettings {
   // scheduling noise.
   std::chrono::milliseconds heartbeat_stale_after{0};
   // Fault injection for the health layer: slot i freezes (SIGSTOP)
-  // after replying to its worker_stop_after[i]-th job line (a grid cell
+  // upon receiving its worker_stop_after[i]-th job line (a grid cell
   // or a whole range of schedules). In exec mode the worker gets
   // `mpcn worker --stop-after N`.
   std::vector<int> worker_stop_after;

@@ -11,7 +11,9 @@
 //               the critical scenario of Lemma 1 / Lemma 7,
 //  * hazard() — at every step of an eligible process, crash with
 //               probability p, subject to a budget of at most max_crashes
-//               processes. Seeded: deterministic.
+//               processes. Seeded: deterministic. The only kind that
+//               draws random numbers, so the only kind whose crash
+//               manager seeds an RNG.
 //
 // Crash domains are whole processes: when a simulator crashes, all the
 // threads it forked for simulated processes stop with it ("after it has
@@ -156,7 +158,9 @@ class CrashManager : public CrashDirector {
 
   const int n_;
   CrashPlan plan_;
-  Rng rng_;
+  // Seeded only for hazard plans, the one kind that draws from it:
+  // seeding an mt19937_64 costs more than a short crash-free run.
+  std::optional<Rng> rng_;
   std::vector<bool> crashed_;
   std::vector<std::uint64_t> step_counts_;
   int crash_count_ = 0;

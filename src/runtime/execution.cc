@@ -64,8 +64,6 @@ void Execution::record_decision(ProcessId pid, const Value& v) {
   maybe_stop_all_correct_decided();
 }
 
-void Execution::note_crash(ProcessId) { maybe_stop_all_correct_decided(); }
-
 void Execution::maybe_stop_all_correct_decided() {
   if (!options_.stop_when_all_correct_decided ||
       controller_.stop_requested()) {
@@ -111,13 +109,9 @@ Outcome Execution::run() {
   if (ran_) throw ProtocolError("Execution::run is single-use");
   ran_ = true;
 
-  std::vector<std::unique_ptr<ProcessContext>> contexts;
-  contexts.reserve(static_cast<std::size_t>(n_));
   for (ProcessId pid = 0; pid < n_; ++pid) {
-    contexts.push_back(
-        std::make_unique<ProcessContext>(ThreadId{pid, 0}, this));
-    ProcessContext* ctx = contexts.back().get();
-    controller_.spawn(ctx->tid(), [this, ctx] { run_process(*ctx); });
+    controller_.spawn(ThreadId{pid, 0}, *this,
+                      [this](ProcessContext& ctx) { run_process(ctx); });
   }
   // Completion is event-driven: the all-correct-decided stop is requested
   // on-token from decision and crash events, and the controller returns
@@ -130,7 +124,7 @@ Outcome Execution::run() {
   }
 
   Outcome out;
-  out.decisions = decisions_;
+  out.decisions = std::move(decisions_);  // run() is single use
   out.crashed = crash_mgr_.crashed_vector();
   out.timed_out = controller_.timed_out();
   out.steps = controller_.steps();

@@ -2,9 +2,9 @@
 //
 // An algorithm is a vector of Programs, one per process p_0..p_{n-1}
 // (the paper's p_1..p_n). The harness starts one thread of control per
-// process through the step controller — a fiber on the calling thread —
-// wires each to the crash adversary, and collects the decision vector O
-// (Section 2.1).
+// process through the step controller — a pooled fiber on the calling
+// thread — binds each one's ProcessContext to this run's controller and
+// crash adversary, and collects the decision vector O (Section 2.1).
 //
 // Termination detection: the run ends when (a) every process has
 // returned (decided, crashed, or halted), with an early global stop once
@@ -60,25 +60,26 @@ struct Outcome {
   std::set<Value> distinct_decisions() const;
 };
 
-class Execution : public ExecutionBackend {
+class Execution {
  public:
   Execution(std::vector<Program> programs, std::vector<Value> inputs,
             ExecutionOptions options);
-  ~Execution() override;
+  ~Execution();
 
   // Runs to completion; single use.
   Outcome run();
 
-  // ExecutionBackend:
-  LockstepController& controller() override { return controller_; }
-  CrashManager& crashes() override { return crash_mgr_; }
-  void record_decision(ProcessId pid, const Value& v) override;
-  bool has_decision(ProcessId pid) const override;
-  Value input_of(ProcessId pid) const override;
-  int next_sub(ProcessId pid) override;
-  void note_crash(ProcessId pid) override;
+  LockstepController& controller() { return controller_; }
+  CrashManager& crashes() { return crash_mgr_; }
 
  private:
+  friend class ProcessContext;
+
+  // What a ProcessContext reads and writes of its run.
+  void record_decision(ProcessId pid, const Value& v);
+  bool has_decision(ProcessId pid) const;
+  Value input_of(ProcessId pid) const;
+  int next_sub(ProcessId pid);
   // Requests the global stop if every non-crashed process has decided.
   // Called from on-token contexts (decision recording, crash events) so
   // the stop lands at a deterministic schedule point.

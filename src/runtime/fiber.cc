@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <system_error>
-#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define MPCN_ASAN_FIBERS 1
@@ -29,7 +28,6 @@
 #endif
 
 #ifdef MPCN_ASAN_FIBERS
-#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #ifdef MPCN_TSAN_FIBERS
@@ -56,31 +54,7 @@ std::size_t page_size() {
 // bytes (stacks grow down).
 std::size_t mapping_size() { return page_size() + Fiber::kStackSize; }
 
-// Stacks of destroyed fibers, kept for the thread's next fibers. A fresh
-// mapping costs mmap, mprotect, first-touch page faults and an munmap:
-// more than a whole short schedule, paid again by every schedule of a
-// search or cell of a grid that runs after it on the same thread.
-constexpr std::size_t kCachedStacks = 64;
-
-struct StackCache {
-  std::vector<void*> stacks;
-  StackCache() = default;
-  StackCache(const StackCache&) = delete;
-  StackCache& operator=(const StackCache&) = delete;
-  ~StackCache() {
-    for (void* s : stacks) ::munmap(s, mapping_size());
-  }
-};
-
-thread_local StackCache tl_stack_cache;
-
-void* take_stack() {
-  std::vector<void*>& cached = tl_stack_cache.stacks;
-  if (!cached.empty()) {
-    void* map = cached.back();
-    cached.pop_back();
-    return map;
-  }
+void* map_stack() {
   void* map = ::mmap(nullptr, mapping_size(), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   if (map == MAP_FAILED) {
@@ -94,20 +68,6 @@ void* take_stack() {
   return map;
 }
 
-void give_back_stack(void* map) {
-#ifdef MPCN_ASAN_FIBERS
-  // A finished fiber's last frames were abandoned, not returned from:
-  // clear their redzones so the next fiber on this stack starts clean.
-  __asan_unpoison_memory_region(map, mapping_size());
-#endif
-  std::vector<void*>& cached = tl_stack_cache.stacks;
-  if (cached.size() < kCachedStacks) {
-    cached.push_back(map);
-  } else {
-    ::munmap(map, mapping_size());
-  }
-}
-
 }  // namespace
 
 Fiber::Fiber() {
@@ -116,11 +76,11 @@ Fiber::Fiber() {
 #endif
 }
 
-Fiber::Fiber(std::function<void()> entry)
-    : entry_(std::move(entry)), stack_(take_stack()) {
+Fiber::Fiber(Entry entry, void* arg)
+    : entry_(entry), arg_(arg), stack_(map_stack()) {
   if (::getcontext(&ctx_) != 0) {
     const int err = errno;
-    give_back_stack(stack_);
+    ::munmap(stack_, mapping_size());
     throw std::system_error(err, std::generic_category(), "fiber context");
   }
   stack_bottom_ = static_cast<char*>(stack_) + page_size();
@@ -145,15 +105,15 @@ Fiber::~Fiber() {
 #ifdef MPCN_TSAN_FIBERS
   __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  give_back_stack(stack_);
+  ::munmap(stack_, mapping_size());
 }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
   auto* self = reinterpret_cast<Fiber*>(static_cast<std::uintptr_t>(
       (static_cast<std::uint64_t>(hi) << 32) | lo));
   self->arrived();
-  self->entry_();
-  std::abort();  // entry_ must end with exit_to()
+  self->entry_(self->arg_);
+  std::abort();  // an entry never returns
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
@@ -168,34 +128,13 @@ void Fiber::switch_to(Fiber& from, Fiber& to) {
     __sanitizer_start_switch_fiber(&from.asan_fake_stack_, to.stack_bottom_,
                                    to.stack_size_);
 #endif
-    resume(to);
+    if (to.entered_) _longjmp(to.jmp_, 1);
+    to.entered_ = true;
+    ::setcontext(&to.ctx_);
+    std::abort();  // setcontext returns only on failure
   }
 #endif
   from.arrived();
-}
-
-void Fiber::exit_to(Fiber& to) {
-#ifdef MPCN_ASAN_FIBERS
-  tl_leaving = nullptr;
-  // A null save slot tells ASan this stack is gone for good.
-  __sanitizer_start_switch_fiber(nullptr, to.stack_bottom_, to.stack_size_);
-#endif
-#ifdef MPCN_TSAN_FIBERS
-  // Nothing instrumented may run between the switch and the jump: its
-  // entry would land on `to`'s shadow stack and never be popped.
-  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
-  ::setcontext(&to.ctx_);
-  std::abort();  // setcontext returns only on failure
-#else
-  resume(to);
-#endif
-}
-
-void Fiber::resume(Fiber& to) {
-  if (to.entered_) _longjmp(to.jmp_, 1);
-  to.entered_ = true;
-  ::setcontext(&to.ctx_);
-  std::abort();  // setcontext returns only on failure
 }
 
 void Fiber::arrived() {

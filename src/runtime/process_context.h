@@ -8,17 +8,18 @@
 //      "after it has crashed, a process executes no more steps"),
 //   3. observes stop/cancel flags and throws SimulationHalted if the
 //      harness has ended the run.
+// A context is bound to its Execution and holds that run's controller and
+// crash manager, so a step calls both directly: no virtual call.
 //
 // Contexts also carry the crash-domain structure of the simulations:
 // a simulator q_i "manages n threads, each one associated with a simulated
 // process" (Section 2.4). ProcessContext::fork() creates such a thread in
 // the same crash domain: the child shares the parent's ProcessId, so one
 // crash event stops the simulator and all its simulated threads together.
-// Every thread is a fiber on the run's own OS thread (step_controller.h).
+// Every thread is a slot of the run's controller, on a pooled fiber of the
+// run's own OS thread (step_controller.h), and its context lives in that
+// slot.
 #pragma once
-
-#include <functional>
-#include <memory>
 
 #include "src/common/errors.h"
 #include "src/common/ids.h"
@@ -27,24 +28,6 @@
 #include "src/runtime/step_controller.h"
 
 namespace mpcn {
-
-class ProcessContext;
-
-// Internal interface the context needs from the harness. Execution
-// implements it; tests may substitute lightweight backends.
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-  virtual LockstepController& controller() = 0;
-  virtual CrashManager& crashes() = 0;
-  virtual void record_decision(ProcessId pid, const Value& v) = 0;
-  virtual bool has_decision(ProcessId pid) const = 0;
-  virtual Value input_of(ProcessId pid) const = 0;
-  virtual int next_sub(ProcessId pid) = 0;
-  // Called (with the step token held) when a crash fires, so the harness
-  // can evaluate its stop condition at a deterministic schedule point.
-  virtual void note_crash(ProcessId pid) { (void)pid; }
-};
 
 // RAII holder of the step token; the shared-memory mutation must happen
 // while the guard is alive.
@@ -65,41 +48,9 @@ class StepGuard {
   ThreadId tid_;
 };
 
-// Handle to a forked child thread (same crash domain as the parent).
-class ChildHandle {
- public:
-  ChildHandle() = default;
-  ChildHandle(ChildHandle&&) = default;
-  ChildHandle& operator=(ChildHandle&&) = default;
-  // Destructor: cancels the child, takes the parent out of the grant
-  // set, and waits for the child to finish. Safe during exception unwind.
-  ~ChildHandle();
-
-  // Cooperative join: yield-spins on the parent context until the child
-  // has finished, then reaps it (the child needs no further steps at
-  // that point, so this cannot stall the schedule).
-  // Rethrows any non-crash, non-halt exception raised by the child.
-  void join(ProcessContext& parent);
-
-  // Request the child to exit at its next interruptible step.
-  void cancel();
-
-  bool done() const;
-
-  // Non-crash, non-halt exception raised by a finished child (nullptr if
-  // none). Lets a parent surface protocol errors without joining.
-  std::exception_ptr error() const;
-
- private:
-  friend class ProcessContext;
-  struct State;
-  std::shared_ptr<State> s_;
-};
-
 class ProcessContext {
  public:
-  ProcessContext(ThreadId tid, ExecutionBackend* backend)
-      : tid_(tid), backend_(backend) {}
+  ProcessContext(ThreadId tid, Execution& exec);
   ProcessContext(const ProcessContext&) = delete;
   ProcessContext& operator=(const ProcessContext&) = delete;
 
@@ -115,25 +66,25 @@ class ProcessContext {
   void yield() { step(); }
 
   // The process's task input (Section 2.1: I[j]).
-  Value input() const { return backend_->input_of(pid()); }
+  Value input() const;
 
   // Record the process's decision (Section 2.2: write v into output_j).
   // A local action, not a shared-memory step. First decision wins.
-  void decide(const Value& v) { backend_->record_decision(pid(), v); }
-  bool has_decided() const { return backend_->has_decision(pid()); }
+  void decide(const Value& v);
+  bool has_decided() const;
 
   // Fork a thread in this process's crash domain.
-  ChildHandle fork(std::function<void(ProcessContext&)> fn);
+  ChildHandle fork(LockstepController::Body fn);
 
-  // True once the harness asked this thread (or the whole run) to stop.
-  bool stopping() const;
-
-  ExecutionBackend& backend() { return *backend_; }
+  // The run this context belongs to.
+  Execution& backend() { return *exec_; }
 
  private:
   friend class ChildHandle;
   ThreadId tid_;
-  ExecutionBackend* backend_;
+  Execution* exec_;
+  LockstepController* controller_;
+  CrashManager* crashes_;
   bool cancel_ = false;
 };
 

@@ -1,57 +1,138 @@
 #include "src/runtime/step_controller.h"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <optional>
 
 #include "src/common/errors.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/process_context.h"
 
 namespace mpcn {
 
-struct LockstepController::Thread {
-  ThreadId tid;
-  std::unique_ptr<Fiber> fiber;  // runs the body, then finish()
+struct LockstepController::Slot {
+  Slot() : fiber(&LockstepController::slot_main, this) {}
+
+  Fiber fiber;  // parked between bodies
+  // The run this slot serves, and its thread there.
+  LockstepController* controller = nullptr;
+  std::optional<ProcessContext> ctx;
+  Body body;
+  Slot* joiner = nullptr;      // suspended in join() until this one finishes
+  Slot* next_ready = nullptr;  // the ready list's link
   bool alive = false;     // in the grant set
   bool parked = false;    // suspended in acquire()
   bool finished = false;  // body returned
-  Thread* joiner = nullptr;  // suspended in join() until this one finishes
+  bool joined = false;    // a ChildHandle has waited for it
+  std::exception_ptr error;  // the body's non-crash, non-halt exception
 };
 
 namespace {
+
 // The wall limit is read at every kClockGrants-th grant: a clock read per
 // step would be a measurable share of a fiber switch.
 constexpr std::uint64_t kClockGrants = 256;
+
+// Idle slots kept per OS thread. A fresh slot costs a stack mapping
+// (mmap, mprotect, first-touch page faults) and the ucontext calls: more
+// than a whole short schedule, paid again by every schedule of a search
+// or cell of a grid that runs after it on the same thread.
+constexpr std::size_t kPooledSlots = 64;
+
+// This OS thread's idle slots, their fibers parked where their last body
+// ended.
+thread_local std::vector<std::unique_ptr<LockstepController::Slot>> tl_idle;
+
+[[maybe_unused]] const int tl_idle_dropped_at_fork = ::pthread_atfork(
+    &LockstepController::drop_idle_slots, nullptr, nullptr);
+
 }  // namespace
 
 LockstepController::LockstepController(std::uint64_t step_limit,
                                        std::shared_ptr<SchedulePolicy> policy)
-    : policy_(std::move(policy)), step_limit_(step_limit) {}
-
-LockstepController::~LockstepController() = default;
-
-LockstepController::Thread& LockstepController::thread(ThreadId tid) {
-  const auto it = threads_.find(tid);
-  if (it == threads_.end()) {
-    throw ProtocolError("lock-step: unknown thread " + tid.to_string());
-  }
-  return *it->second;
+    : policy_(std::move(policy)), step_limit_(step_limit) {
+  slots_.reserve(kPooledSlots);
+  live_.reserve(kPooledSlots);
+  live_slots_.reserve(kPooledSlots);
 }
 
-void LockstepController::spawn(ThreadId tid, std::function<void()> body) {
-  auto t = std::make_unique<Thread>();
-  Thread* raw = t.get();
-  t->tid = tid;
-  t->fiber = std::make_unique<Fiber>(
-      [this, raw, body = std::move(body)]() noexcept {
-        reap();
-        body();
-        finish(raw);
-      });
-  if (!threads_.emplace(tid, std::move(t)).second) {
-    throw ProtocolError("lock-step: thread " + tid.to_string() +
-                        " spawned twice");
+LockstepController::~LockstepController() {
+  for (std::unique_ptr<Slot>& s : slots_) {
+    // A body that never finished (a run abandoned midway) left its frames
+    // on the fiber, which can run no other body.
+    if (s->finished && tl_idle.size() < kPooledSlots) {
+      tl_idle.push_back(std::move(s));
+    }
   }
-  enter(tid);
-  ready_.push_back(raw);
+}
+
+void LockstepController::drop_idle_slots() { tl_idle.clear(); }
+
+void LockstepController::enable_grant_trace() {
+  trace_ = true;
+  // One block for the traces of short runs (a racy_register schedule
+  // takes 16 grants), instead of one per doubling.
+  grant_trace_.reserve(256);
+}
+
+LockstepController::Slot& LockstepController::spawn(ThreadId tid,
+                                                    Execution& exec,
+                                                    Body body) {
+  if (tl_idle.empty()) {
+    slots_.push_back(std::make_unique<Slot>());
+    ++fiber_contexts_;
+  } else {
+    slots_.push_back(std::move(tl_idle.back()));
+    tl_idle.pop_back();
+  }
+  Slot& s = *slots_.back();
+  s.controller = this;
+  s.ctx.emplace(tid, exec);
+  s.body = std::move(body);
+  s.finished = s.joined = false;
+  s.error = nullptr;
+  enter(s);
+  push_ready(&s);
+  return s;
+}
+
+void LockstepController::slot_main(void* slot) {
+  Slot& s = *static_cast<Slot*>(slot);
+  for (;;) {
+    // s.controller is the run that spawned this body: once the slot has
+    // gone back to the pool and been taken again, a later run's.
+    Fiber& next = s.controller->run_body(s);
+    Fiber::switch_to(s.fiber, next);
+  }
+}
+
+Fiber& LockstepController::run_body(Slot& s) {
+  try {
+    s.body(*s.ctx);
+  } catch (const ProcessCrashed&) {
+    // The crash of the domain: nothing to do, the thread just stops.
+    ++crash_unwinds_;
+  } catch (const SimulationHalted&) {
+    // Run over / thread cancelled.
+    ++halt_unwinds_;
+  } catch (...) {
+    s.error = std::current_exception();
+  }
+  s.body = nullptr;  // its captures go now, not when the slot is reused
+  // Publish done-ness BEFORE leaving the schedule: while this thread is
+  // alive and unparked no other thread can be granted a step, so every
+  // observer sees it at a schedule-determined point.
+  s.finished = true;
+  if (s.joiner != nullptr) {
+    push_ready(s.joiner);
+    s.joiner = nullptr;
+  }
+  leave(s);
+  Slot* next = pick_next();
+  current_ = next;
+  ++switches_;
+  return next != nullptr ? next->fiber : *caller_;
 }
 
 void LockstepController::run(Deadline deadline) {
@@ -63,45 +144,46 @@ void LockstepController::run(Deadline deadline) {
   dispatch();
   caller_ = nullptr;
   static Counter& switches = metrics_registry().counter("runtime.switches");
+  static Counter& fiber_contexts =
+      metrics_registry().counter("runtime.fiber_contexts");
   static Counter& halt_unwinds =
       metrics_registry().counter("runtime.halt_unwinds");
   static Counter& crash_unwinds =
       metrics_registry().counter("runtime.crash_unwinds");
   switches.add(switches_);
+  fiber_contexts.add(fiber_contexts_);
   halt_unwinds.add(halt_unwinds_);
   crash_unwinds.add(crash_unwinds_);
 }
 
-void LockstepController::enter(ThreadId tid) {
-  Thread& t = thread(tid);
-  if (t.alive) return;
-  t.alive = true;
-  const auto at = std::lower_bound(live_.begin(), live_.end(), tid);
-  live_threads_.insert(live_threads_.begin() + (at - live_.begin()), &t);
-  live_.insert(at, tid);
+void LockstepController::enter(Slot& s) {
+  if (s.alive) return;
+  s.alive = true;
+  const auto at = std::lower_bound(live_.begin(), live_.end(), s.ctx->tid());
+  live_slots_.insert(live_slots_.begin() + (at - live_.begin()), &s);
+  live_.insert(at, s.ctx->tid());
 }
 
-void LockstepController::leave(ThreadId tid) {
-  Thread& t = thread(tid);
-  if (t.alive) {
-    t.alive = false;
-    const auto at = std::lower_bound(live_.begin(), live_.end(), tid);
-    live_threads_.erase(live_threads_.begin() + (at - live_.begin()));
+void LockstepController::leave(Slot& s) {
+  if (s.alive) {
+    s.alive = false;
+    const auto at =
+        std::lower_bound(live_.begin(), live_.end(), s.ctx->tid());
+    live_slots_.erase(live_slots_.begin() + (at - live_.begin()));
     live_.erase(at);
   }
   // The live set shrank: if everyone left is parked, the grant is due now.
   maybe_grant();
 }
 
-void LockstepController::join(ThreadId tid) {
-  Thread& t = thread(tid);
-  if (t.finished) return;
+void LockstepController::join(Slot& child) {
+  if (child.finished) return;
   if (current_ == nullptr || current_->alive) {
     throw ProtocolError("lock-step: joining unfinished thread " +
-                        tid.to_string() +
+                        child.ctx->tid().to_string() +
                         " needs a caller outside the grant set");
   }
-  t.joiner = current_;
+  child.joiner = current_;
   dispatch();
 }
 
@@ -113,8 +195,8 @@ bool LockstepController::acquire(ThreadId tid) {
   // an exception is in flight): an exception in flight is not on the
   // caught-exception stack.
   if (stop_) return false;
-  Thread* self = current_;
-  if (self == nullptr || !(self->tid == tid)) {
+  Slot* self = current_;
+  if (self == nullptr || !(self->ctx->tid() == tid)) {
     throw ProtocolError("lock-step: " + tid.to_string() +
                         " acquired the token off its own fiber");
   }
@@ -134,7 +216,7 @@ bool LockstepController::acquire(ThreadId tid) {
 void LockstepController::release(ThreadId tid) {
   // The releaser is live and unparked, so no grant can be due here; the
   // next one is drawn when it parks or ends.
-  if (holder_ != nullptr && holder_->tid == tid) holder_ = nullptr;
+  if (holder_ != nullptr && holder_->ctx->tid() == tid) holder_ = nullptr;
   ++steps_;
   if (steps_ >= step_limit_ && !stop_) {
     stop_ = true;
@@ -169,42 +251,53 @@ void LockstepController::maybe_grant() {
     }
     choice = GrantChoice{live_.size() - 1, false};
   }
-  holder_ = live_threads_[choice.index];
+  holder_ = live_slots_[choice.index];
+  const ThreadId granted = live_[choice.index];
   // A crash lands only through a director, which refuses it once the
   // budget is spent or the process already crashed.
   const bool crash_here = choice.crash && crash_director_ != nullptr &&
-                          crash_director_->direct_crash(holder_->tid);
+                          crash_director_->direct_crash(granted);
   if (trace_) {
     if (crash_here) crash_marks_.push_back(grant_trace_.size());
-    grant_trace_.push_back(holder_->tid);
+    grant_trace_.push_back(granted);
   }
 }
 
-LockstepController::Thread* LockstepController::pick_next() {
-  if (!ready_.empty()) {
-    Thread* t = ready_.front();
-    ready_.pop_front();
-    return t;
+void LockstepController::push_ready(Slot* s) {
+  if (ready_tail_ != nullptr) {
+    ready_tail_->next_ready = s;
+  } else {
+    ready_head_ = s;
+  }
+  ready_tail_ = s;
+}
+
+LockstepController::Slot* LockstepController::pick_next() {
+  if (ready_head_ != nullptr) {
+    Slot* s = ready_head_;
+    ready_head_ = s->next_ready;
+    if (ready_head_ == nullptr) ready_tail_ = nullptr;
+    s->next_ready = nullptr;
+    return s;
   }
   if (holder_ != nullptr) return holder_;
   if (stop_ && n_parked_ > 0) {
     // Every parked fiber is live, so the first one in the sorted live
     // set is the lowest parked ThreadId.
-    for (Thread* t : live_threads_) {
-      if (t->parked) return t;
+    for (Slot* s : live_slots_) {
+      if (s->parked) return s;
     }
   }
   return nullptr;
 }
 
-void LockstepController::switch_to(Thread* next) {
-  Thread* self = current_;
+void LockstepController::switch_to(Slot* next) {
+  Slot* self = current_;
   if (next == self) return;
   current_ = next;
   ++switches_;
-  Fiber::switch_to(self ? *self->fiber : *caller_,
-                   next ? *next->fiber : *caller_);
-  reap();
+  Fiber::switch_to(self != nullptr ? self->fiber : *caller_,
+                   next != nullptr ? next->fiber : *caller_);
 }
 
 void LockstepController::dispatch() {
@@ -212,24 +305,50 @@ void LockstepController::dispatch() {
   switch_to(pick_next());
 }
 
-void LockstepController::finish(Thread* t) {
-  t->finished = true;
-  if (t->joiner != nullptr) {
-    ready_.push_back(t->joiner);
-    t->joiner = nullptr;
-  }
-  leave(t->tid);
-  Thread* next = pick_next();
-  zombie_ = t;
-  current_ = next;
-  ++switches_;
-  Fiber::exit_to(next ? *next->fiber : *caller_);
+// ---- ChildHandle ----------------------------------------------------------
+
+ChildHandle::~ChildHandle() {
+  if (s_ == nullptr || s_->joined) return;
+  s_->joined = true;
+  cancel();
+  // The parent (the running thread) is abandoning the child: normal
+  // shutdown or exception unwind. While it waits, remove the parent from
+  // the grant set so the child can be granted the steps it needs to
+  // observe the cancel flag and unwind.
+  //
+  // Done unconditionally — NOT gated on done() — so the controller-state
+  // trace is independent of whether the child has finished yet; this
+  // keeps schedules replayable through simulator shutdown.
+  LockstepController& c = *s_->controller;
+  LockstepController::Slot& parent = *c.current_;
+  c.leave(parent);
+  c.join(*s_);
+  c.enter(parent);
 }
 
-void LockstepController::reap() {
-  if (zombie_ == nullptr) return;
-  zombie_->fiber.reset();
-  zombie_ = nullptr;
+void ChildHandle::join(ProcessContext& parent) {
+  if (s_ == nullptr) return;
+  while (!s_->finished) parent.yield();
+  if (!s_->joined) {
+    s_->joined = true;
+    s_->controller->join(*s_);
+  }
+  if (s_->error) {
+    std::exception_ptr e = s_->error;
+    s_->error = nullptr;
+    std::rethrow_exception(e);
+  }
+}
+
+void ChildHandle::cancel() {
+  if (s_ != nullptr) s_->ctx->cancel_ = true;
+}
+
+bool ChildHandle::done() const { return s_ != nullptr && s_->finished; }
+
+std::exception_ptr ChildHandle::error() const {
+  if (s_ == nullptr || !s_->finished) return nullptr;
+  return s_->error;
 }
 
 }  // namespace mpcn

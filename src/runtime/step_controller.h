@@ -22,6 +22,16 @@
 // recorder, the crash manager) are touched only by its fibers, one at a
 // time, so they carry no locks either; each run builds its own.
 //
+// A thread is a Slot: its body, its ProcessContext, its schedule state and
+// the done/joined/error state its ChildHandle reads, on a fiber of its
+// own. Slots come from a per-OS-thread pool of at most 64 and go back to
+// it when the run's controller is destroyed. A pooled slot's fiber is
+// parked where its last body ended and takes the next body with one
+// _longjmp, so once the pool is warm starting a thread (spawn, and through
+// it Execution::run and ProcessContext::fork) makes no system call and
+// allocates nothing. The run's tables reserve room for the pool's 64
+// slots, so runs of up to 64 threads grow none of them.
+//
 // All protocol-level blocking in the library is yield-spinning through the
 // controller (no native blocking), so runs cannot deadlock on hidden
 // OS-level waits.
@@ -29,11 +39,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -42,38 +52,40 @@
 
 namespace mpcn {
 
+class ChildHandle;
+class Execution;
+class ProcessContext;
+
 // Deterministic lock-step controller (see file comment). Single-threaded:
 // every method runs on the thread that calls run().
 class LockstepController {
  public:
   using Deadline = std::chrono::steady_clock::time_point;
+  // A thread's body. A capture of up to two pointers fits std::function's
+  // local buffer, so binding one allocates nothing.
+  using Body = std::function<void(ProcessContext&)>;
+  // One thread of the run (step_controller.cc); opaque elsewhere.
+  struct Slot;
 
   // `policy` (non-null) picks every grant (schedule_policy.h).
   LockstepController(std::uint64_t step_limit,
                      std::shared_ptr<SchedulePolicy> policy);
+  // Gives the run's slots back to the pool.
   ~LockstepController();
   LockstepController(const LockstepController&) = delete;
   LockstepController& operator=(const LockstepController&) = delete;
 
-  // Thread lifecycle. spawn() registers `tid` with the step schedule and
-  // starts `body` as a fiber. The creator registers the thread before it
-  // can run, so the set of live threads evolves deterministically. `body`
-  // must not throw; the thread leaves the schedule when it returns.
-  void spawn(ThreadId tid, std::function<void()> body);
-  // Wait until thread `tid` has finished. A caller that waits for an
-  // unfinished thread must have left() the schedule first.
-  void join(ThreadId tid);
+  // Registers thread `tid` of `exec` with the step schedule and starts
+  // `body` on a slot of its own once the caller stops running. The
+  // creator registers the thread before it can run, so the set of live
+  // threads evolves deterministically. The thread leaves the schedule
+  // when `body` returns; ProcessCrashed and SimulationHalted end it
+  // quietly, and any other exception is kept for its ChildHandle.
+  Slot& spawn(ThreadId tid, Execution& exec, Body body);
   // Return once every spawned fiber has finished; the fibers run on the
   // calling thread. A run still going at `deadline` is stopped and
   // flagged timed out.
   void run(Deadline deadline);
-
-  // Take a running thread out of the grant set and put it back (a parent
-  // waiting for a child it abandons). leave() runs on the leaving
-  // thread's own fiber (finishing, or ~ChildHandle), never on behalf of a
-  // thread parked in acquire().
-  void enter(ThreadId tid);
-  void leave(ThreadId tid);
 
   // Acquire the step token, parking until it is granted. Returns false
   // if the run has been stopped instead of granting.
@@ -99,7 +111,7 @@ class LockstepController {
   // enabled), and the grant-trace indices at which the crash adversary
   // crashed the granted thread. Together they pin a (crashing) execution.
   const std::vector<ThreadId>& grant_trace() const { return grant_trace_; }
-  void enable_grant_trace() { trace_ = true; }
+  void enable_grant_trace();
   const std::vector<std::uint64_t>& crash_marks() const {
     return crash_marks_;
   }
@@ -117,10 +129,34 @@ class LockstepController {
   // so the fault is latched here and surfaced by Execution::run.
   const std::string& policy_error() const { return policy_error_; }
 
- private:
-  struct Thread;
+  // Destroys the calling OS thread's idle slots. TSan counts each parked
+  // fiber as a live thread: a process forked while it has more than one
+  // stops tracking the child's synchronization, and a process that exits
+  // with them sleeps a second first. So the pool is dropped before every
+  // fork, and a process that leaves through _exit (which runs no
+  // thread_local destructor) calls this first.
+  static void drop_idle_slots();
 
-  Thread& thread(ThreadId tid);
+ private:
+  friend class ChildHandle;
+
+  // Every slot's fiber entry: run one body after another, parking the
+  // fiber in between.
+  [[noreturn]] static void slot_main(void* slot);
+  // Runs `s`'s body and leaves the schedule; returns the fiber to switch
+  // to.
+  Fiber& run_body(Slot& s);
+
+  // Take `s` into the grant set and out of it. leave() runs on the
+  // leaving thread's own fiber (finishing, or ~ChildHandle), never on
+  // behalf of a thread parked in acquire().
+  void enter(Slot& s);
+  void leave(Slot& s);
+  // Wait until `child` has finished. A caller that waits for an
+  // unfinished thread must have left the schedule first.
+  void join(Slot& child);
+
+  void push_ready(Slot* s);
   // Picks the next token holder from the live set if every live fiber is
   // parked, no one holds the token and the run is not over.
   void maybe_grant();
@@ -128,39 +164,37 @@ class LockstepController {
   // caller): fibers that have not parked yet, then the token holder, then
   // — once the run is stopped — parked fibers, lowest ThreadId first, so
   // they unwind.
-  Thread* pick_next();
-  void switch_to(Thread* next);
+  Slot* pick_next();
+  void switch_to(Slot* next);
   // The current fiber stopped running: grant if due and switch on.
   void dispatch();
-  // The current fiber's body returned: leave the schedule for good.
-  [[noreturn]] void finish(Thread* t);
-  // Destroy the fiber that finished last (it cannot unmap its own stack).
-  void reap();
 
   const std::shared_ptr<SchedulePolicy> policy_;
   CrashDirector* crash_director_ = nullptr;  // null = schedule-only grants
   const std::uint64_t step_limit_;
   Deadline deadline_ = Deadline::max();
   std::uint64_t steps_ = 0;
-  // Fiber switches so far, added to the `runtime.switches` counter once
-  // run() returns: an atomic add per switch would cost a share of one.
+  // Per-run tallies, added to the `runtime.*` counters once run()
+  // returns: an atomic add per switch would cost a share of one.
   std::uint64_t switches_ = 0;
+  std::uint64_t fiber_contexts_ = 0;  // slots made rather than pooled
   std::uint64_t halt_unwinds_ = 0;
   std::uint64_t crash_unwinds_ = 0;
 
-  std::map<ThreadId, std::unique_ptr<Thread>> threads_;
-  // The grant set, sorted by ThreadId, with live_threads_ parallel to it.
+  // The run's slots, in spawn order.
+  std::vector<std::unique_ptr<Slot>> slots_;
+  // The grant set, sorted by ThreadId, with live_slots_ parallel to it.
   // Only enter() and leave() change it. Since leave() never runs for a
   // parked thread, every parked fiber is live, and a grant is due exactly
   // when n_parked_ == live_.size(): live_ is then the runnable set.
   std::vector<ThreadId> live_;
-  std::vector<Thread*> live_threads_;
-  std::size_t n_parked_ = 0;   // fibers parked in acquire()
-  std::deque<Thread*> ready_;  // to run before the next grant, FIFO
-  Thread* holder_ = nullptr;   // granted the token, not yet released
-  Thread* current_ = nullptr;  // null = run()'s caller
-  Thread* zombie_ = nullptr;
-  Fiber* caller_ = nullptr;    // run()'s caller, while run() is active
+  std::vector<Slot*> live_slots_;
+  std::size_t n_parked_ = 0;        // fibers parked in acquire()
+  Slot* ready_head_ = nullptr;      // to run before the next grant, FIFO
+  Slot* ready_tail_ = nullptr;
+  Slot* holder_ = nullptr;   // granted the token, not yet released
+  Slot* current_ = nullptr;  // null = run()'s caller
+  Fiber* caller_ = nullptr;  // run()'s caller, while run() is active
 
   bool stop_ = false;
   bool timed_out_ = false;
@@ -168,6 +202,44 @@ class LockstepController {
   std::string policy_error_;
   std::vector<ThreadId> grant_trace_;
   std::vector<std::uint64_t> crash_marks_;
+};
+
+// Handle to a forked child thread (same crash domain as the parent): the
+// parent's hold on the child's slot. Move-only; a moved-from handle holds
+// nothing.
+class ChildHandle {
+ public:
+  ChildHandle() = default;
+  ChildHandle(ChildHandle&& o) noexcept
+      : s_(std::exchange(o.s_, nullptr)) {}
+  // Drops the child this handle held, neither cancelling nor joining it.
+  ChildHandle& operator=(ChildHandle&& o) noexcept {
+    s_ = std::exchange(o.s_, nullptr);
+    return *this;
+  }
+  // Destructor: cancels the child, takes the parent out of the grant
+  // set, and waits for the child to finish. Safe during exception unwind.
+  ~ChildHandle();
+
+  // Cooperative join: yield-spins on the parent context until the child
+  // has finished, then reaps it (the child needs no further steps at
+  // that point, so this cannot stall the schedule).
+  // Rethrows any non-crash, non-halt exception raised by the child.
+  void join(ProcessContext& parent);
+
+  // Request the child to exit at its next interruptible step.
+  void cancel();
+
+  bool done() const;
+
+  // Non-crash, non-halt exception raised by a finished child (nullptr if
+  // none). Lets a parent surface protocol errors without joining.
+  std::exception_ptr error() const;
+
+ private:
+  friend class ProcessContext;
+  explicit ChildHandle(LockstepController::Slot& s) : s_(&s) {}
+  LockstepController::Slot* s_ = nullptr;
 };
 
 }  // namespace mpcn

@@ -599,11 +599,11 @@ TEST(Cli, ShardedSidecarsLeaveReportBytesUnchanged) {
             (std::map<std::int64_t, int>{{0, 1}, {1, 1}}));
 }
 
-// MPCN_WORKER_STOP_AFTER freezes slot 0 between jobs after its first
-// reply. Only heartbeat age can notice: the slot is written off as
-// stale, its work moves on, and the report bytes do not change. One
-// worker, so the frozen slot always holds the next job: with more, the
-// others could finish every job before the slot went stale.
+// MPCN_WORKER_STOP_AFTER freezes slot 0 on receiving its first job,
+// before serving it. Only heartbeat age can notice: the slot is written
+// off as stale, its work moves on (each respawn freezes the same way, so
+// the pool drains and the coordinator runs it), and the report bytes do
+// not change.
 TEST(Cli, FrozenWorkerIsWrittenOffAsStaleWithReportUnchanged) {
   TempFile plain("cli_stale_plain.json");
   TempFile stopped("cli_stale_stopped.json");

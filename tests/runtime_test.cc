@@ -1,10 +1,14 @@
 // Unit tests: src/runtime — fibers, step controllers, crash plans,
-// contexts, cooperative mutex, shared world, execution harness.
+// contexts, cooperative mutex, shared world, execution harness, and the
+// allocation contract of starting threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 
@@ -15,6 +19,28 @@
 #include "src/runtime/execution.h"
 #include "src/runtime/fiber.h"
 #include "src/runtime/shared_world.h"
+
+namespace mpcn {
+namespace {
+
+// Blocks handed out by the global operator new below, for the
+// AllocationContract cases. No test here starts an OS thread.
+std::size_t g_news = 0;
+
+}  // namespace
+}  // namespace mpcn
+
+// Not inlined: inlined into gtest's `new TestClass`, GCC 12 reports
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++mpcn::g_news;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mpcn {
 namespace {
@@ -34,56 +60,70 @@ std::vector<Value> int_inputs(int n) {
 
 // --- fibers ---
 
+// Two fibers and the caller, switching in a ring. A fiber's entry never
+// returns: both end parked and are destroyed that way.
+struct FiberRing {
+  std::string order;
+  Fiber caller;
+  std::unique_ptr<Fiber> a;
+  std::unique_ptr<Fiber> b;
+};
+
 TEST(Fiber, SwitchToPingPongsBetweenTheCallerAndTwoFibers) {
   // Every round runs caller -> a -> b -> caller by switch_to alone. The
   // first round enters each fiber through its context, every later one
   // resumes where the fiber switched away; a switch onto a stack below
   // the caller's is what a fortified longjmp would refuse.
   constexpr int kRounds = 10000;
-  std::string order;
-  Fiber caller;
-  std::unique_ptr<Fiber> a;
-  std::unique_ptr<Fiber> b;
-  a = std::make_unique<Fiber>([&] {
-    for (int r = 0; r < kRounds; ++r) {
-      order += 'a';
-      Fiber::switch_to(*a, *b);
-    }
-    Fiber::exit_to(*b);
-  });
-  b = std::make_unique<Fiber>([&] {
-    for (int r = 0; r < kRounds; ++r) {
-      order += 'b';
-      Fiber::switch_to(*b, caller);
-    }
-    Fiber::exit_to(caller);
-  });
+  FiberRing ring;
+  ring.a = std::make_unique<Fiber>(
+      [](void* arg) {
+        FiberRing& r = *static_cast<FiberRing*>(arg);
+        for (;;) {
+          r.order += 'a';
+          Fiber::switch_to(*r.a, *r.b);
+        }
+      },
+      &ring);
+  ring.b = std::make_unique<Fiber>(
+      [](void* arg) {
+        FiberRing& r = *static_cast<FiberRing*>(arg);
+        for (;;) {
+          r.order += 'b';
+          Fiber::switch_to(*r.b, r.caller);
+        }
+      },
+      &ring);
   for (int r = 0; r < kRounds; ++r) {
-    Fiber::switch_to(caller, *a);
-    order += 'c';
+    Fiber::switch_to(ring.caller, *ring.a);
+    ring.order += 'c';
   }
-  Fiber::switch_to(caller, *a);  // a leaves its loop, exits to b, b to us
   std::string expected;
   for (int r = 0; r < kRounds; ++r) expected += "abc";
-  EXPECT_EQ(order, expected);
+  EXPECT_EQ(ring.order, expected);
 }
 
-TEST(Fiber, FirstEntryThroughAnotherFibersExit) {
-  // b is first entered by a's exit_to, never by switch_to. Repeated so
-  // later fibers start on stacks reused from the cache.
+TEST(Fiber, FirstEntryThroughAnotherFibersSwitch) {
+  // b is first entered by a's switch, never by the caller's. Repeated so
+  // later fibers map their stacks where destroyed ones were.
   for (int round = 0; round < 3; ++round) {
-    std::string order;
-    Fiber caller;
-    Fiber b([&] {
-      order += 'b';
-      Fiber::exit_to(caller);
-    });
-    Fiber a([&] {
-      order += 'a';
-      Fiber::exit_to(b);
-    });
-    Fiber::switch_to(caller, a);
-    EXPECT_EQ(order, "ab");
+    FiberRing ring;
+    ring.b = std::make_unique<Fiber>(
+        [](void* arg) {
+          FiberRing& r = *static_cast<FiberRing*>(arg);
+          r.order += 'b';
+          for (;;) Fiber::switch_to(*r.b, r.caller);
+        },
+        &ring);
+    ring.a = std::make_unique<Fiber>(
+        [](void* arg) {
+          FiberRing& r = *static_cast<FiberRing*>(arg);
+          r.order += 'a';
+          for (;;) Fiber::switch_to(*r.a, *r.b);
+        },
+        &ring);
+    Fiber::switch_to(ring.caller, *ring.a);
+    EXPECT_EQ(ring.order, "ab");
   }
 }
 
@@ -505,6 +545,70 @@ TEST(Fork, ErrorAccessorReportsAfterDone) {
     ctx.decide(Value(1));
   }};
   run_execution(std::move(p), {Value(0)}, lockstep(12));
+}
+
+// --- allocation contract ---
+
+// Two processes, each forking `forks` children (at most 8) that take one
+// step, then joining them.
+std::size_t blocks_of_forking_run(int forks) {
+  std::vector<Program> p(2, [forks](ProcessContext& ctx) {
+    std::array<ChildHandle, 8> children;
+    for (int c = 0; c < forks; ++c) {
+      children[static_cast<std::size_t>(c)] =
+          ctx.fork([](ProcessContext& cctx) { cctx.yield(); });
+    }
+    for (int c = 0; c < forks; ++c) {
+      children[static_cast<std::size_t>(c)].join(ctx);
+    }
+    ctx.yield();
+    ctx.decide(Value(0));
+  });
+  std::vector<Value> inputs = int_inputs(2);
+  const std::size_t before = g_news;
+  const Outcome out = run_execution(std::move(p), std::move(inputs),
+                                    lockstep(21));
+  const std::size_t blocks = g_news - before;
+  EXPECT_EQ(out.decided_count(), 2);
+  return blocks;
+}
+
+std::uint64_t fiber_contexts() {
+  return metrics_registry().counter("runtime.fiber_contexts").value();
+}
+
+TEST(AllocationContract, ForkedThreadsAllocateNothingOnceThePoolIsWarm) {
+  // The first run may make slots; after it, a thread is a pooled slot
+  // and starting one allocates no block and makes no fiber context.
+  blocks_of_forking_run(8);
+  const std::uint64_t contexts = fiber_contexts();
+  const std::size_t with_forks = blocks_of_forking_run(8);
+  EXPECT_EQ(fiber_contexts(), contexts);
+  EXPECT_EQ(with_forks, blocks_of_forking_run(0));
+}
+
+TEST(AllocationContract, ARunOfMoreThreadsThanThePoolHoldsMakesOnlyTheExcess) {
+  // 2 processes and 100 children: the pool keeps 64 idle slots, so every
+  // run after the first makes the other 38 afresh.
+  const auto run = [] {
+    std::vector<Program> p(2, [](ProcessContext& ctx) {
+      std::vector<ChildHandle> children;
+      for (int c = 0; c < 50; ++c) {
+        children.push_back(ctx.fork([](ProcessContext& cctx) {
+          cctx.yield();
+        }));
+      }
+      for (ChildHandle& c : children) c.join(ctx);
+      ctx.decide(Value(0));
+    });
+    EXPECT_EQ(run_execution(std::move(p), int_inputs(2), lockstep(22))
+                  .decided_count(),
+              2);
+  };
+  run();
+  const std::uint64_t contexts = fiber_contexts();
+  run();
+  EXPECT_EQ(fiber_contexts() - contexts, 102u - 64u);
 }
 
 // --- cooperative mutex ---

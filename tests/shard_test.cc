@@ -460,9 +460,9 @@ TEST(ShardSearch, EarlyStopLeavesMostRangesUndispatched) {
   EXPECT_LT(counter("shard.cells_dispatched") - dispatched, 1000u);
 }
 
-// Slot 0 answers its first range, then freezes (SIGSTOP) with its next
-// range in flight: only heartbeat age can notice. The range is requeued
-// whole — counted in schedules — and the report is still the serial one.
+// Slot 0 freezes (SIGSTOP) on receiving its first range, before serving
+// it: only heartbeat age can notice. The range is requeued whole —
+// counted in schedules — and the report is still the serial one.
 TEST(ShardSearch, FrozenSlotIsWrittenOffAndItsRangeRerun) {
   const ExperimentCell cell = racy_cell();
   ExploreOptions o = racy_search(997, 0);

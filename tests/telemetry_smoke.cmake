@@ -4,8 +4,8 @@
 # recorder, health table) must write a report byte-identical to the
 # all-off run; the merged trace must carry the coordinator and all 3
 # workers under distinct pids, with cell_index args, sorted; every worker
-# must heartbeat at least once. A worker SIGSTOPped between cells must be
-# written off by heartbeat age with its cells requeued, report bytes still
+# must heartbeat at least once. A worker SIGSTOPped holding a job must be
+# written off by heartbeat age with its job requeued, report bytes still
 # identical, and `mpcn events` must summarize that log's requeue chain.
 #
 #   cmake -DMPCN=<mpcn binary> -DPYTHON=<python3> -DOUT=<file prefix>
@@ -69,9 +69,11 @@ print("streaming ok:", len(xs), "spans,",
       sum(h["heartbeats"] for h in health), "heartbeats")
 ]=] "${OUT}_trace.json" "${OUT}_health.json")
 
-# SIGSTOP fault: slot 0 freezes BETWEEN cells after replying to its first
-# one — nothing outstanding, so only heartbeat age (not the per-cell
-# watchdog) can notice the silence.
+# SIGSTOP fault: slot 0 freezes on receiving its first job, before serving
+# it. Every worker is dispatched one job at the start, so the freeze is
+# certain, and the job's watchdog deadline (its 120 s wall limit plus
+# grace) leaves heartbeat age as the only detector: the write-off and the
+# job's requeue always happen.
 run("stopped-worker explore" "${CMAKE_COMMAND}" -E env
     MPCN_WORKER_STOP_AFTER=1,0,0 "${MPCN}" ${explore}
     --json "${OUT}_stop.json" --telemetry-ms 25 --stale-ms 500

@@ -7,9 +7,10 @@
 //     armed produces a Report byte-identical (timing excluded) to the
 //     in-process run — the headline invariant, re-pinned here with the
 //     streaming path on;
-//   * a worker that freezes BETWEEN cells (SIGSTOP, nothing outstanding)
-//     is written off by heartbeat age — the silence the per-cell
-//     watchdog cannot see — and its cells are requeued;
+//   * a worker that freezes holding a cell (SIGSTOP, its watchdog
+//     deadline far off) is written off by heartbeat age — the silence
+//     the per-cell watchdog cannot see in time — and its cell is
+//     requeued;
 //   * merge_trace_docs is deterministic, re-stamps pids, aligns clocks
 //     and keeps events sorted, so one --trace file loads in Perfetto;
 //   * the events log round-trips: every line parses back with its type,
@@ -98,16 +99,13 @@ TEST(Telemetry, StreamingHeartbeatsKeepReportByteIdentical) {
   EXPECT_EQ(served, 6);
 }
 
-// The between-cells freeze: worker 0 replies to its first cell, then
-// raises SIGSTOP with NOTHING outstanding. The watchdog (which only
-// covers in-cell overruns) is parked far away; only heartbeat age can
-// notice. The write-off must name staleness, requeue the frozen slot's
-// cells, and leave the report untouched.
+// The frozen worker: worker 0 raises SIGSTOP on receiving its first cell,
+// which every worker gets at the start, before serving it. The watchdog
+// (which covers in-cell overruns) is parked far away; only heartbeat age
+// can notice. The write-off must name staleness, requeue the frozen
+// slot's cell, and leave the report untouched.
 TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
-  // Worker 0 is written off only if it still gets a second cell, so the
-  // grid must outlast its first one: on a loaded host, 6 cells let worker
-  // 1 drain the grid before worker 0 replied, and nothing went stale.
-  constexpr int kCells = 40;
+  constexpr int kCells = 6;
   const Experiment e = small_grid(kCells);
   ShardOptions options;
   options.shards = 2;
@@ -125,9 +123,9 @@ TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
   ASSERT_EQ(health.size(), 2u);
   EXPECT_TRUE(health[0].written_off);
   EXPECT_EQ(health[0].write_off_reason, "heartbeat stale");
-  EXPECT_EQ(health[0].cells_served, 1);
+  EXPECT_EQ(health[0].cells_served, 0);
   EXPECT_FALSE(health[1].written_off);
-  EXPECT_EQ(health[1].cells_served, kCells - 1);
+  EXPECT_EQ(health[1].cells_served, kCells);
   // Staleness, not the 60 s watchdog, must have fired the write-off.
   EXPECT_LT(wall, std::chrono::seconds(30));
 }
