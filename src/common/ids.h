@@ -34,13 +34,6 @@ inline bool operator<(const ThreadId& a, const ThreadId& b) {
   return a.pid != b.pid ? a.pid < b.pid : a.sub < b.sub;
 }
 
-struct ThreadIdHash {
-  std::size_t operator()(const ThreadId& t) const {
-    return std::hash<std::int64_t>{}(
-        (static_cast<std::int64_t>(t.pid) << 20) ^ t.sub);
-  }
-};
-
 // Format "<prefix><a>" / "<prefix><a>/<b>" registry keys ("SAFE_AG/3/17",
 // "INPUT/4") in ONE string allocation. The operator+ chains these replace
 // built (and threw away) a temporary per fragment on the engine's

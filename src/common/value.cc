@@ -17,8 +17,8 @@ int kind_rank(const Value& v) {
   return 3;
 }
 
-// Hit count of the interned small-int pool. One relaxed increment
-// (metrics.h hot-path idiom).
+// Hit count of the interned small-int pool. One increment (metrics.h
+// hot-path idiom).
 Counter& intern_hits() {
   static Counter& c = metrics_registry().counter("value.intern_hits");
   return c;

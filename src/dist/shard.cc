@@ -9,23 +9,20 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "src/common/errors.h"
 #include "src/experiment/batch_runner.h"
 #include "src/explore/explorer.h"
 #include "src/obs/events.h"
+#include "src/obs/heartbeat.h"
 #include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/obs/spans.h"
-#include "src/runtime/step_controller.h"
 
 namespace mpcn {
 
@@ -91,102 +88,98 @@ Counter& m_worker_garbage_lines() {
   return c;
 }
 
-// The worker-side heartbeat streamer: once armed by a telemetry config
-// line, a background thread beats every interval, and the worker loop
-// beats after every cell reply. A beat snapshots the registry, diffs it
-// against the previous beat (delta_since) and ships one telemetry line;
-// beats from the thread and the loop share the seq/prev state under
-// `state_mu_` and the transport under the caller's write mutex, so
-// lines never interleave and seq/delta stay consistent.
-class TelemetryStreamer {
+// The worker-side heartbeat. Once armed by a telemetry config line the
+// worker beats at once and after every job; with an interval, also from
+// inside a long job (the in-run hook, src/obs/heartbeat.h) and, while
+// idle, whenever its wait for the next line outlasts the interval. A
+// beat diffs the metrics registry against the previous beat
+// (delta_json) and writes one telemetry line. All of it runs on the
+// worker's one thread, so lines never interleave and seq and delta stay
+// consistent without a lock.
+class Heartbeat {
  public:
-  TelemetryStreamer(LineIO& io, std::mutex& write_mu)
-      : io_(io), write_mu_(write_mu) {}
-  ~TelemetryStreamer() { stop(); }
+  using Clock = std::chrono::steady_clock;
 
-  // Arm (or re-arm) the heartbeat and send an immediate beat — so every
-  // armed worker produces at least one telemetry line even if it never
-  // receives a cell. interval_ms <= 0 arms after-cell beats only.
+  explicit Heartbeat(LineIO& io) : io_(io) {}
+  ~Heartbeat() { stop(); }
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
+  // Arm (or re-arm) and beat at once, so every armed worker produces at
+  // least one telemetry line even if it never receives a job.
+  // interval_ms <= 0 arms the after-job beats only.
   void arm(std::int64_t interval_ms) {
-    {
-      std::lock_guard<std::mutex> lock(cv_mu_);
-      armed_ = true;
-      interval_ = std::chrono::milliseconds(interval_ms);
-    }
+    armed_ = true;
+    interval_ = std::chrono::milliseconds(interval_ms);
     beat();
-    if (interval_ms > 0 && !thread_.joinable()) {
-      thread_ = std::thread([this] { loop(); });
-    }
-    cv_.notify_all();
+    set_heartbeat_hook(interval_ms > 0 ? &Heartbeat::on_tick : nullptr,
+                       this);
+  }
+
+  // True when the idle worker must wake for interval beats.
+  bool interval_armed() const {
+    return armed_ && interval_ > std::chrono::milliseconds::zero();
+  }
+  // How long the idle worker may wait before the next beat is due.
+  std::chrono::milliseconds until_due() const {
+    return std::max(std::chrono::ceil<std::chrono::milliseconds>(
+                        next_due_ - Clock::now()),
+                    std::chrono::milliseconds::zero());
   }
 
   // Beat once, now (no-op until armed).
   void beat() {
-    std::lock_guard<std::mutex> state(state_mu_);
-    const std::string line = compose_beat_locked();
-    if (line.empty()) return;
-    std::lock_guard<std::mutex> write(write_mu_);
-    io_.write_line(line);
+    const std::string line = compose();
+    if (!line.empty()) io_.write_line(line);
   }
 
-  // Write a cell reply and, when armed, its after-cell heartbeat in one
+  // Write a job's reply and, when armed, its after-job heartbeat in one
   // coalesced write: one syscall, one coordinator wakeup — the beat
-  // rides the reply instead of doubling the wire traffic per cell.
+  // rides the reply instead of doubling the wire traffic per job.
   bool reply_and_beat(const std::string& reply) {
-    std::lock_guard<std::mutex> state(state_mu_);
-    const std::string beat = compose_beat_locked();
-    std::lock_guard<std::mutex> write(write_mu_);
+    const std::string beat = compose();
     if (beat.empty()) return io_.write_line(reply);
     return io_.write_lines(reply, beat);
   }
 
-  // Disarm and join the thread; no beats after this returns. Called
-  // before a shutdown reply (the final metrics line must be the last
-  // word) and before an injected SIGSTOP (the silence must be total).
+  // Disarm; no beats after this returns. Called before a shutdown reply
+  // (the final metrics line must be the last word) and before an
+  // injected SIGSTOP.
   void stop() {
-    {
-      std::lock_guard<std::mutex> lock(cv_mu_);
-      stop_ = true;
-      armed_ = false;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
+    armed_ = false;
+    set_heartbeat_hook(nullptr, nullptr);
   }
 
  private:
-  // Under state_mu_ (held through the write so heartbeat seq order on
-  // the wire matches seq assignment). Empty string when unarmed.
-  std::string compose_beat_locked() {
-    {
-      std::lock_guard<std::mutex> lock(cv_mu_);
-      if (!armed_) return std::string();
-    }
+  // The next telemetry line; empty when unarmed.
+  std::string compose() {
+    if (!armed_) return std::string();
+    next_due_ = Clock::now() + interval_;
     metrics_registry().delta_json(prev_, delta_buf_);
     return telemetry_line(seq_++, static_cast<std::int64_t>(trace_now_us()),
                           delta_buf_);
   }
 
-  void loop() {
-    std::unique_lock<std::mutex> lk(cv_mu_);
-    while (!cv_.wait_for(lk, interval_, [this] { return stop_; })) {
-      lk.unlock();
-      beat();
-      lk.lock();
+  // The in-run hook: beat once the interval has passed. It must not
+  // throw into the controller, so a beat that fails (out of memory) is
+  // retried at the next tick.
+  static void on_tick(void* self, Clock::time_point now) noexcept {
+    Heartbeat& h = *static_cast<Heartbeat*>(self);
+    if (now < h.next_due_) return;
+    try {
+      h.beat();
+    } catch (...) {
+      h.next_due_ = now;
     }
   }
 
   LineIO& io_;
-  std::mutex& write_mu_;
-  std::mutex state_mu_;  // seq_ + prev_ + delta_buf_ (beat serialization)
-  MetricsSnapshot prev_;       // updated in place by delta_json
-  std::string delta_buf_;      // reused per beat; capacity amortizes
-  std::int64_t seq_ = 0;
-  std::mutex cv_mu_;  // armed_/interval_/stop_ + the wait
-  std::condition_variable cv_;
   bool armed_ = false;
-  bool stop_ = false;
   std::chrono::milliseconds interval_{0};
-  std::thread thread_;
+  Clock::time_point next_due_{};
+  MetricsSnapshot prev_;   // updated in place by delta_json
+  std::string delta_buf_;  // reused per beat; capacity amortizes
+  std::int64_t seq_ = 0;
 };
 
 // A cell line's reply. to_cell() failures (unknown scenario, invalid
@@ -224,18 +217,17 @@ std::string serve_range(const WireMessage& msg) {
 // --------------------------------------------------------------- worker
 
 void run_worker_loop(LineIO& io, const WorkerOptions& options) {
-  // One mutex serializes every write: results and error lines from this
-  // thread, heartbeats from the streamer thread.
-  std::mutex write_mu;
-  auto send = [&](const std::string& line) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    return io.write_line(line);
-  };
-  TelemetryStreamer streamer(io, write_mu);
-  if (!send(hello_line())) return;
+  Heartbeat heartbeat(io);
+  if (!io.write_line(hello_line())) return;
   int jobs_received = 0;
   std::string line;
-  while (io.read_line(line)) {
+  for (;;) {
+    // Idle: wait for the next line, beating whenever the interval passes.
+    while (heartbeat.interval_armed() &&
+           !io.await_line(heartbeat.until_due())) {
+      heartbeat.beat();
+    }
+    if (!io.read_line(line)) return;
     WireMessage msg;
     try {
       msg = parse_wire_line(line);
@@ -243,7 +235,7 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
       // Bad framing is the sender's bug; answer with a diagnostic and
       // keep serving — one garbage line must not take the worker down.
       m_worker_garbage_lines().add();
-      if (!send(error_line(e.what()))) return;
+      if (!io.write_line(error_line(e.what()))) return;
       continue;
     }
     switch (msg.type) {
@@ -253,19 +245,17 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         // one snapshot of this process's counters, one span-ring dump.
         // A plain shutdown gets no reply (pre-telemetry coordinators
         // and tests see identical bytes).
-        streamer.stop();
+        heartbeat.stop();
         if (msg.want_metrics) {
-          send(metrics_line(metrics_registry().snapshot()));
+          io.write_line(metrics_line(metrics_registry().snapshot()));
         }
-        if (msg.want_trace) {
-          send(trace_line(dump_trace_json()));
-        }
+        if (msg.want_trace) io.write_line(trace_line(dump_trace_json()));
         return;
       case WireMessage::Type::kTelemetry:
         // Config from the coordinator: turn span recording on (exec-mode
         // workers start with tracing off) and arm the heartbeat.
         if (msg.want_trace) set_tracing_enabled(true);
-        streamer.arm(msg.telemetry_interval_ms);
+        heartbeat.arm(msg.telemetry_interval_ms);
         break;
       case WireMessage::Type::kCell:
       case WireMessage::Type::kRange: {
@@ -275,14 +265,13 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         }
         if (options.stop_after_cells > 0 &&
             jobs_received >= options.stop_after_cells) {
-          // Injected freeze holding this job, before serving it: quiesce
-          // the streamer so the last wire bytes are whole lines, then
-          // stop the whole process. The job's watchdog deadline (its
-          // wall limit plus grace) is far off, so only heartbeat
-          // staleness can notice. A SIGCONT would resume the loop
-          // (heartbeats stay off); the coordinator's write-off SIGKILL
-          // ends it for good.
-          streamer.stop();
+          // Injected freeze holding this job, before serving it: disarm
+          // the heartbeat, then stop the whole process. The job's
+          // watchdog deadline (its wall limit plus grace) is far off, so
+          // only heartbeat staleness can notice. A SIGCONT would resume
+          // the loop (heartbeats stay off); the coordinator's write-off
+          // SIGKILL ends it for good.
+          heartbeat.stop();
           ::raise(SIGSTOP);
         }
         const bool cell = msg.type == WireMessage::Type::kCell;
@@ -296,7 +285,7 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
             static_cast<std::uint64_t>(cell ? 1 : msg.count));
         // Reply + after-job heartbeat in one write (beat is a no-op
         // until armed, so this is just the reply on plain runs).
-        if (!streamer.reply_and_beat(reply)) return;
+        if (!heartbeat.reply_and_beat(reply)) return;
         break;
       }
       case WireMessage::Type::kHello:
@@ -449,7 +438,6 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
     wo.max_cells = quota;
     wo.stop_after_cells = stop_after;
     run_worker_loop(io, wo);
-    LockstepController::drop_idle_slots();  // _exit skips thread_locals
     ::_exit(0);
   }
   ::close(sv[1]);

@@ -24,10 +24,11 @@
 //     wall_limit plus the watchdog grace is SIGKILLed and treated the
 //     same;
 //   * with streaming telemetry armed (telemetry_interval > 0), every
-//     worker heartbeats on an interval and after each job; a worker not
-//     heard from for heartbeat_stale_after — busy OR idle — is written
-//     off by heartbeat age, catching workers that freeze BETWEEN jobs,
-//     which the per-job watchdog cannot see;
+//     worker heartbeats on an interval — from its own loop, busy or
+//     idle — and after each job; a worker not heard from for
+//     heartbeat_stale_after — busy OR idle — is written off by
+//     heartbeat age, catching workers that freeze BETWEEN jobs, which
+//     the per-job watchdog cannot see;
 //   * a written-off worker's SLOT is respawned (fresh subprocess, same
 //     fault-injection quota) after a capped exponential backoff, up to
 //     max_respawns attempts per slot — transient churn shrinks the pool
@@ -89,9 +90,11 @@ struct WorkerOptions {
 // answered with an error line; a cell that fails to rebuild or execute
 // yields a result whose record captures the error (for a range: one such
 // record per schedule).
-// A telemetry config line arms the worker-side heartbeat streamer (see
-// wire.h); all writes — results, error lines and heartbeats — are
-// serialized on one mutex so lines never interleave.
+// A telemetry config line arms the worker's heartbeat (see wire.h). The
+// worker starts no thread: it beats on arming and after each job, from
+// inside a run at the lock-step controller's clock reads
+// (src/obs/heartbeat.h), and while idle when LineIO::await_line times
+// out, so every line it writes comes from its one thread.
 void run_worker_loop(LineIO& io, const WorkerOptions& options = {});
 
 // The coordinator's live view of one worker SLOT, fed by streaming

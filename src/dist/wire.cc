@@ -1,8 +1,11 @@
 #include "src/dist/wire.h"
 
+#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 
@@ -398,6 +401,19 @@ WireMessage parse_wire_line(const std::string& line) {
 
 // ----------------------------------------------------------- transport
 
+bool FdLineIO::fill() {
+  for (;;) {
+    char chunk[4096];
+    const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
+    if (n > 0) {
+      buffer_.append(chunk, static_cast<std::size_t>(n));
+      return true;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+}
+
 bool FdLineIO::read_line(std::string& out) {
   for (;;) {
     const std::size_t nl = buffer_.find('\n');
@@ -406,17 +422,28 @@ bool FdLineIO::read_line(std::string& out) {
       buffer_.erase(0, nl + 1);
       return true;
     }
-    char chunk[4096];
-    const ssize_t n = ::read(read_fd_, chunk, sizeof(chunk));
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
     // EOF (or error) with a partial line buffered: the peer died
     // mid-write; the fragment is unusable.
-    return false;
+    if (!fill()) return false;
   }
+}
+
+bool FdLineIO::await_line(std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (buffer_.find('\n') == std::string::npos) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd p{read_fd_, POLLIN, 0};
+    const int r = ::poll(&p, 1,
+                         static_cast<int>(std::clamp<std::int64_t>(
+                             left.count(), 0,
+                             std::numeric_limits<int>::max())));
+    if (r == 0) return false;
+    if (r < 0 && errno == EINTR) continue;
+    // Readable, or EOF or an error that read_line then reports.
+    if (r < 0 || !fill()) return true;
+  }
+  return true;
 }
 
 namespace {

@@ -66,6 +66,7 @@
 // anonymous algorithms and custom tasks with ProtocolError.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -244,6 +245,14 @@ class LineIO {
   virtual bool write_lines(const std::string& a, const std::string& b) {
     return write_line(a) && write_line(b);
   }
+  // Wait up to `timeout` until read_line can return without blocking (a
+  // whole line buffered, or EOF or an error to report); false on timeout.
+  // What lets an idle worker beat on time from its one thread. The
+  // default never waits: a transport that cannot poll returns true and
+  // leaves read_line to block.
+  virtual bool await_line(std::chrono::milliseconds /*timeout*/) {
+    return true;
+  }
 };
 
 class FdLineIO : public LineIO {
@@ -253,8 +262,12 @@ class FdLineIO : public LineIO {
   bool read_line(std::string& out) override;
   bool write_line(const std::string& line) override;
   bool write_lines(const std::string& a, const std::string& b) override;
+  bool await_line(std::chrono::milliseconds timeout) override;
 
  private:
+  // One read(2) into buffer_; false on EOF or an error.
+  bool fill();
+
   int read_fd_;
   int write_fd_;
   std::string buffer_;

@@ -3,47 +3,30 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <mutex>
-
 #include "src/obs/spans.h"
 
 namespace mpcn {
 
 namespace {
 
-std::atomic<bool> g_events_on{false};
-std::mutex g_events_mu;
-int g_events_fd = -1;  // guarded by g_events_mu
+int g_events_fd = -1;  // the open log; -1 when none is
 
 }  // namespace
 
-bool events_enabled() {
-  return g_events_on.load(std::memory_order_relaxed);
-}
+bool events_enabled() { return g_events_fd >= 0; }
 
 bool open_event_log(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_events_mu);
-  if (g_events_fd >= 0) {
-    ::close(g_events_fd);
-    g_events_fd = -1;
-    g_events_on.store(false, std::memory_order_relaxed);
-  }
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return false;
-  g_events_fd = fd;
-  g_events_on.store(true, std::memory_order_relaxed);
-  return true;
+  close_event_log();
+  g_events_fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                       0644);
+  return g_events_fd >= 0;
 }
 
 void close_event_log() {
-  std::lock_guard<std::mutex> lock(g_events_mu);
   if (g_events_fd >= 0) {
     ::close(g_events_fd);
     g_events_fd = -1;
   }
-  g_events_on.store(false, std::memory_order_relaxed);
 }
 
 void log_event(const char* type, Json fields) {
@@ -58,10 +41,8 @@ void log_event(const char* type, Json fields) {
   }
   std::string line = ev.dump();
   line.push_back('\n');
-  std::lock_guard<std::mutex> lock(g_events_mu);
-  if (g_events_fd < 0) return;  // closed between the check and here
-  // One write(2) per line: concurrent emitters never interleave bytes,
-  // and a crash mid-run loses at most the final partial line.
+  // One write(2) per line: a crash mid-run loses at most the final
+  // partial line.
   const char* p = line.data();
   std::size_t left = line.size();
   while (left > 0) {

@@ -11,17 +11,17 @@
 // timeline.
 //
 // Like the rest of src/obs this is sidecar-only (a Report never sees
-// it) and off by default: with no log open, log_event() is one relaxed
-// atomic load and a branch. Each event is one JSON object per line:
+// it) and off by default: with no log open, log_event() is one load and
+// a branch. Each event is one JSON object per line:
 //
 //   {"ts_us":<µs since trace origin>,"type":"<event type>", ...fields}
 //
 // ts_us shares trace_now_us()'s origin, so event timestamps line up
-// with span timestamps in the same process. Lines are written with a
-// single write(2) each under a mutex, so concurrent emitters never
-// interleave bytes. The log is written by the COORDINATOR and explorer
-// only — workers report over the wire and the coordinator records the
-// event — so one run yields one log with non-decreasing timestamps.
+// with span timestamps in the same process. Each line is one write(2)
+// from the process's one thread. The log is written by the COORDINATOR
+// and explorer only — workers report over the wire and the coordinator
+// records the event — so one run yields one log with non-decreasing
+// timestamps.
 // Forked shard workers must call close_event_log() (fork path does)
 // so a child never appends to the parent's file.
 #pragma once

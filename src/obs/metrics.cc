@@ -114,42 +114,32 @@ MetricsSnapshot MetricsSnapshot::from_json(const Json& j) {
 // ------------------------------------------------------------ registry
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+  return counters_[name];
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+  return gauges_[name];
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  return histograms_[name];
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
+  for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
+  for (const auto& [name, g] : gauges_) snap.gauges[name] = g.value();
   for (const auto& [name, h] : histograms_) {
     MetricsSnapshot::HistogramData data;
-    data.count = h->count();
-    data.sum = h->sum();
+    data.count = h.count();
+    data.sum = h.sum();
     std::size_t last = 0;
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (h->bucket(i) != 0) last = i + 1;
+      if (h.bucket(i) != 0) last = i + 1;
     }
     data.buckets.reserve(last);
     for (std::size_t i = 0; i < last; ++i) {
-      data.buckets.push_back(h->bucket(i));
+      data.buckets.push_back(h.bucket(i));
     }
     snap.histograms[name] = std::move(data);
   }
@@ -183,12 +173,11 @@ void append_int(std::string& out, std::int64_t v) {
 
 void MetricsRegistry::delta_json(MetricsSnapshot& prev,
                                  std::string& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
   out.clear();
   out.append("{\"counters\":{");
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    const std::uint64_t v = c->value();
+    const std::uint64_t v = c.value();
     std::uint64_t& base = prev.counters[name];
     const std::uint64_t diff = v > base ? v - base : 0;  // saturate
     base = v;
@@ -201,7 +190,7 @@ void MetricsRegistry::delta_json(MetricsSnapshot& prev,
   out.append("},\"gauges\":{");
   first = true;
   for (const auto& [name, g] : gauges_) {
-    const std::int64_t v = g->value();
+    const std::int64_t v = g.value();
     std::int64_t& base = prev.gauges[name];
     const std::int64_t diff = v - base;
     base = v;
@@ -218,11 +207,11 @@ void MetricsRegistry::delta_json(MetricsSnapshot& prev,
     std::uint64_t count = 0;
     std::size_t last = 0;
     for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      cur[i] = h->bucket(i);
+      cur[i] = h.bucket(i);
       count += cur[i];
       if (cur[i] != 0) last = i + 1;
     }
-    const std::uint64_t sum = h->sum();
+    const std::uint64_t sum = h.sum();
     MetricsSnapshot::HistogramData& base = prev.histograms[name];
     const std::uint64_t dcount = count > base.count ? count - base.count : 0;
     const std::uint64_t dsum = sum > base.sum ? sum - base.sum : 0;
@@ -256,10 +245,9 @@ void MetricsRegistry::delta_json(MetricsSnapshot& prev,
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, c] : counters_) c.reset();
+  for (auto& [name, g] : gauges_) g.reset();
+  for (auto& [name, h] : histograms_) h.reset();
 }
 
 MetricsRegistry& metrics_registry() {

@@ -1,6 +1,5 @@
-// The metrics registry: named counters, gauges and histograms with
-// lock-free updates, snapshotable to JSON and mergeable across
-// processes.
+// The metrics registry: named counters, gauges and histograms, plain
+// integers snapshotable to JSON and mergeable across processes.
 //
 // Design contract (the headline invariant of the telemetry layer):
 //
@@ -8,11 +7,10 @@
 //     report bytes are identical with instrumentation exported or not.
 //     Export goes to its own file (`mpcn ... --metrics out.json`).
 //   * ALWAYS COMPILED IN, ALWAYS CHEAP. Instrumented sites pay one
-//     relaxed atomic increment whether or not anyone ever snapshots.
-//     Every run counts on one thread (in-process and in each shard
-//     worker), so a counter is one atomic word; it is atomic because a
-//     worker's heartbeat thread reads the registry while the worker
-//     loop writes it.
+//     integer add whether or not anyone ever snapshots. No process runs
+//     a second thread (in-process runs, the shard coordinator and each
+//     shard worker all count and read on one), so a metric is a plain
+//     word.
 //   * MERGEABLE. A MetricsSnapshot is a pure bag of sums: merging is
 //     field-wise addition, hence commutative and associative — worker
 //     snapshots arriving over the wire in any order aggregate to the
@@ -24,17 +22,14 @@
 //   static Counter& c = metrics_registry().counter("explore.steps");
 //   c.add();
 //
-// Registry lookups take a mutex, but only on first resolution; metric
-// objects are never destroyed or moved, so cached references stay valid
-// for the life of the process.
+// A registry lookup walks a map, so sites resolve once; metric objects
+// are never destroyed or moved, so cached references stay valid for the
+// life of the process.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -42,36 +37,34 @@
 
 namespace mpcn {
 
-// Monotonic counter. add() is wait-free: one relaxed fetch_add. value()
-// is one relaxed load (a concurrent reader may see a count a moment
-// old; snapshots are advisory).
+// Monotonic counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 // Last-writer-wins signed level (queue depths, pool sizes): gauges
 // record state, not events, and are set from one site at a time.
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void set(std::int64_t v) { v_ = v; }
+  void add(std::int64_t d) { v_ += d; }
+  std::int64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
 // Exponential (power-of-two) bucket histogram for nonnegative samples
 // (latencies in µs, sizes in bytes). Bucket 0 holds exactly {0}; bucket
 // i >= 1 holds [2^(i-1), 2^i); the last bucket absorbs everything above
-// 2^(kBuckets-2). record() is two relaxed fetch_adds (bucket + sum).
+// 2^(kBuckets-2). record() is two adds (bucket + sum).
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 40;
@@ -88,26 +81,24 @@ class Histogram {
   }
 
   void record(std::uint64_t sample) {
-    buckets_[bucket_index(sample)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(sample, std::memory_order_relaxed);
+    ++buckets_[bucket_index(sample)];
+    sum_ += sample;
   }
   std::uint64_t count() const {
     std::uint64_t c = 0;
-    for (const auto& b : buckets_) c += b.load(std::memory_order_relaxed);
+    for (std::uint64_t b : buckets_) c += b;
     return c;
   }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  std::uint64_t sum() const { return sum_; }
+  std::uint64_t bucket(std::size_t i) const { return buckets_[i]; }
   void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
+    buckets_.fill(0);
+    sum_ = 0;
   }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> sum_{0};
+  std::array<std::uint64_t, kBuckets> buckets_{};
+  std::uint64_t sum_ = 0;
 };
 
 // ----------------------------------------------------------- snapshots
@@ -151,9 +142,9 @@ struct MetricsSnapshot {
 
 // ------------------------------------------------------------ registry
 
-// Name -> metric. Creation is mutex-guarded; returned references are
-// stable for the process lifetime (metrics are never destroyed), so hot
-// paths cache them in function-local statics and never lock again.
+// Name -> metric. Returned references are stable for the process
+// lifetime (metrics are never destroyed), so hot paths cache them in
+// function-local statics and never look them up again.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name);
@@ -171,9 +162,9 @@ class MetricsRegistry {
   // output parses back through MetricsSnapshot::from_json to exactly
   // what delta_since would have produced: saturating counter/histogram
   // diffs, signed gauge diffs, all-zero entries dropped, trailing zero
-  // buckets trimmed. Keeps a per-beat cost of a few relaxed loads per
-  // metric, which is what holds streamed-telemetry overhead under the
-  // bench gate on sub-millisecond cells.
+  // buckets trimmed. Keeps a per-beat cost of a few loads per metric,
+  // which is what holds streamed-telemetry overhead under the bench gate
+  // on sub-millisecond cells.
   void delta_json(MetricsSnapshot& prev, std::string& out) const;
 
   // Zero every registered metric (objects survive; cached references
@@ -183,10 +174,10 @@ class MetricsRegistry {
   void reset();
 
  private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  // Map nodes never move, so references into them stay valid.
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 // The process-global registry every instrumented site reports into.

@@ -1,10 +1,7 @@
 #include "src/obs/spans.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace mpcn {
@@ -19,12 +16,9 @@ struct SpanEvent {
   std::int64_t cell_index = -1;  // < 0: no args object on export
 };
 
-// One thread's span ring. Owned by the global TraceRegistry (not the
-// thread) so events survive thread exit; the thread only keeps a raw
-// pointer in a thread_local.
-struct ThreadRing {
+// The process's span ring.
+struct SpanRing {
   static constexpr std::size_t kCapacity = 8192;
-  std::uint32_t tid = 0;
   std::vector<SpanEvent> events;  // ring storage, grows to kCapacity
   std::size_t next = 0;           // ring write cursor
   std::uint64_t dropped = 0;      // events overwritten after wrap
@@ -41,40 +35,18 @@ struct ThreadRing {
   }
 };
 
-struct TraceRegistry {
-  std::mutex mu;
-  std::vector<std::unique_ptr<ThreadRing>> rings;
-  std::uint32_t next_tid = 1;
-
-  ThreadRing* make_ring() {
-    std::lock_guard<std::mutex> lock(mu);
-    rings.push_back(std::make_unique<ThreadRing>());
-    rings.back()->tid = next_tid++;
-    return rings.back().get();
-  }
-};
-
-TraceRegistry& trace_registry() {
-  static TraceRegistry* registry = new TraceRegistry();  // never dtor'd
-  return *registry;
-}
-
-ThreadRing& thread_ring() {
-  thread_local ThreadRing* ring = trace_registry().make_ring();
+SpanRing& span_ring() {
+  static SpanRing* ring = new SpanRing();  // never dtor'd
   return *ring;
 }
 
-std::atomic<bool> g_tracing{false};
+bool g_tracing = false;
 
 }  // namespace
 
-bool tracing_enabled() {
-  return g_tracing.load(std::memory_order_relaxed);
-}
+bool tracing_enabled() { return g_tracing; }
 
-void set_tracing_enabled(bool on) {
-  g_tracing.store(on, std::memory_order_relaxed);
-}
+void set_tracing_enabled(bool on) { g_tracing = on; }
 
 std::uint64_t trace_now_us() {
   static const std::chrono::steady_clock::time_point t0 =
@@ -94,43 +66,29 @@ void record_span(const char* name, const char* category,
   ev.start_us = start_us;
   ev.dur_us = dur_us;
   ev.cell_index = cell_index;
-  thread_ring().push(ev);
+  span_ring().push(ev);
 }
 
 Json dump_trace_json() {
-  struct Row {
-    SpanEvent ev;
-    std::uint32_t tid;
-  };
-  std::vector<Row> rows;
-  std::uint64_t dropped = 0;
-  {
-    TraceRegistry& reg = trace_registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    for (const auto& ring : reg.rings) {
-      dropped += ring->dropped;
-      for (const SpanEvent& ev : ring->events) {
-        rows.push_back(Row{ev, ring->tid});
-      }
-    }
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.ev.start_us != b.ev.start_us) return a.ev.start_us < b.ev.start_us;
-    return a.tid < b.tid;
-  });
+  const SpanRing& ring = span_ring();
+  std::vector<SpanEvent> rows = ring.events;
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const SpanEvent& a, const SpanEvent& b) {
+                     return a.start_us < b.start_us;
+                   });
   Json events = Json::array();
-  for (const Row& r : rows) {
+  for (const SpanEvent& ev : rows) {
     Json e = Json::object();
-    e.set("name", r.ev.name)
-        .set("cat", r.ev.category)
+    e.set("name", ev.name)
+        .set("cat", ev.category)
         .set("ph", "X")
-        .set("ts", static_cast<std::int64_t>(r.ev.start_us))
-        .set("dur", static_cast<std::int64_t>(r.ev.dur_us))
+        .set("ts", static_cast<std::int64_t>(ev.start_us))
+        .set("dur", static_cast<std::int64_t>(ev.dur_us))
         .set("pid", 1)
-        .set("tid", static_cast<std::int64_t>(r.tid));
-    if (r.ev.cell_index >= 0) {
+        .set("tid", 1);
+    if (ev.cell_index >= 0) {
       Json args = Json::object();
-      args.set("cell_index", r.ev.cell_index);
+      args.set("cell_index", ev.cell_index);
       e.set("args", std::move(args));
     }
     events.push(std::move(e));
@@ -138,7 +96,7 @@ Json dump_trace_json() {
   Json doc = Json::object();
   doc.set("traceEvents", std::move(events))
       .set("displayTimeUnit", "ms")
-      .set("droppedEvents", static_cast<std::int64_t>(dropped));
+      .set("droppedEvents", static_cast<std::int64_t>(ring.dropped));
   return doc;
 }
 
@@ -192,13 +150,10 @@ Json merge_trace_docs(const std::vector<ProcessTrace>& procs) {
 }
 
 void reset_trace() {
-  TraceRegistry& reg = trace_registry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  for (auto& ring : reg.rings) {
-    ring->events.clear();
-    ring->next = 0;
-    ring->dropped = 0;
-  }
+  SpanRing& ring = span_ring();
+  ring.events.clear();
+  ring.next = 0;
+  ring.dropped = 0;
 }
 
 }  // namespace mpcn

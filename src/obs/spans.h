@@ -1,19 +1,18 @@
-// Scoped spans: wall-time intervals recorded into per-thread ring
-// buffers and exported as Chrome trace-event JSON (the `traceEvents`
-// format Perfetto and chrome://tracing load directly).
+// Scoped spans: wall-time intervals recorded into one ring buffer and
+// exported as Chrome trace-event JSON (the `traceEvents` format Perfetto
+// and chrome://tracing load directly).
 //
 // Like the metrics registry (metrics.h) this is sidecar-only: spans
 // never touch a Report, and when tracing is disabled — the default — a
-// ScopedSpan constructor is one relaxed atomic load and a branch.
-// Enabling is process-wide (`mpcn ... --trace out.trace.json` turns it
-// on before the run starts).
+// ScopedSpan constructor is one load and a branch. Enabling is
+// process-wide (`mpcn ... --trace out.trace.json` turns it on before the
+// run starts).
 //
-// Each thread owns a fixed-capacity ring: recording a span is a couple
-// of stores with no locking, overflow silently drops the OLDEST events
-// (a drop counter says how many), and the rings are heap-owned by a
-// global registry so a worker thread's spans survive its join and still
-// appear in the export. Span names must be string literals (the ring
-// stores the pointer, not a copy).
+// No process runs a second thread, so the process owns one
+// fixed-capacity ring: recording a span is a couple of stores, and
+// overflow silently drops the OLDEST events (a drop counter says how
+// many). Every exported event carries tid 1. Span names must be string
+// literals (the ring stores the pointer, not a copy).
 #pragma once
 
 #include <cstdint>
@@ -25,17 +24,17 @@
 namespace mpcn {
 
 // Process-wide switch. Off by default; every ScopedSpan checks it with
-// one relaxed load.
+// one load.
 bool tracing_enabled();
 void set_tracing_enabled(bool on);
 
 // Microseconds since the first call in this process (steady clock).
 std::uint64_t trace_now_us();
 
-// Record one completed interval on the calling thread's ring. `name`
-// and `category` must be string literals (or otherwise outlive the
-// process). Used directly by sites that measure an interval without a
-// scope (e.g. the shard coordinator timing a cell round-trip).
+// Record one completed interval on the ring. `name` and `category`
+// must be string literals (or otherwise outlive the process). Used
+// directly by sites that measure an interval without a scope (e.g. the
+// shard coordinator timing a cell round-trip).
 // `cell_index >= 0` attaches an `"args":{"cell_index":N}` object to the
 // exported event, letting a merged multi-process trace correlate a
 // coordinator-side `shard.cell` with the worker-side `worker.cell` that
@@ -70,15 +69,15 @@ class ScopedSpan {
   std::uint64_t start_us_ = 0;
 };
 
-// Export every thread's ring as one Chrome trace-event document:
+// Export the ring as one Chrome trace-event document:
 //   {"traceEvents":[{"name":...,"cat":...,"ph":"X","ts":...,"dur":...,
-//                    "pid":1,"tid":<small per-thread id>}, ...],
+//                    "pid":1,"tid":1}, ...],
 //    "displayTimeUnit":"ms","droppedEvents":<n>}
-// Events are sorted by (ts, tid) for viewer friendliness.
+// Events are sorted by ts for viewer friendliness.
 Json dump_trace_json();
 
-// Drop all recorded spans (rings survive; tids are not reused). Tests
-// and repeated in-process runs use this between captures.
+// Drop all recorded spans. Tests and repeated in-process runs use this
+// between captures.
 void reset_trace();
 
 // ------------------------------------------------- multi-process merge

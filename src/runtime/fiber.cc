@@ -15,23 +15,14 @@
 #if defined(__SANITIZE_ADDRESS__)
 #define MPCN_ASAN_FIBERS 1
 #endif
-#if defined(__SANITIZE_THREAD__)
-#define MPCN_TSAN_FIBERS 1
-#endif
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define MPCN_ASAN_FIBERS 1
-#endif
-#if __has_feature(thread_sanitizer)
-#define MPCN_TSAN_FIBERS 1
 #endif
 #endif
 
 #ifdef MPCN_ASAN_FIBERS
 #include <sanitizer/common_interface_defs.h>
-#endif
-#ifdef MPCN_TSAN_FIBERS
-#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace mpcn {
@@ -70,12 +61,6 @@ void* map_stack() {
 
 }  // namespace
 
-Fiber::Fiber() {
-#ifdef MPCN_TSAN_FIBERS
-  tsan_fiber_ = __tsan_get_current_fiber();
-#endif
-}
-
 Fiber::Fiber(Entry entry, void* arg)
     : entry_(entry), arg_(arg), stack_(map_stack()) {
   if (::getcontext(&ctx_) != 0) {
@@ -95,17 +80,10 @@ Fiber::Fiber(Entry entry, void* arg)
   ::makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
                 static_cast<unsigned>(self >> 32),
                 static_cast<unsigned>(self & 0xffffffffu));
-#ifdef MPCN_TSAN_FIBERS
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
 }
 
 Fiber::~Fiber() {
-  if (stack_ == nullptr) return;
-#ifdef MPCN_TSAN_FIBERS
-  __tsan_destroy_fiber(tsan_fiber_);
-#endif
-  ::munmap(stack_, mapping_size());
+  if (stack_ != nullptr) ::munmap(stack_, mapping_size());
 }
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
@@ -117,11 +95,6 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 void Fiber::switch_to(Fiber& from, Fiber& to) {
-#ifdef MPCN_TSAN_FIBERS
-  // swapcontext, not _setjmp/_longjmp, under TSan (see fiber.h).
-  __tsan_switch_to_fiber(to.tsan_fiber_, 0);
-  if (::swapcontext(&from.ctx_, &to.ctx_) != 0) std::abort();
-#else
   if (_setjmp(from.jmp_) == 0) {
 #ifdef MPCN_ASAN_FIBERS
     tl_leaving = &from;
@@ -133,7 +106,6 @@ void Fiber::switch_to(Fiber& from, Fiber& to) {
     ::setcontext(&to.ctx_);
     std::abort();  // setcontext returns only on failure
   }
-#endif
   from.arrived();
 }
 

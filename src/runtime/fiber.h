@@ -8,11 +8,7 @@
 // entry is one setcontext. Every later switch is a _setjmp/_longjmp pair,
 // which saves and restores only registers and the stack pointer: no
 // signal mask, so no system call. All fibers therefore share the thread's
-// signal mask; no process body changes it. TSan builds switch with
-// swapcontext instead: TSan intercepts _setjmp/_longjmp, and under them
-// a TSan run's memory grew with every switch (to gigabytes over a
-// multi-million-step run), while swapcontext is what its fiber API
-// expects.
+// signal mask; no process body changes it.
 //
 // A fiber's entry never returns. The controller's entry is a loop that
 // runs one thread body after another and parks the fiber in between, so
@@ -24,10 +20,8 @@
 // PROT_NONE guard page, so an overflow faults instead of corrupting a
 // neighbour.
 //
-// Sanitizers see every switch through their fiber APIs: ASan's
-// start/finish_switch_fiber keep its stack bookkeeping right, and TSan's
-// create/switch_to/destroy_fiber give each fiber its own shadow state,
-// made and destroyed once per fiber however many bodies it runs.
+// ASan sees every switch through its fiber API: start/finish_switch_fiber
+// keep its stack bookkeeping right.
 #pragma once
 
 #include <setjmp.h>
@@ -44,7 +38,7 @@ class Fiber {
 
   // The calling context (a thread's own stack) as a switch target. Owns
   // no stack.
-  Fiber();
+  Fiber() = default;
   // A fiber that runs entry(arg) on a fresh stack when first switched to.
   // `entry` must never return.
   Fiber(Entry entry, void* arg);
@@ -63,8 +57,7 @@ class Fiber {
   // Sanitizer bookkeeping on arrival in this context.
   void arrived();
 
-  // The first entry, for a fiber with a stack; in TSan builds, also where
-  // the fiber last switched away.
+  // The first entry, for a fiber with a stack.
   ucontext_t ctx_{};
   jmp_buf jmp_{};     // where the fiber last switched away
   bool entered_ = true;  // false until a stack fiber's first entry
@@ -76,7 +69,6 @@ class Fiber {
   const void* stack_bottom_ = nullptr;
   std::size_t stack_size_ = 0;
   void* asan_fake_stack_ = nullptr;
-  void* tsan_fiber_ = nullptr;
 };
 
 }  // namespace mpcn

@@ -1,11 +1,10 @@
 #include "src/runtime/step_controller.h"
 
-#include <pthread.h>
-
 #include <algorithm>
 #include <optional>
 
 #include "src/common/errors.h"
+#include "src/obs/heartbeat.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/process_context.h"
 
@@ -30,8 +29,9 @@ struct LockstepController::Slot {
 
 namespace {
 
-// The wall limit is read at every kClockGrants-th grant: a clock read per
-// step would be a measurable share of a fiber switch.
+// The clock is read at every kClockGrants-th grant, for the wall limit
+// and the in-run heartbeat (src/obs/heartbeat.h): a clock read per step
+// would be a measurable share of a fiber switch.
 constexpr std::uint64_t kClockGrants = 256;
 
 // Idle slots kept per OS thread. A fresh slot costs a stack mapping
@@ -43,9 +43,6 @@ constexpr std::size_t kPooledSlots = 64;
 // This OS thread's idle slots, their fibers parked where their last body
 // ended.
 thread_local std::vector<std::unique_ptr<LockstepController::Slot>> tl_idle;
-
-[[maybe_unused]] const int tl_idle_dropped_at_fork = ::pthread_atfork(
-    &LockstepController::drop_idle_slots, nullptr, nullptr);
 
 }  // namespace
 
@@ -66,8 +63,6 @@ LockstepController::~LockstepController() {
     }
   }
 }
-
-void LockstepController::drop_idle_slots() { tl_idle.clear(); }
 
 void LockstepController::enable_grant_trace() {
   trace_ = true;
@@ -229,11 +224,14 @@ void LockstepController::maybe_grant() {
       n_parked_ != live_.size()) {
     return;
   }
-  if (steps_ % kClockGrants == 0 &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    stop_ = true;
-    timed_out_ = true;
-    return;
+  if (steps_ % kClockGrants == 0) {
+    const Deadline now = std::chrono::steady_clock::now();
+    heartbeat_tick(now);
+    if (now >= deadline_) {
+      stop_ = true;
+      timed_out_ = true;
+      return;
+    }
   }
   // Deterministic grant: every live fiber is parked, so the choice
   // depends only on the policy's state and the sorted live set.

@@ -22,6 +22,11 @@
 // recorder, the crash manager) are touched only by its fibers, one at a
 // time, so they carry no locks either; each run builds its own.
 //
+// The controller reads the clock at every 256th grant, and at a run's
+// first: for the wall limit, and for heartbeat_tick (src/obs/heartbeat.h),
+// through which a shard worker with streaming telemetry beats from inside
+// a long job. The tick touches no state of the run, so it moves no grant.
+//
 // A thread is a Slot: its body, its ProcessContext, its schedule state and
 // the done/joined/error state its ChildHandle reads, on a fiber of its
 // own. Slots come from a per-OS-thread pool of at most 64 and go back to
@@ -30,7 +35,8 @@
 // _longjmp, so once the pool is warm starting a thread (spawn, and through
 // it Execution::run and ProcessContext::fork) makes no system call and
 // allocates nothing. The run's tables reserve room for the pool's 64
-// slots, so runs of up to 64 threads grow none of them.
+// slots, so runs of up to 64 threads grow none of them. A forked process
+// (a shard worker) inherits the pool warm.
 //
 // All protocol-level blocking in the library is yield-spinning through the
 // controller (no native blocking), so runs cannot deadlock on hidden
@@ -128,14 +134,6 @@ class LockstepController {
   // pick). Grants cannot throw (they fire while a fiber parks or ends),
   // so the fault is latched here and surfaced by Execution::run.
   const std::string& policy_error() const { return policy_error_; }
-
-  // Destroys the calling OS thread's idle slots. TSan counts each parked
-  // fiber as a live thread: a process forked while it has more than one
-  // stops tracking the child's synchronization, and a process that exits
-  // with them sleeps a second first. So the pool is dropped before every
-  // fork, and a process that leaves through _exit (which runs no
-  // thread_local destructor) calls this first.
-  static void drop_idle_slots();
 
  private:
   friend class ChildHandle;

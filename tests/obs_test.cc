@@ -12,7 +12,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/cli/cli.h"
@@ -52,25 +51,6 @@ struct TempFile {
 };
 
 // ------------------------------------------------------------ primitives
-
-// The shard worker's heartbeat thread reads counters while the worker
-// loop adds to them; concurrent adds must still all land.
-TEST(Counter, SumsConcurrentIncrements) {
-  Counter c;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10'000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < kPerThread; ++i) c.add();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Gauge, SetAddAndReset) {
   Gauge g;

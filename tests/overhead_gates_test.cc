@@ -6,9 +6,8 @@
 //     ScriptedPolicy hot path fails here.
 //   * Streaming telemetry (a sharded search with the 25 ms worker
 //     heartbeat armed, the CLI's --telemetry-ms path) costs at most 1.05x
-//     the CPU of the same search with telemetry off, both run from a
-//     multi-threaded process (see the test), and at most 50 us of
-//     CPU per schedule for the heartbeat compose + wire + coordinator
+//     the CPU of the same search with telemetry off, and at most 50 us
+//     of CPU per schedule for the heartbeat compose + wire + coordinator
 //     fold, so a heartbeat-path regression cannot hide behind a heavy
 //     cell. The ratio is CPU time (user + sys of this process and its
 //     reaped forked workers): wall clock on a shared host carries a
@@ -28,7 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "src/experiment/experiment.h"
@@ -154,13 +152,6 @@ TEST(OverheadGates, TelemetryWithinFivePercentAndFiftyUsPerSchedule) {
     }
     return cpu;
   };
-  // Once a process has run a second thread, libstdc++'s shared_ptr
-  // refcounts and glibc's malloc stay on their atomic paths, and forked
-  // workers inherit that mode. A worker's streamer thread flips a
-  // single-threaded worker into it, which alone costs 7-9% CPU on this
-  // cell (a separate cost, tracked in ROADMAP.md) and would drown the
-  // heartbeat path this gate prices. So both sides run multi-threaded.
-  std::thread([] {}).join();
   sharded_cpu_ms(false);  // warmup: fork paths, page cache
 
   // Each rep runs plain and streaming back to back, and the gated

@@ -11,6 +11,8 @@
 //     deadline far off) is written off by heartbeat age — the silence
 //     the per-cell watchdog cannot see in time — and its cell is
 //     requeued;
+//   * a live worker beats from its own loop, inside a long run and
+//     while idle, so staleness never writes it off;
 //   * merge_trace_docs is deterministic, re-stamps pids, aligns clocks
 //     and keeps events sorted, so one --trace file loads in Perfetto;
 //   * the events log round-trips: every line parses back with its type,
@@ -128,6 +130,49 @@ TEST(Telemetry, StoppedWorkerIsWrittenOffByHeartbeatAge) {
   EXPECT_EQ(health[1].cells_served, kCells);
   // Staleness, not the 60 s watchdog, must have fired the write-off.
   EXPECT_LT(wall, std::chrono::seconds(30));
+}
+
+// Both beat sources of a worker's own loop: a 2-shard grid of one short
+// cell and one stall that runs several times heartbeat_stale_after (seed
+// 2: the 0-resilient trivial k-set algorithm with p0 crashed at its
+// first step, so the others wait for it until the step limit). The busy
+// worker must beat from inside the run and the idle one from its wait
+// for the next line, or staleness writes one of them off.
+TEST(Telemetry, BusyAndIdleWorkersBeatFromTheirOwnLoops) {
+  Experiment e = Experiment::named("trivial_kset", ModelSpec{4, 0, 1});
+  e.direct()
+      .inputs({Value(10), Value(11), Value(12), Value(13)})
+      .seeds(1, 2)
+      .crashes([](const ModelSpec&, std::uint64_t seed) {
+        return seed == 1 ? CrashPlan::none()
+                         : CrashPlan::fixed({CrashPoint{0, 1}});
+      })
+      .step_limit(4'000'000)
+      .check_legality(false);
+  ShardOptions options;
+  options.shards = 2;
+  options.telemetry_interval = std::chrono::milliseconds(10);
+  options.heartbeat_stale_after = std::chrono::milliseconds(150);
+  options.max_respawns = 0;
+  std::vector<WorkerHealth> health;
+  options.health = &health;
+  const Report sharded = run_sharded(e.cells(), options);
+  EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
+  ASSERT_EQ(sharded.records.size(), 2u);
+  EXPECT_FALSE(sharded.records[0].timed_out);
+  EXPECT_TRUE(sharded.records[1].timed_out);
+  // The stall must outlast staleness, or a silent worker could go
+  // unnoticed (it takes about four times as long on a 4-vCPU Xeon).
+  EXPECT_GT(sharded.records[1].wall_ms,
+            2.0 * options.heartbeat_stale_after.count());
+  ASSERT_EQ(health.size(), 2u);
+  for (const WorkerHealth& h : health) {
+    EXPECT_FALSE(h.written_off) << "slot " << h.slot << ": "
+                                << h.write_off_reason;
+    EXPECT_EQ(h.cells_served, 1) << "slot " << h.slot;
+    // More than the arm beat and the after-job beat.
+    EXPECT_GE(h.heartbeats, 3) << "slot " << h.slot;
+  }
 }
 
 // ------------------------------------------------------- trace merging

@@ -1,8 +1,8 @@
 // Tests pinning the copy-on-write Value representation (src/common/value.h):
 // aliasing invisibility, structural equality/ordering/hash stability across
 // shared vs detached payloads, JSON round-trip identity, the cheap builder
-// paths, and thread-safety of concurrent reads of a shared payload (run
-// under TSan to verify the data-race freedom claim).
+// paths, and thread-safety of concurrent reads of a shared payload (the
+// shared_ptr contract Value keeps for callers that share one).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -181,7 +181,7 @@ TEST(ValueCow, JsonRoundTripSeedCorpus) {
   }
 }
 
-// --- concurrent reads of a shared payload are race-free (TSan) ----------
+// --- concurrent reads of a shared payload are race-free ----------------
 
 TEST(ValueCow, ConcurrentReadsOfSharedPayload) {
   const Value shared = deep_sample();
