@@ -169,12 +169,22 @@ int CrashPlan::budget(int n) const {
   return 0;
 }
 
+namespace {
+
+// The hazard stream's seed: one splitmix64 step from the plan's seed, so
+// that the stream is not the scheduler's (see CrashManager::realized).
+std::uint64_t hazard_stream_seed(std::uint64_t seed) {
+  return splitmix64(seed);
+}
+
+}  // namespace
+
 CrashManager::CrashManager(int n, CrashPlan plan)
     : n_(n),
       plan_(std::move(plan)),
+      rng_(hazard_stream_seed(plan_.seed_)),
       crashed_(static_cast<std::size_t>(n), false),
       step_counts_(static_cast<std::size_t>(n), 0) {
-  if (plan_.kind_ == CrashPlan::Kind::kHazard) rng_.emplace(plan_.seed_);
   for (const CrashPoint& cp : plan_.points_) {
     if (cp.pid < 0 || cp.pid >= n) {
       throw std::invalid_argument("crash point pid out of range");
@@ -249,7 +259,7 @@ bool CrashManager::on_step(ThreadId tid) {
       if (!plan_.eligible_.empty() && !plan_.eligible_.count(pid)) {
         return false;
       }
-      if (rng_->chance(plan_.probability_)) {
+      if (rng_.chance(plan_.probability_)) {
         crashed_[static_cast<std::size_t>(pid)] = true;
         ++crash_count_;
         realized_.push_back(CrashPoint{pid, my_step});

@@ -12,8 +12,8 @@
 //  * hazard() — at every step of an eligible process, crash with
 //               probability p, subject to a budget of at most max_crashes
 //               processes. Seeded: deterministic. The only kind that
-//               draws random numbers, so the only kind whose crash
-//               manager seeds an RNG.
+//               draws random numbers; it draws them from the stream of
+//               splitmix64(seed), not of seed itself (see realized()).
 //
 // Crash domains are whole processes: when a simulator crashes, all the
 // threads it forked for simulated processes stop with it ("after it has
@@ -142,8 +142,13 @@ class CrashManager : public CrashDirector {
   // The crashes this execution actually realized, in crash order: each
   // entry is (pid, the pid's own-step count at the crash). Replaying the
   // realized points as CrashPlan::fixed reproduces any randomized run
-  // exactly (the crash rng is separate from the scheduler rng, so the
-  // schedule is unaffected).
+  // exactly: the hazard draws come from the manager's own Rng, so the
+  // scheduler's stream does not depend on them. Nor do the two streams
+  // share words: `mpcn run --crash-p` seeds a cell's scheduler and its
+  // hazard plan with the same seed, and on one stream step k's crash
+  // draw would read grant k's pick, so the first crash would hit the
+  // lowest runnable process whenever p * n < 1. The manager seeds its
+  // Rng with splitmix64 of the plan's seed.
   std::vector<CrashPoint> realized() const;
 
   // CrashDirector (explored plans; called by the lock-step controller
@@ -158,9 +163,7 @@ class CrashManager : public CrashDirector {
 
   const int n_;
   CrashPlan plan_;
-  // Seeded only for hazard plans, the one kind that draws from it:
-  // seeding an mt19937_64 costs more than a short crash-free run.
-  std::optional<Rng> rng_;
+  Rng rng_;
   std::vector<bool> crashed_;
   std::vector<std::uint64_t> step_counts_;
   int crash_count_ = 0;

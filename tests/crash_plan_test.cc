@@ -11,7 +11,9 @@
 //     register steps), so only own-step anchors reachable on both
 //     substrates are mem-portable: the fixed test's early anchor realizes
 //     identically on both; hazard and propose_trap realizations are
-//     coupled to the substrate's schedule and pinned per mem;
+//     coupled to the substrate's schedule and pinned per mem (the
+//     hazard pins were recorded again when the hazard stream became
+//     splitmix64 of the plan's seed);
 //   * RunRecord serializes the effective plan and the realized points,
 //     and replaying the realized points as CrashPlan::fixed reproduces
 //     the run exactly (replay-from-report);
@@ -90,12 +92,48 @@ TEST(CrashRealization, HazardPlanMatchesThreadedRuntime) {
       .crashes([](const ModelSpec& m, std::uint64_t seed) {
         return CrashPlan::hazard(0.2, m.t, seed);
       });
-  expect_realizations(e, {{"1/primitive", "0@1;1@1; 8"},
-                          {"1/afek", "0@1;1@1; 54"},
-                          {"2/primitive", "0@1;2@1; 9"},
-                          {"2/afek", "0@1;1@3; 44"},
-                          {"3/primitive", "0@1;1@1; 10"},
-                          {"3/afek", "0@1;1@1; 50"}});
+  expect_realizations(e, {{"1/primitive", "2@1; 8"},
+                          {"1/afek", "1@2;2@3; 61"},
+                          {"2/primitive", "0@2; 11"},
+                          {"2/afek", "0@2;1@4; 42"},
+                          {"3/primitive", "2@1;1@1; 7"},
+                          {"3/afek", "2@1;1@1; 42"}});
+}
+
+TEST(CrashRealization, HazardFirstCrashIsNotTheSchedulersPick) {
+  // The paper_grid cell: a cell seeds its scheduler and its hazard plan
+  // with the same seed. Were both streams that seed's, step k's crash
+  // draw would read grant k's index word, and every word low enough to
+  // crash (below p * 2^64) picks index 0 of the runnable set: the first
+  // crash would hit the lowest runnable process in almost every run.
+  // Over 200 seeds, no pid may be first in more than half of the runs
+  // that crash.
+  Experiment e = Experiment::named("trivial_kset", ModelSpec{4, 2, 1});
+  e.in(ModelSpec{8, 5, 3})
+      .seeds(1, 200)
+      .inputs_fn([](const ModelSpec& m) {
+        std::vector<Value> v;
+        for (int i = 0; i < m.n; ++i) v.push_back(Value(i));
+        return v;
+      })
+      .crashes([](const ModelSpec& m, std::uint64_t seed) {
+        return CrashPlan::hazard(0.001, m.t, seed);
+      });
+  const Report report = e.run_all();
+  std::map<ProcessId, int> first;
+  int crashing = 0;
+  for (const RunRecord& rec : report.records) {
+    ASSERT_TRUE(rec.ok()) << "seed " << rec.seed << ": " << rec.why;
+    if (rec.crash_points.empty()) continue;
+    ++crashing;
+    ++first[rec.crash_points.front().pid];
+  }
+  ASSERT_GE(crashing, 100);
+  for (const auto& [pid, count] : first) {
+    EXPECT_LE(2 * count, crashing)
+        << "pid " << pid << " crashes first in " << count << " of "
+        << crashing << " crashing runs";
+  }
 }
 
 TEST(CrashRealization, ProposeTrapMatchesThreadedRuntime) {
