@@ -1,7 +1,5 @@
 #include "src/cli/cli.h"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -42,11 +40,6 @@ const char kUsage[] =
     "                               violation, 3 when the race oracle\n"
     "                               fires, 4 when every violation needed\n"
     "                               an injected crash)\n"
-    "  worker                       JSON-lines worker on stdin/stdout\n"
-    "                               (faults: --max-cells N exits with\n"
-    "                               its Nth cell or range line in\n"
-    "                               flight, --stop-after N freezes via\n"
-    "                               SIGSTOP on receiving its Nth)\n"
     "  events <log.jsonl> [--json]  summarize an --events flight-recorder\n"
     "                               log: per-worker lifelines, requeue\n"
     "                               chains, violation timeline\n"
@@ -69,14 +62,14 @@ const char kUsage[] =
     "  --crash-max M     hazard crash budget, at most each cell's t\n"
     "  --inputs LIST     integer input pool, e.g. \"0,1,2\" (default:\n"
     "                    process index)\n"
-    "  --shards K        distribute over K worker subprocesses, the one\n"
-    "                    way to use more cores (default: 0 = in-process,\n"
+    "  --shards K        distribute over K forked workers, the one way\n"
+    "                    to use more cores (default: 0 = in-process,\n"
     "                    one cell after another on one thread)\n"
     "  --json PATH       write the report JSON (\"-\" = stdout)\n"
     "  --no-timing       exclude wall-clock fields from the JSON so\n"
     "                    reports compare byte-identical\n"
-    "  --fork-workers    shard via fork() instead of spawning\n"
-    "                    `mpcn worker` subprocesses\n"
+    "  --fork-workers    accepted and ignored: shard workers are always\n"
+    "                    forked\n"
     "  --title S         report title (default: scenario name)\n"
     "  --metrics PATH    write a telemetry snapshot JSON (process +\n"
     "                    per-worker + merged counters; sidecar-only,\n"
@@ -144,15 +137,6 @@ Report load_report(const std::string& path) {
   return Report::from_json(Json::parse(text.str()));
 }
 
-// Absolute path of the running binary, for self-spawning `mpcn worker`
-// subprocesses regardless of the caller's cwd/PATH.
-std::string self_exe_path(const char* argv0) {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) return std::string(buf, static_cast<std::size_t>(n));
-  return argv0 ? argv0 : "mpcn";
-}
-
 int cmd_list(int argc, char** argv) {
   Args args(argc, argv, 2, {}, {"json"});
   if (args.has("json")) {
@@ -179,20 +163,6 @@ int cmd_list(int argc, char** argv) {
     std::printf("%-24s %-12s %-8s %s\n", s.name.c_str(), s.axis.c_str(),
                 kind, s.description.c_str());
   }
-  return 0;
-}
-
-int cmd_worker(int argc, char** argv) {
-  Args args(argc, argv, 2, {"max-cells", "stop-after"}, {});
-  WorkerOptions options;
-  if (const auto v = args.value("max-cells")) {
-    options.max_cells = parse_int(*v);
-  }
-  if (const auto v = args.value("stop-after")) {
-    options.stop_after_cells = parse_int(*v);
-  }
-  FdLineIO io(STDIN_FILENO, STDOUT_FILENO);
-  run_worker_loop(io, options);
   return 0;
 }
 
@@ -361,21 +331,19 @@ Experiment parse_cell_flags(const Args& args, const std::string& command) {
 }
 
 // The backend and sidecar flags run and explore share. The constructor
-// reads --shards, --fork-workers, --progress, --telemetry-ms,
-// --stale-ms and MPCN_WORKER_STOP_AFTER into the caller's settings, and
+// reads --shards, --progress, --telemetry-ms, --stale-ms and
+// MPCN_WORKER_STOP_AFTER into the caller's settings (--fork-workers is
+// accepted and selects nothing: workers are always forked, and existing
+// command lines, perfbench's among them, still pass it), and
 // opens the --events log before the run so spawn events land; finish()
 // writes --metrics, --trace and --health after the run, then closes the
 // log. A sharded run's settings point into this object, which must
 // outlive the run and stay where it is.
 class BackendFlags {
  public:
-  BackendFlags(const Args& args, const char* argv0, ShardSettings& settings)
-      : args_(args) {
+  BackendFlags(const Args& args, ShardSettings& settings) : args_(args) {
     if (const auto v = args.value("shards")) settings.shards = parse_int(*v);
     sharded_ = settings.shards > 0;
-    if (sharded_ && !args.has("fork-workers")) {
-      settings.worker_argv = {self_exe_path(argv0), "worker"};
-    }
     settings.progress = args.has("progress");
     if (const auto v = args.value("telemetry-ms")) {
       settings.telemetry_interval = std::chrono::milliseconds(parse_u64(*v));
@@ -469,7 +437,7 @@ int cmd_run(int argc, char** argv) {
 
   BatchOptions batch;
   batch.title = args.value_or("title", args.positional()[0]);
-  BackendFlags backend(args, argv[0], batch);
+  BackendFlags backend(args, batch);
   const Report report = e.run_all(batch);
   backend.finish();
 
@@ -593,7 +561,7 @@ int cmd_explore(int argc, char** argv) {
   opts.shrink_budget = parse_int(args.value_or("shrink-budget", "400"));
   opts.spec = spec;
   opts.check_races = check_races;
-  BackendFlags backend(args, argv[0], opts);
+  BackendFlags backend(args, opts);
   const ExploreResult result = explore(cell, opts);
   backend.finish();
 
@@ -840,7 +808,6 @@ int cli_main(int argc, char** argv) {
     if (command == "list") return cmd_list(argc, argv);
     if (command == "run") return cmd_run(argc, argv);
     if (command == "explore") return cmd_explore(argc, argv);
-    if (command == "worker") return cmd_worker(argc, argv);
     if (command == "events") return cmd_events(argc, argv);
     if (command == "diff") return cmd_diff(argc, argv);
     if (command == "help" || command == "--help" || command == "-h") {

@@ -3,9 +3,6 @@
 //
 //   mpcn list                                  enumerate scenarios
 //   mpcn run <scenario> --in n,t,x ...         expand + run a grid
-//   mpcn worker [--max-cells N]                wire-protocol worker on
-//                                              stdin/stdout (spawned by
-//                                              `run --shards K`)
 //   mpcn diff a.json b.json [--json]           compare two reports
 //
 // cli_main is the whole CLI behind a testable seam: the mpcn binary

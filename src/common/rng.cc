@@ -90,12 +90,6 @@ std::size_t Rng::index(std::size_t n) {
   return d(words);
 }
 
-int Rng::range(int lo, int hi) {
-  Words words{this};
-  std::uniform_int_distribution<int> d(lo, hi);
-  return d(words);
-}
-
 bool Rng::chance(double p) {
   // std::bernoulli_distribution(p) over a 64-bit engine: one word x,
   // generate_canonical<double, 53> makes it double(x) / 2^64 clamped

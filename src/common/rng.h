@@ -2,9 +2,8 @@
 // derived from one user-supplied seed so that every schedule is replayable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 namespace mpcn {
 
@@ -12,7 +11,7 @@ namespace mpcn {
 std::uint64_t splitmix64(std::uint64_t& state);
 
 // Rng draws std::mt19937_64's output stream: for every seed the same
-// words, and through index/range/chance/fork the same numbers that the
+// words, and through index/chance/fork the same numbers that the
 // std distributions draw from that engine. It computes the stream itself
 // because a run draws few numbers: a PCT schedule draws about four, and
 // std::mt19937_64 seeds all 312 state words at construction and twists
@@ -28,19 +27,10 @@ class Rng {
 
   // Uniform in [0, n). n must be > 0.
   std::size_t index(std::size_t n);
-  // Uniform in [lo, hi] inclusive.
-  int range(int lo, int hi);
   // Bernoulli with probability p.
   bool chance(double p);
   // Derive a child seed (stable given call order).
   std::uint64_t fork();
-
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::swap(v[i - 1], v[index(i)]);
-    }
-  }
 
  private:
   static constexpr std::uint32_t kWords = 312;

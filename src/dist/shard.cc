@@ -88,14 +88,13 @@ Counter& m_worker_garbage_lines() {
   return c;
 }
 
-// The worker-side heartbeat. Once armed by a telemetry config line the
-// worker beats at once and after every job; with an interval, also from
-// inside a long job (the in-run hook, src/obs/heartbeat.h) and, while
-// idle, whenever its wait for the next line outlasts the interval. A
-// beat diffs the metrics registry against the previous beat
-// (delta_json) and writes one telemetry line. All of it runs on the
-// worker's one thread, so lines never interleave and seq and delta stay
-// consistent without a lock.
+// The worker-side heartbeat. Once armed the worker beats at once and
+// after every job; with an interval, also from inside a long job (the
+// in-run hook, src/obs/heartbeat.h) and, while idle, whenever its wait
+// for the next line outlasts the interval. A beat diffs the metrics
+// registry against the previous beat (delta_json) and writes one
+// telemetry line. All of it runs on the worker's one thread, so lines
+// never interleave and seq and delta stay consistent without a lock.
 class Heartbeat {
  public:
   using Clock = std::chrono::steady_clock;
@@ -105,14 +104,14 @@ class Heartbeat {
   Heartbeat(const Heartbeat&) = delete;
   Heartbeat& operator=(const Heartbeat&) = delete;
 
-  // Arm (or re-arm) and beat at once, so every armed worker produces at
-  // least one telemetry line even if it never receives a job.
-  // interval_ms <= 0 arms the after-job beats only.
-  void arm(std::int64_t interval_ms) {
+  // Arm and beat at once, so every armed worker produces at least one
+  // telemetry line even if it never receives a job. An interval <= 0
+  // arms the after-job beats only.
+  void arm(std::chrono::milliseconds interval) {
     armed_ = true;
-    interval_ = std::chrono::milliseconds(interval_ms);
+    interval_ = interval;
     beat();
-    set_heartbeat_hook(interval_ms > 0 ? &Heartbeat::on_tick : nullptr,
+    set_heartbeat_hook(interval_armed() ? &Heartbeat::on_tick : nullptr,
                        this);
   }
 
@@ -219,6 +218,7 @@ std::string serve_range(const WireMessage& msg) {
 void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   Heartbeat heartbeat(io);
   if (!io.write_line(hello_line())) return;
+  if (options.heartbeat) heartbeat.arm(*options.heartbeat);
   int jobs_received = 0;
   std::string line;
   for (;;) {
@@ -251,12 +251,6 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
         }
         if (msg.want_trace) io.write_line(trace_line(dump_trace_json()));
         return;
-      case WireMessage::Type::kTelemetry:
-        // Config from the coordinator: turn span recording on (exec-mode
-        // workers start with tracing off) and arm the heartbeat.
-        if (msg.want_trace) set_tracing_enabled(true);
-        heartbeat.arm(msg.telemetry_interval_ms);
-        break;
       case WireMessage::Type::kCell:
       case WireMessage::Type::kRange: {
         ++jobs_received;
@@ -293,6 +287,7 @@ void run_worker_loop(LineIO& io, const WorkerOptions& options) {
       case WireMessage::Type::kRangeResult:
       case WireMessage::Type::kError:
       case WireMessage::Type::kMetrics:
+      case WireMessage::Type::kTelemetry:
       case WireMessage::Type::kTrace:
         break;  // tolerated, meaningless towards a worker
     }
@@ -320,11 +315,6 @@ struct WorkerProc {
   // spawn itself. Staleness is measured against this, so a worker
   // streaming heartbeats (or results) is never stale.
   std::chrono::steady_clock::time_point last_heard{};
-  // Trace-merge clock alignment: added to every worker span timestamp.
-  // 0 for forked workers (they inherit the coordinator's trace_now_us
-  // origin); the coordinator's clock at spawn for exec'd workers (their
-  // origin is their own start).
-  std::int64_t clock_offset_us = 0;
   // Churn hardening: respawn attempts this slot has consumed, and the
   // scheduled relaunch (valid while respawn_pending).
   int respawns = 0;
@@ -365,9 +355,17 @@ void reap(pid_t pid, std::chrono::milliseconds grace) {
   ::waitpid(pid, &status, 0);
 }
 
-// `sibling_fds`: coordinator ends of previously spawned workers, closed
-// in the child so no worker holds another worker's pipe open — otherwise
-// a worker would never see EOF when the coordinator dies.
+// Slot `index`'s entry of a per-slot fault-injection list; 0 when missing.
+int slot_quota(const std::vector<int>& quotas, int index) {
+  return index < static_cast<int>(quotas.size())
+             ? quotas[static_cast<std::size_t>(index)]
+             : 0;
+}
+
+// Fork the worker of slot `index`. `sibling_fds`: coordinator ends of
+// previously spawned workers, closed in the child so no worker holds
+// another worker's pipe open — otherwise a worker would never see EOF
+// when the coordinator dies.
 WorkerProc spawn_worker(const ShardOptions& options, int index,
                         const std::vector<int>& sibling_fds) {
   int sv[2];
@@ -380,19 +378,20 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
     throw std::runtime_error(std::string("shard: socketpair failed: ") +
                              std::strerror(errno));
   }
-  const int quota =
-      index < static_cast<int>(options.worker_max_cells.size())
-          ? options.worker_max_cells[static_cast<std::size_t>(index)]
-          : 0;
-  const int stop_after =
-      index < static_cast<int>(options.worker_stop_after.size())
-          ? options.worker_stop_after[static_cast<std::size_t>(index)]
-          : 0;
-  // Pin the trace origin BEFORE forking: children inherit t0, so forked
-  // workers' span clocks share the coordinator's origin (offset 0);
-  // exec'd workers restart their clock and get this instant as offset.
-  const std::int64_t spawn_clock =
-      static_cast<std::int64_t>(trace_now_us());
+  // The worker's settings, set before the fork and inherited with the
+  // rest of memory: no wire line configures a worker. Span recording and
+  // streamed telemetry both arm the heartbeat, so a trace-only pool
+  // still gets its after-job beats.
+  WorkerOptions wo;
+  wo.max_cells = slot_quota(options.worker_max_cells, index);
+  wo.stop_after_cells = slot_quota(options.worker_stop_after, index);
+  const bool want_traces = options.worker_traces != nullptr;
+  if (options.telemetry_interval.count() > 0 || want_traces) {
+    wo.heartbeat = options.telemetry_interval;
+  }
+  // Pin the trace clock's origin BEFORE forking: the child inherits it,
+  // so its span timestamps need no alignment in the merged trace.
+  trace_now_us();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);
@@ -401,43 +400,21 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
                              std::strerror(errno));
   }
   if (pid == 0) {
-    ::close(sv[0]);
-    for (int fd : sibling_fds) ::close(fd);
-    if (!options.worker_argv.empty()) {
-      ::dup2(sv[1], 0);
-      ::dup2(sv[1], 1);
-      if (sv[1] > 2) ::close(sv[1]);
-      std::vector<std::string> args = options.worker_argv;
-      if (quota > 0) {
-        args.push_back("--max-cells");
-        args.push_back(std::to_string(quota));
-      }
-      if (stop_after > 0) {
-        args.push_back("--stop-after");
-        args.push_back(std::to_string(stop_after));
-      }
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execvp(argv[0], argv.data());
-      ::_exit(127);  // exec failed: the coordinator sees instant EOF
-    }
-    // Fork mode: serve straight from the forked image. _exit (not exit)
-    // so the child never runs the parent's atexit/stream flushing.
-    // Zero the inherited telemetry first — a forked child carries the
+    // Serve straight from the forked image. _exit (not exit) so the
+    // child never runs the parent's atexit/stream flushing. Zero the
+    // inherited telemetry first — a forked child carries the
     // coordinator's counter values and span rings, and a worker
     // snapshot/trace must report only its own work or pool-wide views
     // double-count. The child also detaches from the coordinator's
     // event log so it never appends to the parent's file.
+    ::close(sv[0]);
+    for (int fd : sibling_fds) ::close(fd);
     metrics_registry().reset();
     reset_trace();
     close_event_log();
+    if (want_traces) set_tracing_enabled(true);
     FdLineIO io(sv[1], sv[1]);
-    WorkerOptions wo;
-    wo.max_cells = quota;
-    wo.stop_after_cells = stop_after;
-    run_worker_loop(io, wo);
+    options.worker_loop(io, wo);
     ::_exit(0);
   }
   ::close(sv[1]);
@@ -446,7 +423,6 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
   w.fd = sv[0];
   w.alive = true;
   w.last_heard = std::chrono::steady_clock::now();
-  w.clock_offset_us = options.worker_argv.empty() ? 0 : spawn_clock;
   return w;
 }
 
@@ -571,9 +547,8 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     health[i].slot = static_cast<int>(i);
   }
   const bool want_worker_traces = options.worker_traces != nullptr;
-  const bool stream_telemetry = options.telemetry_interval.count() > 0;
-  const bool stale_enabled =
-      stream_telemetry && options.heartbeat_stale_after.count() > 0;
+  const bool stale_enabled = options.telemetry_interval.count() > 0 &&
+                             options.heartbeat_stale_after.count() > 0;
   const auto slot_of = [&](const WorkerProc& w) {
     return static_cast<std::size_t>(&w - workers.data());
   };
@@ -584,21 +559,9 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
             .count());
   };
 
-  // Arm a worker's streaming telemetry and/or span recording. Nothing
-  // is sent when neither is wanted, so a telemetry-off pool exchanges
-  // exactly the pre-telemetry bytes.
-  auto arm_telemetry = [&](WorkerProc& w) {
-    if (!stream_telemetry && !want_worker_traces) return true;
-    return send_line(
-        w.fd,
-        telemetry_request_line(options.telemetry_interval.count(),
-                               want_worker_traces));
-  };
-
-  // A heartbeat: fold its delta into the slot's health entry. (A config
-  // line echoed back — seq < 0 — is just tolerated.)
+  // A heartbeat: fold its delta (parse_wire_line gives every telemetry
+  // line one) into the slot's health entry.
   const auto fold_heartbeat = [&](std::size_t slot, const WireMessage& msg) {
-    if (msg.telemetry_seq < 0 || !msg.snapshot) return;
     WorkerHealth& h = health[slot];
     ++h.heartbeats;
     h.last_seq = std::max(h.last_seq, msg.telemetry_seq);
@@ -694,7 +657,6 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         ProcessTrace pt;
         pt.pid = static_cast<int>(i) + 2;  // pid 1 = coordinator
         pt.name = "worker " + std::to_string(i);
-        pt.ts_offset_us = workers[i].clock_offset_us;
         pt.doc = std::move(*p.trace_doc);
         options.worker_traces->push_back(std::move(pt));
       }
@@ -756,13 +718,12 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
                  why);
   };
 
-  // Arm the initial pool (and record its birth in the flight recorder).
-  for (WorkerProc& w : workers) {
+  // Record the initial pool's birth in the flight recorder.
+  for (const WorkerProc& w : workers) {
     log_event("worker_spawn",
               Json::object()
                   .set("slot", static_cast<std::int64_t>(slot_of(w)))
                   .set("pid", static_cast<std::int64_t>(w.pid)));
-    if (!arm_telemetry(w)) write_off(w, "write failed");
   }
 
   // Progress heartbeat (stderr, opt-in): ticked by the cells of each
@@ -841,8 +802,8 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     drop_unwanted();
     if (done == jobs.size()) break;
     // Churn hardening: relaunch written-off slots whose backoff expired.
-    // The fresh subprocess inherits the slot's fault-injection quota
-    // (spawn_worker keys worker_max_cells by slot index).
+    // The fresh worker inherits the slot's fault-injection quotas
+    // (spawn_worker keys them by slot index).
     const auto respawn_now = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < workers.size(); ++i) {
       WorkerProc& w = workers[i];
@@ -862,7 +823,6 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         w.busy = false;
         w.inbuf.clear();
         w.last_heard = fresh.last_heard;
-        w.clock_offset_us = fresh.clock_offset_us;
         health[i].respawns = w.respawns;
         m_workers_respawned().add();
         log_event("worker_respawn",
@@ -873,10 +833,6 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         std::fprintf(stderr,
                      "[shard] worker slot %zu respawned (attempt %d/%d)\n",
                      i, w.respawns, options.max_respawns);
-        if (!arm_telemetry(w)) {
-          write_off(w, "write failed");
-          continue;
-        }
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[shard] respawn of slot %zu failed: %s\n", i,
                      e.what());

@@ -257,14 +257,6 @@ std::string metrics_line(const MetricsSnapshot& snapshot) {
   return j.dump();
 }
 
-std::string telemetry_request_line(std::int64_t interval_ms,
-                                   bool want_trace) {
-  Json j = Json::object();
-  j.set("type", "telemetry").set("interval_ms", interval_ms);
-  if (want_trace) j.set("trace", true);
-  return j.dump();
-}
-
 std::string telemetry_line(std::int64_t seq, std::int64_t now_us,
                            const std::string& delta_json) {
   // Spliced as text, in the field order and byte layout Json::dump()
@@ -372,16 +364,9 @@ WireMessage parse_wire_line(const std::string& line) {
       msg.snapshot = MetricsSnapshot::from_json(j.at("snapshot"));
     } else if (t == "telemetry") {
       msg.type = WireMessage::Type::kTelemetry;
-      if (const Json* seq = j.find("seq")) {
-        // Report (worker -> coordinator).
-        msg.telemetry_seq = seq->as_int();
-        msg.worker_now_us = j.at("now_us").as_int();
-        msg.snapshot = MetricsSnapshot::from_json(j.at("delta"));
-      } else {
-        // Config (coordinator -> worker).
-        msg.telemetry_interval_ms = j.at("interval_ms").as_int();
-        if (const Json* tr = j.find("trace")) msg.want_trace = tr->as_bool();
-      }
+      msg.telemetry_seq = j.at("seq").as_int();
+      msg.worker_now_us = j.at("now_us").as_int();
+      msg.snapshot = MetricsSnapshot::from_json(j.at("delta"));
     } else if (t == "trace") {
       msg.type = WireMessage::Type::kTrace;
       msg.trace_doc = j.at("trace");

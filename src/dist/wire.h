@@ -1,7 +1,7 @@
 // The JSON-lines wire protocol for cross-process experiment shards.
 //
-// A coordinator (shard.h) and its worker subprocesses exchange exactly
-// one JSON object per newline-terminated line:
+// A coordinator (shard.h) and its forked workers exchange exactly one
+// JSON object per newline-terminated line:
 //
 //   worker -> coordinator   {"type":"hello","protocol":1}
 //   coordinator -> worker   {"type":"cell","id":<i>,"spec":{...}}
@@ -16,20 +16,18 @@
 //   worker -> coordinator   {"type":"trace","trace":{...}}
 //   worker -> coordinator   {"type":"error","message":"..."}   (bad line)
 //
-// plus the streaming telemetry pair (both directions use one type):
+// plus the streaming telemetry line:
 //
-//   coordinator -> worker   {"type":"telemetry","interval_ms":<n>[,"trace":true]}
 //   worker -> coordinator   {"type":"telemetry","seq":<k>,"now_us":<t>,
 //                            "delta":{...}}
 //
-// The config line arms a worker-side heartbeat: every interval_ms (and
-// after every cell) the worker volunteers a telemetry line carrying a
+// A worker whose heartbeat is armed (WorkerOptions::heartbeat, set by
+// the coordinator before it forks the worker) volunteers one after
+// hello, after every job and, with an interval, every interval: a
 // monotonically increasing heartbeat sequence number, its wall-clock
 // (trace_now_us) and a MetricsSnapshot DELTA since its previous beat —
 // the coordinator folds deltas by merge() to reconstruct totals and
-// keeps a per-worker health table keyed on heartbeat age. "trace":true
-// on the config line additionally enables span recording in the worker
-// so a later trace harvest has something to ship.
+// keeps a per-worker health table keyed on heartbeat age.
 //
 // The metrics/trace exchanges are telemetry-only and opt-in: a plain
 // shutdown line is byte-identical to the pre-telemetry protocol and
@@ -180,14 +178,12 @@ struct WireMessage {
   std::optional<RangeResult> range;  // kRangeResult
   std::string message;              // kError
   bool want_metrics = false;        // kShutdown: reply with a snapshot
-  bool want_trace = false;          // kShutdown/kTelemetry cfg: spans too
-  // kTelemetry. A config line (coordinator -> worker) has seq < 0 and
-  // interval_ms > 0; a report line (worker -> coordinator) has seq >= 0,
-  // the worker's trace_now_us clock, and its delta in `snapshot`.
+  bool want_trace = false;          // kShutdown: reply with spans too
+  // kTelemetry: the heartbeat's seq, the worker's trace_now_us clock,
+  // and its delta in `snapshot`.
   std::int64_t telemetry_seq = -1;
-  std::int64_t telemetry_interval_ms = 0;
   std::int64_t worker_now_us = 0;
-  std::optional<MetricsSnapshot> snapshot;  // kMetrics / kTelemetry report
+  std::optional<MetricsSnapshot> snapshot;  // kMetrics / kTelemetry
   std::optional<Json> trace_doc;            // kTrace
 };
 
@@ -205,11 +201,7 @@ std::string range_result_line(std::int64_t id, const RangeResult& result);
 std::string shutdown_line(bool want_metrics = false, bool want_trace = false);
 std::string error_line(const std::string& message);
 std::string metrics_line(const MetricsSnapshot& snapshot);
-// Telemetry config (coordinator -> worker): arm the heartbeat at
-// interval_ms; want_trace also turns span recording on in the worker.
-std::string telemetry_request_line(std::int64_t interval_ms,
-                                   bool want_trace = false);
-// Telemetry report (worker -> coordinator): heartbeat `seq`, the
+// Telemetry (worker -> coordinator): heartbeat `seq`, the
 // worker's trace_now_us clock, and the metrics delta since its last beat
 // as a pre-serialized document (the compact {"counters":...} JSON that
 // MetricsRegistry::delta_json emits) — a beat builds no Json tree.
@@ -231,7 +223,7 @@ WireMessage parse_wire_line(const std::string& line);
 
 // One line in, one line out. The seam between protocol logic and I/O so
 // the worker loop is testable without processes (StringLineIO) and
-// drivable over any fd pair (FdLineIO: pipes, socketpairs, stdio).
+// drivable over any fd pair (FdLineIO: pipes, socketpairs).
 class LineIO {
  public:
   virtual ~LineIO() = default;

@@ -10,8 +10,8 @@
 // reproducible (and, with timing excluded, byte-identical) across runs.
 //
 // Backends: with shards = 0 the grid runs in-process; with shards > 0 it
-// is distributed over worker SUBPROCESSES through the JSON-lines wire
-// protocol (src/dist/shard.h), configured by the ShardSettings that
+// is distributed over FORKED worker processes through the JSON-lines
+// wire protocol (src/dist/shard.h), configured by the ShardSettings that
 // BatchOptions inherits. That is the one way to use more cores. Both
 // backends produce the same grid-ordered Report, byte-identical with
 // timing excluded.
@@ -26,8 +26,8 @@
 
 namespace mpcn {
 
-// The sharded backend's settings (shards, worker_argv, progress, the
-// telemetry and health sidecars) come from ShardSettings; without
+// The sharded backend's settings (shards, progress, the telemetry and
+// health sidecars, fault injection) come from ShardSettings; without
 // shards only `progress` applies, as the in-process loop's meter.
 struct BatchOptions : ShardSettings {
   // Report title ("" = derived from the first cell's scenario).

@@ -549,7 +549,7 @@ ExploreResult explore(const ExperimentCell& cell,
   }
 
   // ---- sharded search -------------------------------------------------
-  // Ranges of schedules over worker subprocesses (src/dist/). Replies
+  // Ranges of schedules over forked workers (src/dist/). Replies
   // land in per-index `slots`; the merge below walks them IN INDEX ORDER
   // and replays the serial loop's accounting decisions, so the final
   // report is byte-identical to the serial run (pinned by shard_test's

@@ -40,10 +40,10 @@
 // embarrassingly parallel — schedule i is schedule 0's ScheduleSpec with
 // seed + i, a pure function of its index — and `shards` spreads them
 // over more cores: it ships contiguous ranges of schedule indices to
-// worker subprocesses over the wire protocol (src/dist/), one range line
-// out and one reply line back per range (run_schedule_range is what a
-// worker runs), configured by the ShardSettings that ExploreOptions
-// inherits. Replies land in per-index slots that one merge walks in
+// forked worker processes over the wire protocol (src/dist/), one range
+// line out and one reply line back per range (run_schedule_range is
+// what a worker runs), configured by the ShardSettings that
+// ExploreOptions inherits. Replies land in per-index slots that one merge walks in
 // index order, so the report is byte-identical to the serial run, and
 // no range past the max_violations cutoff is dispatched. Bounded DFS
 // carries its search tree across runs and is in-process only (shards
@@ -72,7 +72,7 @@ const char* to_string(ExplorePolicy policy);
 ExplorePolicy explore_policy_from_string(const std::string& s);
 
 // The sharded backend's settings come from ShardSettings: with shards
-// > 0 the schedule budget fans out over that many worker subprocesses
+// > 0 the schedule budget fans out over that many forked workers
 // through src/dist/, in ranges of ceil(budget / (8 * shards))
 // schedules (random/PCT only; requires a registry-named cell), and the
 // telemetry, health and fault-injection fields apply to that pool.

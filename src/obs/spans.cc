@@ -128,10 +128,9 @@ Json merge_trace_docs(const std::vector<ProcessTrace>& procs) {
     for (const Json& src : evs->items()) {
       Row r;
       r.ev = src;  // copy, then re-stamp in place (key order preserved)
-      r.ts = src.at("ts").as_int() + p.ts_offset_us;
+      r.ts = src.at("ts").as_int();
       r.pid = p.pid;
       r.tid = src.at("tid").as_int();
-      r.ev.set("ts", r.ts);
       r.ev.set("pid", p.pid);
       rows.push_back(std::move(r));
     }

@@ -83,23 +83,22 @@ void reset_trace();
 // ------------------------------------------------- multi-process merge
 
 // One process's contribution to a merged trace: the single-process
-// document produced by dump_trace_json() (local ts origin, pid 1),
-// plus the identity and clock alignment the merge needs.
+// document produced by dump_trace_json() (pid 1), plus the identity the
+// merge needs. Every process shares one ts origin: shard workers are
+// forks that inherit the coordinator's trace_now_us clock.
 struct ProcessTrace {
-  int pid = 1;                     // pid lane in the merged document
-  std::string name;                // e.g. "coordinator", "worker 0"
-  std::int64_t ts_offset_us = 0;   // added to every ts (clock alignment)
-  Json doc;                        // a dump_trace_json() document
+  int pid = 1;       // pid lane in the merged document
+  std::string name;  // e.g. "coordinator", "worker 0"
+  Json doc;          // a dump_trace_json() document
 };
 
 // Merge per-process dumps into one Perfetto-loadable document. Each
-// input's events are re-stamped with its pid and shifted by its
-// ts_offset_us; a `process_name` metadata event (ph "M") per process
-// labels the lane. X events are sorted by (ts, pid, tid) after the
-// metadata block, droppedEvents are summed, and inputs whose doc is not
-// a trace document (e.g. a worker that died before replying) are
-// skipped. Only the merged document carries "M" events — the
-// single-process dump_trace_json() format is unchanged.
+// input's events are re-stamped with its pid; a `process_name` metadata
+// event (ph "M") per process labels the lane. X events are sorted by
+// (ts, pid, tid) after the metadata block, droppedEvents are summed, and
+// inputs whose doc is not a trace document (e.g. a worker that died
+// before replying) are skipped. Only the merged document carries "M"
+// events — the single-process dump_trace_json() format is unchanged.
 Json merge_trace_docs(const std::vector<ProcessTrace>& procs);
 
 }  // namespace mpcn

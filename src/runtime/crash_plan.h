@@ -87,7 +87,7 @@ class CrashPlan {
   int budget(int n) const;
 
   // Wire form for cross-process experiment shards (src/dist/): every
-  // plan kind round-trips, so a worker subprocess replays exactly the
+  // plan kind round-trips, so a shard worker replays exactly the
   // adversary the coordinator configured.
   Json to_json() const;
   static CrashPlan from_json(const Json& j);

@@ -143,6 +143,11 @@ TEST(Cli, UsageAndUnknownCommands) {
   std::string out;
   EXPECT_EQ(run_cli({"mpcn", "help"}, &out), 0);
   EXPECT_NE(out.find("run <scenario>"), std::string::npos);
+  // Shard workers are forked, so there is no worker command to exec.
+  EXPECT_EQ(run_cli({"mpcn", "worker"}), 2);
+  EXPECT_EQ(run_cli({"mpcn", "--help"}, &out), 0);
+  EXPECT_NE(out.find("explore <scenario>"), std::string::npos);
+  EXPECT_EQ(out.find("\n  worker "), std::string::npos) << out;
 }
 
 TEST(Cli, ListEnumeratesRegistryWithAxisColumns) {
@@ -305,21 +310,26 @@ TEST(Cli, RunRejectsBadInvocations) {
             2);  // three crashes are outside ASM(4,1,1)
 }
 
+// In-process, over two workers, and with the --fork-workers flag that
+// selects nothing: the same report bytes.
 TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {
   TempFile local("cli_test_local.json");
   TempFile shard("cli_test_shard.json");
-  ASSERT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
-                     "--seeds", "1..4", "--json", local.path,
-                     "--no-timing"}),
-            0);
-  // Fork-mode workers: the test binary cannot exec itself as `mpcn`.
-  ASSERT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
-                     "--seeds", "1..4", "--shards", "2", "--fork-workers",
-                     "--json", shard.path, "--no-timing"}),
+  TempFile fork("cli_test_fork.json");
+  const auto grid = [](const std::string& json) {
+    return std::vector<std::string>{
+        "mpcn",    "run",    "snapshot_churn", "--in",       "3,0,1",
+        "--seeds", "1..4",   "--json",         json,         "--no-timing"};
+  };
+  ASSERT_EQ(run_cli(grid(local.path)), 0);
+  ASSERT_EQ(run_cli(with_flags(grid(shard.path), {"--shards", "2"})), 0);
+  ASSERT_EQ(run_cli(with_flags(grid(fork.path),
+                               {"--shards", "2", "--fork-workers"})),
             0);
   const std::string local_text = slurp(local.path);
   ASSERT_FALSE(local_text.empty());
   EXPECT_EQ(local_text, slurp(shard.path));
+  EXPECT_EQ(local_text, slurp(fork.path));
 
   std::string out;
   EXPECT_EQ(run_cli({"mpcn", "diff", local.path, shard.path}, &out), 0);
@@ -601,22 +611,20 @@ TEST(Cli, ShardedSidecarsLeaveReportBytesUnchanged) {
 
 // MPCN_WORKER_STOP_AFTER freezes slot 0 on receiving its first job,
 // before serving it. Only heartbeat age can notice: the slot is written
-// off as stale, its work moves on (each respawn freezes the same way, so
-// the pool drains and the coordinator runs it), and the report bytes do
-// not change.
+// off as stale, its range reruns on the live slot 1, and the report
+// bytes do not change.
 TEST(Cli, FrozenWorkerIsWrittenOffAsStaleWithReportUnchanged) {
   TempFile plain("cli_stale_plain.json");
   TempFile stopped("cli_stale_stopped.json");
   TempFile health("cli_stale_health.json");
   const auto search = [](const std::string& json) {
     return std::vector<std::string>{
-        "mpcn",     "explore", "snapshot_churn", "--in",           "3,0,1",
-        "--inputs", "10,11,12", "--budget",      "2",              "--seed",
-        "1",        "--shards", "1",             "--fork-workers", "--json",
-        json};
+        "mpcn",     "explore", "snapshot_churn", "--in",     "3,0,1",
+        "--inputs", "10,11,12", "--budget",      "2",        "--seed",
+        "1",        "--shards", "2",             "--json",   json};
   };
   ASSERT_EQ(run_cli(search(plain.path)), 0);
-  ::setenv("MPCN_WORKER_STOP_AFTER", "1", 1);
+  ::setenv("MPCN_WORKER_STOP_AFTER", "1,0", 1);
   const int code = run_cli(with_flags(
       search(stopped.path),
       {"--telemetry-ms", "25", "--stale-ms", "500", "--health", health.path}));
@@ -627,6 +635,7 @@ TEST(Cli, FrozenWorkerIsWrittenOffAsStaleWithReportUnchanged) {
   const Json& slot0 = slots.at(0);
   EXPECT_TRUE(slot0.at("written_off").as_bool()) << slot0.dump();
   EXPECT_EQ(slot0.at("write_off_reason").as_string(), "heartbeat stale");
+  EXPECT_FALSE(slots.at(1).at("written_off").as_bool()) << slots.dump();
 }
 
 // A staleness threshold without the heartbeat it measures is a usage

@@ -1,7 +1,6 @@
 // Unit tests: src/common — Value semantics, ids arithmetic, RNG.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <unordered_set>
 
 #include "src/common/ids.h"
@@ -139,22 +138,6 @@ TEST(Rng, IndexInRange) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(r.index(13), 13u);
   }
-}
-
-TEST(Rng, RangeInclusive) {
-  Rng r(7);
-  std::set<int> seen;
-  for (int i = 0; i < 2000; ++i) seen.insert(r.range(2, 5));
-  EXPECT_EQ(seen, (std::set<int>{2, 3, 4, 5}));
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng r(11);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  auto orig = v;
-  r.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, orig);
 }
 
 TEST(Rng, SplitMixDistinctStreams) {

@@ -1,8 +1,8 @@
 # The --events flight-recorder schema, end to end through the CLI: a
-# sharded `mpcn explore` over three exec-mode `mpcn worker` subprocesses
-# and a sharded `mpcn run` over two fork-mode workers, both streaming
-# heartbeats, must each write a log that tools/validate_events.py accepts
-# with every worker's spawn -> dispatch -> shutdown lifeline.
+# sharded `mpcn explore` over three forked workers and a sharded `mpcn
+# run` over two, both streaming heartbeats, must each write a log that
+# tools/validate_events.py accepts with every worker's spawn -> dispatch
+# -> shutdown lifeline.
 #
 #   cmake -DMPCN=<mpcn binary> -DPYTHON=<python3> -DVALIDATOR=<script>
 #         -DOUT=<log path prefix> -P events_schema.cmake

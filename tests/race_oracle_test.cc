@@ -436,11 +436,11 @@ void expect_matches_reference(const std::vector<Event>& events,
 std::vector<Event> random_history(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<ThreadId> tids;
-  const int threads = rng.range(2, 4);
+  const int threads = 2 + static_cast<int>(rng.index(3));
   for (int t = 0; t < threads; ++t) tids.push_back(ThreadId{t, 0});
   if (rng.chance(0.4)) tids[1] = ThreadId{0, 1};
   if (threads > 2 && rng.chance(0.3)) tids[2] = ThreadId{0, 2};
-  const int cells = rng.range(1, 3);
+  const int cells = 1 + static_cast<int>(rng.index(3));
   std::vector<Value> mem(static_cast<std::size_t>(cells), Value::nil());
 
   std::vector<Event> h;
@@ -448,10 +448,8 @@ std::vector<Event> random_history(std::uint64_t seed) {
   // Stamp `e` on the history's clock and append it.
   const auto emit = [&](Event e) {
     e.response_step = clock;
-    e.invoke_step = clock - std::min<std::uint64_t>(
-                                clock, static_cast<std::uint64_t>(
-                                           rng.range(0, 3)));
-    clock += static_cast<std::uint64_t>(rng.range(0, 2));
+    e.invoke_step = clock - std::min<std::uint64_t>(clock, rng.index(4));
+    clock += rng.index(3);
     h.push_back(std::move(e));
   };
   const auto write = [&](const ThreadId& tid, int cell, int v) {
@@ -462,13 +460,14 @@ std::vector<Event> random_history(std::uint64_t seed) {
     std::vector<Value> view;
     const int width = cells + (rng.chance(0.1) ? 1 : 0);
     for (int c = 0; c < width; ++c) {
-      const int pick = rng.range(0, 19);
+      const int pick = static_cast<int>(rng.index(20));
       if (c >= cells || pick == 0) {
         view.push_back(Value::nil());
       } else if (pick == 1) {
         view.push_back(Value(9));  // no write ever wrote 9
       } else if (pick <= 3) {
-        view.push_back(Value(rng.range(0, 2)));  // possibly stale
+        // Possibly stale.
+        view.push_back(Value(static_cast<int>(rng.index(3))));
       } else {
         view.push_back(mem[static_cast<std::size_t>(c)]);
       }
@@ -476,21 +475,22 @@ std::vector<Event> random_history(std::uint64_t seed) {
     emit(snap_ev(tid, std::move(view), 0, 0));
   };
 
-  const int len = rng.range(1, 28);
+  const int len = 1 + static_cast<int>(rng.index(28));
   while (static_cast<int>(h.size()) < len) {
     const std::size_t t = rng.index(tids.size());
     const ThreadId& tid = tids[t];
-    const int cell = rng.chance(0.7)
-                         ? static_cast<int>(t) % cells
-                         : rng.range(0, cells - 1);
-    const int pick = rng.range(0, 99);
+    const int cell =
+        rng.chance(0.7)
+            ? static_cast<int>(t) % cells
+            : static_cast<int>(rng.index(static_cast<std::size_t>(cells)));
+    const int pick = static_cast<int>(rng.index(100));
     if (pick < 30) {
-      write(tid, cell, rng.range(0, 2));
+      write(tid, cell, static_cast<int>(rng.index(3)));
     } else if (pick < 45) {
       // A blip and its repair, often with another thread's snapshot in
       // the window.
       const Value old = mem[static_cast<std::size_t>(cell)];
-      write(tid, cell, rng.range(0, 2));
+      write(tid, cell, static_cast<int>(rng.index(3)));
       if (rng.chance(0.7)) snapshot(tids[rng.index(tids.size())]);
       if (old.is_int()) write(tid, cell, static_cast<int>(old.as_int()));
     } else if (pick < 85) {
@@ -500,7 +500,7 @@ std::vector<Event> random_history(std::uint64_t seed) {
       emit(write_ev(tid, -1, Value(1), 0, 0));
     } else if (pick < 96) {
       // A cell no view reaches: only the multi-writer rule sees it.
-      emit(write_ev(tid, 1000, Value(rng.range(0, 2)), 0, 0));
+      emit(write_ev(tid, 1000, Value(static_cast<int>(rng.index(3))), 0, 0));
     } else {
       // An empty view: it ticks program order and observes nothing.
       emit(snap_ev(tid, {}, 0, 0));
@@ -509,8 +509,7 @@ std::vector<Event> random_history(std::uint64_t seed) {
   if (rng.chance(0.12)) {  // a short or unlucky draw stays in order
     for (Event& e : h) {
       if (!rng.chance(0.3)) continue;
-      e.response_step = static_cast<std::uint64_t>(
-          rng.range(0, static_cast<int>(clock)));
+      e.response_step = rng.index(clock + 1);
       e.invoke_step = std::min(e.invoke_step, e.response_step);
     }
   }

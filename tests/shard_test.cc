@@ -6,23 +6,16 @@
 //     equivalence sweeps must not depend on WHERE cells ran;
 //   * a worker that dies with a cell in flight gets its cells requeued
 //     onto survivors, and the merged Report is still identical;
-//   * misbehaving workers (garbage emitters, hangs, exec failures)
-//     degrade the run to in-process execution instead of losing cells;
-//   * the exec-mode path through the real `mpcn worker` binary behaves
-//     exactly like the fork-mode path;
+//   * misbehaving workers (garbage emitters, hangs) degrade the run to
+//     in-process execution instead of losing cells;
 //   * a sharded schedule search, shipped as ranges, reports byte for
 //     byte what the serial search reports — through worker deaths,
 //     freezes and a drained pool — and stops dispatching once the
 //     max_violations cutoff is known.
 #include <gtest/gtest.h>
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -102,21 +95,30 @@ TEST(Shard, AllWorkersDeadFallsBackInProcess) {
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
 }
 
-// A worker that echoes our own cell lines back (cat) is a protocol
-// violator: it must be written off and the run must degrade, not hang
-// or corrupt the report.
+// A worker that echoes every line back, as `cat` would.
+void echo_loop(LineIO& io, const WorkerOptions& /*options*/) {
+  std::string line;
+  while (io.read_line(line) && io.write_line(line)) {
+  }
+}
+
+// A worker that echoes our own cell lines back is a protocol violator:
+// it must be written off and the run must degrade, not hang or corrupt
+// the report.
 TEST(Shard, GarbageEmittingWorkerIsWrittenOff) {
   const Experiment e = small_grid();
   ShardOptions options;
   options.shards = 2;
-  options.worker_argv = {"/bin/cat"};
+  options.worker_loop = echo_loop;
   const Report sharded = run_sharded(e.cells(), options);
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
 }
 
-// A hung worker (sleep: reads nothing, writes nothing) trips the
-// watchdog once its cell overruns wall_limit + grace; its cell is
-// requeued. With no survivors the run degrades to in-process execution.
+// A hung worker (it freezes on receiving its first cell, and every
+// respawn does the same) trips the watchdog once its cell overruns
+// wall_limit + grace; its cell is requeued. No telemetry is armed, so
+// only the watchdog can fire. With no survivors the run degrades to
+// in-process execution.
 TEST(Shard, HungWorkerTripsWatchdog) {
   Experiment e = small_grid();
   // The grid's cells finish in milliseconds; a tight wall_limit keeps
@@ -124,104 +126,17 @@ TEST(Shard, HungWorkerTripsWatchdog) {
   e.wall_limit(std::chrono::milliseconds(200));
   ShardOptions options;
   options.shards = 2;
-  options.worker_argv = {"/bin/sleep", "120"};
+  options.worker_stop_after = {1, 1};
   options.watchdog_grace = std::chrono::milliseconds(250);
+  std::vector<WorkerHealth> health;
+  options.health = &health;
   const Report sharded = run_sharded(e.cells(), options);
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
-}
-
-TEST(Shard, ExecFailureDegradesGracefully) {
-  const Experiment e = small_grid();
-  ShardOptions options;
-  options.shards = 2;
-  options.worker_argv = {"/no/such/binary"};
-  const Report sharded = run_sharded(e.cells(), options);
-  EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
-}
-
-#ifdef MPCN_CLI_BIN
-// The production path: real `mpcn worker` subprocesses via exec.
-TEST(Shard, ExecModeThroughRealCliBinary) {
-  const Experiment e = small_grid();
-  ShardOptions options;
-  options.shards = 2;
-  options.worker_argv = {MPCN_CLI_BIN, "worker"};
-  const Report sharded = run_sharded(e.cells(), options);
-  EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
-}
-
-// Exec-mode fault injection: --max-cells rides the worker argv.
-TEST(Shard, ExecModeDeadWorkerRequeues) {
-  const Experiment e = small_grid();
-  ShardOptions options;
-  options.shards = 2;
-  options.worker_argv = {MPCN_CLI_BIN, "worker"};
-  options.worker_max_cells = {2, 0};
-  const Report sharded = run_sharded(e.cells(), options);
-  EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
-}
-
-// Run the `mpcn` binary with `args`; its exit status, or -1.
-int run_mpcn(std::vector<std::string> args) {
-  args.insert(args.begin(), MPCN_CLI_BIN);
-  std::vector<char*> argv;
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
-                    environ) != 0) {
-    return -1;
-  }
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
-  return WEXITSTATUS(status);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
-// `mpcn run --shards 3 --metrics` over the CLI's own exec-mode workers:
-// the report matches the in-process run byte for byte, and the merged
-// pool-wide snapshot is the field-wise sum of the process snapshot and
-// one snapshot per worker. (obs_test's Sidecar case covers fork mode.)
-TEST(Shard, ExecModeMetricsMergeToTheSumOfTheirParts) {
-  const std::string dir = testing::TempDir();
-  const std::string plain = dir + "shard_exec_plain.json";
-  const std::string sharded = dir + "shard_exec_sharded.json";
-  const std::string metrics = dir + "shard_exec_metrics.json";
-  const std::vector<std::string> grid = {"run",   "snapshot_churn", "--in",
-                                         "3,0,1", "--seeds",        "1..6",
-                                         "--no-timing"};
-  std::vector<std::string> args = grid;
-  args.insert(args.end(), {"--json", plain});
-  ASSERT_EQ(run_mpcn(args), 0);
-  args = grid;
-  args.insert(args.end(),
-              {"--shards", "3", "--json", sharded, "--metrics", metrics});
-  ASSERT_EQ(run_mpcn(args), 0);
-  const std::string plain_text = slurp(plain);
-  ASSERT_FALSE(plain_text.empty());
-  EXPECT_EQ(slurp(sharded), plain_text);
-
-  const Json doc = Json::parse(slurp(metrics));
-  ASSERT_EQ(doc.at("workers").items().size(), 3u);
-  MetricsSnapshot summed = MetricsSnapshot::from_json(doc.at("process"));
-  for (const Json& w : doc.at("workers").items()) {
-    summed.merge(MetricsSnapshot::from_json(w));
-  }
-  const MetricsSnapshot merged = MetricsSnapshot::from_json(doc.at("merged"));
-  EXPECT_EQ(merged.to_json().dump(), summed.to_json().dump());
-  EXPECT_GE(merged.counters.at("worker.cells_served"), 6u);
-  EXPECT_GE(merged.counters.at("shard.cells_dispatched"), 6u);
-  for (const std::string& path : {plain, sharded, metrics}) {
-    std::remove(path.c_str());
+  ASSERT_EQ(health.size(), 2u);
+  for (const WorkerHealth& h : health) {
+    EXPECT_EQ(h.write_off_reason, "cell timeout") << "slot " << h.slot;
   }
 }
-#endif
 
 // Churn hardening: a crash-looping worker slot is respawned (with its
 // fault-injection quota inherited) and keeps serving cells. The pin:
@@ -345,22 +260,8 @@ std::uint64_t counter(const char* name) {
   return metrics_registry().counter(name).value();
 }
 
-// The sharded backends a search must match the serial one on:
-// fork-mode workers, and the exec-mode `mpcn worker` subprocesses that
-// `mpcn explore --shards` runs.
-struct SearchBackend {
-  int shards;
-  std::vector<std::string> worker_argv;  // empty: fork-mode workers
-};
-
-std::vector<SearchBackend> search_backends() {
-  std::vector<SearchBackend> out = {{1, {}}, {3, {}}};
-#ifdef MPCN_CLI_BIN
-  out.push_back({2, {MPCN_CLI_BIN, "worker"}});
-  out.push_back({3, {MPCN_CLI_BIN, "worker"}});
-#endif
-  return out;
-}
+// The shard counts a sharded search must match the serial one at.
+constexpr int kSearchShards[] = {1, 2, 3};
 
 TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
   const ExperimentCell cell = racy_cell();
@@ -377,13 +278,11 @@ TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
         if (budget == 997 && cap == 0) {
           ASSERT_GE(serial.violations.size(), 3u);
         }
-        for (const SearchBackend& b : search_backends()) {
-          o.shards = b.shards;
-          o.worker_argv = b.worker_argv;
+        for (int shards : kSearchShards) {
+          o.shards = shards;
           EXPECT_EQ(report(explore(cell, o)), report(serial))
               << "seed " << seed << ", budget " << budget
-              << ", max_violations " << cap << ", shards " << b.shards
-              << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+              << ", max_violations " << cap << ", shards " << shards;
         }
       }
     }
@@ -407,14 +306,12 @@ TEST(ShardSearch, MatchesSerialAcrossBudgetsCapsAndShards) {
         o.policy = v.policy;
         o.check_races = v.check_races;
         const ExploreResult serial = explore(variant_cell, o);
-        for (const SearchBackend& b : search_backends()) {
-          o.shards = b.shards;
-          o.worker_argv = b.worker_argv;
+        for (int shards : kSearchShards) {
+          o.shards = shards;
           EXPECT_EQ(report(explore(variant_cell, o)), report(serial))
               << to_string(v.policy) << ", mem " << to_string(v.mem)
               << ", races " << v.check_races << ", budget " << budget
-              << ", max_violations " << cap << ", shards " << b.shards
-              << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+              << ", max_violations " << cap << ", shards " << shards;
         }
       }
     }
@@ -436,12 +333,10 @@ TEST(ShardSearch, CrashProductSearchMatchesSerial) {
     o.crash_rate = 0.2;
     const ExploreResult serial = explore(cell, o);
     ASSERT_TRUE(serial.crash_found());
-    for (const SearchBackend& b : search_backends()) {
-      o.shards = b.shards;
-      o.worker_argv = b.worker_argv;
+    for (int shards : kSearchShards) {
+      o.shards = shards;
       EXPECT_EQ(report(explore(cell, o)), report(serial))
-          << "cell seed " << cell_seed << ", shards " << b.shards
-          << (b.worker_argv.empty() ? " (fork)" : " (exec)");
+          << "cell seed " << cell_seed << ", shards " << shards;
     }
   }
 }
@@ -553,21 +448,19 @@ TEST(ShardSearch, DrainedPoolRunsTheRangesInProcess) {
             static_cast<std::uint64_t>(kSearchBudget));
 }
 
-#ifdef MPCN_CLI_BIN
-// The same drained pool behind explore(), through real `mpcn worker`
-// subprocesses that each die on their first range, respawns included:
-// the in-process fallback finishes the search and the report is serial.
-TEST(ShardSearch, ExecWorkersDyingOnEveryRangeStillReportSerially) {
+// The same drained pool behind explore(), through workers that each die
+// on their first range, respawns included: the in-process fallback
+// finishes the search and the report is serial.
+TEST(ShardSearch, WorkersDyingOnEveryRangeStillReportSerially) {
   const ExperimentCell cell = racy_cell();
   ExploreOptions o = racy_search(240, 0);
   const std::string expected = report(explore(cell, o));
   o.shards = 3;
-  o.worker_argv = {MPCN_CLI_BIN, "worker", "--max-cells", "1"};
+  o.worker_max_cells = {1, 1, 1};
   const std::uint64_t fallback = counter("shard.fallback_cells");
   EXPECT_EQ(report(explore(cell, o)), expected);
   EXPECT_EQ(counter("shard.fallback_cells") - fallback, 240u);
 }
-#endif
 
 }  // namespace
 }  // namespace mpcn

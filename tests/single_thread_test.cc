@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/single_threaded.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -80,9 +81,10 @@ TEST(SingleThread, TelemetryArmedWorkerBeatsFromItsOwnThread) {
       .step_limit(100'000)
       .check_legality(false);
   const CellSpec spec = CellSpec::from_cell(stall.cells().front());
-  StringLineIO io({telemetry_request_line(1), cell_line(0, spec),
-                   shutdown_line()});
-  run_worker_loop(io);
+  StringLineIO io({cell_line(0, spec), shutdown_line()});
+  WorkerOptions options;
+  options.heartbeat = std::chrono::milliseconds(1);
+  run_worker_loop(io, options);
   EXPECT_NE(static_cast<int>(__libc_single_threaded), 0)
       << "the telemetry-armed worker started a thread";
 

@@ -1,10 +1,10 @@
 # The streaming-telemetry smoke: the cross-process health layer end to end
-# through the CLI, with real `mpcn worker` subprocesses. A sharded explore
-# with every sidecar on (streaming heartbeats, merged trace, flight
-# recorder, health table) must write a report byte-identical to the
-# all-off run; the merged trace must carry the coordinator and all 3
-# workers under distinct pids, with cell_index args, sorted; every worker
-# must heartbeat at least once. A worker SIGSTOPped holding a job must be
+# through the CLI and its forked workers. A sharded explore with every
+# sidecar on (streaming heartbeats, merged trace, flight recorder, health
+# table) must write a report byte-identical to the all-off run; the
+# merged trace must carry the coordinator and all 3 workers under
+# distinct pids, with cell_index args, sorted; every worker must
+# heartbeat at least once. A worker SIGSTOPped holding a job must be
 # written off by heartbeat age with its job requeued, report bytes still
 # identical, and `mpcn events` must summarize that log's requeue chain.
 #

@@ -13,6 +13,7 @@
 //     coordinator-side run_cell record byte-for-byte (timing excluded).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 
 #include "src/common/errors.h"
@@ -410,18 +411,8 @@ TEST(WireTelemetry, WorkerShipsSnapshotOnRequest) {
   EXPECT_GE(it->second, 1u);
 }
 
-TEST(WireTelemetry, TelemetryConfigAndReportLinesRoundTrip) {
-  // Config (coordinator -> worker): arm the heartbeat, optionally with
-  // span recording for exec-mode workers. No "seq" field marks it as a
-  // config rather than a report.
-  const WireMessage cfg = parse_wire_line(telemetry_request_line(250));
-  ASSERT_EQ(cfg.type, WireMessage::Type::kTelemetry);
-  EXPECT_EQ(cfg.telemetry_interval_ms, 250);
-  EXPECT_EQ(cfg.telemetry_seq, -1);
-  EXPECT_FALSE(cfg.want_trace);
-  EXPECT_TRUE(parse_wire_line(telemetry_request_line(100, true)).want_trace);
-
-  // Report (worker -> coordinator): seq + worker clock + metrics delta.
+TEST(WireTelemetry, TelemetryLineRoundTrips) {
+  // Worker -> coordinator: seq + worker clock + metrics delta.
   MetricsSnapshot delta;
   delta.counters["worker.cells_served"] = 3;
   const std::string line =
@@ -460,9 +451,10 @@ TEST(WireTelemetry, ArmedWorkerStreamsHeartbeats) {
   const CellSpec spec = CellSpec::from_cell(e.cells().at(0));
   // A huge interval: only the arm-beat and the per-cell beat fire, so
   // the line count is deterministic — no timer races in the pin.
-  StringLineIO io({telemetry_request_line(60'000), cell_line(0, spec),
-                   shutdown_line()});
-  run_worker_loop(io);
+  StringLineIO io({cell_line(0, spec), shutdown_line()});
+  WorkerOptions options;
+  options.heartbeat = std::chrono::milliseconds(60'000);
+  run_worker_loop(io, options);
 
   // hello, arm-beat (seq 0), result, post-cell beat (seq 1).
   ASSERT_EQ(io.written().size(), 4u);
