@@ -12,7 +12,9 @@
 // Every (t', x, k, seed) attempt is one ExperimentCell; the whole grid
 // runs as a single batch and the table is read off the Report.
 // Cells run lock-step, so the table is a pure function of the seeds.
-// Exits 1 if any row's staircase is off the frontier.
+// Exits 1 if any row's staircase is off the frontier. A cell that raised
+// an error reads `error` and is off the frontier on either side of it:
+// a stall must be a run that blocked, not one that threw.
 //
 // Usage:   ./build/examples/kset_frontier
 #include <cstdio>
@@ -52,10 +54,8 @@ CrashPlan adversary(int t_prime, int x, int k, std::uint64_t seed) {
 }
 
 const char* verdict(const RunRecord& r) {
-  if (r.timed_out || !r.error.empty() ||
-      !r.outcome().all_correct_decided()) {
-    return "stall";
-  }
+  if (!r.error.empty()) return "error";
+  if (r.timed_out || !r.outcome().all_correct_decided()) return "stall";
   return (!r.validated || r.valid) ? "SOLVE" : "viol!";
 }
 
@@ -113,13 +113,14 @@ int main() {
       std::printf("%-4d %-4d %-12d", t_prime, x, fl);
       for (int k = 1; k <= kMaxK; ++k) {
         // Worst result over the seeds: a cell counts as solving only if
-        // every adversarial schedule solved it.
+        // every adversarial schedule solved it, and an error on any seed
+        // makes it an error.
         std::string cell = "SOLVE";
         for (std::uint64_t s = 0; s < kSeeds; ++s) {
-          const char* r = verdict(report.records[idx++]);
-          if (cell == "SOLVE") cell = r;
+          const std::string r = verdict(report.records[idx++]);
+          if (cell == "SOLVE" || r == "error") cell = r;
         }
-        if ((cell == "SOLVE") != (k > fl)) ++off_frontier;
+        if (cell == "error" || (cell == "SOLVE") != (k > fl)) ++off_frontier;
         std::printf(" %-6s", cell.c_str());
       }
       std::printf("   <- solvable iff k >= %d\n", fl + 1);

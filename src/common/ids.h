@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -32,34 +31,6 @@ struct ThreadId {
 
 inline bool operator<(const ThreadId& a, const ThreadId& b) {
   return a.pid != b.pid ? a.pid < b.pid : a.sub < b.sub;
-}
-
-// Format "<prefix><a>" / "<prefix><a>/<b>" registry keys ("SAFE_AG/3/17",
-// "INPUT/4") in ONE string allocation. The operator+ chains these replace
-// built (and threw away) a temporary per fragment on the engine's
-// lazy-agreement hot path.
-inline std::string format_key(const char* prefix, std::int64_t a) {
-  char buf[48];
-  int len = std::snprintf(buf, sizeof(buf), "%s%lld", prefix,
-                          static_cast<long long>(a));
-  if (len < 0) len = 0;  // encoding error: empty key fails loudly upstream
-  if (static_cast<std::size_t>(len) >= sizeof(buf)) {
-    len = sizeof(buf) - 1;  // snprintf truncated; len is the WOULD-BE size
-  }
-  return std::string(buf, static_cast<std::size_t>(len));
-}
-
-inline std::string format_key(const char* prefix, std::int64_t a,
-                              std::int64_t b) {
-  char buf[64];
-  int len = std::snprintf(buf, sizeof(buf), "%s%lld/%lld", prefix,
-                          static_cast<long long>(a),
-                          static_cast<long long>(b));
-  if (len < 0) len = 0;
-  if (static_cast<std::size_t>(len) >= sizeof(buf)) {
-    len = sizeof(buf) - 1;
-  }
-  return std::string(buf, static_cast<std::size_t>(len));
 }
 
 // floor(a / b) for non-negative a, positive b — the paper's ⌊t/x⌋.

@@ -1,10 +1,11 @@
 #include "src/core/bg_engine.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/errors.h"
-#include "src/common/ids.h"
 #include "src/core/engine_internal.h"
+#include "src/core/safe_agreement.h"
 #include "src/core/x_safe_agreement.h"
 #include "src/snapshot/afek_snapshot.h"
 #include "src/snapshot/primitive_snapshot.h"
@@ -53,6 +54,14 @@ std::shared_ptr<SnapshotObject> make_mem(MemKind kind, int width) {
                                              /*check_ownership=*/true);
 }
 
+// table[index], growing the table to reach it; null until first touch.
+template <typename T>
+std::unique_ptr<T>& slot(std::vector<std::unique_ptr<T>>& table,
+                         std::size_t index) {
+  if (index >= table.size()) table.resize(index + 1);
+  return table[index];
+}
+
 }  // namespace
 
 EngineShared::EngineShared(SimulatedAlgorithm algo_in, ModelSpec target_in,
@@ -60,21 +69,47 @@ EngineShared::EngineShared(SimulatedAlgorithm algo_in, ModelSpec target_in,
     : algo(std::move(algo_in)),
       target(target_in),
       mem(make_mem(mem_kind, target_in.n)),
-      world(std::make_shared<SharedWorld>()),
       set_list(target_in.x > 1
                    ? std::make_shared<const SetList>(target_in.n, target_in.x)
-                   : nullptr) {}
+                   : nullptr),
+      ag_(static_cast<std::size_t>(algo.n())) {}
 
-std::shared_ptr<AgreementObject> EngineShared::agreement(
-    const std::string& key) {
-  return world->get_or_create<AgreementObject>(key, [this, &key] {
-    return make_agreement(target.n, target.x, key, set_list);
-  });
+AgreementObject& EngineShared::agreement(
+    std::unique_ptr<AgreementObject>& entry) {
+  if (!entry) {
+    if (target.x == 1) {
+      entry = std::make_unique<SafeAgreement>(target.n);
+    } else {
+      entry = std::make_unique<XSafeAgreement>(set_list);
+    }
+  }
+  return *entry;
 }
 
-const XConsDecl& EngineShared::xcons_decl(const std::string& name) const {
-  for (const XConsDecl& d : algo.xcons) {
-    if (d.name == name) return d;
+AgreementObject& EngineShared::input_agreement(int j) {
+  return agreement(slot(input_, static_cast<std::size_t>(j)));
+}
+
+AgreementObject& EngineShared::snapshot_agreement(int j,
+                                                  std::int64_t snapsn) {
+  return agreement(slot(ag_[static_cast<std::size_t>(j)],
+                        static_cast<std::size_t>(snapsn)));
+}
+
+AgreementObject& EngineShared::xcons_agreement(std::size_t d) {
+  return agreement(slot(xag_, d));
+}
+
+TestAndSet& EngineShared::decision_test_and_set(int j) {
+  std::unique_ptr<TestAndSet>& entry =
+      slot(tsdecide_, static_cast<std::size_t>(j));
+  if (!entry) entry = std::make_unique<TestAndSet>();
+  return *entry;
+}
+
+std::size_t EngineShared::xcons_index(const std::string& name) const {
+  for (std::size_t d = 0; d < algo.xcons.size(); ++d) {
+    if (algo.xcons[d].name == name) return d;
   }
   throw ProtocolError("undeclared x_cons object: " + name);
 }
@@ -86,7 +121,11 @@ class EngineSimContext : public SimContext {
  public:
   EngineSimContext(EngineSimulator* sim, int j, ProcessContext& cctx,
                    Value agreed_input)
-      : sim_(sim), j_(j), cctx_(cctx), input_(std::move(agreed_input)) {}
+      : sim_(sim),
+        j_(j),
+        cctx_(cctx),
+        input_(std::move(agreed_input)),
+        proposed_(sim->shared_->algo.xcons.size()) {}
 
   int id() const override { return j_; }
   int n() const override { return sim_->n_sim(); }
@@ -99,13 +138,15 @@ class EngineSimContext : public SimContext {
   }
 
   Value x_cons_propose(const std::string& name, const Value& v) override {
-    // Model discipline of the *simulated* object: only declared ports, at
-    // most once per port (one-shot).
-    if (!proposed_.insert(name).second) {
+    // Model discipline of the *simulated* object: only declared objects
+    // and ports, at most once per port (one-shot).
+    const std::size_t d = sim_->shared_->xcons_index(name);
+    if (proposed_[d]) {
       throw ProtocolError("simulated p" + std::to_string(j_) +
                           " proposed twice to x_cons " + name);
     }
-    return sim_->sim_x_cons_propose(cctx_, j_, name, v);
+    proposed_[d] = true;
+    return sim_->sim_x_cons_propose(cctx_, j_, d, v);
   }
 
   void decide(const Value& v) override {
@@ -120,7 +161,7 @@ class EngineSimContext : public SimContext {
   const int j_;
   ProcessContext& cctx_;
   Value input_;
-  std::set<std::string> proposed_;
+  std::vector<bool> proposed_;  // by position in algo.xcons
 };
 
 // ------------------------------------------------------------------------
@@ -134,7 +175,28 @@ EngineSimulator::EngineSimulator(std::shared_ptr<EngineShared> shared, int i)
                   Value::pair(Value::nil(), Value(0))),
       memi_sn_(static_cast<std::size_t>(shared_->n_sim()), 0),
       snap_sn_(static_cast<std::size_t>(shared_->n_sim()), 0),
+      xobjects_(shared_->algo.xcons.size()),
       sim_decisions_(static_cast<std::size_t>(shared_->n_sim())) {}
+
+template <typename V, typename Key>
+void EngineSimulator::propose(ProcessContext& cctx, AgreementObject& ag,
+                              V&& v, const Key& key) {
+  while (paused_) cctx.yield();  // colored mode: see pause_proposes
+  ++active_proposes_;
+  struct SectionGuard {
+    int& active;
+    ~SectionGuard() { --active; }
+  } sg{active_proposes_};
+  // One agreement propose at a time per simulator (mutex1), so a
+  // simulator crash blocks at most one agreement object (Lemma 1/7).
+  CoopLock l1(mutex1_, cctx);
+  // White-box adversary hook, with mutex1 already held: the victim's
+  // next steps are the propose body itself, so an armed crash lands
+  // mid-propose as intended.
+  CrashManager& crashes = cctx.backend().crashes();
+  if (crashes.traps_proposes()) crashes.on_propose_enter(cctx.tid(), key());
+  ag.propose(cctx, std::forward<V>(v));
+}
 
 // Figure 2:
 //   (01) w_sn_i[j] <- w_sn_i[j] + 1
@@ -173,31 +235,12 @@ std::vector<Value> EngineSimulator::sim_snapshot(ProcessContext& cctx, int j) {
   }
 
   const std::int64_t snapsn = ++snap_sn_[static_cast<std::size_t>(j)];  // (04)
-  const std::string key = format_key("AG/", j, snapsn);
-  auto ag = shared_->agreement(key);
-  {
-    // (05) — one agreement propose at a time per simulator (mutex1), so a
-    // simulator crash blocks at most one agreement object (Lemma 1/7).
-    enter_propose_section(cctx, key);
-    struct SectionGuard {
-      EngineSimulator* s;
-      ~SectionGuard() { s->exit_propose_section(); }
-    } sg{this};
-    CoopLock l1(mutex1_, cctx);
-    arm_propose_trap(cctx, key);
-    ag->propose(cctx, Value(std::move(input)));
-  }
-  Value res = ag->decide(cctx);  // (06)
+  AgreementObject& ag = shared_->snapshot_agreement(j, snapsn);
+  propose(cctx, ag, std::move(input), [j, snapsn] {  // (05)
+    return "AG/" + std::to_string(j) + "/" + std::to_string(snapsn);
+  });
+  Value res = ag.decide(cctx);  // (06)
   return res.take_list();  // (07) — steals or bumps, never deep-copies
-}
-
-EngineSimulator::XObjectState& EngineSimulator::xobject(
-    const std::string& name) {
-  auto it = xobjects_.find(name);
-  if (it == xobjects_.end()) {
-    it = xobjects_.emplace(name, std::make_unique<XObjectState>()).first;
-  }
-  return *it->second;
 }
 
 // Figure 4 (and Figure 8, which is the same text over x'-safe agreement):
@@ -210,29 +253,18 @@ EngineSimulator::XObjectState& EngineSimulator::xobject(
 // mutex2 is per simulated object — see engine_internal.h for why the
 // paper's single shared mutex2 would over-block.
 Value EngineSimulator::sim_x_cons_propose(ProcessContext& cctx, int j,
-                                          const std::string& name,
-                                          const Value& v) {
-  const XConsDecl& decl = shared_->xcons_decl(name);
+                                          std::size_t d, const Value& v) {
+  const XConsDecl& decl = shared_->algo.xcons[d];
   if (!decl.ports.count(j)) {
     throw ProtocolError("simulated p" + std::to_string(j) +
-                        " is not a port of x_cons " + name);
+                        " is not a port of x_cons " + decl.name);
   }
-  XObjectState& obj = xobject(name);
+  XObjectState& obj = xobjects_[d];
   CoopLock l2(obj.mutex, cctx);  // (01)/(05)
   if (!obj.result.has_value()) {  // (02)
-    const std::string key = "XAG/" + name;
-    auto ag = shared_->agreement(key);
-    {
-      enter_propose_section(cctx, key);
-      struct SectionGuard {
-        EngineSimulator* s;
-        ~SectionGuard() { s->exit_propose_section(); }
-      } sg{this};
-      CoopLock l1(mutex1_, cctx);
-      arm_propose_trap(cctx, key);
-      ag->propose(cctx, v);
-    }
-    obj.result = ag->decide(cctx);  // (03)
+    AgreementObject& ag = shared_->xcons_agreement(d);
+    propose(cctx, ag, v, [&decl] { return "XAG/" + decl.name; });
+    obj.result = ag.decide(cctx);  // (03)
   }
   return *obj.result;  // (06)
 }
@@ -267,19 +299,10 @@ void EngineSimulator::child_body(ProcessContext& cctx, int j) {
   if (shared_->algo.static_inputs) {
     agreed = (*shared_->algo.static_inputs)[static_cast<std::size_t>(j)];
   } else {
-    const std::string key = format_key("INPUT/", j);
-    auto ag = shared_->agreement(key);
-    {
-      enter_propose_section(cctx, key);
-      struct SectionGuard {
-        EngineSimulator* s;
-        ~SectionGuard() { s->exit_propose_section(); }
-      } sg{this};
-      CoopLock l1(mutex1_, cctx);
-      arm_propose_trap(cctx, key);
-      ag->propose(cctx, cctx.input());
-    }
-    agreed = ag->decide(cctx);
+    AgreementObject& ag = shared_->input_agreement(j);
+    propose(cctx, ag, cctx.input(),
+            [j] { return "INPUT/" + std::to_string(j); });
+    agreed = ag.decide(cctx);
   }
   EngineSimContext sc(this, j, cctx, std::move(agreed));
   shared_->algo.programs[static_cast<std::size_t>(j)](sc);
@@ -345,23 +368,6 @@ void EngineSimulator::run_colorless(ProcessContext& ctx) {
 
 // ---- colored-mode propose gate ------------------------------------------
 
-void EngineSimulator::enter_propose_section(ProcessContext& cctx,
-                                            const std::string& key) {
-  (void)key;
-  while (paused_) cctx.yield();
-  ++active_proposes_;
-}
-
-void EngineSimulator::arm_propose_trap(ProcessContext& cctx,
-                                       const std::string& key) {
-  // White-box adversary hook (CrashPlan::propose_trap): called with
-  // mutex1 already held, so the victim's next steps are the propose body
-  // itself and the armed crash lands mid-propose as intended.
-  cctx.backend().crashes().on_propose_enter(cctx.tid(), key);
-}
-
-void EngineSimulator::exit_propose_section() { --active_proposes_; }
-
 void EngineSimulator::pause_proposes(ProcessContext& ctx) {
   paused_ = true;
   while (active_proposes_ != 0) ctx.yield();
@@ -374,9 +380,9 @@ void EngineSimulator::resume_proposes() { paused_ = false; }
 // --------------------------------------------------------------------------
 // Public entry point (colorless).
 
-SimulationPlan make_simulation(const SimulatedAlgorithm& algorithm,
-                               const ModelSpec& target,
-                               const SimulationOptions& options) {
+std::vector<Program> make_simulation(const SimulatedAlgorithm& algorithm,
+                                     const ModelSpec& target,
+                                     const SimulationOptions& options) {
   algorithm.validate();
   target.validate();
   if (options.check_legality && target.power() > algorithm.model.power()) {
@@ -389,16 +395,15 @@ SimulationPlan make_simulation(const SimulatedAlgorithm& algorithm,
 
   auto shared = std::make_shared<internal::EngineShared>(algorithm, target,
                                                          options.mem);
-  SimulationPlan plan;
-  plan.world = shared->world;
-  plan.programs.reserve(static_cast<std::size_t>(target.n));
+  std::vector<Program> programs;
+  programs.reserve(static_cast<std::size_t>(target.n));
   for (int i = 0; i < target.n; ++i) {
     auto simulator = std::make_shared<internal::EngineSimulator>(shared, i);
-    plan.programs.push_back([simulator](ProcessContext& ctx) {
+    programs.push_back([simulator](ProcessContext& ctx) {
       simulator->run_colorless(ctx);
     });
   }
-  return plan;
+  return programs;
 }
 
 }  // namespace mpcn

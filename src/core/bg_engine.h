@@ -10,11 +10,12 @@
 //
 // Instantiations:
 //   * target x2 = 1, same n — Section 3 (simulating ASM(n,t',x) in
-//     ASM(n,t,1)): agreement keys are Figure 1 safe_agreement objects;
-//     simulated x-consensus goes through one extra safe_agreement per
-//     object (Figure 4).
+//     ASM(n,t,1)): the agreement objects are Figure 1 safe_agreement
+//     objects; simulated x-consensus goes through one extra
+//     safe_agreement per object (Figure 4).
 //   * source x1 = 1, same n — Section 4 (simulating ASM(n,t,1) in
-//     ASM(n,t',x)): agreement keys are Figure 6 x_safe_agreement objects.
+//     ASM(n,t',x)): the agreement objects are Figure 6 x_safe_agreement
+//     objects.
 //   * x1 = x2 = 1, N = t+1 — the original Borowsky-Gafni simulation
 //     (ASM(n,t,1) ≃ ASM(t+1,t,1)).
 //   * the general case combines all three (Section 5).
@@ -27,13 +28,16 @@
 // With at most t2 crashes, at most ⌊t2/x2⌋·x1 <= t1 simulated processes
 // block, so the t1-resilient A keeps terminating for at least n1 - t1
 // simulated processes, and every correct simulator adopts a decision.
+//
+// The simulators share MEM and the agreement objects, held in tables
+// indexed as the paper indexes them: INPUT[j], SAFE_AG[j, snapsn] of
+// Figure 3 and XSAFE_AG[a] of Figure 4 (engine_internal.h).
 #pragma once
 
 #include <vector>
 
 #include "src/core/sim_api.h"
 #include "src/runtime/execution.h"
-#include "src/runtime/shared_world.h"
 
 namespace mpcn {
 
@@ -50,16 +54,10 @@ struct SimulationOptions {
   MemKind mem = MemKind::kPrimitive;
 };
 
-struct SimulationPlan {
-  // One target-model Program per simulator q_0..q_{N-1}. Each simulator
-  // decides a value of the simulated task (colorless adoption).
-  std::vector<Program> programs;
-  // The world holding MEM and the agreement objects (introspection).
-  std::shared_ptr<SharedWorld> world;
-};
-
-SimulationPlan make_simulation(const SimulatedAlgorithm& algorithm,
-                               const ModelSpec& target,
-                               const SimulationOptions& options = {});
+// One target-model Program per simulator q_0..q_{N-1}. Each simulator
+// decides a value of the simulated task (colorless adoption).
+std::vector<Program> make_simulation(const SimulatedAlgorithm& algorithm,
+                                     const ModelSpec& target,
+                                     const SimulationOptions& options = {});
 
 }  // namespace mpcn

@@ -1,11 +1,10 @@
 #include "src/core/colored_engine.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/errors.h"
-#include "src/common/ids.h"
 #include "src/core/engine_internal.h"
-#include "src/objects/test_and_set.h"
 
 namespace mpcn {
 
@@ -35,10 +34,7 @@ void EngineSimulator::run_colored(ProcessContext& ctx) {
       // and drain the active ones so that losing the T&S cannot leave a
       // half-done propose that would block other simulators.
       pause_proposes(ctx);
-      auto ts = shared_->world->get_or_create<TestAndSet>(
-          format_key("TSDECIDE/", cand->first),
-          [] { return std::make_shared<TestAndSet>(); });
-      if (ts->test_and_set(ctx)) {
+      if (shared_->decision_test_and_set(cand->first).test_and_set(ctx)) {
         ctx.decide(Value::pair(Value(cand->first), cand->second));
         // Cancel in one exclusive window before the destructors join
         // (see run_colorless for why this keeps lock-step deterministic).
@@ -69,9 +65,9 @@ void EngineSimulator::run_colored(ProcessContext& ctx) {
 
 }  // namespace internal
 
-SimulationPlan make_colored_simulation(const SimulatedAlgorithm& algorithm,
-                                       const ModelSpec& target,
-                                       const ColoredSimulationOptions& options) {
+std::vector<Program> make_colored_simulation(
+    const SimulatedAlgorithm& algorithm, const ModelSpec& target,
+    const ColoredSimulationOptions& options) {
   algorithm.validate();
   target.validate();
   if (!algorithm.static_inputs) {
@@ -98,16 +94,15 @@ SimulationPlan make_colored_simulation(const SimulatedAlgorithm& algorithm,
 
   auto shared = std::make_shared<internal::EngineShared>(algorithm, target,
                                                          options.mem);
-  SimulationPlan plan;
-  plan.world = shared->world;
-  plan.programs.reserve(static_cast<std::size_t>(target.n));
+  std::vector<Program> programs;
+  programs.reserve(static_cast<std::size_t>(target.n));
   for (int i = 0; i < target.n; ++i) {
     auto simulator = std::make_shared<internal::EngineSimulator>(shared, i);
-    plan.programs.push_back([simulator](ProcessContext& ctx) {
+    programs.push_back([simulator](ProcessContext& ctx) {
       simulator->run_colored(ctx);
     });
   }
-  return plan;
+  return programs;
 }
 
 }  // namespace mpcn

@@ -36,7 +36,8 @@ struct ColoredSimulationOptions {
   MemKind mem = MemKind::kPrimitive;
 };
 
-SimulationPlan make_colored_simulation(
+// One target-model Program per simulator q_0..q_{N-1}.
+std::vector<Program> make_colored_simulation(
     const SimulatedAlgorithm& algorithm, const ModelSpec& target,
     const ColoredSimulationOptions& options = {});
 

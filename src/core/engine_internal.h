@@ -7,8 +7,10 @@
 // local copy mem_i of the simulated snapshot memory, and implements the
 // three simulation operations of Figures 2, 3 and 4/8 on top of:
 //   * MEM[1..N]: a snapshot object shared by the simulators,
-//   * lazily-materialized agreement objects (SafeAgreement when the
-//     target model has x = 1, XSafeAgreement otherwise),
+//   * agreement objects in typed tables indexed as the paper indexes
+//     them (INPUT[j], AG[j][snapsn], XAG[d]), each created on first touch
+//     (SafeAgreement when the target model has x = 1, XSafeAgreement
+//     otherwise),
 //   * the two per-simulator cooperative mutexes of the paper
 //     (mutex1: at most one agreement propose at a time — a crash blocks
 //      at most one agreement object; mutex2: at most one simulated
@@ -18,19 +20,19 @@
 // (step_controller.h), so its local state below needs no lock.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/agreement_factory.h"
 #include "src/core/bg_engine.h"
 #include "src/core/sim_api.h"
+#include "src/core/x_safe_agreement.h"
+#include "src/objects/test_and_set.h"
 #include "src/runtime/cooperative_mutex.h"
 #include "src/runtime/execution.h"
-#include "src/runtime/shared_world.h"
 #include "src/snapshot/snapshot_object.h"
 
 namespace mpcn::internal {
@@ -45,19 +47,41 @@ struct EngineShared {
   // MEM[1..N]: MEM[i] holds simulator q_i's copy of the simulated memory,
   // as a list of n (value, sequence-number) pairs (Section 3.2.1).
   std::shared_ptr<SnapshotObject> mem;
-  std::shared_ptr<SharedWorld> world;
   // SET_LIST of (N, x), shared by every x_safe_agreement object (x > 1;
   // null when the target has x = 1).
   std::shared_ptr<const SetList> set_list;
 
-  // Lazily materialize the agreement object for `key`
-  // ("AG/<j>/<snapsn>", "INPUT/<j>", "XAG/<name>").
-  std::shared_ptr<AgreementObject> agreement(const std::string& key);
+  // The shared objects, one typed table per family, each entry created
+  // on first touch. Creation is a harness action, not a model step: the
+  // formal model has every (unbounded) array up front, in a fixed
+  // initial state. Entries never move once created.
+  //   INPUT[j]         p_j's input agreement (colorless runs);
+  //   AG[j][snapsn]    Figure 3's SAFE_AG[j, snapsn] (snapsn from 1);
+  //   XAG[d]           Figure 4's XSAFE_AG[a], d = a's position in
+  //                    algo.xcons;
+  //   TSDECIDE[j]      the colored engine's T&S[j] (Section 5.5).
+  AgreementObject& input_agreement(int j);
+  AgreementObject& snapshot_agreement(int j, std::int64_t snapsn);
+  AgreementObject& xcons_agreement(std::size_t d);
+  TestAndSet& decision_test_and_set(int j);
 
-  const XConsDecl& xcons_decl(const std::string& name) const;
+  // The position of x_cons object `name` in algo.xcons.
+  std::size_t xcons_index(const std::string& name) const;
 
   int n_sim() const { return algo.n(); }
   int n_simulators() const { return target.n; }
+
+ private:
+  // `entry`, created if absent: SafeAgreement (Figure 1) when the target
+  // has x = 1, where only registers and snapshots are legal; otherwise
+  // XSafeAgreement (Figure 6) over the model's x-consensus and test&set
+  // objects.
+  AgreementObject& agreement(std::unique_ptr<AgreementObject>& entry);
+
+  std::vector<std::unique_ptr<AgreementObject>> input_;
+  std::vector<std::vector<std::unique_ptr<AgreementObject>>> ag_;
+  std::vector<std::unique_ptr<AgreementObject>> xag_;
+  std::vector<std::unique_ptr<TestAndSet>> tsdecide_;
 };
 
 // Simulator q_i. Its run_colorless()/run_colored() methods are the
@@ -84,9 +108,10 @@ class EngineSimulator {
   void sim_write(ProcessContext& cctx, int j, const Value& v);
   // Figure 3: sim_snapshot_{i,j}().
   std::vector<Value> sim_snapshot(ProcessContext& cctx, int j);
-  // Figure 4 / Figure 8: sim_x_cons_propose^a_{i,j}(v).
-  Value sim_x_cons_propose(ProcessContext& cctx, int j,
-                           const std::string& name, const Value& v);
+  // Figure 4 / Figure 8: sim_x_cons_propose^a_{i,j}(v), where a is the
+  // object at position d of algo.xcons.
+  Value sim_x_cons_propose(ProcessContext& cctx, int j, std::size_t d,
+                           const Value& v);
 
   // Recording takes one scheduled step so the point at which a simulated
   // decision becomes visible to the simulator's adoption loop is fixed by
@@ -109,11 +134,15 @@ class EngineSimulator {
   // Rethrows any protocol error surfaced by a finished child.
   void check_child_errors(const std::vector<ChildHandle>& children);
 
+  // One agreement propose of `v` (Figure 3 line 05, Figure 4 line 02):
+  // through the colored-mode pause gate, under mutex1. A Value::List `v`
+  // becomes a Value only once mutex1 is held. `key()` names the object
+  // for a propose trap (CrashPlan::propose_trap); it is called only when
+  // the run's plan is one, so no other run formats a key.
+  template <typename V, typename Key>
+  void propose(ProcessContext& cctx, AgreementObject& ag, V&& v,
+               const Key& key);
   // Colored-mode propose pause gate (see colored_engine.cc).
-  void enter_propose_section(ProcessContext& cctx, const std::string& key);
-  void exit_propose_section();
-  // White-box crash-trap hook; call with mutex1 held, before propose.
-  void arm_propose_trap(ProcessContext& cctx, const std::string& key);
   void pause_proposes(ProcessContext& ctx);
   void resume_proposes();
 
@@ -153,8 +182,8 @@ class EngineSimulator {
     CooperativeMutex mutex;        // mutex2[a]
     std::optional<Value> result;   // xres_i[a], guarded by mutex
   };
-  XObjectState& xobject(const std::string& name);
-  std::map<std::string, std::unique_ptr<XObjectState>> xobjects_;
+  // Indexed by the object's position in algo.xcons.
+  std::vector<XObjectState> xobjects_;
 
   // Simulated decisions (j -> value) and the adoption order.
   std::vector<std::optional<Value>> sim_decisions_;

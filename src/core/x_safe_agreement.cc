@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/common/errors.h"
+#include "src/runtime/execution.h"
 
 namespace mpcn {
 
@@ -46,13 +47,11 @@ std::shared_ptr<const SetList> checked_set_list(int width, int x) {
 
 }  // namespace
 
-XSafeAgreement::XSafeAgreement(int width, int x, CompeteHook compete_hook)
-    : XSafeAgreement(checked_set_list(width, x), std::move(compete_hook)) {}
+XSafeAgreement::XSafeAgreement(int width, int x)
+    : XSafeAgreement(checked_set_list(width, x)) {}
 
-XSafeAgreement::XSafeAgreement(std::shared_ptr<const SetList> set_list,
-                               CompeteHook compete_hook)
+XSafeAgreement::XSafeAgreement(std::shared_ptr<const SetList> set_list)
     : set_list_(std::move(set_list)),
-      compete_hook_(std::move(compete_hook)),
       compete_(set_list_->x()),
       proposed_(static_cast<std::size_t>(set_list_->n())) {}
 
@@ -65,10 +64,10 @@ void XSafeAgreement::propose(ProcessContext& ctx, const Value& v) {
     throw ProtocolError("XSafeAgreement: x_sa_propose invoked twice");
   }
   proposed_[static_cast<std::size_t>(i)] = true;
-  // (01) compete for ownership
-  const bool owner = compete_.compete(ctx);
-  if (compete_hook_) compete_hook_(ctx, owner);
-  if (!owner) return;  // (02/08) non-owners are done: >= x others proposed
+  // (01) compete for ownership; (02/08) non-owners are done: >= x others
+  // proposed.
+  if (!compete_.compete(ctx)) return;
+  ctx.backend().crashes().on_owner_elected(ctx.tid());
   // (03..06) scan SET_LIST in the fixed global order, funnelling res
   // through every x-consensus object whose subset contains i. The scan is
   // pruned to the C(width-1, x-1) subsets that CAN contain i — the visit

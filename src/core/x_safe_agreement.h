@@ -38,23 +38,27 @@
 // x = 1 degenerates to a one-owner object whose termination property
 // matches Figure 1's safe_agreement — but its *implementation* uses
 // test&set and consensus objects, which are NOT legal in ASM(N, t, 1);
-// the engine uses SafeAgreement there instead (see make_agreement).
+// the engine uses SafeAgreement there instead (see EngineShared).
 //
 // The XCONS objects are materialized lazily: an owner only touches the
 // C(N-1, x-1) subsets containing it, and most objects are never created.
 // Lazy creation is a harness action (the formal model has the whole array
 // up front in a fixed initial state). SET_LIST and every simulator's
 // pruned scan of it depend only on (N, x), so one SetList table serves
-// every object of an engine (EngineShared builds it and make_agreement
-// hands it on); an object built from (width, x) builds its own. XCONS is
-// one flat table indexed by SET_LIST rank, sized C(N, x) on the object's
-// first owner scan, whose entries are created on first visit. An owner
-// propose thus allocates nothing for the objects it revisits, and one
-// block for each XConsensus it creates.
+// every object of an engine (EngineShared builds it and hands it to each
+// object it creates); an object built from (width, x) builds its own.
+// XCONS is one flat table indexed by SET_LIST rank, sized C(N, x) on the
+// object's first owner scan, whose entries are created on first visit.
+// An owner propose thus allocates nothing for the objects it revisits,
+// and one block for each XConsensus it creates.
+//
+// An elected owner is reported to its run's crash manager
+// (CrashManager::on_owner_elected) right after line 01, so that the
+// white-box adversary (CrashPlan::propose_trap at kOwnerElected) can
+// crash exactly the owners before their first SET_LIST step.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -109,16 +113,10 @@ class SetList {
 
 class XSafeAgreement : public AgreementObject {
  public:
-  // Testing hook: called right after the ownership election with the
-  // result; lets the white-box adversary (CrashPlan::propose_trap at
-  // kOwnerElected) target exactly the owners.
-  using CompeteHook = std::function<void(ProcessContext&, bool owner)>;
-
   // width = N simulators; x = the model's consensus number.
-  XSafeAgreement(int width, int x, CompeteHook compete_hook = {});
+  XSafeAgreement(int width, int x);
   // N and x of a SET_LIST table shared with other objects.
-  explicit XSafeAgreement(std::shared_ptr<const SetList> set_list,
-                          CompeteHook compete_hook = {});
+  explicit XSafeAgreement(std::shared_ptr<const SetList> set_list);
 
   void propose(ProcessContext& ctx, const Value& v) override;
   Value decide(ProcessContext& ctx) override;
@@ -130,7 +128,6 @@ class XSafeAgreement : public AgreementObject {
 
  private:
   const std::shared_ptr<const SetList> set_list_;
-  const CompeteHook compete_hook_;
   XCompete compete_;      // X_T&S
   AtomicRegister decided_register_;  // X_SAFE_AG
 

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "src/common/errors.h"
@@ -88,8 +89,8 @@ Counter& m_worker_garbage_lines() {
   return c;
 }
 
-// The worker-side heartbeat. Once armed the worker beats at once and
-// after every job; with an interval, also from inside a long job (the
+// The worker-side heartbeat. Once armed the worker beats at once, after
+// every job, from inside a long job once the interval has passed (the
 // in-run hook, src/obs/heartbeat.h) and, while idle, whenever its wait
 // for the next line outlasts the interval. A beat diffs the metrics
 // registry against the previous beat (delta_json) and writes one
@@ -104,21 +105,15 @@ class Heartbeat {
   Heartbeat(const Heartbeat&) = delete;
   Heartbeat& operator=(const Heartbeat&) = delete;
 
-  // Arm and beat at once, so every armed worker produces at least one
-  // telemetry line even if it never receives a job. An interval <= 0
-  // arms the after-job beats only.
+  // Arm at `interval` (> 0) and beat at once, so every armed worker
+  // produces at least one telemetry line even if it never receives a job.
   void arm(std::chrono::milliseconds interval) {
-    armed_ = true;
     interval_ = interval;
     beat();
-    set_heartbeat_hook(interval_armed() ? &Heartbeat::on_tick : nullptr,
-                       this);
+    set_heartbeat_hook(&Heartbeat::on_tick, this);
   }
 
-  // True when the idle worker must wake for interval beats.
-  bool interval_armed() const {
-    return armed_ && interval_ > std::chrono::milliseconds::zero();
-  }
+  bool armed() const { return interval_ > std::chrono::milliseconds::zero(); }
   // How long the idle worker may wait before the next beat is due.
   std::chrono::milliseconds until_due() const {
     return std::max(std::chrono::ceil<std::chrono::milliseconds>(
@@ -145,14 +140,14 @@ class Heartbeat {
   // (the final metrics line must be the last word) and before an
   // injected SIGSTOP.
   void stop() {
-    armed_ = false;
+    interval_ = std::chrono::milliseconds::zero();
     set_heartbeat_hook(nullptr, nullptr);
   }
 
  private:
   // The next telemetry line; empty when unarmed.
   std::string compose() {
-    if (!armed_) return std::string();
+    if (!armed()) return std::string();
     next_due_ = Clock::now() + interval_;
     metrics_registry().delta_json(prev_, delta_buf_);
     return telemetry_line(seq_++, static_cast<std::int64_t>(trace_now_us()),
@@ -173,8 +168,7 @@ class Heartbeat {
   }
 
   LineIO& io_;
-  bool armed_ = false;
-  std::chrono::milliseconds interval_{0};
+  std::chrono::milliseconds interval_{0};  // zero: unarmed
   Clock::time_point next_due_{};
   MetricsSnapshot prev_;   // updated in place by delta_json
   std::string delta_buf_;  // reused per beat; capacity amortizes
@@ -218,12 +212,14 @@ std::string serve_range(const WireMessage& msg) {
 void run_worker_loop(LineIO& io, const WorkerOptions& options) {
   Heartbeat heartbeat(io);
   if (!io.write_line(hello_line())) return;
-  if (options.heartbeat) heartbeat.arm(*options.heartbeat);
+  if (options.heartbeat > std::chrono::milliseconds::zero()) {
+    heartbeat.arm(options.heartbeat);
+  }
   int jobs_received = 0;
   std::string line;
   for (;;) {
     // Idle: wait for the next line, beating whenever the interval passes.
-    while (heartbeat.interval_armed() &&
+    while (heartbeat.armed() &&
            !io.await_line(heartbeat.until_due())) {
       heartbeat.beat();
     }
@@ -379,16 +375,14 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
                              std::strerror(errno));
   }
   // The worker's settings, set before the fork and inherited with the
-  // rest of memory: no wire line configures a worker. Span recording and
-  // streamed telemetry both arm the heartbeat, so a trace-only pool
-  // still gets its after-job beats.
+  // rest of memory: no wire line configures a worker. Only streamed
+  // telemetry arms the heartbeat; span recording is harvested at
+  // shutdown and needs no beat.
   WorkerOptions wo;
   wo.max_cells = slot_quota(options.worker_max_cells, index);
   wo.stop_after_cells = slot_quota(options.worker_stop_after, index);
+  wo.heartbeat = options.telemetry_interval;
   const bool want_traces = options.worker_traces != nullptr;
-  if (options.telemetry_interval.count() > 0 || want_traces) {
-    wo.heartbeat = options.telemetry_interval;
-  }
   // Pin the trace clock's origin BEFORE forking: the child inherits it,
   // so its span timestamps need no alignment in the merged trace.
   trace_now_us();

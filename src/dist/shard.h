@@ -63,7 +63,6 @@
 
 #include <chrono>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,10 +86,10 @@ struct WorkerOptions {
   // worker's first job is certain (every live worker is dispatched one
   // at the start), so 1 always freezes it. 0 = never.
   int stop_after_cells = 0;
-  // Set: arm the heartbeat. The worker beats right after hello and
-  // after every job and, when the interval is > 0, also every interval
-  // from its own loop, busy or idle. Unset: no telemetry line at all.
-  std::optional<std::chrono::milliseconds> heartbeat;
+  // > 0: arm the heartbeat at this interval. The worker beats right
+  // after hello, after every job, and every interval from its own loop,
+  // busy or idle. Zero: no telemetry line at all.
+  std::chrono::milliseconds heartbeat{0};
 };
 
 // Serve jobs over `io` until shutdown or EOF: write hello, then answer
@@ -145,8 +144,8 @@ struct ShardSettings {
   // lost with the process, exactly like their requeued cells' first
   // attempts.
   std::vector<MetricsSnapshot>* worker_metrics = nullptr;
-  // Non-null: every worker records spans and arms its after-job beats,
-  // and each live worker's span ring is harvested at shutdown
+  // Non-null: every worker records spans (it arms no heartbeat for
+  // them), and each live worker's span ring is harvested at shutdown
   // (`"trace":true` on the shutdown line) as one ProcessTrace per
   // delivering worker, pid = slot + 2 (pid 1 is the coordinator). A
   // forked worker shares the coordinator's trace_now_us origin, so the
@@ -158,7 +157,9 @@ struct ShardSettings {
   std::vector<WorkerHealth>* health = nullptr;
   // Streaming telemetry: > 0 arms every worker's heartbeat at this
   // interval. Workers also beat right after hello and after every job,
-  // so >= 1 heartbeat arrives per worker even on an idle pool.
+  // so >= 1 heartbeat arrives per worker even on an idle pool. This is
+  // the only setting that arms the heartbeat: with it zero, no worker
+  // writes a telemetry line, worker_traces or not.
   std::chrono::milliseconds telemetry_interval{0};
   // Health write-off: with the heartbeat armed, a worker not heard from
   // (no bytes of any kind) for this long is presumed frozen and written

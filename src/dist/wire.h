@@ -21,13 +21,14 @@
 //   worker -> coordinator   {"type":"telemetry","seq":<k>,"now_us":<t>,
 //                            "delta":{...}}
 //
-// A worker whose heartbeat is armed (WorkerOptions::heartbeat, set by
-// the coordinator before it forks the worker) volunteers one after
-// hello, after every job and, with an interval, every interval: a
-// monotonically increasing heartbeat sequence number, its wall-clock
-// (trace_now_us) and a MetricsSnapshot DELTA since its previous beat —
-// the coordinator folds deltas by merge() to reconstruct totals and
-// keeps a per-worker health table keyed on heartbeat age.
+// A worker whose heartbeat is armed (WorkerOptions::heartbeat > 0, set
+// before the fork by a coordinator with streaming telemetry on, i.e.
+// ShardSettings::telemetry_interval > 0) volunteers one after hello,
+// after every job and every interval: a monotonically increasing
+// heartbeat sequence number, its wall-clock (trace_now_us) and a
+// MetricsSnapshot DELTA since its previous beat — the coordinator folds
+// deltas by merge() to reconstruct totals and keeps a per-worker health
+// table keyed on heartbeat age. No other setting arms it.
 //
 // The metrics/trace exchanges are telemetry-only and opt-in: a plain
 // shutdown line is byte-identical to the pre-telemetry protocol and

@@ -168,14 +168,14 @@ RunRecord run_cell_throwing(const ExperimentCell& cell) {
       SimulationOptions so;
       so.check_legality = cell.check_legality;
       so.mem = cell.mem;
-      programs = make_simulation(algo, cell.target, so).programs;
+      programs = make_simulation(algo, cell.target, so);
       break;
     }
     case ExecutionMode::kColored: {
       ColoredSimulationOptions co;
       co.check_legality = cell.check_legality;
       co.mem = cell.mem;
-      programs = make_colored_simulation(algo, cell.target, co).programs;
+      programs = make_colored_simulation(algo, cell.target, co);
       break;
     }
     case ExecutionMode::kChain:

@@ -196,32 +196,34 @@ CrashManager::CrashManager(int n, CrashPlan plan)
   }
 }
 
-void CrashManager::arm_trap(ThreadId tid, const std::string& key) {
+void CrashManager::arm_trap(ThreadId tid, TrapTable::iterator trap) {
   if (crashed_[static_cast<std::size_t>(tid.pid)]) return;
   if (armed_pids_.count(tid.pid)) return;  // one trap per process
-  auto it = trap_remaining_.find(key);
-  if (it == trap_remaining_.end() || it->second <= 0) return;
-  --it->second;
+  if (trap == trap_remaining_.end() || trap->second <= 0) return;
+  --trap->second;
   // Crash this victim after `extra_steps` more steps *of this thread* —
   // inside the propose body it is executing.
   armed_[tid] = plan_.trap_extra_steps_;
   armed_pids_.insert(tid.pid);
 }
 
-void CrashManager::on_propose_enter(ThreadId tid, const std::string& key) {
-  if (plan_.kind_ != CrashPlan::Kind::kProposeTrap ||
-      plan_.trap_point_ != CrashPlan::TrapPoint::kProposeEntry) {
-    return;
-  }
-  arm_trap(tid, key);
+bool CrashManager::traps_proposes() const {
+  return plan_.kind_ == CrashPlan::Kind::kProposeTrap;
 }
 
-void CrashManager::on_owner_elected(ThreadId tid, const std::string& key) {
-  if (plan_.kind_ != CrashPlan::Kind::kProposeTrap ||
-      plan_.trap_point_ != CrashPlan::TrapPoint::kOwnerElected) {
-    return;
+void CrashManager::on_propose_enter(ThreadId tid, const std::string& key) {
+  if (!traps_proposes()) return;
+  const TrapTable::iterator trap = trap_remaining_.find(key);
+  if (plan_.trap_point_ == CrashPlan::TrapPoint::kProposeEntry) {
+    arm_trap(tid, trap);
+  } else {
+    electing_[tid] = trap;
   }
-  arm_trap(tid, key);
+}
+
+void CrashManager::on_owner_elected(ThreadId tid) {
+  const auto it = electing_.find(tid);
+  if (it != electing_.end()) arm_trap(tid, it->second);
 }
 
 bool CrashManager::on_step(ThreadId tid) {

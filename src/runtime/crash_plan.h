@@ -66,6 +66,14 @@ class CrashPlan {
   // This realizes the blocking lemmas' adversary exactly, making
   // impossibility witnesses deterministic instead of a crash-timing
   // lottery. Total budget: keys.size() * victims_per_key crashes.
+  //
+  // A key names one engine agreement object (src/core/engine_internal.h):
+  //   "INPUT/<j>"          simulated p_j's input agreement,
+  //   "AG/<j>/<snapsn>"    the agreement on p_j's snapsn-th simulated
+  //                        snapshot (snapsn counts from 1),
+  //   "XAG/<name>"         the agreement behind the simulated x_cons
+  //                        object <name>.
+  // A key that names no object of the run traps nothing.
   enum class TrapPoint { kProposeEntry, kOwnerElected };
   static CrashPlan propose_trap(std::vector<std::string> keys,
                                 int victims_per_key,
@@ -122,15 +130,21 @@ class CrashManager : public CrashDirector {
   // already recorded the crash when it returns true.
   bool on_step(ThreadId tid);
 
-  // Engine hook: thread `tid` is entering an agreement-propose section
-  // on `key` (with mutex1 already held). Arms a pending crash if the
-  // plan traps this key at kProposeEntry; no-op otherwise.
+  // True when the plan is a propose trap: only then does the engine
+  // name the objects it proposes on (on_propose_enter).
+  bool traps_proposes() const;
+
+  // Engine hook, for propose-trap plans: thread `tid` is entering an
+  // agreement-propose section on the object `key` (with mutex1 already
+  // held). At kProposeEntry, arms a pending crash if the plan traps
+  // `key`; at kOwnerElected, `key` is the object the thread's next
+  // on_owner_elected refers to.
   void on_propose_enter(ThreadId tid, const std::string& key);
 
-  // Engine hook: thread `tid` just won an ownership slot of the
-  // x-safe-agreement object `key`. Arms a pending crash if the plan
-  // traps this key at kOwnerElected; no-op otherwise.
-  void on_owner_elected(ThreadId tid, const std::string& key);
+  // XSafeAgreement hook: thread `tid` just won an ownership slot of the
+  // object its last on_propose_enter named. Arms a pending crash if the
+  // plan traps that key at kOwnerElected; no-op otherwise.
+  void on_owner_elected(ThreadId tid);
 
   // Force-crash a process (used by tests to model external failures).
   void crash_now(ProcessId pid);
@@ -159,7 +173,9 @@ class CrashManager : public CrashDirector {
   bool direct_crash(ThreadId tid) override;
 
  private:
-  void arm_trap(ThreadId tid, const std::string& key);
+  // trap key -> victims still to assign.
+  using TrapTable = std::map<std::string, int>;
+  void arm_trap(ThreadId tid, TrapTable::iterator trap);
 
   const int n_;
   CrashPlan plan_;
@@ -169,8 +185,10 @@ class CrashManager : public CrashDirector {
   int crash_count_ = 0;
   // pid -> own-step at which to crash (fixed plans).
   std::map<ProcessId, std::uint64_t> fixed_points_;
-  // trap key -> victims still to assign.
-  std::map<std::string, int> trap_remaining_;
+  TrapTable trap_remaining_;
+  // Owner traps: thread -> the trap of the object it is proposing on
+  // (trap_remaining_.end() when that object is not trapped).
+  std::map<ThreadId, TrapTable::iterator> electing_;
   // armed thread -> remaining own-steps until the crash fires.
   std::map<ThreadId, std::uint64_t> armed_;
   // pids with an armed thread (one trap assignment per process).

@@ -90,10 +90,10 @@ TEST_P(ColoredIdentity, DistinctClaimsDistinctNames) {
   const int n_src = std::max(n_tgt, (n_tgt - t_tgt) + t_src) + 1;
   SimulatedAlgorithm a = identity_colored_algorithm(n_src, t_src, 2);
   const ModelSpec target{n_tgt, t_tgt, 2};
-  SimulationPlan plan = make_colored_simulation(a, target);
+  std::vector<Program> programs = make_colored_simulation(a, target);
   ExecutionOptions o = lockstep(seed);
   Outcome out =
-      run_execution(std::move(plan.programs), int_inputs(n_tgt), o);
+      run_execution(std::move(programs), int_inputs(n_tgt), o);
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   ColoredOutputs c = unpack(out);
@@ -118,10 +118,10 @@ TEST(ColoredIdentity, SurvivesSimulatorCrashes) {
   // n >= max(4, (4-2)+t) with t = 2, x = 2 => n >= 5. Use n = 6.
   SimulatedAlgorithm a = identity_colored_algorithm(6, 2, 2);
   const ModelSpec target{4, 2, 2};
-  SimulationPlan plan = make_colored_simulation(a, target);
+  std::vector<Program> programs = make_colored_simulation(a, target);
   ExecutionOptions o = lockstep(3);
   o.crashes = CrashPlan::fixed({{1, 30}, {3, 50}});
-  Outcome out = run_execution(std::move(plan.programs), int_inputs(4), o);
+  Outcome out = run_execution(std::move(programs), int_inputs(4), o);
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   ColoredOutputs c = unpack(out);
@@ -143,9 +143,9 @@ TEST_P(ColoredRenaming, SimulatorsGetDistinctNames) {
   // = max(4, 3+1) = 4 <= 6, and power ⌊1/1⌋ = 1 >= target power 0.
   SimulatedAlgorithm a = snapshot_renaming_algorithm(n_src, 1);
   const ModelSpec target{4, 1, 2};  // power 0
-  SimulationPlan plan = make_colored_simulation(a, target);
+  std::vector<Program> programs = make_colored_simulation(a, target);
   ExecutionOptions o = lockstep(GetParam(), 3'000'000);
-  Outcome out = run_execution(std::move(plan.programs), int_inputs(4), o);
+  Outcome out = run_execution(std::move(programs), int_inputs(4), o);
   ASSERT_FALSE(out.timed_out);
   EXPECT_TRUE(out.all_correct_decided());
   ColoredOutputs c = unpack(out);

@@ -153,6 +153,50 @@ TEST(CrashRealization, ProposeTrapMatchesThreadedRuntime) {
                           {"2/afek", "1@24;0@45; 562"}});
 }
 
+// A propose trap names its object by key string, one family per kind of
+// engine object: the snapshot agreements AG/<j>/<snapsn>, the simulated
+// x-consensus objects XAG/<name> (at both trap points) and, above, the
+// input agreements INPUT/<j>. A key that names no object traps nothing.
+TEST(CrashRealization, ProposeTrapOnEveryKeyFamily) {
+  const std::vector<Value> inputs = {Value(0), Value(1), Value(2), Value(3)};
+  Experiment ag = Experiment::of(trivial_kset_algorithm(4, 1));
+  ag.in(ModelSpec{4, 1, 1}).inputs(inputs).seeds(1, 3).crashes(
+      CrashPlan::propose_trap({"AG/0/1"}, 1, 2));
+  expect_realizations(ag, {{"1/primitive", "2@91; 606"},
+                           {"1/afek", "0@158; 741"},
+                           {"2/primitive", "1@58; 293"},
+                           {"2/afek", " 669"},
+                           {"3/primitive", "1@53; 335"},
+                           {"3/afek", "1@106; 656"}});
+
+  Experiment xag_entry = Experiment::of(group_kset_algorithm(4, 2, 2));
+  xag_entry.in(ModelSpec{4, 1, 1}).inputs(inputs).seeds(1, 3).crashes(
+      CrashPlan::propose_trap({"XAG/G0"}, 1, 2));
+  expect_realizations(xag_entry, {{"1/primitive", "0@44; 461"},
+                                  {"1/afek", "0@44; 741"},
+                                  {"2/primitive", "1@44; 442"},
+                                  {"2/afek", "1@44; 829"},
+                                  {"3/primitive", "2@19; 441"},
+                                  {"3/afek", "2@19; 682"}});
+
+  Experiment xag_owner = Experiment::of(group_kset_algorithm(4, 2, 2));
+  xag_owner.in(ModelSpec{4, 2, 2}).inputs(inputs).seeds(1, 3).crashes(
+      CrashPlan::propose_trap({"XAG/G1"}, 2, 1,
+                              CrashPlan::TrapPoint::kOwnerElected));
+  expect_realizations(xag_owner, {{"1/primitive", "1@24;2@134; 495"},
+                                  {"1/afek", "1@24;2@134; 606"},
+                                  {"2/primitive", "1@71;2@104; 519"},
+                                  {"2/afek", "1@71;2@104; 636"},
+                                  {"3/primitive", "2@76;0@102; 567"},
+                                  {"3/afek", "2@76;0@102; 713"}});
+
+  Experiment nothing = Experiment::of(trivial_kset_algorithm(4, 1));
+  nothing.in(ModelSpec{4, 1, 1}).inputs(inputs).seed(1).crashes(
+      CrashPlan::propose_trap({"AG/9/9"}, 1, 2));
+  expect_realizations(nothing,
+                      {{"1/primitive", " 580"}, {"1/afek", " 744"}});
+}
+
 TEST(CrashRealization, RealizedPointsReplayAsFixedPlan) {
   // Replay-from-report: a hazard run's realized (pid, own-step) points,
   // replayed as CrashPlan::fixed, reproduce the record. Scan seeds for

@@ -179,9 +179,9 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
   for (const TracePin& pin : pins) {
     ExecutionOptions o = lockstep(pin.seed);
     o.crashes = CrashPlan::hazard(0.002, 3, pin.seed * 3 + 5);
-    SimulationPlan plan =
+    std::vector<Program> programs =
         make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
-    expect_pinned_trace(pin, std::move(plan.programs), int_inputs(4, 50), o);
+    expect_pinned_trace(pin, std::move(programs), int_inputs(4, 50), o);
   }
 }
 
@@ -233,10 +233,10 @@ TEST(UnwindCounters, EngineRunWithFixedCrashes) {
   ExecutionOptions o = lockstep(1);
   // Simulators q0 and q2 crash with their simulated threads running.
   o.crashes = CrashPlan::fixed({{0, 40}, {2, 90}});
-  SimulationPlan plan =
+  std::vector<Program> programs =
       make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
   const Outcome out =
-      run_execution(std::move(plan.programs), int_inputs(4, 50), o);
+      run_execution(std::move(programs), int_inputs(4, 50), o);
   ASSERT_EQ(outcome_key(out), "-|50|-|50|X.X.");
   ASSERT_EQ(out.steps, 444u);
   // Each crashed simulator unwinds its own fiber and its four simulated
@@ -280,8 +280,9 @@ TEST_P(ColoredDeterminism, SameSeedSameClaims) {
   const std::uint64_t seed = GetParam();
   auto run = [&] {
     SimulatedAlgorithm a = identity_colored_algorithm(5, 1, 2);
-    SimulationPlan plan = make_colored_simulation(a, ModelSpec{4, 1, 2});
-    return run_execution(std::move(plan.programs), int_inputs(4),
+    std::vector<Program> programs =
+        make_colored_simulation(a, ModelSpec{4, 1, 2});
+    return run_execution(std::move(programs), int_inputs(4),
                          lockstep(seed));
   };
   EXPECT_EQ(fingerprint(run()), fingerprint(run()));

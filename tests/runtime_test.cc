@@ -18,7 +18,6 @@
 #include "src/runtime/cooperative_mutex.h"
 #include "src/runtime/execution.h"
 #include "src/runtime/fiber.h"
-#include "src/runtime/shared_world.h"
 
 namespace mpcn {
 namespace {
@@ -632,38 +631,6 @@ TEST(CooperativeMutex, MutualExclusion) {
   Outcome out = run_execution(std::move(p), int_inputs(4), lockstep(13));
   EXPECT_FALSE(out.timed_out);
   EXPECT_EQ(violations->load(), 0);
-}
-
-// --- shared world ---
-
-TEST(SharedWorld, CreatesOnce) {
-  SharedWorld w;
-  int made = 0;
-  auto factory = [&made] {
-    ++made;
-    return std::make_shared<int>(5);
-  };
-  auto a = w.get_or_create<int>("k", factory);
-  auto b = w.get_or_create<int>("k", factory);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(made, 1);
-}
-
-TEST(SharedWorld, TypeMismatchThrows) {
-  SharedWorld w;
-  w.get_or_create<int>("k", [] { return std::make_shared<int>(1); });
-  EXPECT_THROW(w.get_or_create<double>(
-                   "k", [] { return std::make_shared<double>(1.0); }),
-               ProtocolError);
-}
-
-TEST(SharedWorld, FindReturnsNullWhenAbsent) {
-  SharedWorld w;
-  EXPECT_EQ(w.find<int>("missing"), nullptr);
-  w.get_or_create<int>("k", [] { return std::make_shared<int>(1); });
-  EXPECT_NE(w.find<int>("k"), nullptr);
-  EXPECT_EQ(w.find<double>("k"), nullptr);
-  EXPECT_EQ(w.size(), 1u);
 }
 
 // --- many processes, seeded schedules ---

@@ -114,11 +114,13 @@ TEST(Shard, GarbageEmittingWorkerIsWrittenOff) {
   EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
 }
 
-// A hung worker (it freezes on receiving its first cell, and every
-// respawn does the same) trips the watchdog once its cell overruns
-// wall_limit + grace; its cell is requeued. No telemetry is armed, so
-// only the watchdog can fire. With no survivors the run degrades to
-// in-process execution.
+// A hung worker (it freezes on receiving its first cell) trips the
+// watchdog once its cell overruns wall_limit + grace; its cell is
+// requeued. No telemetry is armed, so only the watchdog can fire. No
+// slot is respawned (RespawnedSlotServesTheWholeGrid and
+// DrainedPoolWithFallbackDisabledThrows cover respawns), so the
+// watchdog is waited out once, and with no survivors the run degrades
+// to in-process execution.
 TEST(Shard, HungWorkerTripsWatchdog) {
   Experiment e = small_grid();
   // The grid's cells finish in milliseconds; a tight wall_limit keeps
@@ -127,6 +129,7 @@ TEST(Shard, HungWorkerTripsWatchdog) {
   ShardOptions options;
   options.shards = 2;
   options.worker_stop_after = {1, 1};
+  options.max_respawns = 0;
   options.watchdog_grace = std::chrono::milliseconds(250);
   std::vector<WorkerHealth> health;
   options.health = &health;

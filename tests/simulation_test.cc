@@ -202,9 +202,7 @@ TEST(SimulationLegality, PowerConditionIsTheGate) {
 
 TEST(SimulationStructure, PlanHasOneProgramPerSimulator) {
   SimulatedAlgorithm a = trivial_kset_algorithm(4, 1);
-  SimulationPlan plan = make_simulation(a, ModelSpec{7, 3, 2});
-  EXPECT_EQ(plan.programs.size(), 7u);
-  EXPECT_NE(plan.world, nullptr);
+  EXPECT_EQ(make_simulation(a, ModelSpec{7, 3, 2}).size(), 7u);
 }
 
 // All simulators must adopt decisions consistent with ONE simulated run:
