@@ -304,9 +304,18 @@ Experiment parse_cell_flags(const Args& args, const std::string& command) {
                         "(chains expand to many cells; explore drives one)");
   }
 
-  if (const auto v = args.value("steps")) e.step_limit(parse_u64(*v));
+  // A limit of 0 stops every run before its first step: each cell would
+  // time out, a verdict on the flag rather than on the scenario.
+  const auto limit = [](const char* flag, const std::string& text) {
+    const std::uint64_t v = parse_u64(text);
+    if (v < 1) {
+      throw ProtocolError(std::string("--") + flag + " needs a value >= 1");
+    }
+    return v;
+  };
+  if (const auto v = args.value("steps")) e.step_limit(limit("steps", *v));
   if (const auto v = args.value("wall")) {
-    e.wall_limit(std::chrono::milliseconds(parse_u64(*v)));
+    e.wall_limit(std::chrono::milliseconds(limit("wall", *v)));
   }
   if (const auto v = args.value("inputs")) {
     // A plain comma split, not parse_name_axis: input pools legitimately

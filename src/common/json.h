@@ -61,10 +61,8 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_int() const { return kind_ == Kind::kInt; }
   bool is_double() const { return kind_ == Kind::kDouble; }
-  bool is_number() const { return is_int() || is_double(); }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }

@@ -2,9 +2,6 @@
 
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
-
-#include "src/obs/metrics.h"
 
 namespace mpcn {
 
@@ -15,13 +12,6 @@ int kind_rank(const Value& v) {
   if (v.is_int()) return 1;
   if (v.is_string()) return 2;
   return 3;
-}
-
-// Hit count of the interned small-int pool. One increment (metrics.h
-// hot-path idiom).
-Counter& intern_hits() {
-  static Counter& c = metrics_registry().counter("value.intern_hits");
-  return c;
 }
 
 }  // namespace
@@ -40,32 +30,6 @@ Value::SharedList Value::intern_list(List l) {
     return kEmpty;
   }
   return std::make_shared<List>(std::move(l));
-}
-
-Value Value::from_shared(SharedList l) {
-  Value v;
-  v.rep_ = l ? std::move(l) : intern_list(List());
-  return v;
-}
-
-const Value& Value::interned_nil() {
-  static const Value kNil;
-  return kNil;
-}
-
-const Value& Value::small(std::int64_t k) {
-  static const std::vector<Value> kPool = [] {
-    std::vector<Value> pool;
-    pool.reserve(256);
-    for (std::int64_t i = 0; i < 256; ++i) pool.emplace_back(i);
-    return pool;
-  }();
-  if (k < 0 || k > 255) {
-    throw std::out_of_range("Value::small expects 0..255, got " +
-                            std::to_string(k));
-  }
-  intern_hits().add();
-  return kPool[static_cast<std::size_t>(k)];
 }
 
 Value::List& Value::detach_list() {

@@ -63,16 +63,6 @@ class Value {
 
   static Value nil() { return Value(); }
 
-  // Interned constants: nil and the small ints 0..255 as shared statics.
-  // Int payloads already live inline (no allocation), so the pool's win
-  // is construction-free `const Value&` identities for the hottest
-  // constants — loop indices, register bootstraps, sequence numbers —
-  // that call sites can hold, compare, and return without building a
-  // temporary per use. `small(k)` outside [0, 255] is a contract error
-  // and throws.
-  static const Value& interned_nil();
-  static const Value& small(std::int64_t k);
-
   static Value list(std::initializer_list<Value> items) {
     return Value(List(items));
   }
@@ -84,15 +74,10 @@ class Value {
     l.push_back(std::move(b));
     return Value(std::move(l));
   }
-  // Adopt an already-shared payload with zero copying: the returned Value
-  // aliases `l` (refcount bump only). The cheap return path for borrowed
-  // Afek views and agreement results.
-  static Value from_shared(SharedList l);
 
   // Incremental construction without intermediate Values: build the list
   // in place, then freeze it into a Value with one move (no element
-  // copies). The construction path for snapshot cells, views and JSON
-  // decode.
+  // copies). The construction path for Afek snapshot cells.
   class ListBuilder {
    public:
     ListBuilder() = default;

@@ -69,7 +69,6 @@ struct EngineShared {
   std::size_t xcons_index(const std::string& name) const;
 
   int n_sim() const { return algo.n(); }
-  int n_simulators() const { return target.n; }
 
  private:
   // `entry`, created if absent: SafeAgreement (Figure 1) when the target

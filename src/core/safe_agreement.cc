@@ -72,12 +72,4 @@ Value SafeAgreement::decide(ProcessContext& ctx) {
   return *res;
 }
 
-bool SafeAgreement::has_stable_value() const {
-  const std::vector<Value> sm = sm_.peek();
-  for (const Value& e : sm) {
-    if (e.at(1).as_int() == kStable) return true;
-  }
-  return false;
-}
-
 }  // namespace mpcn

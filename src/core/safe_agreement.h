@@ -38,9 +38,6 @@ class SafeAgreement : public AgreementObject {
   void propose(ProcessContext& ctx, const Value& v) override;
   Value decide(ProcessContext& ctx) override;
 
-  // Harness-side introspection for tests.
-  bool has_stable_value() const;
-
  private:
   static constexpr std::int64_t kMeaningless = 0;
   static constexpr std::int64_t kUnstable = 1;

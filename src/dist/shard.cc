@@ -72,14 +72,6 @@ Counter& m_snapshot_timeouts() {
   static Counter& c = metrics_registry().counter("shard.snapshot_timeouts");
   return c;
 }
-Gauge& m_queue_depth() {
-  static Gauge& g = metrics_registry().gauge("shard.queue_depth");
-  return g;
-}
-Histogram& m_cell_latency() {
-  static Histogram& h = metrics_registry().histogram("shard.cell_latency_us");
-  return h;
-}
 Counter& m_worker_cells_served() {
   static Counter& c = metrics_registry().counter("worker.cells_served");
   return c;
@@ -301,8 +293,8 @@ constexpr std::chrono::milliseconds kSalvageDeadline{200};
 
 struct WorkerProc {
   pid_t pid = -1;
-  int fd = -1;  // our end of the socketpair
-  std::string inbuf;
+  int fd = -1;          // our end of the socketpair
+  FdLineIO io{-1, -1};  // the line framing over fd
   bool alive = false;
   bool busy = false;
   std::size_t outstanding = 0;  // cell id, valid when busy
@@ -415,45 +407,10 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
   WorkerProc w;
   w.pid = pid;
   w.fd = sv[0];
+  w.io = FdLineIO(sv[0], sv[0]);
   w.alive = true;
   w.last_heard = std::chrono::steady_clock::now();
   return w;
-}
-
-// Whole-line send with MSG_NOSIGNAL so a dead worker yields EPIPE, not
-// a process-killing SIGPIPE.
-bool send_line(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-// Append what a worker's socket holds to its line buffer. Returns what
-// recv returned: the byte count, 0 on EOF, < 0 on an error (errno set).
-ssize_t receive(WorkerProc& w) {
-  char chunk[4096];
-  const ssize_t n = ::recv(w.fd, chunk, sizeof(chunk), 0);
-  if (n > 0) w.inbuf.append(chunk, static_cast<std::size_t>(n));
-  return n;
-}
-
-// Pop the next whole line off a worker's buffer, if one has arrived.
-bool next_line(WorkerProc& w, std::string& line) {
-  const std::size_t nl = w.inbuf.find('\n');
-  if (nl == std::string::npos) return false;
-  line.assign(w.inbuf, 0, nl);
-  w.inbuf.erase(0, nl + 1);
-  return true;
 }
 
 // One unit of dispatch: a grid cell, or a range of search schedules.
@@ -585,7 +542,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     };
     std::vector<Owed> owed(workers.size());
     for (std::size_t i : slots) {
-      if (send_line(workers[i].fd, shutdown_line(want_metrics, want_trace))) {
+      if (workers[i].io.write_line(shutdown_line(want_metrics, want_trace))) {
         owed[i].metrics = want_metrics;
         owed[i].trace = want_trace;
       }
@@ -596,7 +553,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       // Drain buffered lines first, then poll only the still-owed fds.
       for (std::size_t i = 0; i < workers.size(); ++i) {
         Owed& p = owed[i];
-        while (p.waiting() && next_line(workers[i], line)) {
+        while (p.waiting() && workers[i].io.take_line(line)) {
           try {
             WireMessage msg = parse_wire_line(line);
             if (msg.type == WireMessage::Type::kMetrics && msg.snapshot) {
@@ -636,10 +593,8 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
       for (std::size_t k = 0; k < pfds.size(); ++k) {
         if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        const ssize_t n = receive(workers[pown[k]]);
-        if (n < 0 && errno == EINTR) continue;
         // EOF with replies still owed: the worker died mid-harvest.
-        if (n <= 0) owed[pown[k]].give_up();
+        if (!workers[pown[k]].io.fill()) owed[pown[k]].give_up();
       }
     }
     for (std::size_t i = 0; i < workers.size(); ++i) {
@@ -688,7 +643,6 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         const Job& job = jobs[w.outstanding];
         pending.push_front(w.outstanding);
         m_cells_requeued().add(static_cast<std::uint64_t>(job.count));
-        m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
         log_event("cell_requeue",
                   Json::object()
                       .set("cell_index", static_cast<std::int64_t>(job.first))
@@ -757,17 +711,14 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
         if (!hooks.accept(id, msg)) return false;
         w.busy = false;
         health[slot_of(w)].cells_served += job.count;
-        const auto now = std::chrono::steady_clock::now();
-        const auto latency_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - w.sent_at)
-                .count();
-        m_cell_latency().record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(latency_us, 0)));
         if (tracing_enabled()) {
+          // The round trip, from dispatch to this reply.
+          const auto dur = static_cast<std::uint64_t>(std::max<std::int64_t>(
+              std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - w.sent_at)
+                  .count(),
+              0));
           const std::uint64_t end_us = trace_now_us();
-          const auto dur = static_cast<std::uint64_t>(
-              std::max<std::int64_t>(latency_us, 0));
           record_span("shard.cell", "shard",
                       end_us >= dur ? end_us - dur : 0, dur,
                       static_cast<std::int64_t>(job.first));
@@ -813,9 +764,9 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
             spawn_worker(options, static_cast<int>(i), live_fds);
         w.pid = fresh.pid;
         w.fd = fresh.fd;
+        w.io = fresh.io;
         w.alive = true;
         w.busy = false;
-        w.inbuf.clear();
         w.last_heard = fresh.last_heard;
         health[i].respawns = w.respawns;
         m_workers_respawned().add();
@@ -842,7 +793,7 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
     for (WorkerProc& w : workers) {
       if (!w.alive || w.busy || pending.empty()) continue;
       const std::size_t id = pending.front();
-      if (!send_line(w.fd, hooks.line(id))) {
+      if (!w.io.write_line(hooks.line(id))) {
         write_off(w, "write failed");
         continue;
       }
@@ -851,7 +802,6 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       w.outstanding = id;
       w.sent_at = std::chrono::steady_clock::now();
       m_cells_dispatched().add(static_cast<std::uint64_t>(jobs[id].count));
-      m_queue_depth().set(static_cast<std::int64_t>(pending.size()));
       log_event("cell_dispatch",
                 Json::object()
                     .set("cell_index",
@@ -948,16 +898,14 @@ void run_pool(const std::vector<Job>& jobs, const ShardOptions& options,
       WorkerProc& w = workers[owner[k]];
       if (!w.alive) continue;
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const ssize_t n = receive(w);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
+      if (!w.io.fill()) {
         write_off(w, "eof");
         continue;
       }
       w.last_heard = std::chrono::steady_clock::now();
       bool ok = true;
       std::string line;
-      while (ok && next_line(w, line)) ok = handle_line(w, line);
+      while (ok && w.io.take_line(line)) ok = handle_line(w, line);
       if (!ok) write_off(w, "protocol violation");
     }
 

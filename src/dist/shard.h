@@ -120,9 +120,10 @@ struct WorkerHealth {
   int respawns = 0;
   bool written_off = false;
   std::string write_off_reason;     // "" when never written off
-  // Folded heartbeat deltas: merge()-reconstructed running totals of
-  // the slot's process-local metrics (lost work of a dead worker stays
-  // lost, exactly like its shutdown snapshot would be).
+  // Folded heartbeat deltas: the slot's counter totals as of its last
+  // beat, summed over the slot's respawns. A live worker's equal the
+  // non-zero counters of its shutdown snapshot; a dead worker's stop at
+  // its last beat.
   MetricsSnapshot telemetry;
 };
 

@@ -1,6 +1,7 @@
 #include "src/dist/wire.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -399,18 +400,21 @@ bool FdLineIO::fill() {
   }
 }
 
+bool FdLineIO::take_line(std::string& out) {
+  const std::size_t nl = buffer_.find('\n');
+  if (nl == std::string::npos) return false;
+  out.assign(buffer_, 0, nl);
+  buffer_.erase(0, nl + 1);
+  return true;
+}
+
 bool FdLineIO::read_line(std::string& out) {
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      out.assign(buffer_, 0, nl);
-      buffer_.erase(0, nl + 1);
-      return true;
-    }
+  while (!take_line(out)) {
     // EOF (or error) with a partial line buffered: the peer died
     // mid-write; the fragment is unusable.
     if (!fill()) return false;
   }
+  return true;
 }
 
 bool FdLineIO::await_line(std::chrono::milliseconds timeout) {
@@ -436,7 +440,8 @@ namespace {
 bool write_all(int fd, const std::string& framed) {
   std::size_t off = 0;
   while (off < framed.size()) {
-    const ssize_t n = ::write(fd, framed.data() + off, framed.size() - off);
+    const ssize_t n = ::send(fd, framed.data() + off, framed.size() - off,
+                             MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;

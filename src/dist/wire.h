@@ -25,10 +25,12 @@
 // before the fork by a coordinator with streaming telemetry on, i.e.
 // ShardSettings::telemetry_interval > 0) volunteers one after hello,
 // after every job and every interval: a monotonically increasing
-// heartbeat sequence number, its wall-clock (trace_now_us) and a
-// MetricsSnapshot DELTA since its previous beat — the coordinator folds
-// deltas by merge() to reconstruct totals and keeps a per-worker health
-// table keyed on heartbeat age. No other setting arms it.
+// heartbeat sequence number, its wall-clock (trace_now_us) and the
+// DELTA of its counters since its previous beat ({"counters":{...}},
+// only the counters that moved) — the coordinator folds deltas by
+// merge() to reconstruct each worker's counter totals and keeps a
+// per-worker health table keyed on heartbeat age. No other setting arms
+// it.
 //
 // The metrics/trace exchanges are telemetry-only and opt-in: a plain
 // shutdown line is byte-identical to the pre-telemetry protocol and
@@ -224,7 +226,7 @@ WireMessage parse_wire_line(const std::string& line);
 
 // One line in, one line out. The seam between protocol logic and I/O so
 // the worker loop is testable without processes (StringLineIO) and
-// drivable over any fd pair (FdLineIO: pipes, socketpairs).
+// drivable over a socketpair (FdLineIO).
 class LineIO {
  public:
   virtual ~LineIO() = default;
@@ -248,6 +250,11 @@ class LineIO {
   }
 };
 
+// Lines over socket descriptors: a shard worker's end of its socketpair
+// and the coordinator's end of each worker's. Writes use
+// send(MSG_NOSIGNAL), so a dead peer fails the write on either side
+// instead of raising SIGPIPE. The coordinator frames without blocking:
+// one fill() per readable poll(), then take_line() until it is dry.
 class FdLineIO : public LineIO {
  public:
   FdLineIO(int read_fd, int write_fd)
@@ -257,10 +264,14 @@ class FdLineIO : public LineIO {
   bool write_lines(const std::string& a, const std::string& b) override;
   bool await_line(std::chrono::milliseconds timeout) override;
 
- private:
-  // One read(2) into buffer_; false on EOF or an error.
+  // Pop the next whole buffered line, without reading; false when no
+  // whole line has arrived.
+  bool take_line(std::string& out);
+  // One read(2) into the buffer (retried on EINTR); false on EOF or an
+  // error. Blocks until the fd is readable.
   bool fill();
 
+ private:
   int read_fd_;
   int write_fd_;
   std::string buffer_;

@@ -342,6 +342,9 @@ ExploreResult explore(const ExperimentCell& cell,
   if (options.budget < 1) {
     throw ProtocolError("explore needs budget >= 1");
   }
+  if (options.policy == ExplorePolicy::kPct && options.pct_depth < 1) {
+    throw ProtocolError("explore needs pct-depth >= 1");
+  }
   if (options.crash_budget < 0) {
     throw ProtocolError("explore needs crash-budget >= 0");
   }

@@ -51,8 +51,6 @@ class XConsensus {
   // caller is not an allowed port or proposes twice.
   Value propose(ProcessContext& ctx, const Value& v);
 
-  int port_count() const { return static_cast<int>(ports_.size()); }
-
   // Harness-side peeks.
   bool has_decided() const { return decided_.has_value(); }
   std::optional<Value> decided() const { return decided_; }

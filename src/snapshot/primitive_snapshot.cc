@@ -27,6 +27,4 @@ std::vector<Value> PrimitiveSnapshot::snapshot(ProcessContext& ctx) {
   return entries_;
 }
 
-std::vector<Value> PrimitiveSnapshot::peek() const { return entries_; }
-
 }  // namespace mpcn

@@ -26,9 +26,6 @@ class PrimitiveSnapshot : public SnapshotObject {
     return reader(static_cast<const std::vector<Value>&>(entries_));
   }
 
-  // Harness-side peek (not a model step).
-  std::vector<Value> peek() const;
-
  private:
   const bool check_ownership_;
   std::vector<Value> entries_;

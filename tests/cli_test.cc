@@ -310,6 +310,22 @@ TEST(Cli, RunRejectsBadInvocations) {
             2);  // three crashes are outside ASM(4,1,1)
 }
 
+// A limit no run can meet is a usage error, not a verdict: a zero step
+// or wall limit would time every run out, and PCT needs at least one
+// priority level, in-process or sharded.
+TEST(Cli, LimitsNoRunCanMeetAreUsageErrors) {
+  const std::vector<std::string> search = {
+      "mpcn", "explore", "snapshot_churn", "--in", "3,0,1", "--budget", "5"};
+  EXPECT_EQ(run_cli(with_flags(search, {"--steps", "0"})), 2);
+  EXPECT_EQ(run_cli(with_flags(search, {"--wall", "0"})), 2);
+  EXPECT_EQ(run_cli(with_flags(search, {"--pct-depth", "0"})), 2);
+  EXPECT_EQ(
+      run_cli(with_flags(search, {"--pct-depth", "0", "--shards", "2"})), 2);
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--seeds", "1..4", "--wall", "0"}),
+            2);
+}
+
 // In-process, over two workers, and with the --fork-workers flag that
 // selects nothing: the same report bytes.
 TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {

@@ -1,14 +1,12 @@
-// Tests: src/obs — the telemetry sidecar. Metric primitives (counters,
-// histogram bucket edges), snapshot JSON round-trip and
-// order-independent merging, span capture, and the headline invariant:
-// report bytes are identical with instrumentation exported or not,
-// across the in-process and sharded backends.
+// Tests: src/obs — the telemetry sidecar. Counter snapshots' JSON
+// round-trip and order-independent merging, span capture, and the
+// headline invariant: report bytes are identical with instrumentation
+// exported or not, across the in-process and sharded backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -50,94 +48,37 @@ struct TempFile {
   std::string path;
 };
 
-// ------------------------------------------------------------ primitives
-
-TEST(Gauge, SetAddAndReset) {
-  Gauge g;
-  g.set(42);
-  EXPECT_EQ(g.value(), 42);
-  g.add(-50);
-  EXPECT_EQ(g.value(), -8);
-  g.reset();
-  EXPECT_EQ(g.value(), 0);
-}
-
-TEST(Histogram, BucketEdgesArePowersOfTwo) {
-  // Bucket 0 holds exactly {0}; bucket i >= 1 holds [2^(i-1), 2^i).
-  EXPECT_EQ(Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(Histogram::bucket_index(7), 3u);
-  EXPECT_EQ(Histogram::bucket_index(8), 4u);
-  EXPECT_EQ(Histogram::bucket_index(std::uint64_t{1} << 20), 21u);
-  EXPECT_EQ(Histogram::bucket_index((std::uint64_t{1} << 21) - 1), 21u);
-  // Everything past the top edge lands in the last bucket.
-  EXPECT_EQ(Histogram::bucket_index(std::numeric_limits<std::uint64_t>::max()),
-            Histogram::kBuckets - 1);
-
-  EXPECT_EQ(Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(Histogram::bucket_floor(2), 2u);
-  EXPECT_EQ(Histogram::bucket_floor(3), 4u);
-  // Every sample >= its bucket's floor and < the next floor (except the
-  // open-ended last bucket).
-  for (const std::uint64_t s : {0ull, 1ull, 5ull, 100ull, 65'536ull}) {
-    const std::size_t i = Histogram::bucket_index(s);
-    EXPECT_GE(s, Histogram::bucket_floor(i)) << s;
-    if (i + 1 < Histogram::kBuckets) {
-      EXPECT_LT(s, Histogram::bucket_floor(i + 1)) << s;
-    }
-  }
-}
-
-TEST(Histogram, RecordAccumulatesCountAndSum) {
-  Histogram h;
-  h.record(0);
-  h.record(1);
-  h.record(1000);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 1001u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(Histogram::bucket_index(1000)), 1u);
-}
-
 // ------------------------------------------------------------- snapshots
 
 MetricsSnapshot sample_snapshot(std::uint64_t scale) {
   MetricsSnapshot s;
   s.counters["explore.schedules"] = 10 * scale;
   s.counters["arena.bytes"] = scale;
-  s.gauges["shard.queue_depth"] = static_cast<std::int64_t>(scale) - 2;
-  MetricsSnapshot::HistogramData h;
-  h.count = 2 * scale;
-  h.sum = 100 * scale;
-  h.buckets = std::vector<std::uint64_t>(1 + scale % 5, scale);
-  s.histograms["shard.cell_latency_us"] = h;
   return s;
 }
 
 TEST(MetricsSnapshot, JsonRoundTripsByteIdentically) {
   const MetricsSnapshot s = sample_snapshot(3);
   const std::string first = s.to_json().dump();
+  // The sidecar schema: counters are the only metric kind.
+  EXPECT_EQ(first, "{\"counters\":{\"arena.bytes\":3,"
+                   "\"explore.schedules\":30}}");
   const MetricsSnapshot back = MetricsSnapshot::from_json(s.to_json());
   EXPECT_EQ(back.to_json().dump(), first);
   // Empty snapshot round-trips too.
   const MetricsSnapshot empty;
+  EXPECT_EQ(empty.to_json().dump(), "{\"counters\":{}}");
   EXPECT_EQ(MetricsSnapshot::from_json(empty.to_json()).to_json().dump(),
             empty.to_json().dump());
   EXPECT_TRUE(empty.empty());
 }
 
 TEST(MetricsSnapshot, MergeIsCommutativeAndAssociative) {
-  // Distinct key sets, overlapping keys, and histograms of different
-  // bucket lengths: the awkward merge inputs.
+  // Distinct key sets and overlapping keys: the awkward merge inputs.
   std::vector<MetricsSnapshot> parts = {sample_snapshot(1),
                                         sample_snapshot(4),
                                         sample_snapshot(2)};
   parts[1].counters["shard.cells_dispatched"] = 9;  // only in one part
-  parts[2].gauges["pool.size"] = -5;
 
   // Reference: left-fold in the given order.
   MetricsSnapshot ref;
@@ -168,22 +109,15 @@ TEST(MetricsSnapshot, MergeIsCommutativeAndAssociative) {
   for (const MetricsSnapshot& p : parts) m.merge(p);
   EXPECT_EQ(m.counters["explore.schedules"], 10u * (1 + 4 + 2));
   EXPECT_EQ(m.counters["shard.cells_dispatched"], 9u);
-  EXPECT_EQ(m.gauges["shard.queue_depth"], (1 - 2) + (4 - 2) + (2 - 2));
-  EXPECT_EQ(m.histograms["shard.cell_latency_us"].count, 2u * (1 + 4 + 2));
-  EXPECT_EQ(m.histograms["shard.cell_latency_us"].sum, 100u * (1 + 4 + 2));
 }
 
 TEST(MetricsRegistry, SnapshotResetAndStableReferences) {
   MetricsRegistry reg;
   Counter& c = reg.counter("test.counter");
   c.add(5);
-  reg.gauge("test.gauge").set(-1);
-  reg.histogram("test.histogram").record(3);
 
   MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("test.counter"), 5u);
-  EXPECT_EQ(snap.gauges.at("test.gauge"), -1);
-  EXPECT_EQ(snap.histograms.at("test.histogram").count, 1u);
 
   // reset() zeroes values but keeps objects: cached references stay
   // valid, and the metric catalog survives in later snapshots.
@@ -191,8 +125,6 @@ TEST(MetricsRegistry, SnapshotResetAndStableReferences) {
   c.add(2);  // through the pre-reset reference
   snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("test.counter"), 2u);
-  EXPECT_EQ(snap.gauges.at("test.gauge"), 0);
-  EXPECT_EQ(snap.histograms.at("test.histogram").count, 0u);
   // Same name resolves to the same object.
   EXPECT_EQ(&reg.counter("test.counter"), &c);
 }
@@ -200,12 +132,10 @@ TEST(MetricsRegistry, SnapshotResetAndStableReferences) {
 TEST(MetricsRegistry, DeltaJsonMatchesSnapshotDeltaSince) {
   // The heartbeat fast path (delta_json) must emit byte-for-byte what
   // the reference pipeline — snapshot(), delta_since(), to_json() —
-  // would have: same saturation, zero-dropping and bucket trimming.
+  // would have: same saturation and zero-dropping.
   MetricsRegistry reg;
   reg.counter("a.count").add(5);
-  reg.gauge("a.gauge").set(7);
-  reg.histogram("a.hist").record(0);
-  reg.histogram("a.hist").record(9);
+  reg.counter("a.idle").add(3);
 
   MetricsSnapshot prev_ref;       // reference pipeline's baseline
   MetricsSnapshot prev_fast;      // fast path's in-place baseline
@@ -223,18 +153,15 @@ TEST(MetricsRegistry, DeltaJsonMatchesSnapshotDeltaSince) {
   EXPECT_EQ(out, reg.snapshot().delta_since(prev_ref).to_json().dump());
   EXPECT_TRUE(MetricsSnapshot::from_json(Json::parse(out)).empty());
 
-  // Beat 3: mixed movement — counter up, gauge DOWN (signed diff),
-  // histogram gains a low bucket only (trailing buckets trimmed).
+  // Beat 3: one counter moves, the other does not (dropped).
   reg.counter("a.count").add(1);
-  reg.gauge("a.gauge").set(-2);
-  reg.histogram("a.hist").record(1);
   snap = reg.snapshot();
   reg.delta_json(prev_fast, out);
   EXPECT_EQ(out, snap.delta_since(prev_ref).to_json().dump());
   prev_ref = snap;
 
-  // Beat 4: a reset makes current < baseline — counters and histogram
-  // fields saturate at zero instead of wrapping, gauges go signed.
+  // Beat 4: a reset makes current < baseline — counters saturate at
+  // zero instead of wrapping.
   reg.reset();
   reg.counter("a.count").add(7);  // 7 > pre-reset total 6: diff is 1
   snap = reg.snapshot();
@@ -242,10 +169,10 @@ TEST(MetricsRegistry, DeltaJsonMatchesSnapshotDeltaSince) {
   EXPECT_EQ(out, snap.delta_since(prev_ref).to_json().dump());
 
   // And every emission parses back through the wire-side decoder. The
-  // histogram (0 < pre-reset 3) saturated to an all-zero row — dropped.
+  // idle counter (0 < pre-reset 3) saturated to zero — dropped.
   MetricsSnapshot parsed = MetricsSnapshot::from_json(Json::parse(out));
   EXPECT_EQ(parsed.counters.at("a.count"), 1u);
-  EXPECT_TRUE(parsed.histograms.empty());
+  EXPECT_EQ(parsed.counters.count("a.idle"), 0u);
 }
 
 // ----------------------------------------------------------------- spans

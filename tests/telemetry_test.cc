@@ -17,14 +17,16 @@
 //     and keeps events sorted, so one --trace file loads in Perfetto;
 //   * the events log round-trips: every line parses back with its type,
 //     fields and a monotonic shared-clock timestamp;
-//   * MetricsSnapshot::delta_since saturates, drops all-zero entries,
-//     and folds back to totals via merge() — the heartbeat payload.
+//   * MetricsSnapshot::delta_since saturates, drops zero entries, and
+//     folds back to totals via merge() — the heartbeat payload — and a
+//     slot's folded heartbeats equal its worker's shutdown snapshot.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -99,6 +101,36 @@ TEST(Telemetry, StreamingHeartbeatsKeepReportByteIdentical) {
         << "slot " << h.slot;
   }
   EXPECT_EQ(served, 6);
+}
+
+// Folded heartbeats rebuild each worker's counters, every one of them:
+// at shutdown a slot's folded telemetry equals the non-zero counters of
+// the snapshot its worker ships, key for key. The worker diffs them with
+// delta_json, the coordinator folds them with merge.
+TEST(Telemetry, HeartbeatsRebuildEachWorkersCounters) {
+  const Experiment e = small_grid();
+  ShardOptions options;
+  options.shards = 2;
+  options.telemetry_interval = std::chrono::milliseconds(10);
+  std::vector<WorkerHealth> health;
+  std::vector<MetricsSnapshot> worker_metrics;
+  options.health = &health;
+  options.worker_metrics = &worker_metrics;
+  const Report sharded = run_sharded(e.cells(), options);
+  EXPECT_EQ(sharded.to_json(false).dump(), in_process_dump(e));
+  ASSERT_EQ(health.size(), 2u);
+  // Both slots live to the shutdown, so the harvest holds one snapshot
+  // per slot, in slot order.
+  ASSERT_EQ(worker_metrics.size(), 2u);
+  for (std::size_t i = 0; i < health.size(); ++i) {
+    ASSERT_FALSE(health[i].written_off) << "slot " << i;
+    std::map<std::string, std::uint64_t> moved;
+    for (const auto& [name, v] : worker_metrics[i].counters) {
+      if (v != 0) moved[name] = v;
+    }
+    EXPECT_GE(moved.size(), 2u) << "slot " << i;
+    EXPECT_EQ(health[i].telemetry.counters, moved) << "slot " << i;
+  }
 }
 
 // The frozen worker: worker 0 raises SIGSTOP on receiving its first cell,
@@ -321,40 +353,24 @@ TEST(Telemetry, DeltaSinceDiffsSaturatesAndDropsZeroes) {
   prev.counters["a"] = 10;
   prev.counters["b"] = 7;   // will not move
   prev.counters["c"] = 50;  // will go BACKWARD (reset): saturates to 0
-  prev.gauges["g"] = 4;
-  prev.histograms["h"].count = 2;
-  prev.histograms["h"].sum = 12;
-  prev.histograms["h"].buckets = {0, 1, 1};
 
   MetricsSnapshot now;
   now.counters["a"] = 25;
   now.counters["b"] = 7;
   now.counters["c"] = 3;
   now.counters["d"] = 9;  // new since prev
-  now.gauges["g"] = 1;
-  now.histograms["h"].count = 5;
-  now.histograms["h"].sum = 40;
-  now.histograms["h"].buckets = {0, 1, 2, 2};
 
   const MetricsSnapshot d = now.delta_since(prev);
   EXPECT_EQ(d.counters.size(), 2u);  // b unchanged, c saturated: dropped
   EXPECT_EQ(d.counters.at("a"), 15u);
   EXPECT_EQ(d.counters.at("d"), 9u);
-  EXPECT_EQ(d.gauges.at("g"), -3);  // gauges are levels: signed delta
-  ASSERT_EQ(d.histograms.size(), 1u);
-  EXPECT_EQ(d.histograms.at("h").count, 3u);
-  EXPECT_EQ(d.histograms.at("h").sum, 28u);
-  EXPECT_EQ(d.histograms.at("h").buckets,
-            (std::vector<std::uint64_t>{0, 0, 1, 2}));
 
-  // Folding the delta back onto prev reconstructs the monotonic fields —
-  // the coordinator-side accumulation the health table relies on.
+  // Folding the delta back onto prev reconstructs the counters — the
+  // coordinator-side accumulation the health table relies on.
   MetricsSnapshot folded = prev;
   folded.merge(d);
   EXPECT_EQ(folded.counters.at("a"), now.counters.at("a"));
   EXPECT_EQ(folded.counters.at("d"), now.counters.at("d"));
-  EXPECT_EQ(folded.histograms.at("h").count, now.histograms.at("h").count);
-  EXPECT_EQ(folded.histograms.at("h").sum, now.histograms.at("h").sum);
 
   // Identical snapshots: the delta is completely empty.
   EXPECT_TRUE(now.delta_since(now).empty());

@@ -132,15 +132,6 @@ TEST(ValueCow, TakeListStealsWhenUniqueCopiesWhenShared) {
   EXPECT_EQ(copied[0].as_int(), 3);
 }
 
-TEST(ValueCow, FromSharedAliasesWithoutCopy) {
-  const Value a = deep_sample();
-  const Value b = Value::from_shared(a.shared_list());
-  EXPECT_EQ(a.shared_list().get(), b.shared_list().get());
-  EXPECT_EQ(a, b);
-  EXPECT_TRUE(Value::from_shared(nullptr).is_list());  // empty list, not nil
-  EXPECT_EQ(Value::from_shared(nullptr).size(), 0u);
-}
-
 TEST(ValueCow, WrongKindStillThrowsBadVariantAccess) {
   EXPECT_THROW(Value(1).as_string(), std::bad_variant_access);
   EXPECT_THROW(Value("s").as_int(), std::bad_variant_access);
@@ -208,25 +199,6 @@ TEST(ValueCow, ConcurrentReadsOfSharedPayload) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(checks.load(), 4u * 500u);
   EXPECT_EQ(shared.at(0).as_int(), 7);
-}
-
-// --- interned constants -------------------------------------------------
-
-TEST(ValueIntern, SmallIntPoolHandsOutStableIdentities) {
-  // The pool's contract: the same constant is the same object every
-  // time, so hot call sites can hold `const Value&` without constructing
-  // temporaries.
-  for (std::int64_t k : {0, 1, 7, 255}) {
-    EXPECT_EQ(&Value::small(k), &Value::small(k)) << k;
-    EXPECT_EQ(Value::small(k), Value(k)) << k;
-    EXPECT_EQ(Value::small(k).hash(), Value(k).hash()) << k;
-  }
-  EXPECT_NE(&Value::small(1), &Value::small(2));
-  EXPECT_EQ(&Value::interned_nil(), &Value::interned_nil());
-  EXPECT_TRUE(Value::interned_nil().is_nil());
-  EXPECT_EQ(Value::interned_nil(), Value::nil());
-  EXPECT_THROW(Value::small(-1), std::out_of_range);
-  EXPECT_THROW(Value::small(256), std::out_of_range);
 }
 
 }  // namespace
