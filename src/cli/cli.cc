@@ -35,6 +35,7 @@ const char kUsage[] =
     "  list [--json]                enumerate registered scenarios (name,\n"
     "                               axis constraints, description)\n"
     "  run <scenario> --in n,t,x    expand and run an experiment grid\n"
+    "                               (exit 1 when a cell is not ok)\n"
     "  explore <scenario> --in ...  adversarial schedule search on one\n"
     "                               cell (exit 0 clean, 1 on a verdict\n"
     "                               violation, 3 when the race oracle\n"
@@ -458,15 +459,17 @@ int cmd_run(int argc, char** argv) {
   }
   std::fprintf(summary_out, "%s\n", report.summary().c_str());
 
+  // A cell that is not ok (an error, a timeout, an invalid decision or an
+  // undecided correct process) fails the run.
+  if (report.all_ok()) return 0;
   int errored = 0;
   for (const RunRecord& r : report.records) {
     if (!r.error.empty()) ++errored;
   }
-  if (errored > 0) {
-    std::fprintf(stderr, "%d cell(s) failed with errors\n", errored);
-    return 1;
-  }
-  return 0;
+  std::fflush(stdout);  // the summary first, in a log that merges both
+  std::fprintf(stderr, "%d cell(s) not ok, %d of them with errors\n",
+               report.failed_count(), errored);
+  return 1;
 }
 
 ScheduleTrace load_trace(const std::string& path) {

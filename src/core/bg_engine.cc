@@ -65,9 +65,10 @@ std::unique_ptr<T>& slot(std::vector<std::unique_ptr<T>>& table,
 }  // namespace
 
 EngineShared::EngineShared(SimulatedAlgorithm algo_in, ModelSpec target_in,
-                           MemKind mem_kind)
+                           MemKind mem_kind, bool colored_in)
     : algo(std::move(algo_in)),
       target(target_in),
+      colored(colored_in),
       mem(make_mem(mem_kind, target_in.n)),
       set_list(target_in.x > 1
                    ? std::make_shared<const SetList>(target_in.n, target_in.x)
@@ -181,12 +182,6 @@ EngineSimulator::EngineSimulator(std::shared_ptr<EngineShared> shared, int i)
 template <typename V, typename Key>
 void EngineSimulator::propose(ProcessContext& cctx, AgreementObject& ag,
                               V&& v, const Key& key) {
-  while (paused_) cctx.yield();  // colored mode: see pause_proposes
-  ++active_proposes_;
-  struct SectionGuard {
-    int& active;
-    ~SectionGuard() { --active; }
-  } sg{active_proposes_};
   // One agreement propose at a time per simulator (mutex1), so a
   // simulator crash blocks at most one agreement object (Lemma 1/7).
   CoopLock l1(mutex1_, cctx);
@@ -195,6 +190,11 @@ void EngineSimulator::propose(ProcessContext& cctx, AgreementObject& ag,
   // mid-propose as intended.
   CrashManager& crashes = cctx.backend().crashes();
   if (crashes.traps_proposes()) crashes.on_propose_enter(cctx.tid(), key());
+  // A simulator that stops its simulation completes this propose first.
+  // Cancelled mid-propose, the thread would leave the object half-proposed
+  // as a crash does (a safe agreement inside Figure 1's lines 01-03), and
+  // a later decide() on it could wait forever.
+  ProcessContext::CancelDeferral finish_propose(cctx);
   ag.propose(cctx, std::forward<V>(v));
 }
 
@@ -325,55 +325,68 @@ void EngineSimulator::check_child_errors(
   }
 }
 
-void EngineSimulator::run_colorless(ProcessContext& ctx) {
+void EngineSimulator::run(ProcessContext& ctx) {
   std::vector<ChildHandle> children = fork_children(ctx);
+  // Colored mode: q_i lost the T&S of decision_order_[0..lost) to other
+  // simulators. Colorless mode loses none.
+  std::size_t lost = 0;
   bool final_pass = false;
   for (;;) {
+    // Observe the oldest unclaimed decision while holding the step token,
+    // so the claim point is fixed by the schedule. Colorless mode adopts
+    // it inside that step.
+    int cand = -1;
     {
-      // Observe (and adopt) decisions while holding the step token: the
-      // adoption point is then fixed by the schedule.
       auto g = ctx.step();
-      if (!decision_order_.empty()) {
-        const int j = decision_order_.front();
-        ctx.decide(*sim_decisions_[static_cast<std::size_t>(j)]);
-        break;
+      if (lost < decision_order_.size()) {
+        cand = decision_order_[lost];
+        if (!shared_->colored) {
+          ctx.decide(*sim_decisions_[static_cast<std::size_t>(cand)]);
+          break;
+        }
       }
     }
-    // every simulated thread finished undecided (halted/crashed) AND the
-    // final on-token re-check above saw no decision: give up.
+    if (cand >= 0) {
+      if (shared_->decision_test_and_set(cand).test_and_set(ctx)) {
+        ctx.decide(Value::pair(
+            Value(cand), *sim_decisions_[static_cast<std::size_t>(cand)]));
+        break;
+      }
+      ++lost;  // "If q_i looses, it resumes the simulation."
+      continue;
+    }
+    // every simulated thread finished (halted/crashed) AND the final
+    // on-token re-check above saw no new decision: give up.
     if (final_pass) break;
     check_child_errors(children);
-    bool all_done = true;
-    for (const ChildHandle& c : children) {
-      if (!c.done()) {
-        all_done = false;
-        break;
-      }
-    }
     // No child runs between the on-token observation above and this
     // done() scan, so the decisions seen there are already final. The
     // extra on-token pass stays anyway: it is one grant of every run that
     // ends here, and dropping it would move schedules, digests and step
     // counts.
-    if (all_done) final_pass = true;
+    final_pass = std::all_of(children.begin(), children.end(),
+                             [](const ChildHandle& c) { return c.done(); });
   }
   // Cancel every child NOW, while this thread is alive and unparked: no
   // grant can fire during this window, so all cancel flags become
   // visible at one schedule point. (Cancelling lazily from the handle
   // destructors would race the grant stream while the parent is absent
   // joining an earlier child — a determinism leak found by the grant
-  // tracer.) The destructors then only join.
+  // tracer.) The destructors then only join, granting a child inside an
+  // agreement propose the steps that finish it.
   for (ChildHandle& c : children) c.cancel();
 }
 
-// ---- colored-mode propose gate ------------------------------------------
-
-void EngineSimulator::pause_proposes(ProcessContext& ctx) {
-  paused_ = true;
-  while (active_proposes_ != 0) ctx.yield();
+std::vector<Program> make_programs(std::shared_ptr<EngineShared> shared) {
+  std::vector<Program> programs;
+  programs.reserve(static_cast<std::size_t>(shared->target.n));
+  for (int i = 0; i < shared->target.n; ++i) {
+    auto simulator = std::make_shared<EngineSimulator>(shared, i);
+    programs.push_back(
+        [simulator](ProcessContext& ctx) { simulator->run(ctx); });
+  }
+  return programs;
 }
-
-void EngineSimulator::resume_proposes() { paused_ = false; }
 
 }  // namespace internal
 
@@ -393,17 +406,8 @@ std::vector<Program> make_simulation(const SimulatedAlgorithm& algorithm,
         " cannot simulate " + algorithm.model.to_string() + ")");
   }
 
-  auto shared = std::make_shared<internal::EngineShared>(algorithm, target,
-                                                         options.mem);
-  std::vector<Program> programs;
-  programs.reserve(static_cast<std::size_t>(target.n));
-  for (int i = 0; i < target.n; ++i) {
-    auto simulator = std::make_shared<internal::EngineSimulator>(shared, i);
-    programs.push_back([simulator](ProcessContext& ctx) {
-      simulator->run_colorless(ctx);
-    });
-  }
-  return programs;
+  return internal::make_programs(std::make_shared<internal::EngineShared>(
+      algorithm, target, options.mem, /*colored_in=*/false));
 }
 
 }  // namespace mpcn

@@ -28,6 +28,10 @@
 // With at most t2 crashes, at most ⌊t2/x2⌋·x1 <= t1 simulated processes
 // block, so the t1-resilient A keeps terminating for at least n1 - t1
 // simulated processes, and every correct simulator adopts a decision.
+// Only crashes count there: a simulator that has decided stops its
+// simulation, but its thread inside an agreement propose (at most one,
+// by mutex1) completes that propose first (Section 5.5's rule, applied
+// to both engines), so stopping blocks no agreement object.
 //
 // The simulators share MEM and the agreement objects, held in tables
 // indexed as the paper indexes them: INPUT[j], SAFE_AG[j, snapsn] of

@@ -14,6 +14,12 @@
 //     simulation. It then invokes T&S[j]. If q_i wins, it decides p_j's
 //     value... If q_i looses, it resumes the simulation."
 //
+// The engine meets that rule without pausing anything before T&S[j]: a
+// simulation that goes on while q_i invokes T&S[j] strands no propose,
+// and a simulator that wins stops under the stop rule both engines
+// share (engine_internal.h). It cancels its threads, and a thread inside
+// an agreement propose completes that propose before it halts.
+//
 // Conditions (Section 5.5), for simulating ASM(n,t,x) in ASM(n',t',x'):
 //   (1) x' > 1                 (test&set objects must be constructible),
 //   (2) ⌊t/x⌋ >= ⌊t'/x'⌋       (the power condition),

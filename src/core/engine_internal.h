@@ -16,6 +16,12 @@
 //      at most one agreement object; mutex2: at most one simulated
 //      x-consensus resolution at a time).
 //
+// Both engines, colorless and colored (Section 5.5), run one loop
+// (EngineSimulator::run) under one stop rule: a simulator that has
+// decided cancels its threads, and a thread inside an agreement propose
+// finishes that propose before it halts (ProcessContext::CancelDeferral),
+// so a decided simulator leaves no agreement object half-proposed.
+//
 // A simulator's threads are fibers of one run and take turns
 // (step_controller.h), so its local state below needs no lock.
 #pragma once
@@ -40,10 +46,13 @@ namespace mpcn::internal {
 // State shared by all N simulators of one simulation instance.
 struct EngineShared {
   EngineShared(SimulatedAlgorithm algo_in, ModelSpec target_in,
-               MemKind mem_kind = MemKind::kPrimitive);
+               MemKind mem_kind, bool colored_in);
 
   const SimulatedAlgorithm algo;
   const ModelSpec target;
+  // Colored mode (colored_engine.h): decisions are claimed through
+  // TSDECIDE instead of adopted.
+  const bool colored;
   // MEM[1..N]: MEM[i] holds simulator q_i's copy of the simulated memory,
   // as a list of n (value, sequence-number) pairs (Section 3.2.1).
   std::shared_ptr<SnapshotObject> mem;
@@ -83,23 +92,23 @@ struct EngineShared {
   std::vector<std::unique_ptr<TestAndSet>> tsdecide_;
 };
 
-// Simulator q_i. Its run_colorless()/run_colored() methods are the
-// target-model Programs produced by the public engine entry points.
+// One target-model Program per simulator q_0..q_{N-1}, each running
+// EngineSimulator::run over `shared`.
+std::vector<Program> make_programs(std::shared_ptr<EngineShared> shared);
+
+// Simulator q_i. Its run() method is the target-model Program produced by
+// the public engine entry points.
 class EngineSimulator {
  public:
   EngineSimulator(std::shared_ptr<EngineShared> shared, int i);
 
-  // Colorless mode: fork the n simulated threads, adopt the first
-  // simulated decision as q_i's own decision (colorless tasks allow any
-  // process to decide any decided value).
-  void run_colorless(ProcessContext& ctx);
-
-  // Colored mode (Section 5.5): candidates are claimed through the shared
-  // T&S[1..n] decision objects; q_i decides Value::pair(j, v_j) of the
-  // first simulated process it wins, pausing its own proposes around each
-  // claim attempt ("it completes the invocations of x'_sa_propose in
-  // which it is involved and stops the simulation").
-  void run_colored(ProcessContext& ctx);
+  // Fork the n simulated threads and claim simulated decisions, oldest
+  // first, until one is q_i's own decision. Colorless mode adopts the
+  // first one (a colorless task lets any process decide any decided
+  // value); colored mode (Section 5.5) claims p_j's decision v_j through
+  // T&S[j] and decides Value::pair(j, v_j) of the first one it wins.
+  // Then q_i stops the simulation under the stop rule above.
+  void run(ProcessContext& ctx);
 
   // --- simulation operations, called from simulated threads ---
 
@@ -133,17 +142,15 @@ class EngineSimulator {
   // Rethrows any protocol error surfaced by a finished child.
   void check_child_errors(const std::vector<ChildHandle>& children);
 
-  // One agreement propose of `v` (Figure 3 line 05, Figure 4 line 02):
-  // through the colored-mode pause gate, under mutex1. A Value::List `v`
-  // becomes a Value only once mutex1 is held. `key()` names the object
-  // for a propose trap (CrashPlan::propose_trap); it is called only when
-  // the run's plan is one, so no other run formats a key.
+  // One agreement propose of `v` (Figure 3 line 05, Figure 4 line 02),
+  // under mutex1 and with a cancel deferred until it returns. A
+  // Value::List `v` becomes a Value only once mutex1 is held. `key()`
+  // names the object for a propose trap (CrashPlan::propose_trap); it is
+  // called only when the run's plan is one, so no other run formats a
+  // key.
   template <typename V, typename Key>
   void propose(ProcessContext& cctx, AgreementObject& ag, V&& v,
                const Key& key);
-  // Colored-mode propose pause gate (see colored_engine.cc).
-  void pause_proposes(ProcessContext& ctx);
-  void resume_proposes();
 
   std::shared_ptr<EngineShared> shared_;
   const int i_;  // simulator id
@@ -184,13 +191,9 @@ class EngineSimulator {
   // Indexed by the object's position in algo.xcons.
   std::vector<XObjectState> xobjects_;
 
-  // Simulated decisions (j -> value) and the adoption order.
+  // Simulated decisions (j -> value) and the claim order.
   std::vector<std::optional<Value>> sim_decisions_;
   std::vector<int> decision_order_;  // j's in arrival order
-
-  // Colored-mode gate.
-  bool paused_ = false;
-  int active_proposes_ = 0;
 };
 
 }  // namespace mpcn::internal

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -378,6 +379,7 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
   // Pin the trace clock's origin BEFORE forking: the child inherits it,
   // so its span timestamps need no alignment in the merged trace.
   trace_now_us();
+  const pid_t coordinator = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);
@@ -386,6 +388,11 @@ WorkerProc spawn_worker(const ShardOptions& options, int index,
                              std::strerror(errno));
   }
   if (pid == 0) {
+    // A worker dies with its coordinator: the kernel SIGKILLs it then, so
+    // no orphan runs its job on. A coordinator that died before prctl()
+    // is caught by the getppid() check.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != coordinator) ::_exit(1);
     // Serve straight from the forked image. _exit (not exit) so the
     // child never runs the parent's atexit/stream flushing. Zero the
     // inherited telemetry first — a forked child carries the

@@ -17,10 +17,11 @@
 // worker is a fork() of the coordinator that runs run_worker_loop on its
 // end of the socketpair; it inherits the coordinator's settings
 // (heartbeat, span recording, fault injection) in memory, so the wire
-// carries only jobs, replies and the shutdown harvest. The coordinator
-// streams jobs (a cell or a range) — one outstanding job per worker,
-// next job dispatched on reply arrival — so load balances itself
-// regardless of per-job cost. Fault handling:
+// carries only jobs, replies and the shutdown harvest, and it dies with
+// its coordinator (PR_SET_PDEATHSIG), so an orphan never runs a job on.
+// The coordinator streams jobs (a cell or a range) — one outstanding job
+// per worker, next job dispatched on reply arrival — so load balances
+// itself regardless of per-job cost. Fault handling:
 //
 //   * a worker that dies (EOF, failed write) or violates the protocol is
 //     written off and its outstanding job is requeued onto the

@@ -19,7 +19,7 @@ StepGuard ProcessContext::step() {
     controller_->release(tid_);
     throw ProcessCrashed(pid());
   }
-  if (cancel_) {
+  if (cancel_ && cancel_deferrals_ == 0) {
     controller_->release(tid_);
     throw SimulationHalted();
   }

@@ -7,7 +7,8 @@
 //      ProcessCrashed and never executes the operation (Section 2.3:
 //      "after it has crashed, a process executes no more steps"),
 //   3. observes stop/cancel flags and throws SimulationHalted if the
-//      harness has ended the run.
+//      harness has ended the run, or cancelled the thread outside every
+//      CancelDeferral (below).
 // A context is bound to its Execution and holds that run's controller and
 // crash manager, so a step calls both directly: no virtual call.
 //
@@ -79,6 +80,25 @@ class ProcessContext {
   // The run this context belongs to.
   Execution& backend() { return *exec_; }
 
+  // While a CancelDeferral lives, a cancel of this thread
+  // (ChildHandle::cancel) waits: the thread keeps taking steps and halts
+  // at its first step once the last deferral has ended. The engine
+  // defers over each agreement propose, so a simulator that stops its
+  // simulation completes the proposes it is involved in (Section 5.5).
+  // Crashes and the run's stop are never deferred.
+  class CancelDeferral {
+   public:
+    explicit CancelDeferral(ProcessContext& ctx) : ctx_(ctx) {
+      ++ctx_.cancel_deferrals_;
+    }
+    ~CancelDeferral() { --ctx_.cancel_deferrals_; }
+    CancelDeferral(const CancelDeferral&) = delete;
+    CancelDeferral& operator=(const CancelDeferral&) = delete;
+
+   private:
+    ProcessContext& ctx_;
+  };
+
  private:
   friend class ChildHandle;
   ThreadId tid_;
@@ -86,6 +106,7 @@ class ProcessContext {
   LockstepController* controller_;
   CrashManager* crashes_;
   bool cancel_ = false;
+  int cancel_deferrals_ = 0;  // live CancelDeferrals
 };
 
 }  // namespace mpcn

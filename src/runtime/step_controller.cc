@@ -312,7 +312,8 @@ ChildHandle::~ChildHandle() {
   // The parent (the running thread) is abandoning the child: normal
   // shutdown or exception unwind. While it waits, remove the parent from
   // the grant set so the child can be granted the steps it needs to
-  // observe the cancel flag and unwind.
+  // finish a propose its cancel waits for, observe the cancel flag and
+  // unwind.
   //
   // Done unconditionally — NOT gated on done() — so the controller-state
   // trace is independent of whether the child has finished yet; this

@@ -225,7 +225,10 @@ class ChildHandle {
   // Rethrows any non-crash, non-halt exception raised by the child.
   void join(ProcessContext& parent);
 
-  // Request the child to exit at its next interruptible step.
+  // Request the child to exit at its next step. A child inside a
+  // ProcessContext::CancelDeferral takes steps until the deferral ends
+  // (an engine thread finishes its agreement propose) and exits at the
+  // first step after it.
   void cancel();
 
   bool done() const;

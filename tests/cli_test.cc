@@ -326,6 +326,22 @@ TEST(Cli, LimitsNoRunCanMeetAreUsageErrors) {
             2);
 }
 
+// `run` fails when a cell is not ok, not only when one raised an error:
+// five steps time the churn cell out. The summary line still prints.
+TEST(Cli, RunExitsOneWhenACellIsNotOk) {
+  std::string out;
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--steps", "5"},
+                    &out),
+            1);
+  EXPECT_NE(out.find("0/1 cells ok"), std::string::npos) << out;
+  EXPECT_EQ(run_cli({"mpcn", "run", "snapshot_churn", "--in", "3,0,1",
+                     "--seeds", "1..2"},
+                    &out),
+            0);
+  EXPECT_NE(out.find("2/2 cells ok"), std::string::npos) << out;
+}
+
 // In-process, over two workers, and with the --fork-workers flag that
 // selects nothing: the same report bytes.
 TEST(Cli, RunShardedMatchesInProcessAndDiffsClean) {

@@ -116,6 +116,9 @@ TEST(SeedSensitivity, DifferentSeedsDifferentSchedules) {
 // recorded again when the hazard plan began to draw from splitmix64 of
 // its seed instead of the seed itself (its first crash had hit the
 // lowest runnable process whenever the plan shared the scheduler's seed).
+// The engine runs were recorded again when a decided simulator began to
+// let a cancelled thread finish its agreement propose (the stop rule in
+// src/core/engine_internal.h).
 
 struct TracePin {
   std::uint64_t seed;
@@ -169,12 +172,12 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
   // Engine runs fork one child per simulated process and tear them down
   // through ~ChildHandle, crashes included: every controller path.
   const TracePin pins[] = {
-      {1, "34307701ac03a183", 375, "50|-|50|-|.X.X"},
-      {2, "9de740bd59085752", 345, "-|50|-|50|X.X."},
-      {3, "dfabddc92d640376", 490, "50|50|50|50|...."},
-      {4, "6fa4f2514c762d95", 445, "50|50|50|-|...X"},
-      {5, "9d6b4b8a71130a86", 402, "50|50|50|50|...."},
-      {6, "d2ebacf7533b15b3", 524, "50|52|-|50|..X."},
+      {1, "035dc9539da19f50", 397, "50|-|50|-|.X.X"},
+      {2, "4c7ddf3731b02691", 362, "-|50|-|50|X.X."},
+      {3, "14165db7e1a14cf5", 511, "50|50|50|50|...."},
+      {4, "ea8124fea3783ac3", 455, "50|50|50|-|...X"},
+      {5, "24a2353cb1359ad5", 389, "50|50|50|50|...."},
+      {6, "4b63af3ea2f4e4a4", 530, "50|52|-|50|..X."},
   };
   for (const TracePin& pin : pins) {
     ExecutionOptions o = lockstep(pin.seed);
@@ -189,16 +192,16 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
 // ASM(4,2,1), simulated in ASM(8,5,3) under the hazard crashes of
 // `mpcn run --crash-p 0.001`. Every owner of one of its x_safe_agreement
 // objects scans the C(7,2) = 21 SET_LIST subsets that contain it. The
-// literals were recorded before the SET_LIST table and the flat XCONS
-// table replaced the per-propose scan and the map of objects.
+// literals were recorded again under the engines' stop rule (a cancelled
+// thread finishes its agreement propose).
 TEST(EnginePins, PaperGridCellReproducesGrantTraces) {
   const TracePin pins[] = {
-      {1, "b6446306cedc5960", 2523, "3|3|-|3|3|3|3|3|..X....."},
-      {2, "dae601ddaa4227c5", 2170, "-|1|1|1|1|-|-|-|X....XXX"},
-      {3, "add463aed893b4d4", 2818, "2|2|2|2|-|2|-|2|....X.X."},
-      {4, "f6f3b5623298e370", 2498, "-|2|2|2|2|2|2|2|X......."},
-      {5, "ea09a51f36e42650", 2468, "3|3|-|3|3|3|3|-|..X....X"},
-      {6, "e99ddaf9b83e8341", 2249, "-|2|2|-|-|2|2|2|X..XX..."},
+      {1, "a4a163a91bf00183", 2675, "3|3|-|3|3|3|3|3|..X....."},
+      {2, "1f679a4dccb150a2", 2268, "-|1|1|1|-|-|1|-|X...XX.X"},
+      {3, "6de83b2ceb46e823", 2781, "2|2|2|2|2|2|-|2|......X."},
+      {4, "a3d27e017f39b146", 2579, "-|2|2|2|2|2|2|2|X......."},
+      {5, "3d02e0da5cc53505", 2470, "3|3|-|3|3|3|3|-|..X....X"},
+      {6, "49263b7ad78c05a7", 2280, "-|2|2|-|-|2|2|2|X..XX..."},
   };
   for (const TracePin& pin : pins) {
     SCOPED_TRACE("seed " + std::to_string(pin.seed));
@@ -238,7 +241,7 @@ TEST(UnwindCounters, EngineRunWithFixedCrashes) {
   const Outcome out =
       run_execution(std::move(programs), int_inputs(4, 50), o);
   ASSERT_EQ(outcome_key(out), "-|50|-|50|X.X.");
-  ASSERT_EQ(out.steps, 444u);
+  ASSERT_EQ(out.steps, 426u);
   // Each crashed simulator unwinds its own fiber and its four simulated
   // threads; the rest were cancelled or stopped with the run.
   EXPECT_EQ(crashes.value() - crashes_before, 10u);

@@ -13,17 +13,25 @@
 //     freezes and a drained pool — and stops dispatching once the
 //     max_violations cutoff is known.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/common/errors.h"
+#include "src/common/json.h"
 #include "src/dist/shard.h"
 #include "src/experiment/batch_runner.h"
 #include "src/experiment/experiment.h"
 #include "src/explore/explorer.h"
+#include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/tasks/algorithms.h"
 
@@ -203,6 +211,80 @@ TEST(Shard, RejectsZeroShards) {
   ShardOptions options;
   options.shards = 0;
   EXPECT_THROW(run_sharded({}, options), ProtocolError);
+}
+
+// The pid of the worker that an --events log shows spawned and then
+// handed a cell; 0 until the log shows both.
+pid_t dispatched_worker(const std::string& log) {
+  std::ifstream in(log);
+  std::string line;
+  pid_t pid = 0;
+  while (std::getline(in, line)) {
+    Json e;
+    try {
+      e = Json::parse(line);
+    } catch (const std::exception&) {
+      break;  // a line still being written
+    }
+    const std::string type = e.at("type").as_string();
+    if (type == "worker_spawn") pid = static_cast<pid_t>(e.at("pid").as_int());
+    if (type == "cell_dispatch") return pid;
+  }
+  return 0;
+}
+
+// A worker dies with its coordinator. The coordinator is a forked child
+// serving one stalled cell (10 s of wall time) through one worker; it is
+// SIGKILLed once the worker holds the cell. This process is the child
+// subreaper, so the orphaned worker becomes its child and is reaped here.
+// A worker that did not die with its coordinator ran its cell out.
+TEST(Shard, WorkerDiesWithItsCoordinator) {
+  const std::string log = "shard_test_orphan_events.jsonl";
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const pid_t coordinator = ::fork();
+  ASSERT_GE(coordinator, 0);
+  if (coordinator == 0) {
+    // p0 crashes at its first step and the others wait for it forever.
+    Experiment e = Experiment::named("trivial_kset", ModelSpec{4, 0, 1});
+    e.direct()
+        .inputs({Value(10), Value(11), Value(12), Value(13)})
+        .crashes(CrashPlan::fixed({CrashPoint{0, 1}}))
+        .step_limit(std::uint64_t{1} << 40)
+        .wall_limit(std::chrono::seconds(10))
+        .check_legality(false);
+    ShardOptions options;
+    options.shards = 1;
+    open_event_log(log);
+    run_sharded(e.cells(), options);
+    ::_exit(0);
+  }
+  using Clock = std::chrono::steady_clock;
+  pid_t worker = 0;
+  for (const auto until = Clock::now() + std::chrono::seconds(10);
+       worker == 0 && Clock::now() < until;) {
+    ::usleep(5000);
+    worker = dispatched_worker(log);
+  }
+  ::kill(coordinator, SIGKILL);
+  int status = 0;
+  ::waitpid(coordinator, &status, 0);
+  bool reaped = false;
+  if (worker != 0) {
+    for (const auto until = Clock::now() + std::chrono::seconds(1);
+         !reaped && Clock::now() < until;) {
+      reaped = ::waitpid(worker, &status, WNOHANG) == worker;
+      if (!reaped) ::usleep(5000);
+    }
+    if (!reaped) {
+      ::kill(worker, SIGKILL);
+      ::waitpid(worker, &status, 0);
+    }
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  std::remove(log.c_str());
+  ASSERT_NE(worker, 0) << "the worker never got its cell";
+  EXPECT_TRUE(reaped) << "worker " << worker
+                      << " outlived its coordinator by 1 s";
 }
 
 // The run_batch backend switch: shards > 0 routes through the

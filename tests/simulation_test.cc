@@ -4,8 +4,11 @@
 // versions of Theorem 1 (Section 3.4) and Theorem 3 (Section 4.4).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/core/bg_engine.h"
 #include "src/experiment/experiment.h"
+#include "src/explore/explorer.h"
 #include "src/tasks/algorithms.h"
 #include "src/tasks/task.h"
 
@@ -402,6 +405,121 @@ TEST(EngineOnAfekMem, BackwardSimulationStillCorrect) {
                     .run()
                     .outcome();
   expect_solves_kset(out, 2, inputs, "engine on afek mem");
+}
+
+// =========================================================================
+// Termination under the engines' stop rule (src/core/engine_internal.h):
+// a simulator that decides cancels its simulated threads, and a thread
+// inside an agreement propose completes it first. Cancelled mid-propose,
+// it would leave the object in its unsafe window as a crash does, so a
+// decided simulator would block the others and runs that must terminate
+// would time out. Each cell is built as `mpcn run` and `mpcn explore`
+// build it (process index as input). The colorless cases time out when
+// threads are cancelled mid-propose; the colored ones guard the colored
+// engine's share of the rule.
+
+Experiment termination_experiment(const char* scenario, ModelSpec source,
+                                  ModelSpec target, bool colored = false) {
+  Experiment e = Experiment::named(scenario, source);
+  if (colored) {
+    e.colored_in(target);
+  } else {
+    e.in(target);
+  }
+  e.inputs_fn([](const ModelSpec& m) { return int_inputs(m.n, 0); });
+  return e;
+}
+
+// The hazard crashes of `mpcn run --crash-p p`.
+Experiment& with_hazard(Experiment& e, double p) {
+  return e.crashes([p](const ModelSpec& m, std::uint64_t seed) {
+    return CrashPlan::hazard(p, m.t, seed);
+  });
+}
+
+// "seed N: <why>" for every cell of `r` that is not ok.
+std::string failed_cells(const Report& r) {
+  std::ostringstream out;
+  for (const RunRecord& rec : r.records) {
+    if (rec.ok()) continue;
+    out << "seed " << rec.seed << ": "
+        << (rec.timed_out ? "timed out after " + std::to_string(rec.steps) +
+                                " steps"
+                          : rec.error.empty() ? rec.why : rec.error)
+        << "\n";
+  }
+  return out.str();
+}
+
+// `mpcn explore trivial_kset --source 2,1,1 --in 3,1,1 --mode simulated
+// --policy random --budget 2000 --steps 20000`, crash-free and with
+// `--crash-budget 1 --crash-rate 0.01` (t' = 1). Cancelled mid-propose,
+// the first search times out at schedule 59 and the second at 31.
+TEST(Termination, RandomSearchOfTheSmallestCellIsClean) {
+  Experiment e = termination_experiment("trivial_kset", ModelSpec{2, 1, 1},
+                                        ModelSpec{3, 1, 1});
+  e.seed(1).step_limit(20'000);
+  const ExperimentCell cell = e.cells().front();
+  ExploreOptions o;
+  o.policy = ExplorePolicy::kSeededRandom;
+  o.seed = 1;
+  o.budget = 2000;
+  o.crash_rate = 0.01;
+  o.shrink_violations = false;
+  for (const int crash_budget : {0, 1}) {
+    o.crash_budget = crash_budget;
+    const ExploreResult r = explore(cell, o);
+    EXPECT_EQ(r.schedules, 2000) << "crash budget " << crash_budget;
+    for (const ExploreViolation& v : r.violations) {
+      ADD_FAILURE() << "crash budget " << crash_budget << ", schedule "
+                    << v.schedule_index << ": " << v.why;
+    }
+  }
+}
+
+// The same cell over 2,000 seeds (20 time out when threads are cancelled
+// mid-propose).
+TEST(Termination, SeedGridOfTheSmallestCellIsAllOk) {
+  Experiment e = termination_experiment("trivial_kset", ModelSpec{2, 1, 1},
+                                        ModelSpec{3, 1, 1});
+  e.seeds(1, 2000).step_limit(20'000);
+  const Report r = e.run_all();
+  EXPECT_EQ(r.ok_count(), 2000) << failed_cells(r);
+}
+
+// `group_kset` 4,2,2 -> 4,1,1 over 512 seeds under hazard crashes at
+// p = 0.001 (seed 466 runs to the 1,000,000-step limit when threads are
+// cancelled mid-propose).
+TEST(Termination, GroupKsetGridUnderHazardCrashesIsAllOk) {
+  Experiment e = termination_experiment("group_kset", ModelSpec{4, 2, 2},
+                                        ModelSpec{4, 1, 1});
+  with_hazard(e, 0.001).seeds(1, 512);
+  const Report r = e.run_all();
+  EXPECT_EQ(r.ok_count(), 512) << failed_cells(r);
+}
+
+// The colored engine's grid: `snapshot_renaming` 5,1,1 -> 4,1,2 over 512
+// seeds under hazard crashes at p = 0.001.
+TEST(Termination, ColoredGridUnderHazardCrashesIsAllOk) {
+  Experiment e = termination_experiment(
+      "snapshot_renaming", ModelSpec{5, 1, 1}, ModelSpec{4, 1, 2},
+      /*colored=*/true);
+  with_hazard(e, 0.001).seeds(1, 512);
+  const Report r = e.run_all();
+  EXPECT_EQ(r.ok_count(), 512) << failed_cells(r);
+}
+
+// A wider colored cell, crash-free, at `--steps 200000`. A colored engine
+// that cancels its threads mid-propose when it wins T&S[j] (neither a
+// pause before the claim nor the stop rule) times out on seeds 351 and
+// 407 here.
+TEST(Termination, WiderColoredGridIsAllOk) {
+  Experiment e = termination_experiment(
+      "snapshot_renaming", ModelSpec{6, 2, 1}, ModelSpec{5, 2, 2},
+      /*colored=*/true);
+  e.seeds(1, 512).step_limit(200'000);
+  const Report r = e.run_all();
+  EXPECT_EQ(r.ok_count(), 512) << failed_cells(r);
 }
 
 }  // namespace
