@@ -56,7 +56,8 @@ const char kUsage[] =
     "                    when source == target, else simulated)\n"
     "  --seeds SPEC      \"5\", \"1..8\" or \"1,3,9\" (default: 1)\n"
     "  --mem LIST        primitive,afek (default: primitive)\n"
-    "  --steps N         per-cell step limit\n"
+    "  --steps N         per-cell step limit (scheduled steps; a\n"
+    "                    simulator's local waits take none)\n"
     "  --wall MS         per-cell wall-clock limit in ms\n"
     "  --crash-p P       per-step hazard crash probability (seeded per\n"
     "                    cell; budget = --crash-max or the model's t)\n"

@@ -276,6 +276,7 @@ void EngineSimulator::record_simulated_decision(ProcessContext& cctx, int j,
   if (!slot.has_value()) {
     slot = v;
     decision_order_.push_back(j);
+    progress_.wake_all();
   }
 }
 
@@ -284,6 +285,12 @@ bool EngineSimulator::simulated_has_decided(int j) const {
 }
 
 void EngineSimulator::child_body(ProcessContext& cctx, int j) {
+  // However the thread ends (its program returns, or it halts or
+  // crashes), run() may be waiting for it.
+  struct WakeOnEnd {
+    WaitList& progress;
+    ~WakeOnEnd() { progress.wake_all(); }
+  } wake_on_end{progress_};
   // Park once before touching anything shared. At startup every thread
   // runs natively until its first step; without this barrier the first
   // mutex1 acquisitions (and trap armings) of sibling threads would follow
@@ -330,7 +337,6 @@ void EngineSimulator::run(ProcessContext& ctx) {
   // Colored mode: q_i lost the T&S of decision_order_[0..lost) to other
   // simulators. Colorless mode loses none.
   std::size_t lost = 0;
-  bool final_pass = false;
   for (;;) {
     // Observe the oldest unclaimed decision while holding the step token,
     // so the claim point is fixed by the schedule. Colorless mode adopts
@@ -355,17 +361,16 @@ void EngineSimulator::run(ProcessContext& ctx) {
       ++lost;  // "If q_i looses, it resumes the simulation."
       continue;
     }
-    // every simulated thread finished (halted/crashed) AND the final
-    // on-token re-check above saw no new decision: give up.
-    if (final_pass) break;
     check_child_errors(children);
     // No child runs between the on-token observation above and this
-    // done() scan, so the decisions seen there are already final. The
-    // extra on-token pass stays anyway: it is one grant of every run that
-    // ends here, and dropping it would move schedules, digests and step
-    // counts.
-    final_pass = std::all_of(children.begin(), children.end(),
-                             [](const ChildHandle& c) { return c.done(); });
+    // done() scan, nor before the wait below: once every simulated
+    // thread has ended (halted or crashed) with no decision left to
+    // claim, q_i gives up, and otherwise no wake-up can be missed.
+    if (std::all_of(children.begin(), children.end(),
+                    [](const ChildHandle& c) { return c.done(); })) {
+      break;
+    }
+    ctx.wait(progress_);
   }
   // Cancel every child NOW, while this thread is alive and unparked: no
   // grant can fire during this window, so all cancel flags become

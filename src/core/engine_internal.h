@@ -23,7 +23,11 @@
 // so a decided simulator leaves no agreement object half-proposed.
 //
 // A simulator's threads are fibers of one run and take turns
-// (step_controller.h), so its local state below needs no lock.
+// (step_controller.h), so its local state below needs no lock. Its local
+// waits are no model steps: a thread that finds a mutex held, and a
+// simulator with no simulated decision to claim, wait off the schedule
+// until a sibling thread wakes them (ProcessContext::wait). Only the waits
+// on shared memory, an agreement's decide, spin in steps.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +111,8 @@ class EngineSimulator {
   // first one (a colorless task lets any process decide any decided
   // value); colored mode (Section 5.5) claims p_j's decision v_j through
   // T&S[j] and decides Value::pair(j, v_j) of the first one it wins.
+  // With nothing to claim, q_i waits off the schedule until one of its
+  // threads records a decision or ends, and gives up once all have ended.
   // Then q_i stops the simulation under the stop rule above.
   void run(ProcessContext& ctx);
 
@@ -123,7 +129,8 @@ class EngineSimulator {
 
   // Recording takes one scheduled step so the point at which a simulated
   // decision becomes visible to the simulator's adoption loop is fixed by
-  // the schedule (determinism), not by native-code timing.
+  // the schedule (determinism), not by native-code timing. A new decision
+  // wakes that loop.
   void record_simulated_decision(ProcessContext& cctx, int j, const Value& v);
   bool simulated_has_decided(int j) const;
 
@@ -194,6 +201,10 @@ class EngineSimulator {
   // Simulated decisions (j -> value) and the claim order.
   std::vector<std::optional<Value>> sim_decisions_;
   std::vector<int> decision_order_;  // j's in arrival order
+
+  // run() waits here with nothing to claim; a new simulated decision and
+  // the end of a simulated thread wake it.
+  WaitList progress_;
 };
 
 }  // namespace mpcn::internal

@@ -5,10 +5,14 @@
 // simulator, and has nothing to do with the memory shared by the
 // simulators."
 //
-// The mutex yield-spins through the step controller instead of blocking
-// natively, so runs remain schedulable and a crashed/stopped thread
-// waiting for the mutex unwinds promptly. Its flag is a plain bool: the
-// threads of one simulator are fibers that take turns.
+// Being local, a wait for the mutex is no model step: a thread that finds
+// it held waits off the schedule (ProcessContext::wait) and takes no step
+// until an unlock. The unlock wakes every waiter, and each takes one step
+// before it retries, so the schedule still picks which waiter, or the
+// thread that released the mutex, takes it next. A cancel, a crash of the
+// waiter's domain and the run's stop wake a waiter too, and its step then
+// unwinds it. The flag is a plain bool: the threads of one simulator are
+// fibers that take turns.
 //
 // Crash semantics: if a thread crashes while *holding* the mutex, the
 // RAII lock releases it during unwind — harmless, because the mutex is
@@ -24,14 +28,16 @@ class CooperativeMutex {
  public:
   void lock(ProcessContext& ctx);
   bool try_lock();
+  // Releases the mutex and wakes its waiters.
   void unlock();
 
  private:
   bool locked_ = false;
+  WaitList waiters_;
 };
 
 // RAII lock; the constructor may throw ProcessCrashed / SimulationHalted
-// out of the yield loop (in which case nothing is held).
+// out of its retry step (in which case nothing is held).
 class CoopLock {
  public:
   CoopLock(CooperativeMutex& m, ProcessContext& ctx) : m_(&m) {

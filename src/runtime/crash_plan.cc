@@ -213,17 +213,12 @@ bool CrashManager::traps_proposes() const {
 
 void CrashManager::on_propose_enter(ThreadId tid, const std::string& key) {
   if (!traps_proposes()) return;
-  const TrapTable::iterator trap = trap_remaining_.find(key);
-  if (plan_.trap_point_ == CrashPlan::TrapPoint::kProposeEntry) {
-    arm_trap(tid, trap);
-  } else {
-    electing_[tid] = trap;
-  }
+  proposing_[tid] = trap_remaining_.find(key);
 }
 
 void CrashManager::on_owner_elected(ThreadId tid) {
-  const auto it = electing_.find(tid);
-  if (it != electing_.end()) arm_trap(tid, it->second);
+  const auto it = proposing_.find(tid);
+  if (it != proposing_.end()) arm_trap(tid, it->second);
 }
 
 bool CrashManager::on_step(ThreadId tid) {
@@ -244,6 +239,15 @@ bool CrashManager::on_step(ThreadId tid) {
       return false;
     }
     case CrashPlan::Kind::kProposeTrap: {
+      if (plan_.trap_point_ == CrashPlan::TrapPoint::kProposeEntry) {
+        // The thread's first step in a propose: it arms in step order.
+        const auto entering = proposing_.find(tid);
+        if (entering != proposing_.end()) {
+          const TrapTable::iterator trap = entering->second;
+          proposing_.erase(entering);
+          arm_trap(tid, trap);
+        }
+      }
       auto it = armed_.find(tid);
       if (it == armed_.end()) return false;
       if (it->second > 1) {

@@ -6,9 +6,11 @@
 //
 //  * none()   — failure-free runs,
 //  * fixed()  — process p crashes exactly at its k-th own step (counted
-//               across all threads of its crash domain). This is how tests
-//               place a crash *inside* a safe-agreement propose section,
-//               the critical scenario of Lemma 1 / Lemma 7,
+//               across all threads of its crash domain; a wait off the
+//               schedule, such as a simulator's mutex wait, is no step).
+//               This is how tests place a crash *inside* a
+//               safe-agreement propose section, the critical scenario of
+//               Lemma 1 / Lemma 7,
 //  * hazard() — at every step of an eligible process, crash with
 //               probability p, subject to a budget of at most max_crashes
 //               processes. Seeded: deterministic. The only kind that
@@ -52,10 +54,15 @@ class CrashPlan {
   // White-box adversary for the simulation engine. Two trap points:
   //
   //  * kProposeEntry — for safe-agreement targets (x = 1): the first
-  //    `victims_per_key` threads entering a propose on the key are
-  //    crashed `extra_steps` own-steps later, landing between the
-  //    level-1 write and the stabilizing write. One victim poisons the
-  //    object deterministically.
+  //    `victims_per_key` threads to take a step inside a propose on the
+  //    key are crashed at their `extra_steps`-th step in it (that first
+  //    step counts), landing between the level-1 write and the
+  //    stabilizing write. A victim's level-1 write is then the object's
+  //    first write, so every other proposer decides after it and sees
+  //    the unstable entry: one victim poisons the object
+  //    deterministically. (Arming the first thread to *enter* the
+  //    propose left a lottery: a victim whose first step the schedule
+  //    delays can write after another simulator has decided.)
   //  * kOwnerElected — for x-safe-agreement targets (x > 1): the first
   //    `victims_per_key` (= x) *elected owners* of the key's object are
   //    crashed `extra_steps` (= 1) own-steps after winning their
@@ -136,9 +143,9 @@ class CrashManager : public CrashDirector {
 
   // Engine hook, for propose-trap plans: thread `tid` is entering an
   // agreement-propose section on the object `key` (with mutex1 already
-  // held). At kProposeEntry, arms a pending crash if the plan traps
-  // `key`; at kOwnerElected, `key` is the object the thread's next
-  // on_owner_elected refers to.
+  // held). If the plan traps `key`, the thread's next step (its first in
+  // the propose, kProposeEntry) or its next on_owner_elected
+  // (kOwnerElected) arms a pending crash.
   void on_propose_enter(ThreadId tid, const std::string& key);
 
   // XSafeAgreement hook: thread `tid` just won an ownership slot of the
@@ -186,9 +193,10 @@ class CrashManager : public CrashDirector {
   // pid -> own-step at which to crash (fixed plans).
   std::map<ProcessId, std::uint64_t> fixed_points_;
   TrapTable trap_remaining_;
-  // Owner traps: thread -> the trap of the object it is proposing on
-  // (trap_remaining_.end() when that object is not trapped).
-  std::map<ThreadId, TrapTable::iterator> electing_;
+  // Thread -> the trap of the object it is proposing on
+  // (trap_remaining_.end() when that object is not trapped); an entry
+  // trap erases it at the thread's first step in the propose.
+  std::map<ThreadId, TrapTable::iterator> proposing_;
   // armed thread -> remaining own-steps until the crash fires.
   std::map<ThreadId, std::uint64_t> armed_;
   // pids with an armed thread (one trap assignment per process).

@@ -10,7 +10,9 @@
 // returned (decided, crashed, or halted), with an early global stop once
 // every non-crashed process has decided — the liveness contract of a
 // t-resilient algorithm in a legal run — or (b) the step budget / wall
-// clock is exhausted, in which case the outcome is flagged timed_out.
+// clock is exhausted, or every unfinished thread waits off the schedule
+// (step_controller.h) so that none can ever be woken, in which case the
+// outcome is flagged timed_out.
 // Timed-out runs are first-class results: they are how impossibility
 // demonstrations report "this model cannot solve this task" empirically.
 #pragma once

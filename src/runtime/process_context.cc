@@ -17,6 +17,7 @@ StepGuard ProcessContext::step() {
   if (crashes_->on_step(tid_)) {
     exec_->maybe_stop_all_correct_decided();  // still on-token
     controller_->release(tid_);
+    controller_->wake_domain(pid());  // its waiting threads unwind too
     throw ProcessCrashed(pid());
   }
   if (cancel_ && cancel_deferrals_ == 0) {
@@ -24,6 +25,14 @@ StepGuard ProcessContext::step() {
     throw SimulationHalted();
   }
   return StepGuard(controller_, tid_);
+}
+
+void ProcessContext::wait(WaitList& list) {
+  if (controller_->stop_requested() || (cancel_ && cancel_deferrals_ == 0) ||
+      crashes_->is_crashed(pid())) {
+    return;
+  }
+  controller_->wait(list, /*interruptible=*/true);
 }
 
 Value ProcessContext::input() const { return exec_->input_of(pid()); }

@@ -9,6 +9,7 @@
 //   3. observes stop/cancel flags and throws SimulationHalted if the
 //      harness has ended the run, or cancelled the thread outside every
 //      CancelDeferral (below).
+// A wait on a local condition is no step: see wait().
 // A context is bound to its Execution and holds that run's controller and
 // crash manager, so a step calls both directly: no virtual call.
 //
@@ -61,10 +62,18 @@ class ProcessContext {
   // One atomic step. See file comment for semantics.
   StepGuard step();
 
-  // A polite spin point: take (and immediately release) a step. All
-  // protocol-level busy-waiting goes through yield so that runs stay
-  // schedulable and crashed/stopped threads unwind promptly.
+  // A step that touches no shared object: take the token and release it
+  // at once. A crashed, cancelled or stopped thread unwinds here as at
+  // any step.
   void yield() { step(); }
+
+  // Waits off the schedule on `list`, taking no step, until the thread
+  // that changes the waited-for condition wakes it
+  // (LockstepController::wait). A cancel of this thread, a crash of its
+  // domain and the run's stop wake it too, and once one of them has
+  // happened it does not wait at all: its next step unwinds it. Callers
+  // re-check their condition after waking.
+  void wait(WaitList& list);
 
   // The process's task input (Section 2.1: I[j]).
   Value input() const;

@@ -18,13 +18,16 @@ struct LockstepController::Slot {
   LockstepController* controller = nullptr;
   std::optional<ProcessContext> ctx;
   Body body;
-  Slot* joiner = nullptr;      // suspended in join() until this one finishes
-  Slot* next_ready = nullptr;  // the ready list's link
-  bool alive = false;     // in the grant set
-  bool parked = false;    // suspended in acquire()
-  bool finished = false;  // body returned
-  bool joined = false;    // a ChildHandle has waited for it
-  std::exception_ptr error;  // the body's non-crash, non-halt exception
+  WaitList ended;                // its ChildHandle's waiter, until it ends
+  WaitList* waits_on = nullptr;  // suspended in wait() on this list
+  Slot* next_waiter = nullptr;   // waits_on's link
+  Slot* next_ready = nullptr;    // the ready list's link
+  bool alive = false;          // in the grant set
+  bool parked = false;         // suspended in acquire()
+  bool interruptible = false;  // its wait also ends at a cancel/crash/stop
+  bool finished = false;       // body returned
+  bool joined = false;         // a ChildHandle has waited for it
+  std::exception_ptr error;    // the body's non-crash, non-halt exception
 };
 
 namespace {
@@ -119,10 +122,7 @@ Fiber& LockstepController::run_body(Slot& s) {
   // alive and unparked no other thread can be granted a step, so every
   // observer sees it at a schedule-determined point.
   s.finished = true;
-  if (s.joiner != nullptr) {
-    push_ready(s.joiner);
-    s.joiner = nullptr;
-  }
+  s.ended.wake_all();
   leave(s);
   Slot* next = pick_next();
   current_ = next;
@@ -171,15 +171,46 @@ void LockstepController::leave(Slot& s) {
   maybe_grant();
 }
 
-void LockstepController::join(Slot& child) {
-  if (child.finished) return;
-  if (current_ == nullptr || current_->alive) {
-    throw ProtocolError("lock-step: joining unfinished thread " +
-                        child.ctx->tid().to_string() +
-                        " needs a caller outside the grant set");
+void LockstepController::wait(WaitList& list, bool interruptible) {
+  Slot* self = current_;
+  if (self == nullptr || holder_ == self) {
+    throw ProtocolError(
+        "lock-step: a wait needs a thread's fiber not holding the token");
   }
-  child.joiner = current_;
-  dispatch();
+  self->waits_on = &list;
+  self->interruptible = interruptible;
+  self->next_waiter = list.head_;
+  list.head_ = self;
+  ++n_waiting_;
+  leave(*self);  // grants if every thread left is parked
+  switch_to(pick_next());
+  // Woken: wake() has re-entered this thread into the grant set.
+}
+
+void LockstepController::wake(Slot& s) {
+  Slot** link = &s.waits_on->head_;
+  while (*link != &s) link = &(*link)->next_waiter;
+  *link = s.next_waiter;
+  s.next_waiter = nullptr;
+  s.waits_on = nullptr;
+  --n_waiting_;
+  enter(s);
+  push_ready(&s);
+}
+
+void LockstepController::interrupt(Slot& s) {
+  if (s.waits_on != nullptr && s.interruptible) wake(s);
+}
+
+void LockstepController::wake_domain(ProcessId pid) {
+  if (n_waiting_ == 0) return;
+  for (const std::unique_ptr<Slot>& s : slots_) {
+    if (s->ctx->pid() == pid) interrupt(*s);
+  }
+}
+
+void WaitList::wake_all() {
+  while (head_ != nullptr) head_->controller->wake(*head_);
 }
 
 bool LockstepController::acquire(ThreadId tid) {
@@ -271,22 +302,34 @@ void LockstepController::push_ready(Slot* s) {
 }
 
 LockstepController::Slot* LockstepController::pick_next() {
-  if (ready_head_ != nullptr) {
-    Slot* s = ready_head_;
-    ready_head_ = s->next_ready;
-    if (ready_head_ == nullptr) ready_tail_ = nullptr;
-    s->next_ready = nullptr;
-    return s;
-  }
-  if (holder_ != nullptr) return holder_;
-  if (stop_ && n_parked_ > 0) {
-    // Every parked fiber is live, so the first one in the sorted live
-    // set is the lowest parked ThreadId.
-    for (Slot* s : live_slots_) {
-      if (s->parked) return s;
+  if (ready_head_ == nullptr) {
+    if (holder_ != nullptr) return holder_;
+    if (live_.empty() && n_waiting_ > 0 && !stop_) {
+      // Every unfinished thread waits, so no thread is left to wake one.
+      stop_ = true;
+      timed_out_ = true;
     }
+    if (!stop_) return nullptr;
+    if (n_parked_ > 0) {
+      // Every parked fiber is live, so the first one in the sorted live
+      // set is the lowest parked ThreadId.
+      for (Slot* s : live_slots_) {
+        if (s->parked) return s;
+      }
+    }
+    // Then the interruptible waiters, in spawn order. A waiter that is
+    // not interruptible waits for a child's end, and that child is
+    // parked, waiting or ready itself.
+    if (n_waiting_ > 0) {
+      for (const std::unique_ptr<Slot>& s : slots_) interrupt(*s);
+    }
+    if (ready_head_ == nullptr) return nullptr;
   }
-  return nullptr;
+  Slot* s = ready_head_;
+  ready_head_ = s->next_ready;
+  if (ready_head_ == nullptr) ready_tail_ = nullptr;
+  s->next_ready = nullptr;
+  return s;
 }
 
 void LockstepController::switch_to(Slot* next) {
@@ -307,31 +350,23 @@ void LockstepController::dispatch() {
 
 ChildHandle::~ChildHandle() {
   if (s_ == nullptr || s_->joined) return;
-  s_->joined = true;
-  cancel();
   // The parent (the running thread) is abandoning the child: normal
-  // shutdown or exception unwind. While it waits, remove the parent from
-  // the grant set so the child can be granted the steps it needs to
-  // finish a propose its cancel waits for, observe the cancel flag and
-  // unwind.
-  //
-  // Done unconditionally — NOT gated on done() — so the controller-state
-  // trace is independent of whether the child has finished yet; this
-  // keeps schedules replayable through simulator shutdown.
-  LockstepController& c = *s_->controller;
-  LockstepController::Slot& parent = *c.current_;
-  c.leave(parent);
-  c.join(*s_);
-  c.enter(parent);
+  // shutdown or exception unwind. It waits off the schedule, so the
+  // child can be granted the steps it needs to finish a propose its
+  // cancel waits for, observe the cancel flag and unwind.
+  cancel();
+  await_end();
 }
 
-void ChildHandle::join(ProcessContext& parent) {
+void ChildHandle::await_end() {
+  s_->joined = true;
+  // Only the child's end (run_body) wakes this wait.
+  if (!s_->finished) s_->controller->wait(s_->ended, /*interruptible=*/false);
+}
+
+void ChildHandle::join() {
   if (s_ == nullptr) return;
-  while (!s_->finished) parent.yield();
-  if (!s_->joined) {
-    s_->joined = true;
-    s_->controller->join(*s_);
-  }
+  if (!s_->joined) await_end();
   if (s_->error) {
     std::exception_ptr e = s_->error;
     s_->error = nullptr;
@@ -340,7 +375,9 @@ void ChildHandle::join(ProcessContext& parent) {
 }
 
 void ChildHandle::cancel() {
-  if (s_ != nullptr) s_->ctx->cancel_ = true;
+  if (s_ == nullptr) return;
+  s_->ctx->cancel_ = true;
+  s_->controller->interrupt(*s_);
 }
 
 bool ChildHandle::done() const { return s_ != nullptr && s_->finished; }

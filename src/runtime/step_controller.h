@@ -38,9 +38,17 @@
 // slots, so runs of up to 64 threads grow none of them. A forked process
 // (a shard worker) inherits the pool warm.
 //
-// All protocol-level blocking in the library is yield-spinning through the
-// controller (no native blocking), so runs cannot deadlock on hidden
-// OS-level waits.
+// No thread ever blocks natively. A wait on shared memory (an agreement's
+// decide) is a loop of steps, each a model step the policy schedules. A
+// wait on a local condition (a simulator's mutex, its next simulated
+// decision, a child's end) takes no step: the thread leaves the grant set
+// and suspends on a WaitList, and whichever thread changes the condition
+// re-enters it into the grant set and makes it ready during its own turn,
+// as spawn registers a new thread. So the live set, the runnable set of
+// every grant, still changes only at points the schedule fixes. A cancel
+// of the waiter, a crash of its domain and the run's stop wake it too, and
+// a run in which every live thread waits can never grant again, so it ends
+// timed out.
 #pragma once
 
 #include <chrono>
@@ -61,6 +69,7 @@ namespace mpcn {
 class ChildHandle;
 class Execution;
 class ProcessContext;
+class WaitList;
 
 // Deterministic lock-step controller (see file comment). Single-threaded:
 // every method runs on the thread that calls run().
@@ -98,6 +107,17 @@ class LockstepController {
   bool acquire(ThreadId tid);
   // Release the token after the atomic operation; advances the step clock.
   void release(ThreadId tid);
+
+  // The running thread leaves the grant set and suspends on `list`,
+  // taking no step, until a wake re-enters it and makes it ready
+  // (WaitList::wake_all, on the waker's own turn). An `interruptible`
+  // wait also ends at a cancel of the thread, a crash of its domain
+  // (wake_domain) and the run's stop; its next step then unwinds it.
+  // Callers re-check their condition once woken. Never called while
+  // holding the token.
+  void wait(WaitList& list, bool interruptible);
+  // Crash domain `pid` crashed: wake its interruptible waiters.
+  void wake_domain(ProcessId pid);
 
   void request_stop() { stop_ = true; }
   bool stop_requested() const { return stop_; }
@@ -137,6 +157,7 @@ class LockstepController {
 
  private:
   friend class ChildHandle;
+  friend class WaitList;
 
   // Every slot's fiber entry: run one body after another, parking the
   // fiber in between.
@@ -146,13 +167,15 @@ class LockstepController {
   Fiber& run_body(Slot& s);
 
   // Take `s` into the grant set and out of it. leave() runs on the
-  // leaving thread's own fiber (finishing, or ~ChildHandle), never on
-  // behalf of a thread parked in acquire().
+  // leaving thread's own fiber (finishing, or waiting), never on behalf
+  // of a thread parked in acquire().
   void enter(Slot& s);
   void leave(Slot& s);
-  // Wait until `child` has finished. A caller that waits for an
-  // unfinished thread must have left the schedule first.
-  void join(Slot& child);
+  // Takes waiting thread `s` off its list, re-enters it into the grant
+  // set and makes it ready.
+  void wake(Slot& s);
+  // Wakes `s` if it is in an interruptible wait.
+  void interrupt(Slot& s);
 
   void push_ready(Slot* s);
   // Picks the next token holder from the live set if every live fiber is
@@ -160,8 +183,9 @@ class LockstepController {
   void maybe_grant();
   // The fiber that runs next once the current one stops (null = run()'s
   // caller): fibers that have not parked yet, then the token holder, then
-  // — once the run is stopped — parked fibers, lowest ThreadId first, so
-  // they unwind.
+  // — once the run is stopped — parked fibers, lowest ThreadId first, and
+  // then interruptible waiters, so they unwind. A run whose every
+  // unfinished thread waits is stopped here, timed out.
   Slot* pick_next();
   void switch_to(Slot* next);
   // The current fiber stopped running: grant if due and switch on.
@@ -188,6 +212,7 @@ class LockstepController {
   std::vector<ThreadId> live_;
   std::vector<Slot*> live_slots_;
   std::size_t n_parked_ = 0;        // fibers parked in acquire()
+  std::size_t n_waiting_ = 0;       // fibers suspended in wait()
   Slot* ready_head_ = nullptr;      // to run before the next grant, FIFO
   Slot* ready_tail_ = nullptr;
   Slot* holder_ = nullptr;   // granted the token, not yet released
@@ -200,6 +225,23 @@ class LockstepController {
   std::string policy_error_;
   std::vector<ThreadId> grant_trace_;
   std::vector<std::uint64_t> crash_marks_;
+};
+
+// The threads waiting off the schedule for one local condition: a mutex
+// to be released, a simulator's next simulated decision, a child's end.
+// Whichever thread changes the condition wakes the list on its own turn.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(const WaitList&) = delete;
+  WaitList& operator=(const WaitList&) = delete;
+
+  // Re-enters every waiter into the grant set and makes it ready.
+  void wake_all();
+
+ private:
+  friend class LockstepController;
+  LockstepController::Slot* head_ = nullptr;  // linked by Slot::next_waiter
 };
 
 // Handle to a forked child thread (same crash domain as the parent): the
@@ -215,20 +257,21 @@ class ChildHandle {
     s_ = std::exchange(o.s_, nullptr);
     return *this;
   }
-  // Destructor: cancels the child, takes the parent out of the grant
-  // set, and waits for the child to finish. Safe during exception unwind.
+  // Destructor: cancels the child and waits for it to finish, off the
+  // schedule. Safe during exception unwind.
   ~ChildHandle();
 
-  // Cooperative join: yield-spins on the parent context until the child
-  // has finished, then reaps it (the child needs no further steps at
-  // that point, so this cannot stall the schedule).
-  // Rethrows any non-crash, non-halt exception raised by the child.
-  void join(ProcessContext& parent);
+  // Waits off the schedule until the child has finished; only the
+  // child's end wakes the caller, so a cancel of the caller takes effect
+  // at its first step after the join (a crash or the run's stop ends the
+  // child too). Rethrows any non-crash, non-halt exception raised by the
+  // child.
+  void join();
 
-  // Request the child to exit at its next step. A child inside a
-  // ProcessContext::CancelDeferral takes steps until the deferral ends
-  // (an engine thread finishes its agreement propose) and exits at the
-  // first step after it.
+  // Request the child to exit at its next step, waking it if it waits.
+  // A child inside a ProcessContext::CancelDeferral takes steps until the
+  // deferral ends (an engine thread finishes its agreement propose) and
+  // exits at the first step after it.
   void cancel();
 
   bool done() const;
@@ -240,6 +283,8 @@ class ChildHandle {
  private:
   friend class ProcessContext;
   explicit ChildHandle(LockstepController::Slot& s) : s_(&s) {}
+  // Marks the child joined and waits until it has finished.
+  void await_end();
   LockstepController::Slot* s_ = nullptr;
 };
 

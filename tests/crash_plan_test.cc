@@ -141,18 +141,19 @@ TEST(CrashRealization, ProposeTrapMatchesThreadedRuntime) {
   // blocked process): both elected owners of INPUT/0 crash one own-step
   // after winning their test&set slot. Which process wins the slot (and
   // at which own-step) is a schedule property, so the pin is per mem.
-  // The step counts were recorded under the engines' stop rule (a
-  // cancelled thread finishes its agreement propose).
+  // The literals were recorded under the engines' stop rule (a cancelled
+  // thread finishes its agreement propose), with local waits that take no
+  // step, and with entry traps armed at a victim's first propose step.
   Experiment e = Experiment::of(trivial_kset_algorithm(4, 1));
   e.in(ModelSpec{4, 2, 2})
       .inputs({Value(0), Value(1), Value(2), Value(3)})
       .seeds(1, 2)
       .crashes(CrashPlan::propose_trap(
           {"INPUT/0"}, 2, 1, CrashPlan::TrapPoint::kOwnerElected));
-  expect_realizations(e, {{"1/primitive", "2@8;3@53; 295"},
-                          {"1/afek", "2@8;3@53; 444"},
-                          {"2/primitive", "1@24;0@45; 382"},
-                          {"2/afek", "1@24;0@45; 593"}});
+  expect_realizations(e, {{"1/primitive", "3@23;0@41; 163"},
+                          {"1/afek", "1@19;0@34; 329"},
+                          {"2/primitive", "1@7;2@17; 166"},
+                          {"2/afek", "1@7;2@17; 353"}});
 }
 
 // A propose trap names its object by key string, one family per kind of
@@ -164,39 +165,39 @@ TEST(CrashRealization, ProposeTrapOnEveryKeyFamily) {
   Experiment ag = Experiment::of(trivial_kset_algorithm(4, 1));
   ag.in(ModelSpec{4, 1, 1}).inputs(inputs).seeds(1, 3).crashes(
       CrashPlan::propose_trap({"AG/0/1"}, 1, 2));
-  expect_realizations(ag, {{"1/primitive", "2@91; 585"},
-                           {"1/afek", "0@158; 741"},
-                           {"2/primitive", "1@58; 304"},
-                           {"2/afek", " 669"},
-                           {"3/primitive", "1@53; 330"},
-                           {"3/afek", "1@106; 662"}});
+  expect_realizations(ag, {{"1/primitive", "3@45; 199"},
+                           {"1/afek", "3@99; 553"},
+                           {"2/primitive", "2@35; 168"},
+                           {"2/afek", "3@114; 627"},
+                           {"3/primitive", "2@14; 217"},
+                           {"3/afek", "2@56; 551"}});
 
   Experiment xag_entry = Experiment::of(group_kset_algorithm(4, 2, 2));
   xag_entry.in(ModelSpec{4, 1, 1}).inputs(inputs).seeds(1, 3).crashes(
       CrashPlan::propose_trap({"XAG/G0"}, 1, 2));
-  expect_realizations(xag_entry, {{"1/primitive", "0@44; 444"},
-                                  {"1/afek", "0@44; 725"},
-                                  {"2/primitive", "1@44; 442"},
-                                  {"2/afek", "1@44; 754"},
-                                  {"3/primitive", "2@19; 404"},
-                                  {"3/afek", "2@19; 682"}});
+  expect_realizations(xag_entry, {{"1/primitive", "2@21; 217"},
+                                  {"1/afek", "2@21; 411"},
+                                  {"2/primitive", "1@13; 190"},
+                                  {"2/afek", "1@13; 345"},
+                                  {"3/primitive", "2@10; 208"},
+                                  {"3/afek", "2@10; 362"}});
 
   Experiment xag_owner = Experiment::of(group_kset_algorithm(4, 2, 2));
   xag_owner.in(ModelSpec{4, 2, 2}).inputs(inputs).seeds(1, 3).crashes(
       CrashPlan::propose_trap({"XAG/G1"}, 2, 1,
                               CrashPlan::TrapPoint::kOwnerElected));
-  expect_realizations(xag_owner, {{"1/primitive", "1@24;2@134; 525"},
-                                  {"1/afek", "1@24;2@134; 606"},
-                                  {"2/primitive", "1@71;2@104; 519"},
-                                  {"2/afek", "1@71;2@104; 636"},
-                                  {"3/primitive", "2@76;0@102; 588"},
-                                  {"3/afek", "2@76;0@102; 713"}});
+  expect_realizations(xag_owner, {{"1/primitive", "3@15;1@16; 200"},
+                                  {"1/afek", "3@15;1@16; 318"},
+                                  {"2/primitive", "0@17;3@16; 190"},
+                                  {"2/afek", "0@17;3@16; 298"},
+                                  {"3/primitive", "3@16;2@41; 206"},
+                                  {"3/afek", "3@16;2@42; 290"}});
 
   Experiment nothing = Experiment::of(trivial_kset_algorithm(4, 1));
   nothing.in(ModelSpec{4, 1, 1}).inputs(inputs).seed(1).crashes(
       CrashPlan::propose_trap({"AG/9/9"}, 1, 2));
   expect_realizations(nothing,
-                      {{"1/primitive", " 452"}, {"1/afek", " 756"}});
+                      {{"1/primitive", " 207"}, {"1/afek", " 590"}});
 }
 
 TEST(CrashRealization, RealizedPointsReplayAsFixedPlan) {

@@ -118,7 +118,8 @@ TEST(SeedSensitivity, DifferentSeedsDifferentSchedules) {
 // lowest runnable process whenever the plan shared the scheduler's seed).
 // The engine runs were recorded again when a decided simulator began to
 // let a cancelled thread finish its agreement propose (the stop rule in
-// src/core/engine_internal.h).
+// src/core/engine_internal.h), and again when a simulator's local waits
+// (its mutexes, its poll for a simulated decision) stopped taking steps.
 
 struct TracePin {
   std::uint64_t seed;
@@ -172,12 +173,12 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
   // Engine runs fork one child per simulated process and tear them down
   // through ~ChildHandle, crashes included: every controller path.
   const TracePin pins[] = {
-      {1, "035dc9539da19f50", 397, "50|-|50|-|.X.X"},
-      {2, "4c7ddf3731b02691", 362, "-|50|-|50|X.X."},
-      {3, "14165db7e1a14cf5", 511, "50|50|50|50|...."},
-      {4, "ea8124fea3783ac3", 455, "50|50|50|-|...X"},
-      {5, "24a2353cb1359ad5", 389, "50|50|50|50|...."},
-      {6, "4b63af3ea2f4e4a4", 530, "50|52|-|50|..X."},
+      {1, "2942beaefe005e26", 217, "50|50|50|-|...X"},
+      {2, "82f4035e417d1557", 194, "-|50|50|50|X..."},
+      {3, "47fae85cf21f1e26", 243, "50|50|50|50|...."},
+      {4, "58c619244c7d02c5", 204, "50|50|50|50|...."},
+      {5, "8527dfce348a81b7", 218, "50|50|50|50|...."},
+      {6, "71fed012ecce7994", 221, "50|-|50|50|.X.."},
   };
   for (const TracePin& pin : pins) {
     ExecutionOptions o = lockstep(pin.seed);
@@ -193,15 +194,16 @@ TEST(ThreadedRuntimePins, EngineSimulationsReproduceGrantTraces) {
 // `mpcn run --crash-p 0.001`. Every owner of one of its x_safe_agreement
 // objects scans the C(7,2) = 21 SET_LIST subsets that contain it. The
 // literals were recorded again under the engines' stop rule (a cancelled
-// thread finishes its agreement propose).
+// thread finishes its agreement propose), and again once local waits took
+// no steps.
 TEST(EnginePins, PaperGridCellReproducesGrantTraces) {
   const TracePin pins[] = {
-      {1, "a4a163a91bf00183", 2675, "3|3|-|3|3|3|3|3|..X....."},
-      {2, "1f679a4dccb150a2", 2268, "-|1|1|1|-|-|1|-|X...XX.X"},
-      {3, "6de83b2ceb46e823", 2781, "2|2|2|2|2|2|-|2|......X."},
-      {4, "a3d27e017f39b146", 2579, "-|2|2|2|2|2|2|2|X......."},
-      {5, "3d02e0da5cc53505", 2470, "3|3|-|3|3|3|3|-|..X....X"},
-      {6, "49263b7ad78c05a7", 2280, "-|2|2|-|-|2|2|2|X..XX..."},
+      {1, "0b88a066318b2523", 866, "2|2|2|2|2|2|2|2|........"},
+      {2, "1cb789d6d97902d1", 616, "-|1|-|1|1|-|1|1|X.X..X.."},
+      {3, "4521c8787294cad1", 846, "4|4|0|4|0|0|4|4|........"},
+      {4, "f99d4aec68e14386", 789, "-|3|3|3|3|3|3|3|X......."},
+      {5, "bbb1c7ba1367fc74", 808, "0|0|0|0|0|0|0|0|........"},
+      {6, "23768e27faddd2b3", 863, "1|1|1|1|1|1|1|1|........"},
   };
   for (const TracePin& pin : pins) {
     SCOPED_TRACE("seed " + std::to_string(pin.seed));
@@ -235,13 +237,13 @@ TEST(UnwindCounters, EngineRunWithFixedCrashes) {
   const std::uint64_t crashes_before = crashes.value();
   ExecutionOptions o = lockstep(1);
   // Simulators q0 and q2 crash with their simulated threads running.
-  o.crashes = CrashPlan::fixed({{0, 40}, {2, 90}});
+  o.crashes = CrashPlan::fixed({{0, 40}, {2, 50}});
   std::vector<Program> programs =
       make_simulation(trivial_kset_algorithm(4, 1), ModelSpec{4, 3, 2});
   const Outcome out =
       run_execution(std::move(programs), int_inputs(4, 50), o);
   ASSERT_EQ(outcome_key(out), "-|50|-|50|X.X.");
-  ASSERT_EQ(out.steps, 426u);
+  ASSERT_EQ(out.steps, 212u);
   // Each crashed simulator unwinds its own fiber and its four simulated
   // threads; the rest were cancelled or stopped with the run.
   EXPECT_EQ(crashes.value() - crashes_before, 10u);

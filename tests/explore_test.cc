@@ -122,9 +122,9 @@ TEST(PctPolicy, PinnedDigestsForCurrentSeeds) {
   // A BG engine cell: simulators and their forked children interleave in
   // ThreadId order, and the runnable set shrinks and regrows under the
   // change points as children finish and parents wait out ~ChildHandle.
-  const Pin engine[] = {{2, "d8074ad679d161c2", 147},
-                        {4, "c5c8785dbe7afc70", 134},
-                        {8, "0ed630c94f946953", 104}};
+  const Pin engine[] = {{2, "e908401276b95f30", 43},
+                        {4, "fcd40341a41d7a23", 42},
+                        {8, "6a9bc652c6c98a93", 53}};
   for (const Pin& pin : engine) {
     const RunRecord rec = run_pct(engine_cell(20000), pin.seed, 120);
     EXPECT_EQ(rec.schedule_digest, pin.digest) << "engine seed " << pin.seed;
@@ -134,7 +134,7 @@ TEST(PctPolicy, PinnedDigestsForCurrentSeeds) {
 
   // The same cell stopped at its step limit: the parked fibers unwind.
   const RunRecord stopped = run_pct(engine_cell(60), 1, 120);
-  EXPECT_EQ(stopped.schedule_digest, "6af2b8d8b1e3dc21");
+  EXPECT_EQ(stopped.schedule_digest, "997ba2c9f77c3b61");
   EXPECT_EQ(stopped.steps, 60u);
   EXPECT_TRUE(stopped.timed_out);
 }

@@ -11,6 +11,7 @@
 #include <new>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/common/errors.h"
 #include "src/obs/metrics.h"
@@ -396,7 +397,7 @@ TEST(Lockstep, EveryProcessRunsOnTheCallersThread) {
         cctx.yield();
       });
       ctx.yield();
-      h.join(ctx);
+      h.join();
       ctx.decide(Value(0));
     });
   }
@@ -487,7 +488,7 @@ TEST(Fork, JoinReturnsAfterChildFinishes) {
       for (int i = 0; i < 5; ++i) cctx.yield();
       flag->store(true);
     });
-    h.join(ctx);
+    h.join();
     EXPECT_TRUE(flag->load());
     ctx.decide(Value(1));
   }};
@@ -502,7 +503,7 @@ TEST(Fork, CancelUnblocksSpinningChild) {
     });
     for (int i = 0; i < 20; ++i) ctx.yield();
     h.cancel();
-    h.join(ctx);
+    h.join();
     ctx.decide(Value(1));
   }};
   Outcome out = run_execution(std::move(p), {Value(0)}, lockstep(9));
@@ -528,7 +529,7 @@ TEST(Fork, ChildErrorSurfacesThroughJoin) {
   std::vector<Program> p{[](ProcessContext& ctx) {
     ChildHandle h = ctx.fork(
         [](ProcessContext&) { throw ProtocolError("child bug"); });
-    EXPECT_THROW(h.join(ctx), ProtocolError);
+    EXPECT_THROW(h.join(), ProtocolError);
     ctx.decide(Value(1));
   }};
   run_execution(std::move(p), {Value(0)}, lockstep(11));
@@ -558,7 +559,7 @@ std::size_t blocks_of_forking_run(int forks) {
           ctx.fork([](ProcessContext& cctx) { cctx.yield(); });
     }
     for (int c = 0; c < forks; ++c) {
-      children[static_cast<std::size_t>(c)].join(ctx);
+      children[static_cast<std::size_t>(c)].join();
     }
     ctx.yield();
     ctx.decide(Value(0));
@@ -597,7 +598,7 @@ TEST(AllocationContract, ARunOfMoreThreadsThanThePoolHoldsMakesOnlyTheExcess) {
           cctx.yield();
         }));
       }
-      for (ChildHandle& c : children) c.join(ctx);
+      for (ChildHandle& c : children) c.join();
       ctx.decide(Value(0));
     });
     EXPECT_EQ(run_execution(std::move(p), int_inputs(2), lockstep(22))
@@ -631,6 +632,210 @@ TEST(CooperativeMutex, MutualExclusion) {
   Outcome out = run_execution(std::move(p), int_inputs(4), lockstep(13));
   EXPECT_FALSE(out.timed_out);
   EXPECT_EQ(violations->load(), 0);
+}
+
+// --- waiting off the schedule ---
+
+// The grant trace of one run of `programs` under `seed`.
+std::vector<ThreadId> grants_of(std::vector<Program> programs,
+                                std::uint64_t seed) {
+  const std::size_t n = programs.size();
+  Execution e(std::move(programs), int_inputs(static_cast<int>(n)),
+              lockstep(seed));
+  e.controller().enable_grant_trace();
+  e.run();
+  return e.controller().grant_trace();
+}
+
+TEST(CooperativeMutex, AWaiterTakesNoStepUntilTheUnlockAndOneAfter) {
+  // p0 takes the mutex first (it starts first) and holds it over five
+  // steps; p1 finds it held, waits, and needs no step once it holds it.
+  // Whatever the seed, p1's only grant is its retry after the unlock.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    auto m = std::make_shared<CooperativeMutex>();
+    std::vector<Program> p{
+        [m](ProcessContext& ctx) {
+          {
+            CoopLock lk(*m, ctx);
+            for (int i = 0; i < 5; ++i) ctx.yield();
+          }
+          ctx.decide(Value(0));
+        },
+        [m](ProcessContext& ctx) {
+          CoopLock lk(*m, ctx);
+          ctx.decide(Value(1));
+        }};
+    const std::vector<ThreadId> q0(5, ThreadId{0, 0});
+    std::vector<ThreadId> expected = q0;
+    expected.push_back(ThreadId{1, 0});
+    EXPECT_EQ(grants_of(std::move(p), seed), expected) << "seed " << seed;
+  }
+}
+
+TEST(Fork, JoinTakesNoStep) {
+  // The parent joins at once: every grant of the run is its child's.
+  std::vector<Program> p{[](ProcessContext& ctx) {
+    ChildHandle h = ctx.fork([](ProcessContext& cctx) {
+      for (int i = 0; i < 5; ++i) cctx.yield();
+    });
+    h.join();
+    ctx.decide(Value(0));
+  }};
+  EXPECT_EQ(grants_of(std::move(p), 3),
+            std::vector<ThreadId>(5, ThreadId{0, 1}));
+}
+
+// Fiber contexts made by a run of 64 threads (the pool's size) that each
+// take one step: 0 once the pool is full, 1 per slot a run before it
+// failed to give back.
+std::uint64_t contexts_of_a_full_pool_run() {
+  const std::uint64_t before = fiber_contexts();
+  std::vector<Program> p(2, [](ProcessContext& ctx) {
+    std::vector<ChildHandle> children;
+    for (int c = 0; c < 31; ++c) {
+      children.push_back(ctx.fork([](ProcessContext& cctx) {
+        cctx.yield();
+      }));
+    }
+    for (ChildHandle& c : children) c.join();
+    ctx.decide(Value(0));
+  });
+  run_execution(std::move(p), int_inputs(2), lockstep(23));
+  return fiber_contexts() - before;
+}
+
+// Halt and crash unwinds `f` adds to the runtime counters.
+std::pair<std::uint64_t, std::uint64_t> unwinds_during(
+    const std::function<void()>& f) {
+  const Counter& halts = metrics_registry().counter("runtime.halt_unwinds");
+  const Counter& crashes =
+      metrics_registry().counter("runtime.crash_unwinds");
+  const std::uint64_t halts_before = halts.value();
+  const std::uint64_t crashes_before = crashes.value();
+  f();
+  return {halts.value() - halts_before, crashes.value() - crashes_before};
+}
+
+TEST(WaitOffSchedule, ACancelReachesAWaitingChild) {
+  // The parent holds the mutex for good (no unlock), so only the cancel
+  // can end its child's wait: the child's next step halts it.
+  contexts_of_a_full_pool_run();
+  Outcome out;
+  const auto unwinds = unwinds_during([&out] {
+    std::vector<Program> p{[](ProcessContext& ctx) {
+      auto m = std::make_shared<CooperativeMutex>();
+      m->lock(ctx);
+      ChildHandle h = ctx.fork([m](ProcessContext& cctx) {
+        CoopLock lk(*m, cctx);
+        ADD_FAILURE() << "the child took a mutex its parent holds";
+      });
+      for (int i = 0; i < 10; ++i) ctx.yield();
+      h.cancel();
+      h.join();
+      ctx.decide(Value(0));
+    }};
+    out = run_execution(std::move(p), int_inputs(1), lockstep(24));
+  });
+  EXPECT_FALSE(out.timed_out);
+  EXPECT_TRUE(out.decisions[0].has_value());
+  EXPECT_EQ(unwinds, std::make_pair(std::uint64_t{1}, std::uint64_t{0}));
+  EXPECT_EQ(contexts_of_a_full_pool_run(), 0u);
+}
+
+TEST(WaitOffSchedule, ACrashOfItsDomainReachesAWaitingThread) {
+  // p1 holds the mutex for good and decides after 200 steps; p0's
+  // thread waits for it while p0's child crashes p0 at p0's third step.
+  // The crash, not the stop after p1's decision, ends the wait: p0's two
+  // threads unwind crashed and only p1 halts.
+  contexts_of_a_full_pool_run();
+  Outcome out;
+  const auto unwinds = unwinds_during([&out] {
+    auto m = std::make_shared<CooperativeMutex>();
+    ExecutionOptions o = lockstep(25);
+    o.crashes = CrashPlan::fixed({{0, 3}});
+    std::vector<Program> p{
+        [m](ProcessContext& ctx) {
+          // The child steps only once this thread is about to wait: p0's
+          // first step is this thread's, its second and third the
+          // child's.
+          auto gate = std::make_shared<CooperativeMutex>();
+          gate->lock(ctx);
+          ChildHandle h = ctx.fork([gate](ProcessContext& cctx) {
+            CoopLock open(*gate, cctx);
+            for (;;) cctx.yield();
+          });
+          ctx.yield();
+          gate->unlock();
+          CoopLock lk(*m, ctx);
+          ADD_FAILURE() << "p0 took a mutex p1 holds";
+        },
+        [m](ProcessContext& ctx) {
+          m->lock(ctx);
+          for (int i = 0; i < 200; ++i) ctx.yield();
+          ctx.decide(Value(1));
+          for (;;) ctx.yield();
+        }};
+    out = run_execution(std::move(p), int_inputs(2), o);
+  });
+  EXPECT_FALSE(out.timed_out);
+  EXPECT_TRUE(out.crashed[0]);
+  EXPECT_TRUE(out.decisions[1].has_value());
+  EXPECT_EQ(unwinds, std::make_pair(std::uint64_t{1}, std::uint64_t{2}));
+  EXPECT_EQ(contexts_of_a_full_pool_run(), 0u);
+}
+
+TEST(WaitOffSchedule, TheRunsStopReachesAWaitingThread) {
+  // p0 holds the mutex for good and spins into the step limit; the stop
+  // halts p0 and then p1, which waits for the mutex.
+  contexts_of_a_full_pool_run();
+  Outcome out;
+  const auto unwinds = unwinds_during([&out] {
+    auto m = std::make_shared<CooperativeMutex>();
+    std::vector<Program> p{
+        [m](ProcessContext& ctx) {
+          m->lock(ctx);
+          for (;;) ctx.yield();
+        },
+        [m](ProcessContext& ctx) {
+          CoopLock lk(*m, ctx);
+          ADD_FAILURE() << "p1 took a mutex p0 holds";
+        }};
+    out = run_execution(std::move(p), int_inputs(2), lockstep(26, 500));
+  });
+  EXPECT_TRUE(out.timed_out);
+  EXPECT_EQ(out.steps, 500u);
+  EXPECT_EQ(unwinds, std::make_pair(std::uint64_t{2}, std::uint64_t{0}));
+  EXPECT_EQ(contexts_of_a_full_pool_run(), 0u);
+}
+
+TEST(WaitOffSchedule, ARunWhoseThreadsAllWaitEndsTimedOutAtOnce) {
+  // Two processes take two mutexes in opposite order, one step apart:
+  // each ends up waiting for the other, so no thread is left to take a
+  // step. The run ends timed out after those two steps, far below its
+  // limit, and the stop halts both.
+  contexts_of_a_full_pool_run();
+  Outcome out;
+  const auto unwinds = unwinds_during([&out] {
+    auto a = std::make_shared<CooperativeMutex>();
+    auto b = std::make_shared<CooperativeMutex>();
+    const auto take = [](std::shared_ptr<CooperativeMutex> first,
+                         std::shared_ptr<CooperativeMutex> second) {
+      return [first, second](ProcessContext& ctx) {
+        CoopLock one(*first, ctx);
+        ctx.yield();
+        CoopLock two(*second, ctx);
+        ctx.decide(Value(0));
+      };
+    };
+    std::vector<Program> p{take(a, b), take(b, a)};
+    out = run_execution(std::move(p), int_inputs(2),
+                        lockstep(27, 1'000'000));
+  });
+  EXPECT_TRUE(out.timed_out);
+  EXPECT_EQ(out.steps, 2u);
+  EXPECT_EQ(out.decided_count(), 0);
+  EXPECT_EQ(unwinds, std::make_pair(std::uint64_t{2}, std::uint64_t{0}));
+  EXPECT_EQ(contexts_of_a_full_pool_run(), 0u);
 }
 
 // --- many processes, seeded schedules ---

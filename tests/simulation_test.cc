@@ -416,7 +416,8 @@ TEST(EngineOnAfekMem, BackwardSimulationStillCorrect) {
 // would time out. Each cell is built as `mpcn run` and `mpcn explore`
 // build it (process index as input). The colorless cases time out when
 // threads are cancelled mid-propose; the colored ones guard the colored
-// engine's share of the rule.
+// engine's share of the rule. The PCT cases guard the engines' local
+// waits, which take no steps (src/runtime/step_controller.h).
 
 Experiment termination_experiment(const char* scenario, ModelSpec source,
                                   ModelSpec target, bool colored = false) {
@@ -485,6 +486,48 @@ TEST(Termination, SeedGridOfTheSmallestCellIsAllOk) {
   e.seeds(1, 2000).step_limit(20'000);
   const Report r = e.run_all();
   EXPECT_EQ(r.ok_count(), 2000) << failed_cells(r);
+}
+
+// The smallest cell's PCT schedule at PCT seed 1, depth 4 and horizon 120,
+// the case of `PctPolicy.PinnedDigestsForCurrentSeeds` that ran into its
+// 20,000-step limit while a simulator's mutex waits and decision polls
+// were steps: nearly all of them were mutex spins. It ends now that those
+// waits take none.
+TEST(Termination, PctScheduleOfTheSmallestCellEnds) {
+  Experiment e = termination_experiment("trivial_kset", ModelSpec{2, 1, 1},
+                                        ModelSpec{3, 1, 1});
+  e.seed(1).step_limit(20'000);
+  ExperimentCell cell = e.cells().front();
+  cell.schedule.kind = SchedulePolicyKind::kPct;
+  cell.schedule.seed = 1;
+  cell.schedule.pct_depth = 4;
+  cell.schedule.pct_horizon = 120;
+  const RunRecord rec = run_cell(cell);
+  EXPECT_TRUE(rec.ok()) << (rec.timed_out ? "timed out after " +
+                                                std::to_string(rec.steps) +
+                                                " steps"
+                                          : rec.why + rec.error);
+}
+
+// `mpcn explore group_kset --in 4,2,2 --mode simulated --policy pct
+// --budget 30`: a PCT search of a simulation in its own model. While the
+// local waits were steps, PCT granted a waiting simulator over the
+// threads it waited for, and the 9th schedule ran into the
+// 1,000,000-step limit.
+TEST(Termination, PctSearchOfASimulationInItsOwnModelIsClean) {
+  Experiment e = termination_experiment("group_kset", ModelSpec{4, 2, 2},
+                                        ModelSpec{4, 2, 2});
+  const ExperimentCell cell = e.cells().front();
+  ExploreOptions o;
+  o.policy = ExplorePolicy::kPct;
+  o.seed = 1;
+  o.budget = 30;
+  o.shrink_violations = false;
+  const ExploreResult r = explore(cell, o);
+  EXPECT_EQ(r.schedules, 30);
+  for (const ExploreViolation& v : r.violations) {
+    ADD_FAILURE() << "schedule " << v.schedule_index << ": " << v.why;
+  }
 }
 
 // `group_kset` 4,2,2 -> 4,1,1 over 512 seeds under hazard crashes at
